@@ -9,13 +9,10 @@
    Flags:
      --json [PATH]   also write a machine-readable trajectory record
                      (default PATH: BENCH_PR9.json). Each selected
-                     figure is timed three times: the tree-walking
-                     reference engine on 1 domain, the decoded
-                     (closure-compiled) engine on 1 domain — isolating
-                     the pure engine speedup — and the decoded engine
-                     on the full domain pool (the composed speedup).
-                     Caches are cleared before each pass so every pass
-                     pays one compile+decode per distinct program.
+                     figure is timed twice: on 1 domain and on the full
+                     domain pool. Caches are cleared before each pass
+                     so every pass pays one compile+decode per distinct
+                     program.
                      Figures with a representative wave additionally
                      run the four simulation-mode passes (functional /
                      timing-only / timing+pool / timing+replication);
@@ -571,22 +568,20 @@ let micro () =
 
 (* A grid-scale functional GEMM (4x4 CTAs of 128x128 tiles — far
    beyond the 16x16-tile grids the unit tests could afford before the
-   domain pool). Checks (a) the parallel engine is bit-identical to
-   the sequential one, (b) the decoded engine is bit-identical to the
-   tree-walking reference, (c) the simulated output matches the
-   reference interpreter's tensors — and times all of them. *)
+   domain pool). Checks (a) the parallel run is bit-identical to the
+   sequential one, (b) the simulated output matches the CPU
+   reference's tensors — and times both runs. *)
 let verify_grid () =
   section "Functional verification: 4x4x1 CTA grid, FP16 GEMM 512x512x128";
   let m = 512 and n = 512 and kk = 128 in
   let kernel = Kernels.gemm ~tiles ~dtype:Dtype.F16 () in
   let compiled = Flow.compile kernel in
   let grid = (m / tiles.Kernels.block_m, n / tiles.Kernels.block_n, 1) in
-  let run ~domains ~engine =
+  let run ~domains =
     let a = Tensor.random ~dtype:Dtype.F16 ~seed:11 [| m; kk |] in
     let b = Tensor.random ~dtype:Dtype.F16 ~seed:12 [| kk; n |] in
     let c = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
     Pool.set_default_domains (Some domains);
-    Tawa_gpusim.Engine.set_forced engine;
     let t0 = Unix.gettimeofday () in
     let cycles =
       Launch.run_grid_functional ~cfg:Config.functional_test compiled.Flow.program
@@ -596,32 +591,26 @@ let verify_grid () =
         ~grid
     in
     let dt = Unix.gettimeofday () -. t0 in
-    Tawa_gpusim.Engine.set_forced None;
     (a, b, c, cycles, dt)
   in
   let domains = Pool.default_domains () in
-  let _, _, c_ref, cycles_ref, t_ref = run ~domains:1 ~engine:(Some Config.Reference) in
-  let _, _, c_seq, cycles_seq, t_seq = run ~domains:1 ~engine:(Some Config.Decoded) in
-  let a, b, c_par, cycles_par, t_par = run ~domains ~engine:(Some Config.Decoded) in
+  let _, _, c_seq, cycles_seq, t_seq = run ~domains:1 in
+  let a, b, c_par, cycles_par, t_par = run ~domains in
   Pool.set_default_domains None;
   let bit_identical = Tensor.equal c_seq c_par && cycles_seq = cycles_par in
-  let engines_identical = Tensor.equal c_ref c_seq && cycles_ref = cycles_seq in
   let reference = Reference.gemm ~out_dtype:Dtype.F16 a b in
   let rel = Tensor.max_rel_diff c_par reference in
-  let pass = bit_identical && engines_identical && rel <= 1e-2 in
-  pr "  reference engine: %.2fs   decoded: %.2fs (%.2fx)   decoded x %d domains: %.2fs (%.2fx)\n"
-    t_ref t_seq (t_ref /. t_seq) domains t_par (t_ref /. t_par);
-  pr "  bit-identical par-vs-seq: %b   decoded-vs-reference: %b   max rel diff vs reference: %.2e   pass: %b\n"
-    bit_identical engines_identical rel pass;
+  let pass = bit_identical && rel <= 1e-2 in
+  pr "  sequential: %.2fs   x %d domains: %.2fs (%.2fx)\n" t_seq domains t_par
+    (t_seq /. t_par);
+  pr "  bit-identical par-vs-seq: %b   max rel diff vs reference: %.2e   pass: %b\n"
+    bit_identical rel pass;
   Json.Obj
     [ ("workload", Json.Str "gemm fp16 512x512x128, 4x4x1 grid, 128x128 tiles");
       ("domains", Json.Int domains);
-      ("reference_engine_seconds", Json.Float t_ref);
       ("sequential_seconds", Json.Float t_seq); ("parallel_seconds", Json.Float t_par);
-      ("engine_speedup", Json.Float (t_ref /. t_seq));
       ("speedup", Json.Float (t_seq /. t_par));
       ("bit_identical", Json.Bool bit_identical);
-      ("engines_bit_identical", Json.Bool engines_identical);
       ("max_rel_diff_vs_reference", Json.Float rel); ("pass", Json.Bool pass) ]
 
 (* ------------------------------------------------------------------ *)
@@ -817,9 +806,9 @@ let static_occupancy () =
 (* --------------------------- autotune ----------------------------- *)
 
 (* The occupancy-pruned search (PR8) on one figure shape per family,
-   reported against the hand-tuned expert schedule. Runs once on the
-   decoded engine (searching under the reference engine three times
-   would measure the search, not the simulator). *)
+   reported against the hand-tuned expert schedule. Runs once (timing
+   the search in every figure pass would measure the search, not the
+   simulator). *)
 let autotune_one (name, fam) =
   let r = Autotune.search fam in
   let s = r.Autotune.stats in
@@ -966,20 +955,15 @@ let all_figures =
   [ ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("fig11", fig11);
     ("fig12", fig12); ("extra", extra); ("micro", micro) ]
 
-(* In --json mode every figure runs three times: the tree-walking
-   reference engine on 1 domain (silent), the decoded engine on 1
-   domain (silent) — the pure engine speedup — and the decoded engine
-   on the full domain pool for the reported tables. Caches are cleared
+(* In --json mode every figure runs twice: on 1 domain (silent) and on
+   the full domain pool for the reported tables. Caches are cleared
    before each pass (and stay enabled), so every pass pays one
-   compile+decode per distinct program and the wall-clock difference is
-   the simulators'. *)
+   compile+decode per distinct program. *)
 type fig_result = {
   r_name : string;
-  r_ref : float; (* reference engine, 1 domain *)
-  r_dec : float; (* decoded engine, 1 domain *)
-  r_par : float; (* decoded engine, domain pool *)
-  r_ref_instr : int; (* instructions retired by the reference pass *)
-  r_dec_instr : int;
+  r_dec : float; (* 1 domain *)
+  r_par : float; (* domain pool *)
+  r_dec_instr : int; (* instructions retired by the 1-domain pass *)
   r_cache : Tawa_machine.Progcache.stats;
   r_data : Json.t;
   r_modes : Json.t; (* four simulation-mode passes, Null if no wave *)
@@ -987,10 +971,9 @@ type fig_result = {
 
 let no_stats = { Tawa_machine.Progcache.hits = 0; misses = 0; evictions = 0 }
 
-let timed_pass ~engine ~domains ~silent f =
+let timed_pass ~domains ~silent f =
   Flow.clear_cache ();
   Tawa_gpusim.Engine.clear_decode_cache ();
-  Tawa_gpusim.Engine.set_forced engine;
   Pool.set_default_domains domains;
   Tawa_gpusim.Engine.reset_instructions ();
   quiet := silent;
@@ -998,37 +981,28 @@ let timed_pass ~engine ~domains ~silent f =
   let data = f () in
   let dt = Unix.gettimeofday () -. t0 in
   quiet := false;
-  Tawa_gpusim.Engine.set_forced None;
   Pool.set_default_domains None;
   (dt, Tawa_gpusim.Engine.instructions_retired (), data)
 
 let run_figure ~json (name, f) =
   if not json then begin
     ignore (f ());
-    { r_name = name; r_ref = 0.0; r_dec = 0.0; r_par = 0.0; r_ref_instr = 0;
-      r_dec_instr = 0; r_cache = no_stats; r_data = Json.Null;
-      r_modes = Json.Null }
+    { r_name = name; r_dec = 0.0; r_par = 0.0; r_dec_instr = 0;
+      r_cache = no_stats; r_data = Json.Null; r_modes = Json.Null }
   end
   else begin
-    let r_ref, r_ref_instr, _ =
-      timed_pass ~engine:(Some Config.Reference) ~domains:(Some 1) ~silent:true f
-    in
-    let r_dec, r_dec_instr, _ =
-      timed_pass ~engine:(Some Config.Decoded) ~domains:(Some 1) ~silent:true f
-    in
-    let r_par, _, data =
-      timed_pass ~engine:(Some Config.Decoded) ~domains:None ~silent:false f
-    in
+    let r_dec, r_dec_instr, _ = timed_pass ~domains:(Some 1) ~silent:true f in
+    let r_par, _, data = timed_pass ~domains:None ~silent:false f in
     let r_modes = run_modes name in
-    { r_name = name; r_ref; r_dec; r_par; r_ref_instr; r_dec_instr;
+    { r_name = name; r_dec; r_par; r_dec_instr;
       r_cache = Flow.cache_stats (); r_data = data; r_modes }
   end
 
 let () =
   (* Registry timers default to CPU time; the bench reports wall clock. *)
   Tawa_obs.Registry.set_clock Unix.gettimeofday;
-  (* TAWA_ENGINE / TAWA_MODE / TAWA_CHECK / TAWA_STATCHECK are read
-     once here; the library no longer consults the environment. *)
+  (* TAWA_MODE / TAWA_CHECK / TAWA_STATCHECK are read once here; the
+     library no longer consults the environment. *)
   Config.of_env ();
   let args = List.tl (Array.to_list Sys.argv) in
   let json = ref None and names = ref [] and domains = ref None in
@@ -1077,7 +1051,6 @@ let () =
               acc.Tawa_machine.Progcache.evictions + r.r_cache.Tawa_machine.Progcache.evictions })
         no_stats results
     in
-    let ref_total = List.fold_left (fun acc r -> acc +. r.r_ref) 0.0 results in
     let dec_total = List.fold_left (fun acc r -> acc +. r.r_dec) 0.0 results in
     let par_total = List.fold_left (fun acc r -> acc +. r.r_par) 0.0 results in
     let ips i dt = if dt > 0.0 then Float.of_int i /. dt else 0.0 in
@@ -1101,15 +1074,8 @@ let () =
                  (fun r ->
                    Json.Obj
                      [ ("name", Json.Str r.r_name);
-                       ("reference_seconds", Json.Float r.r_ref);
                        ("decoded_seconds", Json.Float r.r_dec);
                        ("decoded_parallel_seconds", Json.Float r.r_par);
-                       ( "engine_speedup",
-                         Json.Float (if r.r_dec > 0.0 then r.r_ref /. r.r_dec else 1.0) );
-                       ( "composed_speedup",
-                         Json.Float (if r.r_par > 0.0 then r.r_ref /. r.r_par else 1.0) );
-                       ( "reference_instructions_per_sec",
-                         Json.Float (ips r.r_ref_instr r.r_ref) );
                        ( "decoded_instructions_per_sec",
                          Json.Float (ips r.r_dec_instr r.r_dec) );
                        ( "compile_cache",
@@ -1133,13 +1099,8 @@ let () =
           ("telemetry", Tawa_obs.Registry.to_json ());
           ( "totals",
             Json.Obj
-              [ ("reference_seconds", Json.Float ref_total);
-                ("decoded_seconds", Json.Float dec_total);
-                ("decoded_parallel_seconds", Json.Float par_total);
-                ( "engine_speedup",
-                  Json.Float (if dec_total > 0.0 then ref_total /. dec_total else 1.0) );
-                ( "composed_speedup",
-                  Json.Float (if par_total > 0.0 then ref_total /. par_total else 1.0) ) ] ) ]
+              [ ("decoded_seconds", Json.Float dec_total);
+                ("decoded_parallel_seconds", Json.Float par_total) ] ) ]
     in
     Json.to_file path doc;
     pr "\n[bench completed in %.1fs; trajectory written to %s]\n"

@@ -1,7 +1,7 @@
 (* Shared command-line vocabulary of the tawac subcommands.
 
    Every subcommand draws its flags from here, so a given flag spells,
-   parses, and misparses identically everywhere: `--engine foo` produces
+   parses, and misparses identically everywhere: `--mode foo` produces
    the same error under `run`, `profile`, and `autotune`. Compile-shape
    flags (-D/-P/--coop/...) fold into one [Flow.options] via
    {!options_of}, including the lowering strategy (--sw-pipeline /
@@ -39,16 +39,6 @@ let k ?(default = 64) () = Arg.(value & opt int default & info [ "k" ] ~doc:"GEM
 
 let l ?(default = 64) () =
   Arg.(value & opt int default & info [ "l" ] ~doc:"Attention sequence length.")
-
-let engine =
-  let engine_conv =
-    Arg.enum
-      [ ("reference", Some Config.Reference); ("decoded", Some Config.Decoded) ]
-  in
-  Arg.(value & opt engine_conv None
-       & info [ "engine" ] ~docv:"ENGINE"
-           ~doc:"Simulator execution engine: $(b,decoded) (closure-compiled, the default) \
-                 or $(b,reference) (tree-walking oracle). Unset defers to \\$(b,TAWA_ENGINE).")
 
 let mode =
   let mode_conv =

@@ -317,15 +317,14 @@ let emit_profile ~obs ~kernel_name (t : Launch.timing) =
               ("cycles", Tawa_obs.Json.Float t.Launch.cycles);
               ("profile", Sim.profile_to_json prof) ]))
 
-let do_run path kernel_name d p coop persistent coarse sw naive m n kk l engine obs
-    emode =
+let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emode =
   try
     let emode = Cli_args.resolve_mode ~default:Config.Functional emode in
     let functional = emode = Config.Functional in
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
-    let cfg = { Config.functional_test with Config.engine } in
-    let tcfg = { Config.h100 with Config.engine } in
+    let cfg = Config.functional_test in
+    let tcfg = Config.h100 in
     List.iter
       (fun k ->
         let c = Flow.compile ~options k in
@@ -432,16 +431,14 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l engine 
 
 (* Profile a kernel: run the timing simulation of its representative
    CTA and report where every warp group's cycles went (stall
-   attribution) plus per-channel occupancy. The counters are
-   engine-independent (identical under --engine reference and decoded),
-   and so are the deep-profiler views: --ops attributes cycles to IR
-   ops through the codegen source map, --channels reconstructs per-slot
-   put/wait timelines from recorded channel events, --critical-path
-   walks the recorded dependence events for the chain bounding the
-   CTA's latency, and --trace writes a Chrome trace-event JSON with op
-   and channel lanes (plus the legacy per-unit lanes under the
-   reference engine). *)
-let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l engine obs
+   attribution) plus per-channel occupancy. The deep-profiler views
+   build on the same run: --ops attributes cycles to IR ops through the
+   codegen source map, --channels reconstructs per-slot put/wait
+   timelines from recorded channel events, --critical-path walks the
+   recorded dependence events for the chain bounding the CTA's
+   latency, and --trace writes a Chrome trace-event JSON with op and
+   channel lanes. *)
+let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
     trace_out show_ops show_channels show_cp emode =
   try
     let emode = Cli_args.resolve_mode ~default:Config.Timing emode in
@@ -451,7 +448,7 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l eng
       Printf.eprintf "tawac: no kernels found\n";
       exit 1
     end;
-    let tcfg = { Config.h100 with Config.engine } in
+    let tcfg = Config.h100 in
     let unknown = ref false in
     List.iter
       (fun k ->
@@ -524,37 +521,14 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l eng
             | None ->
               print_string "no representative-CTA profile available for --ops\n");
           if show_channels || show_cp || trace_out <> None then begin
-            (* One recorded CTA; persistent kernels pop one SM's share
-               of the tile queue, mirroring [Launch.estimate]. Both
-               engines feed the recorder; the reference engine
-               additionally keeps its legacy per-unit interval lanes. *)
-            let cfg = { tcfg with Config.collect_trace = trace_out <> None } in
-            let gx, gy, gz = grid in
-            let pop () =
-              if program.Tawa_machine.Isa.persistent then begin
-                let total = gx * gy * gz in
-                let share =
-                  (total + cfg.Config.num_sms - 1) / cfg.Config.num_sms
-                in
-                Launch.queue_of_list
-                  (List.init share (fun i -> i * cfg.Config.num_sms mod total))
-              end
-              else Launch.no_queue
+            (* Record the CTA [Launch.estimate] simulated. *)
+            let num_programs, pid, queue =
+              Launch.representative_cta ~cfg:tcfg program ~grid
             in
             let recorder = Tawa_obs.Prof.create () in
-            let legacy, outcome =
-              match Engine.resolve cfg with
-              | Config.Reference ->
-                let cta =
-                  Sim.create ~recorder ~cfg ~program ~params
-                    ~num_programs:[| gx; gy; gz |] ~pop_global:(pop ()) ()
-                in
-                let o = Sim.run cta in
-                (List.rev cta.Sim.events, o)
-              | Config.Decoded ->
-                ( [],
-                  Engine.run_cta ~recorder ~cfg ~program ~params
-                    ~num_programs:[| gx; gy; gz |] ~pop_global:(pop ()) () )
+            let outcome =
+              Engine.run_cta ~recorder ~cfg:tcfg ~program ~params ~num_programs ~pid
+                ~pop_global:(queue ()) ()
             in
             let chan_label ch = Sim.chan_label_of ~program ch in
             let wg_label w = Sim.wg_label_of ~program w in
@@ -581,8 +555,7 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l eng
             | None -> ()
             | Some tpath ->
               let lanes =
-                legacy
-                @ Tawa_obs.Prof.op_intervals recorder ~wg_label ~pc_label
+                Tawa_obs.Prof.op_intervals recorder ~wg_label ~pc_label
                 @ Tawa_obs.Prof.channel_intervals recorder ~chan_label
               in
               Tawa_obs.Trace.to_file tpath (Tawa_obs.Trace.of_intervals lanes);
@@ -635,7 +608,7 @@ let measurement_to_json (m : Autotune.measurement) =
       ("tflops", Float m.Autotune.tflops);
       ("cycles", Float m.Autotune.cycles) ]
 
-let do_autotune family m n kk l causal dtype store_path engine obs emode =
+let do_autotune family m n kk l causal dtype store_path obs emode =
   try
     let emode = Cli_args.resolve_mode ~default:Config.Timing emode in
     ignore emode; (* the search always measures in timing mode *)
@@ -660,7 +633,7 @@ let do_autotune family m n kk l causal dtype store_path engine obs emode =
         (fun path -> Tawa_machine.Tunestore.open_ ~name:"tawac" ~path ())
         store_path
     in
-    let cfg = { Config.h100 with Config.engine } in
+    let cfg = Config.h100 in
     let r = Autotune.search ~cfg ?store fam in
     let s = r.Autotune.stats in
     let expert = Autotune.measure ~cfg fam (Autotune.expert fam) in
@@ -995,7 +968,7 @@ let run_cmd =
       const do_run $ Cli_args.file $ Cli_args.kernel $ Cli_args.d $ Cli_args.p
       $ Cli_args.coop $ Cli_args.persistent $ Cli_args.coarse $ Cli_args.sw
       $ Cli_args.naive $ Cli_args.m () $ Cli_args.n () $ Cli_args.k () $ Cli_args.l ()
-      $ Cli_args.engine $ Cli_args.obs_opt $ Cli_args.mode)
+      $ Cli_args.obs_opt $ Cli_args.mode)
 
 let profile_cmd =
   let doc =
@@ -1007,7 +980,7 @@ let profile_cmd =
       const do_profile $ Cli_args.file $ Cli_args.kernel $ Cli_args.d $ Cli_args.p
       $ Cli_args.coop $ Cli_args.persistent $ Cli_args.coarse $ Cli_args.sw
       $ Cli_args.naive $ Cli_args.m () $ Cli_args.n () $ Cli_args.k () $ Cli_args.l ()
-      $ Cli_args.engine $ Cli_args.obs $ Cli_args.trace $ Cli_args.ops
+      $ Cli_args.obs $ Cli_args.trace $ Cli_args.ops
       $ Cli_args.channels $ Cli_args.critical_path $ Cli_args.mode)
 
 let autotune_cmd =
@@ -1023,7 +996,7 @@ let autotune_cmd =
       const do_autotune $ family_arg $ Cli_args.m ~default:8192 ()
       $ Cli_args.n ~default:8192 () $ Cli_args.k ~default:4096 ()
       $ Cli_args.l ~default:4096 () $ causal_arg $ dtype_arg $ store_arg
-      $ Cli_args.engine $ Cli_args.obs $ Cli_args.mode)
+      $ Cli_args.obs $ Cli_args.mode)
 
 let graph_cmd =
   let doc =
@@ -1040,7 +1013,7 @@ let graph_cmd =
 let () =
   (* Timers in --obs output should report wall clock, not CPU time. *)
   Tawa_obs.Registry.set_clock Unix.gettimeofday;
-  (* Env-derived defaults (TAWA_ENGINE/TAWA_MODE/TAWA_CHECK/TAWA_STATCHECK)
+  (* Env-derived defaults (TAWA_MODE/TAWA_CHECK/TAWA_STATCHECK)
      are applied once here; library code never reads the environment. *)
   Config.of_env ();
   let doc = "Tawa: automatic warp specialization for (simulated) modern GPUs" in

@@ -10,21 +10,6 @@
 
 open Tawa_tensor
 
-(** Which CTA execution engine interprets the machine program.
-    [Reference] is the original tree-walking interpreter ({!Sim.step}),
-    kept as the semantic oracle; [Decoded] is the pre-decoded,
-    closure-compiled engine ({!Decode}/{!Engine}) that must agree with
-    it bit-for-bit on cycles, stats, and functional outputs. *)
-type engine = Reference | Decoded
-
-let engine_to_string = function Reference -> "reference" | Decoded -> "decoded"
-
-let engine_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "reference" | "ref" | "tree" | "interp" -> Some Reference
-  | "decoded" | "dec" | "closure" -> Some Decoded
-  | _ -> None
-
 (** Execution mode of a simulation.
 
     [Functional] carries real tile payloads through every register plane
@@ -50,23 +35,10 @@ let mode_of_string = function
 
 (* ------------------- process-wide defaults (env) ------------------ *)
 
-(* The four TAWA_* environment variables used to be consulted all over
-   the library (engine selection, pass manager, compile flow, CLI).
-   They are now read in exactly one place — {!of_env} — and cached in
-   process-wide cells, seeded from the environment at module load so
-   library-only embedders keep the old behavior. *)
-
-let engine_default : engine option Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "TAWA_ENGINE" with
-    | None -> None
-    | Some s -> engine_of_string s)
-
-let set_default_engine e = Atomic.set engine_default e
-
-(** Process-wide default engine for configs with [engine = None]
-    (seeded from [TAWA_ENGINE]; see {!of_env}). *)
-let default_engine () = Atomic.get engine_default
+(* Environment settings are parsed by {!of_env} and cached in
+   process-wide cells. The cell below is also seeded from the
+   environment at module load, so library-only embedders see
+   [TAWA_MODE] without calling [of_env]. *)
 
 let mode_default : mode option Atomic.t =
   Atomic.make
@@ -79,10 +51,6 @@ let set_default_mode m = Atomic.set mode_default m
 (** Process-wide default execution mode for commands that let the
     environment pick (seeded from [TAWA_MODE]; see {!of_env}). *)
 let default_mode () = Atomic.get mode_default
-
-(** Deprecated alias of {!default_mode} (the default is seeded from
-    [TAWA_MODE], no longer read per call). *)
-let mode_of_env = default_mode
 
 (* One warning per (variable, value) pair per process: of_env may run
    more than once (tests), and a typo should not spam stderr. *)
@@ -99,20 +67,11 @@ let warn_unrecognized var value expected =
     Printf.eprintf "tawa: warning: unrecognized %s=%S (expected %s); ignored\n%!"
       var value expected
 
-(** Apply the [TAWA_ENGINE] / [TAWA_MODE] / [TAWA_CHECK] /
-    [TAWA_STATCHECK] environment variables to the process-wide
-    defaults, warning once per unrecognized value. Called at startup
-    by tawac and the bench harness; library code never consults the
-    environment directly. *)
+(** Apply the [TAWA_MODE] / [TAWA_CHECK] / [TAWA_STATCHECK]
+    environment variables to the process-wide defaults, warning once
+    per unrecognized value. Called at startup by tawac and the bench
+    harness; library code never consults the environment directly. *)
 let of_env () =
-  (match Sys.getenv_opt "TAWA_ENGINE" with
-  | None -> Atomic.set engine_default None
-  | Some s -> (
-    match engine_of_string s with
-    | Some _ as e -> Atomic.set engine_default e
-    | None ->
-      warn_unrecognized "TAWA_ENGINE" s "reference|decoded";
-      Atomic.set engine_default None));
   (match Sys.getenv_opt "TAWA_MODE" with
   | None -> Atomic.set mode_default None
   | Some s -> (
@@ -173,11 +132,6 @@ type t = {
       (* extra issue cycles per already-pending commit group: live MMA
          fragments increase register pressure (§V-E, the P=3 droop) *)
   mode : mode;                     (* carry real tile payloads? *)
-  collect_trace : bool;            (* record per-unit busy intervals *)
-  engine : engine option;
-      (* CTA execution engine; [None] defers to the [TAWA_ENGINE]
-         environment variable, then to the [Decoded] default (see
-         {!Engine.resolve}) *)
 }
 
 let h100 =
@@ -211,8 +165,6 @@ let h100 =
     wave_jitter = 1.045;
     wgmma_depth_penalty = 20.0;
     mode = Timing;
-    collect_trace = false;
-    engine = None;
   }
 
 (** Small, fully functional configuration for correctness tests. *)

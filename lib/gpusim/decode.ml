@@ -1,10 +1,12 @@
 (** Decode-once execution engine: closure-compiled instruction streams
     over typed register planes.
 
-    {!Sim.step} is a tree-walking interpreter: every retired
-    instruction re-matches the [Isa.instr] variant, re-resolves operand
-    kinds, boxes every scalar in an {!Sim.rt} variant, hashes SMEM
-    slots, and recomputes tile costs from the config. This module
+    The reference semantics of the ISA is a tree-walking interpreter,
+    kept test-only as the differential oracle ([test/oracle.ml]): its
+    [Oracle.step] re-matches the [Isa.instr] variant on every retired
+    instruction, re-resolves operand kinds, boxes every scalar in a
+    {!Sim.rt} variant, hashes SMEM slots, and recomputes tile costs
+    from the config. This module
     translates each stream ONCE into an array of OCaml closures
     ([code = ectx -> wg -> unit]) with everything static folded at
     decode time:
@@ -27,11 +29,12 @@
     {!Engine}), which reproduces the reference scheduler's
     min-time/lowest-index selection exactly.
 
-    Everything here must stay BIT-IDENTICAL to {!Sim} — same float
+    Everything here must stay BIT-IDENTICAL to the oracle — same float
     expression shapes, same evaluation order, same error messages. The
     differential suite ([test/test_engine.ml]) enforces this across
-    the example/frontend/fuzz corpus; when touching either engine,
-    touch both. *)
+    the example/frontend/fuzz corpus; when changing the semantics of
+    an instruction, change both. "The reference" below always means
+    that oracle. *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -40,7 +43,7 @@ open Tawa_machine
 let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
 
 (* Stall buckets — same indices and charging points as the reference
-   engine (see the constants atop sim.ml). *)
+   (see the constants atop test/oracle.ml). *)
 let b_compute = Tawa_obs.Stall.compute
 let b_tma = Tawa_obs.Stall.tma
 let b_tc = Tawa_obs.Stall.tensorcore
@@ -135,7 +138,7 @@ let set_none p r =
   Bytes.set p.tags r t_none
 
 (* Reads beyond capacity see the default register value (int 0), like
-   [Sim.reg_read]. The coercions mirror [as_int]/[as_float]/[as_bool]
+   [Oracle.reg_read]. The coercions mirror [as_int]/[as_float]/[as_bool]
    exactly, error messages included. *)
 
 let get_int p r =
@@ -280,7 +283,7 @@ type wg = {
   mutable in_ready : bool; (* membership flag for the ready heap *)
   buckets : float array; (* per-Stall-bucket cycle attribution *)
   cells : float array;
-      (* per-(pc, bucket) attribution, mirroring [Sim.wg.cells]:
+      (* per-(pc, bucket) attribution, mirroring [Oracle.wg.cells]:
          [Stall.num] entries per source instruction, row-major by pc.
          Empty for the probe scratch WG (cost probing must not
          attribute). *)
@@ -311,7 +314,7 @@ and ectx = {
   ring_wait : float array;
   num_rings : int; (* program ring count; ring arrays are padded to >= 1 *)
   recorder : Tawa_obs.Prof.t option;
-      (* deep-profiler event sink, mirroring [Sim.cta.recorder]. Read at
+      (* deep-profiler event sink, mirroring [Oracle.cta.recorder]. Read at
          runtime by the compiled closures — never captured — so a
          recorder does not perturb the decode cache. *)
 }
@@ -409,7 +412,7 @@ let smem_get ctx alloc slot =
 
 (* ------------------------- event wake-ups ------------------------- *)
 
-(* Per-(pc, bucket) attribution mirror of [Sim.charge_cell]. Bounds
+(* Per-(pc, bucket) attribution mirror of [Oracle.charge_cell]. Bounds
    guard covers the probe scratch WG (empty cells) — real WGs always
    charge in range because the pc points at the consuming instruction. *)
 let[@inline] charge_cell w b c =
@@ -422,14 +425,14 @@ let[@inline] spend w b c =
   w.buckets.(b) <- w.buckets.(b) +. c;
   charge_cell w b c
 
-(* Blocked-time jump attribution; same guard as [Sim.stalled]. *)
+(* Blocked-time jump attribution; same guard as [Oracle.stalled]. *)
 let stalled w b dt =
   if dt > 0.0 then begin
     w.buckets.(b) <- w.buckets.(b) +. dt;
     charge_cell w b dt
   end
 
-(* ------------- deep-profiler recording (mirrors Sim's) ------------- *)
+(* ----------- deep-profiler recording (mirrors the oracle's) ----------- *)
 
 let ring_chan ctx r = Array.length ctx.mbars + r
 
@@ -455,7 +458,7 @@ let rec_op ctx w ~pc ~t0 =
   | _ -> ()
 
 (* Wake every waiter of barrier [i] whose target is now satisfied.
-   The unblock arithmetic matches [Sim.try_unblock] exactly: the
+   The unblock arithmetic matches [Oracle.try_unblock] exactly: the
    recorded completion time and the waiter's frozen clock fully
    determine the wake time, so waking eagerly at arrival is
    bit-identical to the reference's rescan-every-iteration. *)
@@ -535,7 +538,7 @@ let wake_ring ctx i ring =
     in
     ctx.ring_waiters.(i) <- still
 
-(* Mirror of [Sim.release_fences], plus re-enqueueing the released
+(* Mirror of [Oracle.release_fences], plus re-enqueueing the released
    waiters. Checked on [Fence] arrival and on [Exit]. *)
 let release_fences ctx =
   if ctx.fence_waiters <> [] then begin
@@ -702,7 +705,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
        registers < 64 the tag/plane reads need no capacity guard and
        the generic operand-getter closures collapse to direct loads.
        Dispatch, coercions, and error strings mirror the generic path
-       (and thus [Sim.step]) exactly. *)
+       (and thus [Oracle.step]) exactly. *)
     | Isa.Reg ra, Isa.Reg rb when ra < 64 && rb < 64 && dst < 64 ->
       fun _ctx w ->
         let p = w.planes in
@@ -1407,7 +1410,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
 (* ---------------- timing-mode stream optimization ----------------- *)
 
 (* In timing mode the decoded stream is specialized further, without
-   breaking bit-identity with the reference engine:
+   breaking bit-identity with the reference:
 
    - {b Dead-write elision}: a register write whose value never
      (transitively) feeds a branch condition, a barrier index, a wait
@@ -1419,7 +1422,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
      replayed, never pre-summed). Elision is gated on a forward
      abstract interpretation of register tags proving the skipped
      closure could not have raised (operand-kind errors, int division
-     by zero, pid-axis bounds): the reference engine's errors must
+     by zero, pid-axis bounds): the reference's errors must
      still surface at the same instruction with the same message.
 
    - {b Superblock fusion}: instructions whose execution can neither
@@ -2288,7 +2291,7 @@ let measure_hwm (d : t) (ctx : ectx) : hwm =
 (* ------------------------- profiling ------------------------------ *)
 
 (* Stall/channel profile of a finished context; must agree exactly with
-   [Sim.profile_of_cta] on the same program (the charging points above
+   [Oracle.profile_of_cta] on the same program (the charging points above
    mirror the reference's). *)
 let profile_of_ctx ~wall (ctx : ectx) : Sim.profile =
   let wg_prof (w : wg) =
@@ -2296,7 +2299,7 @@ let profile_of_ctx ~wall (ctx : ectx) : Sim.profile =
     b.(Tawa_obs.Stall.idle) <- Float.max 0.0 (wall -. w.c.t);
     let cells = Array.copy w.cells in
     (* Trailing idle lands on the instruction the WG finished on — same
-       rule as [Sim.wg_profile], and the pc parks at Exit in both
+       rule as [Oracle.wg_profile], and the pc parks at Exit in both
        engines, so cells stay bit-identical. *)
     let o = (w.pc * Tawa_obs.Stall.num) + Tawa_obs.Stall.idle in
     if o >= 0 && o < Array.length cells then

@@ -1,29 +1,17 @@
-(** Engine selection and the event-driven scheduler for decoded CTAs.
+(** The event-driven scheduler for decoded CTAs, the decode cache, and
+    the entry points every caller runs a CTA through.
 
-    Two engines execute a CTA:
+    {!Decode} translates a machine program once into closure-compiled
+    streams; {!run_decoded} schedules their warp groups. A tree-walking
+    interpreter over the same ISA is kept in the test tree
+    ([test/oracle.ml]) as the differential reference: outcomes (cycles,
+    stats, stall and channel profiles, functional tensors, error
+    messages) must match it bit for bit.
 
-    - {b Reference} — {!Sim.step}, the tree-walking interpreter. It is
-      the semantic oracle: simple, obviously faithful to the paper's
-      cost model. It additionally records legacy interval events
-      ([collect_trace]) into [cta.events].
-    - {b Decoded} — {!Decode}, the closure-compiled engine, selected by
-      default. Bit-identical outcomes (cycles, stats, functional
-      tensors) are enforced by the differential suite in
-      [test/test_engine.ml].
-
-    Both engines feed the deep profiler: pass [?recorder] to
+    The deep profiler hooks in here: pass [?recorder] to
     {!run_prepared}/{!run_cta} and op spans plus channel events are
-    recorded identically by either engine (the recorder is runtime
-    state, so it never perturbs the decode cache).
-
-    Selection precedence: a forced override (bench harness) beats
-    [cfg.engine], which beats the process-wide default
-    ({!Config.default_engine}, seeded from the [TAWA_ENGINE]
-    environment variable — "reference"/"ref"/"tree"/"interp" or
-    "decoded"/"dec"/"closure" — via {!Config.of_env}), which beats the
-    built-in default (Decoded). [collect_trace] no longer forces the
-    reference engine: timeline lanes come from the profiler recorder,
-    which both engines feed.
+    recorded (the recorder is runtime state, so it never perturbs the
+    decode cache).
 
     Decoded programs are cached ({!Progcache}) keyed by program
     fingerprint x config digest, so repeated launches of the same
@@ -37,7 +25,7 @@ let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
 
 (* --------------------- decoded scheduler loop --------------------- *)
 
-(* The reference loop rescans every WG per iteration: try_unblock on
+(* The oracle's loop rescans every WG per iteration: try_unblock on
    all blocked WGs, then a linear min-scan over Running WGs. Here
    blocked WGs are woken by the barrier notify hooks the moment the
    satisfying arrival lands (the unblock time depends only on the
@@ -52,7 +40,7 @@ let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
    instructions the unit retires — 1, except for collapsed cost
    blocks. The budget is still charged per source instruction, and the
    check stays ahead of execution, so "sim: step budget exhausted"
-   fires at the same retired count as the reference. The [in_ready]
+   fires at the same retired count as the oracle. The [in_ready]
    guard covers self-releasing units (a Fence arriving last wakes its
    own WG): once re-enqueued, the WG must not also keep running. *)
 let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
@@ -136,28 +124,6 @@ let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
     profile = Decode.profile_of_ctx ~wall:cycles ctx;
   }
 
-(* ------------------------ engine selection ------------------------ *)
-
-(* Process-wide override used by the bench harness to pin a pass to one
-   engine regardless of config/env. *)
-let forced : Config.engine option Atomic.t = Atomic.make None
-let set_forced e = Atomic.set forced e
-
-(* [collect_trace] used to force the reference engine (interval traces
-   were oracle-only). The profiler recorder lifted that limitation: op
-   and channel timeline lanes are reconstructed from events both
-   engines record, so trace collection no longer affects selection. *)
-let resolve (cfg : Config.t) : Config.engine =
-  match Atomic.get forced with
-  | Some e -> e
-  | None -> (
-    match cfg.Config.engine with
-    | Some e -> e
-    | None -> (
-      match Config.default_engine () with
-      | Some e -> e
-      | None -> Config.Decoded))
-
 (* ------------------------- decode caching ------------------------- *)
 
 let decode_cache : Decode.t Progcache.t = Progcache.create ~name:"engine.decode" ()
@@ -165,16 +131,13 @@ let clear_decode_cache () = Progcache.clear decode_cache
 let decode_cache_stats () = Progcache.stats decode_cache
 
 (* Cost-model fields change the compiled closures (costs are folded at
-   decode time), so the whole config is part of the key — except the
-   fields that don't affect decoding: trace collection and the engine
-   choice itself. The execution mode is keyed separately (readably) so
-   functional and timing decodes of the same program never alias; the
-   timing-optimization flag joins it because flipping it mid-process
-   (bench baseline passes) must not serve stale streams. *)
+   decode time), so the whole config is part of the key. The execution
+   mode is keyed separately (readably) so functional and timing decodes
+   of the same program never alias; the timing-optimization flag joins
+   it because flipping it mid-process (bench baseline passes) must not
+   serve stale streams. *)
 let cfg_digest (cfg : Config.t) =
-  let norm =
-    { cfg with Config.collect_trace = false; engine = None; mode = Config.Timing }
-  in
+  let norm = { cfg with Config.mode = Config.Timing } in
   Digest.to_hex (Digest.string (Marshal.to_string norm []))
 
 let cache_key (cfg : Config.t) program =
@@ -185,27 +148,21 @@ let cache_key (cfg : Config.t) program =
 
 (* ------------------------------ API ------------------------------- *)
 
-type prepared =
-  | Pref of Config.t * Isa.program
-  | Pdec of Decode.t
+(** A decoded program, ready to run any CTA of a launch. *)
+type prepared = Decode.t
 
-(* Retired-instruction counter across all engines and domains, for the
-   bench harness's instructions/sec figure. *)
+(* Retired-instruction counter across all domains, for the bench
+   harness's instructions/sec figure. *)
 let retired = Atomic.make 0
 let instructions_retired () = Atomic.get retired
 let reset_instructions () = Atomic.set retired 0
 
-(** Resolve the engine for [cfg] and pre-translate [program] if the
-    decoded engine is selected. One [prepare] per launch amortizes the
-    cache-key digest over all CTAs of the grid. *)
+(** Decode [program] for [cfg], through the decode cache. One [prepare]
+    per launch amortizes the cache-key digest over all CTAs of the
+    grid. *)
 let prepare ~(cfg : Config.t) (program : Isa.program) : prepared =
-  match resolve cfg with
-  | Config.Reference -> Pref (cfg, program)
-  | Config.Decoded ->
-    let key = cache_key cfg program in
-    Pdec
-      (Progcache.find_or_add decode_cache ~key (fun () ->
-           Decode.decode ~cfg program))
+  Progcache.find_or_add decode_cache ~key:(cache_key cfg program) (fun () ->
+      Decode.decode ~cfg program)
 
 (** Run one CTA of a prepared program. [pid] is the CTA's program id
     (non-persistent grids); persistent CTAs leave it at the default and
@@ -213,36 +170,21 @@ let prepare ~(cfg : Config.t) (program : Isa.program) : prepared =
 let run_prepared ?max_steps ?recorder (p : prepared) ~(params : Sim.rt list)
     ~(num_programs : int array) ?(pid = [| 0; 0; 0 |])
     ~(pop_global : unit -> int) () : Sim.outcome =
-  let outcome =
-    match p with
-    | Pref (cfg, program) ->
-      let cta =
-        Sim.create ?recorder ~cfg ~program ~params ~num_programs ~pop_global ()
-      in
-      cta.Sim.pid <- pid;
-      Sim.run ?max_steps cta
-    | Pdec d ->
-      let ctx = Decode.make_ctx ?recorder d ~params ~num_programs ~pid ~pop_global in
-      run_decoded ?max_steps ctx
-  in
+  let ctx = Decode.make_ctx ?recorder p ~params ~num_programs ~pid ~pop_global in
+  let outcome = run_decoded ?max_steps ctx in
   ignore (Atomic.fetch_and_add retired outcome.Sim.instructions);
   outcome
 
-(** Run one CTA on the decoded engine and scan its resource high-water
-    marks afterwards ({!Decode.measure_hwm}): resident register-tile
-    bytes per warp group and written SMEM bytes. The differential
-    statcheck suite uses this as ground truth for the static occupancy
-    model; SMEM is only meaningful under a functional-mode [cfg]. The
-    engine choice is forced: the measurement needs the decoded
-    context's planes. *)
+(** Run one CTA and scan its resource high-water marks afterwards
+    ({!Decode.measure_hwm}): resident register-tile bytes per warp
+    group and written SMEM bytes. The differential statcheck suite uses
+    this as ground truth for the static occupancy model; SMEM is only
+    meaningful under a functional-mode [cfg]. *)
 let run_measured ?max_steps ~(cfg : Config.t) ~(program : Isa.program)
     ~(params : Sim.rt list) ~(num_programs : int array)
     ?(pid = [| 0; 0; 0 |]) ~(pop_global : unit -> int) () :
     Sim.outcome * Decode.hwm =
-  let key = cache_key cfg program in
-  let d =
-    Progcache.find_or_add decode_cache ~key (fun () -> Decode.decode ~cfg program)
-  in
+  let d = prepare ~cfg program in
   let ctx = Decode.make_ctx d ~params ~num_programs ~pid ~pop_global in
   let outcome = run_decoded ?max_steps ctx in
   ignore (Atomic.fetch_and_add retired outcome.Sim.instructions);

@@ -108,13 +108,13 @@ let queue_of_list tiles =
 let no_queue () = -1
 
 (** The independent work units of one launch, as thunks: one per CTA
-    for a non-persistent grid (fresh [Sim.create] per unit — private
-    SMEM, mbarriers, register files — writing a disjoint output tile of
-    the shared parameter buffers), or a single unit draining the whole
-    work queue for a persistent program. The caller owns the fan-out:
-    {!run_grid_functional} pool-maps one launch's units, while the
-    task-graph scheduler concatenates the units of every kernel in a
-    wave and runs them through one shared pool dispatch — the
+    for a non-persistent grid (a fresh decoded context per unit —
+    private SMEM, mbarriers, register files — writing a disjoint output
+    tile of the shared parameter buffers), or a single unit draining
+    the whole work queue for a persistent program. The caller owns the
+    fan-out: {!run_grid_functional} pool-maps one launch's units, while
+    the task-graph scheduler concatenates the units of every kernel in
+    a wave and runs them through one shared pool dispatch — the
     re-entrant handoff that lets independent kernels overlap instead of
     pool-draining one kernel at a time. Units are safe to run
     concurrently with each other but each thunk must run at most
@@ -147,8 +147,8 @@ let cta_units ~(prepared : Engine.prepared) ~(program : Isa.program)
 let run_grid_functional ~(cfg : Config.t) (program : Isa.program) ~(params : Sim.rt list)
     ~(grid : int * int * int) : float =
   let cfg = { cfg with Config.mode = Config.Functional } in
-  (* Engine resolution and decoding happen once per launch; every CTA
-     of the grid reuses the prepared program. *)
+  (* Decoding happens once per launch; every CTA of the grid reuses the
+     prepared program. *)
   let prepared = Engine.prepare ~cfg program in
   (* The reduction is a [max] over per-CTA cycles (associative,
      commutative), so the result is bit-identical for any domain
@@ -159,37 +159,45 @@ let run_grid_functional ~(cfg : Config.t) (program : Isa.program) ~(params : Sim
     (fun unit_ -> (unit_ ()).Sim.cycles)
     (cta_units ~prepared ~program ~params ~grid)
 
+(** The CTA {!estimate} simulates for [grid]: the [rep_pid] tile of a
+    non-persistent launch, or, for a persistent program, one resident
+    CTA draining one SM's share of the work queue. Returns its
+    [num_programs], its program id, and a builder for its work queue
+    (queues are stateful: every run needs a fresh one). *)
+let representative_cta ?(rep_pid = [| 0; 0; 0 |]) ~(cfg : Config.t)
+    (program : Isa.program) ~(grid : int * int * int) =
+  let gx, gy, gz = grid in
+  let total = gx * gy * gz in
+  let num_programs = [| gx; gy; gz |] in
+  if program.Isa.persistent then
+    let sms = cfg.Config.num_sms in
+    let tiles = List.init ((total + sms - 1) / sms) (fun i -> i * sms mod total) in
+    (num_programs, [| 0; 0; 0 |], fun () -> queue_of_list tiles)
+  else (num_programs, rep_pid, fun () -> no_queue)
+
 (** Timing estimate for a [grid] launch at scale. [flops] is the useful
     arithmetic of the whole launch (for TFLOPS). [rep_pid] selects the
     representative tile simulated for non-persistent launches. [mode]
     defaults to timing; passing [Functional] simulates the payload too
     (params must then bind real buffers) and yields identical cycles. *)
-let estimate ?(rep_pid = [| 0; 0; 0 |]) ?(mode = Config.Timing) ~(cfg : Config.t)
+let estimate ?rep_pid ?(mode = Config.Timing) ~(cfg : Config.t)
     (program : Isa.program) ~(params : Sim.rt list) ~(grid : int * int * int)
     ~(flops : float) : timing =
   let cfg = { cfg with Config.mode = mode } in
   let gx, gy, gz = grid in
   let total = gx * gy * gz in
-  let num_programs = [| gx; gy; gz |] in
   let prepared = Engine.prepare ~cfg program in
-  let cycles, stats, tc_utilization, profile =
-    if program.Isa.persistent then begin
-      (* One resident CTA per SM; simulate one SM's share. *)
-      let share = (total + cfg.Config.num_sms - 1) / cfg.Config.num_sms in
-      let tiles = List.init share (fun i -> (i * cfg.Config.num_sms) mod total) in
-      let o =
-        Engine.run_prepared prepared ~params ~num_programs
-          ~pop_global:(queue_of_list tiles) ()
-      in
+  let num_programs, pid, queue = representative_cta ?rep_pid ~cfg program ~grid in
+  if not program.Isa.persistent then probe_extrapolation program;
+  let o =
+    Engine.run_prepared prepared ~params ~num_programs ~pid ~pop_global:(queue ()) ()
+  in
+  let cycles, tc_utilization =
+    if program.Isa.persistent then
+      (* One resident CTA per SM, which drained one SM's share. *)
       let cycles = cfg.Config.launch_overhead_cycles +. o.Sim.cycles in
-      (cycles, o.Sim.stats, o.Sim.stats.Sim.tc_busy /. cycles, Some o.Sim.profile)
-    end
-    else begin
-      probe_extrapolation program;
-      let o =
-        Engine.run_prepared prepared ~params ~num_programs ~pid:rep_pid
-          ~pop_global:no_queue ()
-      in
+      (cycles, o.Sim.stats.Sim.tc_busy /. cycles)
+    else
       let waves = (total + cfg.Config.num_sms - 1) / cfg.Config.num_sms in
       let cycles =
         cfg.Config.launch_overhead_cycles
@@ -199,15 +207,11 @@ let estimate ?(rep_pid = [| 0; 0; 0 |]) ?(mode = Config.Timing) ~(cfg : Config.t
       (* Per-SM utilization: the simulated CTA's tensor-core busy time
          over its wave slot (stats cover one CTA, cycles cover the whole
          launch). *)
-      ( cycles,
-        o.Sim.stats,
-        o.Sim.stats.Sim.tc_busy /. (o.Sim.cycles +. cfg.Config.cta_launch_cycles),
-        Some o.Sim.profile )
-    end
+      (cycles, o.Sim.stats.Sim.tc_busy /. (o.Sim.cycles +. cfg.Config.cta_launch_cycles))
   in
   let seconds = Config.cycles_to_seconds cfg cycles in
-  { cycles; seconds; tflops = Config.tflops cfg ~flops ~cycles; tc_utilization; stats;
-    profile }
+  { cycles; seconds; tflops = Config.tflops cfg ~flops ~cycles; tc_utilization;
+    stats = o.Sim.stats; profile = Some o.Sim.profile }
 
 (** Heterogeneous persistent launch (grouped GEMM, Fig. 9): work items
     carry their own parameter bindings; one resident CTA per SM pops

@@ -81,9 +81,10 @@ let arrive b ~time =
   else false
 
 (** A waiter's demand for [target] completions was satisfied: advance
-    the consumed high-water used for in-flight depth. Both engines call
-    this at every successful wait (blocking or not), in identical
-    scheduler order, so the telemetry is engine-independent. *)
+    the consumed high-water used for in-flight depth. The decoded
+    engine and the test oracle both call this at every successful wait
+    (blocking or not), in identical scheduler order, so the telemetry
+    is the same under either. *)
 let note_consumed b ~target =
   if target > b.consumed then b.consumed <- target
 

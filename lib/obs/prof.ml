@@ -1,6 +1,6 @@
 (** Deep-profiling event recorder (DESIGN.md §15).
 
-    A [Prof.t] is an optional sink both simulator engines feed while a
+    A [Prof.t] is an optional sink the simulator feeds while a
     CTA runs: channel completions (mbarrier phase completions and
     cp.async ring arrivals), wait spans (a warp group's blocked window
     on a channel, from the clock it froze at to the clock it resumed

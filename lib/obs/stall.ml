@@ -1,7 +1,7 @@
 (** Stall-attribution bucket taxonomy (DESIGN.md §10).
 
     Every cycle a warp group's clock advances is charged to exactly one
-    bucket, in both execution engines:
+    bucket, by the decoded engine and by the test oracle alike:
 
     - [compute]: scalar ALU work, control flow, tile element-wise ops,
       descriptor setup, work-queue pops.

@@ -1,12 +1,12 @@
 (* Differential tests pinning the decoded (closure-compiled) engine to
-   the tree-walking reference interpreter, bit for bit: same cycles,
-   same stats, same functional tensors, same error messages — across
-   hand-built ISA programs, compiled frontend kernels, and the fuzz
-   corpus, in both functional and timing modes. Also property-tests
-   the typed register planes against an rt-array model, and pins the
-   satellite fixes of this PR (fence release on Exit, ring deadlock
-   diagnostics, the Ldg bandwidth config knob, engine selection and
-   the decode cache). *)
+   the tree-walking oracle ([Oracle]), bit for bit: same cycles, same
+   stats, same stall and channel profiles, same functional tensors,
+   same error messages — across hand-built ISA programs, compiled
+   frontend kernels, and the fuzz corpus, in both functional and
+   timing modes. Also property-tests the typed register planes against
+   an rt-array model, and pins engine regressions (fence release on
+   Exit, ring deadlock diagnostics, the Ldg bandwidth config knob, the
+   one engine every entry point selects, the decode cache). *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -35,59 +35,34 @@ let stream ?(role = Op.Consumer) ?(coop = 1) instrs =
 
 let cfg = Config.h100
 
-(* ------------------------------------------------------------------ *)
-(* Outcome equality (exact)                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Stall attribution and channel occupancy must also match bit for bit
-   (PR 5 telemetry): both records contain only scalars and float
-   arrays, so structural equality is exact float equality. *)
-let profiles_equal (a : Sim.profile) (b : Sim.profile) =
-  a.Sim.wall = b.Sim.wall
-  && a.Sim.wg_profs = b.Sim.wg_profs
-  && a.Sim.chan_profs = b.Sim.chan_profs
-
-let outcomes_equal (a : Sim.outcome) (b : Sim.outcome) =
-  a.Sim.cycles = b.Sim.cycles
-  && a.Sim.instructions = b.Sim.instructions
-  && a.Sim.stats.Sim.tc_busy = b.Sim.stats.Sim.tc_busy
-  && a.Sim.stats.Sim.tma_busy = b.Sim.stats.Sim.tma_busy
-  && a.Sim.stats.Sim.tma_bytes = b.Sim.stats.Sim.tma_bytes
-  && a.Sim.stats.Sim.wgmma_count = b.Sim.stats.Sim.wgmma_count
-  && a.Sim.stats.Sim.tma_count = b.Sim.stats.Sim.tma_count
-  && a.Sim.stats.Sim.steps = b.Sim.stats.Sim.steps
-  && profiles_equal a.Sim.profile b.Sim.profile
-
-(* Run one CTA of a hand-built program under both engines. [mk_pop]
-   builds a fresh queue per engine run (queues are stateful). *)
+(* Run one CTA of a hand-built program on the oracle and on the decoded
+   engine. [mk_pop] builds a fresh queue per run (queues are
+   stateful). *)
 let run_both ?(params = []) ?(mk_pop = fun () -> Launch.no_queue) ?(cfg = cfg) p =
-  let run engine =
-    Engine.run_cta
-      ~cfg:{ cfg with Config.engine = Some engine }
-      ~program:p ~params ~num_programs:[| 4; 4; 1 |] ~pop_global:(mk_pop ()) ()
+  let run (run_cta : Oracle.runner) =
+    run_cta ~cfg ~program:p ~params ~num_programs:[| 4; 4; 1 |]
+      ~pop_global:(mk_pop ()) ()
   in
-  (run Config.Reference, run Config.Decoded)
+  (run Oracle.run_cta, run Engine.run_cta)
 
 let check_both ?params ?mk_pop ?cfg name p =
   let r, d = run_both ?params ?mk_pop ?cfg p in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: decoded == reference (%.2f vs %.2f cycles, %d vs %d steps)"
+    (Printf.sprintf "%s: decoded == oracle (%.2f vs %.2f cycles, %d vs %d steps)"
        name d.Sim.cycles r.Sim.cycles d.Sim.stats.Sim.steps r.Sim.stats.Sim.steps)
-    true (outcomes_equal r d)
+    true (Oracle.outcomes_equal r d)
 
 (* Both engines must fail with the IDENTICAL error message. *)
 let run_both_err ?(params = []) p =
-  let run engine =
+  let run (run_cta : Oracle.runner) =
     try
       ignore
-        (Engine.run_cta
-           ~cfg:{ cfg with Config.engine = Some engine }
-           ~program:p ~params ~num_programs:[| 4; 4; 1 |]
+        (run_cta ~cfg ~program:p ~params ~num_programs:[| 4; 4; 1 |]
            ~pop_global:Launch.no_queue ());
       None
     with Sim.Sim_error msg -> Some msg
   in
-  (run Config.Reference, run Config.Decoded)
+  (run Oracle.run_cta, run Engine.run_cta)
 
 (* ------------------------------------------------------------------ *)
 (* Hand-built ISA differential                                         *)
@@ -239,7 +214,7 @@ let test_ldg_bandwidth_config () =
   in
   let cycles ~cfg =
     let o, _d = run_both ~params:[ Sim.Rnone ] ~cfg (p 4) in
-    Alcotest.(check bool) "ldg engines agree" true (outcomes_equal o _d);
+    Alcotest.(check bool) "ldg engines agree" true (Oracle.outcomes_equal o _d);
     o.Sim.cycles
   in
   let base = cycles ~cfg in
@@ -254,36 +229,73 @@ let test_ldg_bandwidth_config () =
 (* Engine selection + decode cache                                     *)
 (* ------------------------------------------------------------------ *)
 
+(* There is one CTA engine, and every production entry point selects
+   it: the retired-instruction counter, which only the decoded
+   scheduler advances, moves by exactly what the oracle retires for the
+   same CTAs. With the decode cache on, each (program, config) pair
+   decodes once, whichever entry point sees it first. *)
 let test_engine_selection () =
-  Alcotest.(check bool) "cfg.engine = Reference selected" true
-    (Engine.resolve { cfg with Config.engine = Some Config.Reference } = Config.Reference);
-  Alcotest.(check bool) "cfg.engine = Decoded selected" true
-    (Engine.resolve { cfg with Config.engine = Some Config.Decoded } = Config.Decoded);
-  Alcotest.(check bool) "collect_trace no longer forces an engine swap" true
-    (Engine.resolve
-       { cfg with Config.engine = Some Config.Decoded; collect_trace = true }
-    = Config.Decoded);
-  Engine.set_forced (Some Config.Reference);
-  let forced = Engine.resolve { cfg with Config.engine = Some Config.Decoded } in
-  Engine.set_forced None;
-  Alcotest.(check bool) "forced override beats cfg" true (forced = Config.Reference);
-  if Sys.getenv_opt "TAWA_ENGINE" = None then
-    Alcotest.(check bool) "default engine is Decoded" true
-      (Engine.resolve { cfg with Config.engine = None } = Config.Decoded)
+  let p =
+    mk_program
+      [ stream
+          [ Isa.Mov { dst = 0; src = Isa.Imm 3 };
+            Isa.Alu { op = Op.Add; dst = 1; a = Isa.Reg 0; b = Isa.Imm 4 };
+            Isa.Exit ] ]
+  in
+  let grid = (2, 1, 1) and num_programs = [| 2; 1; 1 |] in
+  let one_cta =
+    (Oracle.run_cta ~cfg ~program:p ~params:[] ~num_programs
+       ~pop_global:Launch.no_queue ())
+      .Sim.instructions
+  in
+  let whole_grid =
+    Array.fold_left
+      (fun acc (o : Sim.outcome) -> acc + o.Sim.instructions)
+      0
+      (Oracle.run_grid_functional ~cfg p ~params:[] ~grid)
+  in
+  Alcotest.(check bool) "oracle retires instructions" true (one_cta > 0);
+  let caching = Progcache.is_enabled () in
+  if caching then Engine.clear_decode_cache ();
+  let check_entry name ~expect ~misses ~hits f =
+    let before = Engine.instructions_retired () in
+    f ();
+    Alcotest.(check int)
+      (name ^ ": retired on the decoded engine")
+      expect
+      (Engine.instructions_retired () - before);
+    if caching then begin
+      let s = Engine.decode_cache_stats () in
+      Alcotest.(check int) (name ^ ": decodes") misses s.Progcache.misses;
+      Alcotest.(check int) (name ^ ": decode cache hits") hits s.Progcache.hits
+    end
+  in
+  check_entry "Engine.run_cta" ~expect:one_cta ~misses:1 ~hits:0 (fun () ->
+      ignore
+        (Engine.run_cta ~cfg ~program:p ~params:[] ~num_programs
+           ~pop_global:Launch.no_queue ()));
+  check_entry "Launch.estimate" ~expect:one_cta ~misses:1 ~hits:1 (fun () ->
+      ignore (Launch.estimate ~cfg p ~params:[] ~grid ~flops:1.0));
+  check_entry "Engine.run_measured" ~expect:one_cta ~misses:1 ~hits:2 (fun () ->
+      ignore
+        (Engine.run_measured ~cfg ~program:p ~params:[] ~num_programs
+           ~pop_global:Launch.no_queue ()));
+  (* Functional mode keys the cache separately: one more decode. *)
+  check_entry "Launch.run_grid_functional" ~expect:whole_grid ~misses:2 ~hits:2
+    (fun () -> ignore (Launch.run_grid_functional ~cfg p ~params:[] ~grid))
 
 let test_decode_cache () =
   if Progcache.is_enabled () then begin
     Engine.clear_decode_cache ();
     let p = mk_program [ stream [ Isa.Nop; Isa.Exit ] ] in
-    let dcfg = { cfg with Config.engine = Some Config.Decoded } in
-    ignore (Engine.prepare ~cfg:dcfg p);
-    ignore (Engine.prepare ~cfg:dcfg p);
+    ignore (Engine.prepare ~cfg p);
+    ignore (Engine.prepare ~cfg p);
     let s = Engine.decode_cache_stats () in
     Alcotest.(check int) "one decode" 1 s.Progcache.misses;
     Alcotest.(check int) "one cache hit" 1 s.Progcache.hits;
     (* A different cost model must miss (costs are folded at decode). *)
     ignore
-      (Engine.prepare ~cfg:{ dcfg with Config.scalar_cycles = 99.0 } p);
+      (Engine.prepare ~cfg:{ cfg with Config.scalar_cycles = 99.0 } p);
     let s = Engine.decode_cache_stats () in
     Alcotest.(check int) "config change misses" 2 s.Progcache.misses
   end
@@ -321,8 +333,8 @@ let arb_wops =
     ~print:(fun l -> String.concat ";" (List.map wop_print l))
     QCheck.Gen.(list_size (int_range 0 60) gen_wop)
 
-(* Reference coercions on the boxed model value (as_int / as_float /
-   as_bool from the reference engine); [None] = must raise. *)
+(* Oracle coercions on the boxed model value ([Oracle.as_int] /
+   [as_float] / [as_bool]); [None] = must raise. *)
 let model_int = function
   | Sim.Rint i -> Some i
   | Sim.Rbool b -> Some (if b then 1 else 0)
@@ -388,40 +400,51 @@ let prop_planes_model =
 (* Compiled-kernel differential (functional + timing)                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Every CTA of a functional grid, issued as [Launch.cta_units] issues
+   them: the oracle's sequential grid against the decoded engine's
+   units. Each CTA's whole outcome must match, and so must the output
+   buffer ([params] binds a fresh one per engine). *)
+let grid_functional_diff (program : Isa.program) ~params ~grid =
+  let cfg = Config.functional_test in
+  let o_params = params () and d_params = params () in
+  let o = Oracle.run_grid_functional ~cfg program ~params:o_params ~grid in
+  let d =
+    Array.map
+      (fun unit_ -> unit_ ())
+      (Launch.cta_units ~prepared:(Engine.prepare ~cfg program) ~program
+         ~params:d_params ~grid)
+  in
+  let outputs_equal =
+    List.for_all2
+      (fun a b ->
+        match (a, b) with
+        | Sim.Rtensor x, Sim.Rtensor y -> Tensor.equal x y
+        | _ -> true)
+      o_params d_params
+  in
+  Array.length o = Array.length d
+  && Array.for_all2 Oracle.outcomes_equal o d
+  && outputs_equal
+
 let gemm_functional_diff compiled ~bm ~bn ~kk ~grid_m ~grid_n =
   let m = grid_m * bm and n = grid_n * bn in
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:7 [| m; kk |] in
   let b = Tensor.random ~dtype:Dtype.F16 ~seed:8 [| kk; n |] in
-  let run engine =
-    let c = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
-    let fcfg = { Config.functional_test with Config.engine = Some engine } in
-    let cycles =
-      Launch.run_grid_functional ~cfg:fcfg compiled.Flow.program
-        ~params:
-          [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor c; Sim.Rint m; Sim.Rint n;
-            Sim.Rint kk ]
-        ~grid:(grid_m, grid_n, 1)
-    in
-    (c, cycles)
-  in
-  let c_r, cy_r = run Config.Reference in
-  let c_d, cy_d = run Config.Decoded in
-  Tensor.equal c_r c_d && cy_r = cy_d
+  grid_functional_diff compiled.Flow.program ~grid:(grid_m, grid_n, 1)
+    ~params:(fun () ->
+      let c = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
+      [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor c; Sim.Rint m; Sim.Rint n;
+        Sim.Rint kk ])
 
+(* The CTA [Launch.estimate] simulates, under both engines. *)
 let gemm_timing_diff compiled ~bm ~bn ~kk ~grid_m ~grid_n =
   let m = grid_m * bm and n = grid_n * bn in
-  let run engine =
-    Launch.estimate
-      ~cfg:{ cfg with Config.engine = Some engine }
-      compiled.Flow.program
+  let o, d =
+    Oracle.estimate_both ~cfg compiled.Flow.program
       ~params:[ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint m; Sim.Rint n; Sim.Rint kk ]
-      ~grid:(grid_m, grid_n, 1) ~flops:1e9
+      ~grid:(grid_m, grid_n, 1)
   in
-  let r = run Config.Reference and d = run Config.Decoded in
-  r.Launch.cycles = d.Launch.cycles
-  && r.Launch.stats.Sim.tc_busy = d.Launch.stats.Sim.tc_busy
-  && r.Launch.stats.Sim.tma_busy = d.Launch.stats.Sim.tma_busy
-  && r.Launch.stats.Sim.steps = d.Launch.stats.Sim.steps
+  Oracle.outcomes_equal o d
 
 let fuzz_compiles (s : Test_fuzz.spec) =
   [ ("ws d2p2", Test_fuzz.ws_compile ~d:2 ~p:2);
@@ -460,20 +483,11 @@ let test_attention_diff () =
   let q = Tensor.random ~dtype:Dtype.F16 ~seed:1 [| l; d |] in
   let kt = Tensor.random ~dtype:Dtype.F16 ~seed:2 [| l; d |] in
   let v = Tensor.random ~dtype:Dtype.F16 ~seed:3 [| l; d |] in
-  let run engine =
-    let o = Tensor.create ~dtype:Dtype.F16 [| l; d |] in
-    let fcfg = { Config.functional_test with Config.engine = Some engine } in
-    let cycles =
-      Launch.run_grid_functional ~cfg:fcfg compiled.Flow.program
-        ~params:[ Sim.Rtensor q; Sim.Rtensor kt; Sim.Rtensor v; Sim.Rtensor o; Sim.Rint l ]
-        ~grid:(l / 16, 1, 1)
-    in
-    (o, cycles)
-  in
-  let o_r, cy_r = run Config.Reference in
-  let o_d, cy_d = run Config.Decoded in
-  Alcotest.(check bool) "attention tensors bit-identical" true (Tensor.equal o_r o_d);
-  Alcotest.(check (float 0.0)) "attention cycles identical" cy_r cy_d
+  Alcotest.(check bool) "attention CTAs and tensors bit-identical" true
+    (grid_functional_diff compiled.Flow.program ~grid:(l / 16, 1, 1)
+       ~params:(fun () ->
+         let o = Tensor.create ~dtype:Dtype.F16 [| l; d |] in
+         [ Sim.Rtensor q; Sim.Rtensor kt; Sim.Rtensor v; Sim.Rtensor o; Sim.Rint l ]))
 
 (* Cooperative consumer warp groups (coop > 1 divides tile costs). *)
 let test_coop_diff () =

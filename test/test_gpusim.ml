@@ -1,6 +1,9 @@
 (* Tests for simulator internals: cost accounting, async engine timing,
    time-warp waits, fences, the persistent work queue, cp.async rings,
-   trace collection, and the launch/extrapolation model. *)
+   trace collection, and the launch/extrapolation model. Hand-built programs run on the
+   tree-walking oracle ([Oracle]), whose interpreter state (registers,
+   clocks, barriers) the checks read directly; the differential suites
+   pin the decoded engine to it. *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -30,10 +33,10 @@ let cfg = Config.h100
 
 let run_program ?(params = []) ?(pop = Launch.no_queue) program =
   let cta =
-    Sim.create ~cfg ~program ~params ~num_programs:[| 4; 4; 1 |] ~pop_global:pop
+    Oracle.create ~cfg ~program ~params ~num_programs:[| 4; 4; 1 |] ~pop_global:pop
       ()
   in
-  (Sim.run cta, cta)
+  (Oracle.run cta, cta)
 
 (* ------------------------------------------------------------------ *)
 (* Scalar execution + costs                                            *)
@@ -49,7 +52,7 @@ let test_scalar_alu () =
             Isa.Exit ] ]
   in
   let o, cta = run_program p in
-  Alcotest.(check bool) "r2 = 64" true (Sim.reg_read cta.Sim.wgs.(0) 2 = Sim.Rint 64);
+  Alcotest.(check bool) "r2 = 64" true (Oracle.reg_read cta.Oracle.wgs.(0) 2 = Sim.Rint 64);
   (* Three scalar ops at scalar_cycles each. *)
   Alcotest.(check (float 1e-9)) "cycles" (3.0 *. cfg.Config.scalar_cycles) o.Sim.cycles
 
@@ -66,7 +69,7 @@ let test_branching_loop () =
             (* 5 *) Isa.Exit ] ]
   in
   let _, cta = run_program p in
-  Alcotest.(check bool) "loop counted to 10" true (Sim.reg_read cta.Sim.wgs.(0) 0 = Sim.Rint 10)
+  Alcotest.(check bool) "loop counted to 10" true (Oracle.reg_read cta.Oracle.wgs.(0) 0 = Sim.Rint 10)
 
 let test_div_by_zero_reported () =
   let p =
@@ -170,7 +173,7 @@ let test_mbar_wakeup () =
   let o, cta = run_program p in
   let arrive_time = (50.0 *. cfg.Config.scalar_cycles) +. cfg.Config.mbar_cycles in
   Alcotest.(check bool) "consumer woke at arrival" true
-    (Float.abs (cta.Sim.wgs.(1).Sim.time -. (arrive_time +. cfg.Config.mbar_cycles)) < 1.0);
+    (Float.abs (cta.Oracle.wgs.(1).Oracle.time -. (arrive_time +. cfg.Config.mbar_cycles)) < 1.0);
   ignore o
 
 let test_fence_synchronizes () =
@@ -183,7 +186,7 @@ let test_fence_synchronizes () =
   let _, cta = run_program p in
   (* Both WGs leave the fence at the same time: max arrival + fence. *)
   Alcotest.(check (float 1.0)) "wg times equal"
-    cta.Sim.wgs.(0).Sim.time cta.Sim.wgs.(1).Sim.time
+    cta.Oracle.wgs.(0).Oracle.time cta.Oracle.wgs.(1).Oracle.time
 
 let test_workq_shared_across_wgs () =
   (* Two WGs of one CTA must see the SAME popped values per round. *)
@@ -198,10 +201,10 @@ let test_workq_shared_across_wgs () =
   let _, cta = run_program ~pop:q p in
   List.iter
     (fun w ->
-      Alcotest.(check bool) "pop 0" true (Sim.reg_read w 1 = Sim.Rint 7);
-      Alcotest.(check bool) "pop 1" true (Sim.reg_read w 2 = Sim.Rint 11);
-      Alcotest.(check bool) "pop drained" true (Sim.reg_read w 3 = Sim.Rint (-1)))
-    (Array.to_list cta.Sim.wgs)
+      Alcotest.(check bool) "pop 0" true (Oracle.reg_read w 1 = Sim.Rint 7);
+      Alcotest.(check bool) "pop 1" true (Oracle.reg_read w 2 = Sim.Rint 11);
+      Alcotest.(check bool) "pop drained" true (Oracle.reg_read w 3 = Sim.Rint (-1)))
+    (Array.to_list cta.Oracle.wgs)
 
 let test_workq_decodes_pid () =
   let q = Launch.queue_of_list [ 5 ] in
@@ -213,8 +216,8 @@ let test_workq_decodes_pid () =
   in
   let _, cta = run_program ~pop:q p in
   (* grid is 4x4: linear 5 -> (x=1, y=1). *)
-  Alcotest.(check bool) "pid x" true (Sim.reg_read cta.Sim.wgs.(0) 2 = Sim.Rint 1);
-  Alcotest.(check bool) "pid y" true (Sim.reg_read cta.Sim.wgs.(0) 3 = Sim.Rint 1)
+  Alcotest.(check bool) "pid x" true (Oracle.reg_read cta.Oracle.wgs.(0) 2 = Sim.Rint 1);
+  Alcotest.(check bool) "pid y" true (Oracle.reg_read cta.Oracle.wgs.(0) 3 = Sim.Rint 1)
 
 let test_cp_ring_wait () =
   let p =
@@ -247,10 +250,15 @@ let test_sync_reset_clears_barriers () =
   in
   let _, cta = run_program p in
   Alcotest.(check int) "one completion after reset" 1
-    (Mbarrier.completions cta.Sim.mbars.(0))
+    (Mbarrier.completions cta.Oracle.mbars.(0))
 
+(* Trace collection goes through the profiler's recorder: a wgmma
+   issued and waited on shows up as op spans on its warp group's lane.
+   With the decoder's timing optimizations off, the decoded engine
+   retires one op per unit and records the oracle's spans exactly; with
+   them on, it collapses the stream into cost blocks whose spans cover
+   the same window. *)
 let test_trace_collection () =
-  let tcfg = { cfg with Config.collect_trace = true } in
   let p =
     mk_program
       [ stream
@@ -259,13 +267,43 @@ let test_trace_collection () =
                         dtype = Dtype.F16 };
             Isa.Wgmma_commit; Isa.Wgmma_wait 0; Isa.Exit ] ]
   in
-  let cta =
-    Sim.create ~cfg:tcfg ~program:p ~params:[] ~num_programs:[| 1; 1; 1 |]
-      ~pop_global:Launch.no_queue ()
+  let spans (run_cta : Oracle.runner) =
+    let recorder = Tawa_obs.Prof.create () in
+    let o =
+      run_cta ~recorder ~cfg ~program:p ~params:[] ~num_programs:[| 1; 1; 1 |]
+        ~pop_global:Launch.no_queue ()
+    in
+    ( Tawa_obs.Prof.op_intervals recorder
+        ~wg_label:(Sim.wg_label_of ~program:p)
+        ~pc_label:(Sim.pc_label_of ~program:p),
+      o.Sim.cycles )
   in
-  ignore (Sim.run cta);
-  Alcotest.(check bool) "tc event recorded" true
-    (List.exists (fun (u, _, _, _) -> u = "TensorCore") cta.Sim.events)
+  let extent l =
+    List.fold_left
+      (fun (lo, hi) (_, t0, t1, _) -> (Float.min lo t0, Float.max hi t1))
+      (infinity, neg_infinity) l
+  in
+  let oracle, wall = spans Oracle.run_cta in
+  let opts_were_on = Decode.opts_on () in
+  Decode.set_opts_enabled false;
+  let per_op, _ =
+    Fun.protect
+      ~finally:(fun () -> Decode.set_opts_enabled opts_were_on)
+      (fun () -> spans Engine.run_cta)
+  in
+  let collapsed, _ = spans Engine.run_cta in
+  Alcotest.(check bool) "per-op spans identical to the oracle" true (oracle = per_op);
+  Alcotest.(check bool) "tc work recorded" true
+    (List.exists
+       (fun (lane, t0, t1, label) ->
+         lane = Sim.wg_label_of ~program:p 0
+         && Astring.String.is_infix ~affix:"wgmma.mma_async" label
+         && t1 > t0)
+       oracle);
+  Alcotest.(check bool) "lane runs from launch to the tc wait's end" true
+    (extent oracle = (0.0, wall));
+  Alcotest.(check bool) "cost blocks cover the same window" true
+    (extent collapsed = extent oracle)
 
 (* ------------------------------------------------------------------ *)
 (* Launch model                                                        *)

@@ -5,7 +5,8 @@
    1. modes.differential — timing-only execution is bit-identical to
       functional execution on everything the timing model reports:
       cycles, engine stats, and the PR 5 stall-attribution bucket
-      floats, on pinned small shapes, for both CTA engines.
+      floats, on pinned small shapes, for the decoded engine and the
+      tree-walking oracle alike.
 
    2. modes.cachekey — the decode cache keys entries on
       (program fingerprint x cost-model digest x execution mode
@@ -40,48 +41,32 @@ let ws_gemm ?d ?p ?coop ?persistent () =
 (* 1. Timing-only vs functional: cycles and stall buckets identical    *)
 (* ------------------------------------------------------------------ *)
 
-let profiles_equal (a : Sim.profile) (b : Sim.profile) =
-  a.Sim.wall = b.Sim.wall
-  && a.Sim.wg_profs = b.Sim.wg_profs
-  && a.Sim.chan_profs = b.Sim.chan_profs
+let run ~mode (run_cta : Oracle.runner) ?(pid = [| 0; 0; 0 |])
+    ?(grid = [| 2; 2; 1 |]) ?(mk_pop = fun () -> Launch.no_queue) program ~params =
+  run_cta
+    ~cfg:{ Config.h100 with Config.mode }
+    ~program ~params ~num_programs:grid ~pid ~pop_global:(mk_pop ()) ()
 
 (* Everything the timing model reports must match bit for bit; the
    functional payload (tile values, buffer writes) is exactly what
    timing mode is allowed to drop. *)
-let timing_equal (a : Sim.outcome) (b : Sim.outcome) =
-  a.Sim.cycles = b.Sim.cycles
-  && a.Sim.instructions = b.Sim.instructions
-  && a.Sim.stats.Sim.tc_busy = b.Sim.stats.Sim.tc_busy
-  && a.Sim.stats.Sim.tma_busy = b.Sim.stats.Sim.tma_busy
-  && a.Sim.stats.Sim.tma_bytes = b.Sim.stats.Sim.tma_bytes
-  && a.Sim.stats.Sim.wgmma_count = b.Sim.stats.Sim.wgmma_count
-  && a.Sim.stats.Sim.tma_count = b.Sim.stats.Sim.tma_count
-  && a.Sim.stats.Sim.steps = b.Sim.stats.Sim.steps
-  && profiles_equal a.Sim.profile b.Sim.profile
-
-let run ~mode ~engine ?(pid = [| 0; 0; 0 |]) ?(grid = [| 2; 2; 1 |])
-    ?(mk_pop = fun () -> Launch.no_queue) program ~params =
-  Engine.run_cta
-    ~cfg:{ Config.h100 with Config.mode; engine = Some engine }
-    ~program ~params ~num_programs:grid ~pid ~pop_global:(mk_pop ()) ()
-
 let check_mode_diff name ?pid ?grid ?mk_pop program ~params =
-  let go mode engine = run ~mode ~engine ?pid ?grid ?mk_pop program ~params in
-  let f_ref = go Config.Functional Config.Reference in
-  let t_ref = go Config.Timing Config.Reference in
-  let f_dec = go Config.Functional Config.Decoded in
-  let t_dec = go Config.Timing Config.Decoded in
+  let go mode run_cta = run ~mode run_cta ?pid ?grid ?mk_pop program ~params in
+  let f_ref = go Config.Functional Oracle.run_cta in
+  let t_ref = go Config.Timing Oracle.run_cta in
+  let f_dec = go Config.Functional Engine.run_cta in
+  let t_dec = go Config.Timing Engine.run_cta in
   Alcotest.(check bool)
-    (Printf.sprintf "%s: reference timing == functional (%.3f vs %.3f cycles)" name
+    (Printf.sprintf "%s: oracle timing == functional (%.3f vs %.3f cycles)" name
        t_ref.Sim.cycles f_ref.Sim.cycles)
-    true (timing_equal f_ref t_ref);
+    true (Oracle.outcomes_equal f_ref t_ref);
   Alcotest.(check bool)
     (Printf.sprintf "%s: decoded timing == functional (%.3f vs %.3f cycles)" name
        t_dec.Sim.cycles f_dec.Sim.cycles)
-    true (timing_equal f_dec t_dec);
+    true (Oracle.outcomes_equal f_dec t_dec);
   Alcotest.(check bool)
-    (name ^ ": decoded timing == reference functional") true
-    (timing_equal f_ref t_dec)
+    (name ^ ": decoded timing == oracle functional") true
+    (Oracle.outcomes_equal f_ref t_dec)
 
 let gemm_buffers ~m ~n ~kk =
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:3 [| m; kk |] in
@@ -141,15 +126,10 @@ let test_cache_key_shape () =
   Alcotest.(check bool) "timing key names its mode" true (contains k_tim "timing");
   Alcotest.(check bool) "functional key names its mode" true
     (contains k_fun "functional");
-  (* Cost-model fields are part of the key... *)
+  (* Cost-model fields are part of the key. *)
   let slow = { timing with Config.scalar_cycles = timing.Config.scalar_cycles +. 1.0 } in
   Alcotest.(check bool) "cost-model change changes the key" true
     (Engine.cache_key slow p <> k_tim);
-  (* ...but trace collection and engine choice are not. *)
-  Alcotest.(check bool) "collect_trace does not change the key" true
-    (Engine.cache_key { timing with Config.collect_trace = true } p = k_tim);
-  Alcotest.(check bool) "engine choice does not change the key" true
-    (Engine.cache_key { timing with Config.engine = Some Config.Reference } p = k_tim);
   (* The timing-optimization flag joins the key in timing mode only. *)
   let opts_were_on = Decode.opts_on () in
   Decode.set_opts_enabled true;

@@ -4,7 +4,7 @@
    telemetry, aref ring occupancy counters, the Chrome trace export,
    and — the load-bearing part — differential tests pinning stall
    attribution and channel occupancy to be bit-identical between the
-   reference and decoded engines on compiled kernels. *)
+   decoded engine and the tree-walking oracle on compiled kernels. *)
 
 open Tawa_machine
 open Tawa_gpusim
@@ -407,8 +407,10 @@ let test_trace_export () =
   Alcotest.(check bool) "traceEvents key present" true
     (Astring.String.is_infix ~affix:"\"traceEvents\"" out)
 
-(* A real kernel end to end: trace one CTA under the oracle and check
-   every active unit contributed at least one complete event. *)
+(* A real kernel end to end: trace one CTA through the profiler's
+   recorder, as [tawac profile --trace] does, and check every lane
+   (warp groups and aref channels) contributed at least one complete
+   event. *)
 let test_trace_from_sim () =
   let tiles = { Tawa_frontend.Kernels.block_m = 16; block_n = 16; block_k = 8 } in
   let compiled =
@@ -418,22 +420,27 @@ let test_trace_from_sim () =
           use_coarse = false }
       (Tawa_frontend.Kernels.gemm ~tiles ())
   in
-  let cfg = { Config.h100 with Config.collect_trace = true } in
-  let cta =
-    Sim.create ~cfg ~program:compiled.Flow.program
-      ~params:[ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint 32; Sim.Rint 32; Sim.Rint 16 ]
-      ~num_programs:[| 2; 2; 1 |]
-      ~pop_global:(fun () -> -1) ()
+  let program = compiled.Flow.program in
+  let recorder = Tawa_obs.Prof.create () in
+  ignore
+    (Engine.run_cta ~recorder ~cfg:Config.h100 ~program
+       ~params:[ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint 32; Sim.Rint 32; Sim.Rint 16 ]
+       ~num_programs:[| 2; 2; 1 |]
+       ~pop_global:(fun () -> -1) ());
+  let intervals =
+    Tawa_obs.Prof.op_intervals recorder
+      ~wg_label:(Sim.wg_label_of ~program)
+      ~pc_label:(Sim.pc_label_of ~program)
+    @ Tawa_obs.Prof.channel_intervals recorder ~chan_label:(Sim.chan_label_of ~program)
   in
-  ignore (Sim.run cta);
-  let events = Trace.of_intervals (List.rev cta.Sim.events) in
+  let events = Trace.of_intervals intervals in
   let complete = List.filter (fun (e : Trace.event) -> e.Trace.ph = "X") events in
   let meta = List.filter (fun (e : Trace.event) -> e.Trace.ph = "M") events in
   Alcotest.(check bool) "some complete events" true (List.length complete > 0);
-  Alcotest.(check bool) "several units active" true (List.length meta >= 2);
+  Alcotest.(check bool) "several lanes active" true (List.length meta >= 2);
   List.iter
     (fun (m : Trace.event) ->
-      Alcotest.(check bool) "every named unit has a complete event" true
+      Alcotest.(check bool) "every named lane has a complete event" true
         (List.exists (fun (e : Trace.event) -> e.Trace.tid = m.Trace.tid) complete))
     meta;
   Alcotest.(check bool) "sim trace JSON parses" true
@@ -443,37 +450,27 @@ let test_trace_from_sim () =
 (* Stall attribution: engines agree bit for bit on compiled kernels    *)
 (* ------------------------------------------------------------------ *)
 
-let profiles_equal (a : Sim.profile) (b : Sim.profile) =
-  a.Sim.wall = b.Sim.wall
-  && a.Sim.wg_profs = b.Sim.wg_profs
-  && a.Sim.chan_profs = b.Sim.chan_profs
-
-let estimate engine (compiled : Flow.compiled) ~params ~grid ~flops =
-  Launch.estimate
-    ~cfg:{ Config.h100 with Config.engine = Some engine }
-    compiled.Flow.program ~params ~grid ~flops
-
+(* The CTA [Launch.estimate] simulates, on the oracle and on the
+   decoded engine: the whole outcome — cycles, stats, stall attribution
+   and channel occupancy — must be bit-identical. *)
 let check_profile_diff name (compiled : Flow.compiled) ~params ~grid =
-  let r = estimate Config.Reference compiled ~params ~grid ~flops:1e6 in
-  let d = estimate Config.Decoded compiled ~params ~grid ~flops:1e6 in
-  Alcotest.(check (float 0.0)) (name ^ ": cycles identical") r.Launch.cycles d.Launch.cycles;
-  match (r.Launch.profile, d.Launch.profile) with
-  | Some pr, Some pd ->
-    Alcotest.(check bool)
-      (name ^ ": stall attribution and channel occupancy bit-identical") true
-      (profiles_equal pr pd);
-    (* The acceptance invariant: every WG's bucket sum equals the CTA's
-       total simulated cycles (idle closes the gap). *)
-    Array.iter
-      (fun (w : Sim.wg_prof) ->
-        let sum = Array.fold_left ( +. ) 0.0 w.Sim.p_buckets in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: WG%d bucket sum %.3f ~ wall %.3f" name w.Sim.p_index sum
-             pr.Sim.wall)
-          true
-          (Float.abs (sum -. pr.Sim.wall) <= 1e-6 *. Float.max 1.0 pr.Sim.wall))
-      pr.Sim.wg_profs
-  | _ -> Alcotest.fail (name ^ ": profile missing")
+  let o, d = Oracle.estimate_both ~cfg:Config.h100 compiled.Flow.program ~params ~grid in
+  Alcotest.(check (float 0.0)) (name ^ ": cycles identical") o.Sim.cycles d.Sim.cycles;
+  Alcotest.(check bool)
+    (name ^ ": stall attribution and channel occupancy bit-identical") true
+    (Oracle.outcomes_equal o d);
+  (* The acceptance invariant: every WG's bucket sum equals the CTA's
+     total simulated cycles (idle closes the gap). *)
+  let pr = o.Sim.profile in
+  Array.iter
+    (fun (w : Sim.wg_prof) ->
+      let sum = Array.fold_left ( +. ) 0.0 w.Sim.p_buckets in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: WG%d bucket sum %.3f ~ wall %.3f" name w.Sim.p_index sum
+           pr.Sim.wall)
+        true
+        (Float.abs (sum -. pr.Sim.wall) <= 1e-6 *. Float.max 1.0 pr.Sim.wall))
+    pr.Sim.wg_profs
 
 let gemm_params ~m ~n ~kk =
   [ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint m; Sim.Rint n; Sim.Rint kk ]
@@ -529,7 +526,7 @@ let prop_bucket_sums =
     (fun (d, p, trip, persistent) ->
       let compiled = ws_gemm ~persistent ~d ~p () in
       let t =
-        estimate Config.Decoded compiled
+        Launch.estimate ~cfg:Config.h100 compiled.Flow.program
           ~params:(gemm_params ~m:32 ~n:32 ~kk:(trip * 8))
           ~grid:(2, 2, 1) ~flops:1e6
       in

@@ -1,9 +1,9 @@
 (* Tests for the deep profiler (PR 10, DESIGN.md §15): per-op cycle
-   attribution must be bit-identical across the reference and decoded
-   engines, attribution must conserve (Σ per-op cycles = Σ per-WG
-   bucket totals = wall × WG-count), the critical path of a
+   attribution must be bit-identical between the decoded engine and the
+   tree-walking oracle, attribution must conserve (Σ per-op cycles =
+   Σ per-WG bucket totals = wall × WG-count), the critical path of a
    warp-specialized GEMM must cross an aref channel edge with the same
-   structure under both engines, aref ring event histories reconstruct
+   structure under both, aref ring event histories reconstruct
    slot timelines, the Chrome trace export emits valid monotone
    Perfetto JSON, the new JSON parser round-trips the emitter, and the
    metric registry snapshot stays deterministic. *)
@@ -39,41 +39,37 @@ let attention () =
         num_consumer_wgs = 1; persistent = false; use_coarse = true }
     (Tawa_frontend.Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ())
 
-let estimate engine (compiled : Flow.compiled) ~params ~grid =
-  Launch.estimate
-    ~cfg:{ Config.h100 with Config.engine = Some engine }
-    compiled.Flow.program ~params ~grid ~flops:1e6
-
 (* ------------------------------------------------------------------ *)
 (* Per-op attribution: engines agree bit for bit                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The CTA [Launch.estimate] simulates, on the oracle and on the
+   decoded engine: whole outcomes and per-op rows must match. *)
 let check_per_op_diff name (compiled : Flow.compiled) ~params ~grid =
   let program = compiled.Flow.program in
-  let r = estimate Config.Reference compiled ~params ~grid in
-  let d = estimate Config.Decoded compiled ~params ~grid in
-  match (r.Launch.profile, d.Launch.profile) with
-  | Some pr, Some pd ->
-    let opr = Sim.per_op ~program pr and opd = Sim.per_op ~program pd in
-    Alcotest.(check bool)
-      (name ^ ": per-op attribution bit-identical across engines") true
-      (opr = opd);
-    Alcotest.(check bool) (name ^ ": per-op table nonempty") true
-      (Array.length opr > 0);
-    (* Rows are sorted hottest-first and every row carries cycles. *)
-    let sorted = ref true in
-    Array.iteri
-      (fun i o ->
-        if i > 0 && o.Sim.o_cycles > opr.(i - 1).Sim.o_cycles then sorted := false)
-      opr;
-    Alcotest.(check bool) (name ^ ": rows sorted by cycles") true !sorted;
-    Alcotest.(check bool) (name ^ ": rows all nonzero") true
-      (Array.for_all (fun o -> o.Sim.o_cycles > 0.0) opr);
-    (* The op table renders and mentions the hottest opcode. *)
-    let tbl = Sim.op_table ~program pr in
-    Alcotest.(check bool) (name ^ ": op table mentions hottest opcode") true
-      (Astring.String.is_infix ~affix:opr.(0).Sim.o_name tbl)
-  | _ -> Alcotest.fail (name ^ ": profile missing")
+  let o, d = Oracle.estimate_both ~cfg:Config.h100 program ~params ~grid in
+  Alcotest.(check bool) (name ^ ": outcomes bit-identical across engines") true
+    (Oracle.outcomes_equal o d);
+  let pr = o.Sim.profile in
+  let opr = Sim.per_op ~program pr and opd = Sim.per_op ~program d.Sim.profile in
+  Alcotest.(check bool)
+    (name ^ ": per-op attribution bit-identical across engines") true
+    (opr = opd);
+  Alcotest.(check bool) (name ^ ": per-op table nonempty") true
+    (Array.length opr > 0);
+  (* Rows are sorted hottest-first and every row carries cycles. *)
+  let sorted = ref true in
+  Array.iteri
+    (fun i o ->
+      if i > 0 && o.Sim.o_cycles > opr.(i - 1).Sim.o_cycles then sorted := false)
+    opr;
+  Alcotest.(check bool) (name ^ ": rows sorted by cycles") true !sorted;
+  Alcotest.(check bool) (name ^ ": rows all nonzero") true
+    (Array.for_all (fun o -> o.Sim.o_cycles > 0.0) opr);
+  (* The op table renders and mentions the hottest opcode. *)
+  let tbl = Sim.op_table ~program pr in
+  Alcotest.(check bool) (name ^ ": op table mentions hottest opcode") true
+    (Astring.String.is_infix ~affix:opr.(0).Sim.o_name tbl)
 
 let test_per_op_gemm () =
   check_per_op_diff "ws gemm" (ws_gemm ())
@@ -108,9 +104,9 @@ let prop_conservation =
       let compiled = ws_gemm ~persistent ~d ~p () in
       let program = compiled.Flow.program in
       let t =
-        estimate Config.Decoded compiled
+        Launch.estimate ~cfg:Config.h100 program
           ~params:(gemm_params ~m:32 ~n:32 ~kk:(trip * 8))
-          ~grid:(2, 2, 1)
+          ~grid:(2, 2, 1) ~flops:1e6
       in
       match t.Launch.profile with
       | None -> false
@@ -144,17 +140,15 @@ let prop_conservation =
 (* Critical path: recorder-driven runs under both engines              *)
 (* ------------------------------------------------------------------ *)
 
-(* Run one CTA of the warp-specialized GEMM under [engine] with a
-   recorder attached; return the program, recorder, outcome and the
-   computed critical path. *)
-let recorded_run engine =
+(* Run one CTA of the warp-specialized GEMM through [run_cta] (the
+   oracle's or the decoded engine's) with a recorder attached; return
+   the program, recorder, outcome and the computed critical path. *)
+let recorded_run (run_cta : Oracle.runner) =
   let compiled = ws_gemm () in
   let program = compiled.Flow.program in
   let recorder = Prof.create () in
   let outcome =
-    Engine.run_cta ~recorder
-      ~cfg:{ Config.h100 with Config.engine = Some engine }
-      ~program
+    run_cta ~recorder ~cfg:Config.h100 ~program
       ~params:(gemm_params ~m:32 ~n:32 ~kk:16)
       ~num_programs:[| 2; 2; 1 |]
       ~pop_global:(fun () -> -1)
@@ -166,7 +160,7 @@ let recorded_run engine =
   (program, recorder, outcome, Prof.critical_path recorder ~wg_times)
 
 let test_critical_path_aref () =
-  let program, recorder, _, path = recorded_run Config.Reference in
+  let program, recorder, _, path = recorded_run Engine.run_cta in
   Alcotest.(check bool) "events recorded" true
     (Prof.num_completions recorder > 0 && Prof.num_waits recorder > 0);
   Alcotest.(check bool) "path nonempty" true (path <> []);
@@ -210,8 +204,8 @@ let test_critical_path_aref () =
    same times — only the dominant-op label may differ (the decoded
    engine attributes a fused cost block to its first pc). *)
 let test_critical_path_engines_agree () =
-  let _, _, oref, pref = recorded_run Config.Reference in
-  let _, _, odec, pdec = recorded_run Config.Decoded in
+  let _, _, oref, pref = recorded_run Oracle.run_cta in
+  let _, _, odec, pdec = recorded_run Engine.run_cta in
   Alcotest.(check (float 0.0)) "wall identical" oref.Sim.cycles odec.Sim.cycles;
   Alcotest.(check int) "same number of segments" (List.length pref)
     (List.length pdec);
@@ -265,7 +259,7 @@ let test_critical_path_synthetic () =
 (* ------------------------------------------------------------------ *)
 
 let test_channel_intervals () =
-  let program, recorder, _, _ = recorded_run Config.Reference in
+  let program, recorder, _, _ = recorded_run Engine.run_cta in
   let chans =
     Prof.channel_intervals recorder ~chan_label:(Sim.chan_label_of ~program)
   in
@@ -351,7 +345,7 @@ let field name e =
   | None -> Alcotest.failf "trace event missing %S" name
 
 let test_trace_shape () =
-  let program, recorder, _, _ = recorded_run Config.Reference in
+  let program, recorder, _, _ = recorded_run Engine.run_cta in
   let intervals =
     Prof.op_intervals recorder
       ~wg_label:(Sim.wg_label_of ~program)

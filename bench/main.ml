@@ -14,9 +14,9 @@
                      so every pass pays one compile+decode per distinct
                      program.
                      Figures with a representative wave additionally
-                     run the four simulation-mode passes (functional /
-                     timing-only / timing+pool / timing+replication);
-                     see the comment above [run_modes].
+                     run the three simulation-mode passes (functional /
+                     timing-only / timing+pool); see the comment above
+                     [run_modes].
      --domains N     override the worker-domain count (default:
                      TAWA_DOMAINS or Domain.recommended_domain_count)
      --seq           shorthand for --domains 1
@@ -117,6 +117,10 @@ let fig8 () =
 
 let tiles = Frameworks.tiles_128x128
 
+(* The Triton baseline: Ampere-style software pipelining, 3 stages. *)
+let triton_options =
+  { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
+
 let batched_timing ~ws ~batch (shape : Workloads.gemm_shape) =
   let kernel = Kernels.batched_gemm ~tiles ~dtype:shape.Workloads.dtype () in
   let compiled =
@@ -126,7 +130,7 @@ let batched_timing ~ws ~batch (shape : Workloads.gemm_shape) =
           { Flow.default_options with aref_depth = 3; mma_depth = 2; num_consumer_wgs = 1; persistent = true;
             use_coarse = false }
         kernel
-    else Flow.compile_sw_pipelined ~stages:3 kernel
+    else Flow.compile ~options:triton_options kernel
   in
   let grid, params = Workloads.batched_gemm_launch ~batch shape ~tiles in
   Launch.estimate ~cfg compiled.Flow.program ~params ~grid
@@ -160,7 +164,7 @@ let grouped_timing ~ws (group : Workloads.group) =
       List.fold_left
         (fun (cycles, flops) (s : Workloads.gemm_shape) ->
           let kernel = Kernels.gemm ~tiles ~dtype:s.Workloads.dtype () in
-          let compiled = Flow.compile_sw_pipelined ~stages:3 kernel in
+          let compiled = Flow.compile ~options:triton_options kernel in
           let grid, params = Workloads.gemm_launch s ~tiles in
           let t =
             Launch.estimate ~cfg compiled.Flow.program ~params ~grid
@@ -362,7 +366,11 @@ let fig12_gemm () =
   (* The five ablation steps are independent measurements. *)
   let steps =
     Pool.run_all
-      [| (fun () -> time (Flow.compile_naive (Kernels.gemm ~tiles:small ())) ~tiles:small);
+      [| (fun () ->
+           time
+             (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Naive }
+                (Kernels.gemm ~tiles:small ()))
+             ~tiles:small);
          (fun () ->
            time
              (Flow.compile
@@ -421,7 +429,10 @@ let fig12_mha () =
      synchronous TMA waits inside the loop. *)
   let steps =
     Pool.run_all
-      [| (fun () -> time (Flow.compile_sync_tma (kernel Dtype.F16)));
+      [| (fun () ->
+           time
+             (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Sync_tma }
+                (kernel Dtype.F16)));
          (fun () ->
            time
              (Flow.compile
@@ -614,30 +625,28 @@ let verify_grid () =
       ("max_rel_diff_vs_reference", Json.Float rel); ("pass", Json.Bool pass) ]
 
 (* ------------------------------------------------------------------ *)
-(* Simulation-mode columns: functional / timing-only / timing+pool /   *)
-(* timing+replication on a pinned representative wave per figure       *)
+(* Simulation-mode columns: functional / timing-only / timing+pool on  *)
+(* a pinned representative wave per figure                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Full figures are out of reach for functional execution (one
    paper-scale GEMM candidate alone is ~17 GMAC), so each figure's
    mode columns run a pinned representative wave — real buffers, the
    same warp-specialized programs the figure sweeps, and a shrunken SM
-   count so one SM's share holds several CTAs of each equivalence
-   class — through [Launch.estimate_grouped] under four
-   configurations:
+   count so one SM's share holds several CTAs — through
+   [Launch.estimate_grouped] under three configurations:
 
-     functional            mode=Functional, 1 domain, replication off
-     timing-only           mode=Timing,     1 domain, replication off
-     timing + pool         mode=Timing,     domain pool, replication off
-     timing + replication  mode=Timing,     domain pool, replication on
+     functional     mode=Functional, 1 domain
+     timing-only    mode=Timing,     1 domain
+     timing + pool  mode=Timing,     domain pool
 
-   All four must agree bit-for-bit on the estimated cycles
+   All three must agree bit-for-bit on the estimated cycles
    ([outcomes_equal]). The functional pass is the PR4-parity decoded
    baseline — timing-only stream optimizations auto-disable in
-   functional mode — so composed_speedup = functional / replication is
-   the honest product of the three levers on identical simulated
-   work. Programs are decoded for both modes before timing starts;
-   the passes measure simulation, not compilation. *)
+   functional mode — so composed_speedup = functional / timing+pool is
+   the honest product of both levers on identical simulated work.
+   Programs are decoded for both modes before timing starts; the
+   passes measure simulation, not compilation. *)
 let modes_num_sms = 4
 
 let rep_gemm_items shapes () =
@@ -678,11 +687,6 @@ let mode_waves =
       ( "fp16 gemm 2048x1024x512, 16x8 wave of 128x128 tiles",
         rep_gemm_items [ (2048, 1024, 512) ] ) ) ]
 
-let registry_counter name =
-  match List.assoc_opt name (Tawa_obs.Registry.snapshot ()) with
-  | Some (Tawa_obs.Registry.Int i) -> i
-  | _ -> 0
-
 let run_modes name =
   match List.assoc_opt name mode_waves with
   | None -> Json.Null
@@ -700,9 +704,7 @@ let run_modes name =
           (Tawa_gpusim.Engine.prepare
              ~cfg:{ mcfg with Config.mode = Config.Timing } p))
       items;
-    let was_replicating = Launch.replication_enabled () in
-    let pass ?(repeat = 1) ~mode ~domains ~replicate () =
-      Launch.set_replication_enabled replicate;
+    let pass ?(repeat = 1) ~mode ~domains () =
       Pool.set_default_domains domains;
       let best = ref infinity and cycles = ref Float.nan in
       for _ = 1 to repeat do
@@ -713,50 +715,29 @@ let run_modes name =
         cycles := t.Launch.cycles
       done;
       Pool.set_default_domains None;
-      Launch.set_replication_enabled was_replicating;
       (!best, !cycles)
     in
-    let t_fun, c_fun =
-      pass ~mode:Config.Functional ~domains:(Some 1) ~replicate:false ()
-    in
-    let t_tim, c_tim =
-      pass ~repeat:5 ~mode:Config.Timing ~domains:(Some 1) ~replicate:false ()
-    in
-    let t_pool, c_pool =
-      pass ~repeat:5 ~mode:Config.Timing ~domains:None ~replicate:false ()
-    in
-    let sim0 = registry_counter "launch.replication.simulated" in
-    let rep0 = registry_counter "launch.replication.replicated" in
-    let reps = 5 in
-    let t_rep, c_rep =
-      pass ~repeat:reps ~mode:Config.Timing ~domains:None ~replicate:true ()
-    in
-    let simulated = (registry_counter "launch.replication.simulated" - sim0) / reps in
-    let replicated = (registry_counter "launch.replication.replicated" - rep0) / reps in
-    let equal = c_fun = c_tim && c_tim = c_pool && c_pool = c_rep in
+    let t_fun, c_fun = pass ~mode:Config.Functional ~domains:(Some 1) () in
+    let t_tim, c_tim = pass ~repeat:5 ~mode:Config.Timing ~domains:(Some 1) () in
+    let t_pool, c_pool = pass ~repeat:5 ~mode:Config.Timing ~domains:None () in
+    let equal = c_fun = c_tim && c_tim = c_pool in
     let sp a b = if b > 0.0 then a /. b else 1.0 in
     pr "  mode passes (%s; %d SMs):\n" desc modes_num_sms;
-    pr "    functional            %9.4fs\n" t_fun;
-    pr "    timing-only           %9.4fs  (%8.1fx)\n" t_tim (sp t_fun t_tim);
-    pr "    timing + pool         %9.4fs  (%8.1fx)\n" t_pool (sp t_fun t_pool);
-    pr "    timing + replication  %9.4fs  (%8.1fx composed)\n" t_rep (sp t_fun t_rep);
-    pr "    cycles bit-identical across all four: %b   CTAs simulated %d, replicated %d\n"
-      equal simulated replicated;
+    pr "    functional     %9.4fs\n" t_fun;
+    pr "    timing-only    %9.4fs  (%8.1fx)\n" t_tim (sp t_fun t_tim);
+    pr "    timing + pool  %9.4fs  (%8.1fx composed)\n" t_pool (sp t_fun t_pool);
+    pr "    cycles bit-identical across all three: %b\n" equal;
     Json.Obj
       [ ("workload", Json.Str desc);
         ("num_sms", Json.Int modes_num_sms);
         ("functional_seconds", Json.Float t_fun);
         ("timing_seconds", Json.Float t_tim);
         ("timing_pool_seconds", Json.Float t_pool);
-        ("timing_replication_seconds", Json.Float t_rep);
-        ("cycles", Json.Float c_rep);
+        ("cycles", Json.Float c_pool);
         ("outcomes_equal", Json.Bool equal);
         ("speedup_timing", Json.Float (sp t_fun t_tim));
         ("speedup_pool", Json.Float (sp t_tim t_pool));
-        ("speedup_replication", Json.Float (sp t_pool t_rep));
-        ("composed_speedup", Json.Float (sp t_fun t_rep));
-        ("units_simulated", Json.Int simulated);
-        ("units_replicated", Json.Int replicated) ]
+        ("composed_speedup", Json.Float (sp t_fun t_pool)) ]
 
 (* ---------------------- static occupancy -------------------------- *)
 
@@ -966,7 +947,7 @@ type fig_result = {
   r_dec_instr : int; (* instructions retired by the 1-domain pass *)
   r_cache : Tawa_machine.Progcache.stats;
   r_data : Json.t;
-  r_modes : Json.t; (* four simulation-mode passes, Null if no wave *)
+  r_modes : Json.t; (* three simulation-mode passes, Null if no wave *)
 }
 
 let no_stats = { Tawa_machine.Progcache.hits = 0; misses = 0; evictions = 0 }
@@ -1061,9 +1042,8 @@ let () =
           ( "engine",
             Json.Str
               "decode-once closure-compiled CTA engine + event-driven scheduler, with \
-               timing-only stream optimization, vectorized tile ops, and \
-               symmetry-replicated CTA waves (over PR1's domain pool and compile \
-               cache)" );
+               timing-only stream optimization and vectorized tile ops (over the \
+               domain pool and compile cache)" );
           ( "host",
             Json.Obj
               [ ("cores", Json.Int (Domain.recommended_domain_count ()));

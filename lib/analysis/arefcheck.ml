@@ -8,11 +8,11 @@
       SMEM capacity) on codegen output.
 
     Checking is controlled by a process-wide switch ({!set_enabled} /
-    {!checking_enabled}), initialized from [TAWA_CHECK=1] in the
-    environment and re-applied by {!Tawa_gpusim.Config.of_env}: it
-    enables checking throughout the compile flow without touching call
-    sites. [assert_clean] converts error diagnostics into a
-    {!Check_failed} exception for CLI/pass use. *)
+    {!checking_enabled}), off by default and set from [TAWA_CHECK=1] by
+    {!Tawa_gpusim.Config.of_env}: it enables checking throughout the
+    compile flow without touching call sites. [assert_clean] converts
+    error diagnostics into a {!Check_failed} exception for CLI/pass
+    use. *)
 
 exception Check_failed of string * Diagnostic.t list
 
@@ -40,17 +40,12 @@ let enabled_of = function
     | "" | "0" | "false" | "off" | "no" -> false
     | _ -> true)
 
-(* Process-wide checking switch. Initialized from the environment at
-   module load so library-only embedders keep the old behavior;
-   {!Tawa_gpusim.Config.of_env} re-applies it at startup. *)
-let enabled : bool Atomic.t = Atomic.make (enabled_of (Sys.getenv_opt "TAWA_CHECK"))
+(* Process-wide checking switch; {!Tawa_gpusim.Config.of_env} applies
+   [TAWA_CHECK] at startup. *)
+let enabled : bool Atomic.t = Atomic.make false
 
 let set_enabled v = Atomic.set enabled v
 let checking_enabled () = Atomic.get enabled
-
-(** Deprecated alias of {!checking_enabled} (the switch is seeded from
-    [TAWA_CHECK], no longer read per call). *)
-let enabled_via_env = checking_enabled
 
 (** Raise {!Check_failed} if [diags] contains errors; return the
     warnings (callers may print them). *)

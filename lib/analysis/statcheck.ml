@@ -46,24 +46,12 @@ let mode_of_string_opt s =
   | "warn" | "warning" | "1" | "true" | "on" | "yes" -> Some Warn
   | _ -> None
 
-let mode_of_string s =
-  match mode_of_string_opt s with Some m -> m | None -> Warn
-
-(* Process-wide mode. Initialized from [TAWA_STATCHECK] at module load
-   so library-only embedders keep the old behavior;
-   {!Tawa_gpusim.Config.of_env} re-applies it at startup. *)
-let current : mode Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "TAWA_STATCHECK" with
-    | None -> Warn
-    | Some s -> mode_of_string s)
+(* Process-wide mode; {!Tawa_gpusim.Config.of_env} applies
+   [TAWA_STATCHECK] at startup. *)
+let current : mode Atomic.t = Atomic.make Warn
 
 let set_mode m = Atomic.set current m
 let current_mode () = Atomic.get current
-
-(** Deprecated alias of {!current_mode} (the mode is seeded from
-    [TAWA_STATCHECK], no longer read per call). *)
-let mode_of_env = current_mode
 
 (* ---------------------------- occupancy --------------------------- *)
 

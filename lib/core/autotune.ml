@@ -24,8 +24,8 @@
       fingerprint), so a warm restart re-serves tuned configs with
       zero re-measurement.
 
-    The pre-PR8 entry points ({!gemm_candidates}, {!measure_gemm},
-    {!tune_gemm}, {!dp_grid}) are kept verbatim for the bench figures
+    The legacy entry points ({!gemm_candidates}, {!tune_gemm},
+    {!dp_grid}) are kept verbatim for the bench figures
     (Fig. 11) and the baselines table; they sweep the legacy
     {!Resources.check_gemm}-feasible region. *)
 
@@ -488,15 +488,10 @@ let gemm_candidates ?(persistent_choices = [ false; true ]) ~(dtype : Dtype.t) (
         [ 1; 2; 3; 4 ])
     tile_choices
 
-(** Measure one GEMM candidate with the timing simulator. *)
-let measure_gemm ~(cfg : Config.t) (shape : Workloads.gemm_shape) (c : candidate) :
-    measurement =
-  measure ~cfg (Gemm shape) c
-
 (** Best feasible configuration for a GEMM shape (legacy sweep). *)
 let tune_gemm ?(cfg = Config.h100) (shape : Workloads.gemm_shape) : measurement =
   let cands = gemm_candidates ~dtype:shape.Workloads.dtype () in
-  match List.map (measure_gemm ~cfg shape) cands with
+  match List.map (measure ~cfg (Gemm shape)) cands with
   | [] -> invalid_arg "Autotune.tune_gemm: no feasible candidate"
   | ms -> List.fold_left (fun best m -> if m.tflops > best.tflops then m else best)
             (List.hd ms) ms
@@ -517,7 +512,7 @@ let dp_grid ?(cfg = Config.h100) ~(tiles : Kernels.tile_config) ~coop ~persisten
           | Resources.Infeasible _ -> None
           | Resources.Feasible _ ->
             Some
-              (measure_gemm ~cfg shape
+              (measure ~cfg (Gemm shape)
                  { tiles; aref_depth = d; mma_depth = p; coop; persistent;
                    coarse = false; strategy = Flow.Warp_specialized }))
         (List.init max_p (fun i -> i + 1)))

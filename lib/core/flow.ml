@@ -8,10 +8,10 @@ open Tawa_passes
 open Tawa_machine
 
 (** How the kernel is lowered. [Warp_specialized] is the full Tawa
-    pipeline; the other three are the paper's baselines, previously
-    exposed as separate [compile_*] entry points:
+    pipeline; the other three are the paper's baselines:
     - [Sw_pipelined stages] — Triton-style Ampere software pipelining
-      (no warp specialization);
+      (no warp specialization; callers set [aref_depth = stages] so
+      reports show the pipeline depth);
     - [Sync_tma] — synchronous TMA, loads wait immediately (no overlap);
     - [Naive] — plain global loads (the Fig. 12 "w/o WS" ablation).
     Folding the choice into {!options} lets callers — the autotuner in
@@ -149,28 +149,6 @@ let compile ?(options = default_options) (kernel : Kernel.t) : compiled =
   let key = cache_key kernel ~opts:(options_key options) in
   let e = Progcache.find_or_add cache ~key (fun () -> build_entry options kernel) in
   maybe_env_check (hit kernel e options)
-
-(** Deprecated wrapper for [compile ~options:{... strategy = Sw_pipelined _}]:
-    the Triton-style Ampere software pipeline (the paper's Triton
-    baseline). [aref_depth] mirrors [stages] so reports keep showing
-    the pipeline depth. *)
-let compile_sw_pipelined ?(stages = 3) (kernel : Kernel.t) : compiled =
-  compile
-    ~options:
-      { default_options with strategy = Sw_pipelined stages; aref_depth = stages }
-    kernel
-
-(** Deprecated wrapper for [compile ~options:{... strategy = Naive}]:
-    no pipelining or asynchrony (naive global loads) — the "w/o WS"
-    baseline of the Fig. 12 ablation. *)
-let compile_naive (kernel : Kernel.t) : compiled =
-  compile ~options:{ default_options with strategy = Naive } kernel
-
-(** Deprecated wrapper for [compile ~options:{... strategy = Sync_tma}]:
-    no warp specialization but synchronous TMA (loads wait immediately;
-    no overlap). *)
-let compile_sync_tma (kernel : Kernel.t) : compiled =
-  compile ~options:{ default_options with strategy = Sync_tma } kernel
 
 let dump_ir ?ids (c : compiled) = Printer.kernel_to_string ?ids c.transformed
 let dump_asm (c : compiled) = Isa.program_to_string c.program

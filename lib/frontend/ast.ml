@@ -60,7 +60,3 @@ type kernel = {
 }
 
 type program = kernel list
-
-let binop_name = function
-  | Badd -> "+" | Bsub -> "-" | Bmul -> "*" | Bdiv -> "/" | Brem -> "%"
-  | Blt -> "<" | Ble -> "<=" | Bgt -> ">" | Bge -> ">=" | Beq -> "==" | Bne -> "!="

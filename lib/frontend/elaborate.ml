@@ -86,11 +86,6 @@ let rec elab_expr b env (e : expr) : Value.t =
     | Blt | Ble | Bgt | Bge | Beq | Bne -> Builder.cmp b (ir_cmp op) x y)
   | Call (fname, args) -> elab_call b env e.pos fname args
 
-and pos_arg b env pos = function
-  | Apos e -> elab_expr b env e
-  | Alist _ -> fail pos "unexpected list argument"
-  | Adtype d -> fail pos "unexpected dtype argument '%s'" d
-
 and elab_call b env pos fname args : Value.t =
   let exprs () =
     List.map (function Apos e -> e | _ -> fail pos "%s expects expressions" fname) args

@@ -36,20 +36,13 @@ let mode_of_string = function
 (* ------------------- process-wide defaults (env) ------------------ *)
 
 (* Environment settings are parsed by {!of_env} and cached in
-   process-wide cells. The cell below is also seeded from the
-   environment at module load, so library-only embedders see
-   [TAWA_MODE] without calling [of_env]. *)
+   process-wide cells; until it runs, every cell holds the value an
+   unset variable gives. *)
 
-let mode_default : mode option Atomic.t =
-  Atomic.make
-    (match Sys.getenv_opt "TAWA_MODE" with
-    | None -> None
-    | Some s -> mode_of_string (String.lowercase_ascii (String.trim s)))
-
-let set_default_mode m = Atomic.set mode_default m
+let mode_default : mode option Atomic.t = Atomic.make None
 
 (** Process-wide default execution mode for commands that let the
-    environment pick (seeded from [TAWA_MODE]; see {!of_env}). *)
+    environment pick ([TAWA_MODE]; see {!of_env}). *)
 let default_mode () = Atomic.get mode_default
 
 (* One warning per (variable, value) pair per process: of_env may run

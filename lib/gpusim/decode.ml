@@ -382,8 +382,6 @@ let ready_pop_exn ctx =
   top.in_ready <- false;
   top
 
-let ready_pop ctx = if ctx.ready.n = 0 then None else Some (ready_pop_exn ctx)
-
 (* ------------------------------ SMEM ------------------------------ *)
 
 let smem_set ctx alloc slot t =
@@ -1441,18 +1439,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
    Functional mode never uses either lever: cross-WG data flow through
    shared memory makes fusion observable there. *)
 
-let opts_enabled =
-  Atomic.make
-    (match Sys.getenv_opt "TAWA_TIMING_OPTS" with
-    | Some ("0" | "off" | "false") -> false
-    | _ -> true)
+let opts_enabled = Atomic.make true
 
 (** Process-wide switch for the timing-mode decode optimizations
-    (dead-write elision, cost blocks, superblock fusion). The bench
-    harness disables it to measure the unoptimized decoded baseline;
-    [TAWA_TIMING_OPTS=0] disables it process-wide. Flipping it does not
-    invalidate cached decodes — the flag is part of the decode-cache
-    key ({!Engine.prepare}). *)
+    (dead-write elision, cost blocks, superblock fusion). Tests turn it
+    off to compare against the unoptimized closures. Flipping it does
+    not invalidate cached decodes — the flag is part of the
+    decode-cache key ({!Engine.prepare}). *)
 let set_opts_enabled b = Atomic.set opts_enabled b
 
 let opts_on () = Atomic.get opts_enabled

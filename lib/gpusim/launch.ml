@@ -27,75 +27,6 @@ type timing = {
          where no single CTA is representative *)
 }
 
-let log_src = Logs.Src.create "tawa.launch" ~doc:"Launch modelling"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
-(* ---------------------- symmetry replication ---------------------- *)
-
-(* Wave symmetry: CTAs of a class (same program, same parameter
-   bindings, same grid) differing only in CTA id have bit-identical
-   timing outcomes whenever {!Tawa_analysis.Replicate} proves the
-   timing semantics cannot observe the id. Replication then simulates
-   one representative per class and reuses its outcome for the rest —
-   the accumulated sums add the very same float values in the same
-   order, so results are unchanged for any class shape.
-
-   Default on; [TAWA_REPLICATE=0] or {!set_replication_enabled} turn
-   it off (the bench harness pins per-pass settings). *)
-let replication_enabled_env () =
-  match Sys.getenv_opt "TAWA_REPLICATE" with
-  | Some s -> (
-    match String.lowercase_ascii (String.trim s) with
-    | "0" | "off" | "false" | "no" -> false
-    | _ -> true)
-  | None -> true
-
-let replication = Atomic.make (replication_enabled_env ())
-let set_replication_enabled b = Atomic.set replication b
-let replication_enabled () = Atomic.get replication
-
-(* One-time refusal warning: replication silently falling back to full
-   simulation everywhere would hide a protocol or symmetry problem. *)
-let warned_refusal = Atomic.make false
-
-let warn_refused (p : Tawa_machine.Isa.program) reason =
-  if not (Atomic.exchange warned_refusal true) then
-    Log.warn (fun m ->
-        m
-          "symmetry replication refused for %s (%s); simulating every CTA of \
-           its class (sound, slower). Further refusals are silent."
-          p.Tawa_machine.Isa.name reason)
-
-(* Wave extrapolation in {!estimate} predates replication but rests on
-   the same symmetry argument; probe the predicate once per distinct
-   kernel name and surface (once) when a wave is extrapolated from a
-   representative whose timing the other CTAs need not share. *)
-let probed_names : (string, unit) Hashtbl.t = Hashtbl.create 16
-let probed_lock = Mutex.create ()
-let warned_extrapolation = Atomic.make false
-
-let probe_extrapolation (p : Tawa_machine.Isa.program) =
-  let fresh =
-    Mutex.lock probed_lock;
-    let fresh = not (Hashtbl.mem probed_names p.Tawa_machine.Isa.name) in
-    if fresh then Hashtbl.add probed_names p.Tawa_machine.Isa.name ();
-    Mutex.unlock probed_lock;
-    fresh
-  in
-  if fresh then
-    match Tawa_analysis.Replicate.verdict p with
-    | Tawa_analysis.Replicate.Replicable -> ()
-    | Tawa_analysis.Replicate.Refused reason ->
-      if not (Atomic.exchange warned_extrapolation true) then
-        Log.warn (fun m ->
-            m
-              "wave timing of %s extrapolates from one representative CTA, \
-               but its timing is CTA-id-dependent (%s); treat the estimate \
-               as the representative's wave, not an exact bound. Further \
-               cases are silent."
-              p.Tawa_machine.Isa.name reason)
-
 let queue_of_list tiles =
   let remaining = ref tiles in
   fun () ->
@@ -188,7 +119,6 @@ let estimate ?rep_pid ?(mode = Config.Timing) ~(cfg : Config.t)
   let total = gx * gy * gz in
   let prepared = Engine.prepare ~cfg program in
   let num_programs, pid, queue = representative_cta ?rep_pid ~cfg program ~grid in
-  if not program.Isa.persistent then probe_extrapolation program;
   let o =
     Engine.run_prepared prepared ~params ~num_programs ~pid ~pop_global:(queue ()) ()
   in
@@ -238,25 +168,21 @@ let estimate_grouped ?(mode = Config.Timing) ~(cfg : Config.t)
   (* Expand items to per-tile work units (prepared program, params).
      Preparing per item (not per unit) decodes each distinct program
      once before the fan-out. *)
-  let items_arr = Array.of_list items in
   let units =
     List.concat_map
-      (fun (item, (program, params, (gx, gy, gz), _flops)) ->
+      (fun (program, params, (gx, gy, gz), _flops) ->
         let prepared = Engine.prepare ~cfg program in
         List.concat_map
           (fun z ->
             List.concat_map
-              (fun y -> List.map (fun x -> (item, prepared, params, [| x; y; z |], (gx, gy, gz))) (List.init gx Fun.id))
+              (fun y -> List.map (fun x -> (prepared, params, [| x; y; z |], (gx, gy, gz))) (List.init gx Fun.id))
               (List.init gy Fun.id))
           (List.init gz Fun.id))
-      (List.mapi (fun i it -> (i, it)) items)
+      items
   in
   let flops = List.fold_left (fun acc (_, _, _, f) -> acc +. f) 0.0 items in
-  let n = List.length units in
-  let share = (n + cfg.Config.num_sms - 1) / cfg.Config.num_sms in
   (* One SM's share: every num_sms-th unit. *)
   let mine = List.filteri (fun i _ -> i mod cfg.Config.num_sms = 0) units in
-  let mine = List.filteri (fun i _ -> i < share) mine in
   let agg = ref 0.0 in
   let stats =
     { Sim.tc_busy = 0.0; tma_busy = 0.0; tma_bytes = 0.0; wgmma_count = 0; tma_count = 0;
@@ -266,69 +192,11 @@ let estimate_grouped ?(mode = Config.Timing) ~(cfg : Config.t)
      run them on the domain pool, then accumulate sequentially in
      queue order so the float sums are bit-identical to the serial
      engine for any domain count. *)
-  let run_unit (_, prepared, params, pid, (gx, gy, gz)) =
+  let run_unit (prepared, params, pid, (gx, gy, gz)) =
     Engine.run_prepared prepared ~params ~num_programs:[| gx; gy; gz |] ~pid
       ~pop_global:no_queue ()
   in
-  let outcomes =
-    (* Replication is a timing-mode lever only: in functional mode every
-       CTA must actually run so its buffer writes happen. *)
-    if Config.is_functional cfg || not (replication_enabled ()) then
-      Tawa_pool.Pool.map_list run_unit mine
-    else begin
-      (* The units of one item form an equivalence class: same prepared
-         program, same parameter bindings, same grid — only the CTA id
-         differs. When {!Tawa_analysis.Replicate} proves the class
-         id-independent, simulate only its first unit of this SM's
-         share and reuse that outcome for the rest; the sequential
-         accumulation below then adds the identical float values in
-         the identical order, so the result is bit-for-bit the same as
-         simulating every unit. Refused classes (id-dependent timing,
-         arefcheck violation) fall back to full simulation with a
-         one-time warning. *)
-      let verdicts =
-        Array.map
-          (fun (program, _, _, _) -> Tawa_analysis.Replicate.verdict program)
-          items_arr
-      in
-      Array.iteri
-        (fun i v ->
-          match v with
-          | Tawa_analysis.Replicate.Refused reason ->
-            let program, _, _, _ = items_arr.(i) in
-            warn_refused program reason
-          | Tawa_analysis.Replicate.Replicable -> ())
-        verdicts;
-      let mine_arr = Array.of_list mine in
-      let n_mine = Array.length mine_arr in
-      let rep_pos = Array.make (Array.length items_arr) (-1) in
-      let sim_pos = Array.make n_mine (-1) in
-      let order = ref [] and count = ref 0 in
-      for i = 0 to n_mine - 1 do
-        let item, _, _, _, _ = mine_arr.(i) in
-        let keep () =
-          sim_pos.(i) <- !count;
-          order := mine_arr.(i) :: !order;
-          incr count
-        in
-        match verdicts.(item) with
-        | Tawa_analysis.Replicate.Replicable ->
-          if rep_pos.(item) < 0 then begin
-            rep_pos.(item) <- !count;
-            keep ()
-          end
-        | Tawa_analysis.Replicate.Refused _ -> keep ()
-      done;
-      let sims =
-        Array.of_list (Tawa_pool.Pool.map_list run_unit (List.rev !order))
-      in
-      Tawa_obs.Registry.incr ~by:!count "launch.replication.simulated";
-      Tawa_obs.Registry.incr ~by:(n_mine - !count) "launch.replication.replicated";
-      List.init n_mine (fun i ->
-          let item, _, _, _, _ = mine_arr.(i) in
-          sims.(if sim_pos.(i) >= 0 then sim_pos.(i) else rep_pos.(item)))
-    end
-  in
+  let outcomes = Tawa_pool.Pool.map_list run_unit mine in
   List.iter
     (fun (o : Sim.outcome) ->
       agg := !agg +. o.Sim.cycles;

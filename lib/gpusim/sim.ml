@@ -277,25 +277,6 @@ let op_table ?(top = 12) ~(program : Isa.program) (p : profile) : string =
       @ Array.to_list Tawa_obs.Stall.names)
     rows
 
-let per_op_json ~(program : Isa.program) (p : profile) : Tawa_obs.Json.t =
-  let open Tawa_obs in
-  Json.List
-    (Array.to_list (per_op ~program p)
-    |> List.map (fun o ->
-           Json.Obj
-             [
-               ("oid", Json.Int o.o_oid);
-               ("opcode", Json.Str o.o_name);
-               ("src", Json.Int o.o_src);
-               ("cycles", Json.Float o.o_cycles);
-               ( "stall",
-                 Json.Obj
-                   (Array.to_list
-                      (Array.mapi
-                         (fun i c -> (Stall.name_of_index i, Json.Float c))
-                         o.o_buckets)) );
-             ]))
-
 (* ------------------------ profiler labeling ----------------------- *)
 
 (* The recorder stores dense channel ids (mbarrier [i] = channel [i],

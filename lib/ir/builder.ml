@@ -36,11 +36,6 @@ let emit1 b ?attrs ?regions ?hint opcode operands ty =
   ignore (append b (Op.mk ?attrs ?regions ~operands ~results:[ r ] opcode));
   r
 
-let emitn b ?attrs ?regions opcode operands tys =
-  let rs = List.map Value.fresh tys in
-  ignore (append b (Op.mk ?attrs ?regions ~operands ~results:rs opcode));
-  rs
-
 (* ---- arith ---- *)
 
 let const_i b ?(dtype = Dtype.I32) i = emit1 b (Op.Const_int i) [] (Types.scalar dtype)

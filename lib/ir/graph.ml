@@ -49,12 +49,6 @@ let backward_slice g (roots : Value.t list) : Op.op list =
     [region] — candidates for DCE if they are pure. *)
 let op_used g (op : Op.op) = List.exists (fun r -> users g r <> []) op.Op.results
 
-(** Side-effecting sinks: stores and channel operations. *)
-let is_sink (op : Op.op) =
-  match op.Op.opcode with
-  | Op.Tma_store | Op.Aref_put | Op.Aref_consumed -> true
-  | _ -> false
-
 (** Pure ops can be erased when unused. Control flow and async ops are
     conservatively impure. *)
 let is_pure (op : Op.op) =

@@ -114,9 +114,6 @@ let attr_string op key =
 let attr_bool op key =
   match List.assoc_opt key op.attrs with Some (Attr_bool b) -> Some b | _ -> None
 
-let attr_ints op key =
-  match List.assoc_opt key op.attrs with Some (Attr_ints l) -> Some l | _ -> None
-
 let set_attr op key v = op.attrs <- (key, v) :: List.remove_assoc key op.attrs
 
 let binop_to_string = function
@@ -188,7 +185,6 @@ let rec fold_block f acc (b : block) =
 
 and fold_region f acc (r : region) = List.fold_left (fold_block f) acc r.blocks
 
-let iter_block f b = fold_block (fun () op -> f op) () b
 let iter_region f r = fold_region (fun () op -> f op) () r
 
 (** Count all ops (recursively) in a region. *)

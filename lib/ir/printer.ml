@@ -83,10 +83,6 @@ and pp_block_gen ~ids indent fmt (b : Op.block) =
 and pp_region_gen ~ids indent fmt (r : Op.region) =
   List.iter (pp_block_gen ~ids indent fmt) r.blocks
 
-let pp_op indent fmt op = pp_op_gen ~ids:false indent fmt op
-let pp_block indent fmt b = pp_block_gen ~ids:false indent fmt b
-let pp_region indent fmt r = pp_region_gen ~ids:false indent fmt r
-
 let pp_kernel_gen ~ids fmt (k : Kernel.t) =
   fprintf fmt "kernel @%s(%s)%s {@." k.name
     (String.concat ", "
@@ -96,8 +92,6 @@ let pp_kernel_gen ~ids fmt (k : Kernel.t) =
     (asprintf "%a" pp_attrs k.attrs);
   pp_region_gen ~ids 2 fmt k.body;
   fprintf fmt "}@."
-
-let pp_kernel fmt k = pp_kernel_gen ~ids:false fmt k
 
 let kernel_to_string ?(ids = false) k = asprintf "%a" (pp_kernel_gen ~ids) k
 let op_to_string ?(ids = false) op = asprintf "%a" (pp_op_gen ~ids 0) op

@@ -17,8 +17,7 @@
     several domains at once. Lookups and insertions are locked; a missed
     compile runs outside the lock (two domains racing on the same key
     may both compile, last insert wins — both artifacts are equivalent
-    by construction). Set [TAWA_COMPILE_CACHE=0] to disable caching
-    process-wide. *)
+    by construction). *)
 
 open Tawa_ir
 
@@ -30,18 +29,6 @@ type 'v t = {
   stats : stats;
   max_entries : int;
 }
-
-let enabled_env () =
-  match Sys.getenv_opt "TAWA_COMPILE_CACHE" with
-  | Some ("0" | "off" | "false") -> false
-  | _ -> true
-
-(* Process-wide switch, initialized from the environment; the bench
-   harness flips it to measure the uncached sequential baseline. *)
-let enabled = Atomic.make (enabled_env ())
-
-let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
 
 (** [create ?name ()] — a [name] additionally registers
     [progcache.<name>.{hits,misses,evictions,entries}] gauges in
@@ -92,32 +79,28 @@ let length c =
   n
 
 (** [find_or_add c ~key f]: return the cached artifact for [key], or
-    compute it with [f], cache it, and return it. With caching disabled
-    this is just [f ()]. *)
+    compute it with [f], cache it, and return it. *)
 let find_or_add c ~key f =
-  if not (Atomic.get enabled) then f ()
-  else begin
+  Mutex.lock c.lock;
+  match Hashtbl.find_opt c.table key with
+  | Some v ->
+    c.stats.hits <- c.stats.hits + 1;
+    Mutex.unlock c.lock;
+    v
+  | None ->
+    c.stats.misses <- c.stats.misses + 1;
+    Mutex.unlock c.lock;
+    (* Compile outside the lock so independent keys proceed in
+       parallel. *)
+    let v = f () in
     Mutex.lock c.lock;
-    match Hashtbl.find_opt c.table key with
-    | Some v ->
-      c.stats.hits <- c.stats.hits + 1;
-      Mutex.unlock c.lock;
-      v
-    | None ->
-      c.stats.misses <- c.stats.misses + 1;
-      Mutex.unlock c.lock;
-      (* Compile outside the lock so independent keys proceed in
-         parallel. *)
-      let v = f () in
-      Mutex.lock c.lock;
-      if Hashtbl.length c.table >= c.max_entries then begin
-        c.stats.evictions <- c.stats.evictions + Hashtbl.length c.table;
-        Hashtbl.reset c.table
-      end;
-      Hashtbl.replace c.table key v;
-      Mutex.unlock c.lock;
-      v
-  end
+    if Hashtbl.length c.table >= c.max_entries then begin
+      c.stats.evictions <- c.stats.evictions + Hashtbl.length c.table;
+      Hashtbl.reset c.table
+    end;
+    Hashtbl.replace c.table key v;
+    Mutex.unlock c.lock;
+    v
 
 (* ----------------------- kernel fingerprint ----------------------- *)
 

@@ -59,9 +59,6 @@ let consumer_regs ~block_m ~block_n ~coop ~mma_depth =
 
 let producer_regs = 56 (* addresses, descriptors, barrier bookkeeping *)
 
-(** SMEM footprint of the aref rings: [depth] slots per payload tile. *)
-let aref_smem_bytes ~depth ~tile_bytes_per_slot = depth * tile_bytes_per_slot
-
 let gemm_ring_bytes ~block_m ~block_n ~block_k ~depth ~(dtype : Dtype.t) =
   let esz = Dtype.size_bytes dtype in
   let a_tile = block_m * block_k * esz in
@@ -107,34 +104,4 @@ let check_gemm ~block_m ~block_n ~block_k ~aref_depth ~mma_depth ~coop ~(dtype :
             }
       end
     end
-  end
-
-(** Feasibility of an attention configuration: rings for K and V plus
-    the resident Q tile. *)
-let check_attention ~block_m ~block_n ~head_dim ~aref_depth ~coop ~(dtype : Dtype.t) :
-    verdict =
-  let esz = Dtype.size_bytes dtype in
-  let k_tile = block_n * head_dim * esz in
-  let v_tile = block_n * head_dim * esz in
-  let q_tile = block_m * head_dim * esz in
-  let smem = (aref_depth * (k_tile + v_tile)) + q_tile + 4096 in
-  if smem > smem_capacity_bytes then
-    Infeasible (Printf.sprintf "SMEM %d bytes exceeds %d" smem smem_capacity_bytes)
-  else begin
-    (* Accumulator [bm x d] f32 plus the score tile [bm x bn] f32 and
-       softmax state. *)
-    let acc_elems = (block_m / coop * head_dim) + (block_m / coop * block_n) in
-    let rc = (acc_elems / threads_per_warp_group) + 48 in
-    if rc > max_regs_per_thread then
-      Infeasible (Printf.sprintf "consumer needs %d regs/thread > %d" rc max_regs_per_thread)
-    else
-      Feasible
-        {
-          smem_bytes = smem;
-          regs_per_thread_consumer = rc;
-          regs_per_thread_producer = producer_regs;
-          total_regs =
-            (rc * threads_per_warp_group * coop) + (producer_regs * threads_per_warp_group);
-          num_warp_groups = coop + 1;
-        }
   end

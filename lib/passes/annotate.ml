@@ -23,8 +23,6 @@ type stmt_class = Iteration | Tile
 
 type stage = Stage_t | Stage_c | Stage_u
 
-let stage_to_string = function Stage_t -> "T" | Stage_c -> "C" | Stage_u -> "U"
-
 (** Classification of one pipelined loop body. Keys are op ids. *)
 type classification = {
   classes : (int, stmt_class) Hashtbl.t;
@@ -125,14 +123,3 @@ let identify_stages (cls : classification) (loop : Op.op) : stages option =
       Some { t_op; u_op = Some u_op; stage_of }
     end
   | _ -> None
-
-(** Record stage tags as op attributes so downstream code generation can
-    reconstruct the schedule without re-running the analysis. *)
-let annotate_stages (st : stages) (loop : Op.op) =
-  Op.set_attr loop "coarse_pipeline" (Op.Attr_bool true);
-  List.iter
-    (fun (op : Op.op) ->
-      match Hashtbl.find_opt st.stage_of op.Op.oid with
-      | Some s -> Op.set_attr op "stage" (Op.Attr_string (stage_to_string s))
-      | None -> ())
-    (body_ops loop)

@@ -16,13 +16,6 @@ exception Not_applicable of string
 
 let na fmt = Format.kasprintf (fun s -> raise (Not_applicable s)) fmt
 
-let fresh_op ?attrs opcode operands ty_opt =
-  match ty_opt with
-  | Some ty ->
-    let r = Value.fresh ty in
-    (Op.mk ?attrs opcode ~operands ~results:[ r ], Some r)
-  | None -> (Op.mk ?attrs opcode ~operands, None)
-
 (* Find the consumer region of the warp_group op (the last region by the
    roles convention of the partitioner). *)
 let consumer_block (k : Kernel.t) =

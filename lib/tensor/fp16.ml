@@ -13,10 +13,7 @@ let sign_mask = 0x8000
 let exp_mask = 0x7c00
 let man_mask = 0x03ff
 
-let pos_inf : bits = 0x7c00
-let neg_inf : bits = 0xfc00
 let nan_bits : bits = 0x7e00
-let max_finite_bits : bits = 0x7bff (* 65504.0 *)
 
 let is_nan (h : bits) = h land 0x7fff > exp_mask
 let is_inf (h : bits) = h land 0x7fff = exp_mask

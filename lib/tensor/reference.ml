@@ -37,10 +37,6 @@ let gemm ?(out_dtype = Dtype.F16) a b =
 let batched_gemm ?(out_dtype = Dtype.F16) pairs =
   List.map (fun (a, b) -> gemm ~out_dtype a b) pairs
 
-(** Grouped GEMM: independent GEMMs of heterogeneous shapes. *)
-let grouped_gemm ?(out_dtype = Dtype.F16) groups =
-  List.map (fun (a, b) -> gemm ~out_dtype a b) groups
-
 (** Row-wise numerically-stable softmax of a 2-D tensor (f32). *)
 let softmax x =
   let rows = Tensor.dim x 0 and cols = Tensor.dim x 1 in

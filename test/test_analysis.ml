@@ -46,8 +46,12 @@ let test_clean_frontend () =
 
 let test_clean_baselines () =
   let gemm = Kernels.gemm ~tiles:small_tiles () in
-  check_flow "sw-pipelined gemm" (Flow.compile_sw_pipelined ~stages:3 gemm);
-  check_flow "naive gemm" (Flow.compile_naive gemm)
+  check_flow "sw-pipelined gemm"
+    (Flow.compile
+       ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
+       gemm);
+  check_flow "naive gemm"
+    (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Naive } gemm)
 
 let test_clean_examples () =
   List.iter

@@ -198,23 +198,6 @@ let test_store_roundtrip () =
 (* -------------------- unified compile strategy -------------------- *)
 
 let test_strategy_unification () =
-  let small_tiles = { Kernels.block_m = 16; block_n = 16; block_k = 8 } in
-  let k = Kernels.gemm ~tiles:small_tiles () in
-  let explicit =
-    Flow.compile
-      ~options:
-        { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
-      k
-  in
-  let wrapped = Flow.compile_sw_pipelined ~stages:3 k in
-  Alcotest.(check bool)
-    "wrapper and explicit options share one cache entry" true
-    (wrapped.Flow.program == explicit.Flow.program);
-  Alcotest.(check bool)
-    "naive wrapper shares too" true
-    ((Flow.compile_naive k).Flow.program
-     == (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Naive } k)
-          .Flow.program);
   let keys =
     List.map
       (fun strategy -> Flow.options_key { Flow.default_options with strategy })

@@ -10,6 +10,13 @@ open Tawa_aref
 
 let small_tiles = { Kernels.block_m = 16; block_n = 16; block_k = 8 }
 
+(* A baseline lowering's options; [aref_depth] mirrors the software
+   pipeline's depth, as in the bench and the baselines table. *)
+let baseline strategy =
+  match strategy with
+  | Flow.Sw_pipelined stages -> { Flow.default_options with strategy; aref_depth = stages }
+  | _ -> { Flow.default_options with strategy }
+
 (* ------------------------------------------------------------------ *)
 (* Flow                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -24,14 +31,16 @@ let test_flow_compile_ws () =
     (Astring.String.is_infix ~affix:"wgmma" (Flow.dump_asm c))
 
 let test_flow_compile_sw () =
-  let c = Flow.compile_sw_pipelined ~stages:3 (Kernels.gemm ~tiles:small_tiles ()) in
+  let c =
+    Flow.compile ~options:(baseline (Flow.Sw_pipelined 3)) (Kernels.gemm ~tiles:small_tiles ())
+  in
   Alcotest.(check bool) "not ws" false c.Flow.warp_specialized;
   Alcotest.(check int) "one stream" 1 (List.length c.Flow.program.Tawa_machine.Isa.streams);
   Alcotest.(check bool) "cp.async asm" true
     (Astring.String.is_infix ~affix:"cp.async" (Flow.dump_asm c))
 
-let test_flow_compile_naive () =
-  let c = Flow.compile_naive (Kernels.gemm ~tiles:small_tiles ()) in
+let test_flow_naive_loads () =
+  let c = Flow.compile ~options:(baseline Flow.Naive) (Kernels.gemm ~tiles:small_tiles ()) in
   Alcotest.(check bool) "ld.global asm" true
     (Astring.String.is_infix ~affix:"ld.global" (Flow.dump_asm c))
 
@@ -66,9 +75,9 @@ let test_flow_all_paths_agree () =
     (fun (label, c) ->
       Alcotest.(check bool) (label ^ " agrees") true
         (Tensor.max_abs_diff reference (run c) = 0.0))
-    [ ("sw-pipelined", Flow.compile_sw_pipelined ~stages:2 kernel);
-      ("naive", Flow.compile_naive kernel);
-      ("sync-tma", Flow.compile_sync_tma kernel);
+    [ ("sw-pipelined", Flow.compile ~options:(baseline (Flow.Sw_pipelined 2)) kernel);
+      ("naive", Flow.compile ~options:(baseline Flow.Naive) kernel);
+      ("sync-tma", Flow.compile ~options:(baseline Flow.Sync_tma) kernel);
       ( "persistent+coop",
         Flow.compile
           ~options:
@@ -121,26 +130,26 @@ let test_cache_miss_on_kernel_change () =
        (Kernels.gemm ~tiles:{ small_tiles with Kernels.block_k = 16 } ()));
   (* A different dtype changes parameter types. *)
   ignore (Flow.compile (Kernels.gemm ~tiles:small_tiles ~dtype:Dtype.F8E4M3 ()));
-  (* A different entry point never collides, even on the same kernel. *)
-  ignore (Flow.compile_naive (Kernels.gemm ~tiles:small_tiles ()));
+  (* A different strategy never collides, even on the same kernel. *)
+  ignore (Flow.compile ~options:(baseline Flow.Naive) (Kernels.gemm ~tiles:small_tiles ()));
   let s = Flow.cache_stats () in
   Alcotest.(check int) "all four miss" 4 s.Tawa_machine.Progcache.misses;
   Alcotest.(check int) "no hits" 0 s.Tawa_machine.Progcache.hits
 
-let test_cache_disabled () =
+let test_cache_hit_on_baselines () =
+  (* The baseline strategies share the one compile entry point, so a
+     repeated baseline compile is a hit that shares the program. *)
   Flow.clear_cache ();
-  Tawa_machine.Progcache.set_enabled false;
-  Fun.protect
-    ~finally:(fun () -> Tawa_machine.Progcache.set_enabled true)
-    (fun () ->
-      let c1 = Flow.compile (Kernels.gemm ~tiles:small_tiles ()) in
-      let c2 = Flow.compile (Kernels.gemm ~tiles:small_tiles ()) in
-      let s = Flow.cache_stats () in
-      Alcotest.(check int) "no hits when disabled" 0 s.Tawa_machine.Progcache.hits;
-      Alcotest.(check int) "no misses counted when disabled" 0
-        s.Tawa_machine.Progcache.misses;
-      Alcotest.(check bool) "distinct programs" true
-        (c1.Flow.program != c2.Flow.program))
+  let strategies = [ Flow.Sw_pipelined 3; Flow.Naive; Flow.Sync_tma ] in
+  let compile strategy =
+    (Flow.compile ~options:(baseline strategy) (Kernels.gemm ~tiles:small_tiles ())).Flow.program
+  in
+  let first = List.map compile strategies in
+  let again = List.map compile strategies in
+  let s = Flow.cache_stats () in
+  Alcotest.(check int) "one miss per strategy" 3 s.Tawa_machine.Progcache.misses;
+  Alcotest.(check int) "one hit per strategy" 3 s.Tawa_machine.Progcache.hits;
+  Alcotest.(check bool) "hits share the program" true (List.for_all2 ( == ) first again)
 
 let test_cached_program_still_correct () =
   (* The shared artifact of a cache hit simulates identically to the
@@ -187,7 +196,7 @@ let test_tune_picks_feasible_best () =
   Alcotest.(check bool) "positive tflops" true (best.Autotune.tflops > 100.0);
   (* The best must be at least as good as a deliberately weak config. *)
   let weak =
-    Autotune.measure_gemm ~cfg:Config.h100 shape
+    Autotune.measure ~cfg:Config.h100 (Autotune.Gemm shape)
       { Autotune.tiles = small_tiles; aref_depth = 1; mma_depth = 1; coop = 1;
         persistent = false; coarse = false; strategy = Flow.Warp_specialized }
   in
@@ -310,7 +319,7 @@ let suites =
       [
         Alcotest.test_case "compile ws" `Quick test_flow_compile_ws;
         Alcotest.test_case "compile sw" `Quick test_flow_compile_sw;
-        Alcotest.test_case "compile naive" `Quick test_flow_compile_naive;
+        Alcotest.test_case "compile naive" `Quick test_flow_naive_loads;
         Alcotest.test_case "attention coarse" `Quick test_flow_attention_coarse;
         Alcotest.test_case "all paths agree" `Quick test_flow_all_paths_agree;
       ] );
@@ -320,7 +329,7 @@ let suites =
           test_cache_hit_on_identical_kernel;
         Alcotest.test_case "miss on option change" `Quick test_cache_miss_on_option_change;
         Alcotest.test_case "miss on kernel change" `Quick test_cache_miss_on_kernel_change;
-        Alcotest.test_case "disabled cache" `Quick test_cache_disabled;
+        Alcotest.test_case "hit on baselines" `Quick test_cache_hit_on_baselines;
         Alcotest.test_case "cached program correct" `Quick
           test_cached_program_still_correct;
       ] );

@@ -255,8 +255,7 @@ let test_engine_selection () =
       (Oracle.run_grid_functional ~cfg p ~params:[] ~grid)
   in
   Alcotest.(check bool) "oracle retires instructions" true (one_cta > 0);
-  let caching = Progcache.is_enabled () in
-  if caching then Engine.clear_decode_cache ();
+  Engine.clear_decode_cache ();
   let check_entry name ~expect ~misses ~hits f =
     let before = Engine.instructions_retired () in
     f ();
@@ -264,11 +263,9 @@ let test_engine_selection () =
       (name ^ ": retired on the decoded engine")
       expect
       (Engine.instructions_retired () - before);
-    if caching then begin
-      let s = Engine.decode_cache_stats () in
-      Alcotest.(check int) (name ^ ": decodes") misses s.Progcache.misses;
-      Alcotest.(check int) (name ^ ": decode cache hits") hits s.Progcache.hits
-    end
+    let s = Engine.decode_cache_stats () in
+    Alcotest.(check int) (name ^ ": decodes") misses s.Progcache.misses;
+    Alcotest.(check int) (name ^ ": decode cache hits") hits s.Progcache.hits
   in
   check_entry "Engine.run_cta" ~expect:one_cta ~misses:1 ~hits:0 (fun () ->
       ignore
@@ -285,20 +282,18 @@ let test_engine_selection () =
     (fun () -> ignore (Launch.run_grid_functional ~cfg p ~params:[] ~grid))
 
 let test_decode_cache () =
-  if Progcache.is_enabled () then begin
-    Engine.clear_decode_cache ();
-    let p = mk_program [ stream [ Isa.Nop; Isa.Exit ] ] in
-    ignore (Engine.prepare ~cfg p);
-    ignore (Engine.prepare ~cfg p);
-    let s = Engine.decode_cache_stats () in
-    Alcotest.(check int) "one decode" 1 s.Progcache.misses;
-    Alcotest.(check int) "one cache hit" 1 s.Progcache.hits;
-    (* A different cost model must miss (costs are folded at decode). *)
-    ignore
-      (Engine.prepare ~cfg:{ cfg with Config.scalar_cycles = 99.0 } p);
-    let s = Engine.decode_cache_stats () in
-    Alcotest.(check int) "config change misses" 2 s.Progcache.misses
-  end
+  Engine.clear_decode_cache ();
+  let p = mk_program [ stream [ Isa.Nop; Isa.Exit ] ] in
+  ignore (Engine.prepare ~cfg p);
+  ignore (Engine.prepare ~cfg p);
+  let s = Engine.decode_cache_stats () in
+  Alcotest.(check int) "one decode" 1 s.Progcache.misses;
+  Alcotest.(check int) "one cache hit" 1 s.Progcache.hits;
+  (* A different cost model must miss (costs are folded at decode). *)
+  ignore
+    (Engine.prepare ~cfg:{ cfg with Config.scalar_cycles = 99.0 } p);
+  let s = Engine.decode_cache_stats () in
+  Alcotest.(check int) "config change misses" 2 s.Progcache.misses
 
 (* ------------------------------------------------------------------ *)
 (* Typed register planes vs rt-array model                             *)
@@ -448,7 +443,9 @@ let gemm_timing_diff compiled ~bm ~bn ~kk ~grid_m ~grid_n =
 
 let fuzz_compiles (s : Test_fuzz.spec) =
   [ ("ws d2p2", Test_fuzz.ws_compile ~d:2 ~p:2);
-    ("sw-pipeline", Flow.compile_sw_pipelined ~stages:3);
+    ( "sw-pipeline",
+      Flow.compile
+        ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 } );
     ( "persistent",
       Flow.compile
         ~options:

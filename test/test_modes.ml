@@ -13,17 +13,17 @@
       [x timing-opt flag]), so functional and timing decodes of one
       program never alias, and eviction works for the new key shape.
 
-   3. modes.replication — symmetry replication is bit-identical when
-      granted, and refuses (full-simulation fallback, one-time
-      warning) on CTA-id-dependent timing, arefcheck violations,
-      persistent programs, and differing cost inputs. *)
+   3. modes.grouped — the grouped launcher's estimate: identical in
+      functional and timing mode, bit-identical for any pool domain
+      count on a wave whose CTAs genuinely differ, equal to the sum it
+      documents, with rates taken over the whole wave, one decode per
+      item, and closed to persistent programs. *)
 
 open Tawa_tensor
 open Tawa_machine
 open Tawa_core
 open Tawa_gpusim
-module Replicate = Tawa_analysis.Replicate
-module Registry = Tawa_obs.Registry
+module Pool = Tawa_pool.Pool
 
 let small_tiles = { Tawa_frontend.Kernels.block_m = 16; block_n = 16; block_k = 8 }
 
@@ -84,7 +84,8 @@ let test_mode_diff_gemm () =
 
 let test_mode_diff_baseline () =
   let compiled =
-    Flow.compile_sw_pipelined ~stages:3
+    Flow.compile
+      ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
       (Tawa_frontend.Kernels.gemm ~tiles:small_tiles ())
   in
   check_mode_diff "sw-pipelined gemm" compiled.Flow.program
@@ -181,17 +182,11 @@ let test_decode_cache_mode_entries () =
   Alcotest.(check int) "no further misses" 0 (s2.Progcache.misses - s1.Progcache.misses)
 
 (* ------------------------------------------------------------------ *)
-(* 3. Symmetry replication: bit-identity, refusals, fallback           *)
+(* 3. Grouped launches                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let counter name =
-  match List.assoc_opt name (Registry.snapshot ()) with
-  | Some (Registry.Int i) -> i
-  | _ -> 0
-
-(* Two heterogeneous GEMM items (differing cost inputs => two
-   equivalence classes) over a 3-SM config whose share mixes units of
-   both. *)
+(* Two heterogeneous GEMM items over a 3-SM config whose share mixes
+   units of both. *)
 let grouped_items ?(functional = false) () =
   List.map
     (fun (m, n) ->
@@ -206,51 +201,20 @@ let grouped_items ?(functional = false) () =
       (compiled.Flow.program, params, grid, Workloads.gemm_flops s))
     [ (32, 32); (48, 32) ]
 
-let with_replication enabled f =
-  let was = Launch.replication_enabled () in
-  Launch.set_replication_enabled enabled;
-  Fun.protect ~finally:(fun () -> Launch.set_replication_enabled was) f
-
 let cfg3 = { Config.h100 with Config.num_sms = 3 }
 
-let test_replication_bit_identical () =
-  let items = grouped_items () in
-  let t_off = with_replication false (fun () -> Launch.estimate_grouped ~cfg:cfg3 items) in
-  let sim0 = counter "launch.replication.simulated" in
-  let rep0 = counter "launch.replication.replicated" in
-  let t_on = with_replication true (fun () -> Launch.estimate_grouped ~cfg:cfg3 items) in
-  Alcotest.(check (float 0.0)) "cycles bit-identical" t_off.Launch.cycles
-    t_on.Launch.cycles;
-  Alcotest.(check (float 0.0)) "tc_busy bit-identical" t_off.Launch.stats.Sim.tc_busy
-    t_on.Launch.stats.Sim.tc_busy;
-  (* 10 units, share 4 (every 3rd unit): units {0,3} are class 0 and
-     {6,9} class 1 — one representative simulated per class. *)
-  Alcotest.(check int) "one simulation per class" 2
-    (counter "launch.replication.simulated" - sim0);
-  Alcotest.(check int) "other units replicated" 2
-    (counter "launch.replication.replicated" - rep0)
-
-let test_replication_functional_mode_disabled () =
-  (* Functional mode must simulate every CTA (buffer writes happen),
-     so replication is bypassed even when enabled. *)
-  let items = grouped_items ~functional:true () in
-  let sim0 = counter "launch.replication.simulated" in
-  let rep0 = counter "launch.replication.replicated" in
+let test_grouped_functional_equals_timing () =
   let t_fun =
-    with_replication true (fun () ->
-        Launch.estimate_grouped ~mode:Config.Functional ~cfg:cfg3 items)
+    Launch.estimate_grouped ~mode:Config.Functional ~cfg:cfg3
+      (grouped_items ~functional:true ())
   in
-  Alcotest.(check int) "no replication accounting in functional mode" 0
-    (counter "launch.replication.simulated" - sim0
-    + (counter "launch.replication.replicated" - rep0));
-  let t_tim = with_replication true (fun () -> Launch.estimate_grouped ~cfg:cfg3 items) in
+  let t_tim = Launch.estimate_grouped ~cfg:cfg3 (grouped_items ()) in
   Alcotest.(check (float 0.0)) "functional cycles == timing cycles" t_fun.Launch.cycles
     t_tim.Launch.cycles
 
 (* A CTA whose instruction path depends on its id: CTA 0 skips the
-   ALU op, every other CTA executes it. Replicating CTA 0's timing
-   across the wave would be wrong — the verdict must refuse and the
-   launcher must fall back to simulating each CTA. *)
+   ALU op, every other CTA executes it, so no one CTA's timing stands
+   for the rest of its item. *)
 let pid_branch_program =
   {
     Isa.name = "pid_branch";
@@ -272,99 +236,91 @@ let pid_branch_program =
     prov = Isa.no_prov;
   }
 
-let test_replication_refusals () =
-  (match Replicate.verdict pid_branch_program with
-  | Replicate.Refused r ->
-    Alcotest.(check bool) "pid branch reason" true
-      (Astring.String.find_sub ~sub:"branches" r <> None)
-  | Replicate.Replicable -> Alcotest.fail "pid-branching program must be refused");
-  (match Replicate.verdict (ws_gemm ~persistent:true ()).Flow.program with
-  | Replicate.Refused r ->
-    Alcotest.(check bool) "persistent reason" true
-      (Astring.String.find_sub ~sub:"persistent" r <> None)
-  | Replicate.Replicable -> Alcotest.fail "persistent program must be refused");
-  (* An arefcheck protocol violation (orphan mbarrier wait) refuses. *)
-  let orphan_wait =
-    { pid_branch_program with
-      Isa.name = "orphan_wait";
-      num_mbarriers = 1;
-      mbar_arrive_counts = [| 1 |];
-      mbar_resettable = [| true |];
-      streams =
-        [ { Isa.role = Tawa_ir.Op.Producer; coop = 1;
-            instrs =
-              [| Isa.Mbar_wait
-                   { bar = { Isa.base = 0; index = Isa.Imm 0 }; target = Isa.Imm 1 };
-                 Isa.Exit |] } ] }
-  in
-  match Replicate.verdict orphan_wait with
-  | Replicate.Refused r ->
-    Alcotest.(check bool) "arefcheck reason" true
-      (Astring.String.find_sub ~sub:"arefcheck" r <> None)
-  | Replicate.Replicable -> Alcotest.fail "arefcheck-violating program must be refused"
+(* A GEMM item (a 2x2 grid) and the id-branching item (4 CTAs) on 2
+   SMs: the share is units 0, 2, 4, 6 — two GEMM tiles, then CTAs 0
+   and 2 of the branching program, which differ. *)
+let mixed_items () = [ List.hd (grouped_items ()); (pid_branch_program, [], (4, 1, 1), 1.0) ]
+let cfg2 = { Config.h100 with Config.num_sms = 2 }
 
-let test_replication_refused_fallback () =
-  (* Every CTA of the refused program is simulated, so the estimate is
-     bit-identical with replication on or off — even though the CTAs
-     genuinely differ (replicating CTA 0 would have changed it). *)
-  let items = [ (pid_branch_program, [], (3, 1, 1), 1.0) ] in
-  let cfg1 = { Config.h100 with Config.num_sms = 1 } in
-  let t_off =
-    with_replication false (fun () -> Launch.estimate_grouped ~cfg:cfg1 items)
-  in
-  let sim0 = counter "launch.replication.simulated" in
-  let rep0 = counter "launch.replication.replicated" in
-  let t_on = with_replication true (fun () -> Launch.estimate_grouped ~cfg:cfg1 items) in
-  Alcotest.(check (float 0.0)) "fallback bit-identical" t_off.Launch.cycles
-    t_on.Launch.cycles;
-  Alcotest.(check int) "all three CTAs simulated" 3
-    (counter "launch.replication.simulated" - sim0);
-  Alcotest.(check int) "none replicated" 0
-    (counter "launch.replication.replicated" - rep0)
+let with_domains d f =
+  Pool.set_default_domains (Some d);
+  Fun.protect ~finally:(fun () -> Pool.set_default_domains None) f
 
-let test_refusal_warning_once () =
-  (* The refusal warning is emitted at most once per process, not once
-     per launch. *)
-  let warnings = ref 0 in
-  let old_reporter = Logs.reporter () in
-  let old_level = Logs.level () in
-  Logs.set_level (Some Logs.Warning);
-  Logs.set_reporter
-    { Logs.report =
-        (fun src level ~over k _msgf ->
-          if level = Logs.Warning && Logs.Src.name src = "tawa.launch" then
-            incr warnings;
-          over ();
-          k ()) };
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter old_reporter;
-      Logs.set_level old_level)
-    (fun () ->
-      let items = [ (pid_branch_program, [], (3, 1, 1), 1.0) ] in
-      let cfg1 = { Config.h100 with Config.num_sms = 1 } in
-      let go () =
-        ignore (with_replication true (fun () -> Launch.estimate_grouped ~cfg:cfg1 items))
-      in
-      go ();
-      let after_first = !warnings in
-      go ();
-      Alcotest.(check bool) "at most one warning" true (after_first <= 1);
-      Alcotest.(check int) "second launch adds no warning" after_first !warnings)
+let test_grouped_domains_bit_identical () =
+  let items = mixed_items () in
+  let t1 = with_domains 1 (fun () -> Launch.estimate_grouped ~cfg:cfg2 items) in
+  let t2 = with_domains 2 (fun () -> Launch.estimate_grouped ~cfg:cfg2 items) in
+  Alcotest.(check (float 0.0)) "cycles bit-identical" t1.Launch.cycles t2.Launch.cycles;
+  Alcotest.(check (float 0.0)) "tc_busy bit-identical" t1.Launch.stats.Sim.tc_busy
+    t2.Launch.stats.Sim.tc_busy
 
-let test_replication_mixed_wave () =
-  (* A wave mixing a replicable class with a refused one: the refused
-     item's units are all simulated, the replicable item collapses to
-     one representative, and the total stays bit-identical. *)
-  let gemm_item = List.hd (grouped_items ()) in
-  let items = [ gemm_item; (pid_branch_program, [], (4, 1, 1), 1.0) ] in
-  let cfg2 = { Config.h100 with Config.num_sms = 2 } in
-  let t_off =
-    with_replication false (fun () -> Launch.estimate_grouped ~cfg:cfg2 items)
+let test_grouped_total () =
+  (* Recompute the documented sum: launch overhead, plus every unit of
+     one SM's share (every num_sms-th unit, in item then z/y/x order)
+     run as its own CTA, plus one queue pop per unit. *)
+  let items = mixed_items () in
+  let units =
+    List.concat_map
+      (fun (program, params, (gx, gy, gz), _) ->
+        List.init (gx * gy * gz) (fun i ->
+            (program, params, [| gx; gy; gz |], [| i mod gx; i / gx mod gy; i / (gx * gy) |])))
+      items
   in
-  let t_on = with_replication true (fun () -> Launch.estimate_grouped ~cfg:cfg2 items) in
-  Alcotest.(check (float 0.0)) "mixed wave bit-identical" t_off.Launch.cycles
-    t_on.Launch.cycles
+  let share = List.filteri (fun i _ -> i mod cfg2.Config.num_sms = 0) units in
+  let sum =
+    List.fold_left
+      (fun acc (program, params, num_programs, pid) ->
+        acc
+        +. (Engine.run_cta ~cfg:cfg2 ~program ~params ~num_programs ~pid
+              ~pop_global:Launch.no_queue ())
+             .Sim.cycles)
+      0.0 share
+  in
+  let expected =
+    cfg2.Config.launch_overhead_cycles +. sum
+    +. (Float.of_int (List.length share) *. cfg2.Config.workq_pop_cycles)
+  in
+  Alcotest.(check (float 0.0)) "total = overhead + share cycles + pops" expected
+    (Launch.estimate_grouped ~cfg:cfg2 items).Launch.cycles
+
+let test_grouped_rates () =
+  (* Rates come from the whole wave: the flops of every item over the
+     total cycles, and busy time over the same total. *)
+  let items = mixed_items () in
+  let t = Launch.estimate_grouped ~cfg:cfg2 items in
+  let flops = List.fold_left (fun acc (_, _, _, f) -> acc +. f) 0.0 items in
+  Alcotest.(check (float 0.0)) "tflops of the summed flops"
+    (Config.tflops cfg2 ~flops ~cycles:t.Launch.cycles) t.Launch.tflops;
+  Alcotest.(check (float 0.0)) "seconds of the cycles"
+    (Config.cycles_to_seconds cfg2 t.Launch.cycles) t.Launch.seconds;
+  Alcotest.(check (float 0.0)) "tc utilization over the total"
+    (t.Launch.stats.Sim.tc_busy /. t.Launch.cycles) t.Launch.tc_utilization;
+  Alcotest.(check bool) "no representative profile" true (t.Launch.profile = None)
+
+let test_grouped_decodes_per_item () =
+  (* Each item's program is prepared once, before the fan-out; a second
+     estimate reuses both decodes. *)
+  let items = mixed_items () in
+  Engine.clear_decode_cache ();
+  ignore (Launch.estimate_grouped ~cfg:cfg2 items);
+  let s1 = Engine.decode_cache_stats () in
+  Alcotest.(check int) "one decode per item" 2 s1.Progcache.misses;
+  Alcotest.(check int) "no per-unit lookups" 0 s1.Progcache.hits;
+  ignore (Launch.estimate_grouped ~cfg:cfg2 items);
+  let s2 = Engine.decode_cache_stats () in
+  Alcotest.(check int) "no further decodes" 0 (s2.Progcache.misses - s1.Progcache.misses);
+  Alcotest.(check int) "one hit per item" 2 (s2.Progcache.hits - s1.Progcache.hits)
+
+let test_grouped_rejects_persistent () =
+  let s = { Workloads.m = 32; n = 32; k = 16; dtype = Dtype.F16 } in
+  let grid, params = Workloads.gemm_launch s ~tiles:small_tiles in
+  let item =
+    ((ws_gemm ~persistent:true ()).Flow.program, params, grid, Workloads.gemm_flops s)
+  in
+  Alcotest.(check bool) "persistent item raises Invalid_argument" true
+    (match Launch.estimate_grouped ~cfg:cfg2 [ item ] with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let suites =
   [ ( "modes.differential",
@@ -377,14 +333,14 @@ let suites =
         Alcotest.test_case "eviction on new keys" `Quick test_cache_eviction_new_keys;
         Alcotest.test_case "per-mode decode entries" `Quick
           test_decode_cache_mode_entries ] );
-    ( "modes.replication",
-      [ Alcotest.test_case "bit-identical when granted" `Quick
-          test_replication_bit_identical;
-        Alcotest.test_case "disabled in functional mode" `Quick
-          test_replication_functional_mode_disabled;
-        Alcotest.test_case "refusal verdicts" `Quick test_replication_refusals;
-        Alcotest.test_case "refused fallback simulates all" `Quick
-          test_replication_refused_fallback;
-        Alcotest.test_case "warning fires once" `Quick test_refusal_warning_once;
-        Alcotest.test_case "mixed wave" `Quick test_replication_mixed_wave ] );
+    ( "modes.grouped",
+      [ Alcotest.test_case "functional cycles == timing cycles" `Quick
+          test_grouped_functional_equals_timing;
+        Alcotest.test_case "bit-identical across domain counts" `Quick
+          test_grouped_domains_bit_identical;
+        Alcotest.test_case "total is the documented sum" `Quick test_grouped_total;
+        Alcotest.test_case "rates from the whole wave" `Quick test_grouped_rates;
+        Alcotest.test_case "one decode per item" `Quick test_grouped_decodes_per_item;
+        Alcotest.test_case "persistent item rejected" `Quick
+          test_grouped_rejects_persistent ] );
   ]

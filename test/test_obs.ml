@@ -488,7 +488,8 @@ let test_profile_diff_gemm () =
     ~params:(gemm_params ~m:32 ~n:32 ~kk:16)
     ~grid:(2, 2, 1);
   check_profile_diff "sw-pipelined gemm"
-    (Flow.compile_sw_pipelined ~stages:3
+    (Flow.compile
+       ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
        (Tawa_frontend.Kernels.gemm
           ~tiles:{ Tawa_frontend.Kernels.block_m = 16; block_n = 16; block_k = 8 }
           ()))

@@ -709,7 +709,7 @@ let run_modes name =
       let best = ref infinity and cycles = ref Float.nan in
       for _ = 1 to repeat do
         let t0 = Unix.gettimeofday () in
-        let t = Launch.estimate_grouped ~mode ~cfg:mcfg items in
+        let t = Launch.estimate_grouped ~cfg:{ mcfg with Config.mode = mode } items in
         let dt = Unix.gettimeofday () -. t0 in
         if dt < !best then best := dt;
         cycles := t.Launch.cycles
@@ -980,11 +980,6 @@ let run_figure ~json (name, f) =
   end
 
 let () =
-  (* Registry timers default to CPU time; the bench reports wall clock. *)
-  Tawa_obs.Registry.set_clock Unix.gettimeofday;
-  (* TAWA_MODE / TAWA_CHECK / TAWA_STATCHECK are read once here; the
-     library no longer consults the environment. *)
-  Config.of_env ();
   let args = List.tl (Array.to_list Sys.argv) in
   let json = ref None and names = ref [] and domains = ref None in
   let rec parse = function

@@ -2,7 +2,7 @@
 
    Every subcommand draws its flags from here, so a given flag spells,
    parses, and misparses identically everywhere: `--mode foo` produces
-   the same error under `run`, `profile`, and `autotune`. Compile-shape
+   the same error under `run` and `profile`. Compile-shape
    flags (-D/-P/--coop/...) fold into one [Flow.options] via
    {!options_of}, including the lowering strategy (--sw-pipeline /
    --naive). *)
@@ -49,9 +49,8 @@ let mode =
            ~doc:"Execution mode: $(b,functional) simulates the tile payload (and, under \
                  $(b,run), verifies results against the CPU reference) while \
                  $(b,timing) skips data movement whose values never reach an address, \
-                 predicate, or cost -- cycle-identical but much faster. Unset defers \
-                 to \\$(b,TAWA_MODE); $(b,run) defaults to functional, $(b,profile) \
-                 and $(b,autotune) to timing.")
+                 predicate, or cost -- cycle-identical but much faster. $(b,run) \
+                 defaults to functional, $(b,profile) to timing.")
 
 let obs_conv : [ `Table | `Json ] Arg.conv =
   Arg.enum [ ("table", `Table); ("json", `Json) ]
@@ -126,10 +125,3 @@ let options_of ?sw:(sw_stages = None) ?(naive = false) ~d ~p ~coop ~persistent
   let d = match strategy with Flow.Sw_pipelined stages -> stages | _ -> d in
   { Flow.aref_depth = d; mma_depth = p;
     num_consumer_wgs = coop; persistent; use_coarse = coarse; strategy }
-
-(** Effective execution mode: explicit --mode wins, then the
-    process-wide default (TAWA_MODE via {!Config.of_env}), then the
-    command's default. *)
-let resolve_mode ~default = function
-  | Some m -> m
-  | None -> ( match Config.default_mode () with Some m -> m | None -> default)

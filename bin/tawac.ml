@@ -19,11 +19,31 @@ let read_kernels path kernel_name =
   | None -> kernels
   | Some n -> List.filter (fun (k : Kernel.t) -> k.Kernel.name = n) kernels
 
+(* Every subcommand runs under [guard], so bad input exits 1 with a
+   diagnostic instead of an uncaught exception: source errors as
+   [FILE:LINE:COL: ...error: ...], IR and simulator failures as
+   [tawac: ...]. *)
+let guard ?(path = "<input>") f =
+  let at (pos : Ast.pos) = Printf.sprintf "%s:%d:%d" path pos.Ast.line pos.Ast.col in
+  try f () with
+  | Lexer.Lex_error (msg, pos) ->
+    Printf.eprintf "%s: lexical error: %s\n" (at pos) msg;
+    1
+  | Parser.Parse_error (msg, pos) | Elaborate.Elab_error (msg, pos) ->
+    Printf.eprintf "%s: error: %s\n" (at pos) msg;
+    1
+  | Verifier.Ill_formed msg ->
+    Printf.eprintf "tawac: IR verification failed: %s\n" msg;
+    1
+  | Sim.Sim_error msg ->
+    Printf.eprintf "tawac: simulation failed: %s\n" msg;
+    1
+
 (* ---------------------------- compile ----------------------------- *)
 
 let do_compile path kernel_name d p coop persistent coarse sw naive dump_ir dump_asm check
     ids =
-  try
+  guard ~path (fun () ->
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
     if kernels = [] then begin
@@ -50,26 +70,12 @@ let do_compile path kernel_name d p coop persistent coarse sw naive dump_ir dump
         if dump_ir then print_string (Flow.dump_ir ~ids c);
         if dump_asm then print_string (Flow.dump_asm c))
       kernels;
-    if !check_failed then 1 else 0
-  with
-  | Elaborate.Elab_error (msg, pos) | Parser.Parse_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Lexer.Lex_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: lexical error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Verifier.Ill_formed msg ->
-    Printf.eprintf "tawac: IR verification failed: %s\n" msg;
-    1
-  | Tawa_analysis.Arefcheck.Check_failed (what, ds) ->
-    Printf.eprintf "tawac: arefcheck failed for %s:\n%s\n" what
-      (Tawa_analysis.Diagnostic.report ds);
-    1
+    if !check_failed then 1 else 0)
 
 (* ----------------------------- check ------------------------------- *)
 
 let do_check path kernel_name d p coop persistent coarse =
-  try
+  guard ~path (fun () ->
     let options = Cli_args.options_of ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
     if kernels = [] then begin
@@ -88,17 +94,7 @@ let do_check path kernel_name d p coop persistent coarse =
             (if c.Flow.warp_specialized then "warp-specialized" else "not specialized")
             (if c.Flow.coarse then " + coarse pipeline" else ""))
       kernels;
-    if !failed then 1 else 0
-  with
-  | Elaborate.Elab_error (msg, pos) | Parser.Parse_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Lexer.Lex_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: lexical error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Verifier.Ill_formed msg ->
-    Printf.eprintf "tawac: IR verification failed: %s\n" msg;
-    1
+    if !failed then 1 else 0)
 
 (* ------------------------------ lint ------------------------------- *)
 
@@ -117,7 +113,7 @@ let diag_to_json (d : Tawa_analysis.Diagnostic.t) =
       ("message", Str d.Tawa_analysis.Diagnostic.message) ]
 
 let do_lint path kernel_name d p coop persistent coarse obs =
-  try
+  guard ~path (fun () ->
     let options = Cli_args.options_of ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
     if kernels = [] then begin
@@ -156,14 +152,7 @@ let do_lint path kernel_name d p coop persistent coarse obs =
               (fun d -> print_endline (Tawa_analysis.Diagnostic.to_string d))
               ds)
         results);
-    if !failed then 1 else 0
-  with
-  | Elaborate.Elab_error (msg, pos) | Parser.Parse_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Verifier.Ill_formed msg ->
-    Printf.eprintf "tawac: IR verification failed: %s\n" msg;
-    1
+    if !failed then 1 else 0)
 
 (* --------------------------- occupancy ----------------------------- *)
 
@@ -211,7 +200,7 @@ let occupancy_to_json (r : Tawa_analysis.Statcheck.report) =
       ("reg_headroom", Int r.reg_headroom) ]
 
 let do_occupancy path kernel_name d p coop persistent coarse obs =
-  try
+  guard ~path (fun () ->
     let options = Cli_args.options_of ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
     if kernels = [] then begin
@@ -265,14 +254,7 @@ let do_occupancy path kernel_name d p coop persistent coarse obs =
           | Tawa_machine.Resources.Infeasible why ->
             Printf.printf "  verdict: INFEASIBLE: %s\n" why))
         reports);
-    if !infeasible then 1 else 0
-  with
-  | Elaborate.Elab_error (msg, pos) | Parser.Parse_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Verifier.Ill_formed msg ->
-    Printf.eprintf "tawac: IR verification failed: %s\n" msg;
-    1
+    if !infeasible then 1 else 0)
 
 (* ------------------------------ run ------------------------------- *)
 
@@ -318,8 +300,8 @@ let emit_profile ~obs ~kernel_name (t : Launch.timing) =
               ("profile", Sim.profile_to_json prof) ]))
 
 let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emode =
-  try
-    let emode = Cli_args.resolve_mode ~default:Config.Functional emode in
+  guard ~path (fun () ->
+    let emode = Option.value emode ~default:Config.Functional in
     let functional = emode = Config.Functional in
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
@@ -418,14 +400,7 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
         | `Unknown ->
           Printf.printf "kernel @%s: unrecognized signature; compile-only\n" k.Kernel.name)
       kernels;
-    0
-  with
-  | Elaborate.Elab_error (msg, pos) | Parser.Parse_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Sim.Sim_error msg ->
-    Printf.eprintf "tawac: simulation failed: %s\n" msg;
-    1
+    0)
 
 (* ---------------------------- profile ------------------------------ *)
 
@@ -440,8 +415,8 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
    channel lanes. *)
 let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
     trace_out show_ops show_channels show_cp emode =
-  try
-    let emode = Cli_args.resolve_mode ~default:Config.Timing emode in
+  guard ~path (fun () ->
+    let emode = Option.value emode ~default:Config.Timing in
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
     if kernels = [] then begin
@@ -499,7 +474,8 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
           unknown := true
         | Some (params, grid, flops, desc) ->
           let t =
-            Launch.estimate ~mode:emode ~cfg:tcfg c.Flow.program ~params ~grid ~flops
+            Launch.estimate ~cfg:{ tcfg with Config.mode = emode } c.Flow.program ~params
+              ~grid ~flops
           in
           (match obs with
           | `Json -> emit_profile ~obs:(Some `Json) ~kernel_name:k.Kernel.name t
@@ -563,14 +539,7 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
                 tpath
           end)
       kernels;
-    if !unknown then 1 else 0
-  with
-  | Elaborate.Elab_error (msg, pos) | Parser.Parse_error (msg, pos) ->
-    Printf.eprintf "%s:%d:%d: error: %s\n" path pos.Ast.line pos.Ast.col msg;
-    1
-  | Sim.Sim_error msg ->
-    Printf.eprintf "tawac: simulation failed: %s\n" msg;
-    1
+    if !unknown then 1 else 0)
 
 (* ---------------------------- autotune ----------------------------- *)
 
@@ -608,10 +577,8 @@ let measurement_to_json (m : Autotune.measurement) =
       ("tflops", Float m.Autotune.tflops);
       ("cycles", Float m.Autotune.cycles) ]
 
-let do_autotune family m n kk l causal dtype store_path obs emode =
-  try
-    let emode = Cli_args.resolve_mode ~default:Config.Timing emode in
-    ignore emode; (* the search always measures in timing mode *)
+let do_autotune family m n kk l causal dtype store_path obs =
+  guard (fun () ->
     let dtype =
       match dtype with `F16 -> Dtype.F16 | `F8 -> Dtype.F8E4M3
     in
@@ -704,10 +671,7 @@ let do_autotune family m n kk l causal dtype store_path obs emode =
           ss.Tawa_machine.Tunestore.hits ss.Tawa_machine.Tunestore.misses
           ss.Tawa_machine.Tunestore.stores
       | _ -> ());
-    if best.Autotune.tflops >= expert.Autotune.tflops then 0 else 0
-  with Sim.Sim_error msg ->
-    Printf.eprintf "tawac: simulation failed: %s\n" msg;
-    1
+    0)
 
 let family_arg =
   let family_conv = Arg.enum [ ("gemm", `Gemm); ("attention", `Attention) ] in
@@ -741,7 +705,7 @@ let store_arg =
 let graph_verify_tol = 2e-2
 
 let do_graph demo_name replays store_path obs trace_path =
-  try
+  guard (fun () ->
     let module Graph = Tawa_graph.Graph in
     let module Gallery = Tawa_graph.Gallery in
     let store =
@@ -901,10 +865,7 @@ let do_graph demo_name replays store_path obs trace_path =
             rel
             (if ok then "ok" else "FAIL"))
         sections);
-    if !failed then 1 else 0
-  with Sim.Sim_error msg ->
-    Printf.eprintf "tawac: simulation failed: %s\n" msg;
-    1
+    if !failed then 1 else 0)
 
 (* --------------------------- cmdliner ------------------------------ *)
 
@@ -917,8 +878,7 @@ let dump_asm_arg = Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the PTX-l
 let check_arg =
   Arg.(value & flag
        & info [ "check" ]
-           ~doc:"Run the arefcheck protocol analyses on the compiled kernel and fail on errors \
-                 (also enabled by setting \\$(b,TAWA_CHECK) in the environment).")
+           ~doc:"Run the arefcheck protocol analyses on the compiled kernel and fail on errors.")
 
 let ids_arg =
   Arg.(value & flag
@@ -996,7 +956,7 @@ let autotune_cmd =
       const do_autotune $ family_arg $ Cli_args.m ~default:8192 ()
       $ Cli_args.n ~default:8192 () $ Cli_args.k ~default:4096 ()
       $ Cli_args.l ~default:4096 () $ causal_arg $ dtype_arg $ store_arg
-      $ Cli_args.obs $ Cli_args.mode)
+      $ Cli_args.obs)
 
 let graph_cmd =
   let doc =
@@ -1011,11 +971,6 @@ let graph_cmd =
       $ Cli_args.obs $ Cli_args.trace)
 
 let () =
-  (* Timers in --obs output should report wall clock, not CPU time. *)
-  Tawa_obs.Registry.set_clock Unix.gettimeofday;
-  (* Env-derived defaults (TAWA_MODE/TAWA_CHECK/TAWA_STATCHECK)
-     are applied once here; library code never reads the environment. *)
-  Config.of_env ();
   let doc = "Tawa: automatic warp specialization for (simulated) modern GPUs" in
   exit
     (Cmd.eval'

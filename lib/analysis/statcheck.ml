@@ -10,9 +10,8 @@
       predicate the autotuner calls before paying for a simulation;
     - {!occupancy_report}: the CLI/bench view with CTAs/SM, the
       limiting resource and per-resource headroom;
-    - {!check_kernel}: lints plus an infeasible-occupancy diagnostic,
-      wired into [Manager.compile] (warn by default; set
-      [TAWA_STATCHECK=error] to fail the compile, or [off] to skip).
+    - {!check_kernel}: lints plus an infeasible-occupancy diagnostic
+      ([tawac lint]). Compilation never runs it implicitly.
 
     The register/SMEM predictions are validated against the decode
     engine's measured high-water marks by the differential suite in
@@ -37,18 +36,9 @@ let () =
 
 type mode = Off | Warn | Error
 
-(** Strict parse: [None] for values outside the recognized vocabulary
-    (lets {!Tawa_gpusim.Config.of_env} warn on typos). *)
-let mode_of_string_opt s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "0" | "false" | "off" | "no" -> Some Off
-  | "error" | "strict" | "fatal" -> Some Error
-  | "warn" | "warning" | "1" | "true" | "on" | "yes" -> Some Warn
-  | _ -> None
-
-(* Process-wide mode; {!Tawa_gpusim.Config.of_env} applies
-   [TAWA_STATCHECK] at startup. *)
-let current : mode Atomic.t = Atomic.make Warn
+(* Read only by the benchmark's traced compile; no library code
+   consults it. *)
+let current : mode Atomic.t = Atomic.make Off
 
 let set_mode m = Atomic.set current m
 let current_mode () = Atomic.get current

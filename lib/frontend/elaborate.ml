@@ -13,6 +13,10 @@ exception Elab_error of string * pos
 
 let fail pos fmt = Format.kasprintf (fun s -> raise (Elab_error (s, pos))) fmt
 
+(* The builder validates operand kinds, shapes and arities; report its
+   rejections at the source position of the call that made them. *)
+let at pos f = try f () with Invalid_argument msg -> fail pos "%s" msg
+
 let dtype_of_ann pos (d : dtype_ann) =
   match Dtype.of_string d with
   | Some d -> d
@@ -96,6 +100,7 @@ and elab_call b env pos fname args : Value.t =
     | [ a; c ] -> (elab_expr b env a, elab_expr b env c)
     | _ -> fail pos "%s expects two arguments" fname
   in
+  at pos @@ fun () ->
   match (fname, args) with
   | "program_id", [ Apos { desc = Int axis; _ } ] -> Builder.program_id b axis
   | "num_programs", [ Apos { desc = Int axis; _ } ] -> Builder.num_programs b axis
@@ -178,9 +183,10 @@ let rec elab_stmt b env (s : stmt) : unit =
   | Store args -> (
     match args with
     | [ Apos desc; Alist offs; Apos value ] ->
-      Builder.tma_store b (elab_expr b env desc)
-        ~offsets:(List.map (elab_expr b env) offs)
-        (elab_expr b env value)
+      at s.spos (fun () ->
+          Builder.tma_store b (elab_expr b env desc)
+            ~offsets:(List.map (elab_expr b env) offs)
+            (elab_expr b env value))
     | _ -> fail s.spos "store expects (descriptor, [offsets], value)")
   | For { var; lo; hi; step; carried; body } ->
     let lb = elab_expr b env lo in

@@ -28,62 +28,6 @@ type mode = Functional | Timing
 
 let mode_to_string = function Functional -> "functional" | Timing -> "timing"
 
-let mode_of_string = function
-  | "functional" | "func" -> Some Functional
-  | "timing" | "time" -> Some Timing
-  | _ -> None
-
-(* ------------------- process-wide defaults (env) ------------------ *)
-
-(* Environment settings are parsed by {!of_env} and cached in
-   process-wide cells; until it runs, every cell holds the value an
-   unset variable gives. *)
-
-let mode_default : mode option Atomic.t = Atomic.make None
-
-(** Process-wide default execution mode for commands that let the
-    environment pick ([TAWA_MODE]; see {!of_env}). *)
-let default_mode () = Atomic.get mode_default
-
-(* One warning per (variable, value) pair per process: of_env may run
-   more than once (tests), and a typo should not spam stderr. *)
-let warned : (string, unit) Hashtbl.t = Hashtbl.create 4
-let warn_lock = Mutex.create ()
-
-let warn_unrecognized var value expected =
-  let key = var ^ "=" ^ value in
-  Mutex.lock warn_lock;
-  let fresh = not (Hashtbl.mem warned key) in
-  if fresh then Hashtbl.add warned key ();
-  Mutex.unlock warn_lock;
-  if fresh then
-    Printf.eprintf "tawa: warning: unrecognized %s=%S (expected %s); ignored\n%!"
-      var value expected
-
-(** Apply the [TAWA_MODE] / [TAWA_CHECK] / [TAWA_STATCHECK]
-    environment variables to the process-wide defaults, warning once
-    per unrecognized value. Called at startup by tawac and the bench
-    harness; library code never consults the environment directly. *)
-let of_env () =
-  (match Sys.getenv_opt "TAWA_MODE" with
-  | None -> Atomic.set mode_default None
-  | Some s -> (
-    match mode_of_string (String.lowercase_ascii (String.trim s)) with
-    | Some _ as m -> Atomic.set mode_default m
-    | None ->
-      warn_unrecognized "TAWA_MODE" s "functional|timing";
-      Atomic.set mode_default None));
-  Tawa_analysis.Arefcheck.set_enabled
-    (Tawa_analysis.Arefcheck.enabled_of (Sys.getenv_opt "TAWA_CHECK"));
-  match Sys.getenv_opt "TAWA_STATCHECK" with
-  | None -> Tawa_analysis.Statcheck.set_mode Tawa_analysis.Statcheck.Warn
-  | Some s -> (
-    match Tawa_analysis.Statcheck.mode_of_string_opt s with
-    | Some m -> Tawa_analysis.Statcheck.set_mode m
-    | None ->
-      warn_unrecognized "TAWA_STATCHECK" s "off|warn|error";
-      Tawa_analysis.Statcheck.set_mode Tawa_analysis.Statcheck.Warn)
-
 type t = {
   clock_ghz : float;
   num_sms : int;

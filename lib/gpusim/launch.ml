@@ -108,13 +108,12 @@ let representative_cta ?(rep_pid = [| 0; 0; 0 |]) ~(cfg : Config.t)
 
 (** Timing estimate for a [grid] launch at scale. [flops] is the useful
     arithmetic of the whole launch (for TFLOPS). [rep_pid] selects the
-    representative tile simulated for non-persistent launches. [mode]
-    defaults to timing; passing [Functional] simulates the payload too
-    (params must then bind real buffers) and yields identical cycles. *)
-let estimate ?rep_pid ?(mode = Config.Timing) ~(cfg : Config.t)
-    (program : Isa.program) ~(params : Sim.rt list) ~(grid : int * int * int)
-    ~(flops : float) : timing =
-  let cfg = { cfg with Config.mode = mode } in
+    representative tile simulated for non-persistent launches. The
+    simulation runs in [cfg.mode]: a [Functional] config simulates the
+    payload too (params must then bind real buffers) and yields
+    identical cycles. *)
+let estimate ?rep_pid ~(cfg : Config.t) (program : Isa.program)
+    ~(params : Sim.rt list) ~(grid : int * int * int) ~(flops : float) : timing =
   let gx, gy, gz = grid in
   let total = gx * gy * gz in
   let prepared = Engine.prepare ~cfg program in
@@ -152,10 +151,10 @@ let estimate ?rep_pid ?(mode = Config.Timing) ~(cfg : Config.t)
     WITHOUT the per-kernel persistent wrapper: the grouped launcher
     itself provides the persistence (queue pop per tile).
 
-    [mode] defaults to timing (the estimator's reason to exist); the
-    benchmark harness passes [Functional] to measure the cost of full
-    payload simulation under the identical unit fan-out. *)
-let estimate_grouped ?(mode = Config.Timing) ~(cfg : Config.t)
+    Like {!estimate}, it simulates in [cfg.mode]; the benchmark harness
+    passes a [Functional] config to measure the cost of full payload
+    simulation under the identical unit fan-out. *)
+let estimate_grouped ~(cfg : Config.t)
     (items : (Isa.program * Sim.rt list * (int * int * int) * float) list) : timing =
   List.iter
     (fun ((p : Isa.program), _, _, _) ->
@@ -164,7 +163,6 @@ let estimate_grouped ?(mode = Config.Timing) ~(cfg : Config.t)
           "Launch.estimate_grouped: pass non-persistent programs (the grouped launcher \
            is the persistence)")
     items;
-  let cfg = { cfg with Config.mode = mode } in
   (* Expand items to per-tile work units (prepared program, params).
      Preparing per item (not per unit) decodes each distinct program
      once before the fan-out. *)

@@ -76,8 +76,18 @@ let cast b x ty = emit1 b Op.Cast [ x ] ty
 
 (* ---- program ids ---- *)
 
-let program_id b axis = emit1 b ~hint:"pid" (Op.Program_id axis) [] Types.i32
-let num_programs b axis = emit1 b (Op.Num_programs axis) [] Types.i32
+(* Grids have three axes (x, y, z). *)
+let grid_axis what axis =
+  if axis < 0 || axis > 2 then
+    invalid_arg (Printf.sprintf "Builder.%s: axis %d outside 0..2" what axis)
+
+let program_id b axis =
+  grid_axis "program_id" axis;
+  emit1 b ~hint:"pid" (Op.Program_id axis) [] Types.i32
+
+let num_programs b axis =
+  grid_axis "num_programs" axis;
+  emit1 b (Op.Num_programs axis) [] Types.i32
 
 (* ---- tile creation ---- *)
 
@@ -161,7 +171,13 @@ let tma_load b desc ~offsets ~shape =
     emit1 b ~hint:"tile" Op.Tma_load (desc :: offsets) (Types.tensor shape dtype)
   | ty -> invalid_arg ("Builder.tma_load: descriptor expected, got " ^ Types.to_string ty)
 
-let tma_store b desc ~offsets tile = emit0 b Op.Tma_store ((desc :: offsets) @ [ tile ])
+let tma_store b desc ~offsets tile =
+  match Value.ty desc with
+  | Types.TTensorDesc { dims; _ } ->
+    if List.length offsets <> dims then
+      invalid_arg "Builder.tma_store: offsets arity mismatch";
+    emit0 b Op.Tma_store ((desc :: offsets) @ [ tile ])
+  | ty -> invalid_arg ("Builder.tma_store: descriptor expected, got " ^ Types.to_string ty)
 
 let local_alloc b tile =
   match Value.ty tile with

@@ -1,10 +1,10 @@
 (** Process-wide metric registry: monotonic counters, wall-clock timers,
     and pull-style gauges, rendered to a text table or [Json].
 
-    Zero-dependency by design (every library in the tree links it, so it
-    must sit below them all); the wall clock defaults to [Sys.time] and
-    entry points that link [unix] install [Unix.gettimeofday] via
-    [set_clock] for sub-second resolution.
+    It depends on nothing but [unix] (every library in the tree links
+    it, so it must sit below them all). Timers read the wall clock,
+    [Unix.gettimeofday], so they stay right when several domains run;
+    [set_clock] swaps in another clock.
 
     All operations are mutex-guarded; hot simulator loops do not touch
     the registry (they accumulate into local arrays and fold in once per
@@ -26,7 +26,7 @@ type metric =
 let lock = Mutex.create ()
 let metrics : (string, metric) Hashtbl.t = Hashtbl.create 64
 
-let clock = ref Sys.time
+let clock = ref Unix.gettimeofday
 let set_clock f = clock := f
 let now () = !clock ()
 

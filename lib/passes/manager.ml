@@ -10,7 +10,6 @@ type options = {
   persistent : bool;         (* persistent kernel transform (§IV-B) *)
   use_coarse : bool;         (* coarse-grained T/C/U pipeline (§III-D.2) *)
   verify_each : bool;        (* run the verifier after every pass *)
-  check : bool;              (* run arefcheck on the partitioned IR *)
 }
 
 let default_options =
@@ -21,7 +20,6 @@ let default_options =
     persistent = false;
     use_coarse = false;
     verify_each = true;
-    check = false;
   }
 
 type trace_entry = {
@@ -40,18 +38,14 @@ type result = {
   coarse : bool;
 }
 
-let log = Logs.Src.create "tawa.passes" ~doc:"Tawa pass pipeline"
-
-module Log = (val Logs.src_log log)
+let count_values (k : Kernel.t) =
+  Op.fold_region (fun n (op : Op.op) -> n + List.length op.Op.results) 0 k.Kernel.body
 
 (** Run the full Tawa flow on a frontend kernel. Transformation steps
     that do not apply (e.g. the coarse pipeline on a plain GEMM) are
     recorded as skipped rather than failing: the compiler degrades
     gracefully to the unspecialized kernel, mirroring the paper's
     "existing Triton pipeline proceeds unchanged" fallback. *)
-let count_values (k : Kernel.t) =
-  Op.fold_region (fun n (op : Op.op) -> n + List.length op.Op.results) 0 k.Kernel.body
-
 let compile ?(options = default_options) (kernel : Kernel.t) : result =
   let trace = ref [] in
   let prev_ops = ref (Kernel.count_ops kernel) in
@@ -78,14 +72,6 @@ let compile ?(options = default_options) (kernel : Kernel.t) : result =
     last := Tawa_obs.Registry.now ();
     k
   in
-  let checking = options.check || Tawa_analysis.Arefcheck.checking_enabled () in
-  let arefcheck stage k =
-    if checking then
-      ignore
-        (Tawa_analysis.Arefcheck.assert_clean
-           ~what:(Printf.sprintf "%s after %s" k.Kernel.name stage)
-           (Tawa_analysis.Arefcheck.check_kernel k))
-  in
   let k = Kernel.clone kernel in
   (* Stamp every op with its pre-pipeline identity before any pass
      clones it: region clones copy attrs, so however many times the
@@ -111,17 +97,13 @@ let compile ?(options = default_options) (kernel : Kernel.t) : result =
         k
     with
     | k' -> (true, record "warp-specialize" k' true)
-    | exception Partition.Not_applicable reason ->
-      Log.debug (fun m -> m "warp specialization not applicable: %s" reason);
-      (false, record "warp-specialize" k false)
+    | exception Partition.Not_applicable _ -> (false, record "warp-specialize" k false)
   in
-  if ws then arefcheck "warp-specialize" k;
   let coarse, k =
     if ws && options.use_coarse then
       match Pipeline_coarse.apply k with
       | k' -> (true, record "coarse-pipeline" k' true)
-      | exception Pipeline_coarse.Not_applicable reason ->
-        Log.debug (fun m -> m "coarse pipeline not applicable: %s" reason);
+      | exception Pipeline_coarse.Not_applicable _ ->
         (false, record "coarse-pipeline" k false)
     else (false, record "coarse-pipeline" k false)
   in
@@ -129,27 +111,9 @@ let compile ?(options = default_options) (kernel : Kernel.t) : result =
     if ws && not coarse then
       match Pipeline_fine.apply ~mma_depth:options.mma_depth k with
       | k' -> record "fine-pipeline" k' true
-      | exception Pipeline_fine.Not_applicable reason ->
-        Log.debug (fun m -> m "fine pipeline not applicable: %s" reason);
-        record "fine-pipeline" k false
+      | exception Pipeline_fine.Not_applicable _ -> record "fine-pipeline" k false
     else record "fine-pipeline" k false
   in
-  if ws then arefcheck "pipelining" k;
   if options.persistent then Kernel.set_attr k "persistent" (Op.Attr_bool true);
   Kernel.set_attr k "num_consumer_wgs" (Op.Attr_int options.num_consumer_wgs);
-  (* Statcheck runs on the final IR: performance lints plus the static
-     occupancy verdict. Warn by default so a lossy-but-working kernel
-     still compiles; TAWA_STATCHECK=error gates the compile on a clean
-     report, TAWA_STATCHECK=off skips the analysis entirely. *)
-  (match Tawa_analysis.Statcheck.current_mode () with
-  | Tawa_analysis.Statcheck.Off -> ()
-  | Tawa_analysis.Statcheck.Warn ->
-    List.iter
-      (fun d ->
-        Log.warn (fun m ->
-            m "statcheck %s: %s" k.Kernel.name
-              (Tawa_analysis.Diagnostic.to_string d)))
-      (Tawa_analysis.Statcheck.check_kernel k)
-  | Tawa_analysis.Statcheck.Error ->
-    Tawa_analysis.Statcheck.assert_clean ~what:k.Kernel.name k);
   { kernel = k; trace = List.rev !trace; warp_specialized = ws; coarse }

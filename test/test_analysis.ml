@@ -1,8 +1,8 @@
 (* Arefcheck: the clean corpus (every kernel the compiler emits must
    pass), the mutation self-test harness (every seeded protocol break
    must be flagged with the right check), handcrafted deadlock/mbarrier/
-   SMEM cases, and the supporting plumbing (printer ids, TAWA_CHECK
-   parsing, pass-manager gating). *)
+   SMEM cases, and the supporting plumbing (printer ids, the pass
+   manager's output, diagnostic format). *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -307,26 +307,17 @@ let test_printer_ids () =
   Alcotest.(check bool) "dump_ir ~ids annotates ops" true
     (Astring.String.is_infix ~affix:"id = " (Flow.dump_ir ~ids:true c))
 
-let test_env_parsing () =
-  List.iter
-    (fun (v, want) ->
-      Alcotest.(check bool) (Printf.sprintf "TAWA_CHECK=%s" (Option.value v ~default:"<unset>"))
-        want (Arefcheck.enabled_of v))
-    [ (None, false); (Some "", false); (Some "0", false); (Some "false", false);
-      (Some "off", false); (Some "OFF", false); (Some "no", false); (Some "1", true);
-      (Some "yes", true); (Some "deadlock", true) ]
-
 let test_manager_gating () =
-  (* check = true must accept a clean kernel end to end... *)
-  let opts = { Tawa_passes.Manager.default_options with check = true } in
-  let r = Tawa_passes.Manager.compile ~options:opts (Kernels.gemm ~tiles:small_tiles ()) in
-  Alcotest.(check bool) "gemm passes the in-pipeline checks" true r.Tawa_passes.Manager.warp_specialized;
-  (* ...and verify_each now runs even for non-applied passes (an empty
+  (* The default pipeline's output must pass arefcheck... *)
+  let r = Tawa_passes.Manager.compile (Kernels.gemm ~tiles:small_tiles ()) in
+  Alcotest.(check bool) "gemm is warp-specialized" true r.Tawa_passes.Manager.warp_specialized;
+  assert_no_errors "default-options gemm" (Arefcheck.check_kernel r.Tawa_passes.Manager.kernel);
+  (* ...and verify_each runs even for non-applied passes (an empty
      kernel applies none of them). *)
   let empty =
     Kernel.create ~name:"empty" ~params:[] ~body:(Op.single_block_region [])
   in
-  let r = Tawa_passes.Manager.compile ~options:opts empty in
+  let r = Tawa_passes.Manager.compile empty in
   Alcotest.(check bool) "no-op pipeline verifies" false r.Tawa_passes.Manager.warp_specialized
 
 let test_diagnostic_format () =
@@ -364,7 +355,6 @@ let suites =
         Alcotest.test_case "legal mbarrier patterns accepted" `Quick test_mbarrier_legal_patterns ] );
     ( "analysis.plumbing",
       [ Alcotest.test_case "printer stable ids" `Quick test_printer_ids;
-        Alcotest.test_case "TAWA_CHECK parsing" `Quick test_env_parsing;
         Alcotest.test_case "pass-manager gating and verify-each" `Quick test_manager_gating;
         Alcotest.test_case "diagnostic format" `Quick test_diagnostic_format ] );
   ]

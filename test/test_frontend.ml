@@ -193,6 +193,38 @@ let test_elab_autosplat () =
     Alcotest.(check bool) "splat inserted" true !has_splat
   | _ -> Alcotest.fail "expected one kernel"
 
+(* One-line mutants of examples/kernels/gemm.tw that the builder
+   rejects (operand kind, shape, grid axis, store arity and kind): each
+   must surface as an [Elab_error] on the mutated line, not as a
+   builder, verifier or simulator exception. *)
+let test_elab_mutants_positioned () =
+  let lines =
+    In_channel.with_open_text "../examples/kernels/gemm.tw" In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  List.iter
+    (fun (line, before, after) ->
+      let mutant =
+        List.mapi
+          (fun i text ->
+            if i + 1 <> line then text
+            else
+              match Astring.String.cut ~sep:before text with
+              | Some (l, r) -> l ^ after ^ r
+              | None -> Alcotest.failf "line %d of gemm.tw lacks %S" line before)
+          lines
+        |> String.concat "\n"
+      in
+      match Elaborate.compile_string mutant with
+      | _ -> Alcotest.failf "%s: accepted" after
+      | exception Elaborate.Elab_error (_, pos) ->
+        Alcotest.(check int) (after ^ ": error line") line pos.Ast.line)
+    [ (12, "load(da,", "load(a,");
+      (14, "dot(at, bt, acc)", "dot(at, at, acc)");
+      (3, "program_id(0)", "program_id(32)");
+      (16, "store(dc, [offs_m, offs_n],", "store(dc, [offs_m],");
+      (16, "store(dc,", "store(c,") ]
+
 let run_dsl_gemm kernel ~m ~n ~kk =
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:1 [| m; kk |] in
   let b = Tensor.random ~dtype:Dtype.F16 ~seed:2 [| kk; n |] in
@@ -309,6 +341,8 @@ let suites =
         Alcotest.test_case "gemm == reference" `Quick test_dsl_gemm_matches_reference;
         Alcotest.test_case "attention == reference" `Quick test_dsl_attention_matches_reference;
         Alcotest.test_case "dsl through full pipeline" `Quick test_dsl_kernel_through_full_pipeline;
+        Alcotest.test_case "builder rejections are positioned" `Quick
+          test_elab_mutants_positioned;
       ] );
     qsuite "frontend.props" [ prop_roundtrip_arith ];
   ]

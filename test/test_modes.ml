@@ -205,7 +205,7 @@ let cfg3 = { Config.h100 with Config.num_sms = 3 }
 
 let test_grouped_functional_equals_timing () =
   let t_fun =
-    Launch.estimate_grouped ~mode:Config.Functional ~cfg:cfg3
+    Launch.estimate_grouped ~cfg:{ cfg3 with mode = Functional }
       (grouped_items ~functional:true ())
   in
   let t_tim = Launch.estimate_grouped ~cfg:cfg3 (grouped_items ()) in

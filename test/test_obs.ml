@@ -265,6 +265,16 @@ let test_registry_time () =
   | Some (Registry.Int 2) -> ()
   | _ -> Alcotest.fail "exceptional timer not recorded"
 
+(* Timers read the wall clock without any [set_clock] call: a sleep
+   burns no CPU time, so a CPU-time clock would record about 0. *)
+let test_registry_wall_clock () =
+  Registry.unregister "test.obs.sleep";
+  Registry.time "test.obs.sleep" (fun () -> Unix.sleepf 0.05);
+  match List.assoc_opt "test.obs.sleep.seconds" (Registry.snapshot ()) with
+  | Some (Registry.Float s) ->
+    Alcotest.(check bool) (Printf.sprintf "slept 0.05 s, recorded %.4f s" s) true (s >= 0.04)
+  | _ -> Alcotest.fail "timer not recorded"
+
 let test_registry_progcache_gauges () =
   let c : int Tawa_machine.Progcache.t =
     Tawa_machine.Progcache.create ~name:"test-obs" ~max_entries:2 ()
@@ -570,6 +580,7 @@ let suites =
         Alcotest.test_case "progcache + pool gauges" `Quick test_registry_progcache_gauges;
         Alcotest.test_case "pass-pipeline telemetry" `Quick test_pass_telemetry;
         Alcotest.test_case "ring occupancy stats" `Quick test_ring_stats;
+        Alcotest.test_case "wall clock by default" `Quick test_registry_wall_clock;
       ] );
     ( "obs.trace",
       [

@@ -1450,31 +1450,35 @@ let set_opts_enabled b = Atomic.set opts_enabled b
 
 let opts_on () = Atomic.get opts_enabled
 
-(* Abstract register tags for the decode-time type analysis. The
+(* Abstract register tags for the decode-time type analysis, one byte
+   each so both fixpoints run over a flat pc-major [Bytes] matrix. The
    lattice tracks exactly the distinctions the timing closures' error
    paths depend on: int-ness (ALU dispatch, div-by-zero), scalar-ness
    (predicate/cmp coercions err on object tags), pointer-ness (Mkdesc
    accepts a bound tensor or none), and descriptor dtype (Stg's cost
-   depends on it). *)
-type atag =
-  | Abot (* unreachable *)
-  | Aint
-  | Afloat
-  | Abool
-  | Ascalar (* int, float, or bool *)
-  | Aptr (* tensor or none: a ptr param or a timing-mode tile write *)
-  | Adesc of Dtype.t option (* descriptor, with static dtype if known *)
-  | Aany
+   depends on it). Codes up to [a_scalar] are the scalar tags (and
+   bot); codes above [a_desc] are descriptors of a static dtype. *)
+let a_bot = '\000' (* unreachable *)
+let a_int = '\001'
+let a_float = '\002'
+let a_bool = '\003'
+let a_scalar = '\004' (* int, float, or bool *)
+let a_ptr = '\005' (* tensor or none: a ptr param or a timing-mode tile write *)
+let a_any = '\006'
+let a_desc = '\007' (* descriptor, dtype unknown *)
+let desc_dtypes = [| Dtype.F32; Dtype.F16; Dtype.F8E4M3; Dtype.I32; Dtype.I1 |]
 
-let ajoin a b =
+let a_desc_of dt =
+  let rec find i = if Dtype.equal desc_dtypes.(i) dt then i else find (i + 1) in
+  Char.chr (Char.code a_desc + 1 + find 0)
+
+let ajoin (a : char) b =
   if a = b then a
-  else
-    match (a, b) with
-    | Abot, x | x, Abot -> x
-    | (Aint | Afloat | Abool | Ascalar), (Aint | Afloat | Abool | Ascalar) ->
-      Ascalar
-    | Adesc _, Adesc _ -> Adesc None
-    | _ -> Aany
+  else if a = a_bot then b
+  else if b = a_bot then a
+  else if a <= a_scalar && b <= a_scalar then a_scalar
+  else if a >= a_desc && b >= a_desc then a_desc
+  else a_any
 
 (* Decode-time assumptions about launch parameters, derived from
    [program.param_tys]. [make_ctx] re-checks the actual [Sim.rt]
@@ -1490,10 +1494,10 @@ let pkind_of_ty (ty : Types.ty) =
   | _ -> Kany
 
 let atag_of_pkind = function
-  | Kint -> Aint
-  | Kscalar -> Ascalar
-  | Kptr -> Aptr
-  | Kany -> Aany
+  | Kint -> a_int
+  | Kscalar -> a_scalar
+  | Kptr -> a_ptr
+  | Kany -> a_any
 
 let rt_conforms kind (v : Sim.rt) =
   match (kind, v) with
@@ -1565,28 +1569,29 @@ let timing_def (i : Isa.instr) =
 
 let atag_of_operand st (o : Isa.operand) =
   match o with
-  | Isa.Imm _ -> Aint
-  | Isa.Fimm _ -> Afloat
-  | Isa.Reg r -> if r < Array.length st then st.(r) else Aint
+  | Isa.Imm _ -> a_int
+  | Isa.Fimm _ -> a_float
+  | Isa.Reg r -> if r < Bytes.length st then Bytes.get st r else a_int
+
+let is_num t = t = a_int || t = a_float
 
 (* Abstract transfer of one instruction's TIMING closure. *)
 let timing_transfer st (i : Isa.instr) =
-  let setd d v = if d < Array.length st then st.(d) <- v in
+  let setd d v = if d < Bytes.length st then Bytes.set st d v in
   match i with
   | Isa.Alu { dst; a; b; _ } ->
     let ta = atag_of_operand st a and tb = atag_of_operand st b in
     setd dst
-      (match (ta, tb) with
-      | Aint, Aint -> Aint
-      | (Aint | Afloat), (Aint | Afloat) -> Afloat
-      | _ -> Ascalar)
-  | Isa.Cmp { dst; _ } -> setd dst Abool
+      (if ta = a_int && tb = a_int then a_int
+       else if is_num ta && is_num tb then a_float
+       else a_scalar)
+  | Isa.Cmp { dst; _ } -> setd dst a_bool
   | Isa.Mov { dst; src } -> setd dst (atag_of_operand st src)
   | Isa.Sel { dst; a; b; _ } ->
     setd dst (ajoin (atag_of_operand st a) (atag_of_operand st b))
   | Isa.Pid { dst; _ } | Isa.Npid { dst; _ } | Isa.Workq_pop { dst } ->
-    setd dst Aint
-  | Isa.Mkdesc { dst; dtype; _ } -> setd dst (Adesc (Some dtype))
+    setd dst a_int
+  | Isa.Mkdesc { dst; dtype; _ } -> setd dst (a_desc_of dtype)
   | Isa.Tile_unop { dst; _ }
   | Isa.Tile_binop { dst; _ }
   | Isa.Tile_cmp { dst; _ }
@@ -1600,17 +1605,14 @@ let timing_transfer st (i : Isa.instr) =
   | Isa.Tile_trans { dst; _ }
   | Isa.Ldg { dst; _ }
   | Isa.Lds { dst; _ } ->
-    (* Timing closures write [set_none] for tile results; [Aptr]
+    (* Timing closures write [set_none] for tile results; [a_ptr]
        covers the none tag. *)
-    setd dst Aptr
+    setd dst a_ptr
   | _ -> ()
 
-let scalar_ok = function
-  | Aint | Afloat | Abool | Ascalar | Abot -> true
-  | Aptr | Adesc _ | Aany -> false
-
-let num_ok = function Aint | Afloat | Abot -> true | _ -> false
-let ptr_arg_ok = function Aptr | Abot -> true | _ -> false
+let scalar_ok t = t <= a_scalar
+let num_ok t = is_num t || t = a_bot
+let ptr_arg_ok t = t = a_ptr || t = a_bot
 
 (* CFG successors of [pc] (blocked instructions resume at pc+1). *)
 let succs_of (i : Isa.instr) pc =
@@ -1731,7 +1733,7 @@ let elide_info ~(cfg : Config.t) ~coop ~probe st (i : Isa.instr)
         match b with
         | Isa.Imm k -> k <> 0
         | Isa.Fimm _ -> true
-        | Isa.Reg _ -> ta = Afloat || tb = Afloat)
+        | Isa.Reg _ -> ta = a_float || tb = a_float)
       | _ -> true
     in
     if num_ok ta && num_ok tb && div_ok then Some (b_compute, sc) else None
@@ -1752,16 +1754,17 @@ let elide_info ~(cfg : Config.t) ~coop ~probe st (i : Isa.instr)
   | Isa.Tile_bcast _ | Isa.Tile_reshape _ | Isa.Tile_reduce _
   | Isa.Tile_trans _ | Isa.Ldg _ | Isa.Lds _ | Isa.Sts _ ->
     Some (probe c)
-  | Isa.Stg { desc; rows; cols; _ } -> (
-    match atag_of_operand st desc with
-    | Adesc (Some dt) ->
+  | Isa.Stg { desc; rows; cols; _ } ->
+    let t = atag_of_operand st desc in
+    if t > a_desc then
+      let dt = desc_dtypes.(Char.code t - Char.code a_desc - 1) in
       (* Same float expression shape as the compiled closure. *)
       let bytes = Float.of_int (Sim.bytes_of ~rows ~cols dt) in
       Some
         ( b_tma,
           bytes /. cfg.Config.stg_bytes_per_cycle /. Float.of_int coop
           +. cfg.Config.stg_latency )
-    | _ -> None)
+    else None
   | _ -> None
 
 (* Optimize one stream: returns (units, lens, local mask). *)
@@ -1778,37 +1781,39 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
       timing_uses i seen)
     instrs;
   let nregs = !nregs in
+  (* Both fixpoints keep their per-pc register states in one flat
+     pc-major matrix: row [pc] is [nregs] bytes at [pc * nregs]. *)
   (* ---- forward abstract interpretation of register tags ---- *)
-  let ain = Array.init n (fun _ -> Array.make nregs Abot) in
+  let ain = Bytes.make (n * nregs) a_bot in
   let reach = Array.make n false in
   if n > 0 then begin
-    let entry = ain.(0) in
-    Array.fill entry 0 nregs Aint;
-    Array.iteri (fun r k -> if r < 64 && r < nregs then entry.(r) <- k) param_atags;
+    Bytes.fill ain 0 nregs a_int;
+    Array.iteri (fun r k -> if r < 64 && r < nregs then Bytes.set ain r k) param_atags;
     reach.(0) <- true
   end;
-  let tmp = Array.make nregs Abot in
+  let tmp = Bytes.make nregs a_bot in
   let changed = ref true in
   while !changed do
     changed := false;
     for pc = 0 to n - 1 do
       if reach.(pc) then begin
-        Array.blit ain.(pc) 0 tmp 0 nregs;
+        Bytes.blit ain (pc * nregs) tmp 0 nregs;
         timing_transfer tmp instrs.(pc);
         List.iter
           (fun s ->
             if s >= 0 && s < n then
               if not reach.(s) then begin
                 reach.(s) <- true;
-                Array.blit tmp 0 ain.(s) 0 nregs;
+                Bytes.blit tmp 0 ain (s * nregs) nregs;
                 changed := true
               end
               else
-                let st = ain.(s) in
+                let row = s * nregs in
                 for r = 0 to nregs - 1 do
-                  let j = ajoin st.(r) tmp.(r) in
-                  if j <> st.(r) then begin
-                    st.(r) <- j;
+                  let a = Bytes.unsafe_get ain (row + r) in
+                  let j = ajoin a (Bytes.unsafe_get tmp r) in
+                  if j <> a then begin
+                    Bytes.unsafe_set ain (row + r) j;
                     changed := true
                   end
                 done)
@@ -1821,10 +1826,11 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
   let probe = probe_cost probe_state in
   let einfo =
     Array.init n (fun pc ->
-        elide_info ~cfg ~coop ~probe ain.(pc) instrs.(pc) codes.(pc))
+        Bytes.blit ain (pc * nregs) tmp 0 nregs;
+        elide_info ~cfg ~coop ~probe tmp instrs.(pc) codes.(pc))
   in
   (* ---- backward liveness / elision fixpoint ---- *)
-  let live_in = Array.init n (fun _ -> Bytes.make nregs '\000') in
+  let live_in = Bytes.make (n * nregs) '\000' in
   let elide = Array.make n false in
   let lout = Bytes.make nregs '\000' in
   let lchanged = ref true in
@@ -1835,9 +1841,10 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
       List.iter
         (fun s ->
           if s >= 0 && s < n then
-            let src = live_in.(s) in
+            let row = s * nregs in
             for r = 0 to nregs - 1 do
-              if Bytes.get src r <> '\000' then Bytes.set lout r '\001'
+              if Bytes.unsafe_get live_in (row + r) <> '\000' then
+                Bytes.unsafe_set lout r '\001'
             done)
         (succs_of instrs.(pc) pc);
       let e =
@@ -1855,8 +1862,13 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
         timing_uses instrs.(pc) (fun r ->
             if r < nregs then Bytes.set lout r '\001')
       end;
-      if Bytes.compare lout live_in.(pc) <> 0 then begin
-        Bytes.blit lout 0 live_in.(pc) 0 nregs;
+      let row = pc * nregs in
+      let r = ref 0 in
+      while !r < nregs && Bytes.unsafe_get lout !r = Bytes.unsafe_get live_in (row + !r) do
+        incr r
+      done;
+      if !r < nregs then begin
+        Bytes.blit lout 0 live_in row nregs;
         lchanged := true
       end
     done

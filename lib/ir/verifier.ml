@@ -13,9 +13,10 @@ exception Ill_formed of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
-let check cond fmt =
-  if cond then Format.ikfprintf ignore Format.str_formatter fmt
-  else Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
+(* [check] takes a constant message. A check whose message needs
+   formatting tests its condition first and calls [fail], so a passing
+   check never builds a string. *)
+let check cond msg = if not cond then raise (Ill_formed msg)
 
 type scope = { mutable defined : Value.Set.t }
 
@@ -65,11 +66,11 @@ let check_op_types (op : Op.op) =
   | (Op.Const_int _ | Op.Const_float _), _ -> fail "constant takes no operands"
   | Op.Binop _, [ x; y ] ->
     let r = result1 op in
-    check
-      (Types.equal (Value.ty x) (Value.ty y) && Types.equal (Value.ty x) (Value.ty r))
-      "binop operand/result types must agree (%s, %s -> %s)"
-      (Types.to_string (Value.ty x)) (Types.to_string (Value.ty y))
-      (Types.to_string (Value.ty r))
+    if not (Types.equal (Value.ty x) (Value.ty y) && Types.equal (Value.ty x) (Value.ty r))
+    then
+      fail "binop operand/result types must agree (%s, %s -> %s)"
+        (Types.to_string (Value.ty x)) (Types.to_string (Value.ty y))
+        (Types.to_string (Value.ty r))
   | Op.Binop _, _ -> fail "binop takes two operands"
   | Op.Unop _, [ x ] ->
     let r = result1 op in
@@ -117,7 +118,8 @@ let check_op_types (op : Op.op) =
     let sx = tensor_shape op x and sr = tensor_shape op r in
     check (List.length sx = List.length sr) "broadcast rank mismatch";
     List.iter2
-      (fun a b -> check (a = b || a = 1) "broadcast: dim %d cannot stretch to %d" a b)
+      (fun a b ->
+        if not (a = b || a = 1) then fail "broadcast: dim %d cannot stretch to %d" a b)
       sx sr
   | Op.Broadcast, _ -> fail "broadcast takes one operand"
   | Op.Expand_dims axis, [ x ] ->
@@ -131,7 +133,7 @@ let check_op_types (op : Op.op) =
     let r = result1 op in
     let nx = List.fold_left ( * ) 1 (tensor_shape op x) in
     let nr = List.fold_left ( * ) 1 (tensor_shape op r) in
-    check (nx = nr) "reshape must preserve element count (%d vs %d)" nx nr
+    if nx <> nr then fail "reshape must preserve element count (%d vs %d)" nx nr
   | Op.Reshape, _ -> fail "reshape takes one operand"
   | Op.Trans, [ x ] ->
     (* Register tiles transpose to register tiles; SMEM views transpose
@@ -293,8 +295,9 @@ let check_op_types (op : Op.op) =
             check (s1 = s2 && Dtype.equal d1 d2) "aref_put payload type mismatch"
           | _, _ ->
             let tv = Value.ty v and tp = ty in
-            check (Types.equal tv tp) "aref_put payload type mismatch (%s vs %s)"
-              (Types.to_string tv) (Types.to_string tp))
+            if not (Types.equal tv tp) then
+              fail "aref_put payload type mismatch (%s vs %s)" (Types.to_string tv)
+                (Types.to_string tp))
         payload tys
     | ty -> fail "aref_put first operand must be aref, got %s" (Types.to_string ty))
   | Op.Aref_put, _ -> fail "aref_put takes aref, slot, payload"
@@ -315,8 +318,9 @@ let check_op_types (op : Op.op) =
             check (s1 = s2 && Dtype.equal d1 d2) "aref_get result type mismatch"
           | _, _ ->
             let tr = Value.ty r and tp = ty in
-            check (Types.equal tr tp) "aref_get result type mismatch (%s vs %s)"
-              (Types.to_string tr) (Types.to_string tp))
+            if not (Types.equal tr tp) then
+              fail "aref_get result type mismatch (%s vs %s)" (Types.to_string tr)
+                (Types.to_string tp))
         op.results tys
     | ty -> fail "aref_get first operand must be aref, got %s" (Types.to_string ty))
   | Op.Aref_get, _ -> fail "aref_get takes aref and slot"

@@ -5,13 +5,14 @@
     autotune candidate re-runs the full pass stack + codegen). This
     module memoizes [kernel fingerprint x config -> compiled artifact].
 
-    The fingerprint is content-based: the kernel's canonical printed
-    form with SSA value names renumbered by first occurrence, so two
+    The fingerprint is content-based: a digest of the kernel's
+    structure with values renumbered by first occurrence, so two
     structurally identical kernels built at different times (with
-    different global value ids) hash identically. Kernel attributes and
-    parameter/result types are part of the printed form, so changing any
-    attribute misses the cache; the caller appends its own option
-    encoding to the key so changing any config field misses too.
+    different global value ids) hash identically. Kernel attributes,
+    parameter/result types and float constants (bit-exact) are part of
+    it, so changing any of them misses the cache; the caller appends
+    its own option encoding to the key so changing any config field
+    misses too.
 
     The table is guarded by a mutex: parallel bench sweeps compile from
     several domains at once. Lookups and insertions are locked; a missed
@@ -104,48 +105,56 @@ let find_or_add c ~key f =
 
 (* ----------------------- kernel fingerprint ----------------------- *)
 
-let is_ident_char = function
-  | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true
-  | _ -> false
+(* The pure image of a kernel that {!kernel_fingerprint} digests:
+   every value becomes its index in first-occurrence order (hints and
+   global ids erased), and a defined value (result or parameter) keeps
+   its type; everything else is kept as is. *)
+type fp_op = {
+  f_results : (int * Types.ty) list;
+  f_opcode : Op.opcode;
+  f_operands : int list;
+  f_attrs : (string * Op.attr) list;
+  f_regions : fp_block list list;
+}
 
-(** Canonicalize a printed kernel: every SSA value token ([%name_id])
-    is renumbered by first occurrence, erasing the global value-id
-    counter so structurally identical kernels print identically. *)
-let canonicalize_printed s =
-  let n = String.length s in
-  let buf = Buffer.create n in
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 64 in
-  let i = ref 0 in
-  while !i < n do
-    if s.[!i] = '%' then begin
-      let j = ref (!i + 1) in
-      while !j < n && is_ident_char s.[!j] do
-        incr j
-      done;
-      let tok = String.sub s !i (!j - !i) in
-      let id =
-        match Hashtbl.find_opt ids tok with
-        | Some id -> id
-        | None ->
-          let id = Hashtbl.length ids in
-          Hashtbl.add ids tok id;
-          id
-      in
-      Buffer.add_string buf "%v";
-      Buffer.add_string buf (string_of_int id);
-      i := !j
-    end
-    else begin
-      Buffer.add_char buf s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents buf
+and fp_block = { f_params : (int * Types.ty) list; f_ops : fp_op list }
 
-(** Content fingerprint of a kernel: digest of its canonicalized
-    printed form (ops, types, attributes — everything codegen sees). *)
+(** Content fingerprint of a kernel: a digest of its structure — name,
+    parameter types, kernel attributes and, per op, the opcode, operand
+    and result indices, result types, attributes and regions with their
+    block parameters. Values are numbered by first occurrence, so two
+    structurally identical kernels built at different times (different
+    global value ids) share a fingerprint. Floats (constants and
+    attributes) are compared bit-exactly. Not memoized: kernels are
+    mutable ({!Kernel.set_attr}, {!Op.set_attr}, operand rewrites). *)
 let kernel_fingerprint (k : Kernel.t) =
-  Digest.to_hex (Digest.string (canonicalize_printed (Printer.kernel_to_string k)))
+  let ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let index v =
+    let id = Value.id v in
+    match Hashtbl.find_opt ids id with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids id i;
+      i
+  in
+  let def v = (index v, Value.ty v) in
+  (* [List.map] applies [f] front to back; the explicit [let]s fix the
+     numbering order (results, operands, regions). *)
+  let rec op (o : Op.op) =
+    let f_results = List.map def o.Op.results in
+    let f_operands = List.map index o.Op.operands in
+    let f_regions = List.map region o.Op.regions in
+    { f_results; f_opcode = o.Op.opcode; f_operands; f_attrs = o.Op.attrs; f_regions }
+  and block (b : Op.block) =
+    let f_params = List.map def b.Op.params in
+    { f_params; f_ops = List.map op b.Op.ops }
+  and region (r : Op.region) = List.map block r.Op.blocks in
+  let params = List.map def k.Kernel.params in
+  let tree = (k.Kernel.name, params, k.Kernel.attrs, region k.Kernel.body) in
+  (* [No_sharing]: the bytes must not depend on which subterms happen
+     to be physically shared. *)
+  Digest.to_hex (Digest.string (Marshal.to_string tree [ Marshal.No_sharing ]))
 
 (** Content fingerprint of a machine program: digest of its marshalled
     form. [Isa.program] is pure data (no closures, no cycles), and

@@ -175,6 +175,128 @@ let test_cached_program_still_correct () =
     (Flow.cache_stats ()).Tawa_machine.Progcache.hits;
   Alcotest.(check bool) "hit output identical" true (Tensor.equal miss hit)
 
+let examples_dir = "../examples/kernels"
+
+let compile_source src =
+  match Elaborate.compile_string src with
+  | [ k ] -> Flow.compile k
+  | ks -> Alcotest.failf "expected one kernel, got %d" (List.length ks)
+
+(* attention.tw, and the same source with its scale constant cut to the
+   six significant digits [%g] prints: a key built from the printed
+   kernel conflated the two and served the first program for the
+   second. *)
+let test_cache_miss_on_float_change () =
+  Flow.clear_cache ();
+  let src =
+    In_channel.with_open_text (Filename.concat examples_dir "attention.tw")
+      In_channel.input_all
+  in
+  let near =
+    match Astring.String.cut ~sep:"0.35355339059" src with
+    | Some (before, after) -> before ^ "0.353553" ^ after
+    | None -> Alcotest.fail "attention.tw lacks its scale constant"
+  in
+  let exact = compile_source src in
+  let rounded = compile_source near in
+  Alcotest.(check int) "both miss" 2 (Flow.cache_stats ()).Tawa_machine.Progcache.misses;
+  Alcotest.(check bool) "distinct programs" true
+    (Tawa_machine.Progcache.program_fingerprint exact.Flow.program
+    <> Tawa_machine.Progcache.program_fingerprint rounded.Flow.program)
+
+(* ------------------------------------------------------------------ *)
+(* Kernel fingerprint                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let fingerprint = Tawa_machine.Progcache.kernel_fingerprint
+
+let strategies =
+  [ Flow.default_options; baseline (Flow.Sw_pipelined 3); baseline Flow.Naive ]
+
+(* Named kernels, each with its builder. A frontend kernel is rebuilt
+   by calling the builder again (new value ids). A compiled kernel
+   carries provenance stamps of global op ids ([tawa.src]), so a
+   recompile is a different kernel; it is only cloned. *)
+type fp_case = {
+  name : string;
+  kernel : Tawa_ir.Kernel.t;
+  rebuild : (unit -> Tawa_ir.Kernel.t) option;
+}
+
+(* The frontend kernel of [build], then what each of [options] compiles
+   it to ([Flow.build_entry] bypasses the compile cache). *)
+let cases name build options =
+  let compiled o =
+    { name = name ^ " " ^ Flow.options_key o; rebuild = None;
+      kernel = (Flow.build_entry o (build ())).Flow.e_transformed }
+  in
+  { name; kernel = build (); rebuild = Some build } :: List.map compiled options
+
+let example_cases () =
+  Sys.readdir examples_dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".tw")
+  |> List.sort compare
+  |> List.concat_map (fun f ->
+         let build () =
+           match Elaborate.compile_file (Filename.concat examples_dir f) with
+           | [ k ] -> k
+           | ks -> Alcotest.failf "%s: expected one kernel, got %d" f (List.length ks)
+         in
+         cases f build strategies)
+
+let autotune_cases () =
+  let gemm = Autotune.Gemm { Workloads.m = 1024; n = 1024; k = 512; dtype = Dtype.F16 } in
+  let mha =
+    Autotune.Attention
+      { Workloads.batch = 1; heads = 1; len = 1024; head_dim = 64; causal = false;
+        mha_dtype = Dtype.F16 }
+  in
+  List.concat_map
+    (fun fam ->
+      List.concat_map
+        (fun c ->
+          cases (Autotune.candidate_to_string c)
+            (fun () -> Autotune.kernel_of fam c)
+            [ Autotune.options_of c ])
+        (Autotune.space fam))
+    [ gemm; mha ]
+
+(* Rebuilding or cloning a kernel keeps its fingerprint, and kernels
+   whose canonical printed forms differ never share one. *)
+let check_against_printed cases =
+  let seen = Hashtbl.create 64 in
+  List.iter
+    (fun c ->
+      let fp = fingerprint c.kernel in
+      let same what k =
+        if fingerprint k <> fp then Alcotest.failf "%s: %s changes the fingerprint" c.name what
+      in
+      same "cloning" (Tawa_ir.Kernel.clone c.kernel);
+      Option.iter (fun build -> same "rebuilding" (build ())) c.rebuild;
+      let printed = Printed_fingerprint.canonical c.kernel in
+      match Hashtbl.find_opt seen fp with
+      | Some (other, p) when p <> printed ->
+        Alcotest.failf "%s and %s print differently but share %s" c.name other fp
+      | _ -> Hashtbl.replace seen fp (c.name, printed))
+    cases
+
+let test_fingerprint_examples () = check_against_printed (example_cases ())
+let test_fingerprint_autotune () = check_against_printed (autotune_cases ())
+
+(* Tunestore keys embed this digest and persist across processes: a
+   change of encoding must be a deliberate update of this pin. *)
+let test_fingerprint_pinned () =
+  Alcotest.(check string) "Kernels.gemm ()" "e55aeb7851042abb761d5e8669547b13"
+    (fingerprint (Kernels.gemm ()))
+
+let prop_fingerprint_fuzz =
+  QCheck.Test.make ~name:"fuzz kernels: fingerprint refines the printed form" ~count:30
+    QCheck.(pair Test_fuzz.arb_spec Test_fuzz.arb_spec)
+    (fun (s1, s2) ->
+      let case s = cases "fuzz" (fun () -> Test_fuzz.build_kernel s) [ Flow.default_options ] in
+      check_against_printed (case s1 @ case s2);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Autotune                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -332,6 +454,8 @@ let suites =
         Alcotest.test_case "hit on baselines" `Quick test_cache_hit_on_baselines;
         Alcotest.test_case "cached program correct" `Quick
           test_cached_program_still_correct;
+        Alcotest.test_case "miss on float constant change" `Quick
+          test_cache_miss_on_float_change;
       ] );
     ( "core.autotune",
       [
@@ -354,4 +478,11 @@ let suites =
     ( "core.pingpong",
       [ Alcotest.test_case "completes with role swap" `Quick test_pingpong_completes ] );
     qsuite "core.pingpong.props" [ prop_pingpong_deadlock_free ];
+    ( "core.fingerprint",
+      [
+        Alcotest.test_case "example kernels vs printed form" `Quick test_fingerprint_examples;
+        Alcotest.test_case "autotune spaces vs printed form" `Quick test_fingerprint_autotune;
+        Alcotest.test_case "gemm fingerprint pinned" `Quick test_fingerprint_pinned;
+      ] );
+    qsuite "core.fingerprint.props" [ prop_fingerprint_fuzz ];
   ]

@@ -501,6 +501,53 @@ let test_coop_diff () =
   Alcotest.(check bool) "coop=2 timing diff" true
     (gemm_timing_diff compiled ~bm:16 ~bn:16 ~kk:16 ~grid_m:2 ~grid_n:2)
 
+(* The timing-mode decode of every example kernel under three
+   strategies, reduced to its unit lengths and local masks: these pin
+   exactly which instructions the decode-time fixpoints elide and fuse
+   (a lost elision stays correct, so the differentials cannot see it;
+   it only runs slower). Recorded before the fixpoints moved to flat
+   byte matrices. *)
+let test_decode_precision () =
+  let dir = "../examples/kernels" in
+  let pins =
+    [ ( "attention.tw",
+        [ "96ca703ec151f0602fda33b6b7d29b49"; "2e72ecefc58166b4ef5d707b61568756";
+          "cf3c3fa3106c0faa6dbf2b848a877215" ] );
+      ( "gemm.tw",
+        [ "ddcb5446572dae83e01899d5e0e3aba7"; "07064253bf4c8d3c21da5a2d7ed98fab";
+          "c2045ad426e76427ee28a254fb9d8609" ] );
+      ( "gemm_bias_relu.tw",
+        [ "fa926298745bd617b01a96817e75c6c9"; "88588289c6d52bcc618fa0bb4ab58e08";
+          "4c53030a4e14a8795a785a49bc5d081e" ] );
+      ( "gemm_fp8.tw",
+        [ "ddcb5446572dae83e01899d5e0e3aba7"; "07064253bf4c8d3c21da5a2d7ed98fab";
+          "c2045ad426e76427ee28a254fb9d8609" ] ) ]
+  in
+  let strategies =
+    [ Flow.default_options;
+      { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 };
+      { Flow.default_options with strategy = Flow.Naive } ]
+  in
+  Alcotest.(check bool) "timing optimizations on" true (Decode.opts_on ());
+  List.iter
+    (fun (file, digests) ->
+      let kernel =
+        match Tawa_frontend.Elaborate.compile_file (Filename.concat dir file) with
+        | [ k ] -> k
+        | ks -> Alcotest.failf "%s: expected one kernel, got %d" file (List.length ks)
+      in
+      List.iter2
+        (fun options want ->
+          let d = Decode.decode ~cfg (Flow.compile ~options kernel).Flow.program in
+          let got =
+            Digest.to_hex
+              (Digest.string
+                 (Marshal.to_string (d.Decode.d_lens, d.Decode.d_local) [ Marshal.No_sharing ]))
+          in
+          Alcotest.(check string) (file ^ " " ^ Flow.options_key options) want got)
+        strategies digests)
+    pins
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -523,6 +570,7 @@ let suites =
         Alcotest.test_case "ldg bandwidth config" `Quick test_ldg_bandwidth_config;
         Alcotest.test_case "engine selection" `Quick test_engine_selection;
         Alcotest.test_case "decode cache" `Quick test_decode_cache;
+        Alcotest.test_case "decode precision pinned" `Quick test_decode_precision;
       ] );
     ("engine.planes", qsuite [ prop_planes_model ]);
   ]

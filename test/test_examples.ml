@@ -104,6 +104,34 @@ let test_all_tw_files_found () =
       List.iter Verifier.verify ks)
     tw
 
+(* Each lowering strategy emits its own instruction set on gemm.tw
+   (the idiom of compiling a kernel per target and grepping its asm;
+   "mbarrier." names the instructions, not the header's barrier count).
+   With the compile cache keyed on a fingerprint, this also catches one
+   strategy being served another's program. *)
+let test_strategy_instructions () =
+  let asm options = Tawa_core.Flow.dump_asm (Tawa_core.Flow.compile ~options (load "gemm.tw")) in
+  let expect what options ~has ~lacks =
+    let s = asm options in
+    List.iter
+      (fun i ->
+        Alcotest.(check bool) (what ^ " emits " ^ i) true (Astring.String.is_infix ~affix:i s))
+      has;
+    List.iter
+      (fun i ->
+        Alcotest.(check bool) (what ^ " lacks " ^ i) false (Astring.String.is_infix ~affix:i s))
+      lacks
+  in
+  let o = Tawa_core.Flow.default_options in
+  expect "warp-specialized" o
+    ~has:[ "mbarrier.try_wait.parity"; "mbarrier.arrive"; "cp.async.bulk.tensor" ]
+    ~lacks:[ "ld.global" ];
+  expect "sw-pipelined" { o with strategy = Tawa_core.Flow.Sw_pipelined 3; aref_depth = 3 }
+    ~has:[ "cp.async("; "cp.async.wait_group" ]
+    ~lacks:[ "mbarrier."; "cp.async.bulk.tensor"; "ld.global" ];
+  expect "naive" { o with strategy = Tawa_core.Flow.Naive } ~has:[ "ld.global" ]
+    ~lacks:[ "mbarrier."; "cp.async" ]
+
 let suites =
   [
     ( "examples.kernels",
@@ -113,5 +141,7 @@ let suites =
         Alcotest.test_case "attention.tw end-to-end" `Quick test_attention_tw;
         Alcotest.test_case "gemm_bias_relu.tw end-to-end" `Quick test_gemm_bias_relu_tw;
         Alcotest.test_case "all .tw files verify" `Quick test_all_tw_files_found;
+        Alcotest.test_case "strategies emit their instructions" `Quick
+          test_strategy_instructions;
       ] );
   ]

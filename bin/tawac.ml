@@ -21,8 +21,8 @@ let read_kernels path kernel_name =
 
 (* Every subcommand runs under [guard], so bad input exits 1 with a
    diagnostic instead of an uncaught exception: source errors as
-   [FILE:LINE:COL: ...error: ...], IR and simulator failures as
-   [tawac: ...]. *)
+   [FILE:LINE:COL: ...error: ...]; IR, simulator and file-system
+   failures (an unwritable tunestore or trace path) as [tawac: ...]. *)
 let guard ?(path = "<input>") f =
   let at (pos : Ast.pos) = Printf.sprintf "%s:%d:%d" path pos.Ast.line pos.Ast.col in
   try f () with
@@ -37,6 +37,9 @@ let guard ?(path = "<input>") f =
     1
   | Sim.Sim_error msg ->
     Printf.eprintf "tawac: simulation failed: %s\n" msg;
+    1
+  | Sys_error msg ->
+    Printf.eprintf "tawac: %s\n" msg;
     1
 
 (* ---------------------------- compile ----------------------------- *)
@@ -307,6 +310,15 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
     let kernels = read_kernels path kernel_name in
     let cfg = Config.functional_test in
     let tcfg = Config.h100 in
+    (* A [MISMATCH] is a finding: the run exits 1. *)
+    let mismatch = ref false in
+    let verdict diff tol =
+      if diff < tol then "[OK]"
+      else begin
+        mismatch := true;
+        "[MISMATCH]"
+      end
+    in
     List.iter
       (fun k ->
         let c = Flow.compile ~options k in
@@ -341,8 +353,7 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
             let diff = Tensor.max_rel_diff cbuf want in
             Printf.printf
               "kernel @%s (gemm %dx%dx%d): max rel diff vs reference = %.2e %s\n"
-              k.Kernel.name m n kk diff
-              (if diff < 1e-3 then "[OK]" else "[MISMATCH]")
+              k.Kernel.name m n kk diff (verdict diff 1e-3)
           end
           else
             Printf.printf
@@ -377,8 +388,7 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
             let diff = Tensor.max_rel_diff o want in
             Printf.printf
               "kernel @%s (attention L=%d d=%d): max rel diff vs reference = %.2e %s\n"
-              k.Kernel.name l d_head diff
-              (if diff < 2e-2 then "[OK]" else "[MISMATCH]")
+              k.Kernel.name l d_head diff (verdict diff 2e-2)
           end
           else begin
             Printf.printf
@@ -400,7 +410,7 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
         | `Unknown ->
           Printf.printf "kernel @%s: unrecognized signature; compile-only\n" k.Kernel.name)
       kernels;
-    0)
+    if !mismatch then 1 else 0)
 
 (* ---------------------------- profile ------------------------------ *)
 

@@ -34,7 +34,6 @@ type part = {
   coop : int;  (** warp groups cooperating on this stream *)
   tensor_bytes : int;  (** resident register-tile bytes (upper bound) *)
   scalar_regs : int;  (** 32-bit scalar + descriptor registers *)
-  max_live_bytes : int;  (** liveness max-live tile bytes (pressure) *)
 }
 
 type smem_item = {
@@ -147,39 +146,6 @@ let rec walk_op (graph : Graph.t) (a : acc) (op : Op.op) =
     List.iter (pull a) op.Op.operands;
     List.iter (def a) op.Op.results
 
-(* ---------------------- liveness max pressure --------------------- *)
-
-(* Max over CFG nodes of the live-in tile bytes, per partition; the
-   informational "how much must be simultaneously alive" figure, as
-   opposed to the resident model above (codegen never frees). *)
-let max_live (k : Kernel.t) : (int, int) Hashtbl.t =
-  let cfg = Dataflow.Cfg.build k in
-  let live = Dataflow.Liveness.run cfg in
-  let by_id = Hashtbl.create 64 in
-  Array.iter
-    (fun n ->
-      List.iter
-        (fun v -> if is_tile v then Hashtbl.replace by_id (Value.id v) v)
-        (n.Dataflow.Cfg.defs @ n.Dataflow.Cfg.uses))
-    cfg.Dataflow.Cfg.nodes;
-  let best = Hashtbl.create 4 in
-  Array.iteri
-    (fun i n ->
-      let bytes =
-        Dataflow.Int_set.fold
-          (fun id acc ->
-            match Hashtbl.find_opt by_id id with
-            | Some v -> acc + bytes_of v
-            | None -> acc)
-          (Dataflow.Liveness.live_in live i)
-          0
-      in
-      let p = n.Dataflow.Cfg.partition in
-      let cur = Option.value (Hashtbl.find_opt best p) ~default:0 in
-      if bytes > cur then Hashtbl.replace best p bytes)
-    cfg.Dataflow.Cfg.nodes;
-  best
-
 (* --------------------------- SMEM model --------------------------- *)
 
 let smem_model (k : Kernel.t) (graph : Graph.t) ~(num_streams : int) :
@@ -270,7 +236,6 @@ let compute (k : Kernel.t) : t =
         match o.Op.opcode with Op.Aref_create _ | Op.Warp_group -> false | _ -> true)
       (Kernel.entry k).Op.ops
   in
-  let live_by_part = max_live k in
   let parts =
     List.mapi
       (fun i role ->
@@ -283,20 +248,12 @@ let compute (k : Kernel.t) : t =
           let r = List.nth wgop.Op.regions i in
           List.iter (walk_op graph a) (Op.entry_block r).Op.ops
         | None -> ());
-        let live_top =
-          Option.value (Hashtbl.find_opt live_by_part (-1)) ~default:0
-        in
-        let live_part =
-          if wg = None then 0
-          else Option.value (Hashtbl.find_opt live_by_part i) ~default:0
-        in
         {
           index = i;
           role;
           coop = (if role = Op.Consumer then coop else 1);
           tensor_bytes = a.tbytes;
           scalar_regs = a.sregs;
-          max_live_bytes = max live_top live_part;
         })
       roles
   in
@@ -305,3 +262,41 @@ let compute (k : Kernel.t) : t =
     List.fold_left (fun s it -> s + (it.item_bytes * it.copies)) 0 smem_items
   in
   { parts; smem_items; smem_bytes }
+
+(* ---------------------- liveness max pressure --------------------- *)
+
+(** Max over each stream's CFG nodes of the live-in tile bytes, in
+    {!stream_roles} order (top-level nodes count toward every stream):
+    the informational "how much must be simultaneously alive" figure,
+    as opposed to the resident model above (codegen never frees). No
+    verdict reads it, so only the occupancy report pays for the
+    liveness pass. *)
+let max_live (k : Kernel.t) : int list =
+  let cfg = Dataflow.Cfg.build k in
+  let live = Dataflow.Liveness.run cfg in
+  let by_id = Hashtbl.create 64 in
+  Array.iter
+    (fun n ->
+      List.iter
+        (fun v -> if is_tile v then Hashtbl.replace by_id (Value.id v) v)
+        (n.Dataflow.Cfg.defs @ n.Dataflow.Cfg.uses))
+    cfg.Dataflow.Cfg.nodes;
+  let best = Hashtbl.create 4 in
+  Array.iteri
+    (fun i n ->
+      let bytes =
+        Dataflow.Int_set.fold
+          (fun id acc ->
+            match Hashtbl.find_opt by_id id with
+            | Some v -> acc + bytes_of v
+            | None -> acc)
+          (Dataflow.Liveness.live_in live i)
+          0
+      in
+      let p = n.Dataflow.Cfg.partition in
+      let cur = Option.value (Hashtbl.find_opt best p) ~default:0 in
+      if bytes > cur then Hashtbl.replace best p bytes)
+    cfg.Dataflow.Cfg.nodes;
+  let at p = Option.value (Hashtbl.find_opt best p) ~default:0 in
+  let ws = Kernel.find_warp_group k <> None in
+  List.mapi (fun i _ -> max (at (-1)) (if ws then at i else 0)) (stream_roles k)

@@ -8,8 +8,10 @@
       pipelines), diagnostics in deterministic order;
     - {!occupancy}: the static occupancy verdict — the pruning
       predicate the autotuner calls before paying for a simulation;
-    - {!occupancy_report}: the CLI/bench view with CTAs/SM, the
-      limiting resource and per-resource headroom;
+      it reads only the resident model, never the liveness pass;
+    - {!occupancy_report}: the CLI/bench view with the same verdict,
+      CTAs/SM, the limiting resource, per-resource headroom and the
+      liveness max-live bytes;
     - {!check_kernel}: lints plus an infeasible-occupancy diagnostic
       ([tawac lint]). Compilation never runs it implicitly.
 
@@ -74,75 +76,74 @@ let part_regs (p : Footprint.part) =
   let tile_regs = ((p.Footprint.tensor_bytes / 4) + threads - 1) / threads in
   tile_regs + p.Footprint.scalar_regs
 
+let total_regs (fp : Footprint.t) =
+  List.fold_left
+    (fun acc p ->
+      acc + (part_regs p * Resources.threads_per_warp_group * p.Footprint.coop))
+    0 fp.Footprint.parts
+
+(* The verdict reads only the resident model; {!occupancy} and
+   {!occupancy_report} both derive it here, so they cannot drift. *)
+let verdict_of ~(limits : Resources.limits) (fp : Footprint.t) : Resources.verdict =
+  let max_regs pred =
+    List.fold_left
+      (fun acc p -> if pred p.Footprint.role then max acc (part_regs p) else acc)
+      0 fp.Footprint.parts
+  in
+  let worst = max_regs (fun _ -> true) in
+  let smem = fp.Footprint.smem_bytes and total_regs = total_regs fp in
+  if worst > limits.Resources.lim_regs_per_thread then
+    Resources.Infeasible
+      (Printf.sprintf "a warp group needs %d regs/thread > %d" worst
+         limits.Resources.lim_regs_per_thread)
+  else if smem > limits.Resources.lim_smem_bytes then
+    Resources.Infeasible
+      (Printf.sprintf "static SMEM %d bytes exceeds %d" smem
+         limits.Resources.lim_smem_bytes)
+  else if total_regs > limits.Resources.lim_regfile then
+    Resources.Infeasible
+      (Printf.sprintf "total registers %d exceed the %d register file"
+         total_regs limits.Resources.lim_regfile)
+  else
+    Resources.Feasible
+      {
+        Resources.smem_bytes = smem;
+        regs_per_thread_consumer = max_regs (fun r -> r = Op.Consumer);
+        regs_per_thread_producer = max_regs (fun r -> r <> Op.Consumer);
+        total_regs;
+        num_warp_groups =
+          List.fold_left (fun a p -> a + p.Footprint.coop) 0 fp.Footprint.parts;
+      }
+
+(** The autotuner's pruning predicate: is this kernel's static resource
+    footprint feasible on one SM? *)
+let occupancy ?(limits = Resources.h100) (k : Kernel.t) : Resources.verdict =
+  verdict_of ~limits (Footprint.compute k)
+
+(** The CLI/bench view: the verdict of {!occupancy} plus CTAs/SM, the
+    limiting resource, headroom, and each stream's liveness max-live
+    bytes (the one figure here that needs the liveness pass). *)
 let occupancy_report ?(limits = Resources.h100) (k : Kernel.t) : report =
   let fp = Footprint.compute k in
   let parts =
-    List.map
-      (fun (p : Footprint.part) ->
+    List.map2
+      (fun (p : Footprint.part) live ->
         {
           pu_index = p.Footprint.index;
           pu_role = p.Footprint.role;
           pu_coop = p.Footprint.coop;
           pu_tensor_bytes = p.Footprint.tensor_bytes;
-          pu_max_live_bytes = p.Footprint.max_live_bytes;
+          pu_max_live_bytes = live;
           pu_regs_per_thread = part_regs p;
         })
-      fp.Footprint.parts
+      fp.Footprint.parts (Footprint.max_live k)
   in
-  let total_regs =
-    List.fold_left
-      (fun acc pu ->
-        acc
-        + pu.pu_regs_per_thread * Resources.threads_per_warp_group * pu.pu_coop)
-      0 parts
-  in
+  let total_regs = total_regs fp in
   let smem = fp.Footprint.smem_bytes in
-  let worst =
-    List.fold_left (fun acc pu -> max acc pu.pu_regs_per_thread) 0 parts
-  in
-  let verdict =
-    if worst > limits.Resources.lim_regs_per_thread then
-      Resources.Infeasible
-        (Printf.sprintf "a warp group needs %d regs/thread > %d" worst
-           limits.Resources.lim_regs_per_thread)
-    else if smem > limits.Resources.lim_smem_bytes then
-      Resources.Infeasible
-        (Printf.sprintf "static SMEM %d bytes exceeds %d" smem
-           limits.Resources.lim_smem_bytes)
-    else if total_regs > limits.Resources.lim_regfile then
-      Resources.Infeasible
-        (Printf.sprintf "total registers %d exceed the %d register file"
-           total_regs limits.Resources.lim_regfile)
-    else
-      let consumer =
-        List.fold_left
-          (fun acc pu ->
-            if pu.pu_role = Op.Consumer then max acc pu.pu_regs_per_thread
-            else acc)
-          0 parts
-      and producer =
-        List.fold_left
-          (fun acc pu ->
-            if pu.pu_role <> Op.Consumer then max acc pu.pu_regs_per_thread
-            else acc)
-          0 parts
-      in
-      Resources.Feasible
-        {
-          Resources.smem_bytes = smem;
-          regs_per_thread_consumer = consumer;
-          regs_per_thread_producer = producer;
-          total_regs;
-          num_warp_groups = List.fold_left (fun a pu -> a + pu.pu_coop) 0 parts;
-        }
-  in
-  let ctas_per_sm, limiting, smem_headroom, reg_headroom =
+  let verdict = verdict_of ~limits fp in
+  let ctas_per_sm, limiting =
     match verdict with
-    | Resources.Infeasible _ ->
-      ( 0,
-        "infeasible",
-        limits.Resources.lim_smem_bytes - smem,
-        limits.Resources.lim_regfile - total_regs )
+    | Resources.Infeasible _ -> (0, "infeasible")
     | Resources.Feasible _ ->
       let by_smem =
         if smem = 0 then limits.Resources.lim_ctas_per_sm
@@ -155,15 +156,10 @@ let occupancy_report ?(limits = Resources.h100) (k : Kernel.t) : report =
       let ctas =
         min limits.Resources.lim_ctas_per_sm (min by_smem by_regs)
       in
-      let limiting =
+      ( ctas,
         if ctas = limits.Resources.lim_ctas_per_sm then "cta-slots"
         else if by_smem <= by_regs then "smem"
-        else "registers"
-      in
-      ( ctas,
-        limiting,
-        limits.Resources.lim_smem_bytes - smem,
-        limits.Resources.lim_regfile - total_regs )
+        else "registers" )
   in
   {
     kernel_name = k.Kernel.name;
@@ -174,14 +170,9 @@ let occupancy_report ?(limits = Resources.h100) (k : Kernel.t) : report =
     verdict;
     ctas_per_sm;
     limiting;
-    smem_headroom;
-    reg_headroom;
+    smem_headroom = limits.Resources.lim_smem_bytes - smem;
+    reg_headroom = limits.Resources.lim_regfile - total_regs;
   }
-
-(** The autotuner's pruning predicate: is this kernel's static resource
-    footprint feasible on one SM? *)
-let occupancy ?limits (k : Kernel.t) : Resources.verdict =
-  (occupancy_report ?limits k).verdict
 
 (* ------------------------------ lints ----------------------------- *)
 

@@ -18,7 +18,7 @@
     - {b pool-parallel measurement} — survivors run in
       [Config.mode = Timing] fanned over the {!Tawa_pool.Pool} domain
       pool (order-preserving, so the winner is independent of the
-      domain count);
+      domain count), each decoded privately for its one run;
     - {b persistence} — best configs are stored in a
       {!Tawa_machine.Tunestore} keyed by (shape bucket x kernel
       fingerprint), so a warm restart re-serves tuned configs with
@@ -181,30 +181,35 @@ let prune_reason ?limits (family : family) (c : candidate) : string option =
   | Resources.Feasible _ -> None
   | Resources.Infeasible reason -> Some reason
 
-(** Measure one candidate with the simulator under [cfg] (the caller
-    chooses the mode; {!search} forces timing). Causal attention
-    simulates the median-work tile as the representative CTA. *)
-let measure ?(cfg = Config.h100) (family : family) (c : candidate) : measurement
-    =
+(* The launch [family]'s candidate [c] is timed on: the representative
+   CTA, grid, params and the whole launch's flops. Causal attention
+   simulates the median-work tile as the representative CTA. *)
+let launch_of (family : family) (c : candidate) =
+  match family with
+  | Gemm s ->
+    let grid, params = Workloads.gemm_launch s ~tiles:c.tiles in
+    ([| 0; 0; 0 |], grid, params, Workloads.gemm_flops s)
+  | Attention s ->
+    let bm = c.tiles.Kernels.block_m in
+    let grid, params = Workloads.mha_launch s ~block_m:bm in
+    let mid = if s.Workloads.causal then max 0 ((s.Workloads.len / bm / 2) - 1) else 0 in
+    ([| mid; 0; 0 |], grid, params, Workloads.mha_flops s)
+
+(* Compile [c], decode its program with [prepare], and time the launch. *)
+let measure_with prepare (family : family) (c : candidate) : measurement =
   let compiled = Flow.compile ~options:(options_of c) (kernel_of family c) in
+  let rep_pid, grid, params, flops = launch_of family c in
   let t =
-    match family with
-    | Gemm s ->
-      let grid, params = Workloads.gemm_launch s ~tiles:c.tiles in
-      Launch.estimate ~cfg compiled.Flow.program ~params ~grid
-        ~flops:(Workloads.gemm_flops s)
-    | Attention s ->
-      let bm = c.tiles.Kernels.block_m in
-      let grid, params = Workloads.mha_launch s ~block_m:bm in
-      let rep_pid =
-        if s.Workloads.causal then
-          [| max 0 ((s.Workloads.len / bm / 2) - 1); 0; 0 |]
-        else [| 0; 0; 0 |]
-      in
-      Launch.estimate ~rep_pid ~cfg compiled.Flow.program ~params ~grid
-        ~flops:(Workloads.mha_flops s)
+    Launch.estimate_prepared ~rep_pid (prepare compiled.Flow.program) ~params
+      ~grid ~flops
   in
   { candidate = c; tflops = t.Launch.tflops; cycles = t.Launch.cycles }
+
+(** Measure one candidate with the simulator under [cfg] (the caller
+    chooses the mode; {!search} forces timing), decoding through the
+    shared decode cache so repeated measurements decode once. *)
+let measure ?(cfg = Config.h100) (family : family) (c : candidate) : measurement =
+  measure_with (Engine.prepare ~cfg) family c
 
 (* --------------------------- expert configs ----------------------- *)
 
@@ -415,8 +420,13 @@ let search ?(cfg = Config.h100) ?limits ?store (family : family) : result =
     let to_measure = if prune_fallback then cands else feasible in
     let pruned = if prune_fallback then 0 else total - List.length feasible in
     Tawa_obs.Registry.incr ~by:pruned "autotune.pruned";
+    (* Each survivor is a distinct program, decoded once and run once.
+       Through [Engine.prepare] it would only fill the shared decode
+       cache with entries no later lookup hits, so it decodes here. *)
     let tcfg = { cfg with Config.mode = Config.Timing } in
-    let ms = Tawa_pool.Pool.map_list (measure ~cfg:tcfg family) to_measure in
+    let ms =
+      Tawa_pool.Pool.map_list (measure_with (Decode.decode ~cfg:tcfg) family) to_measure
+    in
     Tawa_obs.Registry.incr ~by:(List.length ms) "autotune.measured";
     let best =
       match ms with

@@ -106,17 +106,18 @@ let representative_cta ?(rep_pid = [| 0; 0; 0 |]) ~(cfg : Config.t)
     (num_programs, [| 0; 0; 0 |], fun () -> queue_of_list tiles)
   else (num_programs, rep_pid, fun () -> no_queue)
 
-(** Timing estimate for a [grid] launch at scale. [flops] is the useful
+(** Timing estimate for a [grid] launch at scale of an already decoded
+    program, under the config it was decoded for. [flops] is the useful
     arithmetic of the whole launch (for TFLOPS). [rep_pid] selects the
     representative tile simulated for non-persistent launches. The
     simulation runs in [cfg.mode]: a [Functional] config simulates the
     payload too (params must then bind real buffers) and yields
     identical cycles. *)
-let estimate ?rep_pid ~(cfg : Config.t) (program : Isa.program)
-    ~(params : Sim.rt list) ~(grid : int * int * int) ~(flops : float) : timing =
+let estimate_prepared ?rep_pid (prepared : Engine.prepared) ~(params : Sim.rt list)
+    ~(grid : int * int * int) ~(flops : float) : timing =
+  let cfg = prepared.Decode.d_cfg and program = prepared.Decode.d_program in
   let gx, gy, gz = grid in
   let total = gx * gy * gz in
-  let prepared = Engine.prepare ~cfg program in
   let num_programs, pid, queue = representative_cta ?rep_pid ~cfg program ~grid in
   let o =
     Engine.run_prepared prepared ~params ~num_programs ~pid ~pop_global:(queue ()) ()
@@ -141,6 +142,12 @@ let estimate ?rep_pid ~(cfg : Config.t) (program : Isa.program)
   let seconds = Config.cycles_to_seconds cfg cycles in
   { cycles; seconds; tflops = Config.tflops cfg ~flops ~cycles; tc_utilization;
     stats = o.Sim.stats; profile = Some o.Sim.profile }
+
+(** {!estimate_prepared} on [program] decoded for [cfg] through the
+    shared decode cache. *)
+let estimate ?rep_pid ~(cfg : Config.t) (program : Isa.program)
+    ~(params : Sim.rt list) ~(grid : int * int * int) ~(flops : float) : timing =
+  estimate_prepared ?rep_pid (Engine.prepare ~cfg program) ~params ~grid ~flops
 
 (** Heterogeneous persistent launch (grouped GEMM, Fig. 9): work items
     carry their own parameter bindings; one resident CTA per SM pops

@@ -24,10 +24,9 @@
     - {!instantiate}/{!replay} split setup from execution,
       CUDA-graph-style: instantiate compiles ({!Tawa_core.Flow.compile},
       memoized), decodes ({!Tawa_gpusim.Engine.prepare}, memoized in
-      [Progcache]), computes the static occupancy footprint, and
-      consults the {!Tawa_machine.Tunestore} once per node; replay runs
-      only CTAs. Iteration 2..N pays no fingerprinting, no cache-key
-      digests, no spawns — only execution.
+      [Progcache]), and consults the {!Tawa_machine.Tunestore} once per
+      node; replay runs only CTAs. Iteration 2..N pays no
+      fingerprinting, no cache-key digests, no spawns — only execution.
 
     {!run_serial} is the reference path — one launch per node, in
     program order, each paying full per-launch setup — against which
@@ -39,7 +38,6 @@ open Tawa_machine
 open Tawa_gpusim
 module Flow = Tawa_core.Flow
 module Autotune = Tawa_core.Autotune
-module Statcheck = Tawa_analysis.Statcheck
 module Pool = Tawa_pool.Pool
 module Registry = Tawa_obs.Registry
 module Trace = Tawa_obs.Trace
@@ -258,7 +256,6 @@ type inode = {
   i_options : Flow.options; (* effective options, after the tunestore *)
   i_compiled : Flow.compiled;
   i_prepared : Engine.prepared;
-  i_report : Statcheck.report; (* static footprint, cached per node *)
   i_tuned : bool;
 }
 
@@ -299,11 +296,11 @@ let tuned_options (store : Tunestore.t option) (spec : spec) :
           true )
       else (spec.sp_options, false))
 
-(** Compile, decode, footprint, and (optionally) auto-tune every node
-    once; warm the shared pool so replays never spawn. The instance
-    replays under [cfg] as given — functional mode for verified
-    outputs, timing mode for cycles-only sweeps (bit-identical cycles,
-    pinned by the modes differential suite). *)
+(** Compile, decode, and (optionally) auto-tune every node once; warm
+    the shared pool so replays never spawn. The instance replays under
+    [cfg] as given — functional mode for verified outputs, timing mode
+    for cycles-only sweeps (bit-identical cycles, pinned by the modes
+    differential suite). *)
 let instantiate ?(cfg = Config.functional_test) ?store (t : t) : instance =
   Registry.time "graph.instantiate" (fun () ->
       Pool.warm (Pool.shared ());
@@ -313,14 +310,12 @@ let instantiate ?(cfg = Config.functional_test) ?store (t : t) : instance =
             let options, tuned = tuned_options store spec in
             let compiled = Flow.compile ~options spec.sp_kernel in
             let prepared = Engine.prepare ~cfg compiled.Flow.program in
-            let report = Statcheck.occupancy_report compiled.Flow.transformed in
             Registry.incr "graph.nodes.instantiated";
             {
               i_spec = spec;
               i_options = options;
               i_compiled = compiled;
               i_prepared = prepared;
-              i_report = report;
               i_tuned = tuned;
             })
           t.specs

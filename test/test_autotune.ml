@@ -2,8 +2,8 @@
    rejects on register pressure really do exceed the limit when the
    decode engine measures them), search determinism, the store codec
    and the warm-restart path (second search serves from the tunestore
-   with zero measurements), and the unified Flow.compile strategy key
-   (deprecated wrappers share cache entries with explicit options). *)
+   with zero measurements), the unified Flow.compile strategy key, and
+   a search that leaves the shared decode cache as it found it. *)
 
 open Tawa_tensor
 open Tawa_frontend
@@ -207,6 +207,30 @@ let test_strategy_unification () =
     "strategies never alias in the cache key" 4
     (List.length (List.sort_uniq compare keys))
 
+(* ---------------------- private decodes ---------------------------- *)
+
+(* A search decodes each survivor once and runs it once, so it decodes
+   outside the shared decode cache: the cache ends the search as it
+   began. The winner still measures bit-identically through the cache. *)
+let test_search_leaves_decode_cache () =
+  let fam = Autotune.Gemm { Workloads.m = 256; n = 256; k = 256; dtype = Dtype.F16 } in
+  Engine.clear_decode_cache ();
+  let r = Autotune.search fam in
+  let s = Engine.decode_cache_stats () in
+  Alcotest.(check (pair int int)) "no decode-cache misses or hits" (0, 0)
+    (s.Progcache.misses, s.Progcache.hits);
+  Alcotest.(check bool) "candidates were measured" true
+    (r.Autotune.stats.Autotune.measured > 0);
+  let best = r.Autotune.best in
+  let m = Autotune.measure fam best.Autotune.candidate in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "same tflops bits" (bits m.Autotune.tflops)
+    (bits best.Autotune.tflops);
+  Alcotest.(check int64) "same cycles bits" (bits m.Autotune.cycles)
+    (bits best.Autotune.cycles);
+  Alcotest.(check int) "measure decodes through the cache" 1
+    (Engine.decode_cache_stats ()).Progcache.misses
+
 let suites =
   [ ( "autotune",
       [ Alcotest.test_case "pruning is sound vs measured hwm" `Slow test_pruning_sound;
@@ -218,4 +242,6 @@ let suites =
         Alcotest.test_case "store round-trip serves warm restarts" `Quick
           test_store_roundtrip;
         Alcotest.test_case "strategy unification shares the cache" `Quick
-          test_strategy_unification ] ) ]
+          test_strategy_unification;
+        Alcotest.test_case "search leaves the decode cache as it found it" `Quick
+          test_search_leaves_decode_cache ] ) ]

@@ -332,6 +332,58 @@ let test_differential_coop () =
     ~params:(gemm_params ~m:32 ~n:32 ~kk:16)
     ~num_programs:[| 2; 2; 1 |] ~pop_global:Launch.no_queue
 
+(* ----------------------- predicate vs report ---------------------- *)
+
+(* The pruning predicate skips the liveness pass the report runs; both
+   must still reach the same verdict, reason text included, on every
+   candidate of a GEMM and an attention search space and on every
+   example kernel under each lowering strategy. *)
+let test_predicate_matches_report () =
+  let feasible = ref 0 and infeasible = ref 0 in
+  let agree what (k : Kernel.t) =
+    let want = (Statcheck.occupancy_report k).Statcheck.verdict in
+    (match want with
+    | Resources.Feasible _ -> incr feasible
+    | Resources.Infeasible _ -> incr infeasible);
+    if Statcheck.occupancy k <> want then
+      Alcotest.failf "%s: the predicate disagrees with the report (%s)" what
+        (match want with
+        | Resources.Feasible _ -> "feasible"
+        | Resources.Infeasible why -> why)
+  in
+  List.iter
+    (fun fam ->
+      List.iter
+        (fun (c : Autotune.candidate) ->
+          agree (Autotune.candidate_to_string c)
+            (Flow.compile ~options:(Autotune.options_of c) (Autotune.kernel_of fam c))
+              .Flow.transformed)
+        (Autotune.space fam))
+    [ Autotune.Gemm { Workloads.m = 256; n = 256; k = 256; dtype = Dtype.F16 };
+      Autotune.Attention (Workloads.paper_mha ~causal:true 1024) ];
+  let dir = "../examples/kernels" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".tw")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "example kernels found" true (files <> []);
+  List.iter
+    (fun file ->
+      List.iter
+        (fun (k : Kernel.t) ->
+          List.iter
+            (fun options ->
+              agree
+                (file ^ " " ^ Flow.options_key options)
+                (Flow.compile ~options k).Flow.transformed)
+            [ Flow.default_options;
+              { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 };
+              { Flow.default_options with strategy = Flow.Naive } ])
+        (Elaborate.compile_file (Filename.concat dir file)))
+    files;
+  Alcotest.(check bool) "both verdicts exercised" true (!feasible > 0 && !infeasible > 0)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -355,4 +407,7 @@ let suites =
         Alcotest.test_case "persistent static bounds measured" `Quick
           test_differential_persistent;
         Alcotest.test_case "coop static bounds measured" `Quick test_differential_coop ] );
+    ( "statcheck.verdict",
+      [ Alcotest.test_case "predicate agrees with the report" `Quick
+          test_predicate_matches_report ] );
   ]

@@ -116,11 +116,23 @@ let strategy_of ~sw ~naive : Flow.strategy =
     | Some stages -> Flow.Sw_pipelined stages
     | None -> Flow.Warp_specialized
 
+(** A flag value no compile accepts; [guard] reports it as one
+    [tawac:] line and exit 1. *)
+exception Bad_flag of string
+
+let at_least_1 flag v =
+  if v < 1 then raise (Bad_flag (Printf.sprintf "%s must be at least 1, got %d" flag v))
+
 (** Build the [Flow.options] a subcommand compiles with. Under
     --sw-pipeline the aref depth mirrors the stage count (the software
-    pipeline's buffering takes the place of the aref ring). *)
+    pipeline's buffering takes the place of the aref ring). Depths,
+    stage counts and the consumer count must be at least 1. *)
 let options_of ?sw:(sw_stages = None) ?(naive = false) ~d ~p ~coop ~persistent
     ~coarse () : Flow.options =
+  at_least_1 "-D (aref depth)" d;
+  at_least_1 "-P (MMA depth)" p;
+  at_least_1 "--coop" coop;
+  Option.iter (at_least_1 "--sw-pipeline") sw_stages;
   let strategy = strategy_of ~sw:sw_stages ~naive in
   let d = match strategy with Flow.Sw_pipelined stages -> stages | _ -> d in
   { Flow.aref_depth = d; mma_depth = p;

@@ -21,8 +21,9 @@ let read_kernels path kernel_name =
 
 (* Every subcommand runs under [guard], so bad input exits 1 with a
    diagnostic instead of an uncaught exception: source errors as
-   [FILE:LINE:COL: ...error: ...]; IR, simulator and file-system
-   failures (an unwritable tunestore or trace path) as [tawac: ...]. *)
+   [FILE:LINE:COL: ...error: ...]; bad flag values, IR, code
+   generation, simulator and file-system failures (an unwritable
+   tunestore or trace path) as [tawac: ...]. *)
 let guard ?(path = "<input>") f =
   let at (pos : Ast.pos) = Printf.sprintf "%s:%d:%d" path pos.Ast.line pos.Ast.col in
   try f () with
@@ -32,8 +33,14 @@ let guard ?(path = "<input>") f =
   | Parser.Parse_error (msg, pos) | Elaborate.Elab_error (msg, pos) ->
     Printf.eprintf "%s: error: %s\n" (at pos) msg;
     1
+  | Cli_args.Bad_flag msg ->
+    Printf.eprintf "tawac: %s\n" msg;
+    1
   | Verifier.Ill_formed msg ->
     Printf.eprintf "tawac: IR verification failed: %s\n" msg;
+    1
+  | Tawa_machine.Codegen.Codegen_error msg ->
+    Printf.eprintf "tawac: code generation failed: %s\n" msg;
     1
   | Sim.Sim_error msg ->
     Printf.eprintf "tawac: simulation failed: %s\n" msg;

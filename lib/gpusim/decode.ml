@@ -65,6 +65,10 @@ let t_none = '\005'
 
 type objv = Onone | Otensor of Tensor.t | Odesc of Sim.desc
 
+(* [owned.[r] <> '\000'] (with a tensor tag) means register [r]'s tile
+   was allocated by a payload op and no other register, SMEM slot or
+   descriptor can see it, so a payload op writing [r] may overwrite it
+   in place. Every path that lets a tile escape clears the byte. *)
 type planes = {
   mutable cap : int;
   mutable tags : Bytes.t;
@@ -72,6 +76,7 @@ type planes = {
   mutable floats : float array;
   mutable bools : Bytes.t;
   mutable objs : objv array;
+  mutable owned : Bytes.t;
 }
 
 let make_planes n =
@@ -83,6 +88,7 @@ let make_planes n =
     floats = Array.make n 0.0;
     bools = Bytes.make n '\000';
     objs = Array.make n Onone;
+    owned = Bytes.make n '\000';
   }
 
 (* Grow all planes to cover register [r]; fresh registers read as
@@ -99,6 +105,9 @@ let grow p r =
   Bytes.blit p.bools 0 bools 0 p.cap;
   let objs = Array.make cap Onone in
   Array.blit p.objs 0 objs 0 p.cap;
+  let owned = Bytes.make cap '\000' in
+  Bytes.blit p.owned 0 owned 0 p.cap;
+  p.owned <- owned;
   p.cap <- cap;
   p.tags <- tags;
   p.ints <- ints;
@@ -123,10 +132,28 @@ let set_bool p r v =
   Bytes.set p.tags r t_bool;
   Bytes.set p.bools r (if v then '\001' else '\000')
 
+(* A tile others may see: the register does not own it. *)
 let set_tensor p r t =
   if r >= p.cap then grow p r;
   Bytes.set p.tags r t_tensor;
+  Bytes.set p.owned r '\000';
   p.objs.(r) <- Otensor t
+
+(* A tile only this register sees: a payload op's result. *)
+let set_owned p r t =
+  if r >= p.cap then grow p r;
+  Bytes.set p.tags r t_tensor;
+  Bytes.set p.owned r '\001';
+  p.objs.(r) <- Otensor t
+
+let disown p r = if r < p.cap then Bytes.set p.owned r '\000'
+
+(* The tile register [r] owns, which a payload op writing [r] may
+   overwrite ({!Tensor.reuse} checks its dtype and shape). *)
+let owned_tile p r =
+  if r < p.cap && Bytes.get p.owned r <> '\000' && Bytes.get p.tags r = t_tensor then
+    match p.objs.(r) with Otensor t -> Some t | _ -> None
+  else None
 
 let set_desc p r d =
   if r >= p.cap then grow p r;
@@ -203,7 +230,8 @@ let set_rt p r (v : Sim.rt) =
   | Sim.Rnone -> set_none p r
 
 (* Register-to-register copy without boxing: copy the source's
-   authoritative plane cell and its tag. *)
+   authoritative plane cell and its tag. A copied tile is shared, so
+   neither register owns it. *)
 let copy_reg p ~src ~dst =
   if src >= p.cap then set_int p dst 0
   else begin
@@ -214,6 +242,8 @@ let copy_reg p ~src ~dst =
     | '\001' -> p.floats.(dst) <- p.floats.(src)
     | '\002' -> Bytes.set p.bools dst (Bytes.get p.bools src)
     | _ -> p.objs.(dst) <- p.objs.(src));
+    Bytes.set p.owned src '\000';
+    Bytes.set p.owned dst '\000';
     Bytes.set p.tags dst tag
   end
 
@@ -685,10 +715,27 @@ let compile_offs (offs : Isa.operand list) =
 
 (* --------------------- instruction compilation -------------------- *)
 
+(* A tile op of [c] compute cycles. Functional mode gives [dst] the
+   tile [payload p into] returns, where [into] is the tile [dst] owns,
+   which the payload kernel may overwrite; timing mode writes none. *)
+let tile_op ~functional ~dst c (payload : planes -> Tensor.t option -> Tensor.t) : code =
+  if functional then
+    fun _ctx w ->
+      spend w b_compute c;
+      let p = w.planes in
+      set_owned p dst (payload p (owned_tile p dst));
+      w.pc <- w.pc + 1
+  else
+    fun _ctx w ->
+      spend w b_compute c;
+      set_none w.planes dst;
+      w.pc <- w.pc + 1
+
 let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
   let functional = Config.is_functional cfg in
   let sc = cfg.Config.scalar_cycles in
   let tile_cost ~elems ~per_cycle = Sim.tile_cost cfg coop ~elems ~per_cycle in
+  let cuda elems = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
   match i with
   | Isa.Nop ->
     fun _ctx w ->
@@ -842,7 +889,10 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
             match Bytes.get p.tags r with
             | '\003' -> (
               match p.objs.(r) with
-              | Otensor t -> Some t
+              | Otensor t ->
+                (* The descriptor now sees the tile. *)
+                disown p r;
+                Some t
               | _ ->
                 err "sim: descriptor pointer must bind a buffer (or Rnone in timing mode)")
             | '\005' -> None
@@ -864,169 +914,50 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         cfg.Config.sfu_elems_per_cycle
       | Op.Neg | Op.Abs | Op.Not -> cfg.Config.cuda_elems_per_cycle
     in
-    let c = tile_cost ~elems ~per_cycle in
-    if functional then begin
-      let f = Interp.float_unop op in
-      let ts = tget src in
-      fun _ctx w ->
-        spend w b_compute c;
-        set_tensor w.planes dst (Tensor.map f (ts w.planes));
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let ts = tget src in
+    tile_op ~functional ~dst (tile_cost ~elems ~per_cycle) (fun p into ->
+        Interp.unop_tile ?into op (ts p))
   | Isa.Tile_binop { op; dst; a; b; elems } ->
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
-    if functional then begin
-      let f = Interp.float_binop op in
-      let ta = tget a and tb = tget b in
-      fun _ctx w ->
-        spend w b_compute c;
-        let p = w.planes in
-        set_tensor p dst (Tensor.map2 f (ta p) (tb p));
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let ta = tget a and tb = tget b in
+    tile_op ~functional ~dst (cuda elems) (fun p into ->
+        Interp.binop_tile ?into op (ta p) (tb p))
   | Isa.Tile_cmp { op; dst; a; b; elems } ->
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
-    if functional then begin
-      let pred : float -> float -> bool = fun x y -> Interp.cmp_pred op x y in
-      let ta = tget a and tb = tget b in
-      fun _ctx w ->
-        spend w b_compute c;
-        let p = w.planes in
-        set_tensor p dst (Tensor.cmp pred (ta p) (tb p));
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let pred : float -> float -> bool = fun x y -> Interp.cmp_pred op x y in
+    let ta = tget a and tb = tget b in
+    tile_op ~functional ~dst (cuda elems) (fun p _ -> Tensor.cmp pred (ta p) (tb p))
   | Isa.Tile_select { dst; cond; a; b; elems } ->
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
-    if functional then begin
-      let tc = tget cond and ta = tget a and tb = tget b in
-      fun _ctx w ->
-        spend w b_compute c;
-        let p = w.planes in
-        set_tensor p dst (Tensor.select (tc p) (ta p) (tb p));
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let tc = tget cond and ta = tget a and tb = tget b in
+    tile_op ~functional ~dst (cuda elems) (fun p _ -> Tensor.select (tc p) (ta p) (tb p))
   | Isa.Tile_cast { dst; src; dtype; elems } ->
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
-    if functional then begin
-      let ts = tget src in
-      fun _ctx w ->
-        spend w b_compute c;
-        set_tensor w.planes dst (Tensor.cast dtype (ts w.planes));
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let ts = tget src in
+    tile_op ~functional ~dst (cuda elems) (fun p into -> Tensor.cast ?into dtype (ts p))
   | Isa.Tile_splat { dst; src; shape; dtype } ->
     let elems = List.fold_left ( * ) 1 shape in
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
-    if functional then begin
-      let shape = Array.of_list shape in
-      let fs = fget src in
-      fun _ctx w ->
-        spend w b_compute c;
-        let t = Tensor.create ~dtype shape in
-        Tensor.fill t (fs w.planes);
-        set_tensor w.planes dst t;
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let shape = Array.of_list shape and fs = fget src in
+    tile_op ~functional ~dst (cuda elems) (fun p into ->
+        let t = Tensor.reuse ?into ~dtype shape in
+        Tensor.fill t (fs p);
+        t)
   | Isa.Tile_iota { dst; n } ->
-    let c = tile_cost ~elems:n ~per_cycle:cfg.Config.cuda_elems_per_cycle in
-    if functional then
-      fun _ctx w ->
-        spend w b_compute c;
-        set_tensor w.planes dst
-          (Tensor.init ~dtype:Dtype.I32 [| n |] (fun i -> Float.of_int i.(0)));
-        w.pc <- w.pc + 1
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    tile_op ~functional ~dst (cuda n) (fun _ _ ->
+        Tensor.init ~dtype:Dtype.I32 [| n |] (fun i -> Float.of_int i.(0)))
   | Isa.Tile_bcast { dst; src; shape } ->
-    let elems = List.fold_left ( * ) 1 shape in
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
-    if functional then begin
-      let ts = tget src in
-      fun _ctx w ->
-        spend w b_compute c;
-        set_tensor w.planes dst (Interp.broadcast_to (ts w.planes) shape);
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let ts = tget src in
+    tile_op ~functional ~dst (cuda (List.fold_left ( * ) 1 shape)) (fun p into ->
+        Interp.broadcast_to ?into (ts p) shape)
   | Isa.Tile_reshape { dst; src; shape } ->
-    if functional then begin
-      let shape = Array.of_list shape in
-      let ts = tget src in
-      fun _ctx w ->
-        spend w b_compute sc;
-        set_tensor w.planes dst (Tensor.reshape (ts w.planes) shape);
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute sc;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let shape = Array.of_list shape and ts = tget src in
+    tile_op ~functional ~dst sc (fun p _ -> Tensor.reshape (ts p) shape)
   | Isa.Tile_reduce { kind; axis; dst; src; elems } ->
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.reduce_elems_per_cycle in
-    if functional then begin
-      let ts = tget src in
-      fun _ctx w ->
-        spend w b_compute c;
-        set_tensor w.planes dst (Interp.reduce_tensor kind axis (ts w.planes));
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let ts = tget src in
+    tile_op ~functional ~dst
+      (tile_cost ~elems ~per_cycle:cfg.Config.reduce_elems_per_cycle)
+      (fun p _ -> Interp.reduce_tensor kind axis (ts p))
   | Isa.Tile_trans { dst; src; elems } ->
-    let c = tile_cost ~elems ~per_cycle:cfg.Config.trans_elems_per_cycle in
-    if functional then begin
-      let ts = tget src in
-      fun _ctx w ->
-        spend w b_compute c;
-        set_tensor w.planes dst (Tensor.transpose2 (ts w.planes));
-        w.pc <- w.pc + 1
-    end
-    else
-      fun _ctx w ->
-        spend w b_compute c;
-        set_none w.planes dst;
-        w.pc <- w.pc + 1
+    let ts = tget src in
+    tile_op ~functional ~dst
+      (tile_cost ~elems ~per_cycle:cfg.Config.trans_elems_per_cycle)
+      (fun p _ -> Tensor.transpose2 (ts p))
   | Isa.Tma_load { desc; offs; dst; rows; cols; dtype; full } ->
     let issue = cfg.Config.tma_issue_cycles in
     let bytes = Float.of_int (Sim.bytes_of ~rows ~cols dtype) in
@@ -1147,7 +1078,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         | Some buf ->
           let r0 = i0 p in
           let c0 = i1 p in
-          set_tensor p dst (Tensor.slice2 ~dtype buf ~r0 ~c0 ~rows ~cols)
+          set_owned p dst (Tensor.slice2 ~dtype buf ~r0 ~c0 ~rows ~cols)
         | None -> err "sim: functional ldg without buffer");
         w.pc <- w.pc + 1
     end
@@ -1169,6 +1100,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         spend w b_tma cost;
         let t = smem_get ctx alloc (islot w.planes) in
         let t = if transposed then Tensor.transpose2 t else t in
+        (* [set_tensor] disowns: [dst] shares the SMEM tile. *)
         set_tensor w.planes dst t;
         w.pc <- w.pc + 1
     end
@@ -1186,10 +1118,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let ts = tget src in
       let alloc = dst.Isa.alloc in
       let islot = iget dst.Isa.slot in
+      let src_reg = match src with Isa.Reg r -> r | Isa.Imm _ | Isa.Fimm _ -> -1 in
       fun ctx w ->
         spend w b_tma cost;
         let p = w.planes in
         smem_set ctx alloc (islot p) (ts p);
+        (* SMEM now holds the source's tile. *)
+        if src_reg >= 0 then disown p src_reg;
         w.pc <- w.pc + 1
     end
     else
@@ -1213,7 +1148,9 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         | Some buf ->
           let r0 = i0 p in
           let c0 = i1 p in
-          Tensor.blit2 ~dst:buf ~r0 ~c0 (Tensor.cast d.Sim.ddtype (ts p))
+          let t = ts p in
+          Tensor.blit2 ~dst:buf ~r0 ~c0
+            (if Tensor.dtype t = d.Sim.ddtype then t else Tensor.cast d.Sim.ddtype t)
         | None -> err "sim: functional store without buffer");
         w.pc <- w.pc + 1
     end
@@ -1277,7 +1214,9 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       w.c.wopen <- start +. dur
     in
     if functional then begin
-      let compile_src (s : Isa.wgmma_src) : ectx -> wg -> Tensor.t =
+      (* A transposed SMEM view of B is read in place by [dot_tiles]. *)
+      let trans_b = match b with Isa.Wsmem v -> v.Isa.transposed | Isa.Wreg _ -> false in
+      let compile_src ~in_place (s : Isa.wgmma_src) : ectx -> wg -> Tensor.t =
         match s with
         | Isa.Wreg r ->
           fun _ctx w ->
@@ -1293,9 +1232,9 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
           let transposed = v.Isa.transposed in
           fun ctx w ->
             let t = smem_get ctx alloc (islot w.planes) in
-            if transposed then Tensor.transpose2 t else t
+            if transposed && not in_place then Tensor.transpose2 t else t
       in
-      let ra = compile_src a and rb = compile_src b in
+      let ra = compile_src ~in_place:false a and rb = compile_src ~in_place:true b in
       fun ctx w ->
         timing ctx w;
         let ta = ra ctx w in
@@ -1308,7 +1247,14 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
             | _ -> err "sim: wgmma accumulator is not a tile"
           else err "sim: wgmma accumulator is not a tile"
         in
-        set_tensor p acc (Interp.dot_tiles ta tb tacc);
+        (* Accumulate in place only into an owned tile that is
+           neither operand. *)
+        let into =
+          match owned_tile p acc with
+          | Some t when t != ta && t != tb -> Some t
+          | _ -> None
+        in
+        set_owned p acc (Interp.dot_tiles ?into ~trans_b ta tb tacc);
         w.pc <- w.pc + 1
     end
     else

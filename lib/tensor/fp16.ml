@@ -49,27 +49,45 @@ let of_float32_bits (x : int) : bits =
       let q = m lsr 13 in
       let rem = m land 0x1fff in
       let base = sign lor (e' lsl 10) lor q in
-      (* A mantissa carry propagating into the exponent, possibly up to
-         infinity, is exactly what IEEE rounding requires. *)
-      if rem > 0x1000 || (rem = 0x1000 && q land 1 = 1) then base + 1
-      else base
+      (* Round up iff rem > 0x1000, or rem = 0x1000 and q is odd: the
+         sum below reaches 0x2000 exactly then. Branch-free, because on
+         real data the decision is a coin flip. A mantissa carry
+         propagating into the exponent, possibly up to infinity, is
+         exactly what IEEE rounding requires. *)
+      base + ((rem + 0xfff + (q land 1)) lsr 13)
     end
 
-let of_float (f : float) : bits =
+let[@inline] of_float (f : float) : bits =
   (* Double -> single is itself RNE; the residual double-rounding error
      cannot occur for binary16 because binary32 keeps 13 extra bits. *)
   of_float32_bits (Int32.to_int (Int32.bits_of_float f) land 0xffffffff)
 
-let to_float (h : bits) : float =
-  let sign = if h land sign_mask <> 0 then -1.0 else 1.0 in
+(* [scale.(e)] is the weight of the mantissa's last bit at exponent
+   field [e]: 2^(e-25), and 2^-24 for subnormals (e = 0). Powers of two
+   are exact, so reading them from a table instead of calling [**]
+   leaves every product unchanged. *)
+let scale = Array.init 32 (fun e -> 2. ** Float.of_int (max e 1 - 25))
+
+let[@inline] to_float (h : bits) : float =
+  (* -1.0 or 1.0 without a branch on the sign bit. *)
+  let sign = Float.of_int (1 - ((h lsr 14) land 2)) in
   let e = (h lsr 10) land 0x1f in
   let m = h land man_mask in
   if e = 31 then if m <> 0 then Float.nan else sign *. Float.infinity
-  else if e = 0 then sign *. Float.of_int m *. (2. ** -24.)
-  else sign *. Float.of_int (m lor 0x400) *. (2. ** Float.of_int (e - 25))
+  else if e = 0 then sign *. Float.of_int m *. Array.unsafe_get scale 0
+  else sign *. Float.of_int (m lor 0x400) *. Array.unsafe_get scale e
 
 (** Quantize a float to the nearest representable binary16 value. *)
-let round (f : float) : float = to_float (of_float f)
+let[@inline] round (f : float) : float = to_float (of_float f)
+
+(** [round_span src ~soff dst ~doff ~len] stores [round src.(soff+i)]
+    into [dst.(doff+i)]; the caller checks the span. [round] inlines
+    here, so the loop boxes no float, which a call into this module
+    from another one would. *)
+let round_span (src : float array) ~soff (dst : float array) ~doff ~len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (doff + i) (round (Array.unsafe_get src (soff + i)))
+  done
 
 (** True iff [f] is exactly representable in binary16. *)
 let representable (f : float) : bool =

@@ -43,6 +43,14 @@ let create ?(dtype = Dtype.F32) shape =
     data = Array.make (numel_of_shape shape) 0.0;
   }
 
+(** [into] when it is a [dtype] tensor of [shape], else a fresh zero
+    tensor: the destination of a kernel that may overwrite a payload
+    its caller owns. *)
+let reuse ?into ~dtype shape =
+  match into with
+  | Some o when o.dtype = dtype && o.shape = shape -> o
+  | _ -> create ~dtype shape
+
 let numel t = Array.length t.data
 let dtype t = t.dtype
 let shape t = Array.copy t.shape
@@ -135,10 +143,7 @@ let store_slice ~(dst : t) ~doff (src : float array) ~soff ~len =
   let d = dst.data in
   match dst.dtype with
   | Dtype.F32 -> Array.blit src soff d doff len
-  | Dtype.F16 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i) (Fp16.round (Array.unsafe_get src (soff + i)))
-    done
+  | Dtype.F16 -> Fp16.round_span src ~soff d ~doff ~len
   | Dtype.F8E4M3 ->
     for i = 0 to len - 1 do
       Array.unsafe_set d (doff + i) (Fp8.round (Array.unsafe_get src (soff + i)))
@@ -245,16 +250,13 @@ let reduce_slice f ~init (t : t) ~off ~len =
     done);
   !acc
 
-let cast dtype t =
-  if dtype = t.dtype then
-    (* Payload already quantized at [dtype]: a raw copy is identical. *)
-    { t with shape = Array.copy t.shape; strides = Array.copy t.strides;
-             data = Array.copy t.data }
-  else begin
-    let out = create ~dtype t.shape in
-    store_slice ~dst:out ~doff:0 t.data ~soff:0 ~len:(numel t);
-    out
-  end
+let cast ?into dtype t =
+  let out = reuse ?into ~dtype t.shape in
+  (* Same dtype: the payload is already quantized at [dtype], so a raw
+     copy is identical. *)
+  if dtype = t.dtype then Array.blit t.data 0 out.data 0 (numel t)
+  else store_slice ~dst:out ~doff:0 t.data ~soff:0 ~len:(numel t);
+  out
 
 (* Bulk elementwise kernels. The [quantize] dispatch is hoisted out of
    the element loop into one dtype match around dtype-specialized
@@ -262,8 +264,9 @@ let cast dtype t =
    its loop body is a raw array write. Value-identical to quantizing
    per element. *)
 
-let map f t =
-  let out = create ~dtype:t.dtype t.shape in
+(* [map_into f ~dst t] writes [map f t] into [dst], which has [t]'s
+   dtype and extent and may be [t] itself. *)
+let map_into f ~dst:out t =
   let n = Array.length t.data in
   let src = t.data and dst = out.data in
   (match t.dtype with
@@ -286,12 +289,17 @@ let map f t =
   | Dtype.I1 ->
     for i = 0 to n - 1 do
       dst.(i) <- (if f src.(i) <> 0.0 then 1.0 else 0.0)
-    done);
+    done)
+
+let map f t =
+  let out = create ~dtype:t.dtype t.shape in
+  map_into f ~dst:out t;
   out
 
-let map2 f a b =
+(* [map2_into f ~dst a b] writes [map2 f a b] into [dst], which has
+   [a]'s dtype and extent and may be [a] or [b]. *)
+let map2_into f ~dst:out a b =
   if not (shape_equal a b) then invalid_arg "Tensor.map2: shape mismatch";
-  let out = create ~dtype:a.dtype a.shape in
   let n = Array.length a.data in
   let xa = a.data and xb = b.data and dst = out.data in
   (match a.dtype with
@@ -314,7 +322,11 @@ let map2 f a b =
   | Dtype.I1 ->
     for i = 0 to n - 1 do
       dst.(i) <- (if f xa.(i) xb.(i) <> 0.0 then 1.0 else 0.0)
-    done);
+    done)
+
+let map2 f a b =
+  let out = create ~dtype:a.dtype a.shape in
+  map2_into f ~dst:out a b;
   out
 
 (** Elementwise predicate into a fresh I1 mask: [cmp pred a b].(i) is 1.0
@@ -445,13 +457,16 @@ let blit2 ~dst ~r0 ~c0 tile =
         done
     done
 
+(* The payload is already quantized at its own dtype, so moving it
+   needs no requantize. *)
 let transpose2 t =
   if rank t <> 2 then invalid_arg "Tensor.transpose2: rank <> 2";
   let rows = dim t 0 and cols = dim t 1 in
   let out = create ~dtype:t.dtype [| cols; rows |] in
+  let s = t.data and d = out.data in
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do
-      set2 out j i (get2 t i j)
+      Array.unsafe_set d ((j * rows) + i) (Array.unsafe_get s ((i * cols) + j))
     done
   done;
   out

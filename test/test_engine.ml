@@ -548,6 +548,106 @@ let test_decode_precision () =
         strategies digests)
     pins
 
+(* ------------------------------------------------------------------ *)
+(* Tile ownership: payload reuse never writes a tile that escaped      *)
+(* ------------------------------------------------------------------ *)
+
+(* A payload op overwrites the tile its destination register owns. In
+   each program a 4x4 f32 tile held by r5 escapes its register through
+   one instruction. Then the register holding it is overwritten by a
+   reusing op, and the escaped copy is stored to the output buffer
+   (parameter r0), so a reuse that wrote the escaped tile shows there.
+   The oracle never reuses; the engine must match it, output and input
+   buffer (parameter r2) alike. *)
+let own_shape = [ 4; 4 ]
+let own_slot = { Isa.alloc = 0; slot = Isa.Imm 0 }
+let own_splat dst v =
+  Isa.Tile_splat { dst; src = Isa.Fimm v; shape = own_shape; dtype = Dtype.F32 }
+
+let own_lds dst =
+  Isa.Lds { dst; src = Isa.view_of_slot own_slot; shape = own_shape; dtype = Dtype.F32 }
+
+let own_sts src = Isa.Sts { src = Isa.Reg src; dst = own_slot; elems = 16; dtype = Dtype.F32 }
+
+(* The reusing ops, each writing register [w] with a 4x4 f32 tile.
+   r8 and r10 are 4x4 operands, r9 a 4x1 column. *)
+let own_overwrites =
+  [ ("unop", fun w -> [ Isa.Tile_unop { op = Op.Neg; dst = w; src = Isa.Reg w; elems = 16 } ]);
+    ( "binop",
+      fun w ->
+        [ Isa.Tile_binop { op = Op.Add; dst = w; a = Isa.Reg w; b = Isa.Reg 8; elems = 16 } ] );
+    ( "cast",
+      fun w -> [ Isa.Tile_cast { dst = w; src = Isa.Reg 8; dtype = Dtype.F32; elems = 16 } ] );
+    ("bcast", fun w -> [ Isa.Tile_bcast { dst = w; src = Isa.Reg 9; shape = own_shape } ]);
+    ("splat", fun w -> [ own_splat w 7.0 ]);
+    ( "wgmma",
+      fun w ->
+        [ Isa.Wgmma
+            { a = Isa.Wreg 8; b = Isa.Wreg 10; acc = w; m = 4; n = 4; k = 4; dtype = Dtype.F16 };
+          Isa.Wgmma_commit; Isa.Wgmma_wait 0 ] ) ]
+
+(* Escapes: the instructions that let r5's tile escape, the register
+   then overwritten, the instructions that fetch the escaped copy, and
+   the register they leave it in. The "(dst)" forms overwrite a
+   copy's destination, which owned a tile before the copy. *)
+let own_escapes =
+  [ ("mov", [ Isa.Mov { dst = 6; src = Isa.Reg 5 } ], 5, [], 6);
+    ("mov (dst)", [ own_splat 6 4.0; Isa.Mov { dst = 6; src = Isa.Reg 5 } ], 6, [], 5);
+    ("sel", [ Isa.Sel { dst = 6; cond = Isa.Imm 1; a = Isa.Reg 5; b = Isa.Reg 8 } ], 5, [], 6);
+    ( "sel (dst)",
+      [ own_splat 6 4.0; Isa.Sel { dst = 6; cond = Isa.Imm 0; a = Isa.Reg 8; b = Isa.Reg 5 } ],
+      6, [], 5 );
+    ("sts", [ own_sts 5 ], 5, [ own_lds 6 ], 6);
+    ("lds", [ own_splat 7 3.0; own_sts 7; own_lds 5 ], 5, [ own_lds 6 ], 6);
+    ( "mkdesc",
+      [ Isa.Mkdesc { dst = 6; ptr = Isa.Reg 5; sizes = []; strides = []; dtype = Dtype.F32 } ],
+      5,
+      [ Isa.Ldg { dst = 7; desc = Isa.Reg 6; offs = [ Isa.Imm 0; Isa.Imm 0 ]; rows = 4; cols = 4;
+                  dtype = Dtype.F32 } ],
+      7 );
+    (* A parameter register binds the caller's input buffer. *)
+    ("param", [], 2, [], 8) ]
+
+let own_program ~escape ~overwrite ~w ~fetch ~stored =
+  mk_program ~param_tys:[ Types.ptr Dtype.F32; Types.i32; Types.ptr Dtype.F32 ]
+    ~allocs:[ { Isa.alloc_id = 0; slots = 1; bytes_per_slot = 64; label = "own" } ]
+    [ stream
+        ([ Isa.Mkdesc { dst = 1; ptr = Isa.Reg 0; sizes = []; strides = []; dtype = Dtype.F32 };
+           own_splat 5 1.0; own_splat 8 2.0; own_splat 10 0.25;
+           Isa.Tile_splat { dst = 9; src = Isa.Fimm 0.5; shape = [ 4; 1 ]; dtype = Dtype.F32 } ]
+        @ escape @ overwrite w @ fetch
+        @ [ Isa.Stg { desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ]; src = Isa.Reg stored;
+                      rows = 4; cols = 4 };
+            Isa.Exit ]) ]
+
+let own_diff program =
+  grid_functional_diff program ~grid:(1, 1, 1) ~params:(fun () ->
+      let input = Tensor.create ~dtype:Dtype.F32 [| 4; 4 |] in
+      Tensor.fill input 1.5;
+      [ Sim.Rtensor (Tensor.create ~dtype:Dtype.F32 [| 4; 4 |]); Sim.Rint 0; Sim.Rtensor input ])
+
+let test_ownership_escape (name, escape, w, fetch, stored) () =
+  List.iter
+    (fun (op, overwrite) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s escape, %s overwrite: decoded == oracle" name op)
+        true
+        (own_diff (own_program ~escape ~overwrite ~w ~fetch ~stored)))
+    own_overwrites
+
+(* A wgmma whose operand is its own accumulator must not accumulate in
+   place: the product reads the operand while the sums are written. *)
+let test_ownership_wgmma_alias () =
+  List.iter
+    (fun (name, a, b) ->
+      Alcotest.(check bool) name true
+        (own_diff
+           (own_program ~escape:[] ~w:5 ~fetch:[] ~stored:5 ~overwrite:(fun w ->
+                [ Isa.Wgmma { a; b; acc = w; m = 4; n = 4; k = 4; dtype = Dtype.F16 };
+                  Isa.Wgmma_commit; Isa.Wgmma_wait 0 ]))))
+    [ ("acc is A", Isa.Wreg 5, Isa.Wreg 8); ("acc is B", Isa.Wreg 8, Isa.Wreg 5);
+      ("acc is A and B", Isa.Wreg 5, Isa.Wreg 5) ]
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -573,4 +673,11 @@ let suites =
         Alcotest.test_case "decode precision pinned" `Quick test_decode_precision;
       ] );
     ("engine.planes", qsuite [ prop_planes_model ]);
+    ( "engine.ownership",
+      List.map
+        (fun ((name, _, _, _, _) as e) ->
+          Alcotest.test_case (name ^ " escape") `Quick (test_ownership_escape e))
+        own_escapes
+      @ [ Alcotest.test_case "wgmma operand is the accumulator" `Quick
+            test_ownership_wgmma_alias ] );
   ]

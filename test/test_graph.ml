@@ -330,6 +330,33 @@ let test_tunestore_autoconfig () =
             (nr.Graph.nr_cycles = run_s.Graph.r_nodes.(i).Graph.nr_cycles))
         run_g.Graph.r_nodes)
 
+(* ------------------------------------------------------------------ *)
+(* Functional output bits                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of every output's name and payload bits, in order, after one
+   replay. Recorded before the functional payload kernels were
+   rewritten (register blocking, in-place reuse); any change to a
+   single output bit moves a digest. *)
+let payload_md5 outputs =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, (t : Tensor.t)) ->
+      Buffer.add_string b name;
+      Array.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) t.Tensor.data)
+    outputs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_gallery_digests () =
+  List.iter
+    (fun (build, want) ->
+      let demo = build () in
+      ignore (Graph.replay (Graph.instantiate demo.Gallery.d_graph));
+      Alcotest.(check string) demo.Gallery.d_name want (payload_md5 demo.Gallery.d_outputs))
+    [ (Gallery.attention_block, "f0ba83bb7cb0a0f209c23c2db7d18afb");
+      (Gallery.split_k, "269706111e49dabc30b1d425e9b52661");
+      (Gallery.moe, "21b411ef0dea670883310ff692f820f2") ]
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -365,5 +392,6 @@ let suites =
           test_replay_decodes_once;
         Alcotest.test_case "tunestore auto-configures nodes" `Quick
           test_tunestore_autoconfig;
+        Alcotest.test_case "gallery output bits pinned" `Quick test_gallery_digests;
       ] );
   ]

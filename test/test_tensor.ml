@@ -74,6 +74,16 @@ let test_fp16_round_to_even () =
   check_float "tie up" (1.0 +. (2. ** -9.))
     (Fp16.round (1.0 +. (2. ** -10.) +. (2. ** -11.)))
 
+(* The decode formula [Fp16.to_float] used before its power-of-two
+   table: [**] on every element. *)
+let fp16_to_float_pow (h : int) =
+  let sign = if h land 0x8000 <> 0 then -1.0 else 1.0 in
+  let e = (h lsr 10) land 0x1f in
+  let m = h land 0x3ff in
+  if e = 31 then if m <> 0 then Float.nan else sign *. Float.infinity
+  else if e = 0 then sign *. Float.of_int m *. (2. ** -24.)
+  else sign *. Float.of_int (m lor 0x400) *. (2. ** Float.of_int (e - 25))
+
 let test_fp16_exhaustive_roundtrip () =
   (* Every finite half value must decode/encode to itself. *)
   for bits = 0 to 0xffff do
@@ -83,7 +93,64 @@ let test_fp16_exhaustive_roundtrip () =
       if bits' <> bits then
         Alcotest.failf "fp16 roundtrip: %#x -> %g -> %#x" bits f bits'
     end
+  done;
+  (* The table decode equals the [**] formula on all 65,536 patterns,
+     bit for bit; NaNs compare as a class. *)
+  for bits = 0 to 0xffff do
+    let got = Fp16.to_float bits and want = fp16_to_float_pow bits in
+    if
+      not
+        ((Float.is_nan got && Float.is_nan want)
+        || Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want))
+    then Alcotest.failf "fp16 decode: %#x -> %h, formula %h" bits got want
   done
+
+(* The binary32 -> binary16 encoder as written before its round-up
+   decision went branch-free. *)
+let fp16_of_float32_bits_branchy (x : int) =
+  let sign = (x lsr 16) land 0x8000 in
+  let e = (x lsr 23) land 0xff in
+  let m = x land 0x7fffff in
+  if e = 255 then sign lor 0x7c00 lor (if m <> 0 then 0x200 else 0)
+  else
+    let e' = e - 127 + 15 in
+    if e' >= 31 then sign lor 0x7c00
+    else if e' <= 0 then
+      if e' < -10 then sign
+      else begin
+        let m = m lor 0x800000 in
+        let shift = 14 - e' in
+        let q = m lsr shift in
+        let rem = m land ((1 lsl shift) - 1) in
+        let half = 1 lsl (shift - 1) in
+        sign lor (if rem > half || (rem = half && q land 1 = 1) then q + 1 else q)
+      end
+    else begin
+      let q = m lsr 13 in
+      let rem = m land 0x1fff in
+      let base = sign lor (e' lsl 10) lor q in
+      if rem > 0x1000 || (rem = 0x1000 && q land 1 = 1) then base + 1 else base
+    end
+
+let test_fp16_branch_free_rounding () =
+  (* Every discarded 13-bit remainder, with both parities of the kept
+     mantissa, both signs, and exponents from the smallest normal half
+     to the one that carries into infinity. *)
+  List.iter
+    (fun e ->
+      List.iter
+        (fun q ->
+          for rem = 0 to 0x1fff do
+            List.iter
+              (fun sign ->
+                let x = (sign lsl 31) lor (e lsl 23) lor (q lsl 13) lor rem in
+                let got = Fp16.of_float32_bits x and want = fp16_of_float32_bits_branchy x in
+                if got <> want then
+                  Alcotest.failf "fp16 encode: %#x -> %#x, reference %#x" x got want)
+              [ 0; 1 ]
+          done)
+        [ 0; 1; 0x2aa; 0x3fe; 0x3ff ])
+    [ 113; 120; 127; 135; 142; 143 ]
 
 let prop_fp16_idempotent =
   QCheck.Test.make ~name:"fp16 round idempotent" ~count:2000
@@ -481,6 +548,154 @@ let prop_gemm_bit_identical_to_textbook =
       done;
       Tensor.equal (Reference.gemm a b) expect)
 
+(* --------------------- tile payload kernels ---------------------- *)
+
+(* The engine and the test oracle share [Interp]'s tile kernels, so the
+   engine-vs-oracle differential cannot see a change in them; these
+   properties pin each kernel to its scalar definition, bit for bit. *)
+
+module Interp = Tawa_ir.Interp
+module Op = Tawa_ir.Op
+
+let same_bits (x : Tensor.t) (y : Tensor.t) =
+  Tensor.dtype x = Tensor.dtype y
+  && Tensor.shape x = Tensor.shape y
+  && Array.for_all2
+       (fun u v -> Int64.equal (Int64.bits_of_float u) (Int64.bits_of_float v))
+       x.Tensor.data y.Tensor.data
+
+(* The i-j-p loop: each element starts from its [acc] cell, adds its
+   products with p ascending, and is quantized once. *)
+let dot_ijp a b acc =
+  let m = Tensor.dim a 0 and k = Tensor.dim a 1 and n = Tensor.dim b 1 in
+  let out = Tensor.create ~dtype:(Tensor.dtype acc) [| m; n |] in
+  for i = 0 to m - 1 do
+    for j = 0 to n - 1 do
+      let s = ref (Tensor.get2 acc i j) in
+      for p = 0 to k - 1 do
+        s := !s +. (Tensor.get2 a i p *. Tensor.get2 b p j)
+      done;
+      Tensor.set2 out i j !s
+    done
+  done;
+  out
+
+let prop_dot_tiles_matches_ijp =
+  QCheck.Test.make ~name:"dot_tiles = i-j-p loop + one quantize (B, B^T, in place)"
+    ~count:300
+    QCheck.(
+      pair
+        (pair (int_range 1 9) (pair (int_range 1 11) (int_range 0 9)))
+        (pair (pair (int_range 0 2) (int_range 0 2)) small_int))
+    (fun ((m, (n, k)), ((ii, ai), seed)) ->
+      let idt = slice_dt ii and adt = slice_dt ai in
+      let a = Tensor.random ~dtype:idt ~seed:(seed + 1) [| m; k |] in
+      let b = Tensor.random ~dtype:idt ~seed:(seed + 2) [| k; n |] in
+      let acc = Tensor.random ~dtype:adt ~seed:(seed + 3) ~lo:(-4.0) ~hi:4.0 [| m; n |] in
+      let want = dot_ijp a b acc in
+      let plain = Interp.dot_tiles a b acc in
+      let trans = Interp.dot_tiles ~trans_b:true a (Tensor.transpose2 b) acc in
+      let cell = Tensor.cast adt acc in
+      let in_place = Interp.dot_tiles ~into:cell a b cell in
+      same_bits plain want && same_bits trans want && in_place == cell
+      && same_bits in_place want)
+
+(* The index-decoding broadcast loop. *)
+let broadcast_scalar t shape =
+  let src = Tensor.shape t in
+  Tensor.init ~dtype:(Tensor.dtype t) (Array.of_list shape) (fun idx ->
+      Tensor.get t (Array.mapi (fun i d -> if src.(i) = 1 then 0 else d) idx))
+
+let prop_broadcast_matches_scalar =
+  QCheck.Test.make ~name:"broadcast_to = index-decoding loop" ~count:300
+    QCheck.(
+      pair (pair (int_range 1 7) (int_range 1 9))
+        (pair (int_range 0 4) (pair (int_range 0 2) small_int)))
+    (fun ((m, n), (form, (di, seed))) ->
+      let dtype = slice_dt di in
+      let src, target =
+        match form with
+        | 0 -> ([| m; 1 |], [ m; n ])
+        | 1 -> ([| 1; n |], [ m; n ])
+        | 2 -> ([| m; n |], [ m; n ])
+        | 3 -> ([| 1; 1 |], [ m; n ])
+        | _ -> ([| 1 |], [ n ])
+      in
+      let t = Tensor.random ~dtype ~seed ~lo:(-4.0) ~hi:4.0 src in
+      let want = broadcast_scalar t target in
+      let into = Tensor.random ~dtype ~seed:(seed + 9) (Array.of_list target) in
+      let fresh = Interp.broadcast_to t target in
+      let reused = Interp.broadcast_to ~into t target in
+      let self = Interp.broadcast_to ~into:t t target in
+      same_bits fresh want && reused == into && same_bits reused want && self != t
+      && same_bits self want)
+
+let prop_transpose_matches_scalar =
+  QCheck.Test.make ~name:"transpose2 = get2/set2 loop" ~count:200
+    QCheck.(pair (pair (int_range 0 9) (int_range 0 9)) (pair (int_range 0 2) small_int))
+    (fun ((m, n), (di, seed)) ->
+      let dtype = slice_dt di in
+      let t = Tensor.random ~dtype ~seed ~lo:(-4.0) ~hi:4.0 [| m; n |] in
+      let want = Tensor.create ~dtype [| n; m |] in
+      for i = 0 to m - 1 do
+        for j = 0 to n - 1 do
+          Tensor.set2 want j i (Tensor.get2 t i j)
+        done
+      done;
+      same_bits (Tensor.transpose2 t) want)
+
+(* F32 operands salted with the values on which ops differ: signed
+   zeros, NaN, infinities, equal pairs. *)
+let salted_f32 ~seed m n =
+  let x = Tensor.random ~seed ~lo:(-6.0) ~hi:6.0 [| m; n |] in
+  let y = Tensor.random ~seed:(seed + 1) ~lo:(-6.0) ~hi:6.0 [| m; n |] in
+  let salt =
+    [| (0.0, -0.0); (-0.0, 0.0); (Float.nan, 1.0); (2.0, Float.nan); (Float.infinity, 3.0);
+       (-1.5, Float.neg_infinity); (2.5, 2.5) |]
+  in
+  Array.iteri
+    (fun i (u, v) ->
+      let at = ((seed * 7) + (i * 5)) mod (m * n) in
+      x.Tensor.data.(at) <- u;
+      y.Tensor.data.(at) <- v)
+    salt;
+  (x, y)
+
+let prop_f32_loops_match_generic =
+  QCheck.Test.make ~name:"F32 unop/binop/reduce loops = map/map2/reduce_slice" ~count:100
+    QCheck.(pair (pair (int_range 1 6) (int_range 1 9)) small_int)
+    (fun ((m, n), seed) ->
+      let x, y = salted_f32 ~seed m n in
+      let unop op =
+        let want = Tensor.map (Interp.float_unop op) x in
+        same_bits (Interp.unop_tile op x) want
+        && same_bits (Interp.unop_tile ~into:(Tensor.copy x) op x) want
+        && (let self = Tensor.copy x in
+            Interp.unop_tile ~into:self op self == self && same_bits self want)
+      in
+      let binop op =
+        let want = Tensor.map2 (Interp.float_binop op) x y in
+        same_bits (Interp.binop_tile op x y) want
+        && (let a = Tensor.copy x in
+            Interp.binop_tile ~into:a op a y == a && same_bits a want)
+        && (let b = Tensor.copy y in
+            Interp.binop_tile ~into:b op x b == b && same_bits b want)
+      in
+      let reduce (kind, init, op) =
+        let want = Tensor.create [| m |] in
+        for g = 0 to m - 1 do
+          want.Tensor.data.(g) <-
+            Tensor.reduce_slice (Interp.float_binop op) ~init x ~off:(g * n) ~len:n
+        done;
+        same_bits (Interp.reduce_tensor kind 1 x) want
+      in
+      List.for_all unop Op.[ Neg; Exp; Exp2; Log; Log2; Sqrt; Rsqrt; Abs; Not ]
+      && List.for_all binop Op.[ Add; Sub; Mul; Div; Rem; Min; Max; And; Or; Xor ]
+      && List.for_all reduce
+           Op.
+             [ (Red_max, Float.neg_infinity, Max); (Red_min, Float.infinity, Min);
+               (Red_sum, 0.0, Add) ])
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -499,6 +714,7 @@ let suites =
         Alcotest.test_case "nan" `Quick test_fp16_nan;
         Alcotest.test_case "round to even" `Quick test_fp16_round_to_even;
         Alcotest.test_case "exhaustive roundtrip" `Quick test_fp16_exhaustive_roundtrip;
+        Alcotest.test_case "branch-free rounding" `Quick test_fp16_branch_free_rounding;
       ] );
     qsuite "tensor.fp16.props" [ prop_fp16_idempotent; prop_fp16_monotone; prop_fp16_error_bound ];
     ( "tensor.fp8",
@@ -538,5 +754,7 @@ let suites =
       [ prop_blit_slice_matches_scalar; prop_axpy_slice_matches_scalar;
         prop_axpy_raw_matches_scalar; prop_store_slice_matches_scalar;
         prop_reduce_slice_matches_scalar; prop_cast_matches_scalar;
-        prop_gemm_bit_identical_to_textbook ];
+        prop_gemm_bit_identical_to_textbook; prop_dot_tiles_matches_ijp;
+        prop_broadcast_matches_scalar; prop_transpose_matches_scalar;
+        prop_f32_loops_match_generic ];
   ]

@@ -126,7 +126,9 @@ let at_least_1 flag v =
 (** Build the [Flow.options] a subcommand compiles with. Under
     --sw-pipeline the aref depth mirrors the stage count (the software
     pipeline's buffering takes the place of the aref ring). Depths,
-    stage counts and the consumer count must be at least 1. *)
+    stage counts and the consumer count must be at least 1, and a
+    warp-specialized build needs P <= D: P > D deadlocks on slot reuse
+    (§III-D.1), so the autotuner never proposes it. *)
 let options_of ?sw:(sw_stages = None) ?(naive = false) ~d ~p ~coop ~persistent
     ~coarse () : Flow.options =
   at_least_1 "-D (aref depth)" d;
@@ -134,6 +136,10 @@ let options_of ?sw:(sw_stages = None) ?(naive = false) ~d ~p ~coop ~persistent
   at_least_1 "--coop" coop;
   Option.iter (at_least_1 "--sw-pipeline") sw_stages;
   let strategy = strategy_of ~sw:sw_stages ~naive in
+  if strategy = Flow.Warp_specialized && p > d then
+    raise
+      (Bad_flag
+         (Printf.sprintf "-P (MMA depth) must not exceed -D (aref depth), got P=%d > D=%d" p d));
   let d = match strategy with Flow.Sw_pipelined stages -> stages | _ -> d in
   { Flow.aref_depth = d; mma_depth = p;
     num_consumer_wgs = coop; persistent; use_coarse = coarse; strategy }

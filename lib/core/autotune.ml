@@ -407,6 +407,10 @@ let search ?(cfg = Config.h100) ?limits ?store (family : family) : result =
     let verdicts =
       List.map (fun c -> (c, prune_reason ?limits family c)) cands
     in
+    (* Every candidate is compiled, and measuring recompiles through
+       the compile cache: drop the pass prefixes the candidates shared
+       instead of keeping their kernels alive next to the programs. *)
+    Tawa_passes.Manager.clear_cache ();
     let feasible =
       List.filter_map
         (fun (c, v) -> match v with None -> Some c | Some _ -> None)

@@ -69,14 +69,15 @@ let cache : cache_entry Progcache.t = Progcache.create ~name:"flow.compile" ()
 (** Hit/miss counters of the compiled-program cache. *)
 let cache_stats () = Progcache.stats cache
 
-let clear_cache () = Progcache.clear cache
+(** Empty the compile cache and the pass prefixes {!Manager.compile}
+    shares, so the next compile of any kernel starts cold. *)
+let clear_cache () =
+  Progcache.clear cache;
+  Manager.clear_cache ()
 
 let options_key (o : options) =
   Printf.sprintf "d%d.p%d.c%d.%b.%b.%s" o.aref_depth o.mma_depth
     o.num_consumer_wgs o.persistent o.use_coarse (strategy_key o.strategy)
-
-let cache_key kernel ~opts =
-  Printf.sprintf "%s|%s" (Progcache.kernel_fingerprint kernel) opts
 
 let hit kernel (e : cache_entry) options =
   {
@@ -99,7 +100,10 @@ let check_compiled (c : compiled) : Tawa_analysis.Diagnostic.t list =
    it; compilation runs no analysis implicitly. *)
 let maybe_env_check (c : compiled) = c
 
-let build_entry (options : options) (kernel : Kernel.t) : cache_entry =
+(** Compile [kernel] without the compile cache. [fingerprint], when
+    given, is [kernel]'s {!Progcache.kernel_fingerprint}, which the
+    pass pipeline keys its shared prefixes on. *)
+let build_entry ?fingerprint (options : options) (kernel : Kernel.t) : cache_entry =
   match options.strategy with
   | Warp_specialized ->
     let mopts =
@@ -112,7 +116,7 @@ let build_entry (options : options) (kernel : Kernel.t) : cache_entry =
         use_coarse = options.use_coarse;
       }
     in
-    let r = Manager.compile ~options:mopts kernel in
+    let r = Manager.compile ?fingerprint ~options:mopts kernel in
     let program = Codegen.lower r.Manager.kernel in
     { e_transformed = r.Manager.kernel; e_program = program;
       e_ws = r.Manager.warp_specialized; e_coarse = r.Manager.coarse }
@@ -139,8 +143,9 @@ let build_entry (options : options) (kernel : Kernel.t) : cache_entry =
     strategy participates in the key, so baselines never alias the
     warp-specialized build. *)
 let compile ?(options = default_options) (kernel : Kernel.t) : compiled =
-  let key = cache_key kernel ~opts:(options_key options) in
-  let e = Progcache.find_or_add cache ~key (fun () -> build_entry options kernel) in
+  let fingerprint = Progcache.kernel_fingerprint kernel in
+  let key = Printf.sprintf "%s|%s" fingerprint (options_key options) in
+  let e = Progcache.find_or_add cache ~key (fun () -> build_entry ~fingerprint options kernel) in
   hit kernel e options
 
 let dump_ir ?ids (c : compiled) = Printer.kernel_to_string ?ids c.transformed

@@ -1426,6 +1426,10 @@ let ajoin (a : char) b =
   else if a >= a_desc && b >= a_desc then a_desc
   else a_any
 
+(* [ajoin] tabulated for the fixpoint's inner loop: the join of tags
+   [a] and [b] is at [a * 16 + b]. *)
+let join_tbl = Bytes.init 256 (fun i -> ajoin (Char.chr (i lsr 4)) (Char.chr (i land 15)))
+
 (* Decode-time assumptions about launch parameters, derived from
    [program.param_tys]. [make_ctx] re-checks the actual [Sim.rt]
    values against these and falls back to the unoptimized stream when
@@ -1560,13 +1564,15 @@ let scalar_ok t = t <= a_scalar
 let num_ok t = is_num t || t = a_bot
 let ptr_arg_ok t = t = a_ptr || t = a_bot
 
-(* CFG successors of [pc] (blocked instructions resume at pc+1). *)
-let succs_of (i : Isa.instr) pc =
+(* CFG successors of [pc] in a stream of [n] instructions, -1 for none
+   or outside the stream (blocked instructions resume at pc+1). *)
+let succ_pair (i : Isa.instr) pc n =
+  let inside s = if s >= 0 && s < n then s else -1 in
   match i with
-  | Isa.Bra { target } -> [ target ]
-  | Isa.Brz { target; _ } | Isa.Brnz { target; _ } -> [ pc + 1; target ]
-  | Isa.Exit -> []
-  | _ -> [ pc + 1 ]
+  | Isa.Bra { target } -> (inside target, -1)
+  | Isa.Brz { target; _ } | Isa.Brnz { target; _ } -> (inside (pc + 1), inside target)
+  | Isa.Exit -> (-1, -1)
+  | _ -> (inside (pc + 1), -1)
 
 (* May the instruction retire inside an ongoing scheduler slot?
    [tc_single]/[tma_single]: this program has at most one stream
@@ -1727,46 +1733,75 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
       timing_uses i seen)
     instrs;
   let nregs = !nregs in
-  (* Both fixpoints keep their per-pc register states in one flat
-     pc-major matrix: row [pc] is [nregs] bytes at [pc * nregs]. *)
-  (* ---- forward abstract interpretation of register tags ---- *)
+  (* Per pc: its successors and predecessors, the register the timing
+     closure defines (-1 for none), and the registers it reads as a bit
+     set of [w] words, 63 registers per word, at [pc * w]. *)
+  let w = (nregs + 62) / 63 in
+  let succ1 = Array.make n (-1) and succ2 = Array.make n (-1) and preds = Array.make n [] in
+  let defs = Array.make n (-1) and uses = Array.make (n * w) 0 in
+  let mentioned = Array.make nregs false in
+  Array.iteri
+    (fun pc i ->
+      let s1, s2 = succ_pair i pc n in
+      succ1.(pc) <- s1;
+      succ2.(pc) <- s2;
+      if s1 >= 0 then preds.(s1) <- pc :: preds.(s1);
+      if s2 >= 0 then preds.(s2) <- pc :: preds.(s2);
+      Option.iter (fun d -> defs.(pc) <- d; mentioned.(d) <- true) (timing_def i);
+      timing_uses i (fun r ->
+          let j = (pc * w) + (r / 63) in
+          uses.(j) <- uses.(j) lor (1 lsl (r mod 63));
+          mentioned.(r) <- true))
+    instrs;
+  (* Both fixpoints revisit only the [dirty] pcs, whose input changed
+     since their last visit, sweeping in program order (or its reverse)
+     until none is left. Each analysis is monotone over a finite
+     lattice, so this reaches the least fixpoint that re-running every
+     pc until nothing changes reaches. *)
+  let dirty = Array.make n false in
+  let solve ~backward visit =
+    let again = ref true in
+    while !again do
+      again := false;
+      for i = 0 to n - 1 do
+        let pc = if backward then n - 1 - i else i in
+        if dirty.(pc) then begin
+          dirty.(pc) <- false;
+          again := true;
+          visit pc
+        end
+      done
+    done
+  in
+  (* ---- forward abstract interpretation of register tags ----
+     Row [pc] of the flat pc-major matrix [ain] holds the [nregs] tags
+     on entry to [pc]. Rows are joined only at the registers the stream
+     mentions, the only ones an instruction reads. *)
+  let regs = Array.of_seq (Seq.filter (Array.get mentioned) (Seq.init nregs Fun.id)) in
   let ain = Bytes.make (n * nregs) a_bot in
-  let reach = Array.make n false in
   if n > 0 then begin
     Bytes.fill ain 0 nregs a_int;
-    Array.iteri (fun r k -> if r < 64 && r < nregs then Bytes.set ain r k) param_atags;
-    reach.(0) <- true
+    Array.iteri (fun r k -> if r < 64 then Bytes.set ain r k) param_atags;
+    dirty.(0) <- true
   end;
   let tmp = Bytes.make nregs a_bot in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for pc = 0 to n - 1 do
-      if reach.(pc) then begin
-        Bytes.blit ain (pc * nregs) tmp 0 nregs;
-        timing_transfer tmp instrs.(pc);
-        List.iter
-          (fun s ->
-            if s >= 0 && s < n then
-              if not reach.(s) then begin
-                reach.(s) <- true;
-                Bytes.blit tmp 0 ain (s * nregs) nregs;
-                changed := true
-              end
-              else
-                let row = s * nregs in
-                for r = 0 to nregs - 1 do
-                  let a = Bytes.unsafe_get ain (row + r) in
-                  let j = ajoin a (Bytes.unsafe_get tmp r) in
-                  if j <> a then begin
-                    Bytes.unsafe_set ain (row + r) j;
-                    changed := true
-                  end
-                done)
-          (succs_of instrs.(pc) pc)
-      end
-    done
-  done;
+  let flow s =
+    if s >= 0 then
+      for q = 0 to Array.length regs - 1 do
+        let r = regs.(q) in
+        let a = Bytes.unsafe_get ain ((s * nregs) + r) in
+        let j = Bytes.get join_tbl ((Char.code a lsl 4) lor Char.code (Bytes.unsafe_get tmp r)) in
+        if j <> a then begin
+          Bytes.unsafe_set ain ((s * nregs) + r) j;
+          dirty.(s) <- true
+        end
+      done
+  in
+  solve ~backward:false (fun pc ->
+      Bytes.blit ain (pc * nregs) tmp 0 nregs;
+      timing_transfer tmp instrs.(pc);
+      flow succ1.(pc);
+      flow succ2.(pc));
   (* ---- provably-safe static costs (liveness-independent) ---- *)
   let probe_state = make_probe cfg role in
   let probe = probe_cost probe_state in
@@ -1775,50 +1810,27 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
         Bytes.blit ain (pc * nregs) tmp 0 nregs;
         elide_info ~cfg ~coop ~probe tmp instrs.(pc) codes.(pc))
   in
-  (* ---- backward liveness / elision fixpoint ---- *)
-  let live_in = Bytes.make (n * nregs) '\000' in
+  (* ---- backward liveness / elision fixpoint, over bit sets ---- *)
+  let live_in = Array.make (n * w) 0 and lout = Array.make w 0 in
   let elide = Array.make n false in
-  let lout = Bytes.make nregs '\000' in
-  let lchanged = ref true in
-  while !lchanged do
-    lchanged := false;
-    for pc = n - 1 downto 0 do
-      Bytes.fill lout 0 nregs '\000';
-      List.iter
-        (fun s ->
-          if s >= 0 && s < n then
-            let row = s * nregs in
-            for r = 0 to nregs - 1 do
-              if Bytes.unsafe_get live_in (row + r) <> '\000' then
-                Bytes.unsafe_set lout r '\001'
-            done)
-        (succs_of instrs.(pc) pc);
-      let e =
-        einfo.(pc) <> None
-        &&
-        match timing_def instrs.(pc) with
-        | Some d -> d >= nregs || Bytes.get lout d = '\000'
-        | None -> true
-      in
-      elide.(pc) <- e;
-      if not e then begin
-        (match timing_def instrs.(pc) with
-        | Some d when d < nregs -> Bytes.set lout d '\000'
-        | _ -> ());
-        timing_uses instrs.(pc) (fun r ->
-            if r < nregs then Bytes.set lout r '\001')
-      end;
-      let row = pc * nregs in
-      let r = ref 0 in
-      while !r < nregs && Bytes.unsafe_get lout !r = Bytes.unsafe_get live_in (row + !r) do
-        incr r
+  Array.fill dirty 0 n true;
+  solve ~backward:true (fun pc ->
+      let s1 = succ1.(pc) and s2 = succ2.(pc) and d = defs.(pc) in
+      for j = 0 to w - 1 do
+        lout.(j) <-
+          (if s1 < 0 then 0 else live_in.((s1 * w) + j))
+          lor if s2 < 0 then 0 else live_in.((s2 * w) + j)
       done;
-      if !r < nregs then begin
-        Bytes.blit lout 0 live_in row nregs;
-        lchanged := true
-      end
-    done
-  done;
+      let e = einfo.(pc) <> None && (d < 0 || lout.(d / 63) land (1 lsl (d mod 63)) = 0) in
+      elide.(pc) <- e;
+      if (not e) && d >= 0 then lout.(d / 63) <- lout.(d / 63) land lnot (1 lsl (d mod 63));
+      for j = 0 to w - 1 do
+        let v = if e then lout.(j) else lout.(j) lor uses.((pc * w) + j) in
+        if v <> live_in.((pc * w) + j) then begin
+          live_in.((pc * w) + j) <- v;
+          List.iter (fun p -> dirty.(p) <- true) preds.(pc)
+        end
+      done);
   (* Workq_pop has a queue side effect; never elide it even when its
      destination is dead (the pop order feeds wg_pid and the shared
      memoized round table). [elide_info] already returns None for it,

@@ -18,6 +18,10 @@ let attr_int k key =
 
 let set_attr k key v = k.attrs <- (key, v) :: List.remove_assoc key k.attrs
 
+(** [k] with attribute [key] set to [v], as a fresh record that shares
+    [k]'s body; [k] itself is unchanged. *)
+let with_attr k key v = { k with attrs = (key, v) :: List.remove_assoc key k.attrs }
+
 let count_ops k = Op.count_ops k.body
 
 (** Find the single [Warp_group] op of a warp-specialized kernel, if

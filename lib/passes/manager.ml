@@ -2,6 +2,7 @@
     between stages, plus the optimization toggles of §IV. *)
 
 open Tawa_ir
+module Progcache = Tawa_machine.Progcache
 
 type options = {
   aref_depth : int;          (* D: slots per aref ring (§III-B) *)
@@ -41,27 +42,58 @@ type result = {
 let count_values (k : Kernel.t) =
   Op.fold_region (fun n (op : Op.op) -> n + List.length op.Op.results) 0 k.Kernel.body
 
+(* ------------------------ pass-prefix sharing ---------------------- *)
+
+(* The pipeline after one stage: its kernel, the op and value counts
+   the next stage's deltas start from, and every trace entry so far,
+   newest first. *)
+type stage = { s_kernel : Kernel.t; s_ops : int; s_values : int; s_trace : trace_entry list }
+
+(* Stage results keyed by everything the stage depends on (see
+   {!compile}), so compiles that share a pass prefix share its kernels:
+   the candidates of an autotune space differ mostly in their last
+   stages. Sharing is safe because every pass clones its input before
+   changing it, and transformed kernels are read-only downstream (the
+   compile cache already hands one kernel to many callers). Bounded
+   like the compile cache. *)
+let prefixes : stage Progcache.t = Progcache.create ()
+
+(** Forget every shared pass prefix. [Flow.clear_cache] calls this
+    together with clearing the compile cache. *)
+let clear_cache () = Progcache.clear prefixes
+
+let applied s = (List.hd s.s_trace).applied
+
 (** Run the full Tawa flow on a frontend kernel. Transformation steps
     that do not apply (e.g. the coarse pipeline on a plain GEMM) are
     recorded as skipped rather than failing: the compiler degrades
     gracefully to the unspecialized kernel, mirroring the paper's
-    "existing Triton pipeline proceeds unchanged" fallback. *)
-let compile ?(options = default_options) (kernel : Kernel.t) : result =
-  let trace = ref [] in
-  let prev_ops = ref (Kernel.count_ops kernel) in
-  let prev_values = ref (count_values kernel) in
-  let last = ref (Tawa_obs.Registry.now ()) in
-  let record pass k applied =
-    let dt = Tawa_obs.Registry.now () -. !last in
-    let ops_after = Kernel.count_ops k in
-    let values_after = count_values k in
-    Tawa_obs.Registry.observe ("passes." ^ pass) dt;
-    trace :=
-      { pass; ops_after; ops_delta = ops_after - !prev_ops;
-        values_delta = values_after - !prev_values; ms = dt *. 1000.0; applied }
-      :: !trace;
-    prev_ops := ops_after;
-    prev_values := values_after;
+    "existing Triton pipeline proceeds unchanged" fallback.
+
+    Each stage is memoized on what it depends on: canonicalize on the
+    input's fingerprint and [verify_each]; warp-specialize also on D
+    and the consumer count; the coarse pipeline also on [use_coarse];
+    the fine pipeline also on P when it runs. A stage that runs times,
+    records and verifies its output; a shared stage returns its stored
+    trace entries and runs neither, so every kernel a pass produces is
+    verified once, when it is produced. [persistent] and the consumer
+    count are set on a fresh record, never on a shared kernel.
+    [fingerprint], when given, is [kernel]'s
+    {!Progcache.kernel_fingerprint}, so a caller that has it already
+    does not compute it twice. *)
+let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : result =
+  (* Run pass [name] on [prev]; [f] returns whether it applied and its
+     output. *)
+  let run name prev f () =
+    let t0 = Tawa_obs.Registry.now () in
+    let applied, k = f prev.s_kernel in
+    let dt = Tawa_obs.Registry.now () -. t0 in
+    Tawa_obs.Registry.observe ("passes." ^ name) dt;
+    let ops = Kernel.count_ops k and values = count_values k in
+    let entry =
+      { pass = name; ops_after = ops; ops_delta = ops - prev.s_ops;
+        values_delta = values - prev.s_values; ms = dt *. 1000.0; applied }
+    in
     (* Verify even when the pass did not apply: a no-op pass must not be
        able to hide a malformed clone it produced along the way. *)
     if options.verify_each then begin
@@ -69,51 +101,74 @@ let compile ?(options = default_options) (kernel : Kernel.t) : result =
       Verifier.verify k;
       Tawa_obs.Registry.observe "passes.verify" (Tawa_obs.Registry.now () -. v0)
     end;
-    last := Tawa_obs.Registry.now ();
-    k
+    { s_kernel = k; s_ops = ops; s_values = values; s_trace = entry :: prev.s_trace }
   in
-  let k = Kernel.clone kernel in
-  (* Stamp every op with its pre-pipeline identity before any pass
-     clones it: region clones copy attrs, so however many times the
-     pipeline rewrites the kernel, the profiler can map a transformed
-     op back to the front-end op it descends from (DESIGN.md §15).
-     Skip ops already stamped (re-compiles of an already-lowered
-     kernel keep their original provenance). *)
-  Op.iter_region
-    (fun op ->
-      if Op.attr_int op "tawa.src" = None then
-        Op.set_attr op "tawa.src" (Op.Attr_int op.Op.oid))
-    k.Kernel.body;
-  ignore (Rewrite.canonicalize k);
-  let k = record "canonicalize" k true in
-  let ws, k =
-    match
-      Partition.warp_specialize
-        ~config:
-          {
-            Partition.aref_depth = options.aref_depth;
-            num_consumer_wgs = options.num_consumer_wgs;
-          }
-        k
-    with
-    | k' -> (true, record "warp-specialize" k' true)
-    | exception Partition.Not_applicable _ -> (false, record "warp-specialize" k false)
+  let stage key run = Progcache.find_or_add prefixes ~key run in
+  let fingerprint =
+    match fingerprint with Some f -> f | None -> Progcache.kernel_fingerprint kernel
   in
-  let coarse, k =
-    if ws && options.use_coarse then
-      match Pipeline_coarse.apply k with
-      | k' -> (true, record "coarse-pipeline" k' true)
-      | exception Pipeline_coarse.Not_applicable _ ->
-        (false, record "coarse-pipeline" k false)
-    else (false, record "coarse-pipeline" k false)
+  let key = Printf.sprintf "%s|v%b" fingerprint options.verify_each in
+  let input () =
+    { s_kernel = kernel; s_ops = Kernel.count_ops kernel; s_values = count_values kernel;
+      s_trace = [] }
   in
-  let k =
-    if ws && not coarse then
-      match Pipeline_fine.apply ~mma_depth:options.mma_depth k with
-      | k' -> record "fine-pipeline" k' true
-      | exception Pipeline_fine.Not_applicable _ -> record "fine-pipeline" k false
-    else record "fine-pipeline" k false
+  let s =
+    stage key (fun () ->
+        run "canonicalize" (input ())
+          (fun kernel ->
+            let k = Kernel.clone kernel in
+            (* Stamp every op with its pre-pipeline identity before any
+               pass clones it: region clones copy attrs, so however many
+               times the pipeline rewrites the kernel, the profiler can
+               map a transformed op back to the front-end op it descends
+               from (DESIGN.md §15). Skip ops already stamped
+               (re-compiles of an already-lowered kernel keep their
+               original provenance). *)
+            Op.iter_region
+              (fun op ->
+                if Op.attr_int op "tawa.src" = None then
+                  Op.set_attr op "tawa.src" (Op.Attr_int op.Op.oid))
+              k.Kernel.body;
+            ignore (Rewrite.canonicalize k);
+            (true, k))
+          ())
   in
-  if options.persistent then Kernel.set_attr k "persistent" (Op.Attr_bool true);
-  Kernel.set_attr k "num_consumer_wgs" (Op.Attr_int options.num_consumer_wgs);
-  { kernel = k; trace = List.rev !trace; warp_specialized = ws; coarse }
+  let key = Printf.sprintf "%s|ws%d.%d" key options.aref_depth options.num_consumer_wgs in
+  let s =
+    stage key
+      (run "warp-specialize" s (fun k ->
+           let config =
+             { Partition.aref_depth = options.aref_depth;
+               num_consumer_wgs = options.num_consumer_wgs }
+           in
+           match Partition.warp_specialize ~config k with
+           | k' -> (true, k')
+           | exception Partition.Not_applicable _ -> (false, k)))
+  in
+  let ws = applied s in
+  let key = Printf.sprintf "%s|coarse%b" key options.use_coarse in
+  let s =
+    stage key
+      (run "coarse-pipeline" s (fun k ->
+           if ws && options.use_coarse then
+             match Pipeline_coarse.apply k with
+             | k' -> (true, k')
+             | exception Pipeline_coarse.Not_applicable _ -> (false, k)
+           else (false, k)))
+  in
+  let coarse = applied s in
+  let fine = ws && not coarse in
+  let key = if fine then Printf.sprintf "%s|fine%d" key options.mma_depth else key ^ "|fine" in
+  let s =
+    stage key
+      (run "fine-pipeline" s (fun k ->
+           if fine then
+             match Pipeline_fine.apply ~mma_depth:options.mma_depth k with
+             | k' -> (true, k')
+             | exception Pipeline_fine.Not_applicable _ -> (false, k)
+           else (false, k)))
+  in
+  let k = s.s_kernel in
+  let k = if options.persistent then Kernel.with_attr k "persistent" (Op.Attr_bool true) else k in
+  let k = Kernel.with_attr k "num_consumer_wgs" (Op.Attr_int options.num_consumer_wgs) in
+  { kernel = k; trace = List.rev s.s_trace; warp_specialized = ws; coarse }

@@ -205,6 +205,114 @@ let test_cache_miss_on_float_change () =
     <> Tawa_machine.Progcache.program_fingerprint rounded.Flow.program)
 
 (* ------------------------------------------------------------------ *)
+(* Pass-prefix sharing                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Manager = Tawa_passes.Manager
+
+(* The two autotune spaces the prefix tests compile: GEMM 256³ f16 and
+   causal attention at L = 1024. *)
+let gemm_family = Autotune.Gemm { Workloads.m = 256; n = 256; k = 256; dtype = Dtype.F16 }
+let attention_family = Autotune.Attention (Workloads.paper_mha ~causal:true 1024)
+
+let manager_options (o : Flow.options) =
+  { Manager.default_options with
+    aref_depth = o.Flow.aref_depth; mma_depth = o.Flow.mma_depth;
+    num_consumer_wgs = o.Flow.num_consumer_wgs; persistent = o.Flow.persistent;
+    use_coarse = o.Flow.use_coarse }
+
+(* One candidate's pass trace (warp-specialized candidates only), its
+   transformed kernel's fingerprint and its program, provenance masked:
+   the "tawa.src" stamps and [prov] hold op ids, which differ between
+   any two compiles. *)
+let candidate_build fam (c : Autotune.candidate) =
+  let options = Autotune.options_of c and kernel = Autotune.kernel_of fam c in
+  let trace =
+    match c.Autotune.strategy with
+    | Flow.Warp_specialized ->
+      List.map
+        (fun (t : Manager.trace_entry) ->
+          (t.Manager.pass, t.Manager.applied, t.Manager.ops_after, t.Manager.ops_delta,
+           t.Manager.values_delta))
+        (Manager.compile ~options:(manager_options options) kernel).Manager.trace
+    | _ -> []
+  in
+  let compiled = Flow.compile ~options kernel in
+  let transformed = Tawa_ir.Kernel.clone compiled.Flow.transformed in
+  Tawa_ir.Op.iter_region
+    (fun op -> op.Tawa_ir.Op.attrs <- List.remove_assoc "tawa.src" op.Tawa_ir.Op.attrs)
+    transformed.Tawa_ir.Kernel.body;
+  ( trace,
+    Tawa_machine.Progcache.kernel_fingerprint transformed,
+    { compiled.Flow.program with Tawa_machine.Isa.prov = Tawa_machine.Isa.no_prov } )
+
+(* Compiling a whole space in order, so each candidate reuses the pass
+   prefixes of earlier ones, gives every candidate the trace, the
+   transformed kernel and the program of a compile from cold caches. *)
+let test_prefix_sharing_invisible () =
+  List.iter
+    (fun fam ->
+      let cands = Autotune.space fam in
+      Flow.clear_cache ();
+      let shared = List.map (candidate_build fam) cands in
+      List.iteri
+        (fun i (c, (trace, kernel, program)) ->
+          Flow.clear_cache ();
+          let cold_trace, cold_kernel, cold_program = candidate_build fam c in
+          let what = Printf.sprintf "%s candidate %d" (Autotune.family_tag fam) i in
+          Alcotest.(check bool) (what ^ " trace") true (trace = cold_trace);
+          Alcotest.(check string) (what ^ " kernel") cold_kernel kernel;
+          Alcotest.(check bool) (what ^ " program") true (program = cold_program))
+        (List.combine cands shared))
+    [ gemm_family; attention_family ]
+
+(* Pass executions in one cold search: canonicalize once per distinct
+   kernel, warp-specialize once per (kernel, D, coop), the coarse
+   pipeline once per use_coarse on top, the fine pipeline once per P
+   where it runs, and one verify per kernel a pass produced. *)
+let test_prefix_pass_counts () =
+  let passes = [ "canonicalize"; "warp-specialize"; "coarse-pipeline"; "fine-pipeline"; "verify" ] in
+  let calls () =
+    let snap = Tawa_obs.Registry.snapshot () in
+    List.map
+      (fun p ->
+        match List.assoc_opt ("passes." ^ p ^ ".calls") snap with
+        | Some (Tawa_obs.Registry.Int n) -> n
+        | _ -> 0)
+      passes
+  in
+  List.iter
+    (fun (fam, want) ->
+      Flow.clear_cache ();
+      let before = calls () in
+      ignore (Autotune.search fam);
+      Alcotest.(check (list int))
+        (Autotune.family_tag fam ^ " " ^ String.concat "/" passes)
+        want
+        (List.map2 ( - ) (calls ()) before))
+    [ (gemm_family, [ 4; 28; 28; 63; 123 ]); (attention_family, [ 4; 12; 24; 32; 72 ]) ]
+
+(* The launch attributes go on a fresh record: a later compile that
+   shares every pass with an earlier one leaves the earlier result as
+   it was. *)
+let test_prefix_fresh_attrs () =
+  Flow.clear_cache ();
+  let kernel = Kernels.gemm ~tiles:small_tiles () in
+  let compile persistent =
+    (Manager.compile ~options:{ Manager.default_options with persistent } kernel).Manager.kernel
+  in
+  let persistent k = List.assoc_opt "persistent" k.Tawa_ir.Kernel.attrs in
+  let first = compile true in
+  let fp = Tawa_machine.Progcache.kernel_fingerprint first in
+  let second = compile false in
+  Alcotest.(check bool) "passes shared" true (first.Tawa_ir.Kernel.body == second.Tawa_ir.Kernel.body);
+  Alcotest.(check bool) "first stays persistent" true
+    (persistent first = Some (Tawa_ir.Op.Attr_bool true));
+  Alcotest.(check bool) "second is not" true (persistent second = None);
+  Alcotest.(check string) "first fingerprint unchanged" fp
+    (Tawa_machine.Progcache.kernel_fingerprint first)
+
+(* ------------------------------------------------------------------ *)
 (* Kernel fingerprint                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -456,6 +564,10 @@ let suites =
           test_cached_program_still_correct;
         Alcotest.test_case "miss on float constant change" `Quick
           test_cache_miss_on_float_change;
+        Alcotest.test_case "prefix sharing is invisible" `Quick test_prefix_sharing_invisible;
+        Alcotest.test_case "pass executions per cold search" `Quick test_prefix_pass_counts;
+        Alcotest.test_case "launch attributes on a fresh record" `Quick
+          test_prefix_fresh_attrs;
       ] );
     ( "core.autotune",
       [

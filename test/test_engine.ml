@@ -501,6 +501,64 @@ let test_coop_diff () =
   Alcotest.(check bool) "coop=2 timing diff" true
     (gemm_timing_diff compiled ~bm:16 ~bn:16 ~kk:16 ~grid_m:2 ~grid_n:2)
 
+(* A write that a second write of the same register kills before any
+   read (pc 1), around the 63-register word boundary of the liveness
+   bit sets (pc 3 defines r62, which only pc 4 reads). *)
+let liveness_probe =
+  mk_program
+    [ stream
+        [ Isa.Mov { dst = 71; src = Isa.Imm 0 };
+          Isa.Mov { dst = 70; src = Isa.Imm 1 };
+          Isa.Mov { dst = 70; src = Isa.Imm 2 };
+          Isa.Mov { dst = 62; src = Isa.Reg 70 };
+          Isa.Alu { op = Op.Add; dst = 63; a = Isa.Reg 62; b = Isa.Reg 71 };
+          Isa.Brz { cond = Isa.Reg 63; target = 7 };
+          Isa.Nop;
+          Isa.Exit ] ]
+
+(* Every candidate program of both prefix-sharing spaces, a fixed draw
+   of fuzz kernels under each configuration the fuzz suite compiles them
+   with, and [liveness_probe]: one digest of every stream's unit lengths,
+   local mask and unit heads after decode. A head is a pc whose unit is
+   not its plain closure: a cost block or a chain starts there. Lengths
+   and local masks alone hide most elisions, since every elidable
+   instruction is local and chains absorb cost blocks. *)
+let precision_corpus_digest () =
+  let space fam =
+    List.map
+      (fun c -> (Tawa_core.Autotune.options_of c, Tawa_core.Autotune.kernel_of fam c))
+      (Tawa_core.Autotune.space fam)
+  in
+  let fuzz_options =
+    [ { Flow.default_options with aref_depth = 2; mma_depth = 2 };
+      { Flow.default_options with aref_depth = 4; mma_depth = 3 };
+      { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 };
+      { Flow.default_options with strategy = Flow.Naive };
+      { Flow.default_options with aref_depth = 2; mma_depth = 1; persistent = true } ]
+  in
+  let fuzz =
+    List.concat_map
+      (fun s ->
+        let k = Test_fuzz.build_kernel s in
+        List.map (fun o -> (o, k)) fuzz_options)
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:16 Test_fuzz.gen_spec)
+  in
+  let programs =
+    List.map
+      (fun (options, kernel) -> (Flow.compile ~options kernel).Flow.program)
+      (space Test_core.gemm_family @ space Test_core.attention_family @ fuzz)
+    @ [ liveness_probe ]
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun p ->
+      let d = Decode.decode ~cfg p in
+      let heads = Array.map2 (Array.map2 ( != )) d.Decode.d_units d.Decode.d_codes in
+      Buffer.add_string b
+        (Marshal.to_string (d.Decode.d_lens, d.Decode.d_local, heads) [ Marshal.No_sharing ]))
+    programs;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
 (* The timing-mode decode of every example kernel under three
    strategies, reduced to its unit lengths and local masks: these pin
    exactly which instructions the decode-time fixpoints elide and fuse
@@ -546,7 +604,9 @@ let test_decode_precision () =
           in
           Alcotest.(check string) (file ^ " " ^ Flow.options_key options) want got)
         strategies digests)
-    pins
+    pins;
+  Alcotest.(check string) "search spaces and fuzz kernels"
+    "93204e9e7695b0b761c8c50943ab5cf1" (precision_corpus_digest ())
 
 (* ------------------------------------------------------------------ *)
 (* Tile ownership: payload reuse never writes a tile that escaped      *)

@@ -184,16 +184,28 @@ let rec elab_stmt b env (s : stmt) : unit =
     match args with
     | [ Apos desc; Alist offs; Apos value ] ->
       at s.spos (fun () ->
+          (* Code generation stores rank-1 and rank-2 tiles only. *)
+          let v = elab_expr b env value in
+          (match Value.ty v with
+          | Types.TTensor { shape = [ _ ] | [ _; _ ]; _ } -> ()
+          | ty ->
+            fail value.pos "store expects a rank-1 or rank-2 tile, got %s"
+              (Types.to_string ty));
           Builder.tma_store b (elab_expr b env desc)
             ~offsets:(List.map (elab_expr b env) offs)
-            (elab_expr b env value))
+            v)
     | _ -> fail s.spos "store expects (descriptor, [offsets], value)")
   | For { var; lo; hi; step; carried; body } ->
-    let lb = elab_expr b env lo in
-    let ub = elab_expr b env hi in
-    let step_v =
-      match step with Some e -> elab_expr b env e | None -> Builder.const_i b 1
+    let i32 (e : expr) =
+      let v = elab_expr b env e in
+      if not (Types.equal (Value.ty v) Types.i32) then
+        fail e.pos "loop bounds and step must be i32, got %s"
+          (Types.to_string (Value.ty v));
+      v
     in
+    let lb = i32 lo in
+    let ub = i32 hi in
+    let step_v = match step with Some e -> i32 e | None -> Builder.const_i b 1 in
     let inits = List.map (fun n -> lookup env s.spos n) carried in
     let results =
       Builder.for_ b ~lb ~ub ~step:step_v ~inits (fun iv iters ->

@@ -8,8 +8,8 @@
     {!Sim.rt} variant, hashes SMEM slots, and recomputes tile costs
     from the config. This module
     translates each stream ONCE into an array of OCaml closures
-    ([code = ectx -> wg -> unit]) with everything static folded at
-    decode time:
+    ([code = wg -> unit]; a unit reaches its CTA through the WG) with
+    everything static folded at decode time:
 
     - immediates become captured constants; operand accessors are
       pre-resolved per kind (no [value_of] dispatch at run time);
@@ -25,9 +25,9 @@
 
     Blocked warp groups register on the mbarrier/ring they wait on and
     are re-enqueued by {!Mbarrier.arrive} via the barrier's notify
-    hook; the scheduler is a binary heap keyed [(time, index)] (see
-    {!Engine}), which reproduces the reference scheduler's
-    min-time/lowest-index selection exactly.
+    hook; the scheduler is a binary heap of WG indices keyed
+    [(time, index)] (see {!Engine}), which reproduces the reference
+    scheduler's min-time/lowest-index selection exactly.
 
     Everything here must stay BIT-IDENTICAL to the oracle — same float
     expression shapes, same evaluation order, same error messages. The
@@ -288,12 +288,30 @@ let fring_pop r =
   r.flen <- r.flen - 1;
   v
 
-(* Shared pipe availability horizons, flat for the same reason. *)
-type pipes = { mutable tma_free : float; mutable tc_free : float }
+(* Shared pipe availability horizons and the run's float stats, flat
+   for the same reason. The stats are summed here, in the order the
+   units retire, and copied into the [Sim.stats] once when the run ends
+   ({!Engine.run_decoded}): a float field of the mixed [Sim.stats]
+   record would box on every update. *)
+type pipes = {
+  mutable tma_free : float;
+  mutable tc_free : float;
+  mutable tc_busy : float;
+  mutable tma_busy : float;
+  mutable tma_bytes : float;
+}
+
+(* Binary min-heap of runnable warp groups, by index into [ectx.wgs],
+   keyed [(time, index)] — the reference scheduler's selection order.
+   A WG's key is stable while enqueued: its clock only moves when it
+   executes (popped) or when it is unblocked (pushed afterwards). Each
+   WG is queued at most once, so the heap never outgrows the CTA. *)
+type ready = { heap : int array; mutable n : int }
 
 type wg = {
   index : int;
   role : Op.wg_role;
+  x : ectx; (* the CTA this WG runs in, set once at creation *)
   code : code array;
   (* Unit metadata driving the scheduler loop ({!Engine.run_decoded}).
      [lens.(pc)] is how many source instructions the unit at [pc]
@@ -321,7 +339,7 @@ type wg = {
 
 and ectx = {
   cfg : Config.t;
-  wgs : wg array;
+  mutable wgs : wg array; (* filled once, right after the context *)
   mutable pid : int array;
   num_programs : int array;
   mbars : Mbarrier.t array;
@@ -330,7 +348,7 @@ and ectx = {
   smem_base : int array;
   smem_slots : int array;
   smem_over : (int * int, Tensor.t) Hashtbl.t; (* out-of-range fallback *)
-  pipes : pipes; (* shared TMA/TC pipe horizons, flat floats *)
+  pipes : pipes; (* shared TMA/TC pipe horizons and float stats *)
   mutable fence_waiters : int list;
   mutable popped : int array;
   mutable popped_len : int;
@@ -349,68 +367,109 @@ and ectx = {
          recorder does not perturb the decode cache. *)
 }
 
-and code = ectx -> wg -> unit
+and code = wg -> unit
 
-(* Binary min-heap of runnable warp groups keyed [(time, index)] —
-   the reference scheduler's selection order. A WG's key is stable
-   while enqueued: its clock only moves when it executes (popped) or
-   when it is unblocked (pushed afterwards). *)
-and ready = { mutable heap : wg array; mutable n : int }
+let new_wg x ~index ~role ~code ~lens ~local ~planes ~cells =
+  {
+    index;
+    role;
+    x;
+    code;
+    lens;
+    local;
+    pc = 0;
+    c = { t = 0.0; busy = 0.0; wopen = -1.0 };
+    planes;
+    state = Sim.Running;
+    wgmma_groups = fring_create ();
+    pop_round = 0;
+    wg_pid = None;
+    instret = 0;
+    in_ready = false;
+    buckets = Array.make Tawa_obs.Stall.num 0.0;
+    cells;
+  }
 
-let wg_before a b = a.c.t < b.c.t || (a.c.t = b.c.t && a.index < b.index)
+(* A context for [nwgs] warp groups, which the caller creates with
+   {!new_wg} and stores in [wgs]. [arrive_counts] gives each mbarrier's
+   arrivals per phase. *)
+let new_ctx ?recorder ~cfg ~nwgs ~pid ~num_programs ~pop_global ~arrive_counts
+    ~num_rings ~smem_base ~smem_slots ~smem_total () =
+  let nbars = max 1 (Array.length arrive_counts) and nrings = max 1 num_rings in
+  {
+    cfg;
+    wgs = [||];
+    pid;
+    num_programs;
+    mbars = Array.map (fun arrive_count -> Mbarrier.create ~arrive_count) arrive_counts;
+    rings = Array.init nrings (fun _ -> Mbarrier.create ~arrive_count:1);
+    smem = Array.make (max 1 smem_total) None;
+    smem_base;
+    smem_slots;
+    smem_over = Hashtbl.create 8;
+    pipes = { tma_free = 0.0; tc_free = 0.0; tc_busy = 0.0; tma_busy = 0.0; tma_bytes = 0.0 };
+    fence_waiters = [];
+    popped = Array.make 16 (-2);
+    popped_len = 0;
+    pop_global;
+    stats =
+      { Sim.tc_busy = 0.0; tma_busy = 0.0; tma_bytes = 0.0; wgmma_count = 0;
+        tma_count = 0; steps = 0 };
+    mbar_waiters = Array.make nbars [];
+    ring_waiters = Array.make nrings [];
+    ready = { heap = Array.make nwgs 0; n = 0 };
+    mbar_wait = Array.make nbars 0.0;
+    ring_wait = Array.make nrings 0.0;
+    num_rings;
+    recorder;
+  }
 
-let ready_push ctx w =
-  let q = ctx.ready in
+let[@inline] before (wgs : wg array) i j =
+  let a = wgs.(i).c.t and b = wgs.(j).c.t in
+  a < b || (a = b && i < j)
+
+(* Heap sifts move indices into a hole and write the moved entry once:
+   int stores, no write barrier. *)
+let ready_push w =
   if not w.in_ready then begin
     w.in_ready <- true;
-    if q.n >= Array.length q.heap then begin
-      let cap = max 4 (2 * Array.length q.heap) in
-      let bigger = Array.make cap w in
-      Array.blit q.heap 0 bigger 0 q.n;
-      q.heap <- bigger
-    end;
-    q.heap.(q.n) <- w;
+    let q = w.x.ready and wgs = w.x.wgs in
+    let h = q.heap in
     let i = ref q.n in
     q.n <- q.n + 1;
-    let continue = ref true in
-    while !continue && !i > 0 do
+    while !i > 0 && before wgs w.index h.((!i - 1) / 2) do
       let parent = (!i - 1) / 2 in
-      if wg_before q.heap.(!i) q.heap.(parent) then begin
-        let tmp = q.heap.(parent) in
-        q.heap.(parent) <- q.heap.(!i);
-        q.heap.(!i) <- tmp;
-        i := parent
-      end
-      else continue := false
-    done
+      h.(!i) <- h.(parent);
+      i := parent
+    done;
+    h.(!i) <- w.index
   end
 
 (* Pop the earliest ready WG; requires [ctx.ready.n > 0] (the
    scheduler checks emptiness first to keep the hot path option-free). *)
 let ready_pop_exn ctx =
-  let q = ctx.ready in
-  let top = q.heap.(0) in
-  q.n <- q.n - 1;
-  if q.n > 0 then begin
-    q.heap.(0) <- q.heap.(q.n);
-    let i = ref 0 in
-    let continue = ref true in
+  let q = ctx.ready and wgs = ctx.wgs in
+  let h = q.heap in
+  let top = h.(0) in
+  let n = q.n - 1 in
+  q.n <- n;
+  if n > 0 then begin
+    let last = h.(n) in
+    let i = ref 0 and continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < q.n && wg_before q.heap.(l) q.heap.(!smallest) then smallest := l;
-      if r < q.n && wg_before q.heap.(r) q.heap.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        let tmp = q.heap.(!smallest) in
-        q.heap.(!smallest) <- q.heap.(!i);
-        q.heap.(!i) <- tmp;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < n && before wgs h.(l + 1) h.(l) then l + 1 else l in
+      if c < n && before wgs h.(c) last then begin
+        h.(!i) <- h.(c);
+        i := c
       end
       else continue := false
-    done
+    done;
+    h.(!i) <- last
   end;
-  top.in_ready <- false;
-  top
+  let w = wgs.(top) in
+  w.in_ready <- false;
+  w
 
 (* ------------------------------ SMEM ------------------------------ *)
 
@@ -460,111 +519,111 @@ let stalled w b dt =
     charge_cell w b dt
   end
 
+(* [Float.max] with the ordered cases inline: bit-identical, and only
+   ties and NaNs reach its [sign_bit] calls. *)
+let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
+
+(* {!Mbarrier.completions}, [completion_time] (for [n] at most the
+   completions so far) and [note_consumed], for the hot paths: calls
+   across modules are not inlined. *)
+let[@inline] completed (b : Mbarrier.t) = b.Mbarrier.num_completions
+let[@inline] completion_at (b : Mbarrier.t) n = if n <= 0 then 0.0 else b.Mbarrier.completions.(n - 1)
+
+let[@inline] consume (b : Mbarrier.t) target =
+  if target > b.Mbarrier.consumed then b.Mbarrier.consumed <- target
+
 (* ----------- deep-profiler recording (mirrors the oracle's) ----------- *)
 
 let ring_chan ctx r = Array.length ctx.mbars + r
 
-let rec_completion ctx w chan (b : Mbarrier.t) completed =
-  match ctx.recorder with
+let rec_completion w chan (b : Mbarrier.t) completed =
+  match w.x.recorder with
   | Some r when completed ->
     let n = Mbarrier.completions b in
     Tawa_obs.Prof.record_completion r ~chan ~n
       ~time:(Mbarrier.completion_time b n) ~wg:w.index ~pc:w.pc ~issue:w.c.t
   | _ -> ()
 
-let rec_wait ctx w chan ~target ~start ~ready =
-  match ctx.recorder with
+let rec_wait w chan ~target ~start ~ready =
+  match w.x.recorder with
   | Some r ->
     Tawa_obs.Prof.record_wait r ~chan ~wg:w.index ~pc:w.pc ~target ~start
       ~ready ~resume:w.c.t
   | None -> ()
 
-let rec_op ctx w ~pc ~t0 =
-  match ctx.recorder with
+let rec_op w ~pc ~t0 =
+  match w.x.recorder with
   | Some r when w.c.t > t0 ->
     Tawa_obs.Prof.record_op r ~wg:w.index ~pc ~t0 ~t1:w.c.t
   | _ -> ()
 
-(* Wake every waiter of barrier [i] whose target is now satisfied.
-   The unblock arithmetic matches [Oracle.try_unblock] exactly: the
-   recorded completion time and the waiter's frozen clock fully
-   determine the wake time, so waking eagerly at arrival is
+(* Wake a waiter of channel [chan] whose [target] is now satisfied,
+   with the channel's sync cost [sync] and its blocked-time array
+   [waits] at [i]. The unblock arithmetic matches [Oracle.try_unblock]
+   exactly: the recorded completion time and the waiter's frozen clock
+   fully determine the wake time, so waking eagerly at arrival is
    bit-identical to the reference's rescan-every-iteration. *)
-let wake_mbar_one ctx i bar target w =
-  let ct = Mbarrier.completion_time bar target in
+let wake_one ~bucket ~sync ~waits ~chan i bar target w =
+  let ct = completion_at bar target in
   let t0 = w.c.t in
-  let nt = Float.max w.c.t ct +. ctx.cfg.Config.mbar_cycles in
-  stalled w b_mbar (nt -. w.c.t);
-  ctx.mbar_wait.(i) <-
-    ctx.mbar_wait.(i) +. Float.max 0.0 (Float.max w.c.t ct -. w.c.t);
-  Mbarrier.note_consumed bar ~target;
+  let m = fmax t0 ct in
+  let nt = m +. sync in
+  stalled w bucket (nt -. t0);
+  waits.(i) <- waits.(i) +. fmax 0.0 (m -. t0);
+  consume bar target;
   w.c.t <- nt;
-  rec_wait ctx w i ~target ~start:t0 ~ready:ct;
-  rec_op ctx w ~pc:w.pc ~t0;
+  rec_wait w chan ~target ~start:t0 ~ready:ct;
+  rec_op w ~pc:w.pc ~t0;
   w.state <- Sim.Running;
   w.pc <- w.pc + 1;
-  ready_push ctx w
+  ready_push w
 
-let wake_mbar ctx i bar =
-  match ctx.mbar_waiters.(i) with
+(* Wake every waiter in [waiters.(i)] whose target is now satisfied. *)
+let wake ~bucket ~sync ~waits ~chan waiters i bar =
+  match waiters.(i) with
   | [] -> ()
   (* The overwhelmingly common case — one blocked consumer — skips the
      [List.filter] closure and list rebuild. *)
   | [ (target, w) ] ->
-    if Mbarrier.completions bar >= target then begin
-      ctx.mbar_waiters.(i) <- [];
-      wake_mbar_one ctx i bar target w
+    if completed bar >= target then begin
+      waiters.(i) <- [];
+      wake_one ~bucket ~sync ~waits ~chan i bar target w
     end
-  | waiters ->
-    let have = Mbarrier.completions bar in
-    let still =
+  | ws ->
+    let have = completed bar in
+    waiters.(i) <-
       List.filter
         (fun (target, w) ->
           if have >= target then begin
-            wake_mbar_one ctx i bar target w;
+            wake_one ~bucket ~sync ~waits ~chan i bar target w;
             false
           end
           else true)
-        waiters
-    in
-    ctx.mbar_waiters.(i) <- still
+        ws
 
-let wake_ring_one ctx i ring target w =
-  let ct = Mbarrier.completion_time ring target in
-  let t0 = w.c.t in
-  let nt = Float.max w.c.t ct +. ctx.cfg.Config.scalar_cycles in
-  stalled w b_ring (nt -. w.c.t);
-  ctx.ring_wait.(i) <-
-    ctx.ring_wait.(i) +. Float.max 0.0 (Float.max w.c.t ct -. w.c.t);
-  Mbarrier.note_consumed ring ~target;
-  w.c.t <- nt;
-  rec_wait ctx w (ring_chan ctx i) ~target ~start:t0 ~ready:ct;
-  rec_op ctx w ~pc:w.pc ~t0;
-  w.state <- Sim.Running;
-  w.pc <- w.pc + 1;
-  ready_push ctx w
+let wake_mbar ctx i bar =
+  wake ~bucket:b_mbar ~sync:ctx.cfg.Config.mbar_cycles ~waits:ctx.mbar_wait ~chan:i
+    ctx.mbar_waiters i bar
 
 let wake_ring ctx i ring =
-  match ctx.ring_waiters.(i) with
-  | [] -> ()
-  | [ (target, w) ] ->
-    if Mbarrier.completions ring >= target then begin
-      ctx.ring_waiters.(i) <- [];
-      wake_ring_one ctx i ring target w
-    end
-  | waiters ->
-    let have = Mbarrier.completions ring in
-    let still =
-      List.filter
-        (fun (target, w) ->
-          if have >= target then begin
-            wake_ring_one ctx i ring target w;
-            false
-          end
-          else true)
-        waiters
-    in
-    ctx.ring_waiters.(i) <- still
+  wake ~bucket:b_ring ~sync:ctx.cfg.Config.scalar_cycles ~waits:ctx.ring_wait
+    ~chan:(ring_chan ctx i) ctx.ring_waiters i ring
+
+(* A wait on [bar] for [tgt] completions that the completions so far
+   satisfy ([Mbarrier.try_wait] unrolled to avoid boxing the option):
+   time-warp to the completion, then pay the sync cost [sync]. *)
+let satisfied_wait w ~bucket ~sync ~waits ~chan i bar tgt =
+  let t = completion_at bar tgt in
+  let t0 = w.c.t in
+  let m = fmax t0 t in
+  let wait = m -. t0 in
+  stalled w bucket wait;
+  waits.(i) <- waits.(i) +. fmax 0.0 wait;
+  consume bar tgt;
+  w.c.t <- m;
+  spend w bucket sync;
+  rec_wait w chan ~target:tgt ~start:t0 ~ready:t;
+  w.pc <- w.pc + 1
 
 (* Mirror of [Oracle.release_fences], plus re-enqueueing the released
    waiters. Checked on [Fence] arrival and on [Exit]. *)
@@ -588,10 +647,10 @@ let release_fences ctx =
           let t0 = w.c.t in
           stalled w b_fence (nt -. w.c.t);
           w.c.t <- nt;
-          rec_op ctx w ~pc:w.pc ~t0;
+          rec_op w ~pc:w.pc ~t0;
           w.state <- Sim.Running;
           w.pc <- w.pc + 1;
-          ready_push ctx w)
+          ready_push w)
         ctx.fence_waiters;
       ctx.fence_waiters <- []
     end
@@ -688,18 +747,32 @@ let put_of (dst : Isa.reg) (o : Isa.operand) : planes -> unit =
   | Isa.Fimm f -> fun p -> set_float p dst f
   | Isa.Reg r -> fun p -> copy_reg p ~src:r ~dst
 
-let int_binop (op : Op.binop) : int -> int -> int =
+(* Integer ALU semantics, dispatched inline by each closure; [Min]
+   and [Max] are [Stdlib.min]/[max] at type int. *)
+let[@inline] int_op (op : Op.binop) (x : int) (y : int) =
   match op with
-  | Op.Add -> ( + )
-  | Op.Sub -> ( - )
-  | Op.Mul -> ( * )
-  | Op.Div -> fun x y -> if y = 0 then err "sim: div by zero" else x / y
-  | Op.Rem -> fun x y -> if y = 0 then err "sim: rem by zero" else x mod y
-  | Op.Min -> min
-  | Op.Max -> max
-  | Op.And -> ( land )
-  | Op.Or -> ( lor )
-  | Op.Xor -> ( lxor )
+  | Op.Add -> x + y
+  | Op.Sub -> x - y
+  | Op.Mul -> x * y
+  | Op.Div -> if y = 0 then err "sim: div by zero" else x / y
+  | Op.Rem -> if y = 0 then err "sim: rem by zero" else x mod y
+  | Op.Min -> if x <= y then x else y
+  | Op.Max -> if x >= y then x else y
+  | Op.And -> x land y
+  | Op.Or -> x lor y
+  | Op.Xor -> x lxor y
+
+(* [Interp.cmp_pred] at types int and float: the same results, NaN
+   included, without the polymorphic compare. *)
+let[@inline] cmp_int (op : Op.cmp) (x : int) (y : int) =
+  match op with
+  | Op.Eq -> x = y | Op.Ne -> x <> y | Op.Lt -> x < y
+  | Op.Le -> x <= y | Op.Gt -> x > y | Op.Ge -> x >= y
+
+let[@inline] cmp_float (op : Op.cmp) (x : float) (y : float) =
+  match op with
+  | Op.Eq -> x = y | Op.Ne -> x <> y | Op.Lt -> x < y
+  | Op.Le -> x <= y | Op.Gt -> x > y | Op.Ge -> x >= y
 
 (* Offset operands: the reference reads [List.nth offs 0] and, when
    present, [List.nth offs 1] (extra dims ignored). An empty list
@@ -720,29 +793,28 @@ let compile_offs (offs : Isa.operand list) =
    which the payload kernel may overwrite; timing mode writes none. *)
 let tile_op ~functional ~dst c (payload : planes -> Tensor.t option -> Tensor.t) : code =
   if functional then
-    fun _ctx w ->
+    fun w ->
       spend w b_compute c;
       let p = w.planes in
       set_owned p dst (payload p (owned_tile p dst));
       w.pc <- w.pc + 1
   else
-    fun _ctx w ->
+    fun w ->
       spend w b_compute c;
       set_none w.planes dst;
       w.pc <- w.pc + 1
 
-let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
+let compile_instr ~(cfg : Config.t) ~coop ~reset_mask (i : Isa.instr) : code =
   let functional = Config.is_functional cfg in
   let sc = cfg.Config.scalar_cycles in
   let tile_cost ~elems ~per_cycle = Sim.tile_cost cfg coop ~elems ~per_cycle in
   let cuda elems = tile_cost ~elems ~per_cycle:cfg.Config.cuda_elems_per_cycle in
   match i with
   | Isa.Nop ->
-    fun _ctx w ->
+    fun w ->
       spend w b_compute 1.0;
       w.pc <- w.pc + 1
   | Isa.Alu { op; dst; a; b } -> (
-    let iop = int_binop op in
     let fop = Interp.float_binop op in
     match (a, b) with
     (* Monolithic arm for the hot register/register shape: real WG
@@ -752,13 +824,13 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
        Dispatch, coercions, and error strings mirror the generic path
        (and thus [Oracle.step]) exactly. *)
     | Isa.Reg ra, Isa.Reg rb when ra < 64 && rb < 64 && dst < 64 ->
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra
         and tb = Bytes.unsafe_get p.tags rb in
         (if ta = t_int && tb = t_int then begin
            Bytes.unsafe_set p.tags dst t_int;
-           p.ints.(dst) <- iop p.ints.(ra) p.ints.(rb)
+           p.ints.(dst) <- int_op op p.ints.(ra) p.ints.(rb)
          end
          else if ta <= t_float && tb <= t_float then begin
            let fa =
@@ -774,12 +846,12 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     | Isa.Reg ra, Isa.Imm ib when ra < 64 && dst < 64 ->
       let fb = Float.of_int ib in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra in
         (if ta = t_int then begin
            Bytes.unsafe_set p.tags dst t_int;
-           p.ints.(dst) <- iop p.ints.(ra) ib
+           p.ints.(dst) <- int_op op p.ints.(ra) ib
          end
          else if ta = t_float then begin
            Bytes.unsafe_set p.tags dst t_float;
@@ -792,27 +864,25 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let ka = kget a and kb = kget b in
       let ia = iget a and ib = iget b in
       let fa = fget a and fb = fget b in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = ka p and tb = kb p in
-        (if ta = t_int && tb = t_int then set_int p dst (iop (ia p) (ib p))
+        (if ta = t_int && tb = t_int then set_int p dst (int_op op (ia p) (ib p))
          else if ta <= t_float && tb <= t_float then
            set_float p dst (fop (fa p) (fb p))
          else err "sim: bad ALU operands");
         spend w b_compute sc;
         w.pc <- w.pc + 1)
   | Isa.Cmp { op; dst; a; b } -> (
-    let pred_i : int -> int -> bool = fun x y -> Interp.cmp_pred op x y in
-    let pred_f : float -> float -> bool = fun x y -> Interp.cmp_pred op x y in
     match (a, b) with
     | Isa.Reg ra, Isa.Reg rb when ra < 64 && rb < 64 && dst < 64 ->
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra
         and tb = Bytes.unsafe_get p.tags rb in
         let v =
-          if ta = t_int && tb = t_int then pred_i p.ints.(ra) p.ints.(rb)
-          else pred_f (cmp_coerce p ra ta) (cmp_coerce p rb tb)
+          if ta = t_int && tb = t_int then cmp_int op p.ints.(ra) p.ints.(rb)
+          else cmp_float op (cmp_coerce p ra ta) (cmp_coerce p rb tb)
         in
         Bytes.unsafe_set p.tags dst t_bool;
         Bytes.unsafe_set p.bools dst (if v then '\001' else '\000');
@@ -820,12 +890,12 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     | Isa.Reg ra, Isa.Imm ib when ra < 64 && dst < 64 ->
       let fb = Float.of_int ib in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let ta = Bytes.unsafe_get p.tags ra in
         let v =
-          if ta = t_int then pred_i p.ints.(ra) ib
-          else pred_f (cmp_coerce p ra ta) fb
+          if ta = t_int then cmp_int op p.ints.(ra) ib
+          else cmp_float op (cmp_coerce p ra ta) fb
         in
         Bytes.unsafe_set p.tags dst t_bool;
         Bytes.unsafe_set p.bools dst (if v then '\001' else '\000');
@@ -835,46 +905,48 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let ka = kget a and kb = kget b in
       let ia = iget a and ib = iget b in
       let ca = cget a and cb = cget b in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         (if ka p = t_int && kb p = t_int then
-           set_bool p dst (pred_i (ia p) (ib p))
-         else set_bool p dst (pred_f (ca p) (cb p)));
+           set_bool p dst (cmp_int op (ia p) (ib p))
+         else set_bool p dst (cmp_float op (ca p) (cb p)));
         spend w b_compute sc;
         w.pc <- w.pc + 1)
   | Isa.Mov { dst; src } -> (
     match src with
     | Isa.Imm i ->
-      fun _ctx w ->
+      fun w ->
         set_int w.planes dst i;
         spend w b_compute sc;
         w.pc <- w.pc + 1
     | Isa.Fimm f ->
-      fun _ctx w ->
+      fun w ->
         set_float w.planes dst f;
         spend w b_compute sc;
         w.pc <- w.pc + 1
     | Isa.Reg r ->
-      fun _ctx w ->
+      fun w ->
         copy_reg w.planes ~src:r ~dst;
         spend w b_compute sc;
         w.pc <- w.pc + 1)
   | Isa.Sel { dst; cond; a; b } ->
     let bc = bget cond in
     let put_a = put_of dst a and put_b = put_of dst b in
-    fun _ctx w ->
+    fun w ->
       let p = w.planes in
       if bc p then put_a p else put_b p;
       spend w b_compute sc;
       w.pc <- w.pc + 1
   | Isa.Pid { dst; axis } ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.x in
       let pid = match w.wg_pid with Some p -> p | None -> ctx.pid in
       set_int w.planes dst pid.(axis);
       spend w b_compute sc;
       w.pc <- w.pc + 1
   | Isa.Npid { dst; axis } ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.x in
       set_int w.planes dst ctx.num_programs.(axis);
       spend w b_compute sc;
       w.pc <- w.pc + 1
@@ -902,7 +974,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         fun _ ->
           err "sim: descriptor pointer must bind a buffer (or Rnone in timing mode)"
     in
-    fun _ctx w ->
+    fun w ->
       let buffer = read_ptr w.planes in
       set_desc w.planes dst { Sim.buffer; ddtype = dtype };
       spend w b_compute 20.0;
@@ -922,9 +994,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     tile_op ~functional ~dst (cuda elems) (fun p into ->
         Interp.binop_tile ?into op (ta p) (tb p))
   | Isa.Tile_cmp { op; dst; a; b; elems } ->
-    let pred : float -> float -> bool = fun x y -> Interp.cmp_pred op x y in
     let ta = tget a and tb = tget b in
-    tile_op ~functional ~dst (cuda elems) (fun p _ -> Tensor.cmp pred (ta p) (tb p))
+    tile_op ~functional ~dst (cuda elems) (fun p _ -> Tensor.cmp (cmp_float op) (ta p) (tb p))
   | Isa.Tile_select { dst; cond; a; b; elems } ->
     let tc = tget cond and ta = tget a and tb = tget b in
     tile_op ~functional ~dst (cuda elems) (fun p _ -> Tensor.select (tc p) (ta p) (tb p))
@@ -965,16 +1036,18 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let latency = cfg.Config.tma_latency in
     let bar_base = full.Isa.base in
     let bar_idx = iget full.Isa.index in
-    let timing ctx w =
+    let timing w =
+      let ctx = w.x in
       spend w b_tma issue;
-      let start = Float.max ctx.pipes.tma_free w.c.t in
-      ctx.pipes.tma_free <- start +. busy;
-      ctx.stats.Sim.tma_busy <- ctx.stats.Sim.tma_busy +. busy;
-      ctx.stats.Sim.tma_bytes <- ctx.stats.Sim.tma_bytes +. bytes;
+      let pp = ctx.pipes in
+      let start = fmax pp.tma_free w.c.t in
+      pp.tma_free <- start +. busy;
+      pp.tma_busy <- pp.tma_busy +. busy;
+      pp.tma_bytes <- pp.tma_bytes +. bytes;
       ctx.stats.Sim.tma_count <- ctx.stats.Sim.tma_count + 1;
       let completion = start +. busy +. latency in
       let bar = bar_base + bar_idx w.planes in
-      rec_completion ctx w bar ctx.mbars.(bar)
+      rec_completion w bar ctx.mbars.(bar)
         (Mbarrier.arrive ctx.mbars.(bar) ~time:completion)
     in
     if functional then begin
@@ -984,8 +1057,9 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let swap = rows = 1 && List.length offs = 1 in
       let alloc = dst.Isa.alloc in
       let islot = iget dst.Isa.slot in
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        let ctx = w.x in
+        timing w;
         let p = w.planes in
         let d = dd p in
         (match d.Sim.buffer with
@@ -999,8 +1073,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        timing w;
         w.pc <- w.pc + 1
   | Isa.Cp_async { ring; desc; offs; dst; rows; cols; dtype; last } ->
     let bytes = Sim.bytes_of ~rows ~cols dtype in
@@ -1009,15 +1083,17 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let busy = Float.of_int bytes /. cfg.Config.cp_async_bytes_per_cycle in
     let fbytes = Float.of_int bytes in
     let latency = cfg.Config.tma_latency in
-    let timing ctx w =
+    let timing w =
+      let ctx = w.x in
       spend w b_tma issue;
-      let start = Float.max ctx.pipes.tma_free w.c.t in
-      ctx.pipes.tma_free <- start +. busy;
-      ctx.stats.Sim.tma_busy <- ctx.stats.Sim.tma_busy +. busy;
-      ctx.stats.Sim.tma_bytes <- ctx.stats.Sim.tma_bytes +. fbytes;
+      let pp = ctx.pipes in
+      let start = fmax pp.tma_free w.c.t in
+      pp.tma_free <- start +. busy;
+      pp.tma_busy <- pp.tma_busy +. busy;
+      pp.tma_bytes <- pp.tma_bytes +. fbytes;
       let completion = start +. busy +. latency in
       if last then
-        rec_completion ctx w (ring_chan ctx ring) ctx.rings.(ring)
+        rec_completion w (ring_chan ctx ring) ctx.rings.(ring)
           (Mbarrier.arrive ctx.rings.(ring) ~time:completion)
     in
     if functional then begin
@@ -1025,8 +1101,9 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let i0, i1 = compile_offs offs in
       let alloc = dst.Isa.alloc in
       let islot = iget dst.Isa.slot in
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        let ctx = w.x in
+        timing w;
         let p = w.planes in
         let d = dd p in
         (match d.Sim.buffer with
@@ -1039,27 +1116,18 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        timing w;
         w.pc <- w.pc + 1
   | Isa.Cp_wait_ring { ring; target } ->
     let itgt = iget target in
-    fun ctx w ->
-      (* [Mbarrier.try_wait] unrolled to avoid boxing the option. *)
+    fun w ->
+      let ctx = w.x in
       let tgt = itgt w.planes in
       let rb = ctx.rings.(ring) in
-      if tgt <= 0 || Mbarrier.completions rb >= tgt then begin
-        let t = if tgt <= 0 then 0.0 else Mbarrier.completion_time rb tgt in
-        let t0 = w.c.t in
-        let wait = Float.max w.c.t t -. w.c.t in
-        stalled w b_ring wait;
-        ctx.ring_wait.(ring) <- ctx.ring_wait.(ring) +. Float.max 0.0 wait;
-        Mbarrier.note_consumed rb ~target:tgt;
-        w.c.t <- Float.max w.c.t t;
-        spend w b_ring sc;
-        rec_wait ctx w (ring_chan ctx ring) ~target:tgt ~start:t0 ~ready:t;
-        w.pc <- w.pc + 1
-      end
+      if tgt <= 0 || completed rb >= tgt then
+        satisfied_wait w ~bucket:b_ring ~sync:sc ~waits:ctx.ring_wait
+          ~chan:(ring_chan ctx ring) ring rb tgt
       else begin
         w.state <- Sim.Blocked (Sim.On_ring { ring; target = tgt });
         ctx.ring_waiters.(ring) <- (tgt, w) :: ctx.ring_waiters.(ring)
@@ -1070,7 +1138,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     if functional then begin
       let dd = dget desc in
       let i0, i1 = compile_offs offs in
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         let p = w.planes in
         let d = dd p in
@@ -1083,7 +1151,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -1096,7 +1164,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let alloc = src.Isa.src.Isa.alloc in
       let islot = iget src.Isa.src.Isa.slot in
       let transposed = src.Isa.transposed in
-      fun ctx w ->
+      fun w ->
+        let ctx = w.x in
         spend w b_tma cost;
         let t = smem_get ctx alloc (islot w.planes) in
         let t = if transposed then Tensor.transpose2 t else t in
@@ -1105,7 +1174,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         set_none w.planes dst;
         w.pc <- w.pc + 1
@@ -1119,7 +1188,8 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       let alloc = dst.Isa.alloc in
       let islot = iget dst.Isa.slot in
       let src_reg = match src with Isa.Reg r -> r | Isa.Imm _ | Isa.Fimm _ -> -1 in
-      fun ctx w ->
+      fun w ->
+        let ctx = w.x in
         spend w b_tma cost;
         let p = w.planes in
         smem_set ctx alloc (islot p) (ts p);
@@ -1128,7 +1198,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         spend w b_tma cost;
         w.pc <- w.pc + 1
   | Isa.Stg { desc; offs; src; rows; cols } ->
@@ -1139,7 +1209,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     if functional then begin
       let ts = tget src in
       let i0, i1 = compile_offs offs in
-      fun _ctx w ->
+      fun w ->
         let p = w.planes in
         let d = dd p in
         let bytes = Float.of_int (Sim.bytes_of ~rows ~cols d.Sim.ddtype) in
@@ -1155,7 +1225,7 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun _ctx w ->
+      fun w ->
         let d = dd w.planes in
         let bytes = Float.of_int (Sim.bytes_of ~rows ~cols d.Sim.ddtype) in
         spend w b_tma ((bytes /. stg_bpc /. coop_f) +. stg_lat);
@@ -1163,10 +1233,11 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
   | Isa.Mbar_arrive { base; index } ->
     let idx = iget index in
     let mc = cfg.Config.mbar_cycles in
-    fun ctx w ->
+    fun w ->
+      let ctx = w.x in
       spend w b_mbar mc;
       let bar = base + idx w.planes in
-      rec_completion ctx w bar ctx.mbars.(bar)
+      rec_completion w bar ctx.mbars.(bar)
         (Mbarrier.arrive ctx.mbars.(bar) ~time:w.c.t);
       w.pc <- w.pc + 1
   | Isa.Mbar_wait { bar; target } ->
@@ -1174,24 +1245,14 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let idx = iget bar.Isa.index in
     let itgt = iget target in
     let mc = cfg.Config.mbar_cycles in
-    fun ctx w ->
-      (* [Mbarrier.try_wait] unrolled to avoid boxing the option. *)
+    fun w ->
+      let ctx = w.x in
       let p = w.planes in
       let b = base + idx p in
       let tgt = itgt p in
       let mb = ctx.mbars.(b) in
-      if tgt <= 0 || Mbarrier.completions mb >= tgt then begin
-        let t = if tgt <= 0 then 0.0 else Mbarrier.completion_time mb tgt in
-        let t0 = w.c.t in
-        let wait = Float.max w.c.t t -. w.c.t in
-        stalled w b_mbar wait;
-        ctx.mbar_wait.(b) <- ctx.mbar_wait.(b) +. Float.max 0.0 wait;
-        Mbarrier.note_consumed mb ~target:tgt;
-        w.c.t <- Float.max w.c.t t;
-        spend w b_mbar mc;
-        rec_wait ctx w b ~target:tgt ~start:t0 ~ready:t;
-        w.pc <- w.pc + 1
-      end
+      if tgt <= 0 || completed mb >= tgt then
+        satisfied_wait w ~bucket:b_mbar ~sync:mc ~waits:ctx.mbar_wait ~chan:b b mb tgt
       else begin
         w.state <- Sim.Blocked (Sim.On_mbar { bar = b; target = tgt });
         ctx.mbar_waiters.(b) <- (tgt, w) :: ctx.mbar_waiters.(b)
@@ -1201,25 +1262,27 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
     let flops = 2.0 *. Float.of_int m *. Float.of_int n *. Float.of_int k in
     let pen1000 = cfg.Config.wgmma_depth_penalty /. 1000.0 in
     let denom = Config.tc_flops_per_cycle cfg dtype *. cfg.Config.tc_efficiency in
-    let timing ctx w =
+    let timing w =
+      let ctx = w.x in
       spend w b_tc issue;
       let pressure =
         1.0 +. (pen1000 *. Float.of_int (max 0 (w.wgmma_groups.flen - 1)))
       in
       let dur = flops *. pressure /. denom in
-      let start = Float.max ctx.pipes.tc_free w.c.t in
-      ctx.pipes.tc_free <- start +. dur;
-      ctx.stats.Sim.tc_busy <- ctx.stats.Sim.tc_busy +. dur;
+      let pp = ctx.pipes in
+      let start = fmax pp.tc_free w.c.t in
+      pp.tc_free <- start +. dur;
+      pp.tc_busy <- pp.tc_busy +. dur;
       ctx.stats.Sim.wgmma_count <- ctx.stats.Sim.wgmma_count + 1;
       w.c.wopen <- start +. dur
     in
     if functional then begin
       (* A transposed SMEM view of B is read in place by [dot_tiles]. *)
       let trans_b = match b with Isa.Wsmem v -> v.Isa.transposed | Isa.Wreg _ -> false in
-      let compile_src ~in_place (s : Isa.wgmma_src) : ectx -> wg -> Tensor.t =
+      let compile_src ~in_place (s : Isa.wgmma_src) : wg -> Tensor.t =
         match s with
         | Isa.Wreg r ->
-          fun _ctx w ->
+          fun w ->
             let p = w.planes in
             if r < p.cap && Bytes.get p.tags r = t_tensor then
               match p.objs.(r) with
@@ -1230,15 +1293,16 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
           let alloc = v.Isa.src.Isa.alloc in
           let islot = iget v.Isa.src.Isa.slot in
           let transposed = v.Isa.transposed in
-          fun ctx w ->
+          fun w ->
+            let ctx = w.x in
             let t = smem_get ctx alloc (islot w.planes) in
             if transposed && not in_place then Tensor.transpose2 t else t
       in
       let ra = compile_src ~in_place:false a and rb = compile_src ~in_place:true b in
-      fun ctx w ->
-        timing ctx w;
-        let ta = ra ctx w in
-        let tb = rb ctx w in
+      fun w ->
+        timing w;
+        let ta = ra w in
+        let tb = rb w in
         let p = w.planes in
         let tacc =
           if acc < p.cap && Bytes.get p.tags acc = t_tensor then
@@ -1258,11 +1322,11 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
         w.pc <- w.pc + 1
     end
     else
-      fun ctx w ->
-        timing ctx w;
+      fun w ->
+        timing w;
         w.pc <- w.pc + 1
   | Isa.Wgmma_commit ->
-    fun _ctx w ->
+    fun w ->
       if w.c.wopen >= 0.0 then begin
         fring_push w.wgmma_groups w.c.wopen;
         w.c.wopen <- -1.0
@@ -1270,35 +1334,39 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       spend w b_tc 1.0;
       w.pc <- w.pc + 1
   | Isa.Wgmma_wait n ->
-    fun _ctx w ->
+    fun w ->
       while w.wgmma_groups.flen > n do
         let t = fring_pop w.wgmma_groups in
         stalled w b_tc (t -. w.c.t);
-        w.c.t <- Float.max w.c.t t
+        w.c.t <- fmax w.c.t t
       done;
       spend w b_tc 1.0;
       w.pc <- w.pc + 1
   | Isa.Fence ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.x in
       w.state <- Sim.Blocked Sim.On_fence;
       ctx.fence_waiters <- w.index :: ctx.fence_waiters;
       release_fences ctx
   | Isa.Sync_reset ->
+    (* Reinitializes the barriers [reset_mask] marks, then every ring. *)
     let mc = cfg.Config.mbar_cycles in
-    fun ctx w ->
-      Array.iteri
-        (fun i b ->
-          Mbarrier.reset b;
-          match ctx.recorder with
-          | Some r ->
-            Tawa_obs.Prof.record_reset r ~chan:(ring_chan ctx i) ~time:w.c.t
-          | None -> ())
-        ctx.rings;
+    let reset w chan b =
+      Mbarrier.reset b;
+      match w.x.recorder with
+      | Some r -> Tawa_obs.Prof.record_reset r ~chan ~time:w.c.t
+      | None -> ()
+    in
+    fun w ->
+      let ctx = w.x in
+      Array.iteri (fun i b -> if reset_mask.(i) then reset w i b) ctx.mbars;
+      Array.iteri (fun i b -> reset w (ring_chan ctx i) b) ctx.rings;
       spend w b_mbar mc;
       w.pc <- w.pc + 1
   | Isa.Workq_pop { dst } ->
     let cost = cfg.Config.workq_pop_cycles in
-    fun ctx w ->
+    fun w ->
+      let ctx = w.x in
       let round = w.pop_round in
       w.pop_round <- round + 1;
       if round >= ctx.popped_len then begin
@@ -1321,33 +1389,34 @@ let compile_instr ~(cfg : Config.t) ~coop (i : Isa.instr) : code =
       spend w b_compute cost;
       w.pc <- w.pc + 1
   | Isa.Bra { target } ->
-    fun _ctx w ->
+    fun w ->
       spend w b_compute sc;
       w.pc <- target
   | Isa.Brz { cond; target } -> (
     match cond with
     | Isa.Reg r when r < 64 ->
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bool_at w.planes r then w.pc <- w.pc + 1 else w.pc <- target
     | _ ->
       let bc = bget cond in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bc w.planes then w.pc <- w.pc + 1 else w.pc <- target)
   | Isa.Brnz { cond; target } -> (
     match cond with
     | Isa.Reg r when r < 64 ->
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bool_at w.planes r then w.pc <- target else w.pc <- w.pc + 1
     | _ ->
       let bc = bget cond in
-      fun _ctx w ->
+      fun w ->
         spend w b_compute sc;
         if bc w.planes then w.pc <- target else w.pc <- w.pc + 1)
   | Isa.Exit ->
-    fun ctx w ->
+    fun w ->
+      let ctx = w.x in
       w.state <- Sim.Finished;
       release_fences ctx
 
@@ -1600,70 +1669,25 @@ let is_local ~tc_single ~tma_single (i : Isa.instr) =
    compiled closure once on a zeroed clock and read off the spend.
    Reusing the closure itself guarantees the replayed cost is the
    exact float the closure would have produced. *)
-let make_probe (cfg : Config.t) role : ectx * wg =
+let make_probe (cfg : Config.t) role : wg =
+  let x =
+    new_ctx ~cfg ~nwgs:1 ~pid:[| 0; 0; 0 |] ~num_programs:[| 1; 1; 1 |]
+      ~pop_global:(fun () -> -1) ~arrive_counts:[||] ~num_rings:0 ~smem_base:[||]
+      ~smem_slots:[||] ~smem_total:0 ()
+  in
   let w =
-    {
-      index = 0;
-      role;
-      code = [||];
-      lens = [||];
-      local = Bytes.empty;
-      pc = 0;
-      c = { t = 0.0; busy = 0.0; wopen = -1.0 };
-      planes = make_planes 8;
-      state = Sim.Running;
-      wgmma_groups = fring_create ();
-      pop_round = 0;
-      wg_pid = None;
-      instret = 0;
-      in_ready = false;
-      buckets = Array.make Tawa_obs.Stall.num 0.0;
-      cells = [||];
-    }
+    new_wg x ~index:0 ~role ~code:[||] ~lens:[||] ~local:Bytes.empty
+      ~planes:(make_planes 8) ~cells:[||]
   in
-  let ctx =
-    {
-      cfg;
-      wgs = [||];
-      pid = [| 0; 0; 0 |];
-      num_programs = [| 1; 1; 1 |];
-      mbars = [||];
-      rings = [||];
-      smem = [||];
-      smem_base = [||];
-      smem_slots = [||];
-      smem_over = Hashtbl.create 1;
-      pipes = { tma_free = 0.0; tc_free = 0.0 };
-      fence_waiters = [];
-      popped = [||];
-      popped_len = 0;
-      pop_global = (fun () -> -1);
-      stats =
-        {
-          Sim.tc_busy = 0.0;
-          tma_busy = 0.0;
-          tma_bytes = 0.0;
-          wgmma_count = 0;
-          tma_count = 0;
-          steps = 0;
-        };
-      mbar_waiters = [||];
-      ring_waiters = [||];
-      ready = { heap = [||]; n = 0 };
-      mbar_wait = [||];
-      ring_wait = [||];
-      num_rings = 0;
-      recorder = None;
-    }
-  in
-  (ctx, w)
+  x.wgs <- [| w |];
+  w
 
-let probe_cost (ctx, w) (c : code) =
+let probe_cost w (c : code) =
   w.c.t <- 0.0;
   w.c.busy <- 0.0;
   w.pc <- 0;
   Array.fill w.buckets 0 (Array.length w.buckets) 0.0;
-  c ctx w;
+  c w;
   let b = ref b_compute in
   Array.iteri (fun i v -> if v <> 0.0 then b := i) w.buckets;
   (!b, w.c.t)
@@ -1862,7 +1886,7 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
       let pc_end = !e in
       (if len = 1 then begin
          match einfo.(!pc) with
-         | Some (b, c) -> units.(!pc) <- (fun _ctx w -> spend w b c; w.pc <- pc_end)
+         | Some (b, c) -> units.(!pc) <- (fun w -> spend w b c; w.pc <- pc_end)
          | None -> assert false
        end
        else begin
@@ -1876,7 +1900,7 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
          done;
          let pc0 = !pc in
          units.(!pc) <-
-           (fun _ctx w ->
+           (fun w ->
              (* Members occupy consecutive source pcs; step the pc in
                 lockstep so each replayed cost lands in the member's own
                 attribution cell, exactly as the reference charges it. *)
@@ -1943,24 +1967,24 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
         (units.(h) <-
            (match cs with
            | [| c0; c1 |] ->
-             fun ctx w ->
-               c0 ctx w;
-               c1 ctx w
+             fun w ->
+               c0 w;
+               c1 w
            | [| c0; c1; c2 |] ->
-             fun ctx w ->
-               c0 ctx w;
-               c1 ctx w;
-               c2 ctx w
+             fun w ->
+               c0 w;
+               c1 w;
+               c2 w
            | [| c0; c1; c2; c3 |] ->
-             fun ctx w ->
-               c0 ctx w;
-               c1 ctx w;
-               c2 ctx w;
-               c3 ctx w
+             fun w ->
+               c0 w;
+               c1 w;
+               c2 w;
+               c3 w
            | _ ->
-             fun ctx w ->
+             fun w ->
                for i = 0 to Array.length cs - 1 do
-                 (Array.unsafe_get cs i) ctx w
+                 (Array.unsafe_get cs i) w
                done));
         lens.(h) <- total
       end
@@ -1991,12 +2015,10 @@ type t = {
   d_smem_base : int array; (* per alloc id *)
   d_smem_slots : int array;
   d_smem_total : int;
-  d_reset_mask : bool array; (* which mbarriers Sync_reset reinitializes *)
 }
 
-(* [Sync_reset] needs the program-level resettable mask and the full
-   barrier array; compile it as a context-level closure after the
-   per-instruction pass (the mask is shared across streams). *)
+(* [Sync_reset] reinitializes the barriers of the program-level
+   resettable mask, which every stream shares. *)
 let decode ~(cfg : Config.t) (program : Isa.program) : t =
   let reset_mask =
     Array.init program.Isa.num_mbarriers (fun i ->
@@ -2007,35 +2029,7 @@ let decode ~(cfg : Config.t) (program : Isa.program) : t =
     Array.of_list
       (List.map
          (fun (s : Isa.stream) ->
-           Array.map
-             (fun instr ->
-               match instr with
-               | Isa.Sync_reset ->
-                 let mc = cfg.Config.mbar_cycles in
-                 fun ctx w ->
-                   Array.iteri
-                     (fun i b ->
-                       if reset_mask.(i) then begin
-                         Mbarrier.reset b;
-                         match ctx.recorder with
-                         | Some r ->
-                           Tawa_obs.Prof.record_reset r ~chan:i ~time:w.c.t
-                         | None -> ()
-                       end)
-                     ctx.mbars;
-                   Array.iteri
-                     (fun i b ->
-                       Mbarrier.reset b;
-                       match ctx.recorder with
-                       | Some r ->
-                         Tawa_obs.Prof.record_reset r ~chan:(ring_chan ctx i)
-                           ~time:w.c.t
-                       | None -> ())
-                     ctx.rings;
-                   spend w b_mbar mc;
-                   w.pc <- w.pc + 1
-               | _ -> compile_instr ~cfg ~coop:s.Isa.coop instr)
-             s.Isa.instrs)
+           Array.map (compile_instr ~cfg ~coop:s.Isa.coop ~reset_mask) s.Isa.instrs)
          program.Isa.streams)
   in
   let streams = Array.of_list program.Isa.streams in
@@ -2113,7 +2107,6 @@ let decode ~(cfg : Config.t) (program : Isa.program) : t =
     d_smem_base = base;
     d_smem_slots = slots;
     d_smem_total = !acc;
-    d_reset_mask = reset_mask;
   }
 
 (* ------------------------ context creation ------------------------ *)
@@ -2135,72 +2128,28 @@ let make_ctx ?recorder (d : t) ~(params : Sim.rt list)
     && Array.length pid >= 3
     && params_conform d.d_pkinds params
   in
-  let wgs =
+  let ctx =
+    new_ctx ?recorder ~cfg:d.d_cfg ~nwgs:(Array.length d.d_codes) ~pid ~num_programs
+      ~pop_global
+      ~arrive_counts:
+        (Array.init program.Isa.num_mbarriers (Array.get program.Isa.mbar_arrive_counts))
+      ~num_rings:program.Isa.num_rings ~smem_base:d.d_smem_base
+      ~smem_slots:d.d_smem_slots ~smem_total:d.d_smem_total ()
+  in
+  ctx.wgs <-
     Array.mapi
       (fun i codes ->
         let planes = make_planes 64 in
         (* Kernel params preload registers 0..n-1 (capped at the
            reference file's initial 64 registers). *)
         List.iteri (fun r v -> if r < 64 then set_rt planes r v) params;
-        {
-          index = i;
-          role = d.d_roles.(i);
-          code = (if use_opt then d.d_units.(i) else codes);
-          lens = (if use_opt then d.d_lens.(i) else d.d_ones.(i));
-          local = (if use_opt then d.d_local.(i) else d.d_zeros.(i));
-          pc = 0;
-          c = { t = 0.0; busy = 0.0; wopen = -1.0 };
-          planes;
-          state = Sim.Running;
-          wgmma_groups = fring_create ();
-          pop_round = 0;
-          wg_pid = None;
-          instret = 0;
-          in_ready = false;
-          buckets = Array.make Tawa_obs.Stall.num 0.0;
-          cells = Array.make (Array.length codes * Tawa_obs.Stall.num) 0.0;
-        })
-      d.d_codes
-  in
-  let ctx =
-    {
-      cfg = d.d_cfg;
-      wgs;
-      pid;
-      num_programs;
-      mbars =
-        Array.init program.Isa.num_mbarriers (fun i ->
-            Mbarrier.create ~arrive_count:program.Isa.mbar_arrive_counts.(i));
-      rings =
-        Array.init (max 1 program.Isa.num_rings) (fun _ ->
-            Mbarrier.create ~arrive_count:1);
-      smem = Array.make (max 1 d.d_smem_total) None;
-      smem_base = d.d_smem_base;
-      smem_slots = d.d_smem_slots;
-      smem_over = Hashtbl.create 8;
-      pipes = { tma_free = 0.0; tc_free = 0.0 };
-      fence_waiters = [];
-      popped = Array.make 16 (-2);
-      popped_len = 0;
-      pop_global;
-      stats =
-        {
-          Sim.tc_busy = 0.0;
-          tma_busy = 0.0;
-          tma_bytes = 0.0;
-          wgmma_count = 0;
-          tma_count = 0;
-          steps = 0;
-        };
-      mbar_waiters = Array.make (max 1 program.Isa.num_mbarriers) [];
-      ring_waiters = Array.make (max 1 program.Isa.num_rings) [];
-      ready = { heap = [||]; n = 0 };
-      mbar_wait = Array.make (max 1 program.Isa.num_mbarriers) 0.0;
-      ring_wait = Array.make (max 1 program.Isa.num_rings) 0.0;
-      num_rings = program.Isa.num_rings;
-      recorder;
-    }
-  in
+        new_wg ctx ~index:i ~role:d.d_roles.(i)
+          ~code:(if use_opt then d.d_units.(i) else codes)
+          ~lens:(if use_opt then d.d_lens.(i) else d.d_ones.(i))
+          ~local:(if use_opt then d.d_local.(i) else d.d_zeros.(i))
+          ~planes
+          ~cells:(Array.make (Array.length codes * Tawa_obs.Stall.num) 0.0))
+      d.d_codes;
   Array.iteri (fun i b -> Mbarrier.set_notify b (fun bar -> wake_mbar ctx i bar)) ctx.mbars;
   Array.iteri (fun i b -> Mbarrier.set_notify b (fun ring -> wake_ring ctx i ring)) ctx.rings;
   ctx

@@ -33,95 +33,101 @@ let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
    wake-up is bit-identical), and the min-scan is a binary heap pop:
    O(log #WGs) per retired instruction instead of O(#WGs).
 
-   A popped WG owns its scheduler slot for as long as its upcoming
-   unit is [local] (timing mode: provably free of cross-WG
-   interaction, see {!Decode.optimize_stream}): such units retire
-   without re-entering the heap. [w.lens.(pc)] is the number of source
-   instructions the unit retires — 1, except for collapsed cost
-   blocks. The budget is still charged per source instruction, and the
-   check stays ahead of execution, so "sim: step budget exhausted"
-   fires at the same retired count as the oracle. The [in_ready]
-   guard covers self-releasing units (a Fence arriving last wakes its
-   own WG): once re-enqueued, the WG must not also keep running. *)
+   A popped WG keeps its scheduler slot and runs its next unit while
+   it is still Running, not re-enqueued ([in_ready]: a self-releasing
+   unit, such as a Fence arriving last, wakes its own WG), and either
+   - the unit is [local] (timing mode: provably free of cross-WG
+     interaction, see {!Decode.optimize_stream}), or
+   - the WG is strictly before the heap top in [(time, index)] order,
+     or the heap is empty. A push-then-pop would return this very WG,
+     so the executed order is the oracle's. The test runs after each
+     unit, against the top at that moment, since the unit may have
+     woken other WGs.
+   [w.lens.(pc)] is the number of source instructions the unit retires
+   — 1, except for collapsed cost blocks and chains. The budget is
+   still charged per source instruction, and the check stays ahead of
+   execution, so "sim: step budget exhausted" fires before the same
+   unit as the oracle's. *)
 let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
-  let wgs = ctx.Decode.wgs in
-  Array.iter (fun w -> Decode.ready_push ctx w) wgs;
+  let open Decode in
+  let wgs = ctx.wgs and q = ctx.ready in
+  Array.iter ready_push wgs;
   let alive = ref (Array.length wgs) in
   let steps = ref 0 in
-  let stats = ctx.Decode.stats in
-  let recd = ctx.Decode.recorder in
+  let recd = ctx.recorder in
   while !alive > 0 do
     if !steps >= max_steps then err "sim: step budget exhausted";
-    if ctx.Decode.ready.Decode.n > 0 then begin
-      let w = Decode.ready_pop_exn ctx in
-      let code = w.Decode.code
-      and lens = w.Decode.lens
-      and local = w.Decode.local in
+    if q.n > 0 then begin
+      let w = ready_pop_exn ctx in
+      let code = w.code and lens = w.lens and local = w.local in
       let lim = Bytes.length local in
       let continue = ref true in
       while !continue do
-        let pc = w.Decode.pc in
+        let pc = w.pc in
         let len = lens.(pc) in
         steps := !steps + len;
         if !steps > max_steps then err "sim: step budget exhausted";
-        stats.Sim.steps <- stats.Sim.steps + len;
-        w.Decode.instret <- w.Decode.instret + len;
+        w.instret <- w.instret + len;
         (match recd with
         | Some r ->
           (* Op spans per scheduler unit. Collapsed cost blocks span
              all their members, attributed to the block's first pc. A
              unit that left [in_ready] set is a self-releasing Fence:
              its span was already recorded by [release_fences]. *)
-          let t0 = w.Decode.c.Decode.t in
-          code.(pc) ctx w;
-          if (not w.Decode.in_ready) && w.Decode.c.Decode.t > t0 then
-            Tawa_obs.Prof.record_op r ~wg:w.Decode.index ~pc ~t0
-              ~t1:w.Decode.c.Decode.t
-        | None -> code.(pc) ctx w);
-        match w.Decode.state with
-        | Sim.Running
-          when (not w.Decode.in_ready)
-               && w.Decode.pc < lim
-               && Bytes.get local w.Decode.pc <> '\000' ->
-          ()
+          let t0 = w.c.t in
+          code.(pc) w;
+          if (not w.in_ready) && w.c.t > t0 then
+            Tawa_obs.Prof.record_op r ~wg:w.index ~pc ~t0 ~t1:w.c.t
+        | None -> code.(pc) w);
+        match w.state with
+        | Sim.Running when not w.in_ready ->
+          let pc = w.pc in
+          if (pc >= lim || Bytes.unsafe_get local pc = '\000') && q.n > 0 then begin
+            let top = wgs.(q.heap.(0)) in
+            let t = w.c.t and tt = top.c.t in
+            if not (t < tt || (t = tt && w.index < top.index)) then continue := false
+          end
         | _ -> continue := false
       done;
       (* Only the executing WG can finish; blocked WGs re-enter the
          heap via the wake hooks (possibly already, if this very
          instruction released them). *)
-      match w.Decode.state with
-      | Sim.Running -> Decode.ready_push ctx w
+      match w.state with
+      | Sim.Running -> ready_push w
       | Sim.Finished -> decr alive
       | Sim.Blocked _ -> ()
     end
     else
       let blocked =
         Array.to_list wgs
-        |> List.filter (fun w -> w.Decode.state <> Sim.Finished)
+        |> List.filter (fun w -> w.state <> Sim.Finished)
         |> List.map (fun w ->
-               Printf.sprintf "wg%d(%s)@pc%d: %s" w.Decode.index
-                 (Op.role_to_string w.Decode.role)
-                 w.Decode.pc
-                 (match w.Decode.state with
+               Printf.sprintf "wg%d(%s)@pc%d: %s" w.index
+                 (Op.role_to_string w.role)
+                 w.pc
+                 (match w.state with
                  | Sim.Blocked (Sim.On_mbar { bar; target }) ->
                    Printf.sprintf "mbar %d >= %d (have %d)" bar target
-                     (Mbarrier.completions ctx.Decode.mbars.(bar))
+                     (Mbarrier.completions ctx.mbars.(bar))
                  | Sim.Blocked (Sim.On_ring { ring; target }) ->
                    Printf.sprintf "ring %d >= %d (have %d)" ring target
-                     (Mbarrier.completions ctx.Decode.rings.(ring))
+                     (Mbarrier.completions ctx.rings.(ring))
                  | Sim.Blocked Sim.On_fence -> "fence"
                  | Sim.Running | Sim.Finished -> "?"))
       in
       err "sim: deadlock: %s" (String.concat "; " blocked)
   done;
-  let cycles =
-    Array.fold_left (fun acc w -> Float.max acc w.Decode.c.Decode.t) 0.0 wgs
-  in
+  let cycles = Array.fold_left (fun acc w -> Float.max acc w.c.t) 0.0 wgs in
+  let stats = ctx.stats in
+  stats.Sim.steps <- !steps;
+  stats.Sim.tc_busy <- ctx.pipes.tc_busy;
+  stats.Sim.tma_busy <- ctx.pipes.tma_busy;
+  stats.Sim.tma_bytes <- ctx.pipes.tma_bytes;
   {
     Sim.cycles;
-    stats = ctx.Decode.stats;
-    instructions = Array.fold_left (fun a w -> a + w.Decode.instret) 0 wgs;
-    profile = Decode.profile_of_ctx ~wall:cycles ctx;
+    stats;
+    instructions = Array.fold_left (fun a w -> a + w.instret) 0 wgs;
+    profile = profile_of_ctx ~wall:cycles ctx;
   }
 
 (* ------------------------- decode caching ------------------------- *)
@@ -136,9 +142,24 @@ let decode_cache_stats () = Progcache.stats decode_cache
    of the same program never alias; the timing-optimization flag joins
    it because flipping it mid-process (bench baseline passes) must not
    serve stale streams. *)
-let cfg_digest (cfg : Config.t) =
+let digest_cfg (cfg : Config.t) =
   let norm = { cfg with Config.mode = Config.Timing } in
   Digest.to_hex (Digest.string (Marshal.to_string norm []))
+
+(* The last config digested, by physical identity: a sweep launches
+   every program under one config value, so a key marshals neither the
+   program ({!Progcache.program_fingerprint} is memoized) nor the
+   config. *)
+let last_cfg = Atomic.make (Config.h100, digest_cfg Config.h100)
+
+let cfg_digest (cfg : Config.t) =
+  let c, d = Atomic.get last_cfg in
+  if c == cfg then d
+  else begin
+    let d = digest_cfg cfg in
+    Atomic.set last_cfg (cfg, d);
+    d
+  end
 
 let cache_key (cfg : Config.t) program =
   Progcache.program_fingerprint program

@@ -158,6 +158,8 @@ type prov = {
 
 let no_prov = { srcmaps = [||]; opmeta = [||]; mbar_labels = [||]; ring_labels = [||] }
 
+(** A machine program. Never mutated after codegen, arrays included:
+    {!Progcache.program_fingerprint} memoizes its digest per value. *)
 type program = {
   name : string;
   param_tys : Types.ty list;

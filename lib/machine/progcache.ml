@@ -156,11 +156,42 @@ let kernel_fingerprint (k : Kernel.t) =
      to be physically shared. *)
   Digest.to_hex (Digest.string (Marshal.to_string tree [ Marshal.No_sharing ]))
 
+(* Fingerprints of live programs, by physical identity. An
+   [Isa.program] is never mutated after codegen (its arrays included),
+   so a program value's fingerprint never changes; a [{ p with ... }]
+   copy is a different value and gets its own. The table is weak in its
+   keys, reset when it reaches [memo_max] entries, and locked: pool
+   domains prepare launches at once. *)
+module Phys = Ephemeron.K1.Make (struct
+  type t = Isa.program
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let memo : string Phys.t = Phys.create 64
+let memo_lock = Mutex.create ()
+let memo_max = 1024
+
 (** Content fingerprint of a machine program: digest of its marshalled
     form. [Isa.program] is pure data (no closures, no cycles), and
     register/alloc/barrier ids are assigned densely per program by
     codegen, so structural equality implies identical marshalling.
     Keys the decode cache ({!Engine}) the way {!kernel_fingerprint}
-    keys the compile cache. *)
+    keys the compile cache. Programs are never mutated after codegen,
+    so the digest is computed at most once per program value
+    (memoized by physical identity) and a repeated launch of the same
+    program marshals nothing. *)
 let program_fingerprint (p : Isa.program) =
-  Digest.to_hex (Digest.string (Marshal.to_string p []))
+  Mutex.lock memo_lock;
+  let hit = Phys.find_opt memo p in
+  Mutex.unlock memo_lock;
+  match hit with
+  | Some fp -> fp
+  | None ->
+    let fp = Digest.to_hex (Digest.string (Marshal.to_string p [])) in
+    Mutex.lock memo_lock;
+    if Phys.length memo >= memo_max then Phys.reset memo;
+    Phys.replace memo p fp;
+    Mutex.unlock memo_lock;
+    fp

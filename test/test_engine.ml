@@ -162,6 +162,72 @@ let test_persistent_queue () =
              (* 4 *) Isa.Exit ] ])
 
 (* ------------------------------------------------------------------ *)
+(* Scheduler order: a WG keeps its slot only while it is earliest      *)
+(* ------------------------------------------------------------------ *)
+
+(* A timing-mode TMA load of a 64x64 f16 tile that arrives on [bar]. *)
+let tma bar =
+  Isa.Tma_load
+    { desc = Isa.Reg 9; offs = [ Isa.Imm 0; Isa.Imm 0 ];
+      dst = { Isa.alloc = 0; slot = Isa.Imm 0 }; rows = 64; cols = 64;
+      dtype = Dtype.F16; full = { Isa.base = bar; index = Isa.Imm 0 } }
+
+let arrive bar = Isa.Mbar_arrive { base = bar; index = Isa.Imm 0 }
+let wait bar = Isa.Mbar_wait { bar = { Isa.base = bar; index = Isa.Imm 0 }; target = Isa.Imm 1 }
+
+(* Both engines with a recorder attached: the outcomes (cycles, stats,
+   profiles) and every recorded event, in recording order, must agree
+   bit for bit. Returns the decoded engine's recorder. *)
+let check_recorded ~cfg name p =
+  let run (run_cta : Oracle.runner) =
+    let recorder = Tawa_obs.Prof.create () in
+    let o =
+      run_cta ~recorder ~cfg ~program:p ~params:[] ~num_programs:[| 1; 1; 1 |]
+        ~pop_global:Launch.no_queue ()
+    in
+    (o, recorder)
+  in
+  let ro, rr = run Oracle.run_cta and eo, er = run Engine.run_cta in
+  let same what eq = Alcotest.(check bool) (name ^ ": " ^ what) true eq in
+  same "outcome" (Oracle.outcomes_equal ro eo);
+  same "op spans" (rr.Tawa_obs.Prof.ops = er.Tawa_obs.Prof.ops);
+  same "completions" (rr.Tawa_obs.Prof.completions = er.Tawa_obs.Prof.completions);
+  same "waits" (rr.Tawa_obs.Prof.waits = er.Tawa_obs.Prof.waits);
+  er
+
+(* WG 1's arrival (a non-local unit) completes the phase WG 0 waits on.
+   With a zero sync cost WG 0 wakes at exactly WG 1's clock, so the
+   index tie-break hands the next slot to WG 0: it must issue its TMA
+   load first, and WG 1's lands behind it on the shared pipe. A
+   scheduler that kept WG 1 running on a tie would swap the two. *)
+let test_wake_tie_yields () =
+  let p =
+    mk_program ~num_mbarriers:3 ~arrive:[| 1; 1; 1 |]
+      [ stream [ wait 0; tma 1; wait 1; Isa.Exit ];
+        stream ~role:Op.Producer [ arrive 0; tma 2; wait 2; Isa.Exit ] ]
+  in
+  let r = check_recorded ~cfg:{ cfg with Config.mbar_cycles = 0.0 } "wake tie" p in
+  let landed chan =
+    List.find (fun c -> c.Tawa_obs.Prof.cp_chan = chan) r.Tawa_obs.Prof.completions
+  in
+  Alcotest.(check bool) "WG 0 issued its TMA load first" true
+    ((landed 1).Tawa_obs.Prof.cp_time < (landed 2).Tawa_obs.Prof.cp_time)
+
+(* WG 1's long load puts it far ahead in time, so WG 0 stays the
+   earliest WG across four TMA issues, the wait they complete and an
+   arrival in a row, without giving up its slot. *)
+let test_earliest_keeps_running () =
+  let p =
+    mk_program ~num_mbarriers:2 ~arrive:[| 4; 1 |]
+      [ stream [ tma 0; tma 0; tma 0; tma 0; wait 0; arrive 1; Isa.Exit ];
+        stream
+          [ Isa.Ldg { dst = 8; desc = Isa.Reg 9; offs = [ Isa.Imm 0; Isa.Imm 0 ];
+                      rows = 64; cols = 64; dtype = Dtype.F16 };
+            wait 1; Isa.Exit ] ]
+  in
+  ignore (check_recorded ~cfg "earliest keeps running" p)
+
+(* ------------------------------------------------------------------ *)
 (* Satellite regressions                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -723,6 +789,11 @@ let suites =
         Alcotest.test_case "cooperative warp groups" `Quick test_coop_diff;
       ]
       @ qsuite [ prop_engine_fuzz ] );
+    ( "engine.scheduler",
+      [
+        Alcotest.test_case "wake at the same clock yields" `Quick test_wake_tie_yields;
+        Alcotest.test_case "earliest WG keeps running" `Quick test_earliest_keeps_running;
+      ] );
     ( "engine.regressions",
       [
         Alcotest.test_case "fence released on exit" `Quick test_fence_released_on_exit;

@@ -194,9 +194,11 @@ let test_elab_autosplat () =
   | _ -> Alcotest.fail "expected one kernel"
 
 (* One-line mutants of examples/kernels/gemm.tw that the builder
-   rejects (operand kind, shape, grid axis, store arity and kind): each
-   must surface as an [Elab_error] on the mutated line, not as a
-   builder, verifier or simulator exception. *)
+   rejects (operand kind, shape, grid axis, store arity and kind), or
+   that only the verifier or code generation used to reject (a loop
+   bound or step that is not i32, a scalar stored through a 2-D
+   descriptor): each must surface as an [Elab_error] on the mutated
+   line, not as a builder, verifier, codegen or simulator exception. *)
 let test_elab_mutants_positioned () =
   let lines =
     In_channel.with_open_text "../examples/kernels/gemm.tw" In_channel.input_all
@@ -223,7 +225,10 @@ let test_elab_mutants_positioned () =
       (14, "dot(at, bt, acc)", "dot(at, at, acc)");
       (3, "program_id(0)", "program_id(32)");
       (16, "store(dc, [offs_m, offs_n],", "store(dc, [offs_m],");
-      (16, "store(dc,", "store(c,") ]
+      (16, "store(dc,", "store(c,");
+      (11, "0 .. K step 8", "0 .. da step 8");
+      (11, "step 8 with", "step 8.0 with");
+      (16, "cast(acc, f16)", "cast(K, f16)") ]
 
 let run_dsl_gemm kernel ~m ~n ~kk =
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:1 [| m; kk |] in

@@ -12,6 +12,9 @@
       (program fingerprint x cost-model digest x execution mode
       [x timing-opt flag]), so functional and timing decodes of one
       program never alias, and eviction works for the new key shape.
+      Equal program contents share a decode, however many values or
+      domains carry them; a changed instruction, provenance or cost
+      field misses.
 
    3. modes.grouped — the grouped launcher's estimate: identical in
       functional and timing mode, bit-identical for any pool domain
@@ -181,6 +184,52 @@ let test_decode_cache_mode_entries () =
   Alcotest.(check int) "repeat prepares hit" 2 (s2.Progcache.hits - s1.Progcache.hits);
   Alcotest.(check int) "no further misses" 0 (s2.Progcache.misses - s1.Progcache.misses)
 
+(* A program and a second, separate code generation of the same
+   transformed kernel: equal contents in distinct values. *)
+let program_twins () =
+  let c = ws_gemm () in
+  (c.Flow.program, Codegen.lower c.Flow.transformed)
+
+(* The key digests program contents, memoized per program value, and
+   config contents: equal contents share a decode and any difference
+   misses, whichever value carries it. *)
+let test_decode_key_contents () =
+  let p, twin = program_twins () in
+  Alcotest.(check bool) "compiled twice: equal, distinct values" true (p = twin && p != twin);
+  Engine.clear_decode_cache ();
+  let misses () = (Engine.decode_cache_stats ()).Progcache.misses in
+  let d = Engine.prepare ~cfg:Config.h100 p in
+  Alcotest.(check bool) "equal programs share one decode" true
+    (Engine.prepare ~cfg:Config.h100 twin == d);
+  Alcotest.(check int) "one decode" 1 (misses ());
+  ignore (Engine.prepare ~cfg:Config.h100 { p with Isa.prov = Isa.no_prov });
+  Alcotest.(check int) "a provenance copy misses" 2 (misses ());
+  let s0 = List.hd p.Isa.streams in
+  let instrs = Array.copy s0.Isa.instrs in
+  instrs.(0) <- (if instrs.(0) = Isa.Nop then Isa.Wgmma_commit else Isa.Nop);
+  ignore
+    (Engine.prepare ~cfg:Config.h100
+       { p with Isa.streams = { s0 with Isa.instrs } :: List.tl p.Isa.streams });
+  Alcotest.(check int) "one changed instruction misses" 3 (misses ());
+  ignore
+    (Engine.prepare
+       ~cfg:{ Config.h100 with Config.tma_latency = Config.h100.Config.tma_latency +. 1.0 }
+       p);
+  Alcotest.(check int) "one changed cost field misses" 4 (misses ());
+  ignore (Engine.prepare ~cfg:Config.h100 p);
+  Alcotest.(check int) "the original still hits" 4 (misses ())
+
+(* Two domains key a program value whose fingerprint is not memoized
+   yet at once: both reach the one decode its contents already have. *)
+let test_decode_key_domains () =
+  let p, twin = program_twins () in
+  Engine.clear_decode_cache ();
+  let d = Engine.prepare ~cfg:Config.h100 p in
+  let got = Pool.map ~domains:2 (fun q -> Engine.prepare ~cfg:Config.h100 q) (Array.make 8 twin) in
+  Alcotest.(check bool) "every domain gets the single decode" true
+    (Array.for_all (fun e -> e == d) got);
+  Alcotest.(check int) "no further decode" 1 (Engine.decode_cache_stats ()).Progcache.misses
+
 (* ------------------------------------------------------------------ *)
 (* 3. Grouped launches                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -332,7 +381,9 @@ let suites =
       [ Alcotest.test_case "key shape" `Quick test_cache_key_shape;
         Alcotest.test_case "eviction on new keys" `Quick test_cache_eviction_new_keys;
         Alcotest.test_case "per-mode decode entries" `Quick
-          test_decode_cache_mode_entries ] );
+          test_decode_cache_mode_entries;
+        Alcotest.test_case "key digests contents" `Quick test_decode_key_contents;
+        Alcotest.test_case "key from two domains" `Quick test_decode_key_domains ] );
     ( "modes.grouped",
       [ Alcotest.test_case "functional cycles == timing cycles" `Quick
           test_grouped_functional_equals_timing;

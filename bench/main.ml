@@ -4,7 +4,7 @@
      dune exec bench/main.exe                 -- everything
      dune exec bench/main.exe -- fig8         -- one figure
      dune exec bench/main.exe -- fig8 fig10   -- a subset
-     (figures: fig8 fig9 fig10 fig11 fig12 extra micro)
+     (figures: fig8 fig9 fig10 fig11 fig12 extra)
 
    Flags:
      --json [PATH]   also write a machine-readable trajectory record
@@ -26,7 +26,9 @@
    for any domain count. Absolute TFLOPS come from the calibrated cost
    model; the claims checked in EXPERIMENTS.md are the paper's
    *shapes*: orderings, speedup factors, crossovers, feasibility
-   holes. *)
+   holes. claims.ml asserts several of them on this program's output.
+   Every Fig. 8, 10 and 12 cell is an autotune candidate timed through
+   [Autotune.time]. *)
 
 open Tawa_tensor
 open Tawa_frontend
@@ -353,57 +355,25 @@ let fig11 () =
 (* Fig. 12: ablation                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let fig12_gemm () =
-  section "Fig. 12 (left): GEMM ablation, FP16, K=16384";
-  let shape = Workloads.paper_gemm 16384 in
-  let time compiled ~tiles =
-    let grid, params = Workloads.gemm_launch shape ~tiles in
-    (Launch.estimate ~cfg compiled.Flow.program ~params ~grid
-       ~flops:(Workloads.gemm_flops shape))
-      .Launch.tflops
+(* One ablation panel. Each step is a label and the candidates it
+   picks from: one for a fixed schedule, several for a tuned step,
+   which reports its strict best. The steps are independent
+   measurements. *)
+let ablation title family steps =
+  section title;
+  let tflops =
+    Array.of_list
+      (Pool.map_list
+         (fun (_, cands) -> (snd (Autotune.fastest ~cfg family cands)).Launch.tflops)
+         steps)
   in
-  let small = Frameworks.tiles_128x128 and large = Frameworks.tiles_128x256 in
-  (* The five ablation steps are independent measurements. *)
-  let steps =
-    Pool.run_all
-      [| (fun () ->
-           time
-             (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Naive }
-                (Kernels.gemm ~tiles:small ()))
-             ~tiles:small);
-         (fun () ->
-           time
-             (Flow.compile
-                ~options:{ Flow.default_options with aref_depth = 2; mma_depth = 1; num_consumer_wgs = 1;
-                           persistent = false; use_coarse = false }
-                (Kernels.gemm ~tiles:small ()))
-             ~tiles:small);
-         (fun () ->
-           time
-             (Flow.compile
-                ~options:{ Flow.default_options with aref_depth = 2; mma_depth = 1; num_consumer_wgs = 2;
-                           persistent = false; use_coarse = false }
-                (Kernels.gemm ~tiles:large ()))
-             ~tiles:large);
-         (fun () ->
-           time
-             (Flow.compile
-                ~options:{ Flow.default_options with aref_depth = 2; mma_depth = 1; num_consumer_wgs = 2;
-                           persistent = true; use_coarse = false }
-                (Kernels.gemm ~tiles:large ()))
-             ~tiles:large);
-         (fun () -> (Autotune.tune_gemm ~cfg shape).Autotune.tflops) |]
-  in
-  let baseline = steps.(0) in
-  let labels =
-    [ "Triton w/o WS (naive)"; "+Auto WS"; "+Cooperative WGs, +Large Tile";
-      "+Persistent Kernel"; "+Better Aref Size (autotuned)" ]
-  in
+  let baseline = tflops.(0) in
+  let labels = List.map fst steps in
   let rows =
     List.mapi
       (fun i label ->
-        [ label; Report.f1 steps.(i);
-          (if i = 0 then "1.00x" else Report.speedup ~over:baseline steps.(i)) ])
+        [ label; Report.f1 tflops.(i);
+          (if i = 0 then "1.00x" else Report.speedup ~over:baseline tflops.(i)) ])
       labels
   in
   pr "%s" (Report.render ~header:[ "configuration"; "TFLOPS"; "vs baseline" ] rows);
@@ -411,77 +381,37 @@ let fig12_gemm () =
     (List.mapi
        (fun i label ->
          Json.Obj
-           [ ("configuration", Json.Str label); ("tflops", Json.Float steps.(i));
-             ("vs_baseline", Json.Float (steps.(i) /. baseline)) ])
-       labels)
-
-let fig12_mha () =
-  section "Fig. 12 (right): MHA ablation, FP16, L=16384";
-  let shape = Workloads.paper_mha 16384 in
-  let time compiled =
-    let grid, params = Workloads.mha_launch shape ~block_m:Frameworks.mha_block_m in
-    (Launch.estimate ~cfg compiled.Flow.program ~params ~grid
-       ~flops:(Workloads.mha_flops shape))
-      .Launch.tflops
-  in
-  let kernel d = Kernels.attention ~block_m:128 ~block_n:128 ~head_dim:128 ~dtype:d () in
-  (* The ablation baseline is Triton without any pipelining: loads are
-     synchronous TMA waits inside the loop. *)
-  let steps =
-    Pool.run_all
-      [| (fun () ->
-           time
-             (Flow.compile ~options:{ Flow.default_options with strategy = Flow.Sync_tma }
-                (kernel Dtype.F16)));
-         (fun () ->
-           time
-             (Flow.compile
-                ~options:{ Flow.default_options with aref_depth = 2; mma_depth = 1; num_consumer_wgs = 1;
-                           persistent = false; use_coarse = false }
-                (kernel Dtype.F16)));
-         (fun () ->
-           time
-             (Flow.compile
-                ~options:{ Flow.default_options with aref_depth = 2; mma_depth = 1; num_consumer_wgs = 1;
-                           persistent = false; use_coarse = true }
-                (kernel Dtype.F16)));
-         (fun () ->
-           List.fold_left
-             (fun acc d ->
-               let t =
-                 time
-                   (Flow.compile
-                      ~options:{ Flow.default_options with aref_depth = d; mma_depth = 1; num_consumer_wgs = 1;
-                                 persistent = false; use_coarse = true }
-                      (kernel Dtype.F16))
-               in
-               Float.max acc t)
-             0.0 [ 2; 3; 4 ]) |]
-  in
-  let baseline = steps.(0) in
-  let labels =
-    [ "Triton w/o pipelining (sync TMA)"; "+Auto WS"; "+Coarse-grained pipeline";
-      "+Better Aref Size" ]
-  in
-  let rows =
-    List.mapi
-      (fun i label ->
-        [ label; Report.f1 steps.(i);
-          (if i = 0 then "1.00x" else Report.speedup ~over:baseline steps.(i)) ])
-      labels
-  in
-  pr "%s" (Report.render ~header:[ "configuration"; "TFLOPS"; "vs baseline" ] rows);
-  Json.List
-    (List.mapi
-       (fun i label ->
-         Json.Obj
-           [ ("configuration", Json.Str label); ("tflops", Json.Float steps.(i));
-             ("vs_baseline", Json.Float (steps.(i) /. baseline)) ])
+           [ ("configuration", Json.Str label); ("tflops", Json.Float tflops.(i));
+             ("vs_baseline", Json.Float (tflops.(i) /. baseline)) ])
        labels)
 
 let fig12 () =
-  let g = fig12_gemm () in
-  let m = fig12_mha () in
+  let c = Autotune.candidate in
+  let small = Frameworks.tiles_128x128 and large = Frameworks.tiles_128x256 in
+  let ws tiles = { (c tiles) with Autotune.aref_depth = 2; mma_depth = 1 } in
+  let g =
+    ablation "Fig. 12 (left): GEMM ablation, FP16, K=16384"
+      (Autotune.Gemm (Workloads.paper_gemm 16384))
+      [ ("Triton w/o WS (naive)", [ { (c small) with Autotune.strategy = Flow.Naive } ]);
+        ("+Auto WS", [ ws small ]);
+        ("+Cooperative WGs, +Large Tile", [ { (ws large) with Autotune.coop = 2 } ]);
+        ( "+Persistent Kernel",
+          [ { (ws large) with Autotune.coop = 2; persistent = true } ] );
+        ("+Better Aref Size (autotuned)", Autotune.gemm_candidates ~dtype:Dtype.F16 ()) ]
+  in
+  (* The MHA baseline is Triton without any pipelining: loads are
+     synchronous TMA waits inside the loop. *)
+  let attn = { Kernels.block_m = 128; block_n = 128; block_k = 128 } in
+  let coarse d = { (ws attn) with Autotune.aref_depth = d; coarse = true } in
+  let m =
+    ablation "Fig. 12 (right): MHA ablation, FP16, L=16384"
+      (Autotune.Attention (Workloads.paper_mha 16384))
+      [ ( "Triton w/o pipelining (sync TMA)",
+          [ { (c attn) with Autotune.strategy = Flow.Sync_tma } ] );
+        ("+Auto WS", [ ws attn ]);
+        ("+Coarse-grained pipeline", [ coarse 2 ]);
+        ("+Better Aref Size", List.map coarse [ 2; 3; 4 ]) ]
+  in
   Json.Obj [ ("gemm", g); ("mha", m) ]
 
 (* ------------------------------------------------------------------ *)
@@ -521,57 +451,6 @@ let extra () =
         (d * tile_bytes / 1024))
     [ 2; 3; 4 ];
   Json.Null
-
-(* ------------------------------------------------------------------ *)
-(* Micro: compile-time cost of each Tawa pass (bechamel)               *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro: compiler pass wall-times (bechamel)";
-  let open Bechamel in
-  let gemm () = Kernels.gemm ~tiles:Frameworks.tiles_128x128 () in
-  let attn () = Kernels.attention ~block_m:128 ~block_n:128 ~head_dim:128 () in
-  let ws k =
-    Tawa_passes.Partition.warp_specialize
-      ~config:{ Tawa_passes.Partition.aref_depth = 2; num_consumer_wgs = 1 }
-      k
-  in
-  let tests =
-    [
-      Test.make ~name:"frontend:build-gemm" (Staged.stage (fun () -> ignore (gemm ())));
-      Test.make ~name:"pass:warp-specialize"
-        (let k = gemm () in
-         Staged.stage (fun () -> ignore (ws k)));
-      Test.make ~name:"pass:fine-pipeline"
-        (let k = ws (gemm ()) in
-         Staged.stage (fun () -> ignore (Tawa_passes.Pipeline_fine.apply ~mma_depth:2 k)));
-      Test.make ~name:"pass:coarse-pipeline"
-        (let k = ws (attn ()) in
-         Staged.stage (fun () -> ignore (Tawa_passes.Pipeline_coarse.apply k)));
-      Test.make ~name:"codegen:lower"
-        (let k = Tawa_passes.Pipeline_fine.apply ~mma_depth:2 (ws (gemm ())) in
-         Staged.stage (fun () -> ignore (Tawa_machine.Codegen.lower k)));
-      Test.make ~name:"e2e:compile-gemm"
-        (Staged.stage (fun () -> ignore (Flow.compile (gemm ()))));
-    ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg_b = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) () in
-  let raw = Benchmark.all cfg_b instances (Test.make_grouped ~name:"tawa" tests) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name res ->
-      match Analyze.OLS.estimates res with
-      | Some [ est ] -> rows := (name, est) :: !rows
-      | _ -> rows := (name, Float.nan) :: !rows)
-    results;
-  let rows = List.sort compare !rows in
-  List.iter (fun (name, est) -> pr "  %-36s %12.1f ns/run\n" name est) rows;
-  Json.Obj (List.map (fun (name, est) -> (name, Json.Float est)) rows)
 
 (* ------------------------------------------------------------------ *)
 (* Functional-verification grid: parallel vs sequential, vs reference  *)
@@ -934,7 +813,7 @@ let graph_report () =
 
 let all_figures =
   [ ("fig8", fig8); ("fig9", fig9); ("fig10", fig10); ("fig11", fig11);
-    ("fig12", fig12); ("extra", extra); ("micro", micro) ]
+    ("fig12", fig12); ("extra", extra) ]
 
 (* In --json mode every figure runs twice: on 1 domain (silent) and on
    the full domain pool for the reported tables. Caches are cleared

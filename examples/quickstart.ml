@@ -50,11 +50,10 @@ let () =
 
   (* 4. Estimate performance at paper scale with paper tiles. *)
   let shape = Workloads.paper_gemm 8192 in
-  let best = Autotune.tune_gemm shape in
-  let cand = best.Autotune.candidate in
+  let cand, best = Autotune.tune_gemm shape in
   Printf.printf
     "\nPaper-scale GEMM (8192^3, FP16): %.0f TFLOPS with D=%d P=%d %dx%d tiles%s%s\n"
-    best.Autotune.tflops cand.Autotune.aref_depth cand.Autotune.mma_depth
+    best.Launch.tflops cand.Autotune.aref_depth cand.Autotune.mma_depth
     cand.Autotune.tiles.Kernels.block_m cand.Autotune.tiles.Kernels.block_n
     (if cand.Autotune.coop > 1 then
        Printf.sprintf " (%d cooperative consumer WGs)" cand.Autotune.coop

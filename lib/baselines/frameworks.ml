@@ -4,7 +4,10 @@
     pipeline and runs on the same simulator; what differs is the
     schedule each framework is known to generate and a small set of
     documented cost quirks (DESIGN.md, "Baselines share the
-    simulator"). FP8 attention on TileLang and ThunderKittens returns
+    simulator"). So each cell is an {!Autotune.candidate} timed by
+    {!Autotune.time} under the framework's quirk config, and Tawa's
+    GEMM cell is the paper sweep's winner ({!Autotune.tune_gemm}).
+    FP8 attention on TileLang and ThunderKittens returns
     [None], matching the paper's "failed to execute our FP8 attention
     configurations". *)
 
@@ -87,129 +90,79 @@ let fa3_cfg (cfg : Config.t) =
     tc_efficiency = cfg.Config.tc_efficiency *. 1.005 }
 
 (* ------------------------------------------------------------------ *)
-(* GEMM                                                                *)
+(* Figure cells: each framework's schedule, timed under its quirks     *)
 (* ------------------------------------------------------------------ *)
-
-let gemm_fixed ~cfg ~(shape : Workloads.gemm_shape) ~tiles ~coop ~d ~p ~persistent () =
-  let kernel = Kernels.gemm ~tiles ~dtype:shape.Workloads.dtype () in
-  let compiled =
-    Flow.compile
-      ~options:
-        { Flow.default_options with aref_depth = d; mma_depth = p; num_consumer_wgs = coop;
-          persistent; use_coarse = false }
-      kernel
-  in
-  let grid, params = Workloads.gemm_launch shape ~tiles in
-  Launch.estimate ~cfg compiled.Flow.program ~params ~grid
-    ~flops:(Workloads.gemm_flops shape)
 
 (** GEMM timing of [fw] on [shape]; [None] only for frameworks that do
-    not ship a GEMM (FA3). *)
+    not ship a GEMM (FA3). Tawa's cell is the paper sweep's winner with
+    its own timing. *)
 let gemm ?(cfg = Config.h100) (fw : t) (shape : Workloads.gemm_shape) :
     Launch.timing option =
+  let dtype = shape.Workloads.dtype and family = Autotune.Gemm shape in
+  (* Big cooperative tiles on two consumer warp groups. *)
+  let wide ~d ~p ~persistent =
+    { (Autotune.candidate tiles_128x256) with
+      Autotune.aref_depth = d; mma_depth = p; coop = 2; persistent }
+  in
   match fw with
-  | Tawa ->
-    let m = Autotune.tune_gemm ~cfg shape in
-    let c = m.Autotune.candidate in
-    Some
-      (gemm_fixed ~cfg ~shape ~tiles:c.Autotune.tiles ~coop:c.Autotune.coop
-         ~d:c.Autotune.aref_depth ~p:c.Autotune.mma_depth
-         ~persistent:c.Autotune.persistent ())
+  | Tawa -> Some (snd (Autotune.tune_gemm ~cfg shape))
   | Cublas ->
-    (* One expert kernel per precision: big cooperative tiles, deep
-       ring, persistent. *)
-    Some
-      (gemm_fixed ~cfg:(cublas_cfg cfg) ~shape ~tiles:tiles_128x256 ~coop:2 ~d:3 ~p:2
-         ~persistent:true ())
+    (* One expert kernel per precision: deep ring, persistent. *)
+    Some (Autotune.time ~cfg:(cublas_cfg cfg) family (wide ~d:3 ~p:2 ~persistent:true))
   | Triton ->
     (* Ampere-style software pipelining on the compute warps. *)
-    let kernel = Kernels.gemm ~tiles:tiles_128x128 ~dtype:shape.Workloads.dtype () in
-    let compiled =
-      Flow.compile
-        ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 }
-        kernel
-    in
-    let grid, params = Workloads.gemm_launch shape ~tiles:tiles_128x128 in
     Some
-      (Launch.estimate ~cfg compiled.Flow.program ~params ~grid
-         ~flops:(Workloads.gemm_flops shape))
+      (Autotune.time ~cfg family
+         { (Autotune.candidate tiles_128x128) with
+           Autotune.aref_depth = 3; strategy = Flow.Sw_pipelined 3 })
   | Tilelang ->
-    (* Hand-tuned for large K: deep pipeline + big cooperative tiles,
-       which pays off only once the main loop is long enough. *)
+    (* Hand-tuned for large K: a deep pipeline, which pays off only
+       once the main loop is long enough. *)
     Some
-      (gemm_fixed
-         ~cfg:(tilelang_cfg ~dtype:shape.Workloads.dtype cfg)
-         ~shape ~tiles:tiles_128x256 ~coop:2 ~d:4 ~p:2 ~persistent:false ())
+      (Autotune.time ~cfg:(tilelang_cfg ~dtype cfg) family
+         (wide ~d:4 ~p:2 ~persistent:false))
   | Thunderkittens ->
     Some
-      (gemm_fixed
-         ~cfg:(thunderkittens_cfg ~dtype:shape.Workloads.dtype cfg)
-         ~shape ~tiles:tiles_128x256 ~coop:2 ~d:2 ~p:1 ~persistent:false ())
+      (Autotune.time ~cfg:(thunderkittens_cfg ~dtype cfg) family
+         (wide ~d:2 ~p:1 ~persistent:false))
   | Fa3 -> None
-
-(* ------------------------------------------------------------------ *)
-(* Multi-head attention                                                *)
-(* ------------------------------------------------------------------ *)
 
 let mha_block_m = 128
 let mha_block_n = 128
-
-let mha_ws ~cfg ~(shape : Workloads.mha_shape) ~d ~coarse () =
-  let kernel =
-    Kernels.attention ~block_m:mha_block_m ~block_n:mha_block_n
-      ~head_dim:shape.Workloads.head_dim ~causal:shape.Workloads.causal
-      ~dtype:shape.Workloads.mha_dtype ()
-  in
-  let compiled =
-    Flow.compile
-      ~options:
-        { Flow.default_options with aref_depth = d; mma_depth = 1; num_consumer_wgs = 1; persistent = false;
-          use_coarse = coarse }
-      kernel
-  in
-  let grid, params = Workloads.mha_launch shape ~block_m:mha_block_m in
-  (* A causal kernel's work varies per query block; simulate the median
-     block (half the KV range). *)
-  let rep_pid = [| (if shape.Workloads.causal then max 0 ((shape.Workloads.len / mha_block_m / 2) - 1) else 0); 0; 0 |] in
-  Launch.estimate ~rep_pid ~cfg compiled.Flow.program ~params ~grid
-    ~flops:(Workloads.mha_flops shape)
 
 (** MHA timing of [fw] on [shape]; [None] when the framework cannot run
     the configuration (FP8 on TileLang/ThunderKittens; cuBLAS has no
     attention). *)
 let mha ?(cfg = Config.h100) (fw : t) (shape : Workloads.mha_shape) :
     Launch.timing option =
-  let fp8 = Dtype.equal shape.Workloads.mha_dtype Dtype.F8E4M3 in
+  let dtype = shape.Workloads.mha_dtype and family = Autotune.Attention shape in
+  let fp8 = Dtype.equal dtype Dtype.F8E4M3 in
+  let tiles =
+    { Kernels.block_m = mha_block_m; block_n = mha_block_n;
+      block_k = shape.Workloads.head_dim }
+  in
+  let ws ~d ~coarse =
+    { (Autotune.candidate tiles) with Autotune.aref_depth = d; mma_depth = 1; coarse }
+  in
   match fw with
-  | Tawa -> Some (mha_ws ~cfg ~shape ~d:2 ~coarse:true ())
-  | Fa3 -> Some (mha_ws ~cfg:(fa3_cfg cfg) ~shape ~d:3 ~coarse:true ())
+  | Tawa -> Some (Autotune.time ~cfg family (ws ~d:2 ~coarse:true))
+  | Fa3 -> Some (Autotune.time ~cfg:(fa3_cfg cfg) family (ws ~d:3 ~coarse:true))
   | Triton ->
     (* FA2-style: no warp specialization, cp.async prefetch. *)
-    let kernel =
-      Kernels.attention ~block_m:mha_block_m ~block_n:mha_block_n
-        ~head_dim:shape.Workloads.head_dim ~causal:shape.Workloads.causal
-        ~dtype:shape.Workloads.mha_dtype ()
-    in
-    let compiled =
-      Flow.compile
-        ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 2; aref_depth = 2 }
-        kernel
-    in
-    let grid, params = Workloads.mha_launch shape ~block_m:mha_block_m in
-    let rep_pid = [| (if shape.Workloads.causal then max 0 ((shape.Workloads.len / mha_block_m / 2) - 1) else 0); 0; 0 |] in
     Some
-      (Launch.estimate ~rep_pid ~cfg compiled.Flow.program ~params ~grid
-         ~flops:(Workloads.mha_flops shape))
+      (Autotune.time ~cfg family
+         { (Autotune.candidate tiles) with
+           Autotune.aref_depth = 2; strategy = Flow.Sw_pipelined 2 })
   | Tilelang ->
     if fp8 then None
     else
       (* Warp-specialized but without the coarse softmax/GEMM overlap. *)
-      Some (mha_ws ~cfg:(tilelang_cfg ~dtype:shape.Workloads.mha_dtype cfg) ~shape ~d:3 ~coarse:false ())
+      Some
+        (Autotune.time ~cfg:(tilelang_cfg ~dtype cfg) family (ws ~d:3 ~coarse:false))
   | Thunderkittens ->
     if fp8 then None
     else
       Some
-        (mha_ws
-           ~cfg:(thunderkittens_cfg ~dtype:shape.Workloads.mha_dtype cfg)
-           ~shape ~d:2 ~coarse:false ())
+        (Autotune.time ~cfg:(thunderkittens_cfg ~dtype cfg) family
+           (ws ~d:2 ~coarse:false))
   | Cublas -> None

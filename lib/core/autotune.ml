@@ -24,10 +24,11 @@
       fingerprint), so a warm restart re-serves tuned configs with
       zero re-measurement.
 
-    The legacy entry points ({!gemm_candidates}, {!tune_gemm},
-    {!dp_grid}) are kept verbatim for the bench figures
-    (Fig. 11) and the baselines table; they sweep the legacy
-    {!Resources.check_gemm}-feasible region. *)
+    One function, {!time_with}, turns a candidate into a launch timing:
+    {!measure}, {!search}, the paper's GEMM sweep ({!paper_gemm_axes},
+    timed unpruned by {!tune_gemm} and {!dp_grid}) and every framework
+    cell of the baselines table (a candidate timed under a cost-quirk
+    config) go through it. *)
 
 open Tawa_tensor
 open Tawa_frontend
@@ -43,6 +44,15 @@ type candidate = {
   coarse : bool;              (* coarse-grained T/C/U pipeline (§III-D.2) *)
   strategy : Flow.strategy;   (* lowering strategy; baselines ignore D/P *)
 }
+
+(** The candidate that compiles [tiles] with {!Flow.default_options}.
+    Callers state only what differs:
+    [{ (candidate tiles) with aref_depth = 3; coop = 2 }]. *)
+let candidate tiles =
+  let o = Flow.default_options in
+  { tiles; aref_depth = o.Flow.aref_depth; mma_depth = o.Flow.mma_depth;
+    coop = o.Flow.num_consumer_wgs; persistent = o.Flow.persistent;
+    coarse = o.Flow.use_coarse; strategy = o.Flow.strategy }
 
 type measurement = { candidate : candidate; tflops : float; cycles : float }
 
@@ -146,8 +156,8 @@ let expand (axes : axes) : candidate list =
                         (fun persistent ->
                           List.map
                             (fun coarse ->
-                              { tiles; aref_depth; mma_depth; coop; persistent;
-                                coarse; strategy = Flow.Warp_specialized })
+                              { (candidate tiles) with
+                                aref_depth; mma_depth; coop; persistent; coarse })
                             axes.ax_coarse)
                         axes.ax_persistent)
                   axes.ax_mma_depths)
@@ -161,9 +171,8 @@ let expand (axes : axes) : candidate list =
     | (tiles, _) :: _ ->
       List.map
         (fun stages ->
-          { tiles; aref_depth = stages; mma_depth = 1; coop = 1;
-            persistent = false; coarse = false;
-            strategy = Flow.Sw_pipelined stages })
+          { (candidate tiles) with
+            aref_depth = stages; mma_depth = 1; strategy = Flow.Sw_pipelined stages })
         axes.ax_sw_stages
   in
   ws @ sw
@@ -195,21 +204,43 @@ let launch_of (family : family) (c : candidate) =
     let mid = if s.Workloads.causal then max 0 ((s.Workloads.len / bm / 2) - 1) else 0 in
     ([| mid; 0; 0 |], grid, params, Workloads.mha_flops s)
 
-(* Compile [c], decode its program with [prepare], and time the launch. *)
-let measure_with prepare (family : family) (c : candidate) : measurement =
+(** Compile [c], decode its program with [prepare], and time its launch
+    at scale: the one place a candidate becomes a {!Launch.timing}. *)
+let time_with prepare (family : family) (c : candidate) : Launch.timing =
   let compiled = Flow.compile ~options:(options_of c) (kernel_of family c) in
   let rep_pid, grid, params, flops = launch_of family c in
-  let t =
-    Launch.estimate_prepared ~rep_pid (prepare compiled.Flow.program) ~params
-      ~grid ~flops
-  in
+  Launch.estimate_prepared ~rep_pid (prepare compiled.Flow.program) ~params
+    ~grid ~flops
+
+(** {!time_with} under [cfg] (the caller chooses the mode), decoding
+    through the shared decode cache so repeated timings decode once. A
+    framework's figure cell is [time ~cfg:(quirk cfg) family c]. *)
+let time ~cfg (family : family) (c : candidate) : Launch.timing =
+  time_with (Engine.prepare ~cfg) family c
+
+let measurement_of (c : candidate) (t : Launch.timing) : measurement =
   { candidate = c; tflops = t.Launch.tflops; cycles = t.Launch.cycles }
 
-(** Measure one candidate with the simulator under [cfg] (the caller
-    chooses the mode; {!search} forces timing), decoding through the
-    shared decode cache so repeated measurements decode once. *)
+(** {!time} projected to a measurement. *)
 let measure ?(cfg = Config.h100) (family : family) (c : candidate) : measurement =
-  measure_with (Engine.prepare ~cfg) family c
+  measurement_of c (time ~cfg family c)
+
+(** The best of [xs] by [tflops], forced in order: a later element
+    replaces the running best only when strictly faster, so ties go to
+    the earlier candidate (the order {!expand} fixes), and a lazy [xs]
+    keeps only the running best alive. *)
+let strict_best (tflops : 'a -> float) (xs : 'a Seq.t) : 'a =
+  match xs () with
+  | Seq.Nil -> invalid_arg "Autotune: empty candidate space"
+  | Seq.Cons (hd, tl) ->
+    Seq.fold_left (fun acc x -> if tflops x > tflops acc then x else acc) hd tl
+
+(** The fastest of [cands], timed one after another under [cfg], with
+    its own timing. *)
+let fastest ~cfg (family : family) (cands : candidate list) : candidate * Launch.timing =
+  strict_best
+    (fun (_, t) -> t.Launch.tflops)
+    (Seq.map (fun c -> (c, time ~cfg family c)) (List.to_seq cands))
 
 (* --------------------------- expert configs ----------------------- *)
 
@@ -222,12 +253,11 @@ let measure ?(cfg = Config.h100) (family : family) (c : candidate) : measurement
 let expert (family : family) : candidate =
   match family with
   | Gemm _ ->
-    { tiles = tile 128 128 64; aref_depth = 3; mma_depth = 2; coop = 2;
-      persistent = true; coarse = false; strategy = Flow.Warp_specialized }
+    { (candidate (tile 128 128 64)) with
+      aref_depth = 3; mma_depth = 2; coop = 2; persistent = true }
   | Attention s ->
-    { tiles = tile 128 128 s.Workloads.head_dim; aref_depth = 2; mma_depth = 1;
-      coop = 1; persistent = false; coarse = true;
-      strategy = Flow.Warp_specialized }
+    { (candidate (tile 128 128 s.Workloads.head_dim)) with
+      aref_depth = 2; mma_depth = 1; coarse = true }
 
 (* ----------------------- store keys and codec --------------------- *)
 
@@ -363,13 +393,13 @@ let count_reasons reasons =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(** Search [family]'s space: statically prune under [limits], measure
-    survivors in timing mode over the domain pool, return the best
-    (strict improvement in candidate order, so the result is
-    deterministic). With [?store], a prior result for the same
-    (shape bucket x kernel fingerprint) key is served directly —
-    zero measurements — and a fresh result is persisted. *)
-let search ?(cfg = Config.h100) ?limits ?store (family : family) : result =
+(** Search [family]'s space: statically prune under the H100 limits,
+    measure survivors in timing mode over the domain pool, return the
+    {!strict_best} (so the result is deterministic). With [?store], a
+    prior result for the same (shape bucket x kernel fingerprint) key
+    is served directly — zero measurements — and a fresh result is
+    persisted. *)
+let search ?(cfg = Config.h100) ?store (family : family) : result =
   let t0 = Tawa_obs.Registry.now () in
   let key = store_key family in
   let stored =
@@ -405,7 +435,7 @@ let search ?(cfg = Config.h100) ?limits ?store (family : family) : result =
     let total = List.length cands in
     Tawa_obs.Registry.incr ~by:total "autotune.candidates";
     let verdicts =
-      List.map (fun c -> (c, prune_reason ?limits family c)) cands
+      List.map (fun c -> (c, prune_reason family c)) cands
     in
     (* Every candidate is compiled, and measuring recompiles through
        the compile cache: drop the pass prefixes the candidates shared
@@ -429,17 +459,12 @@ let search ?(cfg = Config.h100) ?limits ?store (family : family) : result =
        cache with entries no later lookup hits, so it decodes here. *)
     let tcfg = { cfg with Config.mode = Config.Timing } in
     let ms =
-      Tawa_pool.Pool.map_list (measure_with (Decode.decode ~cfg:tcfg) family) to_measure
+      Tawa_pool.Pool.map_list
+        (fun c -> measurement_of c (time_with (Decode.decode ~cfg:tcfg) family c))
+        to_measure
     in
     Tawa_obs.Registry.incr ~by:(List.length ms) "autotune.measured";
-    let best =
-      match ms with
-      | [] -> invalid_arg "Autotune.search: empty candidate space"
-      | hd :: tl ->
-        List.fold_left
-          (fun acc m -> if m.tflops > acc.tflops then m else acc)
-          hd tl
-    in
+    let best = strict_best (fun m -> m.tflops) (List.to_seq ms) in
     (match store with
     | Some st -> Tunestore.put st ~key (encode_measurement best)
     | None -> ());
@@ -468,66 +493,46 @@ let candidate_to_string (c : candidate) =
       (if c.persistent then " persistent" else "")
       (if c.coarse then " coarse" else "")
 
-(* ----------------------- legacy GEMM entry points ----------------- *)
+(* ------------------------ the paper's GEMM sweep ------------------ *)
 
-(* The pre-PR8 sweep over the [Resources.check_gemm]-feasible region.
-   Kept verbatim: Fig. 11 (dp_grid), the baselines table
-   (Frameworks.Tawa), and the example programs pin its behavior. *)
+(** The D/P sweep the paper's figures tune over (§V-A; Figs. 8, 11 and
+    12): 128x128 tiles on one consumer warp group and 128x256 on two,
+    D 1-4, P 1-3, persistent and not — 36 candidates once {!expand}
+    drops P > D. The figures time every candidate: no resource model
+    prunes this sweep (ROADMAP item 3). *)
+let paper_gemm_axes : axes =
+  {
+    ax_tiles = [ (tile 128 128 64, [ 1 ]); (tile 128 256 64, [ 2 ]) ];
+    ax_depths = [ 1; 2; 3; 4 ];
+    ax_mma_depths = [ 1; 2; 3 ];
+    ax_persistent = [ false; true ];
+    ax_coarse = [ false ];
+    ax_sw_stages = [];
+  }
 
-let gemm_candidates ?(persistent_choices = [ false; true ]) ~(dtype : Dtype.t) () =
-  let tile_choices =
-    [ ({ Kernels.block_m = 128; block_n = 128; block_k = 64 }, 1);
-      ({ Kernels.block_m = 128; block_n = 256; block_k = 64 }, 2) ]
-  in
-  List.concat_map
-    (fun (tiles, coop) ->
-      List.concat_map
-        (fun aref_depth ->
-          List.concat_map
-            (fun mma_depth ->
-              List.filter_map
-                (fun persistent ->
-                  match
-                    Resources.check_gemm ~block_m:tiles.Kernels.block_m
-                      ~block_n:tiles.Kernels.block_n ~block_k:tiles.Kernels.block_k
-                      ~aref_depth ~mma_depth ~coop ~dtype
-                  with
-                  | Resources.Feasible _ ->
-                    Some
-                      { tiles; aref_depth; mma_depth; coop; persistent;
-                        coarse = false; strategy = Flow.Warp_specialized }
-                  | Resources.Infeasible _ -> None)
-                persistent_choices)
-            [ 1; 2; 3 ])
-        [ 1; 2; 3; 4 ])
-    tile_choices
+(** The paper sweep's candidates; both precisions sweep the same space. *)
+let gemm_candidates ~dtype:(_ : Dtype.t) () = expand paper_gemm_axes
 
-(** Best feasible configuration for a GEMM shape (legacy sweep). *)
-let tune_gemm ?(cfg = Config.h100) (shape : Workloads.gemm_shape) : measurement =
-  let cands = gemm_candidates ~dtype:shape.Workloads.dtype () in
-  match List.map (measure ~cfg (Gemm shape)) cands with
-  | [] -> invalid_arg "Autotune.tune_gemm: no feasible candidate"
-  | ms -> List.fold_left (fun best m -> if m.tflops > best.tflops then m else best)
-            (List.hd ms) ms
+(** The best candidate of the paper sweep on [shape], with its timing. *)
+let tune_gemm ?(cfg = Config.h100) (shape : Workloads.gemm_shape) =
+  fastest ~cfg (Gemm shape) (gemm_candidates ~dtype:shape.Workloads.dtype ())
 
-(** The full (D, P) grid at a fixed tile shape — the data of Fig. 11.
-    Infeasible points are [None]. *)
+(** The (D, P) grid at a fixed tile shape — the data of Fig. 11. The
+    points {!expand} drops (P > D) are [None]. *)
 let dp_grid ?(cfg = Config.h100) ~(tiles : Kernels.tile_config) ~coop ~persistent
     (shape : Workloads.gemm_shape) ~max_d ~max_p =
+  let upto n = List.init n (fun i -> i + 1) in
+  let points =
+    expand
+      { ax_tiles = [ (tiles, [ coop ]) ]; ax_depths = upto max_d;
+        ax_mma_depths = upto max_p; ax_persistent = [ persistent ];
+        ax_coarse = [ false ]; ax_sw_stages = [] }
+  in
   List.map
     (fun d ->
       List.map
         (fun p ->
-          match
-            Resources.check_gemm ~block_m:tiles.Kernels.block_m
-              ~block_n:tiles.Kernels.block_n ~block_k:tiles.Kernels.block_k ~aref_depth:d
-              ~mma_depth:p ~coop ~dtype:shape.Workloads.dtype
-          with
-          | Resources.Infeasible _ -> None
-          | Resources.Feasible _ ->
-            Some
-              (measure ~cfg (Gemm shape)
-                 { tiles; aref_depth = d; mma_depth = p; coop; persistent;
-                   coarse = false; strategy = Flow.Warp_specialized }))
-        (List.init max_p (fun i -> i + 1)))
-    (List.init max_d (fun i -> i + 1))
+          List.find_opt (fun c -> c.aref_depth = d && c.mma_depth = p) points
+          |> Option.map (measure ~cfg (Gemm shape)))
+        (upto max_p))
+    (upto max_d)

@@ -6,7 +6,6 @@
 let render = Tawa_obs.Tbl.render
 
 let f1 x = Printf.sprintf "%.1f" x
-let f2 x = Printf.sprintf "%.2f" x
 
 let speedup ~over x = Printf.sprintf "%.2fx" (x /. over)
 

@@ -74,7 +74,15 @@ let ir_cmp = function
   | Blt -> Op.Lt | Ble -> Op.Le | Bgt -> Op.Gt | Bge -> Op.Ge | Beq -> Op.Eq | Bne -> Op.Ne
   | Badd | Bsub | Bmul | Bdiv | Brem -> assert false
 
-let rec elab_expr b env (e : expr) : Value.t =
+(* Offsets, loop bounds and steps count elements and iterations, so
+   they must be i32: downstream, a float offset runs without an error. *)
+let rec expect_i32 b env what (e : expr) : Value.t =
+  let v = elab_expr b env e in
+  if not (Types.equal (Value.ty v) Types.i32) then
+    fail e.pos "%s must be i32, got %s" what (Types.to_string (Value.ty v));
+  v
+
+and elab_expr b env (e : expr) : Value.t =
   match e.desc with
   | Int i -> Builder.const_i b i
   | Float f -> Builder.const_f b f
@@ -117,7 +125,7 @@ and elab_call b env pos fname args : Value.t =
       ~dtype
   | "load", [ Apos desc; Alist offs; Alist shape ] ->
     Builder.tma_load b (elab_expr b env desc)
-      ~offsets:(List.map (elab_expr b env) offs)
+      ~offsets:(List.map (expect_i32 b env "load offsets") offs)
       ~shape:(shape_ints pos shape)
   | "zeros", [ Alist shape; Adtype d ] ->
     Builder.zeros b (shape_ints pos shape) (dtype_of_ann pos d)
@@ -186,23 +194,29 @@ let rec elab_stmt b env (s : stmt) : unit =
       at s.spos (fun () ->
           (* Code generation stores rank-1 and rank-2 tiles only. *)
           let v = elab_expr b env value in
-          (match Value.ty v with
-          | Types.TTensor { shape = [ _ ] | [ _; _ ]; _ } -> ()
-          | ty ->
-            fail value.pos "store expects a rank-1 or rank-2 tile, got %s"
-              (Types.to_string ty));
-          Builder.tma_store b (elab_expr b env desc)
-            ~offsets:(List.map (elab_expr b env) offs)
+          let dtype =
+            match Value.ty v with
+            | Types.TTensor { shape = [ _ ] | [ _; _ ]; dtype } -> dtype
+            | ty ->
+              fail value.pos "store expects a rank-1 or rank-2 tile, got %s"
+                (Types.to_string ty)
+          in
+          (* A tile stored through a descriptor of another dtype
+             lands wrong values: the conversion must be a cast. *)
+          let same_dtype d =
+            (match Value.ty d with
+            | Types.TTensorDesc { dtype = held; _ } when not (Dtype.equal held dtype) ->
+              fail value.pos "stored tile has dtype %s but the descriptor holds %s"
+                (Dtype.to_string dtype) (Dtype.to_string held)
+            | _ -> ());
+            d
+          in
+          Builder.tma_store b (same_dtype (elab_expr b env desc))
+            ~offsets:(List.map (expect_i32 b env "store offsets") offs)
             v)
     | _ -> fail s.spos "store expects (descriptor, [offsets], value)")
   | For { var; lo; hi; step; carried; body } ->
-    let i32 (e : expr) =
-      let v = elab_expr b env e in
-      if not (Types.equal (Value.ty v) Types.i32) then
-        fail e.pos "loop bounds and step must be i32, got %s"
-          (Types.to_string (Value.ty v));
-      v
-    in
+    let i32 = expect_i32 b env "loop bounds and step" in
     let lb = i32 lo in
     let ub = i32 hi in
     let step_v = match step with Some e -> i32 e | None -> Builder.const_i b 1 in

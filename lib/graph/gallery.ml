@@ -243,9 +243,6 @@ let all : (string * string * (unit -> demo)) list =
     ("moe", "MoE grouped GEMM", moe);
   ]
 
-let find name : (unit -> demo) option =
-  List.find_map (fun (n, _, f) -> if n = name then Some f else None) all
-
 (** Worst max-rel-diff of a demo's outputs against its CPU reference
     (call after executing the graph). *)
 let check (d : demo) : float =

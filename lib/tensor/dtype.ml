@@ -45,14 +45,6 @@ let equal (a : t) (b : t) = a = b
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-(** Largest finite representable magnitude. *)
-let max_finite = function
-  | F32 -> Float.max_float
-  | F16 -> 65504.0
-  | F8E4M3 -> 448.0
-  | I32 -> Float.of_int Int32.(to_int max_int)
-  | I1 -> 1.0
-
 (** Machine epsilon (distance from 1.0 to the next representable value). *)
 let epsilon = function
   | F32 -> epsilon_float *. 2. ** 29. (* single precision: 2^-23 *)

@@ -13,8 +13,6 @@ let sign_mask = 0x8000
 let exp_mask = 0x7c00
 let man_mask = 0x03ff
 
-let nan_bits : bits = 0x7e00
-
 let is_nan (h : bits) = h land 0x7fff > exp_mask
 let is_inf (h : bits) = h land 0x7fff = exp_mask
 
@@ -93,6 +91,3 @@ let round_span (src : float array) ~soff (dst : float array) ~doff ~len =
 let representable (f : float) : bool =
   Float.is_nan f || Float.equal (round f) f
 
-let max_finite = 65504.0
-let min_positive_normal = 2. ** -14.
-let min_positive_subnormal = 2. ** -24.

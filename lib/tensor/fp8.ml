@@ -14,8 +14,6 @@ type bits = int
 
 let nan_bits : bits = 0x7f
 let max_finite = 448.0
-let min_positive_subnormal = 2. ** -9. (* 0.001 * 2^-6 *)
-let min_positive_normal = 2. ** -6.
 
 let is_nan (b : bits) = b land 0x7f = 0x7f
 

@@ -33,10 +33,6 @@ let gemm ?(out_dtype = Dtype.F16) a b =
   done;
   c
 
-(** Batched GEMM over a list of (A, B) pairs of identical shape. *)
-let batched_gemm ?(out_dtype = Dtype.F16) pairs =
-  List.map (fun (a, b) -> gemm ~out_dtype a b) pairs
-
 (** Row-wise numerically-stable softmax of a 2-D tensor (f32). *)
 let softmax x =
   let rows = Tensor.dim x 0 and cols = Tensor.dim x 1 in
@@ -146,11 +142,6 @@ let attention_online ?(causal = false) ?scale ?(out_dtype = Dtype.F16)
     done
   done;
   out
-
-(** Multi-head attention over [batch][heads] independent (Q,K,V) of
-    shape [l, d] each, expressed as a list for simplicity. *)
-let mha ?(causal = false) ?scale ?(out_dtype = Dtype.F16) heads =
-  List.map (fun (q, k, v) -> attention ~causal ?scale ~out_dtype ~q ~k ~v ()) heads
 
 (** FLOP counts used by the benchmark harness (multiply+add = 2 flops). *)
 let gemm_flops ~m ~n ~k = 2.0 *. Float.of_int m *. Float.of_int n *. Float.of_int k

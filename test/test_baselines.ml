@@ -115,6 +115,27 @@ let test_fp8_gemm_doubles_headroom () =
   let f8 = gemm Frameworks.Tawa (Workloads.paper_gemm ~dtype:Dtype.F8E4M3 16384) in
   Alcotest.(check bool) "fp8 > 1.5x fp16" true (f8 > 1.5 *. f16)
 
+(* Tawa's GEMM cell is the paper sweep's winner with its own timing:
+   it simulates each sweep candidate exactly once, and reports the
+   tuned winner bit for bit. *)
+let test_tawa_cell_is_the_sweep () =
+  let module Engine = Tawa_gpusim.Engine in
+  let family = Autotune.Gemm small_k in
+  Engine.reset_instructions ();
+  List.iter
+    (fun c -> ignore (Autotune.measure family c))
+    (Autotune.gemm_candidates ~dtype:small_k.Workloads.dtype ());
+  let sweep = Engine.instructions_retired () in
+  Engine.reset_instructions ();
+  let cell = Option.get (Frameworks.gemm Frameworks.Tawa small_k) in
+  Alcotest.(check int) "instructions of one sweep" sweep (Engine.instructions_retired ());
+  let _, tuned = Autotune.tune_gemm small_k in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "tflops bits" (bits tuned.Tawa_gpusim.Launch.tflops)
+    (bits cell.Tawa_gpusim.Launch.tflops);
+  Alcotest.(check int64) "cycles bits" (bits tuned.Tawa_gpusim.Launch.cycles)
+    (bits cell.Tawa_gpusim.Launch.cycles)
+
 let suites =
   [
     ( "baselines.gemm",
@@ -125,6 +146,8 @@ let suites =
         Alcotest.test_case "tilelang fp8 collapse" `Quick test_tilelang_fp8_collapse;
         Alcotest.test_case "tk fp8 small-k" `Quick test_thunderkittens_fp8_weak_at_small_k;
         Alcotest.test_case "fp8 headroom" `Quick test_fp8_gemm_doubles_headroom;
+        Alcotest.test_case "tawa cell times the sweep once" `Quick
+          test_tawa_cell_is_the_sweep;
       ] );
     ( "baselines.mha",
       [

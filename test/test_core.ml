@@ -409,7 +409,7 @@ let prop_fingerprint_fuzz =
 (* Autotune                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let test_candidates_respect_resources () =
+let test_candidates_respect_protocol () =
   let cands = Autotune.gemm_candidates ~dtype:Dtype.F16 () in
   Alcotest.(check bool) "nonempty" true (cands <> []);
   List.iter
@@ -420,10 +420,43 @@ let test_candidates_respect_resources () =
         Alcotest.(check int) "large tile coop" 2 c.Autotune.coop)
     cands
 
+(* The paper sweep, pinned against the order the pre-axes sweep
+   enumerated (tile, D, P, persistence): ties in the sweep resolve
+   toward the earlier candidate, so the order decides winners. *)
+let test_paper_sweep_order () =
+  let tiles128 = { Kernels.block_m = 128; block_n = 128; block_k = 64 } in
+  let tiles256 = { Kernels.block_m = 128; block_n = 256; block_k = 64 } in
+  let want =
+    List.concat_map
+      (fun (tiles, coop) ->
+        List.concat_map
+          (fun d ->
+            List.concat_map
+              (fun p ->
+                if p > d then []
+                else
+                  List.map
+                    (fun persistent ->
+                      { Autotune.tiles; aref_depth = d; mma_depth = p; coop; persistent;
+                        coarse = false; strategy = Flow.Warp_specialized })
+                    [ false; true ])
+              [ 1; 2; 3 ])
+          [ 1; 2; 3; 4 ])
+      [ (tiles128, 1); (tiles256, 2) ]
+  in
+  Alcotest.(check int) "36 candidates" 36 (List.length want);
+  List.iter
+    (fun dtype ->
+      Alcotest.(check (list string))
+        (Dtype.to_string dtype ^ " sweep")
+        (List.map Autotune.candidate_to_string want)
+        (List.map Autotune.candidate_to_string (Autotune.gemm_candidates ~dtype ())))
+    [ Dtype.F16; Dtype.F8E4M3 ]
+
 let test_tune_picks_feasible_best () =
   let shape = { Workloads.m = 2048; n = 2048; k = 4096; dtype = Dtype.F16 } in
-  let best = Autotune.tune_gemm shape in
-  Alcotest.(check bool) "positive tflops" true (best.Autotune.tflops > 100.0);
+  let _, best = Autotune.tune_gemm shape in
+  Alcotest.(check bool) "positive tflops" true (best.Launch.tflops > 100.0);
   (* The best must be at least as good as a deliberately weak config. *)
   let weak =
     Autotune.measure ~cfg:Config.h100 (Autotune.Gemm shape)
@@ -431,20 +464,30 @@ let test_tune_picks_feasible_best () =
         persistent = false; coarse = false; strategy = Flow.Warp_specialized }
   in
   Alcotest.(check bool) "beats weak config" true
-    (best.Autotune.tflops >= weak.Autotune.tflops)
+    (best.Launch.tflops >= weak.Autotune.tflops)
 
+(* The holes of the (D, P) grid are the protocol rule P > D, at the
+   tests' small tiles and at Fig. 11's grid. *)
 let test_dp_grid_holes () =
+  let holes_at_p_gt_d label grid =
+    List.iteri
+      (fun di row ->
+        List.iteri
+          (fun pi cell ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s D=%d P=%d" label (di + 1) (pi + 1))
+              (pi > di) (cell = None))
+          row)
+      grid
+  in
   let shape = Workloads.paper_gemm 4096 in
   let grid =
     Autotune.dp_grid ~tiles:small_tiles ~coop:1 ~persistent:false shape ~max_d:3 ~max_p:3
   in
-  (* Row D=1: P=2 and P=3 are infeasible holes. *)
-  (match grid with
-  | row1 :: _ ->
-    Alcotest.(check bool) "D1P1 feasible" true (List.nth row1 0 <> None);
-    Alcotest.(check bool) "D1P2 hole" true (List.nth row1 1 = None);
-    Alcotest.(check bool) "D1P3 hole" true (List.nth row1 2 = None)
-  | [] -> Alcotest.fail "empty grid");
+  holes_at_p_gt_d "16x16x8" grid;
+  holes_at_p_gt_d "fig11"
+    (Autotune.dp_grid ~tiles:{ Kernels.block_m = 128; block_n = 128; block_k = 64 }
+       ~coop:1 ~persistent:false (Workloads.paper_gemm 256) ~max_d:4 ~max_p:3);
   (* Deeper D never hurts at P=1 (more prefetch slack). *)
   let at d p =
     match List.nth (List.nth grid (d - 1)) (p - 1) with
@@ -571,10 +614,11 @@ let suites =
       ] );
     ( "core.autotune",
       [
-        Alcotest.test_case "candidates respect resources" `Quick
-          test_candidates_respect_resources;
+        Alcotest.test_case "candidates respect P <= D" `Quick
+          test_candidates_respect_protocol;
         Alcotest.test_case "tune picks best" `Quick test_tune_picks_feasible_best;
         Alcotest.test_case "dp grid holes" `Quick test_dp_grid_holes;
+        Alcotest.test_case "paper sweep order" `Quick test_paper_sweep_order;
       ] );
     ( "core.workloads",
       [

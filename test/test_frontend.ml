@@ -193,6 +193,29 @@ let test_elab_autosplat () =
     Alcotest.(check bool) "splat inserted" true !has_splat
   | _ -> Alcotest.fail "expected one kernel"
 
+(* examples/kernels/gemm.tw with [before] replaced by [after] on
+   [line]. *)
+let gemm_mutant (line, before, after) =
+  In_channel.with_open_text "../examples/kernels/gemm.tw" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i text ->
+         if i + 1 <> line then text
+         else
+           match Astring.String.cut ~sep:before text with
+           | Some (l, r) -> l ^ after ^ r
+           | None -> Alcotest.failf "line %d of gemm.tw lacks %S" line before)
+  |> String.concat "\n"
+
+(* The mutant must fail elaboration with an [Elab_error] on
+   [error_line] whose message contains [affix]. *)
+let check_rejected ~error_line ?(affix = "") ((_, _, after) as mutation) =
+  match Elaborate.compile_string (gemm_mutant mutation) with
+  | _ -> Alcotest.failf "%s: accepted" after
+  | exception Elaborate.Elab_error (msg, pos) ->
+    Alcotest.(check int) (after ^ ": error line") error_line pos.Ast.line;
+    Alcotest.(check bool) (msg ^ " mentions " ^ affix) true
+      (Astring.String.is_infix ~affix msg)
+
 (* One-line mutants of examples/kernels/gemm.tw that the builder
    rejects (operand kind, shape, grid axis, store arity and kind), or
    that only the verifier or code generation used to reject (a loop
@@ -200,27 +223,8 @@ let test_elab_autosplat () =
    descriptor): each must surface as an [Elab_error] on the mutated
    line, not as a builder, verifier, codegen or simulator exception. *)
 let test_elab_mutants_positioned () =
-  let lines =
-    In_channel.with_open_text "../examples/kernels/gemm.tw" In_channel.input_all
-    |> String.split_on_char '\n'
-  in
   List.iter
-    (fun (line, before, after) ->
-      let mutant =
-        List.mapi
-          (fun i text ->
-            if i + 1 <> line then text
-            else
-              match Astring.String.cut ~sep:before text with
-              | Some (l, r) -> l ^ after ^ r
-              | None -> Alcotest.failf "line %d of gemm.tw lacks %S" line before)
-          lines
-        |> String.concat "\n"
-      in
-      match Elaborate.compile_string mutant with
-      | _ -> Alcotest.failf "%s: accepted" after
-      | exception Elaborate.Elab_error (_, pos) ->
-        Alcotest.(check int) (after ^ ": error line") line pos.Ast.line)
+    (fun ((line, _, _) as mutation) -> check_rejected ~error_line:line mutation)
     [ (12, "load(da,", "load(a,");
       (14, "dot(at, bt, acc)", "dot(at, at, acc)");
       (3, "program_id(0)", "program_id(32)");
@@ -229,6 +233,18 @@ let test_elab_mutants_positioned () =
       (11, "0 .. K step 8", "0 .. da step 8");
       (11, "step 8 with", "step 8.0 with");
       (16, "cast(acc, f16)", "cast(K, f16)") ]
+
+(* A float row offset used to run to an [OK] verdict; it is rejected
+   at the load that first uses it. *)
+let test_elab_float_offset () =
+  check_rejected ~error_line:12 ~affix:"load offsets must be i32"
+    (8, "pid_m * 16;", "pid_m * 16.0;")
+
+(* An i32 tile stored through the f16 output descriptor used to run to
+   a [MISMATCH]. *)
+let test_elab_store_dtype () =
+  check_rejected ~error_line:16 ~affix:"dtype i32 but the descriptor holds f16"
+    (16, "cast(acc, f16)", "cast(acc, i32)")
 
 let run_dsl_gemm kernel ~m ~n ~kk =
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:1 [| m; kk |] in
@@ -348,6 +364,8 @@ let suites =
         Alcotest.test_case "dsl through full pipeline" `Quick test_dsl_kernel_through_full_pipeline;
         Alcotest.test_case "builder rejections are positioned" `Quick
           test_elab_mutants_positioned;
+        Alcotest.test_case "float offset rejected" `Quick test_elab_float_offset;
+        Alcotest.test_case "store dtype mismatch rejected" `Quick test_elab_store_dtype;
       ] );
     qsuite "frontend.props" [ prop_roundtrip_arith ];
   ]

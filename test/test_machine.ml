@@ -1,8 +1,8 @@
-(* Machine-level tests: the resource model, mbarrier semantics, code
-   generation, and — most importantly — functional simulation of every
-   compilation style (plain, warp-specialized, fine-pipelined,
-   coarse-pipelined, cp.async software-pipelined, naive, persistent,
-   cooperative) against the reference kernels. *)
+(* Machine-level tests: mbarrier semantics, code generation, and — most
+   importantly — functional simulation of every compilation style
+   (plain, warp-specialized, fine-pipelined, coarse-pipelined, cp.async
+   software-pipelined, naive, persistent, cooperative) against the
+   reference kernels. *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -66,57 +66,6 @@ let prop_mbar_monotonic =
         if Mbarrier.completion_time b i > Mbarrier.completion_time b (i + 1) then ok := false
       done;
       !ok)
-
-(* ------------------------------------------------------------------ *)
-(* Resources                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_resources_feasible_base () =
-  match
-    Resources.check_gemm ~block_m:128 ~block_n:128 ~block_k:64 ~aref_depth:2 ~mma_depth:2
-      ~coop:1 ~dtype:Dtype.F16
-  with
-  | Resources.Feasible u ->
-    Alcotest.(check bool) "smem fits" true (u.Resources.smem_bytes <= Resources.smem_capacity_bytes);
-    Alcotest.(check bool) "regs fit" true
-      (u.Resources.regs_per_thread_consumer <= Resources.max_regs_per_thread)
-  | Resources.Infeasible msg -> Alcotest.fail msg
-
-let test_resources_large_tile_needs_coop () =
-  (* 128x256 tiles: a single consumer WG cannot hold the accumulator
-     (Fig. 12's motivation for cooperative warp groups). *)
-  (match
-     Resources.check_gemm ~block_m:128 ~block_n:256 ~block_k:64 ~aref_depth:2 ~mma_depth:2
-       ~coop:1 ~dtype:Dtype.F16
-   with
-  | Resources.Infeasible msg ->
-    Alcotest.(check bool) "mentions registers" true
-      (Astring.String.is_infix ~affix:"regs" msg)
-  | Resources.Feasible _ -> Alcotest.fail "expected register infeasibility");
-  match
-    Resources.check_gemm ~block_m:128 ~block_n:256 ~block_k:64 ~aref_depth:2 ~mma_depth:2
-      ~coop:2 ~dtype:Dtype.F16
-  with
-  | Resources.Feasible _ -> ()
-  | Resources.Infeasible msg -> Alcotest.failf "coop=2 should be feasible: %s" msg
-
-let test_resources_depth_limited_by_smem () =
-  (* Very deep rings exhaust SMEM (the right edge of Fig. 11). *)
-  match
-    Resources.check_gemm ~block_m:128 ~block_n:256 ~block_k:64 ~aref_depth:8 ~mma_depth:2
-      ~coop:2 ~dtype:Dtype.F16
-  with
-  | Resources.Infeasible msg ->
-    Alcotest.(check bool) "mentions smem" true (Astring.String.is_infix ~affix:"SMEM" msg)
-  | Resources.Feasible _ -> Alcotest.fail "expected SMEM infeasibility"
-
-let test_resources_p_gt_d_infeasible () =
-  match
-    Resources.check_gemm ~block_m:128 ~block_n:128 ~block_k:64 ~aref_depth:1 ~mma_depth:2
-      ~coop:1 ~dtype:Dtype.F16
-  with
-  | Resources.Infeasible _ -> ()
-  | Resources.Feasible _ -> Alcotest.fail "P > D must be infeasible"
 
 (* ------------------------------------------------------------------ *)
 (* Codegen structure                                                  *)
@@ -186,20 +135,20 @@ let sim_gemm kernel ~tiles ~dtype ~m ~n ~k ~options =
   ignore (Launch.run_grid_functional ~cfg prog ~params ~grid);
   (c, Reference.gemm ~out_dtype:Dtype.F16 a b)
 
-let check_gemm_sim name kernel ~options =
+let expect_gemm_matches name kernel ~options =
   let got, want =
     sim_gemm kernel ~tiles:small_tiles ~dtype:Dtype.F16 ~m:32 ~n:32 ~k:24 ~options
   in
   Alcotest.(check bool) name true (Tensor.max_rel_diff got want < 1e-3)
 
 let test_sim_plain_gemm () =
-  check_gemm_sim "plain gemm" (Kernels.gemm ~tiles:small_tiles ())
+  expect_gemm_matches "plain gemm" (Kernels.gemm ~tiles:small_tiles ())
     ~options:Codegen.default_options
 
 let test_sim_ws_gemm () =
   List.iter
     (fun (d, p) ->
-      check_gemm_sim
+      expect_gemm_matches
         (Printf.sprintf "ws gemm D=%d P=%d" d p)
         (compile_ws ~d ~p (Kernels.gemm ~tiles:small_tiles ()))
         ~options:Codegen.default_options)
@@ -216,18 +165,18 @@ let test_sim_ws_gemm_fp8 () =
 let test_sim_sw_pipeline_gemm () =
   List.iter
     (fun s ->
-      check_gemm_sim
+      expect_gemm_matches
         (Printf.sprintf "cp.async gemm S=%d" s)
         (Sw_pipeline.apply ~stages:s (Kernels.gemm ~tiles:small_tiles ()))
         ~options:Codegen.default_options)
     [ 1; 2; 3 ]
 
 let test_sim_naive_gemm () =
-  check_gemm_sim "naive ldg gemm" (Kernels.gemm ~tiles:small_tiles ())
+  expect_gemm_matches "naive ldg gemm" (Kernels.gemm ~tiles:small_tiles ())
     ~options:{ Codegen.default_options with load_style = Codegen.Ldg_naive }
 
 let test_sim_persistent_gemm () =
-  check_gemm_sim "persistent ws gemm"
+  expect_gemm_matches "persistent ws gemm"
     (let options =
        { Manager.default_options with aref_depth = 2; mma_depth = 2; persistent = true }
      in
@@ -238,7 +187,7 @@ let test_sim_coop_gemm () =
   let options =
     { Manager.default_options with aref_depth = 2; mma_depth = 2; num_consumer_wgs = 2 }
   in
-  check_gemm_sim "cooperative ws gemm"
+  expect_gemm_matches "cooperative ws gemm"
     ((Manager.compile ~options (Kernels.gemm ~tiles:small_tiles ())).Manager.kernel)
     ~options:Codegen.default_options
 
@@ -438,13 +387,6 @@ let suites =
         Alcotest.test_case "phases + parity" `Quick test_mbar_phases;
       ] );
     qsuite "machine.mbarrier.props" [ prop_mbar_monotonic ];
-    ( "machine.resources",
-      [
-        Alcotest.test_case "base config feasible" `Quick test_resources_feasible_base;
-        Alcotest.test_case "large tile needs coop" `Quick test_resources_large_tile_needs_coop;
-        Alcotest.test_case "deep ring exceeds smem" `Quick test_resources_depth_limited_by_smem;
-        Alcotest.test_case "P > D infeasible" `Quick test_resources_p_gt_d_infeasible;
-      ] );
     ( "machine.codegen",
       [
         Alcotest.test_case "gemm streams" `Quick test_codegen_gemm_streams;

@@ -30,10 +30,11 @@ let section lines prefix =
   in
   skip lines
 
-(* The table of a section: its header cells and its rows' cells. *)
+(* The table of a section: its header cells and its rows' cells. The
+   rule under the header crosses columns with '+', so it is not a row. *)
 let table lines =
   match List.filter (fun l -> String.contains l '|') lines with
-  | header :: _separator :: rows ->
+  | header :: rows ->
     let cells l = List.map String.trim (String.split_on_char '|' l) in
     Some (cells header, List.map cells rows)
   | _ -> None
@@ -133,9 +134,58 @@ let steps ~strict prefix lines =
          Some row)
        None rows)
 
+(* The row of a table whose first cell is [key]. *)
+let row_at prefix (_, rows) key =
+  match List.find_opt (fun row -> List.hd row = key) rows with
+  | Some row -> row
+  | None -> fail "%s: no row %s" prefix key
+
+(* Fig. 8a: TileLang trails Tawa at the smallest K and catches up
+   (at or above) at the largest. *)
+let tilelang_crossover lines =
+  let prefix = "Fig. 8a" in
+  let t = table_of lines prefix in
+  let tawa = column t "Tawa" and tl = column t "TileLang" in
+  let at key i = number prefix (List.nth (row_at prefix t key) i) in
+  if not (at "256" tl < at "256" tawa) then
+    fail "K=256: TileLang %.1f >= Tawa %.1f" (at "256" tl) (at "256" tawa);
+  if not (at "16384" tl >= at "16384" tawa) then
+    fail "K=16384: TileLang %.1f < Tawa %.1f" (at "16384" tl) (at "16384" tawa)
+
+(* Fig. 10c/10d: TileLang and ThunderKittens have no FP8 attention. *)
+let fp8_attention_fails lines =
+  List.iter
+    (fun prefix ->
+      let ((_, rows) as t) = table_of lines prefix in
+      List.iter
+        (fun fw ->
+          let i = column t fw in
+          List.iter
+            (fun row ->
+              if List.nth row i <> "fail" then
+                fail "%s L=%s: %s %s is not fail" prefix (List.hd row) fw (List.nth row i))
+            rows)
+        [ "TileLang"; "ThunderKittens" ])
+    [ "Fig. 10c"; "Fig. 10d" ]
+
+(* Fig. 10: Tawa reaches 85-96% of FA3 at L=16384 in every panel (the
+   paper reports up to 96%). *)
+let fa3_band lines =
+  List.iter
+    (fun prefix ->
+      let t = table_of lines prefix in
+      let row = row_at prefix t "16384" in
+      let at name = number prefix (List.nth row (column t name)) in
+      let r = at "Tawa" /. at "FA3" in
+      if r < 0.85 || r > 0.96 then fail "%s L=16384: Tawa/FA3 %.3f outside 0.85-0.96" prefix r)
+    [ "Fig. 10a"; "Fig. 10b"; "Fig. 10c"; "Fig. 10d" ]
+
 let claims =
   [ ("Fig. 8: Tawa beats Triton on every row", tawa_beats_triton);
     ("Fig. 8a: Tawa/cuBLAS average within 0.99-1.06", fp16_cublas_band);
+    ("Fig. 8a: TileLang below Tawa at K=256, at or above at K=16384", tilelang_crossover);
+    ("Fig. 10c/d: TileLang and ThunderKittens fail on every FP8 row", fp8_attention_fails);
+    ("Fig. 10: Tawa/FA3 at L=16384 within 0.85-0.96", fa3_band);
     ("Fig. 11: holes exactly at P > D", holes_at_p_gt_d);
     ("Fig. 12: GEMM steps rise strictly", steps ~strict:true "Fig. 12 (left)");
     ("Fig. 12: MHA steps never fall", steps ~strict:false "Fig. 12 (right)") ]

@@ -626,7 +626,8 @@ let run_modes name =
    served by the flow cache, so this costs microseconds. *)
 let occupancy_json (name, compiled) =
   let r =
-    Tawa_analysis.Statcheck.occupancy_report compiled.Flow.transformed
+    Tawa_analysis.Statcheck.occupancy_report ~program:compiled.Flow.program
+      compiled.Flow.transformed
   in
   let verdict =
     match r.Tawa_analysis.Statcheck.verdict with

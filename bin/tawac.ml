@@ -193,15 +193,16 @@ let occupancy_to_json (r : Tawa_analysis.Statcheck.report) =
       ( "smem",
         Obj
           [ ("total_bytes", Int r.smem_bytes);
-            ( "items",
+            ( "allocs",
               List
                 (List.map
-                   (fun (it : Tawa_analysis.Footprint.smem_item) ->
+                   (fun (a : Tawa_machine.Isa.alloc) ->
                      Obj
-                       [ ("label", Str it.Tawa_analysis.Footprint.label);
-                         ("bytes", Int it.Tawa_analysis.Footprint.item_bytes);
-                         ("copies", Int it.Tawa_analysis.Footprint.copies) ])
-                   r.smem_items) ) ] );
+                       [ ("id", Int a.Tawa_machine.Isa.alloc_id);
+                         ("label", Str a.Tawa_machine.Isa.label);
+                         ("slots", Int a.Tawa_machine.Isa.slots);
+                         ("bytes_per_slot", Int a.Tawa_machine.Isa.bytes_per_slot) ])
+                   r.smem_allocs) ) ] );
       ("total_regs", Int r.total_regs);
       ("verdict", verdict_to_json r.verdict);
       ("ctas_per_sm", Int r.ctas_per_sm);
@@ -222,7 +223,10 @@ let do_occupancy path kernel_name d p coop persistent coarse obs =
       List.map
         (fun k ->
           let c = Flow.compile ~options k in
-          let r = Tawa_analysis.Statcheck.occupancy_report c.Flow.transformed in
+          let r =
+            Tawa_analysis.Statcheck.occupancy_report ~program:c.Flow.program
+              c.Flow.transformed
+          in
           (match r.Tawa_analysis.Statcheck.verdict with
           | Tawa_machine.Resources.Infeasible _ -> infeasible := true
           | Tawa_machine.Resources.Feasible _ -> ());
@@ -249,11 +253,11 @@ let do_occupancy path kernel_name d p coop persistent coarse obs =
                 pu.pu_regs_per_thread)
             r.parts;
           List.iter
-            (fun (it : Tawa_analysis.Footprint.smem_item) ->
-              Printf.printf "  smem %-28s %6d B x%d\n"
-                it.Tawa_analysis.Footprint.label it.Tawa_analysis.Footprint.item_bytes
-                it.Tawa_analysis.Footprint.copies)
-            r.smem_items;
+            (fun (a : Tawa_machine.Isa.alloc) ->
+              Printf.printf "  smem%-3d %-24s %6d B x%d\n" a.Tawa_machine.Isa.alloc_id
+                a.Tawa_machine.Isa.label a.Tawa_machine.Isa.bytes_per_slot
+                a.Tawa_machine.Isa.slots)
+            r.smem_allocs;
           Printf.printf "  total: %d B SMEM, %d registers\n" r.smem_bytes r.total_regs;
           (match r.verdict with
           | Tawa_machine.Resources.Feasible _ ->
@@ -294,6 +298,82 @@ let classify_signature (k : Kernel.t) =
   | [ q; kk; v; o; l ] when List.for_all is_ptr [ q; kk; v; o ] && is_i32 l -> `Attention
   | _ -> `Unknown
 
+(* The launch of a recognized signature at the flag sizes: params,
+   grid, flops and a label. With [buffers] the pointers bind seeded
+   inputs at the kernel's declared dtypes, and [check] returns the
+   output's max rel diff vs the CPU reference with its tolerance;
+   without, they bind nothing, which is all timing mode reads. A size
+   the store tile does not divide is rejected before anything runs:
+   the grid would drop the remainder. *)
+type launch = {
+  params : Sim.rt list;
+  grid : int * int * int;
+  flops : float;
+  desc : string;
+  check : (unit -> float * float) option;
+}
+
+let tiled flag ~tile ~what v =
+  if v < 1 || v mod tile <> 0 then
+    raise
+      (Cli_args.Bad_flag
+         (Printf.sprintf "%s must be a positive multiple of the store tile's %d %s, got %d"
+            flag tile what v))
+
+let launch_of (k : Kernel.t) ~buffers ~m ~n ~kk ~l : launch option =
+  let ptr_dtype i =
+    match Option.map Value.ty (List.nth_opt k.Kernel.params i) with
+    | Some (Types.TPtr d) -> d
+    | _ -> Dtype.F16
+  in
+  let seeded seed i dims = Tensor.random ~dtype:(ptr_dtype i) ~seed dims in
+  match classify_signature k with
+  | `Gemm ->
+    let tile_m, tile_n = Option.value (store_tile k) ~default:(16, 16) in
+    tiled "-m (GEMM M)" ~tile:tile_m ~what:"rows" m;
+    tiled "-n (GEMM N)" ~tile:tile_n ~what:"columns" n;
+    let ptrs, check =
+      if buffers then begin
+        let a = seeded 1 0 [| m; kk |] and b = seeded 2 1 [| kk; n |] in
+        let c = Tensor.create ~dtype:(ptr_dtype 2) [| m; n |] in
+        ( [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor c ],
+          Some
+            (fun () ->
+              (Tensor.max_rel_diff c (Reference.gemm ~out_dtype:(ptr_dtype 2) a b), 1e-3)) )
+      end
+      else ([ Sim.Rnone; Sim.Rnone; Sim.Rnone ], None)
+    in
+    Some
+      { params = ptrs @ [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ];
+        grid = (m / tile_m, n / tile_n, 1);
+        flops = Reference.gemm_flops ~m ~n ~k:kk;
+        desc = Printf.sprintf "gemm %dx%dx%d" m n kk;
+        check }
+  | `Attention ->
+    let tile_m, d_head = Option.value (store_tile k) ~default:(16, 8) in
+    tiled "-l (sequence length)" ~tile:tile_m ~what:"rows" l;
+    let ptrs, check =
+      if buffers then begin
+        let q = seeded 1 0 [| l; d_head |] and kt = seeded 2 1 [| l; d_head |] in
+        let v = seeded 3 2 [| l; d_head |] in
+        let o = Tensor.create ~dtype:(ptr_dtype 3) [| l; d_head |] in
+        ( [ Sim.Rtensor q; Sim.Rtensor kt; Sim.Rtensor v; Sim.Rtensor o ],
+          Some
+            (fun () ->
+              ( Tensor.max_rel_diff o
+                  (Reference.attention ~out_dtype:(ptr_dtype 3) ~q ~k:kt ~v ()),
+                2e-2 )) )
+      end
+      else ([ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rnone ], None)
+    in
+    Some
+      { params = ptrs @ [ Sim.Rint l ];
+        grid = (l / tile_m, 1, 1);
+        flops = Reference.attention_flops ~batch:1 ~heads:1 ~len:l ~head_dim:d_head ();
+        desc = Printf.sprintf "attention L=%d d=%d" l d_head;
+        check }
+  | `Unknown -> None
+
 (* Render a CTA profile per the --obs choice. *)
 let emit_profile ~obs ~kernel_name (t : Launch.timing) =
   match (obs, t.Launch.profile) with
@@ -329,93 +409,33 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
     List.iter
       (fun k ->
         let c = Flow.compile ~options k in
-        match classify_signature k with
-        | `Gemm ->
-          (* Infer the tile from the accumulator loads is overkill: run
-             at user-provided sizes with a 16-divisible grid guess from
-             the store tile shape. *)
-          let tile_m, tile_n =
-            match store_tile k with Some x -> x | None -> (16, 16)
-          in
-          if functional then begin
-            (* Drive inputs at the kernel's declared pointer dtypes so
-               e.g. an f8e4m3 GEMM is verified against a reference fed
-               the same quantized values. *)
-            let ptr_dtype i =
-              match List.nth_opt k.Kernel.params i with
-              | Some v -> (
-                match Value.ty v with Types.TPtr d -> d | _ -> Dtype.F16)
-              | None -> Dtype.F16
-            in
-            let a = Tensor.random ~dtype:(ptr_dtype 0) ~seed:1 [| m; kk |] in
-            let b = Tensor.random ~dtype:(ptr_dtype 1) ~seed:2 [| kk; n |] in
-            let cbuf = Tensor.create ~dtype:(ptr_dtype 2) [| m; n |] in
+        match launch_of k ~buffers:functional ~m ~n ~kk ~l with
+        | None ->
+          Printf.printf "kernel @%s: unrecognized signature; compile-only\n" k.Kernel.name
+        | Some fl -> (
+          (match fl.check with
+          | Some check ->
             ignore
-              (Launch.run_grid_functional ~cfg c.Flow.program
-                 ~params:
-                   [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor cbuf; Sim.Rint m;
-                     Sim.Rint n; Sim.Rint kk ]
-                 ~grid:(m / tile_m, n / tile_n, 1));
-            let want = Reference.gemm ~out_dtype:(ptr_dtype 2) a b in
-            let diff = Tensor.max_rel_diff cbuf want in
+              (Launch.run_grid_functional ~cfg c.Flow.program ~params:fl.params
+                 ~grid:fl.grid);
+            let diff, tol = check () in
+            Printf.printf "kernel @%s (%s): max rel diff vs reference = %.2e %s\n"
+              k.Kernel.name fl.desc diff (verdict diff tol)
+          | None ->
             Printf.printf
-              "kernel @%s (gemm %dx%dx%d): max rel diff vs reference = %.2e %s\n"
-              k.Kernel.name m n kk diff (verdict diff 1e-3)
-          end
-          else
-            Printf.printf
-              "kernel @%s (gemm %dx%dx%d): timing-only mode, functional verification \
-               skipped\n"
-              k.Kernel.name m n kk;
-          (* Timing estimate at the same shape. *)
-          let t =
-            Launch.estimate ~cfg:tcfg c.Flow.program
-              ~params:[ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint m; Sim.Rint n; Sim.Rint kk ]
-              ~grid:(m / tile_m, n / tile_n, 1)
-              ~flops:(Reference.gemm_flops ~m ~n ~k:kk)
-          in
-          Printf.printf "  simulated: %.2f GFLOPS, %.0f cycles, TC utilization %.0f%%\n"
-            (t.Launch.tflops *. 1e3) t.Launch.cycles (100.0 *. t.Launch.tc_utilization);
-          emit_profile ~obs ~kernel_name:k.Kernel.name t
-        | `Attention ->
-          let tile_m, d_head =
-            match store_tile k with Some x -> x | None -> (16, 8)
-          in
-          if functional then begin
-            let q = Tensor.random ~dtype:Dtype.F16 ~seed:1 [| l; d_head |] in
-            let kt = Tensor.random ~dtype:Dtype.F16 ~seed:2 [| l; d_head |] in
-            let v = Tensor.random ~dtype:Dtype.F16 ~seed:3 [| l; d_head |] in
-            let o = Tensor.create ~dtype:Dtype.F16 [| l; d_head |] in
-            ignore
-              (Launch.run_grid_functional ~cfg c.Flow.program
-                 ~params:
-                   [ Sim.Rtensor q; Sim.Rtensor kt; Sim.Rtensor v; Sim.Rtensor o; Sim.Rint l ]
-                 ~grid:(l / tile_m, 1, 1));
-            let want = Reference.attention ~out_dtype:Dtype.F16 ~q ~k:kt ~v () in
-            let diff = Tensor.max_rel_diff o want in
-            Printf.printf
-              "kernel @%s (attention L=%d d=%d): max rel diff vs reference = %.2e %s\n"
-              k.Kernel.name l d_head diff (verdict diff 2e-2)
-          end
-          else begin
-            Printf.printf
-              "kernel @%s (attention L=%d d=%d): timing-only mode, functional \
-               verification skipped\n"
-              k.Kernel.name l d_head;
+              "kernel @%s (%s): timing-only mode, functional verification skipped\n"
+              k.Kernel.name fl.desc);
+          (* A verified attention run stops there; the rest is also
+             timed at the same shape, where no pointer binds a buffer. *)
+          if not (functional && classify_signature k = `Attention) then begin
+            let params = List.map (function Sim.Rtensor _ -> Sim.Rnone | p -> p) fl.params in
             let t =
-              Launch.estimate ~cfg:tcfg c.Flow.program
-                ~params:[ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint l ]
-                ~grid:(l / tile_m, 1, 1)
-                ~flops:(Reference.attention_flops ~batch:1 ~heads:1 ~len:l
-                          ~head_dim:d_head ())
+              Launch.estimate ~cfg:tcfg c.Flow.program ~params ~grid:fl.grid ~flops:fl.flops
             in
-            Printf.printf
-              "  simulated: %.2f GFLOPS, %.0f cycles, TC utilization %.0f%%\n"
-              (t.Launch.tflops *. 1e3) t.Launch.cycles
-              (100.0 *. t.Launch.tc_utilization)
-          end
-        | `Unknown ->
-          Printf.printf "kernel @%s: unrecognized signature; compile-only\n" k.Kernel.name)
+            Printf.printf "  simulated: %.2f GFLOPS, %.0f cycles, TC utilization %.0f%%\n"
+              (t.Launch.tflops *. 1e3) t.Launch.cycles (100.0 *. t.Launch.tc_utilization);
+            emit_profile ~obs ~kernel_name:k.Kernel.name t
+          end))
       kernels;
     if !mismatch then 1 else 0)
 
@@ -445,51 +465,12 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
     List.iter
       (fun k ->
         let c = Flow.compile ~options k in
-        let launch =
-          match classify_signature k with
-          | `Gemm ->
-            let tile_m, tile_n =
-              match store_tile k with Some x -> x | None -> (16, 16)
-            in
-            (* Functional mode simulates the payload, so the TMA pointers
-               must bind real buffers; timing mode only needs shapes. *)
-            let ptrs =
-              if emode = Config.Functional then
-                [ Sim.Rtensor (Tensor.random ~dtype:Dtype.F16 ~seed:1 [| m; kk |]);
-                  Sim.Rtensor (Tensor.random ~dtype:Dtype.F16 ~seed:2 [| kk; n |]);
-                  Sim.Rtensor (Tensor.create ~dtype:Dtype.F16 [| m; n |]) ]
-              else [ Sim.Rnone; Sim.Rnone; Sim.Rnone ]
-            in
-            Some
-              ( ptrs @ [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ],
-                (m / tile_m, n / tile_n, 1),
-                Reference.gemm_flops ~m ~n ~k:kk,
-                Printf.sprintf "gemm %dx%dx%d" m n kk )
-          | `Attention ->
-            let tile_m, d_head =
-              match store_tile k with Some x -> x | None -> (16, 8)
-            in
-            let ptrs =
-              if emode = Config.Functional then
-                [ Sim.Rtensor (Tensor.random ~dtype:Dtype.F16 ~seed:1 [| l; d_head |]);
-                  Sim.Rtensor (Tensor.random ~dtype:Dtype.F16 ~seed:2 [| l; d_head |]);
-                  Sim.Rtensor (Tensor.random ~dtype:Dtype.F16 ~seed:3 [| l; d_head |]);
-                  Sim.Rtensor (Tensor.create ~dtype:Dtype.F16 [| l; d_head |]) ]
-              else [ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rnone ]
-            in
-            Some
-              ( ptrs @ [ Sim.Rint l ],
-                (l / tile_m, 1, 1),
-                Reference.attention_flops ~batch:1 ~heads:1 ~len:l ~head_dim:d_head (),
-                Printf.sprintf "attention L=%d d=%d" l d_head )
-          | `Unknown -> None
-        in
-        match launch with
+        match launch_of k ~buffers:(emode = Config.Functional) ~m ~n ~kk ~l with
         | None ->
           Printf.printf "kernel @%s: unrecognized signature; cannot profile\n"
             k.Kernel.name;
           unknown := true
-        | Some (params, grid, flops, desc) ->
+        | Some { params; grid; flops; desc; _ } ->
           let t =
             Launch.estimate ~cfg:{ tcfg with Config.mode = emode } c.Flow.program ~params
               ~grid ~flops

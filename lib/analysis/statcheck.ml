@@ -1,25 +1,25 @@
 (** Statcheck: static performance analysis over compiled kernels.
 
-    Aggregates the {!Footprint} resource model, the {!Check_dead} and
-    {!Check_pipeline} lints, and {!Tawa_machine.Resources} limits into:
+    Aggregates the {!Check_dead} and {!Check_pipeline} lints and the
+    occupancy model of {!Tawa_machine.Resources} (a scan of the lowered
+    program) into:
 
     - {!lint}: the performance linter (dead stores, uninitialized
       reads, unused channels, waits without producers, over-deep MMA
       pipelines), diagnostics in deterministic order;
-    - {!occupancy}: the static occupancy verdict — the pruning
-      predicate the autotuner calls before paying for a simulation;
-      it reads only the resident model, never the liveness pass;
+    - {!occupancy}: the static occupancy verdict of a kernel, lowered
+      first; the autotuner asks {!Tawa_machine.Resources.occupancy}
+      the same question of the program it already compiled;
     - {!occupancy_report}: the CLI/bench view with the same verdict,
-      CTAs/SM, the limiting resource, per-resource headroom and the
-      liveness max-live bytes;
+      CTAs/SM, the limiting resource, per-resource headroom, the SMEM
+      allocations and the liveness max-live bytes;
     - {!check_kernel}: lints plus an infeasible-occupancy diagnostic
       ([tawac lint]). Compilation never runs it implicitly.
 
-    The register/SMEM predictions are validated against the decode
+    The register and SMEM figures are validated against the decode
     engine's measured high-water marks by the differential suite in
-    [test/test_statcheck.ml]: static >= measured always, and static <=
-    slack x measured on the figure kernels, so the model neither
-    under-reports nor drifts into uselessly loose. *)
+    [test/test_statcheck.ml]: static >= measured on every warp group,
+    and static = measured wherever the run writes every register. *)
 
 open Tawa_ir
 open Tawa_machine
@@ -60,7 +60,7 @@ type report = {
   kernel_name : string;
   parts : part_usage list;
   smem_bytes : int;
-  smem_items : Footprint.smem_item list;
+  smem_allocs : Isa.alloc list;
   total_regs : int;
   verdict : Resources.verdict;
   ctas_per_sm : int;  (** 0 when infeasible *)
@@ -69,78 +69,71 @@ type report = {
   reg_headroom : int;
 }
 
-(* Tile bytes spread across the stream's threads as 32-bit registers,
-   plus the per-thread scalars. *)
-let part_regs (p : Footprint.part) =
-  let threads = Resources.threads_per_warp_group * p.Footprint.coop in
-  let tile_regs = ((p.Footprint.tensor_bytes / 4) + threads - 1) / threads in
-  tile_regs + p.Footprint.scalar_regs
+(** The autotuner's pruning predicate on a kernel: lower it and ask
+    {!Resources.occupancy} whether the program is resident on one SM. *)
+let occupancy ?limits (k : Kernel.t) : Resources.verdict =
+  Resources.occupancy ?limits (Codegen.lower k)
 
-let total_regs (fp : Footprint.t) =
-  List.fold_left
-    (fun acc p ->
-      acc + (part_regs p * Resources.threads_per_warp_group * p.Footprint.coop))
-    0 fp.Footprint.parts
+(* Max over each of the [streams] streams' CFG nodes of the live-in
+   tile bytes (top-level nodes count toward every stream): how much
+   must be alive at once, beside the resident bytes the program holds.
+   No verdict reads it, so only the report pays for the liveness
+   pass. *)
+let max_live (k : Kernel.t) ~streams : int list =
+  let is_tile v = Types.is_tensor (Value.ty v) in
+  let cfg = Dataflow.Cfg.build k in
+  let live = Dataflow.Liveness.run cfg in
+  let by_id = Hashtbl.create 64 in
+  Array.iter
+    (fun n ->
+      List.iter
+        (fun v -> if is_tile v then Hashtbl.replace by_id (Value.id v) v)
+        (n.Dataflow.Cfg.defs @ n.Dataflow.Cfg.uses))
+    cfg.Dataflow.Cfg.nodes;
+  let best = Hashtbl.create 4 in
+  Array.iteri
+    (fun i n ->
+      let bytes =
+        Dataflow.Int_set.fold
+          (fun id acc ->
+            match Hashtbl.find_opt by_id id with
+            | Some v -> acc + Types.size_bytes (Value.ty v)
+            | None -> acc)
+          (Dataflow.Liveness.live_in live i)
+          0
+      in
+      let p = n.Dataflow.Cfg.partition in
+      let cur = Option.value (Hashtbl.find_opt best p) ~default:0 in
+      if bytes > cur then Hashtbl.replace best p bytes)
+    cfg.Dataflow.Cfg.nodes;
+  let at p = Option.value (Hashtbl.find_opt best p) ~default:0 in
+  let ws = Kernel.find_warp_group k <> None in
+  List.init streams (fun i -> max (at (-1)) (if ws then at i else 0))
 
-(* The verdict reads only the resident model; {!occupancy} and
-   {!occupancy_report} both derive it here, so they cannot drift. *)
-let verdict_of ~(limits : Resources.limits) (fp : Footprint.t) : Resources.verdict =
-  let max_regs pred =
-    List.fold_left
-      (fun acc p -> if pred p.Footprint.role then max acc (part_regs p) else acc)
-      0 fp.Footprint.parts
-  in
-  let worst = max_regs (fun _ -> true) in
-  let smem = fp.Footprint.smem_bytes and total_regs = total_regs fp in
-  if worst > limits.Resources.lim_regs_per_thread then
-    Resources.Infeasible
-      (Printf.sprintf "a warp group needs %d regs/thread > %d" worst
-         limits.Resources.lim_regs_per_thread)
-  else if smem > limits.Resources.lim_smem_bytes then
-    Resources.Infeasible
-      (Printf.sprintf "static SMEM %d bytes exceeds %d" smem
-         limits.Resources.lim_smem_bytes)
-  else if total_regs > limits.Resources.lim_regfile then
-    Resources.Infeasible
-      (Printf.sprintf "total registers %d exceed the %d register file"
-         total_regs limits.Resources.lim_regfile)
-  else
-    Resources.Feasible
-      {
-        Resources.smem_bytes = smem;
-        regs_per_thread_consumer = max_regs (fun r -> r = Op.Consumer);
-        regs_per_thread_producer = max_regs (fun r -> r <> Op.Consumer);
-        total_regs;
-        num_warp_groups =
-          List.fold_left (fun a p -> a + p.Footprint.coop) 0 fp.Footprint.parts;
-      }
-
-(** The autotuner's pruning predicate: is this kernel's static resource
-    footprint feasible on one SM? *)
-let occupancy ?(limits = Resources.h100) (k : Kernel.t) : Resources.verdict =
-  verdict_of ~limits (Footprint.compute k)
-
-(** The CLI/bench view: the verdict of {!occupancy} plus CTAs/SM, the
-    limiting resource, headroom, and each stream's liveness max-live
-    bytes (the one figure here that needs the liveness pass). *)
-let occupancy_report ?(limits = Resources.h100) (k : Kernel.t) : report =
-  let fp = Footprint.compute k in
+(** The CLI/bench view of [program], the lowering of [k]: the verdict
+    of {!Resources.occupancy} plus CTAs/SM, the limiting resource,
+    headroom, the SMEM allocations, and each stream's liveness max-live
+    bytes over [k]. *)
+let occupancy_report ?(limits = Resources.h100) ~(program : Isa.program) (k : Kernel.t) :
+    report =
+  let fp = Resources.footprint program in
   let parts =
-    List.map2
-      (fun (p : Footprint.part) live ->
+    List.mapi
+      (fun i ((p : Resources.part), live) ->
         {
-          pu_index = p.Footprint.index;
-          pu_role = p.Footprint.role;
-          pu_coop = p.Footprint.coop;
-          pu_tensor_bytes = p.Footprint.tensor_bytes;
+          pu_index = i;
+          pu_role = p.Resources.role;
+          pu_coop = p.Resources.coop;
+          pu_tensor_bytes = p.Resources.tensor_bytes;
           pu_max_live_bytes = live;
-          pu_regs_per_thread = part_regs p;
+          pu_regs_per_thread = Resources.regs_per_thread p;
         })
-      fp.Footprint.parts (Footprint.max_live k)
+      (List.combine fp.Resources.parts
+         (max_live k ~streams:(List.length fp.Resources.parts)))
   in
-  let total_regs = total_regs fp in
-  let smem = fp.Footprint.smem_bytes in
-  let verdict = verdict_of ~limits fp in
+  let total_regs = Resources.total_regs fp in
+  let smem = fp.Resources.smem_bytes in
+  let verdict = Resources.verdict_of ~limits fp in
   let ctas_per_sm, limiting =
     match verdict with
     | Resources.Infeasible _ -> (0, "infeasible")
@@ -165,7 +158,7 @@ let occupancy_report ?(limits = Resources.h100) (k : Kernel.t) : report =
     kernel_name = k.Kernel.name;
     parts;
     smem_bytes = smem;
-    smem_items = fp.Footprint.smem_items;
+    smem_allocs = program.Isa.allocs;
     total_regs;
     verdict;
     ctas_per_sm;
@@ -179,9 +172,12 @@ let occupancy_report ?(limits = Resources.h100) (k : Kernel.t) : report =
 let lint (k : Kernel.t) : Diagnostic.t list =
   Diagnostic.sort (Check_dead.check k @ Check_pipeline.check k)
 
+(* A kernel codegen rejects (a lint finding, for instance, may leave a
+   value no op defines) has no program to read occupancy off; its
+   lints stand alone. *)
 let occupancy_diagnostics ?limits (k : Kernel.t) : Diagnostic.t list =
   match occupancy ?limits k with
-  | Resources.Feasible _ -> []
+  | Resources.Feasible _ | (exception Codegen.Codegen_error _) -> []
   | Resources.Infeasible why ->
     [
       Diagnostic.error ~check:"occupancy"

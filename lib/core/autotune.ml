@@ -9,12 +9,13 @@
       persistence, coarse T/C/U split, lowering strategy) are data
       ({!axes}), expanded in a fixed order so the search is
       deterministic by construction;
-    - {b static pruning} — every candidate is compiled once and gated
-      on {!Tawa_analysis.Statcheck.occupancy} before any simulation.
-      The static model is conservative (it counts every register tile
-      as live), so when it rejects an entire space — attention at
-      realistic block sizes — the search falls back to measuring all
-      candidates and records the fallback instead of failing;
+    - {b static pruning} — every candidate is compiled once and its
+      program gated on {!Tawa_machine.Resources.occupancy} before any
+      simulation. Codegen never reuses a register, so the model counts
+      every register tile the program writes; when it rejects an entire
+      space — attention at realistic block sizes — the search falls
+      back to measuring all candidates and records the fallback instead
+      of failing;
     - {b pool-parallel measurement} — survivors run in
       [Config.mode = Timing] fanned over the {!Tawa_pool.Pool} domain
       pool (order-preserving, so the winner is independent of the
@@ -181,12 +182,12 @@ let space (family : family) : candidate list = expand (axes_of family)
 
 (* ------------------------- prune + measure ------------------------ *)
 
-(** Compile [c] and ask the static occupancy model for a verdict.
-    [Some reason] means the candidate is statically infeasible under
-    [limits] and need not be simulated. *)
+(** Compile [c] and ask the occupancy model for the verdict on its
+    program. [Some reason] means the candidate is statically infeasible
+    under [limits] and need not be simulated. *)
 let prune_reason ?limits (family : family) (c : candidate) : string option =
   let compiled = Flow.compile ~options:(options_of c) (kernel_of family c) in
-  match Tawa_analysis.Statcheck.occupancy ?limits compiled.Flow.transformed with
+  match Resources.occupancy ?limits compiled.Flow.program with
   | Resources.Feasible _ -> None
   | Resources.Infeasible reason -> Some reason
 

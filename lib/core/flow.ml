@@ -132,7 +132,7 @@ let build_entry ?fingerprint (options : options) (kernel : Kernel.t) : cache_ent
     { e_transformed = kernel;
       e_program =
         Codegen.lower
-          ~options:{ Codegen.default_options with load_style = Codegen.Ldg_naive }
+          ~options:{ Codegen.load_style = Codegen.Ldg_naive }
           kernel;
       e_ws = false; e_coarse = false }
 

@@ -1560,32 +1560,6 @@ let timing_uses (i : Isa.instr) f =
   | Isa.Brz { cond; _ } | Isa.Brnz { cond; _ } -> o cond
   | _ -> ()
 
-(* Register defined by the TIMING closure, if any. *)
-let timing_def (i : Isa.instr) =
-  match i with
-  | Isa.Alu { dst; _ }
-  | Isa.Cmp { dst; _ }
-  | Isa.Mov { dst; _ }
-  | Isa.Sel { dst; _ }
-  | Isa.Pid { dst; _ }
-  | Isa.Npid { dst; _ }
-  | Isa.Mkdesc { dst; _ }
-  | Isa.Tile_unop { dst; _ }
-  | Isa.Tile_binop { dst; _ }
-  | Isa.Tile_cmp { dst; _ }
-  | Isa.Tile_select { dst; _ }
-  | Isa.Tile_cast { dst; _ }
-  | Isa.Tile_splat { dst; _ }
-  | Isa.Tile_iota { dst; _ }
-  | Isa.Tile_bcast { dst; _ }
-  | Isa.Tile_reshape { dst; _ }
-  | Isa.Tile_reduce { dst; _ }
-  | Isa.Tile_trans { dst; _ }
-  | Isa.Ldg { dst; _ }
-  | Isa.Lds { dst; _ }
-  | Isa.Workq_pop { dst } -> Some dst
-  | _ -> None
-
 let atag_of_operand st (o : Isa.operand) =
   match o with
   | Isa.Imm _ -> a_int
@@ -1753,7 +1727,7 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
   let seen r = nregs := max !nregs (r + 1) in
   Array.iter
     (fun i ->
-      (match timing_def i with Some d -> seen d | None -> ());
+      (match Isa.def i with Some d -> seen d | None -> ());
       timing_uses i seen)
     instrs;
   let nregs = !nregs in
@@ -1771,7 +1745,7 @@ let optimize_stream ~(cfg : Config.t) ~coop ~role ~param_atags ~tc_single
       succ2.(pc) <- s2;
       if s1 >= 0 then preds.(s1) <- pc :: preds.(s1);
       if s2 >= 0 then preds.(s2) <- pc :: preds.(s2);
-      Option.iter (fun d -> defs.(pc) <- d; mentioned.(d) <- true) (timing_def i);
+      Option.iter (fun d -> defs.(pc) <- d; mentioned.(d) <- true) (Isa.def i);
       timing_uses i (fun r ->
           let j = (pc * w) + (r / 63) in
           uses.(j) <- uses.(j) lor (1 lsl (r mod 63));
@@ -2157,16 +2131,19 @@ let make_ctx ?recorder (d : t) ~(params : Sim.rt list)
 (* ------------------- resource high-water marks -------------------- *)
 
 (** Measured resident footprint of a finished context, the ground truth
-    the static occupancy model ({!Tawa_analysis.Footprint}) is
-    validated against. Registers are never retired by either engine, so
-    a post-run scan of the tensor plane is the high-water mark of
-    register-tile bytes — no hot-path instrumentation, preserving the
-    bit-identity contract above. Registers [0..nparams-1] hold the
-    launch parameters (whole global buffers bound as tensors), not
-    kernel-allocated tiles, and are excluded. SMEM writes land only in
-    functional mode, so the SMEM figure is meaningful there: every
-    [Some] slot of the dense array counts its allocation's slot bytes,
-    plus any out-of-range fallback tensors. *)
+    the occupancy scan of the same program
+    ({!Tawa_machine.Resources.footprint}) is validated against: both
+    count every register a tile lands in, so they agree exactly when
+    the run writes every such register. Registers are never retired by
+    either engine, so a post-run scan of the tensor plane is the
+    high-water mark of register-tile bytes — no hot-path
+    instrumentation, preserving the bit-identity contract above.
+    Registers [0..nparams-1] hold the launch parameters (whole global
+    buffers bound as tensors), not kernel-allocated tiles, and are
+    excluded. SMEM writes land only in functional mode, so the SMEM
+    figure is meaningful there: every [Some] slot of the dense array
+    counts its allocation's slot bytes, plus any out-of-range fallback
+    tensors. *)
 type hwm = {
   hwm_reg_bytes : int array;  (** per warp group (= per stream) *)
   hwm_smem_bytes : int;

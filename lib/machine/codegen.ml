@@ -918,27 +918,28 @@ and gen_coarse_loop env (op : Op.op) =
 (* Whole-kernel code generation                                         *)
 (* ------------------------------------------------------------------ *)
 
-type options = { persistent : bool; coop : int; load_style : load_style }
+type options = { load_style : load_style }
 
-let default_options = { persistent = false; coop = 1; load_style = Tma }
+let default_options = { load_style = Tma }
 
 let memdesc_bytes ty = Types.size_bytes ty
 
 (** Lower a kernel — at any stage of the Tawa pipeline — to a machine
-    program. *)
+    program. Persistence and the cooperative consumer count come from
+    the kernel attributes [persistent] and [num_consumer_wgs], which
+    the pass manager stamps. *)
 let lower ?(options = default_options) (k : Kernel.t) : Isa.program =
   let graph = Graph.build k.Kernel.body in
   let cp_style = Kernel.attr_int k "sw_stages" <> None in
   let persistent =
-    options.persistent
-    || (match List.assoc_opt "persistent" k.Kernel.attrs with
-       | Some (Op.Attr_bool b) -> b
-       | _ -> false)
+    match List.assoc_opt "persistent" k.Kernel.attrs with
+    | Some (Op.Attr_bool b) -> b
+    | _ -> false
   in
   let coop =
     match Kernel.attr_int k "num_consumer_wgs" with
     | Some c when c > 1 -> c
-    | _ -> options.coop
+    | _ -> 1
   in
   let g =
     { allocs = []; next_alloc = 0; arrive_counts = []; resettable = []; mbar_labels = [];

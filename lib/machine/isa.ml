@@ -212,6 +212,34 @@ let smem_bytes (p : program) =
 let instr_count (p : program) =
   List.fold_left (fun acc s -> acc + Array.length s.instrs) 0 p.streams
 
+(** The register [i] writes as its result, if any. [Wgmma] updates its
+    accumulator in place and defines none. The decode optimizer and the
+    occupancy scan ({!Resources.footprint}) both read defs here. *)
+let def (i : instr) =
+  match i with
+  | Alu { dst; _ }
+  | Cmp { dst; _ }
+  | Mov { dst; _ }
+  | Sel { dst; _ }
+  | Pid { dst; _ }
+  | Npid { dst; _ }
+  | Mkdesc { dst; _ }
+  | Tile_unop { dst; _ }
+  | Tile_binop { dst; _ }
+  | Tile_cmp { dst; _ }
+  | Tile_select { dst; _ }
+  | Tile_cast { dst; _ }
+  | Tile_splat { dst; _ }
+  | Tile_iota { dst; _ }
+  | Tile_bcast { dst; _ }
+  | Tile_reshape { dst; _ }
+  | Tile_reduce { dst; _ }
+  | Tile_trans { dst; _ }
+  | Ldg { dst; _ }
+  | Lds { dst; _ }
+  | Workq_pop { dst } -> Some dst
+  | _ -> None
+
 (* -------------------------- printing ------------------------------ *)
 
 let operand_to_string = function

@@ -173,7 +173,7 @@ let test_sim_sw_pipeline_gemm () =
 
 let test_sim_naive_gemm () =
   expect_gemm_matches "naive ldg gemm" (Kernels.gemm ~tiles:small_tiles ())
-    ~options:{ Codegen.default_options with load_style = Codegen.Ldg_naive }
+    ~options:{ Codegen.load_style = Codegen.Ldg_naive }
 
 let test_sim_persistent_gemm () =
   expect_gemm_matches "persistent ws gemm"
@@ -311,7 +311,7 @@ let test_timing_ws_beats_baselines () =
     timing_of
       (Kernels.gemm ~tiles:paper_tiles ())
       ~tiles:paper_tiles ~m ~n ~k
-      ~codegen_options:{ Codegen.default_options with load_style = Codegen.Ldg_naive }
+      ~codegen_options:{ Codegen.load_style = Codegen.Ldg_naive }
   in
   Alcotest.(check bool) "ws faster than sw-pipelined triton" true
     (ws.Launch.tflops > triton.Launch.tflops);
@@ -338,8 +338,9 @@ let test_timing_persistent_helps () =
     timing_of base ~tiles:paper_tiles ~m ~n ~k ~codegen_options:Codegen.default_options
   in
   let p =
-    timing_of base ~tiles:paper_tiles ~m ~n ~k
-      ~codegen_options:{ Codegen.default_options with persistent = true }
+    timing_of
+      (Kernel.with_attr base "persistent" (Op.Attr_bool true))
+      ~tiles:paper_tiles ~m ~n ~k ~codegen_options:Codegen.default_options
   in
   Alcotest.(check bool) "persistent >= non-persistent" true
     (p.Launch.tflops >= np.Launch.tflops)

@@ -21,7 +21,7 @@
 
     Sizing: an explicit [?domains] argument wins; otherwise a
     process-wide override set with {!set_default_domains} (used by the
-    bench harness's sequential-baseline mode); otherwise the
+    tests and the benchmark to pin a domain count); otherwise the
     [TAWA_DOMAINS] environment variable; otherwise
     [Domain.recommended_domain_count ()]. At size 1 (or on singleton /
     empty inputs) every entry point degrades to a plain sequential

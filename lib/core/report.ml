@@ -1,7 +1,7 @@
-(** Plain-text table rendering and JSON for the benchmark harness and
-    the examples. The implementations live in [Tawa_obs] (so the
-    telemetry registry can render without depending on tawa_core); this
-    module keeps the historical entry points. *)
+(** Plain-text table rendering for the benchmark harness and the
+    examples. The renderer lives in [Tawa_obs] (so the telemetry
+    registry can render without depending on tawa_core); this module
+    keeps the historical entry point and the number formats. *)
 
 let render = Tawa_obs.Tbl.render
 
@@ -16,7 +16,3 @@ let geomean xs =
   | _ ->
     let n = Float.of_int (List.length xs) in
     exp (List.fold_left (fun acc x -> acc +. log x) 0.0 xs /. n)
-
-(** Minimal JSON emitter for the machine-readable bench trajectory
-    ([BENCH_*.json]). See [Tawa_obs.Json]. *)
-module Json = Tawa_obs.Json

@@ -108,6 +108,13 @@ and elab_call b env pos fname args : Value.t =
     | [ a; c ] -> (elab_expr b env a, elab_expr b env c)
     | _ -> fail pos "%s expects two arguments" fname
   in
+  (* Code generation has these functions for tiles only. *)
+  let tile_unop o =
+    let x = one () in
+    if not (Types.is_tensor (Value.ty x)) then
+      fail pos "%s expects a tile, got %s" fname (Types.to_string (Value.ty x));
+    Builder.unop b o x
+  in
   at pos @@ fun () ->
   match (fname, args) with
   | "program_id", [ Apos { desc = Int axis; _ } ] -> Builder.program_id b axis
@@ -149,12 +156,12 @@ and elab_call b env pos fname args : Value.t =
     | Types.TTensor { shape; _ } -> Builder.cast b x (Types.tensor shape dtype)
     | Types.TScalar _ -> Builder.cast b x (Types.scalar dtype)
     | ty -> fail pos "cannot cast %s" (Types.to_string ty))
-  | "exp", _ -> Builder.unop b Op.Exp (one ())
-  | "exp2", _ -> Builder.unop b Op.Exp2 (one ())
-  | "log", _ -> Builder.unop b Op.Log (one ())
-  | "sqrt", _ -> Builder.unop b Op.Sqrt (one ())
-  | "rsqrt", _ -> Builder.unop b Op.Rsqrt (one ())
-  | "abs", _ -> Builder.unop b Op.Abs (one ())
+  | "exp", _ -> tile_unop Op.Exp
+  | "exp2", _ -> tile_unop Op.Exp2
+  | "log", _ -> tile_unop Op.Log
+  | "sqrt", _ -> tile_unop Op.Sqrt
+  | "rsqrt", _ -> tile_unop Op.Rsqrt
+  | "abs", _ -> tile_unop Op.Abs
   | "max", _ ->
     let x, y = two () in
     let x, y = unify b pos x y in

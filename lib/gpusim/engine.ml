@@ -140,8 +140,8 @@ let decode_cache_stats () = Progcache.stats decode_cache
    decode time), so the whole config is part of the key. The execution
    mode is keyed separately (readably) so functional and timing decodes
    of the same program never alias; the timing-optimization flag joins
-   it because flipping it mid-process (bench baseline passes) must not
-   serve stale streams. *)
+   it because flipping it mid-process (the differential tests do) must
+   not serve stale streams. *)
 let digest_cfg (cfg : Config.t) =
   let norm = { cfg with Config.mode = Config.Timing } in
   Digest.to_hex (Digest.string (Marshal.to_string norm []))
@@ -172,8 +172,8 @@ let cache_key (cfg : Config.t) program =
 (** A decoded program, ready to run any CTA of a launch. *)
 type prepared = Decode.t
 
-(* Retired-instruction counter across all domains, for the bench
-   harness's instructions/sec figure. *)
+(* Retired-instruction counter across all domains, for the benchmark's
+   simulated instructions/sec. *)
 let retired = Atomic.make 0
 let instructions_retired () = Atomic.get retired
 let reset_instructions () = Atomic.set retired 0

@@ -158,9 +158,9 @@ let estimate ?rep_pid ~(cfg : Config.t) (program : Isa.program)
     WITHOUT the per-kernel persistent wrapper: the grouped launcher
     itself provides the persistence (queue pop per tile).
 
-    Like {!estimate}, it simulates in [cfg.mode]; the benchmark harness
-    passes a [Functional] config to measure the cost of full payload
-    simulation under the identical unit fan-out. *)
+    Like {!estimate}, it simulates in [cfg.mode]; under a [Functional]
+    config it computes the payloads too, with the identical unit
+    fan-out and cycles ([modes.grouped] pins the equality). *)
 let estimate_grouped ~(cfg : Config.t)
     (items : (Isa.program * Sim.rt list * (int * int * int) * float) list) : timing =
   List.iter

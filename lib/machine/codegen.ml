@@ -437,14 +437,12 @@ and gen_op_body env (op : Op.op) =
       ignore (emit env (Isa.Tile_unop { op = o; dst; src; elems = elems_of_val r }))
     end
     else begin
-      (* Scalar unops are rare; model as tile-free ALU via sub/xor. *)
+      (* The only scalar unop with an instruction is negation, an ALU
+         subtract from zero; the math functions exist for tiles only. *)
+      if o <> Op.Neg then err "no scalar instruction for %s" (Op.unop_to_string o);
       let src = operand_of env (List.hd op.Op.operands) in
       let dst = def_reg env r in
-      match o with
-      | Op.Neg ->
-        ignore (emit env (Isa.Alu { op = Op.Sub; dst; a = Isa.Imm 0; b = src }))
-      | _ ->
-        ignore (emit env (Isa.Tile_unop { op = o; dst; src; elems = 1 }))
+      ignore (emit env (Isa.Alu { op = Op.Sub; dst; a = Isa.Imm 0; b = src }))
     end
   | Op.Cmp o ->
     let r = List.hd op.Op.results in

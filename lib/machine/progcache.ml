@@ -14,7 +14,7 @@
     its own option encoding to the key so changing any config field
     misses too.
 
-    The table is guarded by a mutex: parallel bench sweeps compile from
+    The table is guarded by a mutex: parallel figure sweeps compile from
     several domains at once. Lookups and insertions are locked; a missed
     compile runs outside the lock (two domains racing on the same key
     may both compile, last insert wins — both artifacts are equivalent
@@ -33,8 +33,8 @@ type 'v t = {
 
 (** [create ?name ()] — a [name] additionally registers
     [progcache.<name>.{hits,misses,evictions,entries}] gauges in
-    {!Tawa_obs.Registry}, so long-lived caches surface in [--obs]
-    output and [bench --json] without ad-hoc printing. *)
+    {!Tawa_obs.Registry}, so long-lived caches surface in its snapshot
+    (perfbench reads it) without ad-hoc printing. *)
 let create ?name ?(max_entries = 512) () =
   let c =
     { table = Hashtbl.create 64; lock = Mutex.create ();

@@ -1,9 +1,9 @@
-(** Minimal JSON emitter for machine-readable output ([BENCH_*.json],
-    Chrome traces, [--obs json]). No external dependency; non-finite
-    floats render as [null] so the output always parses.
+(** Minimal JSON emitter for machine-readable output (Chrome traces,
+    [--obs json]) and the parser that reads the [BENCH_*.json]
+    trajectory back. No external dependency; non-finite floats render
+    as [null] so the output always parses.
 
-    This is the single JSON type for the whole tree; [Tawa_core.Report.Json]
-    re-exports it for backwards compatibility. *)
+    This is the single JSON type for the whole tree. *)
 
 type t =
   | Null

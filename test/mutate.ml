@@ -9,6 +9,7 @@
     corpora. *)
 
 open Tawa_ir
+open Tawa_analysis
 
 type t = {
   name : string;

@@ -246,6 +246,16 @@ let test_elab_store_dtype () =
   check_rejected ~error_line:16 ~affix:"dtype i32 but the descriptor holds f16"
     (16, "cast(acc, f16)", "cast(acc, i32)")
 
+(* A scalar exp, exp2, log, sqrt, rsqrt or abs used to compile and then
+   fail in simulation with no position: code generation has these
+   functions for tiles only. *)
+let test_elab_scalar_unop () =
+  List.iter
+    (fun f ->
+      check_rejected ~error_line:16 ~affix:(f ^ " expects a tile, got f32")
+        (16, "cast(acc, f16)", Printf.sprintf "cast(acc * %s(4.0), f16)" f))
+    [ "exp"; "exp2"; "log"; "sqrt"; "rsqrt"; "abs" ]
+
 let run_dsl_gemm kernel ~m ~n ~kk =
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:1 [| m; kk |] in
   let b = Tensor.random ~dtype:Dtype.F16 ~seed:2 [| kk; n |] in
@@ -366,6 +376,7 @@ let suites =
           test_elab_mutants_positioned;
         Alcotest.test_case "float offset rejected" `Quick test_elab_float_offset;
         Alcotest.test_case "store dtype mismatch rejected" `Quick test_elab_store_dtype;
+        Alcotest.test_case "scalar math call rejected" `Quick test_elab_scalar_unop;
       ] );
     qsuite "frontend.props" [ prop_roundtrip_arith ];
   ]

@@ -119,6 +119,26 @@ let test_codegen_cp_style () =
   Alcotest.(check bool) "no mbarrier tma" false
     (Astring.String.is_infix ~affix:"cp.async.bulk.tensor" s)
 
+(* Negation is the only scalar unop with an instruction: a scalar math
+   function must stop code generation, not become a tile instruction
+   on a scalar register that fails in simulation. *)
+let test_codegen_scalar_unop () =
+  let lower o =
+    Codegen.lower
+      (Builder.kernel "scalar_unop" [ ("x", Types.scalar Dtype.F32) ] (fun b args ->
+           ignore (Builder.unop b o (List.hd args))))
+  in
+  ignore (lower Op.Neg);
+  List.iter
+    (fun o ->
+      let name = Op.unop_to_string o in
+      match lower o with
+      | _ -> Alcotest.failf "scalar %s lowered" name
+      | exception Codegen.Codegen_error msg ->
+        Alcotest.(check bool) (msg ^ " names " ^ name) true
+          (Astring.String.is_infix ~affix:name msg))
+    [ Op.Exp; Op.Exp2; Op.Log; Op.Log2; Op.Sqrt; Op.Rsqrt; Op.Abs; Op.Not ]
+
 (* ------------------------------------------------------------------ *)
 (* Functional simulation                                               *)
 (* ------------------------------------------------------------------ *)
@@ -393,6 +413,7 @@ let suites =
         Alcotest.test_case "gemm streams" `Quick test_codegen_gemm_streams;
         Alcotest.test_case "ptx-like text" `Quick test_codegen_prints;
         Alcotest.test_case "cp.async style" `Quick test_codegen_cp_style;
+        Alcotest.test_case "scalar math unop rejected" `Quick test_codegen_scalar_unop;
       ] );
     ( "machine.sim.functional",
       [

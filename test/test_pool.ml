@@ -1,6 +1,7 @@
 (* Tests for the domain pool and the parallel grid engine built on it:
    determinism across domain counts, exception propagation, and
-   bit-identical parallel-vs-sequential functional simulation. *)
+   bit-identical parallel-vs-sequential functional simulation that
+   matches the CPU reference at the production GEMM tile. *)
 
 open Tawa_tensor
 open Tawa_frontend
@@ -157,33 +158,45 @@ let test_default_domains_override () =
 (* Parallel grid engine: bit-identical to sequential                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_gemm_grid () =
-  let c = Flow.compile (Kernels.gemm ~tiles:small_tiles ()) in
-  let m = 48 and n = 32 and kk = 24 in
-  let a = Tensor.random ~dtype:Dtype.F16 ~seed:1 [| m; kk |] in
-  let b = Tensor.random ~dtype:Dtype.F16 ~seed:2 [| kk; n |] in
+(* A functional GEMM over a grid of [tiles]-sized CTAs, FP16 in and out. *)
+let run_gemm_grid ~tiles ~m ~n ~kk ~seed () =
+  let c = Flow.compile (Kernels.gemm ~tiles ()) in
+  let a = Tensor.random ~dtype:Dtype.F16 ~seed [| m; kk |] in
+  let b = Tensor.random ~dtype:Dtype.F16 ~seed:(seed + 1) [| kk; n |] in
   let out = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
   let cycles =
     Launch.run_grid_functional ~cfg c.Flow.program
       ~params:
         [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor out; Sim.Rint m; Sim.Rint n;
           Sim.Rint kk ]
-      ~grid:(m / 16, n / 16, 1)
+      ~grid:(m / tiles.Kernels.block_m, n / tiles.Kernels.block_n, 1)
   in
-  (out, cycles)
+  (a, b, out, cycles)
 
+(* A 3x2 grid of 16x16 tiles, and the production 128x128x64 tiles on a
+   4x4x1 grid (FP16 512x512x128): each must match the CPU reference and
+   be bit-identical at every domain count. *)
 let test_grid_gemm_bit_identical () =
-  let out1, cycles1 = with_domains 1 run_gemm_grid in
   List.iter
-    (fun d ->
-      let outd, cyclesd = with_domains d run_gemm_grid in
+    (fun (tiles, m, n, kk, seed) ->
+      let label = Printf.sprintf "gemm %dx%dx%d" m n kk in
+      let run = run_gemm_grid ~tiles ~m ~n ~kk ~seed in
+      let a, b, out1, cycles1 = with_domains 1 run in
+      let rel = Tensor.max_rel_diff out1 (Reference.gemm ~out_dtype:Dtype.F16 a b) in
       Alcotest.(check bool)
-        (Printf.sprintf "gemm tensors identical at %d domains" d)
-        true (Tensor.equal out1 outd);
-      Alcotest.(check bool)
-        (Printf.sprintf "gemm cycles identical at %d domains" d)
-        true (cycles1 = cyclesd))
-    [ 2; 4 ]
+        (Printf.sprintf "%s matches the reference (max rel diff %.2e)" label rel)
+        true (rel < 1e-3);
+      List.iter
+        (fun d ->
+          let _, _, outd, cyclesd = with_domains d run in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s tensors identical at %d domains" label d)
+            true (Tensor.equal out1 outd);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s cycles identical at %d domains" label d)
+            true (cycles1 = cyclesd))
+        [ 2; 4 ])
+    [ (small_tiles, 48, 32, 24, 1); (Kernels.default_tiles, 512, 512, 128, 11) ]
 
 let run_attention_grid () =
   let l = 64 and hd = 8 in

@@ -187,7 +187,6 @@ let occupancy_to_json (r : Tawa_analysis.Statcheck.report) =
                    ("role", Str (Op.role_to_string pu.pu_role));
                    ("coop", Int pu.pu_coop);
                    ("tensor_bytes", Int pu.pu_tensor_bytes);
-                   ("max_live_bytes", Int pu.pu_max_live_bytes);
                    ("regs_per_thread", Int pu.pu_regs_per_thread) ])
              r.parts) );
       ( "smem",
@@ -223,10 +222,7 @@ let do_occupancy path kernel_name d p coop persistent coarse obs =
       List.map
         (fun k ->
           let c = Flow.compile ~options k in
-          let r =
-            Tawa_analysis.Statcheck.occupancy_report ~program:c.Flow.program
-              c.Flow.transformed
-          in
+          let r = Tawa_analysis.Statcheck.occupancy_report c.Flow.program in
           (match r.Tawa_analysis.Statcheck.verdict with
           | Tawa_machine.Resources.Infeasible _ -> infeasible := true
           | Tawa_machine.Resources.Feasible _ -> ());
@@ -245,12 +241,10 @@ let do_occupancy path kernel_name d p coop persistent coarse obs =
           Printf.printf "kernel @%s: static occupancy\n" r.kernel_name;
           List.iter
             (fun pu ->
-              Printf.printf
-                "  wg%d %-9s coop=%d  tensor %6d B  max-live %6d B  %3d regs/thread\n"
+              Printf.printf "  wg%d %-9s coop=%d  tensor %6d B  %3d regs/thread\n"
                 pu.pu_index
                 (Op.role_to_string pu.pu_role)
-                pu.pu_coop pu.pu_tensor_bytes pu.pu_max_live_bytes
-                pu.pu_regs_per_thread)
+                pu.pu_coop pu.pu_tensor_bytes pu.pu_regs_per_thread)
             r.parts;
           List.iter
             (fun (a : Tawa_machine.Isa.alloc) ->
@@ -374,20 +368,37 @@ let launch_of (k : Kernel.t) ~buffers ~m ~n ~kk ~l : launch option =
         check }
   | `Unknown -> None
 
-(* Render a CTA profile per the --obs choice. *)
-let emit_profile ~obs ~kernel_name (t : Launch.timing) =
-  match (obs, t.Launch.profile) with
-  | None, _ | _, None -> ()
-  | Some `Table, Some prof ->
-    print_string (Sim.stall_table prof);
-    print_string (Sim.chan_table prof)
-  | Some `Json, Some prof ->
+(* A subcommand's report on one kernel is a list of pieces, each a text
+   and the JSON fields that say the same. A table prints each kernel's
+   texts as soon as it is done; [--obs json] prints one list holding an
+   object per kernel. *)
+type piece = string * (string * Tawa_obs.Json.t) list
+
+let print_reports ~json (report : Kernel.t -> piece list) kernels =
+  if json then
     print_string
       (Tawa_obs.Json.to_string
-         (Tawa_obs.Json.Obj
-            [ ("kernel", Tawa_obs.Json.Str kernel_name);
-              ("cycles", Tawa_obs.Json.Float t.Launch.cycles);
-              ("profile", Sim.profile_to_json prof) ]))
+         (Tawa_obs.Json.List
+            (List.map
+               (fun k -> Tawa_obs.Json.Obj (List.concat_map snd (report k)))
+               kernels)))
+  else
+    List.iter (fun k -> List.iter (fun (text, _) -> print_string text) (report k)) kernels
+
+let unrecognized (k : Kernel.t) what : piece =
+  ( Printf.sprintf "kernel @%s: unrecognized signature; %s\n" k.Kernel.name what,
+    [ ("kernel", Tawa_obs.Json.Str k.Kernel.name);
+      ("signature", Tawa_obs.Json.Str "unrecognized") ] )
+
+(* The CTA profile of a timed launch: the stall-attribution and channel
+   tables, or the same profile as JSON. *)
+let profile_piece (t : Launch.timing) : piece =
+  match t.Launch.profile with
+  | None -> ("", [ ("cycles", Tawa_obs.Json.Float t.Launch.cycles) ])
+  | Some prof ->
+    ( Sim.stall_table prof ^ Sim.chan_table prof,
+      [ ("cycles", Tawa_obs.Json.Float t.Launch.cycles);
+        ("profile", Sim.profile_to_json prof) ] )
 
 let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emode =
   guard ~path (fun () ->
@@ -399,44 +410,50 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
     let tcfg = Config.h100 in
     (* A [MISMATCH] is a finding: the run exits 1. *)
     let mismatch = ref false in
-    let verdict diff tol =
-      if diff < tol then "[OK]"
-      else begin
-        mismatch := true;
-        "[MISMATCH]"
-      end
-    in
-    List.iter
-      (fun k ->
-        let c = Flow.compile ~options k in
-        match launch_of k ~buffers:functional ~m ~n ~kk ~l with
-        | None ->
-          Printf.printf "kernel @%s: unrecognized signature; compile-only\n" k.Kernel.name
-        | Some fl -> (
-          (match fl.check with
+    let report k =
+      let c = Flow.compile ~options k in
+      match launch_of k ~buffers:functional ~m ~n ~kk ~l with
+      | None -> [ unrecognized k "compile-only" ]
+      | Some fl ->
+        let name = ("kernel", Tawa_obs.Json.Str k.Kernel.name) in
+        let workload = ("workload", Tawa_obs.Json.Str fl.desc) in
+        let verified : piece =
+          match fl.check with
           | Some check ->
             ignore
               (Launch.run_grid_functional ~cfg c.Flow.program ~params:fl.params
                  ~grid:fl.grid);
             let diff, tol = check () in
-            Printf.printf "kernel @%s (%s): max rel diff vs reference = %.2e %s\n"
-              k.Kernel.name fl.desc diff (verdict diff tol)
+            let ok = diff < tol in
+            if not ok then mismatch := true;
+            let verdict = if ok then "OK" else "MISMATCH" in
+            ( Printf.sprintf "kernel @%s (%s): max rel diff vs reference = %.2e [%s]\n"
+                k.Kernel.name fl.desc diff verdict,
+              [ name; workload; ("max_rel_diff", Tawa_obs.Json.Float diff);
+                ("verdict", Tawa_obs.Json.Str verdict) ] )
           | None ->
-            Printf.printf
-              "kernel @%s (%s): timing-only mode, functional verification skipped\n"
-              k.Kernel.name fl.desc);
-          (* A verified attention run stops there; the rest is also
-             timed at the same shape, where no pointer binds a buffer. *)
-          if not (functional && classify_signature k = `Attention) then begin
-            let params = List.map (function Sim.Rtensor _ -> Sim.Rnone | p -> p) fl.params in
-            let t =
-              Launch.estimate ~cfg:tcfg c.Flow.program ~params ~grid:fl.grid ~flops:fl.flops
-            in
-            Printf.printf "  simulated: %.2f GFLOPS, %.0f cycles, TC utilization %.0f%%\n"
-              (t.Launch.tflops *. 1e3) t.Launch.cycles (100.0 *. t.Launch.tc_utilization);
-            emit_profile ~obs ~kernel_name:k.Kernel.name t
-          end))
-      kernels;
+            ( Printf.sprintf
+                "kernel @%s (%s): timing-only mode, functional verification skipped\n"
+                k.Kernel.name fl.desc,
+              [ name; workload ] )
+        in
+        (* A verified attention run stops there; the rest is also
+           timed at the same shape, where no pointer binds a buffer. *)
+        if functional && classify_signature k = `Attention then [ verified ]
+        else begin
+          let params = List.map (function Sim.Rtensor _ -> Sim.Rnone | p -> p) fl.params in
+          let t =
+            Launch.estimate ~cfg:tcfg c.Flow.program ~params ~grid:fl.grid ~flops:fl.flops
+          in
+          let simulated =
+            Printf.sprintf "  simulated: %.2f GFLOPS, %.0f cycles, TC utilization %.0f%%\n"
+              (t.Launch.tflops *. 1e3) t.Launch.cycles (100.0 *. t.Launch.tc_utilization)
+          in
+          let text, fields = profile_piece t in
+          [ verified; (simulated ^ if obs = None then "" else text), fields ]
+        end
+    in
+    print_reports ~json:(obs = Some `Json) report kernels;
     if !mismatch then 1 else 0)
 
 (* ---------------------------- profile ------------------------------ *)
@@ -449,7 +466,8 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
    timelines from recorded channel events, --critical-path walks the
    recorded dependence events for the chain bounding the CTA's
    latency, and --trace writes a Chrome trace-event JSON with op and
-   channel lanes. *)
+   channel lanes. Under --obs json every view is a field of the
+   kernel's object. *)
 let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
     trace_out show_ops show_channels show_cp emode =
   guard ~path (fun () ->
@@ -462,39 +480,42 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
     end;
     let tcfg = Config.h100 in
     let unknown = ref false in
-    List.iter
-      (fun k ->
-        let c = Flow.compile ~options k in
-        match launch_of k ~buffers:(emode = Config.Functional) ~m ~n ~kk ~l with
-        | None ->
-          Printf.printf "kernel @%s: unrecognized signature; cannot profile\n"
-            k.Kernel.name;
-          unknown := true
-        | Some { params; grid; flops; desc; _ } ->
-          let t =
-            Launch.estimate ~cfg:{ tcfg with Config.mode = emode } c.Flow.program ~params
-              ~grid ~flops
-          in
-          (match obs with
-          | `Json -> emit_profile ~obs:(Some `Json) ~kernel_name:k.Kernel.name t
-          | `Table ->
-            Printf.printf
+    let report k =
+      let c = Flow.compile ~options k in
+      match launch_of k ~buffers:(emode = Config.Functional) ~m ~n ~kk ~l with
+      | None ->
+        unknown := true;
+        [ unrecognized k "cannot profile" ]
+      | Some { params; grid; flops; desc; _ } ->
+        let t =
+          Launch.estimate ~cfg:{ tcfg with Config.mode = emode } c.Flow.program ~params
+            ~grid ~flops
+        in
+        let program = c.Flow.program in
+        let text, fields = profile_piece t in
+        let summary =
+          ( Printf.sprintf
               "kernel @%s (%s): %.0f cycles end-to-end, %.2f GFLOPS, TC utilization %.0f%%\n"
               k.Kernel.name desc t.Launch.cycles
               (t.Launch.tflops *. 1e3)
-              (100.0 *. t.Launch.tc_utilization);
-            (match t.Launch.profile with
+              (100.0 *. t.Launch.tc_utilization)
+            ^ (match t.Launch.profile with
+              | Some prof -> Printf.sprintf "representative CTA: %.0f cycles\n" prof.Sim.wall
+              | None -> "")
+            ^ text,
+            ("kernel", Tawa_obs.Json.Str k.Kernel.name) :: fields )
+        in
+        let ops =
+          if not show_ops then []
+          else
+            match t.Launch.profile with
             | Some prof ->
-              Printf.printf "representative CTA: %.0f cycles\n" prof.Sim.wall
-            | None -> ());
-            emit_profile ~obs:(Some `Table) ~kernel_name:k.Kernel.name t);
-          let program = c.Flow.program in
-          if show_ops then
-            (match t.Launch.profile with
-            | Some prof -> print_string (Sim.op_table ~program prof)
-            | None ->
-              print_string "no representative-CTA profile available for --ops\n");
-          if show_channels || show_cp || trace_out <> None then begin
+              [ (Sim.op_table ~program prof, [ ("ops", Sim.ops_to_json ~program prof) ]) ]
+            | None -> [ ("no representative-CTA profile available for --ops\n", []) ]
+        in
+        let recorded =
+          if not (show_channels || show_cp || trace_out <> None) then []
+          else begin
             (* Record the CTA [Launch.estimate] simulated. *)
             let num_programs, pid, queue =
               Launch.representative_cta ~cfg:tcfg program ~grid
@@ -507,36 +528,47 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
             let chan_label ch = Sim.chan_label_of ~program ch in
             let wg_label w = Sim.wg_label_of ~program w in
             let pc_label w pc = Sim.pc_label_of ~program w pc in
-            if show_channels then begin
-              print_string "channel timeline (puts and waits):\n";
-              List.iter
-                (fun (lane, t0, t1, label) ->
-                  Printf.printf "  %-28s %10.1f .. %-10.1f %s\n" lane t0 t1 label)
-                (Tawa_obs.Prof.channel_intervals recorder ~chan_label)
-            end;
-            if show_cp then begin
-              let wg_times =
-                Array.map
-                  (fun w -> w.Sim.p_time)
-                  outcome.Sim.profile.Sim.wg_profs
-              in
-              print_string
-                (Tawa_obs.Prof.render_path
-                   (Tawa_obs.Prof.critical_path recorder ~wg_times)
-                   ~wg_label ~chan_label ~pc_label)
-            end;
-            match trace_out with
-            | None -> ()
-            | Some tpath ->
-              let lanes =
-                Tawa_obs.Prof.op_intervals recorder ~wg_label ~pc_label
-                @ Tawa_obs.Prof.channel_intervals recorder ~chan_label
-              in
-              Tawa_obs.Trace.to_file tpath (Tawa_obs.Trace.of_intervals lanes);
-              Printf.printf "Chrome trace written to %s (load in Perfetto)\n"
-                tpath
-          end)
-      kernels;
+            let channels =
+              if not show_channels then []
+              else
+                let spans = Tawa_obs.Prof.channel_intervals recorder ~chan_label in
+                [ ( "channel timeline (puts and waits):\n"
+                    ^ String.concat ""
+                        (List.map
+                           (fun (lane, t0, t1, label) ->
+                             Printf.sprintf "  %-28s %10.1f .. %-10.1f %s\n" lane t0 t1
+                               label)
+                           spans),
+                    [ ("channel_timeline", Tawa_obs.Prof.intervals_to_json spans) ] ) ]
+            in
+            let critical =
+              if not show_cp then []
+              else
+                let wg_times =
+                  Array.map (fun w -> w.Sim.p_time) outcome.Sim.profile.Sim.wg_profs
+                in
+                let path = Tawa_obs.Prof.critical_path recorder ~wg_times in
+                [ ( Tawa_obs.Prof.render_path path ~wg_label ~chan_label ~pc_label,
+                    [ ("critical_path", Tawa_obs.Prof.path_to_json path ~chan_label) ] ) ]
+            in
+            let trace =
+              match trace_out with
+              | None -> []
+              | Some tpath ->
+                let lanes =
+                  Tawa_obs.Prof.op_intervals recorder ~wg_label ~pc_label
+                  @ Tawa_obs.Prof.channel_intervals recorder ~chan_label
+                in
+                Tawa_obs.Trace.to_file tpath (Tawa_obs.Trace.of_intervals lanes);
+                [ ( Printf.sprintf "Chrome trace written to %s (load in Perfetto)\n" tpath,
+                    [ ("trace", Tawa_obs.Json.Str tpath) ] ) ]
+            in
+            channels @ critical @ trace
+          end
+        in
+        (summary :: ops) @ recorded
+    in
+    print_reports ~json:(obs = `Json) report kernels;
     if !unknown then 1 else 0)
 
 (* ---------------------------- autotune ----------------------------- *)
@@ -583,9 +615,13 @@ let do_autotune family m n kk l causal dtype store_path obs =
     let fam, desc =
       match family with
       | `Gemm ->
+        Cli_args.at_least_1 "-m (GEMM M)" m;
+        Cli_args.at_least_1 "-n (GEMM N)" n;
+        Cli_args.at_least_1 "-k (GEMM K)" kk;
         ( Autotune.Gemm { Workloads.m; n; k = kk; dtype },
           Printf.sprintf "gemm %dx%dx%d %s" m n kk (Dtype.to_string dtype) )
       | `Attention ->
+        Cli_args.at_least_1 "-l (sequence length)" l;
         ( Autotune.Attention
             { Workloads.batch = 4; heads = 32; len = l; head_dim = 128; causal;
               mha_dtype = dtype },
@@ -901,8 +937,8 @@ let check_cmd =
 
 let lint_cmd =
   let doc =
-    "run the statcheck performance linter (dead stores, uninitialized reads, unused \
-     channels, waits without producers, over-deep MMA pipelines, infeasible occupancy)"
+    "run the statcheck performance linter (dead stores, over-deep MMA pipelines, \
+     infeasible occupancy)"
   in
   Cmd.v (Cmd.info "lint" ~doc)
     Term.(

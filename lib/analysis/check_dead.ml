@@ -1,20 +1,18 @@
-(** Dead-store and uninitialized-read lints, built on the dataflow
-    framework ({!Dataflow}) and the use-def graph ({!Graph}).
+(** Dead-store lint, built on the use-def graph ({!Graph}).
 
     - {b dead-store}: a staging op ([Local_alloc], [Local_load],
       [Tma_load]) whose results no op reads. Canonicalize erases these
       in source kernels, so a surviving one means a pass (or a
       hand-built kernel) is moving data nobody consumes — pure SMEM
       bandwidth and latency waste.
-    - {b uninit-read}: an operand with no definition anywhere in the
-      kernel (dangling SSA — an [Error]), or whose definition cannot
-      reach the use along any CFG path (a [Warning]; reaching-defs is
-      may-reach, so loop-carried and branch-defined values do not
-      false-positive). *)
+
+    A read of a value no op defines is not a lint: the IR verifier's
+    scoped def-before-use rule rejects it before any kernel reaches
+    statcheck. *)
 
 open Tawa_ir
 
-let dead_stores (k : Kernel.t) : Diagnostic.t list =
+let check (k : Kernel.t) : Diagnostic.t list =
   let graph = Graph.build k.Kernel.body in
   let out = ref [] in
   Op.iter_region
@@ -31,21 +29,3 @@ let dead_stores (k : Kernel.t) : Diagnostic.t list =
       | _ -> ())
     k.Kernel.body;
   List.rev !out
-
-let uninit_reads (k : Kernel.t) : Diagnostic.t list =
-  let cfg = Dataflow.Cfg.build k in
-  let reach = Dataflow.Reaching.run cfg in
-  Dataflow.unreachable_uses cfg reach
-  |> List.map (fun (u : Dataflow.use) ->
-         let op = Dataflow.Cfg.node_op (Dataflow.Cfg.node cfg u.Dataflow.use_node) in
-         match u.Dataflow.def with
-         | None ->
-           Diagnostic.error ~check:"uninit-read" ?op ~values:[ u.Dataflow.value ]
-             "operand %s has no definition in the kernel (dangling SSA value)"
-             (Value.name u.Dataflow.value)
-         | Some _ ->
-           Diagnostic.warning ~check:"uninit-read" ?op ~values:[ u.Dataflow.value ]
-             "no CFG path carries the definition of %s to this use"
-             (Value.name u.Dataflow.value))
-
-let check (k : Kernel.t) : Diagnostic.t list = dead_stores k @ uninit_reads k

@@ -1,22 +1,16 @@
-(** Channel-level performance lints over the {!Model} site summary.
+(** Pipeline-depth lint over the {!Model} site summary.
 
-    - {b channel-unused}: an [aref_create] with no puts and no gets —
-      every one of its [depth] SMEM slots (and its barriers) is
-      allocated for nothing.
-    - {b wait-no-producer}: a channel with gets but no puts. The full
-      barrier the consumers wait on has no producer arrival; at runtime
-      this is a deadlock, statically it is a wait that can never be
-      satisfied.
     - {b pipeline-depth}: the kernel's fine-MMA depth [P]
       (attr ["mma_depth"]) exceeds the actual producer->consumer reuse
-      distance. The fine pipeline re-times releases to [it - (P-? )];
-      the observable lag of a channel is
+      distance. The fine pipeline re-times releases to [it - P]; the
+      observable lag of a channel is
       [max main-loop get offset - min main-loop consumed offset]. If
       [P] is larger than every channel's lag, the extra in-flight MMA
       groups hold registers without deferring any release — depth the
-      kernel pays for and cannot use. *)
+      kernel pays for and cannot use.
 
-open Tawa_ir
+    Channels with no puts, or with neither puts nor gets, are
+    arefcheck's to report ({!Check_channel}). *)
 
 let lag_of (m : Model.t) (ch : Model.channel) : int option =
   let main = List.filter (Model.in_main_loop m) in
@@ -29,37 +23,19 @@ let lag_of (m : Model.t) (ch : Model.channel) : int option =
     Some (maxg - minc)
   | _ -> None
 
-let check (k : Kernel.t) : Diagnostic.t list =
-  let m = Model.build k in
-  let out = ref [] in
-  let emit d = out := d :: !out in
-  List.iter
-    (fun (ch : Model.channel) ->
-      if ch.Model.puts = [] && ch.Model.gets = [] && ch.Model.consumeds = [] then
-        emit
-          (Diagnostic.warning ~check:"channel-unused" ~op:ch.Model.create
-             ~values:[ ch.Model.cvalue ]
-             "aref channel has no puts or gets: %d slot(s) of SMEM and their \
-              barriers are allocated for nothing"
-             ch.Model.depth)
-      else if ch.Model.gets <> [] && ch.Model.puts = [] then
-        emit
-          (Diagnostic.warning ~check:"wait-no-producer"
-             ~op:(List.hd ch.Model.gets).Model.s_op ~values:[ ch.Model.cvalue ]
-             "%d get(s) wait on a channel with no puts: no producer can arrive \
-              on the full barrier"
-             (List.length ch.Model.gets)))
-    m.Model.channels;
-  (match Kernel.attr_int k "mma_depth" with
-  | None -> ()
+let check (k : Tawa_ir.Kernel.t) : Diagnostic.t list =
+  match Tawa_ir.Kernel.attr_int k "mma_depth" with
+  | None -> []
   | Some p ->
+    let m = Model.build k in
     let lags = List.filter_map (lag_of m) m.Model.channels in
     let lag = List.fold_left max 0 lags in
     if lags <> [] && p > lag then
-      emit
-        (Diagnostic.warning ~check:"pipeline-depth"
-           "MMA pipeline depth P=%d exceeds the maximum producer->consumer \
-            reuse distance %d: the extra %d in-flight group(s) hold registers \
-            without deferring any release"
-           p lag (p - lag)));
-  Diagnostic.sort (List.rev !out)
+      [
+        Diagnostic.warning ~check:"pipeline-depth"
+          "MMA pipeline depth P=%d exceeds the maximum producer->consumer \
+           reuse distance %d: the extra %d in-flight group(s) hold registers \
+           without deferring any release"
+          p lag (p - lag);
+      ]
+    else []

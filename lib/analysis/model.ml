@@ -1,4 +1,4 @@
-(** Shared dataflow model for the arefcheck analyses.
+(** Shared protocol model for the arefcheck analyses.
 
     [build] walks a (warp-specialized) kernel once and summarizes every
     channel op as a {!site}: which warp-group partition it executes in,

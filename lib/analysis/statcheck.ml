@@ -4,17 +4,20 @@
     occupancy model of {!Tawa_machine.Resources} (a scan of the lowered
     program) into:
 
-    - {!lint}: the performance linter (dead stores, uninitialized
-      reads, unused channels, waits without producers, over-deep MMA
+    - {!lint}: the performance linter (dead stores, over-deep MMA
       pipelines), diagnostics in deterministic order;
     - {!occupancy}: the static occupancy verdict of a kernel, lowered
       first; the autotuner asks {!Tawa_machine.Resources.occupancy}
       the same question of the program it already compiled;
-    - {!occupancy_report}: the CLI/bench view with the same verdict,
-      CTAs/SM, the limiting resource, per-resource headroom, the SMEM
-      allocations and the liveness max-live bytes;
+    - {!occupancy_report}: the CLI view of a program with the same
+      verdict, CTAs/SM, the limiting resource, per-resource headroom
+      and the SMEM allocations;
     - {!check_kernel}: lints plus an infeasible-occupancy diagnostic
       ([tawac lint]). Compilation never runs it implicitly.
+
+    Each property has one checker: undefined reads are the IR
+    verifier's, unused channels and waits without a producer are
+    arefcheck's ({!Check_channel}).
 
     The register and SMEM figures are validated against the decode
     engine's measured high-water marks by the differential suite in
@@ -52,7 +55,6 @@ type part_usage = {
   pu_role : Op.wg_role;
   pu_coop : int;
   pu_tensor_bytes : int;
-  pu_max_live_bytes : int;
   pu_regs_per_thread : int;
 }
 
@@ -71,69 +73,30 @@ type report = {
 
 (** The autotuner's pruning predicate on a kernel: lower it and ask
     {!Resources.occupancy} whether the program is resident on one SM. *)
-let occupancy ?limits (k : Kernel.t) : Resources.verdict =
-  Resources.occupancy ?limits (Codegen.lower k)
+let occupancy (k : Kernel.t) : Resources.verdict =
+  Resources.occupancy (Codegen.lower k)
 
-(* Max over each of the [streams] streams' CFG nodes of the live-in
-   tile bytes (top-level nodes count toward every stream): how much
-   must be alive at once, beside the resident bytes the program holds.
-   No verdict reads it, so only the report pays for the liveness
-   pass. *)
-let max_live (k : Kernel.t) ~streams : int list =
-  let is_tile v = Types.is_tensor (Value.ty v) in
-  let cfg = Dataflow.Cfg.build k in
-  let live = Dataflow.Liveness.run cfg in
-  let by_id = Hashtbl.create 64 in
-  Array.iter
-    (fun n ->
-      List.iter
-        (fun v -> if is_tile v then Hashtbl.replace by_id (Value.id v) v)
-        (n.Dataflow.Cfg.defs @ n.Dataflow.Cfg.uses))
-    cfg.Dataflow.Cfg.nodes;
-  let best = Hashtbl.create 4 in
-  Array.iteri
-    (fun i n ->
-      let bytes =
-        Dataflow.Int_set.fold
-          (fun id acc ->
-            match Hashtbl.find_opt by_id id with
-            | Some v -> acc + Types.size_bytes (Value.ty v)
-            | None -> acc)
-          (Dataflow.Liveness.live_in live i)
-          0
-      in
-      let p = n.Dataflow.Cfg.partition in
-      let cur = Option.value (Hashtbl.find_opt best p) ~default:0 in
-      if bytes > cur then Hashtbl.replace best p bytes)
-    cfg.Dataflow.Cfg.nodes;
-  let at p = Option.value (Hashtbl.find_opt best p) ~default:0 in
-  let ws = Kernel.find_warp_group k <> None in
-  List.init streams (fun i -> max (at (-1)) (if ws then at i else 0))
-
-(** The CLI/bench view of [program], the lowering of [k]: the verdict
-    of {!Resources.occupancy} plus CTAs/SM, the limiting resource,
-    headroom, the SMEM allocations, and each stream's liveness max-live
-    bytes over [k]. *)
-let occupancy_report ?(limits = Resources.h100) ~(program : Isa.program) (k : Kernel.t) :
-    report =
+(** The CLI view of [program]: the verdict of {!Resources.occupancy}
+    plus CTAs/SM, the limiting resource, headroom and the SMEM
+    allocations, under the H100 limits. *)
+let occupancy_report (program : Isa.program) : report =
+  let limits = Resources.h100 in
   let fp = Resources.footprint program in
   let parts =
     List.mapi
-      (fun i ((p : Resources.part), live) ->
+      (fun i (p : Resources.part) ->
         {
           pu_index = i;
           pu_role = p.Resources.role;
           pu_coop = p.Resources.coop;
           pu_tensor_bytes = p.Resources.tensor_bytes;
-          pu_max_live_bytes = live;
           pu_regs_per_thread = Resources.regs_per_thread p;
         })
-      (List.combine fp.Resources.parts
-         (max_live k ~streams:(List.length fp.Resources.parts)))
+      fp.Resources.parts
   in
   let total_regs = Resources.total_regs fp in
   let smem = fp.Resources.smem_bytes in
-  let verdict = Resources.verdict_of ~limits fp in
+  let verdict = Resources.verdict_of fp in
   let ctas_per_sm, limiting =
     match verdict with
     | Resources.Infeasible _ -> (0, "infeasible")
@@ -155,7 +118,7 @@ let occupancy_report ?(limits = Resources.h100) ~(program : Isa.program) (k : Ke
         else "registers" )
   in
   {
-    kernel_name = k.Kernel.name;
+    kernel_name = program.Isa.name;
     parts;
     smem_bytes = smem;
     smem_allocs = program.Isa.allocs;
@@ -172,11 +135,10 @@ let occupancy_report ?(limits = Resources.h100) ~(program : Isa.program) (k : Ke
 let lint (k : Kernel.t) : Diagnostic.t list =
   Diagnostic.sort (Check_dead.check k @ Check_pipeline.check k)
 
-(* A kernel codegen rejects (a lint finding, for instance, may leave a
-   value no op defines) has no program to read occupancy off; its
-   lints stand alone. *)
-let occupancy_diagnostics ?limits (k : Kernel.t) : Diagnostic.t list =
-  match occupancy ?limits k with
+(* A kernel codegen rejects (a hand-made mutant, say) has no program
+   to read occupancy off; its lints stand alone. *)
+let occupancy_diagnostics (k : Kernel.t) : Diagnostic.t list =
+  match occupancy k with
   | Resources.Feasible _ | (exception Codegen.Codegen_error _) -> []
   | Resources.Infeasible why ->
     [
@@ -185,8 +147,8 @@ let occupancy_diagnostics ?limits (k : Kernel.t) : Diagnostic.t list =
     ]
 
 (** Everything statcheck knows about [k], in deterministic order. *)
-let check_kernel ?limits (k : Kernel.t) : Diagnostic.t list =
-  Diagnostic.sort (lint k @ occupancy_diagnostics ?limits k)
+let check_kernel (k : Kernel.t) : Diagnostic.t list =
+  Diagnostic.sort (lint k @ occupancy_diagnostics k)
 
 let assert_clean ~what (k : Kernel.t) =
   match check_kernel k with

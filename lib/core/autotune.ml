@@ -184,10 +184,10 @@ let space (family : family) : candidate list = expand (axes_of family)
 
 (** Compile [c] and ask the occupancy model for the verdict on its
     program. [Some reason] means the candidate is statically infeasible
-    under [limits] and need not be simulated. *)
-let prune_reason ?limits (family : family) (c : candidate) : string option =
+    on an H100 SM and need not be simulated. *)
+let prune_reason (family : family) (c : candidate) : string option =
   let compiled = Flow.compile ~options:(options_of c) (kernel_of family c) in
-  match Resources.occupancy ?limits compiled.Flow.program with
+  match Resources.occupancy compiled.Flow.program with
   | Resources.Feasible _ -> None
   | Resources.Infeasible reason -> Some reason
 

@@ -252,11 +252,14 @@ let per_op ~(program : Isa.program) (p : profile) : op_prof array =
          | c -> c)
        rows)
 
+(* Every WG accounts for [wall] cycles (idle included), so the total
+   attributable pool is wall × WG-count — the conservation invariant. *)
+let op_pool (p : profile) =
+  Float.max 1e-9 (p.wall *. Float.of_int (Array.length p.wg_profs))
+
 let op_table ?(top = 12) ~(program : Isa.program) (p : profile) : string =
   let ops = per_op ~program p in
-  (* Every WG accounts for [wall] cycles (idle included), so the total
-     attributable pool is wall × WG-count — the conservation invariant. *)
-  let pool = p.wall *. Float.of_int (Array.length p.wg_profs) in
+  let pool = op_pool p in
   let shown = Array.sub ops 0 (min top (Array.length ops)) in
   let fc x = Printf.sprintf "%.1f" x in
   let rows =
@@ -267,7 +270,7 @@ let op_table ?(top = 12) ~(program : Isa.program) (p : profile) : string =
              o.o_name;
              (if o.o_src < 0 then "-" else string_of_int o.o_src);
              fc o.o_cycles;
-             Printf.sprintf "%.1f%%" (100.0 *. o.o_cycles /. Float.max 1e-9 pool);
+             Printf.sprintf "%.1f%%" (100.0 *. o.o_cycles /. pool);
            ]
            @ (Array.to_list o.o_buckets |> List.map fc))
   in
@@ -276,6 +279,31 @@ let op_table ?(top = 12) ~(program : Isa.program) (p : profile) : string =
       ([ "op"; "opcode"; "src"; "cycles"; "share" ]
       @ Array.to_list Tawa_obs.Stall.names)
     rows
+
+(** Every row of {!per_op} as JSON (the table shows the top ones):
+    [op] and [src] are [null] where the table prints "-", [share] is a
+    fraction of the attributable pool. *)
+let ops_to_json ~(program : Isa.program) (p : profile) : Tawa_obs.Json.t =
+  let open Tawa_obs in
+  let pool = op_pool p in
+  let id i = if i < 0 then Json.Null else Json.Int i in
+  Json.List
+    (Array.to_list (per_op ~program p)
+    |> List.map (fun o ->
+           Json.Obj
+             [
+               ("op", id o.o_oid);
+               ("opcode", Json.Str o.o_name);
+               ("src", id o.o_src);
+               ("cycles", Json.Float o.o_cycles);
+               ("share", Json.Float (o.o_cycles /. pool));
+               ( "stall",
+                 Json.Obj
+                   (Array.to_list
+                      (Array.mapi
+                         (fun i c -> (Stall.name_of_index i, Json.Float c))
+                         o.o_buckets)) );
+             ]))
 
 (* ------------------------ profiler labeling ----------------------- *)
 

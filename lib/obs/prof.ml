@@ -119,6 +119,21 @@ let channel_intervals r ~(chan_label : int -> string) :
   in
   puts @ waits
 
+(** [(lane, t0, t1, label)] intervals, as {!channel_intervals} returns
+    them, as JSON. *)
+let intervals_to_json (spans : (string * float * float * string) list) : Json.t =
+  Json.List
+    (List.map
+       (fun (lane, t0, t1, label) ->
+         Json.Obj
+           [
+             ("lane", Json.Str lane);
+             ("t0", Json.Float t0);
+             ("t1", Json.Float t1);
+             ("label", Json.Str label);
+           ])
+       spans)
+
 (** Chrome-trace intervals for retired ops, one lane per warp group.
     [pc_label wg pc] names the instruction (typically its disassembly
     or source-op name). *)

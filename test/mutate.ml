@@ -13,7 +13,9 @@ open Tawa_analysis
 
 type t = {
   name : string;
-  expect : string;  (** check expected to flag the mutant *)
+  expect : string;
+      (** check expected to flag the mutant; ["verifier"] for the IR
+          verifier *)
   apply : Kernel.t -> Kernel.t option;
 }
 
@@ -367,25 +369,6 @@ let inject_dead_store =
           in
           if insert ~after:true def_op [ dead ] k then Some k else None) }
 
-(* Remove a tile/constant seed whose result is in use: its consumers
-   (typically a loop's init) read a value no op defines any more. *)
-let drop_init =
-  { name = "drop-init";
-    expect = "uninit-read";
-    apply =
-      (fun k ->
-        let k = Kernel.clone k in
-        let g = Graph.build k.Kernel.body in
-        let is_seed (op : Op.op) =
-          match op.Op.opcode with
-          | Op.Splat | Op.Iota | Op.Const_float _ -> op.Op.results <> []
-          | _ -> false
-        in
-        match first_op (fun op -> is_seed op && Graph.op_used g op) k with
-        | None -> None
-        | Some seed ->
-          if remove_ops (fun o -> o == seed) k > 0 then Some k else None) }
-
 (* Claim a deeper MMA pipeline than the releases are actually re-timed
    for: depth the kernel pays registers for and cannot use. *)
 let inflate_depth =
@@ -437,11 +420,39 @@ let oversize_smem =
           (all_blocks k);
         if !changed then Some k else None) }
 
+(** Statcheck-lint mutations, kept separate from {!all}: their expected
+    checks live in {!Statcheck.check_kernel}, not {!Arefcheck}. *)
+let statcheck_all = [ inject_dead_store; inflate_depth; oversize_smem ]
+
+(* ------------- mutations the verifier and arefcheck decide ------------ *)
+
+(* Remove a tile/constant seed whose result is in use: its consumers
+   (typically a loop's init) read a value no op defines any more, which
+   the IR verifier's def-before-use rule rejects. *)
+let drop_init =
+  { name = "drop-init";
+    expect = "verifier";
+    apply =
+      (fun k ->
+        let k = Kernel.clone k in
+        let g = Graph.build k.Kernel.body in
+        let is_seed (op : Op.op) =
+          match op.Op.opcode with
+          | Op.Splat | Op.Iota | Op.Const_float _ -> op.Op.results <> []
+          | _ -> false
+        in
+        match first_op (fun op -> is_seed op && Graph.op_used g op) k with
+        | None -> None
+        | Some seed ->
+          if remove_ops (fun o -> o == seed) k > 0 then Some k else None) }
+
 (* A channel nobody puts to or gets from: its slots and barriers are
-   allocated for nothing. *)
+   allocated for nothing. Arefcheck warns (it is waste, not a protocol
+   break), so this one stays out of {!all}, whose mutants must each
+   draw an error. *)
 let orphan_slot =
   { name = "orphan-slot";
-    expect = "channel-unused";
+    expect = Check_channel.name;
     apply =
       (fun k ->
         let k = Kernel.clone k in
@@ -464,7 +475,3 @@ let orphan_slot =
           in
           if insert ~after:true cr [ orphan ] k then Some k else None) }
 
-(** Statcheck-lint mutations, kept separate from {!all}: their expected
-    checks live in {!Statcheck.check_kernel}, not {!Arefcheck}. *)
-let statcheck_all =
-  [ inject_dead_store; drop_init; inflate_depth; oversize_smem; orphan_slot ]

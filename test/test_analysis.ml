@@ -56,7 +56,7 @@ let test_clean_baselines () =
 let test_clean_examples () =
   List.iter
     (fun name ->
-      let path = Filename.concat "../examples/kernels" name in
+      let path = Filename.concat Paths.examples_dir name in
       List.iter
         (fun k ->
           check_flow (name ^ " @" ^ k.Kernel.name) (Flow.compile ~options:(flow_opts ()) k))
@@ -131,6 +131,63 @@ let test_mutations_cover_attention () =
       (List.filter (fun (mu : Mutate.t) -> mu.Mutate.apply base <> None) Mutate.all)
   in
   Alcotest.(check bool) "most mutations apply to attention too" true (n >= 6)
+
+(* A channel nobody puts to or gets from is waste, not a protocol
+   break: arefcheck's channel discipline warns about it, without an
+   error, on a compiled GEMM and attention. *)
+let test_orphan_channel_warned () =
+  List.iter
+    (fun (bname, k) ->
+      let base = (Flow.compile ~options:(flow_opts ()) k).Flow.transformed in
+      match Mutate.orphan_slot.Mutate.apply base with
+      | None -> Alcotest.failf "orphan-slot does not apply to %s" bname
+      | Some mutant ->
+        let ds = Arefcheck.check_kernel mutant in
+        assert_no_errors ("orphan-slot on " ^ bname) ds;
+        if
+          not
+            (List.exists
+               (fun (d : Diagnostic.t) ->
+                 d.Diagnostic.check = Mutate.orphan_slot.Mutate.expect
+                 && d.Diagnostic.severity = Diagnostic.Warning
+                 && Astring.String.is_infix ~affix:"never used" d.Diagnostic.message)
+               ds)
+        then
+          Alcotest.failf "orphan-slot on %s: expected an unused-channel warning, got:\n%s"
+            bname
+            (if ds = [] then "(no diagnostics)" else Diagnostic.report ds))
+    [ ("gemm", Kernels.gemm ~tiles:small_tiles ());
+      ("attention", Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ()) ]
+
+(* A channel read but never written: the drop-put mutant of a compiled
+   GEMM and attention gets arefcheck's never-written error from the
+   channel discipline and a startup error from the deadlock check. *)
+let test_unwritten_channel_rejected () =
+  List.iter
+    (fun (bname, k) ->
+      let base = (Flow.compile ~options:(flow_opts ()) k).Flow.transformed in
+      match Mutate.drop_put.Mutate.apply base with
+      | None -> Alcotest.failf "drop-put does not apply to %s" bname
+      | Some mutant ->
+        let ds = Arefcheck.check_kernel mutant in
+        let has check affix =
+          List.exists
+            (fun (d : Diagnostic.t) ->
+              d.Diagnostic.check = check
+              && Astring.String.is_infix ~affix d.Diagnostic.message)
+            (Diagnostic.errors ds)
+        in
+        if
+          not
+            (has Check_channel.name "never written"
+            && has Check_deadlock.name "startup deadlock")
+        then
+          Alcotest.failf
+            "drop-put on %s: expected never-written and startup-deadlock errors, got:\n%s"
+            bname
+            (if ds = [] then "(no diagnostics)" else Diagnostic.report ds))
+    [ ("gemm", Kernels.gemm ~tiles:small_tiles ());
+      ("attention", Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ()) ]
 
 (* --------------------- handcrafted deadlock ----------------------- *)
 
@@ -341,7 +398,10 @@ let suites =
     qsuite "analysis.fuzz" [ prop_fuzz_clean; prop_fuzz_clean_deep ];
     ( "analysis.mutations",
       [ Alcotest.test_case "every protocol mutation is flagged" `Quick test_mutations;
-        Alcotest.test_case "mutations cover attention" `Quick test_mutations_cover_attention ] );
+        Alcotest.test_case "mutations cover attention" `Quick test_mutations_cover_attention;
+        Alcotest.test_case "unused channel warned" `Quick test_orphan_channel_warned;
+        Alcotest.test_case "unwritten channel rejected" `Quick
+          test_unwritten_channel_rejected ] );
     ( "analysis.deadlock",
       [ Alcotest.test_case "cyclic two-ring kernel rejected" `Quick test_cyclic_deadlock ] );
     ( "analysis.channel",

@@ -38,18 +38,24 @@ let test_pruning_sound () =
   let shape = { Workloads.m = 256; n = 256; k = 128; dtype = Dtype.F16 } in
   let fam = Autotune.Gemm shape in
   let pruned_on_regs =
-    List.filter
+    List.filter_map
       (fun (c : Autotune.candidate) ->
-        c.Autotune.strategy = Flow.Warp_specialized
-        && (not c.Autotune.persistent)
-        && c.Autotune.coop = 1
-        && c.Autotune.tiles.Kernels.block_m >= 128
-        && c.Autotune.tiles.Kernels.block_n >= 128
-        &&
-        match Autotune.prune_reason ~limits fam c with
-        | Some reason ->
-          Astring.String.is_infix ~affix:"regs/thread" reason
-        | None -> false)
+        if
+          c.Autotune.strategy = Flow.Warp_specialized
+          && (not c.Autotune.persistent)
+          && c.Autotune.coop = 1
+          && c.Autotune.tiles.Kernels.block_m >= 128
+          && c.Autotune.tiles.Kernels.block_n >= 128
+        then
+          let compiled =
+            Flow.compile ~options:(Autotune.options_of c) (Autotune.kernel_of fam c)
+          in
+          match Resources.occupancy ~limits compiled.Flow.program with
+          | Resources.Infeasible reason
+            when Astring.String.is_infix ~affix:"regs/thread" reason ->
+            Some (c, compiled)
+          | _ -> None
+        else None)
       (Autotune.space fam)
   in
   Alcotest.(check bool)
@@ -57,8 +63,7 @@ let test_pruning_sound () =
     (List.length pruned_on_regs >= 2);
   let fcfg = { Config.h100 with Config.mode = Config.Functional } in
   List.iteri
-    (fun i (c : Autotune.candidate) ->
-      let compiled = Flow.compile ~options:(Autotune.options_of c) (Autotune.kernel_of fam c) in
+    (fun i ((c : Autotune.candidate), (compiled : Flow.compiled)) ->
       let a = Tensor.random ~dtype:Dtype.F16 ~seed:(41 + i) [| shape.Workloads.m; shape.Workloads.k |] in
       let b = Tensor.random ~dtype:Dtype.F16 ~seed:(51 + i) [| shape.Workloads.k; shape.Workloads.n |] in
       let out = Tensor.create ~dtype:Dtype.F16 [| shape.Workloads.m; shape.Workloads.n |] in

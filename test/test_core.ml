@@ -175,8 +175,6 @@ let test_cached_program_still_correct () =
     (Flow.cache_stats ()).Tawa_machine.Progcache.hits;
   Alcotest.(check bool) "hit output identical" true (Tensor.equal miss hit)
 
-let examples_dir = "../examples/kernels"
-
 let compile_source src =
   match Elaborate.compile_string src with
   | [ k ] -> Flow.compile k
@@ -189,7 +187,7 @@ let compile_source src =
 let test_cache_miss_on_float_change () =
   Flow.clear_cache ();
   let src =
-    In_channel.with_open_text (Filename.concat examples_dir "attention.tw")
+    In_channel.with_open_text (Filename.concat Paths.examples_dir "attention.tw")
       In_channel.input_all
   in
   let near =
@@ -341,12 +339,12 @@ let cases name build options =
   { name; kernel = build (); rebuild = Some build } :: List.map compiled options
 
 let example_cases () =
-  Sys.readdir examples_dir |> Array.to_list
+  Sys.readdir Paths.examples_dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".tw")
   |> List.sort compare
   |> List.concat_map (fun f ->
          let build () =
-           match Elaborate.compile_file (Filename.concat examples_dir f) with
+           match Elaborate.compile_file (Filename.concat Paths.examples_dir f) with
            | [ k ] -> k
            | ks -> Alcotest.failf "%s: expected one kernel, got %d" f (List.length ks)
          in

@@ -632,7 +632,7 @@ let precision_corpus_digest () =
    it only runs slower). Recorded before the fixpoints moved to flat
    byte matrices. *)
 let test_decode_precision () =
-  let dir = "../examples/kernels" in
+  let dir = Paths.examples_dir in
   let pins =
     [ ( "attention.tw",
         [ "96ca703ec151f0602fda33b6b7d29b49"; "2e72ecefc58166b4ef5d707b61568756";

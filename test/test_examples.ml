@@ -7,10 +7,8 @@ open Tawa_ir
 open Tawa_frontend
 open Tawa_gpusim
 
-let kernels_dir = "../examples/kernels"
-
 let load name =
-  match Elaborate.compile_file (Filename.concat kernels_dir name) with
+  match Elaborate.compile_file (Filename.concat Paths.examples_dir name) with
   | [ k ] -> k
   | ks -> Alcotest.failf "%s: expected one kernel, got %d" name (List.length ks)
 
@@ -94,15 +92,36 @@ let test_gemm_bias_relu_tw () =
   Alcotest.(check bool) "bias+relu matches" true (Tensor.max_rel_diff out want < 1e-3)
 
 let test_all_tw_files_found () =
-  let files = Sys.readdir kernels_dir in
+  let files = Sys.readdir Paths.examples_dir in
   let tw = Array.to_list files |> List.filter (fun f -> Filename.check_suffix f ".tw") in
   Alcotest.(check bool) "at least four shipped kernels" true (List.length tw >= 4);
   (* Every shipped .tw file must at minimum parse and verify. *)
   List.iter
     (fun f ->
-      let ks = Elaborate.compile_file (Filename.concat kernels_dir f) in
+      let ks = Elaborate.compile_file (Filename.concat Paths.examples_dir f) in
       List.iter Verifier.verify ks)
     tw
+
+(* The suites find the shipped kernels from the test executable, not
+   the working directory: run from the temporary directory, where a
+   path relative to the build tree names nothing, every kernel still
+   loads and verifies. *)
+let test_found_from_any_cwd () =
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () -> Sys.chdir cwd)
+    (fun () ->
+      Sys.chdir (Filename.get_temp_dir_name ());
+      let tw =
+        Sys.readdir Paths.examples_dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".tw")
+      in
+      Alcotest.(check bool) "kernels listed" true (List.length tw >= 4);
+      List.iter
+        (fun f ->
+          List.iter Verifier.verify
+            (Elaborate.compile_file (Filename.concat Paths.examples_dir f)))
+        tw)
 
 (* Each lowering strategy emits its own instruction set on gemm.tw
    (the idiom of compiling a kernel per target and grepping its asm;
@@ -141,6 +160,8 @@ let suites =
         Alcotest.test_case "attention.tw end-to-end" `Quick test_attention_tw;
         Alcotest.test_case "gemm_bias_relu.tw end-to-end" `Quick test_gemm_bias_relu_tw;
         Alcotest.test_case "all .tw files verify" `Quick test_all_tw_files_found;
+        Alcotest.test_case "found from any working directory" `Quick
+          test_found_from_any_cwd;
         Alcotest.test_case "strategies emit their instructions" `Quick
           test_strategy_instructions;
       ] );

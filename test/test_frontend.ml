@@ -196,7 +196,8 @@ let test_elab_autosplat () =
 (* examples/kernels/gemm.tw with [before] replaced by [after] on
    [line]. *)
 let gemm_mutant (line, before, after) =
-  In_channel.with_open_text "../examples/kernels/gemm.tw" In_channel.input_all
+  In_channel.with_open_text (Filename.concat Paths.examples_dir "gemm.tw")
+    In_channel.input_all
   |> String.split_on_char '\n'
   |> List.mapi (fun i text ->
          if i + 1 <> line then text

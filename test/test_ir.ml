@@ -117,6 +117,24 @@ let test_verifier_rejects_bad_yield_arity () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected yield arity error"
 
+(* The drop-init mutant deletes a used splat/iota/constant seed of a
+   compiled GEMM and attention; the verifier's def-before-use rule is
+   the check that rejects a read of a value no op defines. *)
+let test_verifier_rejects_drop_init () =
+  List.iter
+    (fun (name, k) ->
+      let k = (Tawa_core.Flow.compile k).Tawa_core.Flow.transformed in
+      match Mutate.drop_init.Mutate.apply k with
+      | None -> Alcotest.failf "drop-init does not apply to %s" name
+      | Some mutant -> (
+        match Verifier.verify_result mutant with
+        | Error msg ->
+          Alcotest.(check bool) (name ^ ": names the undefined value") true
+            (Astring.String.is_infix ~affix:"uses undefined value" msg)
+        | Ok () -> Alcotest.failf "%s: the verifier accepts the drop-init mutant" name))
+    [ ("gemm", Kernels.gemm ~tiles:small_tiles ());
+      ("attention", Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ()) ]
+
 (* ------------------------------------------------------------------ *)
 (* Printer                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -387,6 +405,8 @@ let suites =
         Alcotest.test_case "rejects bad dot" `Quick test_verifier_rejects_bad_dot;
         Alcotest.test_case "rejects double def" `Quick test_verifier_rejects_double_def;
         Alcotest.test_case "rejects bad yield" `Quick test_verifier_rejects_bad_yield_arity;
+        Alcotest.test_case "rejects the drop-init mutant" `Quick
+          test_verifier_rejects_drop_init;
       ] );
     ( "ir.printer",
       [

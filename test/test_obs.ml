@@ -208,6 +208,22 @@ let test_json_bench_shape () =
   Alcotest.(check bool) "bench-shaped doc parses" true
     (json_valid (String.trim (Json.to_string doc)))
 
+(* `tawac profile gemm.tw --ops --critical-path --obs json`, as pinned
+   in bin/fixtures/profile_ops_json.expected, is one JSON value: a list
+   with the kernel's object, its hot ops and critical path inside. *)
+let test_json_profile_golden () =
+  match Json.of_file (Paths.fixture "profile_ops_json.expected") with
+  | Json.List [ kernel ] ->
+    Alcotest.(check (option string)) "kernel" (Some "matmul")
+      (Option.bind (Json.member "kernel" kernel) Json.to_str_opt);
+    List.iter
+      (fun field ->
+        match Option.bind (Json.member field kernel) Json.to_list_opt with
+        | Some (_ :: _) -> ()
+        | _ -> Alcotest.failf "no %s list in the kernel's object" field)
+      [ "ops"; "critical_path" ]
+  | _ -> Alcotest.fail "expected a list holding one kernel object"
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -572,6 +588,7 @@ let suites =
         Alcotest.test_case "non-finite floats" `Quick test_json_nonfinite;
         Alcotest.test_case "nested pretty-printing" `Quick test_json_nested;
         Alcotest.test_case "bench trajectory shape" `Quick test_json_bench_shape;
+        Alcotest.test_case "profile golden is one value" `Quick test_json_profile_golden;
       ] );
     ( "obs.registry",
       [

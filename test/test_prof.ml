@@ -92,6 +92,60 @@ let test_per_op_coop () =
     ~params:(gemm_params ~m:32 ~n:32 ~kk:16)
     ~grid:(2, 2, 1)
 
+(* [Sim.ops_to_json] (the [ops] field of `tawac profile --ops --obs
+   json`) holds every row of [Sim.per_op] in order, not just the
+   table's top ones, and survives the printer and the parser: ids,
+   opcode, cycles and stall buckets match the row, and the shares sum
+   to 1 by conservation. *)
+let test_per_op_json () =
+  let program = (ws_gemm ()).Flow.program in
+  let t =
+    Launch.estimate ~cfg:Config.h100 program
+      ~params:(gemm_params ~m:32 ~n:32 ~kk:16)
+      ~grid:(2, 2, 1) ~flops:1e6
+  in
+  let prof =
+    match t.Launch.profile with
+    | Some p -> p
+    | None -> Alcotest.fail "no profile"
+  in
+  let rows = Sim.per_op ~program prof in
+  let close what want got =
+    Alcotest.(check bool) what true
+      (Float.abs (got -. want) <= 1e-9 *. Float.max 1.0 (Float.abs want))
+  in
+  let num what j =
+    match Option.bind j Json.to_float_opt with
+    | Some f -> f
+    | None -> Alcotest.failf "%s is not a number" what
+  in
+  let id i = Some (if i < 0 then Json.Null else Json.Int i) in
+  match Json.parse (Json.to_string (Sim.ops_to_json ~program prof)) with
+  | Json.List objs ->
+    Alcotest.(check int) "one object per row" (Array.length rows) (List.length objs);
+    let share = ref 0.0 in
+    List.iteri
+      (fun i j ->
+        let o = rows.(i) in
+        let what = Printf.sprintf "row %d (%s)" i o.Sim.o_name in
+        Alcotest.(check (option string)) (what ^ " opcode") (Some o.Sim.o_name)
+          (Option.bind (Json.member "opcode" j) Json.to_str_opt);
+        Alcotest.(check bool) (what ^ " op and src ids") true
+          (Json.member "op" j = id o.Sim.o_oid && Json.member "src" j = id o.Sim.o_src);
+        close (what ^ " cycles") o.Sim.o_cycles (num "cycles" (Json.member "cycles" j));
+        (match Json.member "stall" j with
+        | Some (Json.Obj kvs) ->
+          Alcotest.(check (list string)) (what ^ " stall buckets")
+            (Array.to_list Stall.names) (List.map fst kvs);
+          List.iteri
+            (fun b (name, v) -> close (what ^ " " ^ name) o.Sim.o_buckets.(b) (num name (Some v)))
+            kvs
+        | _ -> Alcotest.failf "%s has no stall object" what);
+        share := !share +. num "share" (Json.member "share" j))
+      objs;
+    Alcotest.(check bool) "shares sum to 1" true (Float.abs (!share -. 1.0) <= 1e-6)
+  | _ -> Alcotest.fail "ops json is not a list"
+
 (* ------------------------------------------------------------------ *)
 (* Conservation: Σ per-op = Σ per-WG buckets = wall × WG-count         *)
 (* ------------------------------------------------------------------ *)
@@ -288,6 +342,29 @@ let test_channel_intervals () =
          || Astring.String.is_infix ~affix:".empty[" lane)
        chans)
 
+(* [Prof.intervals_to_json] (the [channel_timeline] field of `tawac
+   profile --channels --obs json`) keeps every channel interval of a
+   warp-specialized GEMM in order, with its lane, label and times. *)
+let test_channel_intervals_json () =
+  let program, recorder, _, _ = recorded_run Engine.run_cta in
+  let chans = Prof.channel_intervals recorder ~chan_label:(Sim.chan_label_of ~program) in
+  match Json.parse (Json.to_string (Prof.intervals_to_json chans)) with
+  | Json.List objs ->
+    Alcotest.(check int) "one object per interval" (List.length chans) (List.length objs);
+    List.iter2
+      (fun (lane, t0, t1, label) j ->
+        let str k = Option.bind (Json.member k j) Json.to_str_opt in
+        let time k want =
+          match Option.bind (Json.member k j) Json.to_float_opt with
+          | Some got -> Float.abs (got -. want) <= 1e-9 *. Float.max 1.0 want
+          | None -> false
+        in
+        Alcotest.(check (option string)) "lane" (Some lane) (str "lane");
+        Alcotest.(check (option string)) "label" (Some label) (str "label");
+        Alcotest.(check bool) (lane ^ " times") true (time "t0" t0 && time "t1" t1))
+      chans objs
+  | _ -> Alcotest.fail "channel timeline json is not a list"
+
 let test_ring_timeline () =
   let open Tawa_aref in
   let r : int Ring.t = Ring.create ~depth:2 in
@@ -477,6 +554,7 @@ let suites =
         Alcotest.test_case "attention: per-op identical" `Quick test_per_op_attention;
         Alcotest.test_case "persistent: per-op identical" `Quick test_per_op_persistent;
         Alcotest.test_case "coop: per-op identical" `Quick test_per_op_coop;
+        Alcotest.test_case "per-op json keeps every row" `Quick test_per_op_json;
       ]
       @ qsuite [ prop_conservation ] );
     ( "prof.critical-path",
@@ -491,6 +569,7 @@ let suites =
     ( "prof.timeline",
       [
         Alcotest.test_case "channel + op lanes" `Quick test_channel_intervals;
+        Alcotest.test_case "channel lanes as json" `Quick test_channel_intervals_json;
         Alcotest.test_case "ring event history" `Quick test_ring_timeline;
       ] );
     ( "prof.trace",

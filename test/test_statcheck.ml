@@ -1,9 +1,8 @@
 (* Statcheck: the clean corpus lints clean, every statcheck mutation is
-   flagged on GEMM + attention, the dataflow solver agrees with a naive
-   O(n^2) reference on random CFGs (and its fixpoints are idempotent),
-   and the occupancy scan of the lowered program bounds the decode
-   engine's measured high-water marks, exactly wherever the run writes
-   every register, across the figure kernel families. *)
+   flagged on GEMM + attention, and the occupancy scan of the lowered
+   program bounds the decode engine's measured high-water marks,
+   exactly wherever the run writes every register, across the figure
+   kernel families. *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -48,7 +47,7 @@ let test_clean_corpus () =
    autotuner will call. *)
 let test_occupancy_verdicts () =
   let c = compile (Kernels.gemm ~tiles:small_tiles ()) in
-  let r = Statcheck.occupancy_report ~program:c.Flow.program c.Flow.transformed in
+  let r = Statcheck.occupancy_report c.Flow.program in
   (match r.Statcheck.verdict with
   | Resources.Feasible u ->
     Alcotest.(check bool) "smem within budget" true
@@ -94,7 +93,7 @@ let test_statcheck_mutations () =
               (Statcheck.check_kernel mutant))
         bases)
     Mutate.statcheck_all;
-  Alcotest.(check int) "five statcheck mutations" 5 (List.length Mutate.statcheck_all)
+  Alcotest.(check int) "three statcheck mutations" 3 (List.length Mutate.statcheck_all)
 
 (* Diagnostics print in deterministic (op id, check, message) order. *)
 let test_diagnostic_sort () =
@@ -109,133 +108,6 @@ let test_diagnostic_sort () =
   Alcotest.(check (list string)) "sorted by (op id, check)"
     [ "c-check"; "a-check"; "b-check"; "b-check" ]
     (List.map (fun (d : Diagnostic.t) -> d.Diagnostic.check) sorted)
-
-(* ------------------- dataflow solver properties ------------------- *)
-
-(* Random dataflow instances: [n] nodes, random successor lists, and a
-   gen/kill pair per node with facts drawn from [0..7]. The transfer
-   function gen U (x \ kill) is the shape both liveness and reaching
-   definitions use. *)
-type dfg = { n : int; nodes : (int list * int list * int list) list }
-
-let arb_dfg =
-  let open QCheck in
-  let gen =
-    Gen.(
-      int_range 1 10 >>= fun n ->
-      list_repeat n
-        (triple
-           (list_size (int_range 0 3) (int_range 0 (n - 1)))
-           (list_size (int_range 0 3) (int_range 0 7))
-           (list_size (int_range 0 3) (int_range 0 7)))
-      >|= fun nodes -> { n; nodes })
-  in
-  QCheck.make gen ~print:(fun g ->
-      Printf.sprintf "dfg(n=%d; %s)" g.n
-        (String.concat "; "
-           (List.map
-              (fun (s, gen, kill) ->
-                Printf.sprintf "succs=[%s] gen=[%s] kill=[%s]"
-                  (String.concat "," (List.map string_of_int s))
-                  (String.concat "," (List.map string_of_int gen))
-                  (String.concat "," (List.map string_of_int kill)))
-              g.nodes)))
-
-let graph_of g =
-  { Dataflow.succs =
-      Array.of_list
-        (List.map (fun (s, _, _) -> Array.of_list (List.sort_uniq compare s)) g.nodes) }
-
-let transfer_of g =
-  let tbl =
-    Array.of_list
-      (List.map
-         (fun (_, gen, kill) ->
-           (Dataflow.Int_set.of_list gen, Dataflow.Int_set.of_list kill))
-         g.nodes)
-  in
-  fun u x ->
-    let gen, kill = tbl.(u) in
-    Dataflow.Int_set.union gen (Dataflow.Int_set.diff x kill)
-
-let solver_matches direction g =
-  let graph = graph_of g and transfer = transfer_of g in
-  let a = Dataflow.Set_solver.solve ~direction ~graph ~transfer () in
-  let b = Dataflow.Set_solver.solve_naive ~direction ~graph ~transfer () in
-  let eq x y =
-    Array.length x = Array.length y
-    && Array.for_all2 Dataflow.Int_set.equal x y
-  in
-  eq a.Dataflow.Set_solver.input b.Dataflow.Set_solver.input
-  && eq a.Dataflow.Set_solver.output b.Dataflow.Set_solver.output
-
-let fixpoint_idempotent direction g =
-  let graph = graph_of g and transfer = transfer_of g in
-  let r = Dataflow.Set_solver.solve ~direction ~graph ~transfer () in
-  let preds = Dataflow.preds_of graph in
-  let into =
-    match direction with
-    | Dataflow.Forward -> preds
-    | Dataflow.Backward -> graph.Dataflow.succs
-  in
-  let ok = ref true in
-  Array.iteri
-    (fun u sucs ->
-      ignore sucs;
-      let joined =
-        Array.fold_left
-          (fun acc p -> Dataflow.Int_set.union acc r.Dataflow.Set_solver.output.(p))
-          Dataflow.Int_set.empty into.(u)
-      in
-      if not (Dataflow.Int_set.equal joined r.Dataflow.Set_solver.input.(u)) then
-        ok := false;
-      if
-        not
-          (Dataflow.Int_set.equal
-             (transfer u r.Dataflow.Set_solver.input.(u))
-             r.Dataflow.Set_solver.output.(u))
-      then ok := false)
-    graph.Dataflow.succs;
-  !ok
-
-let prop_solver_forward =
-  QCheck.Test.make ~name:"dataflow: worklist == naive (forward)" ~count:200 arb_dfg
-    (solver_matches Dataflow.Forward)
-
-let prop_solver_backward =
-  QCheck.Test.make ~name:"dataflow: worklist == naive (backward)" ~count:200 arb_dfg
-    (solver_matches Dataflow.Backward)
-
-let prop_fixpoint =
-  QCheck.Test.make ~name:"dataflow: fixpoints are idempotent" ~count:200 arb_dfg
-    (fun g ->
-      fixpoint_idempotent Dataflow.Forward g
-      && fixpoint_idempotent Dataflow.Backward g)
-
-(* The IR-level analyses agree with the naive solver on a real compiled
-   kernel's CFG, not just synthetic graphs. *)
-let test_ir_analyses_match_naive () =
-  let k = (compile (Kernels.gemm ~tiles:small_tiles ())).Flow.transformed in
-  let cfg = Dataflow.Cfg.build k in
-  let check_one name direction transfer fast =
-    let naive =
-      Dataflow.Set_solver.solve_naive ~direction ~graph:cfg.Dataflow.Cfg.graph
-        ~transfer ()
-    in
-    Alcotest.(check bool) name true
-      (Array.for_all2 Dataflow.Int_set.equal fast naive.Dataflow.Set_solver.output)
-  in
-  let live = Dataflow.Liveness.run cfg in
-  check_one "liveness matches naive" Dataflow.Backward
-    (Dataflow.Liveness.transfer cfg) live.Dataflow.Liveness.live_in;
-  let reach = Dataflow.Reaching.run cfg in
-  check_one "reaching matches naive" Dataflow.Forward
-    (Dataflow.Reaching.transfer cfg) reach.Dataflow.Reaching.reach_out;
-  (* Use-def chains: every operand of every node resolves to a def. *)
-  let dangling =
-    List.filter (fun (u : Dataflow.use) -> u.Dataflow.def = None) (Dataflow.use_def cfg)
-  in
-  Alcotest.(check int) "no dangling uses in a clean kernel" 0 (List.length dangling)
 
 (* --------------- static vs measured (differential) ---------------- *)
 
@@ -352,18 +224,15 @@ let test_differential_coop () =
 
 (* ----------------------- predicate vs report ---------------------- *)
 
-(* The pruning predicate skips the liveness pass the report runs; on
-   the same program both must still reach the same verdict, reason
-   text included, on every candidate of a GEMM and an attention search
-   space and on every example kernel under each lowering strategy
-   (the naive one lowers its loads to registers). *)
+(* The pruning predicate and the report read the same program; both
+   must reach the same verdict, reason text included, on every
+   candidate of a GEMM and an attention search space and on every
+   example kernel under each lowering strategy (the naive one lowers
+   its loads to registers). *)
 let test_predicate_matches_report () =
   let feasible = ref 0 and infeasible = ref 0 in
   let agree what (c : Flow.compiled) =
-    let want =
-      (Statcheck.occupancy_report ~program:c.Flow.program c.Flow.transformed)
-        .Statcheck.verdict
-    in
+    let want = (Statcheck.occupancy_report c.Flow.program).Statcheck.verdict in
     (match want with
     | Resources.Feasible _ -> incr feasible
     | Resources.Infeasible _ -> incr infeasible);
@@ -382,7 +251,7 @@ let test_predicate_matches_report () =
         (Autotune.space fam))
     [ Autotune.Gemm { Workloads.m = 256; n = 256; k = 256; dtype = Dtype.F16 };
       Autotune.Attention (Workloads.paper_mha ~causal:true 1024) ];
-  let dir = "../examples/kernels" in
+  let dir = Paths.examples_dir in
   let files =
     Sys.readdir dir |> Array.to_list
     |> List.filter (fun f -> Filename.check_suffix f ".tw")
@@ -403,22 +272,16 @@ let test_predicate_matches_report () =
     files;
   Alcotest.(check bool) "both verdicts exercised" true (!feasible > 0 && !infeasible > 0)
 
-let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
-
 let suites =
   [
     ( "statcheck.clean",
       [ Alcotest.test_case "compiled corpus lints clean" `Quick test_clean_corpus;
         Alcotest.test_case "occupancy verdicts" `Quick test_occupancy_verdicts ] );
     ( "statcheck.mutations",
-      [ Alcotest.test_case "five statcheck mutations flagged on gemm + attention"
+      [ Alcotest.test_case "three statcheck mutations flagged on gemm + attention"
           `Quick test_statcheck_mutations;
         Alcotest.test_case "diagnostics sort deterministically" `Quick
           test_diagnostic_sort ] );
-    qsuite "statcheck.dataflow" [ prop_solver_forward; prop_solver_backward; prop_fixpoint ];
-    ( "statcheck.dataflow-ir",
-      [ Alcotest.test_case "IR analyses match the naive solver" `Quick
-          test_ir_analyses_match_naive ] );
     ( "statcheck.differential",
       [ Alcotest.test_case "gemm static bounds measured" `Quick test_differential_gemm;
         Alcotest.test_case "attention static bounds measured" `Quick

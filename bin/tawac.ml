@@ -13,11 +13,20 @@ open Tawa_frontend
 open Tawa_core
 open Tawa_gpusim
 
+(* The kernels of [path], or only the one named [kernel_name]; a
+   subcommand with nothing to work on exits 1. *)
 let read_kernels path kernel_name =
   let kernels = Elaborate.compile_file path in
-  match kernel_name with
-  | None -> kernels
-  | Some n -> List.filter (fun (k : Kernel.t) -> k.Kernel.name = n) kernels
+  let kernels =
+    match kernel_name with
+    | None -> kernels
+    | Some n -> List.filter (fun (k : Kernel.t) -> k.Kernel.name = n) kernels
+  in
+  if kernels = [] then begin
+    Printf.eprintf "tawac: no kernels found\n";
+    exit 1
+  end;
+  kernels
 
 (* Every subcommand runs under [guard], so bad input exits 1 with a
    diagnostic instead of an uncaught exception: source errors as
@@ -56,10 +65,6 @@ let do_compile path kernel_name d p coop persistent coarse sw naive dump_ir dump
   guard ~path (fun () ->
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
-    if kernels = [] then begin
-      Printf.eprintf "tawac: no kernels found\n";
-      exit 1
-    end;
     let check_failed = ref false in
     List.iter
       (fun k ->
@@ -88,10 +93,6 @@ let do_check path kernel_name d p coop persistent coarse =
   guard ~path (fun () ->
     let options = Cli_args.options_of ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
-    if kernels = [] then begin
-      Printf.eprintf "tawac: no kernels found\n";
-      exit 1
-    end;
     let failed = ref false in
     List.iter
       (fun k ->
@@ -126,16 +127,12 @@ let do_lint path kernel_name d p coop persistent coarse obs =
   guard ~path (fun () ->
     let options = Cli_args.options_of ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
-    if kernels = [] then begin
-      Printf.eprintf "tawac: no kernels found\n";
-      exit 1
-    end;
     let failed = ref false in
     let results =
       List.map
         (fun k ->
           let c = Flow.compile ~options k in
-          let ds = Tawa_analysis.Statcheck.check_kernel c.Flow.transformed in
+          let ds = Tawa_analysis.Statcheck.check c.Flow.transformed c.Flow.program in
           if Tawa_analysis.Diagnostic.errors ds <> [] then failed := true;
           (k.Kernel.name, ds))
         kernels
@@ -213,10 +210,6 @@ let do_occupancy path kernel_name d p coop persistent coarse obs =
   guard ~path (fun () ->
     let options = Cli_args.options_of ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
-    if kernels = [] then begin
-      Printf.eprintf "tawac: no kernels found\n";
-      exit 1
-    end;
     let infeasible = ref false in
     let reports =
       List.map
@@ -474,10 +467,6 @@ let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
     let emode = Option.value emode ~default:Config.Timing in
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
-    if kernels = [] then begin
-      Printf.eprintf "tawac: no kernels found\n";
-      exit 1
-    end;
     let tcfg = Config.h100 in
     let unknown = ref false in
     let report k =

@@ -36,19 +36,26 @@ let check_config ~causal =
 
 let () =
   print_endline "== Attention through Tawa's coarse-grained pipeline ==\n";
-  print_endline "Stage identification (T = QK^T, C = online softmax, U = PV):";
   let compiled = check_config ~causal:false in
   ignore (check_config ~causal:true);
 
-  (* Show the stage annotations the coarse pass attached. *)
-  let shown = ref 0 in
+  (* The split the coarse pass stamps on the loop body, which code
+     generation emits as is: T is issued one iteration ahead, C runs on
+     the CUDA cores meanwhile, and U is left in flight. Unstamped ops
+     are C; the channel releases belong to the schedule. *)
+  print_endline "\nStages of the loop body (T = QK^T, C = online softmax, U = PV):";
   Op.iter_region
-    (fun op ->
-      match Op.attr_string op "stage" with
-      | Some s when !shown < 12 ->
-        incr shown;
-        Printf.printf "    [%s] %s\n" s (Op.opcode_name op.Op.opcode)
-      | _ -> ())
+    (fun loop ->
+      if Op.attr_bool loop "coarse_pipeline" = Some true then
+        List.iter
+          (fun (op : Op.op) ->
+            match op.Op.opcode with
+            | Op.Aref_consumed | Op.Yield -> ()
+            | _ ->
+              Printf.printf "    [%s] %s\n"
+                (Option.value (Op.attr_string op "stage") ~default:"C")
+                (Op.opcode_name op.Op.opcode))
+          (Op.entry_block (List.hd loop.Op.regions)).Op.ops)
     compiled.Flow.transformed.Kernel.body;
 
   (* Performance across sequence lengths, against the baselines. *)

@@ -12,8 +12,9 @@
     - {!occupancy_report}: the CLI view of a program with the same
       verdict, CTAs/SM, the limiting resource, per-resource headroom
       and the SMEM allocations;
-    - {!check_kernel}: lints plus an infeasible-occupancy diagnostic
-      ([tawac lint]). Compilation never runs it implicitly.
+    - {!check}: lints plus an infeasible-occupancy diagnostic read off
+      the compiled program ([tawac lint]); {!check_kernel} lowers the
+      kernel first. Compilation never runs either implicitly.
 
     Each property has one checker: undefined reads are the IR
     verifier's, unused channels and waits without a producer are
@@ -135,20 +136,27 @@ let occupancy_report (program : Isa.program) : report =
 let lint (k : Kernel.t) : Diagnostic.t list =
   Diagnostic.sort (Check_dead.check k @ Check_pipeline.check k)
 
-(* A kernel codegen rejects (a hand-made mutant, say) has no program
-   to read occupancy off; its lints stand alone. *)
-let occupancy_diagnostics (k : Kernel.t) : Diagnostic.t list =
-  match occupancy k with
-  | Resources.Feasible _ | (exception Codegen.Codegen_error _) -> []
+let occupancy_diagnostics (program : Isa.program) : Diagnostic.t list =
+  match Resources.occupancy program with
+  | Resources.Feasible _ -> []
   | Resources.Infeasible why ->
     [
       Diagnostic.error ~check:"occupancy"
         "kernel cannot be resident on an SM: %s" why;
     ]
 
-(** Everything statcheck knows about [k], in deterministic order. *)
+(** Everything statcheck knows about [k] and [program], its lowering,
+    in deterministic order ([tawac lint]). *)
+let check (k : Kernel.t) (program : Isa.program) : Diagnostic.t list =
+  Diagnostic.sort (lint k @ occupancy_diagnostics program)
+
+(** {!check} of [k] and its lowering. A kernel codegen rejects (a
+    hand-made mutant, say) has no program to read occupancy off; its
+    lints stand alone. *)
 let check_kernel (k : Kernel.t) : Diagnostic.t list =
-  Diagnostic.sort (lint k @ occupancy_diagnostics k)
+  match Codegen.lower k with
+  | program -> check k program
+  | exception Codegen.Codegen_error _ -> lint k
 
 let assert_clean ~what (k : Kernel.t) =
   match check_kernel k with

@@ -121,19 +121,23 @@ let build_entry ?fingerprint (options : options) (kernel : Kernel.t) : cache_ent
     { e_transformed = r.Manager.kernel; e_program = program;
       e_ws = r.Manager.warp_specialized; e_coarse = r.Manager.coarse }
   | Sw_pipelined stages ->
-    let transformed = Sw_pipeline.apply ~stages kernel in
-    Verifier.verify transformed;
+    (* A kernel with no TMA-fed loop has nothing to prefetch: it is
+       lowered unpipelined, as warp specialization degrades. *)
+    let transformed =
+      match Sw_pipeline.apply ~stages kernel with
+      | k ->
+        Verifier.verify k;
+        k
+      | exception Pass.Not_applicable _ -> kernel
+    in
     { e_transformed = transformed; e_program = Codegen.lower transformed;
       e_ws = false; e_coarse = false }
   | Sync_tma ->
     { e_transformed = kernel; e_program = Codegen.lower kernel;
       e_ws = false; e_coarse = false }
   | Naive ->
-    { e_transformed = kernel;
-      e_program =
-        Codegen.lower
-          ~options:{ Codegen.load_style = Codegen.Ldg_naive }
-          kernel;
+    let transformed = Kernel.with_attr kernel "load_style" (Op.Attr_string "ldg") in
+    { e_transformed = transformed; e_program = Codegen.lower transformed;
       e_ws = false; e_coarse = false }
 
 (** Compile a frontend kernel with the strategy selected by

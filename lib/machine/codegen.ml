@@ -9,13 +9,14 @@
     barrier phase targets are derived from the monotonic iteration
     index ([slot = it mod D], [phase = it / D] — the parity mechanism).
 
-    Kernels marked [style = cp_async] (the Triton baseline) lower [put]
+    Kernels marked [sw_stages] (the Triton baseline) lower [put]
     to warp-issued [cp.async] copies tracked by per-ring completion
     counts instead of barriers.
 
     Consumer loops annotated [coarse_pipeline] are emitted as the
-    three-stage assembly line of Algorithm 1: the next iteration's [T]
-    is issued asynchronously so the CUDA-core stage [C_j] overlaps
+    three-stage assembly line of Algorithm 1, from the [stage] stamps
+    the coarse pass put on their ops: the next iteration's [T] is
+    issued asynchronously so the CUDA-core stage [C_j] overlaps
     tensor-core work, and [U_j] is left in flight into the next
     iteration. *)
 
@@ -83,8 +84,6 @@ type pending_load = {
   p_dtype : Dtype.t;
 }
 
-type load_style = Tma | Ldg_naive
-
 type genv = {
   g : gstate;
   bind : binding Value.Tbl.t;
@@ -97,10 +96,10 @@ type genv = {
                               generating a structured op charges to it *)
   mutable next_reg : int;
   coop : int;
-  load_style : load_style;
+  ldg : bool; (* naive build: loads go global -> registers *)
 }
 
-let create_genv g graph ~coop ~load_style =
+let create_genv g graph ~coop ~ldg =
   {
     g;
     bind = Value.Tbl.create 128;
@@ -112,7 +111,7 @@ let create_genv g graph ~coop ~load_style =
     cur_oid = -1;
     next_reg = 0;
     coop;
-    load_style;
+    ldg;
   }
 
 let emit env (i : Isa.instr) =
@@ -321,7 +320,7 @@ let lower_tma_load env (op : Op.op) =
     | s -> err "codegen: tma_load of rank-%d tile" (List.length s)
   in
   let dtype = dtype_of_val r in
-  if env.load_style = Ldg_naive then begin
+  if env.ldg then begin
     (* Pre-TMA path: synchronous global->register load (ablation
        baseline). *)
     let dst = def_reg env r in
@@ -686,59 +685,19 @@ and gen_coarse_loop env (op : Op.op) =
     | [] -> err "codegen: coarse loop without IV"
   in
   let ops = blk.Op.ops in
-  (* Stage structure. *)
-  let dots = List.filter (fun (o : Op.op) -> o.Op.opcode = Op.Dot) ops in
-  let t_op, u_op =
-    match dots with
-    | [ t; u ] -> (t, u)
-    | _ -> err "codegen: coarse loop must have exactly two dots"
+  (* The coarse pass stamped the split: T is the first dot, the slice of
+     its operands and the K get; U the second dot and the V get; the
+     rest is C. *)
+  let staged s (o : Op.op) = Op.attr_string o "stage" = Some s in
+  let stamped s opcode =
+    match List.find_opt (fun (o : Op.op) -> staged s o && o.Op.opcode = opcode) ops with
+    | Some o -> o
+    | None -> err "codegen: coarse loop has no %s-stage %s" s (Op.opcode_name opcode)
   in
-  let gets = List.filter (fun (o : Op.op) -> o.Op.opcode = Op.Aref_get) ops in
-  let consumeds = List.filter (fun (o : Op.op) -> o.Op.opcode = Op.Aref_consumed) ops in
-  (* Body-local defs for slicing. *)
-  let body_def = Value.Tbl.create 64 in
-  List.iter
-    (fun (o : Op.op) -> List.iter (fun r -> Value.Tbl.replace body_def r o) o.Op.results)
-    ops;
-  let slice_of roots =
-    let seen = Hashtbl.create 32 in
-    let rec visit v =
-      match Value.Tbl.find_opt body_def v with
-      | None -> ()
-      | Some o ->
-        if not (Hashtbl.mem seen o.Op.oid) then begin
-          Hashtbl.add seen o.Op.oid ();
-          List.iter visit o.Op.operands
-        end
-    in
-    List.iter visit roots;
-    seen
-  in
-  (* T group: everything T's operands depend on, plus T itself, but
-     never the aref gets (those are re-lowered per emission). *)
-  let t_slice = slice_of t_op.Op.operands in
-  Hashtbl.replace t_slice t_op.Op.oid ();
-  List.iter (fun (g : Op.op) -> Hashtbl.remove t_slice g.Op.oid) gets;
-  (* Which gets feed T (K) and which feed U (V)? *)
-  let feeds (g : Op.op) (slice : (int, unit) Hashtbl.t) = Hashtbl.mem slice g.Op.oid in
-  let t_slice_with_gets = slice_of t_op.Op.operands in
-  let u_direct = slice_of [ List.nth u_op.Op.operands 1 ] in
-  let k_gets = List.filter (fun g -> feeds g t_slice_with_gets) gets in
-  let v_gets =
-    List.filter (fun g -> feeds g u_direct && not (feeds g t_slice_with_gets)) gets
-  in
-  if k_gets = [] || v_gets = [] then
-    err "codegen: coarse loop needs distinct K and V channels";
-  let k_get = List.hd k_gets and v_get = List.hd v_gets in
-  let k_aref_v = List.hd k_get.Op.operands and v_aref_v = List.hd v_get.Op.operands in
-  let k_info = aref_of_value env k_aref_v and v_info = aref_of_value env v_aref_v in
-  let consumed_for aref_v =
-    List.find_opt
-      (fun (c : Op.op) -> Value.equal (List.hd c.Op.operands) aref_v)
-      consumeds
-  in
-  if consumed_for k_aref_v = None || consumed_for v_aref_v = None then
-    err "codegen: coarse loop missing consumed ops";
+  let t_op = stamped "T" Op.Dot and u_op = stamped "U" Op.Dot in
+  let k_get = stamped "T" Op.Aref_get and v_get = stamped "U" Op.Aref_get in
+  let k_info = aref_of_value env (List.hd k_get.Op.operands) in
+  let v_info = aref_of_value env (List.hd v_get.Op.operands) in
 
   (* --- loop scaffolding --- *)
   let iv = fresh_reg env in
@@ -803,7 +762,7 @@ and gen_coarse_loop env (op : Op.op) =
     let s_reg = ref (-1) in
     List.iter
       (fun (o : Op.op) ->
-        if Hashtbl.mem t_slice o.Op.oid then begin
+        if staged "T" o && o.Op.opcode <> Op.Aref_get then begin
           List.iter save o.Op.results;
           (match o.Op.opcode with
           | Op.Dot -> with_op env o (fun () -> lower_dot env o ~async:true)
@@ -871,12 +830,7 @@ and gen_coarse_loop env (op : Op.op) =
   let yielded = ref [] in
   List.iter
     (fun (o : Op.op) ->
-      let skip =
-        Hashtbl.mem t_slice o.Op.oid
-        || o.Op.oid = u_op.Op.oid
-        || o.Op.opcode = Op.Aref_get
-        || o.Op.opcode = Op.Aref_consumed
-      in
+      let skip = staged "T" o || staged "U" o || o.Op.opcode = Op.Aref_consumed in
       match o.Op.opcode with
       | Op.Yield -> yielded := o.Op.operands
       | _ when skip -> ()
@@ -916,19 +870,19 @@ and gen_coarse_loop env (op : Op.op) =
 (* Whole-kernel code generation                                         *)
 (* ------------------------------------------------------------------ *)
 
-type options = { load_style : load_style }
-
-let default_options = { load_style = Tma }
-
 let memdesc_bytes ty = Types.size_bytes ty
 
 (** Lower a kernel — at any stage of the Tawa pipeline — to a machine
-    program. Persistence and the cooperative consumer count come from
-    the kernel attributes [persistent] and [num_consumer_wgs], which
-    the pass manager stamps. *)
-let lower ?(options = default_options) (k : Kernel.t) : Isa.program =
+    program. Every lowering decision is read off the kernel: persistence
+    and the cooperative consumer count from the attributes [persistent]
+    and [num_consumer_wgs] the pass manager stamps, the naive build's
+    register loads from [load_style = "ldg"], the software pipeline from
+    [sw_stages], and the coarse schedule from the [stage] stamps of the
+    coarse pipeline pass. *)
+let lower (k : Kernel.t) : Isa.program =
   let graph = Graph.build k.Kernel.body in
   let cp_style = Kernel.attr_int k "sw_stages" <> None in
+  let ldg = List.assoc_opt "load_style" k.Kernel.attrs = Some (Op.Attr_string "ldg") in
   let persistent =
     match List.assoc_opt "persistent" k.Kernel.attrs with
     | Some (Op.Attr_bool b) -> b
@@ -1026,11 +980,7 @@ let lower ?(options = default_options) (k : Kernel.t) : Isa.program =
   let streams =
     List.map
       (fun (role, region) ->
-        let env =
-          create_genv g graph
-            ~coop:(if role = Op.Consumer then coop else 1)
-            ~load_style:options.load_style
-        in
+        let env = create_genv g graph ~coop:(if role = Op.Consumer then coop else 1) ~ldg in
         (* Kernel params live in registers 0..n-1, preloaded by the
            launcher. *)
         List.iter

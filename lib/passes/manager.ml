@@ -143,7 +143,7 @@ let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : resu
            in
            match Partition.warp_specialize ~config k with
            | k' -> (true, k')
-           | exception Partition.Not_applicable _ -> (false, k)))
+           | exception Pass.Not_applicable _ -> (false, k)))
   in
   let ws = applied s in
   let key = Printf.sprintf "%s|coarse%b" key options.use_coarse in
@@ -153,7 +153,7 @@ let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : resu
            if ws && options.use_coarse then
              match Pipeline_coarse.apply k with
              | k' -> (true, k')
-             | exception Pipeline_coarse.Not_applicable _ -> (false, k)
+             | exception Pass.Not_applicable _ -> (false, k)
            else (false, k)))
   in
   let coarse = applied s in
@@ -165,7 +165,7 @@ let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : resu
            if fine then
              match Pipeline_fine.apply ~mma_depth:options.mma_depth k with
              | k' -> (true, k')
-             | exception Pipeline_fine.Not_applicable _ -> (false, k)
+             | exception Pass.Not_applicable _ -> (false, k)
            else (false, k)))
   in
   let k = s.s_kernel in

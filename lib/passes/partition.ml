@@ -28,9 +28,7 @@ type config = {
 
 let default_config = { aref_depth = 2; num_consumer_wgs = 1 }
 
-exception Not_applicable of string
-
-let na fmt = Format.kasprintf (fun s -> raise (Not_applicable s)) fmt
+let na = Pass.na
 
 let subst map v = match Value.Tbl.find_opt map v with Some v' -> v' | None -> v
 
@@ -230,7 +228,7 @@ let memdesc_ty_of_tensor ty =
   | _ -> ty
 
 (** [warp_specialize ~config kernel] returns a new, warp-specialized
-    kernel; raises {!Not_applicable} when the kernel has no TMA-fed main
+    kernel; raises {!Pass.Not_applicable} when the kernel has no TMA-fed main
     loop or its dependence structure cannot be split. *)
 let warp_specialize ?(config = default_config) (kernel : Kernel.t) : Kernel.t =
   let k = Kernel.clone kernel in

@@ -12,9 +12,7 @@
 
 open Tawa_ir
 
-exception Not_applicable of string
-
-let na fmt = Format.kasprintf (fun s -> raise (Not_applicable s)) fmt
+let na = Pass.na
 
 (* Find the consumer region of the warp_group op (the last region by the
    roles convention of the partitioner). *)

@@ -12,7 +12,7 @@
     v}
 
     The aref machinery is reused with both ends in one warp group; the
-    [style = cp_async] kernel attribute tells code generation to lower
+    [sw_stages] kernel attribute tells code generation to lower
     [put] to [cp.async + commit_group] issued by the compute warps (the
     address generation cost stays on the warp, which is precisely the
     disadvantage versus hardware warp specialization that the paper
@@ -20,9 +20,7 @@
 
 open Tawa_ir
 
-exception Not_applicable of string
-
-let na fmt = Format.kasprintf (fun s -> raise (Not_applicable s)) fmt
+let na = Pass.na
 
 (** [apply ~stages kernel] returns a software-pipelined clone of
     [kernel] with an [S]-stage prefetch ring. *)
@@ -256,6 +254,5 @@ let apply ~stages (kernel : Kernel.t) : Kernel.t =
   entry.Op.ops <-
     prologue_ops @ top.Partition.finish () @ pro.Partition.finish ()
     @ [ main_loop ] @ drain @ epilogue';
-  Kernel.set_attr k "style" (Op.Attr_string "cp_async");
   Kernel.set_attr k "sw_stages" (Op.Attr_int stages);
   k

@@ -54,6 +54,16 @@ let test_flow_attention_coarse () =
   in
   Alcotest.(check bool) "coarse applied" true c.Flow.coarse
 
+(* A kernel with no TMA-fed loop has nothing to prefetch: the software-
+   pipelined build lowers it unpipelined, to the program the
+   synchronous build gets (bin/fixtures/no_loop.tw, a tile copy). *)
+let test_flow_sw_without_loop () =
+  let k = List.hd (Elaborate.compile_file (Paths.fixture "no_loop.tw")) in
+  let sw = Flow.compile ~options:(baseline (Flow.Sw_pipelined 3)) k in
+  Alcotest.(check bool) "not ws" false sw.Flow.warp_specialized;
+  Alcotest.(check bool) "the synchronous build's program" true
+    (sw.Flow.program = (Flow.compile ~options:(baseline Flow.Sync_tma) k).Flow.program)
+
 (* All compile paths produce functionally identical GEMMs. *)
 let test_flow_all_paths_agree () =
   let kernel = Kernels.gemm ~tiles:small_tiles () in
@@ -591,6 +601,7 @@ let suites =
         Alcotest.test_case "compile ws" `Quick test_flow_compile_ws;
         Alcotest.test_case "compile sw" `Quick test_flow_compile_sw;
         Alcotest.test_case "compile naive" `Quick test_flow_naive_loads;
+        Alcotest.test_case "sw-pipeline without a loop" `Quick test_flow_sw_without_loop;
         Alcotest.test_case "attention coarse" `Quick test_flow_attention_coarse;
         Alcotest.test_case "all paths agree" `Quick test_flow_all_paths_agree;
       ] );

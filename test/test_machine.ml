@@ -143,8 +143,11 @@ let test_codegen_scalar_unop () =
 (* Functional simulation                                               *)
 (* ------------------------------------------------------------------ *)
 
-let sim_gemm kernel ~tiles ~dtype ~m ~n ~k ~options =
-  let prog = Codegen.lower ~options kernel in
+(* The naive build's register loads, as [Flow] stamps them. *)
+let naive k = Kernel.with_attr k "load_style" (Op.Attr_string "ldg")
+
+let sim_gemm kernel ~tiles ~dtype ~m ~n ~k =
+  let prog = Codegen.lower kernel in
   let a = Tensor.random ~dtype ~seed:1 [| m; k |] in
   let b = Tensor.random ~dtype ~seed:2 [| k; n |] in
   let c = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
@@ -155,30 +158,25 @@ let sim_gemm kernel ~tiles ~dtype ~m ~n ~k ~options =
   ignore (Launch.run_grid_functional ~cfg prog ~params ~grid);
   (c, Reference.gemm ~out_dtype:Dtype.F16 a b)
 
-let expect_gemm_matches name kernel ~options =
-  let got, want =
-    sim_gemm kernel ~tiles:small_tiles ~dtype:Dtype.F16 ~m:32 ~n:32 ~k:24 ~options
-  in
+let expect_gemm_matches name kernel =
+  let got, want = sim_gemm kernel ~tiles:small_tiles ~dtype:Dtype.F16 ~m:32 ~n:32 ~k:24 in
   Alcotest.(check bool) name true (Tensor.max_rel_diff got want < 1e-3)
 
 let test_sim_plain_gemm () =
   expect_gemm_matches "plain gemm" (Kernels.gemm ~tiles:small_tiles ())
-    ~options:Codegen.default_options
 
 let test_sim_ws_gemm () =
   List.iter
     (fun (d, p) ->
       expect_gemm_matches
         (Printf.sprintf "ws gemm D=%d P=%d" d p)
-        (compile_ws ~d ~p (Kernels.gemm ~tiles:small_tiles ()))
-        ~options:Codegen.default_options)
+        (compile_ws ~d ~p (Kernels.gemm ~tiles:small_tiles ())))
     [ (1, 1); (2, 1); (2, 2); (3, 2); (4, 3) ]
 
 let test_sim_ws_gemm_fp8 () =
   let kernel = compile_ws ~d:2 ~p:2 (Kernels.gemm ~tiles:small_tiles ~dtype:Dtype.F8E4M3 ()) in
   let got, want =
     sim_gemm kernel ~tiles:small_tiles ~dtype:Dtype.F8E4M3 ~m:16 ~n:16 ~k:16
-      ~options:Codegen.default_options
   in
   Alcotest.(check bool) "fp8 ws gemm" true (Tensor.max_rel_diff got want < 1e-2)
 
@@ -187,13 +185,11 @@ let test_sim_sw_pipeline_gemm () =
     (fun s ->
       expect_gemm_matches
         (Printf.sprintf "cp.async gemm S=%d" s)
-        (Sw_pipeline.apply ~stages:s (Kernels.gemm ~tiles:small_tiles ()))
-        ~options:Codegen.default_options)
+        (Sw_pipeline.apply ~stages:s (Kernels.gemm ~tiles:small_tiles ())))
     [ 1; 2; 3 ]
 
 let test_sim_naive_gemm () =
-  expect_gemm_matches "naive ldg gemm" (Kernels.gemm ~tiles:small_tiles ())
-    ~options:{ Codegen.load_style = Codegen.Ldg_naive }
+  expect_gemm_matches "naive ldg gemm" (naive (Kernels.gemm ~tiles:small_tiles ()))
 
 let test_sim_persistent_gemm () =
   expect_gemm_matches "persistent ws gemm"
@@ -201,7 +197,6 @@ let test_sim_persistent_gemm () =
        { Manager.default_options with aref_depth = 2; mma_depth = 2; persistent = true }
      in
      (Manager.compile ~options (Kernels.gemm ~tiles:small_tiles ())).Manager.kernel)
-    ~options:Codegen.default_options
 
 let test_sim_coop_gemm () =
   let options =
@@ -209,7 +204,6 @@ let test_sim_coop_gemm () =
   in
   expect_gemm_matches "cooperative ws gemm"
     ((Manager.compile ~options (Kernels.gemm ~tiles:small_tiles ())).Manager.kernel)
-    ~options:Codegen.default_options
 
 let test_sim_gemm_bias_relu_ws () =
   let kernel = compile_ws ~d:2 ~p:2 (Kernels.gemm_bias_relu ~tiles:small_tiles ()) in
@@ -296,7 +290,6 @@ let prop_sim_ws_gemm_random =
       let kernel = compile_ws ~d:2 ~p:2 (Kernels.gemm ~tiles ()) in
       let got, want =
         sim_gemm kernel ~tiles ~dtype:Dtype.F16 ~m:(8 * gm) ~n:(8 * gn) ~k:(8 * kk)
-          ~options:Codegen.default_options
       in
       Tensor.max_rel_diff got want < 1e-3)
 
@@ -304,8 +297,8 @@ let prop_sim_ws_gemm_random =
 (* Timing sanity                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let timing_of kernel ~tiles ~m ~n ~k ~codegen_options =
-  let prog = Codegen.lower ~options:codegen_options kernel in
+let timing_of kernel ~tiles ~m ~n ~k =
+  let prog = Codegen.lower kernel in
   let params =
     [ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint m; Sim.Rint n; Sim.Rint k ]
   in
@@ -320,18 +313,15 @@ let test_timing_ws_beats_baselines () =
   let ws =
     timing_of
       (compile_ws ~d:3 ~p:2 (Kernels.gemm ~tiles:paper_tiles ()))
-      ~tiles:paper_tiles ~m ~n ~k ~codegen_options:Codegen.default_options
+      ~tiles:paper_tiles ~m ~n ~k
   in
   let triton =
     timing_of
       (Sw_pipeline.apply ~stages:3 (Kernels.gemm ~tiles:paper_tiles ()))
-      ~tiles:paper_tiles ~m ~n ~k ~codegen_options:Codegen.default_options
+      ~tiles:paper_tiles ~m ~n ~k
   in
   let naive =
-    timing_of
-      (Kernels.gemm ~tiles:paper_tiles ())
-      ~tiles:paper_tiles ~m ~n ~k
-      ~codegen_options:{ Codegen.load_style = Codegen.Ldg_naive }
+    timing_of (naive (Kernels.gemm ~tiles:paper_tiles ())) ~tiles:paper_tiles ~m ~n ~k
   in
   Alcotest.(check bool) "ws faster than sw-pipelined triton" true
     (ws.Launch.tflops > triton.Launch.tflops);
@@ -346,7 +336,7 @@ let test_timing_deeper_aref_helps () =
   let t d =
     (timing_of
        (compile_ws ~d ~p:1 (Kernels.gemm ~tiles:paper_tiles ()))
-       ~tiles:paper_tiles ~m ~n ~k ~codegen_options:Codegen.default_options)
+       ~tiles:paper_tiles ~m ~n ~k)
       .Launch.tflops
   in
   Alcotest.(check bool) "D=2 >= D=1" true (t 2 >= t 1 *. 0.99)
@@ -355,12 +345,12 @@ let test_timing_persistent_helps () =
   let m = 4096 and n = 4096 and k = 4096 in
   let base = compile_ws ~d:3 ~p:2 (Kernels.gemm ~tiles:paper_tiles ()) in
   let np =
-    timing_of base ~tiles:paper_tiles ~m ~n ~k ~codegen_options:Codegen.default_options
+    timing_of base ~tiles:paper_tiles ~m ~n ~k
   in
   let p =
     timing_of
       (Kernel.with_attr base "persistent" (Op.Attr_bool true))
-      ~tiles:paper_tiles ~m ~n ~k ~codegen_options:Codegen.default_options
+      ~tiles:paper_tiles ~m ~n ~k
   in
   Alcotest.(check bool) "persistent >= non-persistent" true
     (p.Launch.tflops >= np.Launch.tflops)

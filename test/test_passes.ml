@@ -1,6 +1,6 @@
 (* Tests for the Tawa passes: partition annotation, warp specialization
    (loop distribution + aref insertion + tuple grouping), fine-grained
-   MMA pipelining, coarse-grained stage annotation, and the pass
+   MMA pipelining, the coarse pipeline's T/C/U stamps, and the pass
    manager. The key invariant throughout: every transformed kernel
    verifies AND computes exactly what the original computed (checked via
    the sequential interpreter). *)
@@ -61,29 +61,6 @@ let test_classify_attention_address_math () =
           (Annotate.class_of cls op = Annotate.Tile)
       | _ -> ())
     (Annotate.body_ops loop)
-
-let test_stage_identification () =
-  let k = Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 () in
-  let loop = find_loop k in
-  let cls = Annotate.classify loop in
-  match Annotate.identify_stages cls loop with
-  | None -> Alcotest.fail "attention should have T/C/U stages"
-  | Some st ->
-    Alcotest.(check bool) "has U" true (Option.is_some st.Annotate.u_op);
-    (* T is the first dot (QK^T), U the second (PV). *)
-    let dots =
-      List.filter (fun (o : Op.op) -> o.Op.opcode = Op.Dot) (Annotate.body_ops loop)
-    in
-    Alcotest.(check int) "two dots" 2 (List.length dots);
-    Alcotest.(check bool) "T = first dot" true
-      (st.Annotate.t_op.Op.oid = (List.hd dots).Op.oid)
-
-let test_stage_identification_gemm_has_none () =
-  let k = Kernels.gemm ~tiles:small_tiles () in
-  let loop = find_loop k in
-  let cls = Annotate.classify loop in
-  Alcotest.(check bool) "gemm has no T/C/U shape" true
-    (Annotate.identify_stages cls loop = None)
 
 (* ------------------------------------------------------------------ *)
 (* Warp specialization: structure                                      *)
@@ -190,7 +167,7 @@ let test_ws_not_applicable_without_loop () =
   in
   match ws k with
   | _ -> Alcotest.fail "expected Not_applicable"
-  | exception Partition.Not_applicable _ -> ()
+  | exception Pass.Not_applicable _ -> ()
 
 let test_ws_depths () =
   List.iter
@@ -306,7 +283,7 @@ let test_fine_rejects_p_gt_d () =
   let spec = ws ~depth:2 (Kernels.gemm ~tiles:small_tiles ()) in
   match Pipeline_fine.apply ~mma_depth:3 spec with
   | _ -> Alcotest.fail "expected infeasible D < P rejection"
-  | exception Pipeline_fine.Not_applicable msg ->
+  | exception Pass.Not_applicable msg ->
     Alcotest.(check bool) "mentions feasibility" true
       (Astring.String.is_infix ~affix:"D >= P" msg)
 
@@ -343,41 +320,157 @@ let prop_fine_random_configs =
 (* Coarse pipeline annotation                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_coarse_annotates_attention () =
-  let spec = ws (Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ()) in
-  let coarse = Pipeline_coarse.apply spec in
-  Verifier.verify coarse;
-  let wg = wg_of coarse in
-  let consumer = List.nth wg.Op.regions 1 in
-  let loop =
+let coarse_loop k =
+  match
     Op.fold_region
       (fun acc op ->
         if op.Op.opcode = Op.For && Op.attr_bool op "coarse_pipeline" = Some true then
           Some op
         else acc)
-      None consumer
-  in
-  (match loop with
+      None k.Kernel.body
+  with
+  | Some loop -> loop
   | None -> Alcotest.fail "no coarse-annotated loop"
-  | Some loop ->
-    let body = Op.entry_block (List.hd loop.Op.regions) in
-    let stages =
-      List.filter_map (fun (o : Op.op) -> Op.attr_string o "stage") body.Op.ops
-    in
-    Alcotest.(check bool) "has T" true (List.mem "T" stages);
-    Alcotest.(check bool) "has U" true (List.mem "U" stages);
-    Alcotest.(check bool) "has C" true (List.mem "C" stages));
+
+let stage_of (o : Op.op) = Option.value (Op.attr_string o "stage") ~default:"C"
+
+let test_coarse_annotates_attention () =
+  let spec = ws (Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ()) in
+  let coarse = Pipeline_coarse.apply spec in
+  Verifier.verify coarse;
+  let body = Op.entry_block (List.hd (coarse_loop coarse).Op.regions) in
+  let staged opcode =
+    List.filter_map
+      (fun (o : Op.op) -> if o.Op.opcode = opcode then Some (stage_of o) else None)
+      body.Op.ops
+  in
+  (* T = QK^T with the K get, U = PV with the V get; the softmax is C. *)
+  Alcotest.(check (list string)) "dots" [ "T"; "U" ] (staged Op.Dot);
+  Alcotest.(check (list string)) "gets" [ "T"; "U" ] (staged Op.Aref_get);
+  Alcotest.(check bool) "exp is C" true
+    (List.for_all (( = ) "C") (staged (Op.Unop Op.Exp)));
   (* Semantics unchanged by annotation. *)
   let o0 = run_attention spec ~bm:16 ~l:32 ~d:8 ~seed:51 in
   let o1 = run_attention coarse ~bm:16 ~l:32 ~d:8 ~seed:51 in
   Alcotest.(check bool) "annotation is semantics-neutral" true
     (Tensor.max_abs_diff o0 o1 = 0.0)
 
+(* The stamps are the split code generation emits: T is emitted twice
+   (the prologue issues T_0, the steady state T_{j+1}), C and U once.
+   Every loop-body op that emits instructions is stamped T exactly when
+   its instructions come in two runs of the consumer stream's srcmap;
+   QK^T's zero accumulator is one of them. *)
+let test_coarse_stamps_what_codegen_emits () =
+  List.iter
+    (fun causal ->
+      let options = { Manager.default_options with use_coarse = true } in
+      let k =
+        (Manager.compile ~options
+           (Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ~causal ()))
+          .Manager.kernel
+      in
+      let program = Tawa_machine.Codegen.lower k in
+      let srcmap =
+        Tawa_machine.Isa.srcmap program (List.length program.Tawa_machine.Isa.streams - 1)
+      in
+      let runs oid =
+        let n = ref 0 in
+        Array.iteri
+          (fun pc o -> if o = oid && (pc = 0 || srcmap.(pc - 1) <> oid) then incr n)
+          srcmap;
+        !n
+      in
+      let body = Op.entry_block (List.hd (coarse_loop k).Op.regions) in
+      let t_dot = List.find (fun (o : Op.op) -> o.Op.opcode = Op.Dot) body.Op.ops in
+      let zero_acc =
+        List.find
+          (fun (o : Op.op) -> List.exists (Value.equal (List.nth t_dot.Op.operands 2)) o.Op.results)
+          body.Op.ops
+      in
+      Alcotest.(check string) "QK^T's zero accumulator is T" "T" (stage_of zero_acc);
+      List.iter
+        (fun (o : Op.op) ->
+          match runs o.Op.oid with
+          | 0 -> ()
+          | n ->
+            Alcotest.(check string)
+              (Printf.sprintf "causal=%b %s emitted %d time(s)" causal
+                 (Op.opcode_name o.Op.opcode) n)
+              (if n = 2 then "T" else "C or U")
+              (match stage_of o with "T" -> "T" | _ -> "C or U"))
+        body.Op.ops)
+    [ false; true ]
+
+(* A loop the assembly line cannot lower is left to the fine pipeline's
+   fallback: the pass does not apply, and the kernel compiles
+   warp-specialized without it. [loop] is the body of a 16x16-tile
+   attention loop over K (kt) and, unless [v_before] loads it once
+   before the loop, V (vt). *)
+let expect_coarse_skipped ?(v_before = false) ~carried loop =
+  let src =
+    Printf.sprintf
+      {|kernel attention(q: ptr<f16>, k: ptr<f16>, v: ptr<f16>, o: ptr<f16>, L: i32) {
+  dq = descriptor(q, [L, 8], [8, 1]);
+  dk = descriptor(k, [L, 8], [8, 1]);
+  dv = descriptor(v, [L, 8], [8, 1]);
+  do_ = descriptor(o, [L, 8], [8, 1]);
+  offs_m = program_id(0) * 16;
+  qt = load(dq, [offs_m, 0], [16, 8]);
+  %s
+  acc = zeros([16, 8], f32);
+  s = zeros([16, 16], f32);
+  for n in 0 .. L step 16 with (%s) {
+    kt = load(dk, [n, 0], [16, 8]);
+    %s
+  }
+  store(do_, [offs_m, 0], cast(acc, f16));
+}|}
+      (if v_before then "vt = load(dv, [0, 0], [16, 8]);" else "")
+      carried loop
+  in
+  let k = List.hd (Elaborate.compile_string src) in
+  (match Pipeline_coarse.apply (ws k) with
+  | _ -> Alcotest.fail "expected Not_applicable"
+  | exception Pass.Not_applicable _ -> ());
+  let c =
+    Tawa_core.Flow.compile
+      ~options:{ Tawa_core.Flow.default_options with use_coarse = true }
+      k
+  in
+  Alcotest.(check bool) "warp-specialized" true c.Tawa_core.Flow.warp_specialized;
+  Alcotest.(check bool) "no coarse pipeline" false c.Tawa_core.Flow.coarse
+
+(* With V loaded before the loop, U reads no channel of its own. *)
+let test_coarse_skips_v_outside_loop () =
+  expect_coarse_skipped ~v_before:true ~carried:"acc"
+    {|s = dot(qt, trans(kt), zeros([16, 16], f32));
+    acc = dot(cast(exp(s), f16), vt, acc);|}
+
+(* The schedule issues T_{j+1} before C_j, binds only T's result past
+   T, and acquires V just before U: a T accumulating into a carried
+   tile, a C op reading the K tile and one reading the V tile each
+   break it (codegen would meet the last two tiles unbound). *)
+let test_coarse_skips_unlowerable () =
+  List.iter
+    (fun (carried, loop) -> expect_coarse_skipped ~carried loop)
+    [ ( "acc, s",
+        {|s = dot(qt, trans(kt), s);
+    vt = load(dv, [n, 0], [16, 8]);
+    acc = dot(cast(exp(s), f16), vt, acc);|} );
+      ( "acc",
+        {|s = dot(qt, trans(kt), zeros([16, 16], f32));
+    vt = load(dv, [n, 0], [16, 8]);
+    acc = dot(cast(exp(s), f16), vt, acc + cast(kt, f32));|} );
+      ( "acc",
+        {|s = dot(qt, trans(kt), zeros([16, 16], f32));
+    vt = load(dv, [n, 0], [16, 8]);
+    acc = dot(cast(exp(s), f16), vt, acc + cast(vt, f32));|} ) ]
+
 let test_coarse_rejects_gemm () =
   let spec = ws (Kernels.gemm ~tiles:small_tiles ()) in
   match Pipeline_coarse.apply spec with
   | _ -> Alcotest.fail "expected Not_applicable for single-dot loop"
-  | exception Pipeline_coarse.Not_applicable _ -> ()
+  | exception Pass.Not_applicable _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Pass manager                                                        *)
@@ -433,8 +526,6 @@ let suites =
       [
         Alcotest.test_case "classify gemm" `Quick test_classify_gemm;
         Alcotest.test_case "classify attention" `Quick test_classify_attention_address_math;
-        Alcotest.test_case "stage id attention" `Quick test_stage_identification;
-        Alcotest.test_case "stage id gemm none" `Quick test_stage_identification_gemm_has_none;
       ] );
     ( "passes.partition.structure",
       [
@@ -463,6 +554,12 @@ let suites =
       [
         Alcotest.test_case "annotates attention" `Quick test_coarse_annotates_attention;
         Alcotest.test_case "rejects gemm" `Quick test_coarse_rejects_gemm;
+        Alcotest.test_case "stamps what codegen emits with T" `Quick
+          test_coarse_stamps_what_codegen_emits;
+        Alcotest.test_case "V before the loop: no coarse pipeline" `Quick
+          test_coarse_skips_v_outside_loop;
+        Alcotest.test_case "unlowerable T/C/U loops: no coarse pipeline" `Quick
+          test_coarse_skips_unlowerable;
       ] );
     ( "passes.manager",
       [

@@ -1,8 +1,9 @@
 (* Statcheck: the clean corpus lints clean, every statcheck mutation is
-   flagged on GEMM + attention, and the occupancy scan of the lowered
+   flagged on GEMM + attention, the occupancy scan of the lowered
    program bounds the decode engine's measured high-water marks,
    exactly wherever the run writes every register, across the figure
-   kernel families. *)
+   kernel families, and the kernel-level verdict is the compiled
+   program's. *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -222,25 +223,24 @@ let test_differential_coop () =
     ~params:(gemm_params ~m:32 ~n:32 ~kk:16)
     ~num_programs:[| 2; 2; 1 |] ~pop_global:Launch.no_queue
 
-(* ----------------------- predicate vs report ---------------------- *)
+(* ------------------- lowering reads only the kernel ---------------- *)
 
-(* The pruning predicate and the report read the same program; both
-   must reach the same verdict, reason text included, on every
-   candidate of a GEMM and an attention search space and on every
-   example kernel under each lowering strategy (the naive one lowers
-   its loads to registers). *)
-let test_predicate_matches_report () =
+(* Every lowering decision is on the transformed kernel, so lowering it
+   again gives the compiled program, and the kernel-level occupancy
+   verdict is the program's: on every candidate of a GEMM and an
+   attention search space and on every example kernel under each
+   lowering strategy. *)
+let test_lowering_reads_only_the_kernel () =
   let feasible = ref 0 and infeasible = ref 0 in
   let agree what (c : Flow.compiled) =
-    let want = (Statcheck.occupancy_report c.Flow.program).Statcheck.verdict in
+    if Codegen.lower c.Flow.transformed <> c.Flow.program then
+      Alcotest.failf "%s: lowering the transformed kernel gives another program" what;
+    let want = Resources.occupancy c.Flow.program in
     (match want with
     | Resources.Feasible _ -> incr feasible
     | Resources.Infeasible _ -> incr infeasible);
-    if Resources.occupancy c.Flow.program <> want then
-      Alcotest.failf "%s: the predicate disagrees with the report (%s)" what
-        (match want with
-        | Resources.Feasible _ -> "feasible"
-        | Resources.Infeasible why -> why)
+    if Statcheck.occupancy c.Flow.transformed <> want then
+      Alcotest.failf "%s: the kernel's occupancy verdict is not its program's" what
   in
   List.iter
     (fun fam ->
@@ -267,6 +267,7 @@ let test_predicate_matches_report () =
               agree (file ^ " " ^ Flow.options_key options) (Flow.compile ~options k))
             [ Flow.default_options;
               { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 };
+              { Flow.default_options with strategy = Flow.Sync_tma };
               { Flow.default_options with strategy = Flow.Naive } ])
         (Elaborate.compile_file (Filename.concat dir file)))
     files;
@@ -289,7 +290,7 @@ let suites =
         Alcotest.test_case "persistent static bounds measured" `Quick
           test_differential_persistent;
         Alcotest.test_case "coop static bounds measured" `Quick test_differential_coop ] );
-    ( "statcheck.verdict",
-      [ Alcotest.test_case "predicate agrees with the report" `Quick
-          test_predicate_matches_report ] );
+    ( "statcheck.lowering",
+      [ Alcotest.test_case "lowering reads only the kernel" `Quick
+          test_lowering_reads_only_the_kernel ] );
   ]

@@ -102,7 +102,7 @@ let demo =
 let replays =
   Arg.(value & opt int 3
        & info [ "replays" ] ~docv:"N"
-           ~doc:"Replay the instantiated graph $(docv) times (default 3); the decode \
+           ~doc:"Replay the instantiated graph $(docv) times (default 3, at least 1); the decode \
                  and compile caches are only consulted during instantiate, never \
                  during replay.")
 

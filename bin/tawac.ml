@@ -729,6 +729,7 @@ let graph_verify_tol = 2e-2
 
 let do_graph demo_name replays store_path obs trace_path =
   guard (fun () ->
+    Cli_args.at_least_1 "--replays" replays;
     let module Graph = Tawa_graph.Graph in
     let module Gallery = Tawa_graph.Gallery in
     let store =
@@ -748,7 +749,6 @@ let do_graph demo_name replays store_path obs trace_path =
             (String.concat ", " (List.map (fun (n, _, _) -> n) Gallery.all));
           exit 1
     in
-    let replays = max 1 replays in
     let failed = ref false in
     let sections =
       List.map

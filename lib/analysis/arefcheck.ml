@@ -1,11 +1,13 @@
 (** Arefcheck: the static protocol verifier for warp-specialized IR.
 
-    Entry points aggregate the individual checks:
-    - {!check_kernel} runs the IR-level analyses (channel discipline,
-      cross-partition races, deadlock/capacity) on a warp-specialized
-      kernel — non-specialized kernels have no protocol to check;
-    - {!check_program} runs the ISA-level analyses (mbarrier pairing,
-      SMEM capacity) on codegen output.
+    {!check_kernel} runs the IR-level analyses (channel discipline,
+    deadlock/capacity) on a warp-specialized kernel — non-specialized
+    kernels have no protocol to check. The ISA-level mbarrier pairing
+    of codegen output is {!Check_mbarrier.run}. A value that crosses
+    warp-group partitions outside a channel is the IR verifier's: a
+    region's definitions are out of scope in its siblings and after
+    the group. SMEM over capacity is the occupancy verdict's
+    ({!Statcheck}).
 
     Nothing runs it implicitly: callers that want the verdict ask for
     it ([tawac check], [tawac compile --check], the test suites). *)
@@ -14,7 +16,4 @@ let check_kernel (k : Tawa_ir.Kernel.t) : Diagnostic.t list =
   if not (Tawa_ir.Kernel.is_warp_specialized k) then []
   else
     let m = Model.build k in
-    Check_channel.run m @ Check_race.run k @ Check_deadlock.run m
-
-let check_program (p : Tawa_machine.Isa.program) : Diagnostic.t list =
-  Check_mbarrier.run p @ Check_smem.run p
+    Check_channel.run m @ Check_deadlock.run m

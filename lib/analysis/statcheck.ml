@@ -81,7 +81,6 @@ let occupancy (k : Kernel.t) : Resources.verdict =
     plus CTAs/SM, the limiting resource, headroom and the SMEM
     allocations, under the H100 limits. *)
 let occupancy_report (program : Isa.program) : report =
-  let limits = Resources.h100 in
   let fp = Resources.footprint program in
   let parts =
     List.mapi
@@ -103,18 +102,15 @@ let occupancy_report (program : Isa.program) : report =
     | Resources.Infeasible _ -> (0, "infeasible")
     | Resources.Feasible _ ->
       let by_smem =
-        if smem = 0 then limits.Resources.lim_ctas_per_sm
-        else limits.Resources.lim_smem_bytes / smem
+        if smem = 0 then Resources.max_ctas_per_sm else Resources.smem_capacity_bytes / smem
       in
       let by_regs =
-        if total_regs = 0 then limits.Resources.lim_ctas_per_sm
-        else limits.Resources.lim_regfile / total_regs
+        if total_regs = 0 then Resources.max_ctas_per_sm
+        else Resources.regfile_per_sm / total_regs
       in
-      let ctas =
-        min limits.Resources.lim_ctas_per_sm (min by_smem by_regs)
-      in
+      let ctas = min Resources.max_ctas_per_sm (min by_smem by_regs) in
       ( ctas,
-        if ctas = limits.Resources.lim_ctas_per_sm then "cta-slots"
+        if ctas = Resources.max_ctas_per_sm then "cta-slots"
         else if by_smem <= by_regs then "smem"
         else "registers" )
   in
@@ -127,8 +123,8 @@ let occupancy_report (program : Isa.program) : report =
     verdict;
     ctas_per_sm;
     limiting;
-    smem_headroom = limits.Resources.lim_smem_bytes - smem;
-    reg_headroom = limits.Resources.lim_regfile - total_regs;
+    smem_headroom = Resources.smem_capacity_bytes - smem;
+    reg_headroom = Resources.regfile_per_sm - total_regs;
   }
 
 (* ------------------------------ lints ----------------------------- *)

@@ -305,24 +305,10 @@ let store_key (family : family) : string =
   Printf.sprintf "%s|%s" (shape_bucket family)
     (Progcache.kernel_fingerprint (template_kernel family))
 
-let strategy_code = Flow.strategy_key
-
-let strategy_of_code s : Flow.strategy option =
-  match s with
-  | "ws" -> Some Flow.Warp_specialized
-  | "sync" -> Some Flow.Sync_tma
-  | "naive" -> Some Flow.Naive
-  | _ ->
-    if String.length s > 2 && String.sub s 0 2 = "sw" then
-      match int_of_string_opt (String.sub s 2 (String.length s - 2)) with
-      | Some stages when stages >= 1 -> Some (Flow.Sw_pipelined stages)
-      | _ -> None
-    else None
-
 let encode_measurement (m : measurement) : string =
   let c = m.candidate in
   Printf.sprintf "%s %d %d %d %d %d %d %d %d|%.17g|%.17g"
-    (strategy_code c.strategy) c.tiles.Kernels.block_m c.tiles.Kernels.block_n
+    (Flow.strategy_key c.strategy) c.tiles.Kernels.block_m c.tiles.Kernels.block_n
     c.tiles.Kernels.block_k c.aref_depth c.mma_depth c.coop
     (if c.persistent then 1 else 0)
     (if c.coarse then 1 else 0)
@@ -338,7 +324,7 @@ let decode_measurement (s : string) : measurement option =
     with
     | [ st; bm; bn; bk; d; p; c; per; coa ], Some tflops, Some cycles -> (
       match
-        ( strategy_of_code st,
+        ( Flow.strategy_of_key st,
           int_of_string_opt bm, int_of_string_opt bn, int_of_string_opt bk,
           int_of_string_opt d, int_of_string_opt p, int_of_string_opt c,
           int_of_string_opt per, int_of_string_opt coa )

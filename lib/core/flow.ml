@@ -1,45 +1,15 @@
 (** The Tawa compilation flow (Fig. 2a): frontend kernel -> Tawa passes
-    -> machine program, with one options record covering both the IR
-    transformations and code generation. This is the primary public
-    entry point of the library. *)
+    -> machine program. The settings are {!Tawa_passes.Options}, which
+    this module includes: [Flow.options] is the record the pass manager
+    and the partitioner read, and code generation reads only the
+    kernel the passes return. This is the primary public entry point of
+    the library. *)
 
 open Tawa_ir
 open Tawa_passes
 open Tawa_machine
 
-(** How the kernel is lowered. [Warp_specialized] is the full Tawa
-    pipeline; the other three are the paper's baselines:
-    - [Sw_pipelined stages] — Triton-style Ampere software pipelining
-      (no warp specialization; callers set [aref_depth = stages] so
-      reports show the pipeline depth);
-    - [Sync_tma] — synchronous TMA, loads wait immediately (no overlap);
-    - [Naive] — plain global loads (the Fig. 12 "w/o WS" ablation).
-    Folding the choice into {!options} lets callers — the autotuner in
-    particular — enumerate strategies through one entry point. *)
-type strategy =
-  | Warp_specialized
-  | Sw_pipelined of int
-  | Sync_tma
-  | Naive
-
-let strategy_key = function
-  | Warp_specialized -> "ws"
-  | Sw_pipelined stages -> Printf.sprintf "sw%d" stages
-  | Sync_tma -> "sync"
-  | Naive -> "naive"
-
-type options = {
-  aref_depth : int;        (* D (§III-B) *)
-  mma_depth : int;         (* P (§III-D.1) *)
-  num_consumer_wgs : int;  (* cooperative consumer warp groups (§IV-A) *)
-  persistent : bool;       (* persistent kernels (§IV-B) *)
-  use_coarse : bool;       (* coarse-grained T/C/U pipeline (§III-D.2) *)
-  strategy : strategy;     (* lowering strategy; baselines ignore D/P/coop *)
-}
-
-let default_options =
-  { aref_depth = 2; mma_depth = 2; num_consumer_wgs = 1; persistent = false;
-    use_coarse = false; strategy = Warp_specialized }
+include Options
 
 type compiled = {
   source : Kernel.t;            (* the frontend kernel, untouched *)
@@ -90,55 +60,25 @@ let hit kernel (e : cache_entry) options =
   }
 
 (** Run every arefcheck analysis on a compiled kernel: the IR-level
-    protocol checks on the transformed kernel plus the ISA-level
-    mbarrier/SMEM checks on the lowered program. *)
+    protocol checks on the transformed kernel plus the mbarrier pairing
+    of the lowered program. *)
 let check_compiled (c : compiled) : Tawa_analysis.Diagnostic.t list =
   Tawa_analysis.Arefcheck.check_kernel c.transformed
-  @ Tawa_analysis.Arefcheck.check_program c.program
+  @ Tawa_analysis.Check_mbarrier.run c.program
 
 (* Kept as the identity for the benchmark harness, which still calls
    it; compilation runs no analysis implicitly. *)
 let maybe_env_check (c : compiled) = c
 
-(** Compile [kernel] without the compile cache. [fingerprint], when
-    given, is [kernel]'s {!Progcache.kernel_fingerprint}, which the
-    pass pipeline keys its shared prefixes on. *)
+(** Compile [kernel] without the compile cache: {!Manager.compile}
+    runs the strategy's passes, and code generation lowers what they
+    return. [fingerprint], when given, is [kernel]'s
+    {!Progcache.kernel_fingerprint}, which the pass pipeline keys its
+    shared prefixes on. *)
 let build_entry ?fingerprint (options : options) (kernel : Kernel.t) : cache_entry =
-  match options.strategy with
-  | Warp_specialized ->
-    let mopts =
-      {
-        Manager.default_options with
-        aref_depth = options.aref_depth;
-        mma_depth = options.mma_depth;
-        num_consumer_wgs = options.num_consumer_wgs;
-        persistent = options.persistent;
-        use_coarse = options.use_coarse;
-      }
-    in
-    let r = Manager.compile ?fingerprint ~options:mopts kernel in
-    let program = Codegen.lower r.Manager.kernel in
-    { e_transformed = r.Manager.kernel; e_program = program;
-      e_ws = r.Manager.warp_specialized; e_coarse = r.Manager.coarse }
-  | Sw_pipelined stages ->
-    (* A kernel with no TMA-fed loop has nothing to prefetch: it is
-       lowered unpipelined, as warp specialization degrades. *)
-    let transformed =
-      match Sw_pipeline.apply ~stages kernel with
-      | k ->
-        Verifier.verify k;
-        k
-      | exception Pass.Not_applicable _ -> kernel
-    in
-    { e_transformed = transformed; e_program = Codegen.lower transformed;
-      e_ws = false; e_coarse = false }
-  | Sync_tma ->
-    { e_transformed = kernel; e_program = Codegen.lower kernel;
-      e_ws = false; e_coarse = false }
-  | Naive ->
-    let transformed = Kernel.with_attr kernel "load_style" (Op.Attr_string "ldg") in
-    { e_transformed = transformed; e_program = Codegen.lower transformed;
-      e_ws = false; e_coarse = false }
+  let r = Manager.compile ?fingerprint ~options kernel in
+  { e_transformed = r.Manager.kernel; e_program = Codegen.lower r.Manager.kernel;
+    e_ws = r.Manager.warp_specialized; e_coarse = r.Manager.coarse }
 
 (** Compile a frontend kernel with the strategy selected by
     [options.strategy] (the full Tawa pipeline by default).

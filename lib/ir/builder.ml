@@ -91,7 +91,16 @@ let num_programs b axis =
 
 (* ---- tile creation ---- *)
 
+(* Tile shapes enter the IR here and at [tma_load]: a tile has at
+   least one element along every axis. *)
+let tile_shape what shape =
+  if List.exists (fun d -> d < 1) shape then
+    invalid_arg
+      (Printf.sprintf "Builder.%s: tile dimensions must be at least 1, got [%s]" what
+         (String.concat ", " (List.map string_of_int shape)))
+
 let splat b x shape =
+  tile_shape "splat" shape;
   match Value.ty x with
   | Types.TScalar d -> emit1 b Op.Splat [ x ] (Types.tensor shape d)
   | ty -> invalid_arg ("Builder.splat: scalar expected, got " ^ Types.to_string ty)
@@ -101,9 +110,12 @@ let zeros b shape dtype =
   let z = if Dtype.equal dtype Dtype.F32 then z else cast b z (Types.scalar dtype) in
   splat b z shape
 
-let iota b n = emit1 b Op.Iota [] (Types.tensor [ n ] Dtype.I32)
+let iota b n =
+  tile_shape "iota" [ n ];
+  emit1 b Op.Iota [] (Types.tensor [ n ] Dtype.I32)
 
 let broadcast b x shape =
+  tile_shape "broadcast" shape;
   match Value.ty x with
   | Types.TTensor { dtype; _ } -> emit1 b Op.Broadcast [ x ] (Types.tensor shape dtype)
   | ty -> invalid_arg ("Builder.broadcast: tensor expected, got " ^ Types.to_string ty)
@@ -120,6 +132,7 @@ let expand_dims b x axis =
   | ty -> invalid_arg ("Builder.expand_dims: tensor expected, got " ^ Types.to_string ty)
 
 let reshape b x shape =
+  tile_shape "reshape" shape;
   match Value.ty x with
   | Types.TTensor { dtype; _ } -> emit1 b Op.Reshape [ x ] (Types.tensor shape dtype)
   | ty -> invalid_arg ("Builder.reshape: tensor expected, got " ^ Types.to_string ty)
@@ -164,6 +177,7 @@ let make_tensor_desc b ptr ~sizes ~strides ~dtype =
     (Types.tensor_desc dims dtype)
 
 let tma_load b desc ~offsets ~shape =
+  tile_shape "tma_load" shape;
   match Value.ty desc with
   | Types.TTensorDesc { dtype; dims } ->
     if List.length offsets <> dims then

@@ -11,25 +11,8 @@ open Tawa_tensor
 let smem_capacity_bytes = 227 * 1024 (* usable SMEM per CTA on Hopper *)
 let regfile_per_sm = 65536 (* 32-bit registers *)
 let max_regs_per_thread = 255
+let max_ctas_per_sm = 32
 let threads_per_warp_group = 128
-
-(** Per-SM limits bundled for consumers (the static occupancy analysis,
-    the autotuner's pruning predicate) that want to model architectures
-    other than the defaults above. *)
-type limits = {
-  lim_smem_bytes : int;
-  lim_regfile : int;
-  lim_regs_per_thread : int;
-  lim_ctas_per_sm : int;
-}
-
-let h100 =
-  {
-    lim_smem_bytes = smem_capacity_bytes;
-    lim_regfile = regfile_per_sm;
-    lim_regs_per_thread = max_regs_per_thread;
-    lim_ctas_per_sm = 32;
-  }
 
 type usage = {
   smem_bytes : int;
@@ -128,9 +111,10 @@ let total_regs (fp : footprint) =
     (fun acc p -> acc + (regs_per_thread p * threads_per_warp_group * p.coop))
     0 fp.parts
 
-(** Is [fp] resident on one SM under [limits]? The first limit it
-    breaks names the reason. *)
-let verdict_of ?(limits = h100) (fp : footprint) : verdict =
+(** Is [fp] resident on one H100 SM? The first limit it breaks names
+    the reason: registers per thread, then SMEM, then the register
+    file. *)
+let verdict_of (fp : footprint) : verdict =
   let max_regs pred =
     List.fold_left
       (fun acc p -> if pred p.role then max acc (regs_per_thread p) else acc)
@@ -138,15 +122,13 @@ let verdict_of ?(limits = h100) (fp : footprint) : verdict =
   in
   let worst = max_regs (fun _ -> true) in
   let smem = fp.smem_bytes and total_regs = total_regs fp in
-  if worst > limits.lim_regs_per_thread then
+  if worst > max_regs_per_thread then
+    Infeasible (Printf.sprintf "a warp group needs %d regs/thread > %d" worst max_regs_per_thread)
+  else if smem > smem_capacity_bytes then
+    Infeasible (Printf.sprintf "static SMEM %d bytes exceeds %d" smem smem_capacity_bytes)
+  else if total_regs > regfile_per_sm then
     Infeasible
-      (Printf.sprintf "a warp group needs %d regs/thread > %d" worst limits.lim_regs_per_thread)
-  else if smem > limits.lim_smem_bytes then
-    Infeasible (Printf.sprintf "static SMEM %d bytes exceeds %d" smem limits.lim_smem_bytes)
-  else if total_regs > limits.lim_regfile then
-    Infeasible
-      (Printf.sprintf "total registers %d exceed the %d register file" total_regs
-         limits.lim_regfile)
+      (Printf.sprintf "total registers %d exceed the %d register file" total_regs regfile_per_sm)
   else
     Feasible
       {
@@ -159,4 +141,4 @@ let verdict_of ?(limits = h100) (fp : footprint) : verdict =
 
 (** The occupancy verdict of a lowered program: the autotuner's pruning
     predicate. *)
-let occupancy ?limits (p : Isa.program) : verdict = verdict_of ?limits (footprint p)
+let occupancy (p : Isa.program) : verdict = verdict_of (footprint p)

@@ -1,27 +1,11 @@
 (** The Tawa pass pipeline (§III-A): named passes with verification
-    between stages, plus the optimization toggles of §IV. *)
+    between stages, plus the optimization toggles of §IV, and the one
+    pass each baseline strategy runs. *)
 
 open Tawa_ir
 module Progcache = Tawa_machine.Progcache
 
-type options = {
-  aref_depth : int;          (* D: slots per aref ring (§III-B) *)
-  mma_depth : int;           (* P: fine-grained MMA pipeline depth (§III-D.1) *)
-  num_consumer_wgs : int;    (* cooperative consumer warp groups (§IV-A) *)
-  persistent : bool;         (* persistent kernel transform (§IV-B) *)
-  use_coarse : bool;         (* coarse-grained T/C/U pipeline (§III-D.2) *)
-  verify_each : bool;        (* run the verifier after every pass *)
-}
-
-let default_options =
-  {
-    aref_depth = 2;
-    mma_depth = 2;
-    num_consumer_wgs = 1;
-    persistent = false;
-    use_coarse = false;
-    verify_each = true;
-  }
+include Options
 
 type trace_entry = {
   pass : string;
@@ -64,24 +48,8 @@ let clear_cache () = Progcache.clear prefixes
 
 let applied s = (List.hd s.s_trace).applied
 
-(** Run the full Tawa flow on a frontend kernel. Transformation steps
-    that do not apply (e.g. the coarse pipeline on a plain GEMM) are
-    recorded as skipped rather than failing: the compiler degrades
-    gracefully to the unspecialized kernel, mirroring the paper's
-    "existing Triton pipeline proceeds unchanged" fallback.
-
-    Each stage is memoized on what it depends on: canonicalize on the
-    input's fingerprint and [verify_each]; warp-specialize also on D
-    and the consumer count; the coarse pipeline also on [use_coarse];
-    the fine pipeline also on P when it runs. A stage that runs times,
-    records and verifies its output; a shared stage returns its stored
-    trace entries and runs neither, so every kernel a pass produces is
-    verified once, when it is produced. [persistent] and the consumer
-    count are set on a fresh record, never on a shared kernel.
-    [fingerprint], when given, is [kernel]'s
-    {!Progcache.kernel_fingerprint}, so a caller that has it already
-    does not compute it twice. *)
-let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : result =
+(* The staged warp-specialized pipeline (see {!compile}). *)
+let staged ?fingerprint (options : options) (kernel : Kernel.t) : result =
   (* Run pass [name] on [prev]; [f] returns whether it applied and its
      output. *)
   let run name prev f () =
@@ -96,18 +64,16 @@ let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : resu
     in
     (* Verify even when the pass did not apply: a no-op pass must not be
        able to hide a malformed clone it produced along the way. *)
-    if options.verify_each then begin
-      let v0 = Tawa_obs.Registry.now () in
-      Verifier.verify k;
-      Tawa_obs.Registry.observe "passes.verify" (Tawa_obs.Registry.now () -. v0)
-    end;
+    let v0 = Tawa_obs.Registry.now () in
+    Verifier.verify k;
+    Tawa_obs.Registry.observe "passes.verify" (Tawa_obs.Registry.now () -. v0);
     { s_kernel = k; s_ops = ops; s_values = values; s_trace = entry :: prev.s_trace }
   in
   let stage key run = Progcache.find_or_add prefixes ~key run in
   let fingerprint =
     match fingerprint with Some f -> f | None -> Progcache.kernel_fingerprint kernel
   in
-  let key = Printf.sprintf "%s|v%b" fingerprint options.verify_each in
+  let key = fingerprint in
   let input () =
     { s_kernel = kernel; s_ops = Kernel.count_ops kernel; s_values = count_values kernel;
       s_trace = [] }
@@ -137,11 +103,7 @@ let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : resu
   let s =
     stage key
       (run "warp-specialize" s (fun k ->
-           let config =
-             { Partition.aref_depth = options.aref_depth;
-               num_consumer_wgs = options.num_consumer_wgs }
-           in
-           match Partition.warp_specialize ~config k with
+           match Partition.warp_specialize ~options k with
            | k' -> (true, k')
            | exception Pass.Not_applicable _ -> (false, k)))
   in
@@ -172,3 +134,43 @@ let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : resu
   let k = if options.persistent then Kernel.with_attr k "persistent" (Op.Attr_bool true) else k in
   let k = Kernel.with_attr k "num_consumer_wgs" (Op.Attr_int options.num_consumer_wgs) in
   { kernel = k; trace = List.rev s.s_trace; warp_specialized = ws; coarse }
+
+(* A baseline's kernel: no warp group, no trace. *)
+let baseline kernel = { kernel; trace = []; warp_specialized = false; coarse = false }
+
+(** Run the passes of [options.strategy] on a frontend kernel.
+
+    [Warp_specialized] runs the full Tawa flow. Transformation steps
+    that do not apply (e.g. the coarse pipeline on a plain GEMM) are
+    recorded as skipped rather than failing: the compiler degrades
+    gracefully to the unspecialized kernel, mirroring the paper's
+    "existing Triton pipeline proceeds unchanged" fallback. Each stage
+    is memoized on what it depends on: canonicalize on the input's
+    fingerprint; warp-specialize also on D and the consumer count; the
+    coarse pipeline also on [use_coarse]; the fine pipeline also on P
+    when it runs. A stage that runs times, records and verifies its
+    output; a shared stage returns its stored trace entries and runs
+    neither, so every kernel a pass produces is verified once, when it
+    is produced. [persistent] and the consumer count are set on a fresh
+    record, never on a shared kernel. [fingerprint], when given, is
+    [kernel]'s {!Progcache.kernel_fingerprint}, so a caller that has it
+    already does not compute it twice.
+
+    The baselines share no prefix and record no trace:
+    [Sw_pipelined stages] runs {!Sw_pipeline.apply} and verifies its
+    output, or returns [kernel] as written when it has no TMA-fed loop
+    to prefetch (it is lowered unpipelined, as warp specialization
+    degrades); [Sync_tma] returns [kernel] as written; [Naive] stamps
+    the [load_style = "ldg"] attribute code generation reads, on a
+    fresh record. *)
+let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : result =
+  match options.strategy with
+  | Warp_specialized -> staged ?fingerprint options kernel
+  | Sw_pipelined stages -> (
+    match Sw_pipeline.apply ~stages kernel with
+    | k ->
+      Verifier.verify k;
+      baseline k
+    | exception Pass.Not_applicable _ -> baseline kernel)
+  | Sync_tma -> baseline kernel
+  | Naive -> baseline (Kernel.with_attr kernel "load_style" (Op.Attr_string "ldg"))

@@ -21,13 +21,6 @@
 open Tawa_tensor
 open Tawa_ir
 
-type config = {
-  aref_depth : int;        (* D: slots per aref ring *)
-  num_consumer_wgs : int;  (* cooperative consumer warp groups (§IV-A) *)
-}
-
-let default_config = { aref_depth = 2; num_consumer_wgs = 1 }
-
 let na = Pass.na
 
 let subst map v = match Value.Tbl.find_opt map v with Some v' -> v' | None -> v
@@ -227,10 +220,12 @@ let memdesc_ty_of_tensor ty =
   | Types.TTensor { shape; dtype } -> Types.memdesc shape dtype
   | _ -> ty
 
-(** [warp_specialize ~config kernel] returns a new, warp-specialized
-    kernel; raises {!Pass.Not_applicable} when the kernel has no TMA-fed main
-    loop or its dependence structure cannot be split. *)
-let warp_specialize ?(config = default_config) (kernel : Kernel.t) : Kernel.t =
+(** [warp_specialize ~options kernel] returns a new, warp-specialized
+    kernel with [options.aref_depth]-slot arefs for
+    [options.num_consumer_wgs] consumer warp groups; raises
+    {!Pass.Not_applicable} when the kernel has no TMA-fed main loop or
+    its dependence structure cannot be split. *)
+let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : Kernel.t =
   let k = Kernel.clone kernel in
   let loop =
     match find_pipeline_loop k with
@@ -242,7 +237,7 @@ let warp_specialize ?(config = default_config) (kernel : Kernel.t) : Kernel.t =
   check_no_cycles cls loop;
   let groups = group_loads cls loop in
   let whole_graph = Graph.build k.Kernel.body in
-  let depth = config.aref_depth in
+  let depth = options.Options.aref_depth in
   let lb, ub, step, inits =
     match loop.Op.operands with
     | lb :: ub :: step :: inits -> (lb, ub, step, inits)
@@ -431,10 +426,7 @@ let warp_specialize ?(config = default_config) (kernel : Kernel.t) : Kernel.t =
       ~regions:
         [ Op.single_block_region [ producer_loop ];
           Op.single_block_region consumer_ops ]
-      ~attrs:
-        [ ("roles", Op.Attr_string "producer,consumer");
-          ("aref_depth", Op.Attr_int depth);
-          ("num_consumer_wgs", Op.Attr_int config.num_consumer_wgs) ]
+      ~attrs:[ ("roles", Op.Attr_string "producer,consumer") ]
   in
   entry.Op.ops <- prologue @ top_emitter.finish () @ [ wg ];
 
@@ -476,7 +468,5 @@ let warp_specialize ?(config = default_config) (kernel : Kernel.t) : Kernel.t =
     wg.Op.regions;
   entry.Op.ops <- !top_ops;
 
-  Kernel.set_attr k "warp_specialized" (Op.Attr_bool true);
-  Kernel.set_attr k "aref_depth" (Op.Attr_int depth);
-  Kernel.set_attr k "num_consumer_wgs" (Op.Attr_int config.num_consumer_wgs);
+  Kernel.set_attr k "num_consumer_wgs" (Op.Attr_int options.Options.num_consumer_wgs);
   k

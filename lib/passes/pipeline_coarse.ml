@@ -25,7 +25,7 @@ let na = Pass.na
 let stamp (op : Op.op) s = Op.set_attr op "stage" (Op.Attr_string s)
 
 (** [apply k] stamps the stages on the consumer loop of [k] (a clone)
-    and marks the loop and the kernel [coarse_pipeline]. *)
+    and marks the loop [coarse_pipeline]. *)
 let apply (kernel : Kernel.t) : Kernel.t =
   let k = Kernel.clone kernel in
   let loop =
@@ -111,5 +111,4 @@ let apply (kernel : Kernel.t) : Kernel.t =
   stamp u_op "U";
   stamp v_get "U";
   Op.set_attr loop "coarse_pipeline" (Op.Attr_bool true);
-  Kernel.set_attr k "coarse_pipeline" (Op.Attr_bool true);
   k

@@ -1,7 +1,7 @@
 (* Arefcheck: the clean corpus (every kernel the compiler emits must
    pass), the mutation self-test harness (every seeded protocol break
-   must be flagged with the right check), handcrafted deadlock/mbarrier/
-   SMEM cases, and the supporting plumbing (printer ids, the pass
+   must be flagged with the right check), handcrafted deadlock and
+   mbarrier cases, and the supporting plumbing (printer ids, the pass
    manager's output, diagnostic format). *)
 
 open Tawa_tensor
@@ -224,12 +224,8 @@ let cyclic_kernel () =
         [ Op.single_block_region [ region_loop ~get_from:a2 ~put_into:a1 ];
           Op.single_block_region [ region_loop ~get_from:a1 ~put_into:a2 ] ]
   in
-  let k =
-    Kernel.create ~name:"cyclic" ~params:[]
-      ~body:(Op.single_block_region [ c0; c4; c1; cr1; cr2; wg ])
-  in
-  Kernel.set_attr k "warp_specialized" (Op.Attr_bool true);
-  k
+  Kernel.create ~name:"cyclic" ~params:[]
+    ~body:(Op.single_block_region [ c0; c4; c1; cr1; cr2; wg ])
 
 let test_cyclic_deadlock () =
   assert_flagged ~check:Check_deadlock.name "cyclic two-ring kernel"
@@ -263,27 +259,14 @@ let multicast_kernel ~declared =
           Op.single_block_region (consumer ());
           Op.single_block_region (consumer ()) ]
   in
-  let k =
-    Kernel.create ~name:"multicast" ~params:[]
-      ~body:(Op.single_block_region [ c0; cr; wg ])
-  in
-  Kernel.set_attr k "warp_specialized" (Op.Attr_bool true);
-  k
+  Kernel.create ~name:"multicast" ~params:[]
+    ~body:(Op.single_block_region [ c0; cr; wg ])
 
 let test_multicast_declaration () =
   assert_no_errors "declared multicast"
     (Arefcheck.check_kernel (multicast_kernel ~declared:true));
   assert_flagged ~check:Check_channel.name "undeclared multicast"
     (Arefcheck.check_kernel (multicast_kernel ~declared:false))
-
-(* ------------------------- SMEM capacity -------------------------- *)
-
-let test_smem_blowup () =
-  (* 128x128x64 tiles at D=8: the rings alone need 8 x 2 x 16 KiB =
-     256 KiB, over the 227 KiB/SM budget. *)
-  let c = Flow.compile ~options:(flow_opts ~d:8 ()) (Kernels.gemm ()) in
-  assert_flagged ~check:Check_smem.name "gemm 128x128 at D=8"
-    (Arefcheck.check_program c.Flow.program)
 
 (* ----------------------- mbarrier pairing ------------------------- *)
 
@@ -369,8 +352,8 @@ let test_manager_gating () =
   let r = Tawa_passes.Manager.compile (Kernels.gemm ~tiles:small_tiles ()) in
   Alcotest.(check bool) "gemm is warp-specialized" true r.Tawa_passes.Manager.warp_specialized;
   assert_no_errors "default-options gemm" (Arefcheck.check_kernel r.Tawa_passes.Manager.kernel);
-  (* ...and verify_each runs even for non-applied passes (an empty
-     kernel applies none of them). *)
+  (* ...and every stage is verified even when its pass does not apply
+     (an empty kernel applies none of them). *)
   let empty =
     Kernel.create ~name:"empty" ~params:[] ~body:(Op.single_block_region [])
   in
@@ -407,14 +390,13 @@ let suites =
     ( "analysis.channel",
       [ Alcotest.test_case "multicast must be declared" `Quick test_multicast_declaration ] );
     ( "analysis.machine",
-      [ Alcotest.test_case "SMEM blowup flagged" `Quick test_smem_blowup;
-        Alcotest.test_case "mbarrier orphan wait" `Quick test_mbarrier_orphan_wait;
+      [ Alcotest.test_case "mbarrier orphan wait" `Quick test_mbarrier_orphan_wait;
         Alcotest.test_case "mbarrier self deadlock" `Quick test_mbarrier_self_deadlock;
         Alcotest.test_case "mbarrier out of range" `Quick test_mbarrier_out_of_range;
         Alcotest.test_case "mbarrier zero arrive count" `Quick test_mbarrier_zero_count;
         Alcotest.test_case "legal mbarrier patterns accepted" `Quick test_mbarrier_legal_patterns ] );
     ( "analysis.plumbing",
       [ Alcotest.test_case "printer stable ids" `Quick test_printer_ids;
-        Alcotest.test_case "pass-manager gating and verify-each" `Quick test_manager_gating;
+        Alcotest.test_case "pass-manager gating and per-stage verify" `Quick test_manager_gating;
         Alcotest.test_case "diagnostic format" `Quick test_diagnostic_format ] );
   ]

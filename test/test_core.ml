@@ -223,27 +223,18 @@ module Manager = Tawa_passes.Manager
 let gemm_family = Autotune.Gemm { Workloads.m = 256; n = 256; k = 256; dtype = Dtype.F16 }
 let attention_family = Autotune.Attention (Workloads.paper_mha ~causal:true 1024)
 
-let manager_options (o : Flow.options) =
-  { Manager.default_options with
-    aref_depth = o.Flow.aref_depth; mma_depth = o.Flow.mma_depth;
-    num_consumer_wgs = o.Flow.num_consumer_wgs; persistent = o.Flow.persistent;
-    use_coarse = o.Flow.use_coarse }
-
-(* One candidate's pass trace (warp-specialized candidates only), its
+(* One candidate's pass trace (empty for the baselines), its
    transformed kernel's fingerprint and its program, provenance masked:
    the "tawa.src" stamps and [prov] hold op ids, which differ between
    any two compiles. *)
 let candidate_build fam (c : Autotune.candidate) =
   let options = Autotune.options_of c and kernel = Autotune.kernel_of fam c in
   let trace =
-    match c.Autotune.strategy with
-    | Flow.Warp_specialized ->
-      List.map
-        (fun (t : Manager.trace_entry) ->
-          (t.Manager.pass, t.Manager.applied, t.Manager.ops_after, t.Manager.ops_delta,
-           t.Manager.values_delta))
-        (Manager.compile ~options:(manager_options options) kernel).Manager.trace
-    | _ -> []
+    List.map
+      (fun (t : Manager.trace_entry) ->
+        (t.Manager.pass, t.Manager.applied, t.Manager.ops_after, t.Manager.ops_delta,
+         t.Manager.values_delta))
+      (Manager.compile ~options kernel).Manager.trace
   in
   let compiled = Flow.compile ~options kernel in
   let transformed = Tawa_ir.Kernel.clone compiled.Flow.transformed in

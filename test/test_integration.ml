@@ -155,9 +155,7 @@ let test_missing_consumed_deadlocks () =
      producer must starve once the ring fills, and the simulator must
      report the deadlock rather than hang or corrupt data. *)
   let spec =
-    Partition.warp_specialize
-      ~config:{ Partition.aref_depth = 2; num_consumer_wgs = 1 }
-      (Kernels.gemm ~tiles:small_tiles ())
+    Partition.warp_specialize (Kernels.gemm ~tiles:small_tiles ())
   in
   let removed = Hashtbl.create 4 in
   Op.iter_region

@@ -55,6 +55,32 @@ let test_build_all_kernels_verify () =
   Verifier.verify (Kernels.gemm_bias_relu ~tiles:small_tiles ());
   Verifier.verify (Kernels.gemm ~dtype:Dtype.F8E4M3 ~tiles:small_tiles ())
 
+(* Every builder function a tile shape enters through rejects a
+   dimension below 1, naming itself and the shape. *)
+let test_build_rejects_zero_size_tiles () =
+  let rejects what build =
+    match
+      Builder.kernel "zero" [ ("p", Types.ptr Dtype.F16) ] (fun b ps ->
+          let i = Builder.const_i b 8 in
+          let desc =
+            Builder.make_tensor_desc b (List.hd ps) ~sizes:[ i; i ] ~strides:[ i; i ]
+              ~dtype:Dtype.F16
+          in
+          let tile = Builder.zeros b [ 8; 8 ] Dtype.F16 in
+          ignore (build b desc i tile))
+    with
+    | _ -> Alcotest.failf "%s: a zero-size tile was accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ " names itself") true
+        (Astring.String.is_prefix ~affix:("Builder." ^ what ^ ": tile dimensions") msg)
+  in
+  rejects "tma_load" (fun b desc i _ -> Builder.tma_load b desc ~offsets:[ i; i ] ~shape:[ 0; 8 ]);
+  rejects "splat" (fun b _ _ _ -> Builder.zeros b [ 8; 0 ] Dtype.F32);
+  rejects "splat" (fun b _ i _ -> Builder.splat b i [ -1 ]);
+  rejects "broadcast" (fun b _ _ tile -> Builder.broadcast b tile [ 0; 8 ]);
+  rejects "reshape" (fun b _ _ tile -> Builder.reshape b tile [ 64; 0 ]);
+  rejects "iota" (fun b _ _ _ -> Builder.iota b 0)
+
 let test_verifier_rejects_undefined_use () =
   let ghost = Value.fresh Types.i32 in
   let k =
@@ -134,6 +160,38 @@ let test_verifier_rejects_drop_init () =
         | Ok () -> Alcotest.failf "%s: the verifier accepts the drop-init mutant" name))
     [ ("gemm", Kernels.gemm ~tiles:small_tiles ());
       ("attention", Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ()) ]
+
+(* The leak-value mutant makes the consumer release a slot through a
+   value the producer partition defines. A warp-group region's
+   definitions are out of scope in its siblings, so the verifier
+   rejects the read on every warp-specialized shape: the compiled
+   fine-pipelined GEMM, plainly partitioned GEMM and attention, and
+   coarse-pipelined attention. *)
+let test_verifier_rejects_leak_value () =
+  let module Flow = Tawa_core.Flow in
+  let compiled ?(coarse = false) k =
+    (Flow.compile ~options:{ Flow.default_options with use_coarse = coarse } k).Flow.transformed
+  in
+  let plain k =
+    let k = Kernel.clone k in
+    ignore (Rewrite.canonicalize k);
+    Tawa_passes.Partition.warp_specialize k
+  in
+  let attention () = Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 () in
+  List.iter
+    (fun (name, k) ->
+      match Mutate.leak_value.Mutate.apply k with
+      | None -> Alcotest.failf "leak-value does not apply to %s" name
+      | Some mutant -> (
+        match Verifier.verify_result mutant with
+        | Error msg ->
+          Alcotest.(check bool) (name ^ ": names the undefined value") true
+            (Astring.String.is_infix ~affix:"uses undefined value" msg)
+        | Ok () -> Alcotest.failf "%s: the verifier accepts the leak-value mutant" name))
+    [ ("fine-gemm", compiled (Kernels.gemm ~tiles:small_tiles ()));
+      ("plain-gemm", plain (Kernels.gemm ~tiles:small_tiles ()));
+      ("plain-attention", plain (attention ()));
+      ("coarse-attention", compiled ~coarse:true (attention ())) ]
 
 (* ------------------------------------------------------------------ *)
 (* Printer                                                            *)
@@ -401,12 +459,15 @@ let suites =
         Alcotest.test_case "gemm verifies" `Quick test_build_gemm_verifies;
         Alcotest.test_case "attention verifies" `Quick test_build_attention_verifies;
         Alcotest.test_case "all kernels verify" `Quick test_build_all_kernels_verify;
+        Alcotest.test_case "rejects zero-size tiles" `Quick test_build_rejects_zero_size_tiles;
         Alcotest.test_case "rejects undefined use" `Quick test_verifier_rejects_undefined_use;
         Alcotest.test_case "rejects bad dot" `Quick test_verifier_rejects_bad_dot;
         Alcotest.test_case "rejects double def" `Quick test_verifier_rejects_double_def;
         Alcotest.test_case "rejects bad yield" `Quick test_verifier_rejects_bad_yield_arity;
         Alcotest.test_case "rejects the drop-init mutant" `Quick
           test_verifier_rejects_drop_init;
+        Alcotest.test_case "rejects the leak-value mutant" `Quick
+          test_verifier_rejects_leak_value;
       ] );
     ( "ir.printer",
       [

@@ -67,9 +67,7 @@ let test_classify_attention_address_math () =
 (* ------------------------------------------------------------------ *)
 
 let ws ?(depth = 2) k =
-  Partition.warp_specialize
-    ~config:{ Partition.aref_depth = depth; num_consumer_wgs = 1 }
-    k
+  Partition.warp_specialize ~options:{ Options.default_options with aref_depth = depth } k
 
 let test_ws_gemm_structure () =
   let k = ws (Kernels.gemm ~tiles:small_tiles ()) in
@@ -174,7 +172,13 @@ let test_ws_depths () =
     (fun d ->
       let k = ws ~depth:d (Kernels.gemm ~tiles:small_tiles ()) in
       Verifier.verify k;
-      Alcotest.(check (option int)) "depth attr" (Some d) (Kernel.attr_int k "aref_depth"))
+      let depths =
+        Op.fold_region
+          (fun acc op -> match op.Op.opcode with Op.Aref_create n -> n :: acc | _ -> acc)
+          [] k.Kernel.body
+      in
+      Alcotest.(check bool) "every aref_create has depth D" true
+        (depths <> [] && List.for_all (( = ) d) depths))
     [ 1; 2; 3; 4 ]
 
 (* ------------------------------------------------------------------ *)
@@ -518,6 +522,26 @@ let test_manager_end_to_end_semantics () =
   Alcotest.(check bool) "manager output == original" true
     (Tensor.max_abs_diff c0 c1 = 0.0)
 
+(* Every strategy's passes run in the manager: the software pipeline
+   stamps its stage count, the synchronous-TMA build is the kernel as
+   written, and the naive build stamps the register-load style. None
+   of them is warp-specialized. *)
+let test_manager_baselines () =
+  let kernel = Kernels.gemm ~tiles:small_tiles () in
+  let compile strategy =
+    let r = Manager.compile ~options:{ Manager.default_options with strategy } kernel in
+    Alcotest.(check bool) (Manager.strategy_key strategy ^ " not specialized") false
+      (r.Manager.warp_specialized || Kernel.is_warp_specialized r.Manager.kernel);
+    r.Manager.kernel
+  in
+  Alcotest.(check (option int)) "sw3 stamps sw_stages" (Some 3)
+    (Kernel.attr_int (compile (Manager.Sw_pipelined 3)) "sw_stages");
+  Alcotest.(check bool) "sync is the kernel as written" true
+    (compile Manager.Sync_tma == kernel);
+  Alcotest.(check bool) "naive loads through registers" true
+    (List.assoc_opt "load_style" (compile Manager.Naive).Kernel.attrs
+     = Some (Op.Attr_string "ldg"))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
@@ -567,5 +591,6 @@ let suites =
         Alcotest.test_case "attention coarse flow" `Quick test_manager_attention_coarse;
         Alcotest.test_case "degrades gracefully" `Quick test_manager_degrades_gracefully;
         Alcotest.test_case "end to end semantics" `Quick test_manager_end_to_end_semantics;
+        Alcotest.test_case "baseline strategies" `Quick test_manager_baselines;
       ] );
   ]

@@ -57,10 +57,15 @@ let test_occupancy_verdicts () =
   Alcotest.(check bool) "at least one CTA resident" true (r.Statcheck.ctas_per_sm >= 1);
   Alcotest.(check bool) "headroom reported" true
     (r.Statcheck.smem_headroom > 0 && r.Statcheck.reg_headroom > 0);
-  (* 128x128x64 f16 at D=8 blows the 227 KiB budget statically. *)
-  match
-    Statcheck.occupancy (compile ~d:8 (Kernels.gemm ())).Flow.transformed
-  with
+  (* 128x128x64 f16 at D=8 blows the 227 KiB budget statically: the
+     rings alone need 8 x 2 x 16 KiB = 256 KiB. The verdict names the
+     first limit broken, registers per thread, so the SMEM overrun is
+     read off the footprint. *)
+  let c = compile ~d:8 (Kernels.gemm ()) in
+  let smem = (Resources.footprint c.Flow.program).Resources.smem_bytes in
+  Alcotest.(check bool) "gemm 128x128 D=8 SMEM over capacity" true
+    (smem > Resources.smem_capacity_bytes);
+  match Statcheck.occupancy c.Flow.transformed with
   | Resources.Infeasible _ -> ()
   | Resources.Feasible u ->
     Alcotest.failf "gemm 128x128 D=8 should be infeasible (smem=%d)"

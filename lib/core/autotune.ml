@@ -27,9 +27,10 @@
 
     One function, {!time_with}, turns a candidate into a launch timing:
     {!measure}, {!search}, the paper's GEMM sweep ({!paper_gemm_axes},
-    timed unpruned by {!tune_gemm} and {!dp_grid}) and every framework
-    cell of the baselines table (a candidate timed under a cost-quirk
-    config) go through it. *)
+    timed unpruned by {!tune_gemm} and {!dp_grid}; {!tune_gemm} stops
+    the candidates that can no longer win, see {!fastest}) and every
+    framework cell of the baselines table (a candidate timed under a
+    cost-quirk config) go through it. *)
 
 open Tawa_tensor
 open Tawa_frontend
@@ -182,14 +183,23 @@ let space (family : family) : candidate list = expand (axes_of family)
 
 (* ------------------------- prune + measure ------------------------ *)
 
+(** [c]'s machine program, through the compile cache. *)
+let program_of (family : family) (c : candidate) : Isa.program =
+  (Flow.compile ~options:(options_of c) (kernel_of family c)).Flow.program
+
 (** Compile [c] and ask the occupancy model for the verdict on its
-    program. [Some reason] means the candidate is statically infeasible
-    on an H100 SM and need not be simulated. *)
+    program: [Some reason] means the candidate is statically infeasible
+    on an H100 SM and need not be simulated. {!search} times the
+    program returned with it. *)
+let verdict (family : family) (c : candidate) : Isa.program * string option =
+  let program = program_of family c in
+  ( program,
+    match Resources.occupancy program with
+    | Resources.Feasible _ -> None
+    | Resources.Infeasible reason -> Some reason )
+
 let prune_reason (family : family) (c : candidate) : string option =
-  let compiled = Flow.compile ~options:(options_of c) (kernel_of family c) in
-  match Resources.occupancy compiled.Flow.program with
-  | Resources.Feasible _ -> None
-  | Resources.Infeasible reason -> Some reason
+  snd (verdict family c)
 
 (* The launch [family]'s candidate [c] is timed on: the representative
    CTA, grid, params and the whole launch's flops. Causal attention
@@ -205,19 +215,19 @@ let launch_of (family : family) (c : candidate) =
     let mid = if s.Workloads.causal then max 0 ((s.Workloads.len / bm / 2) - 1) else 0 in
     ([| mid; 0; 0 |], grid, params, Workloads.mha_flops s)
 
-(** Compile [c], decode its program with [prepare], and time its launch
-    at scale: the one place a candidate becomes a {!Launch.timing}. *)
-let time_with prepare (family : family) (c : candidate) : Launch.timing =
-  let compiled = Flow.compile ~options:(options_of c) (kernel_of family c) in
+(** Decode [c]'s [program] with [prepare] and time its launch at
+    scale, against [incumbent] if given ({!Launch.estimate_prepared}):
+    the one place a candidate becomes a {!Launch.timing}. *)
+let time_with ?incumbent prepare (family : family) (c : candidate) program : Launch.timing =
   let rep_pid, grid, params, flops = launch_of family c in
-  Launch.estimate_prepared ~rep_pid (prepare compiled.Flow.program) ~params
-    ~grid ~flops
+  Launch.estimate_prepared ~rep_pid ?incumbent (prepare program) ~params ~grid ~flops
 
-(** {!time_with} under [cfg] (the caller chooses the mode), decoding
-    through the shared decode cache so repeated timings decode once. A
-    framework's figure cell is [time ~cfg:(quirk cfg) family c]. *)
-let time ~cfg (family : family) (c : candidate) : Launch.timing =
-  time_with (Engine.prepare ~cfg) family c
+(** {!time_with} under [cfg] (the caller chooses the mode), compiling
+    and decoding through the shared caches so repeated timings compile
+    and decode once. A framework's figure cell is
+    [time ~cfg:(quirk cfg) family c]. *)
+let time ?incumbent ~cfg (family : family) (c : candidate) : Launch.timing =
+  time_with ?incumbent (Engine.prepare ~cfg) family c (program_of family c)
 
 let measurement_of (c : candidate) (t : Launch.timing) : measurement =
   { candidate = c; tflops = t.Launch.tflops; cycles = t.Launch.cycles }
@@ -236,12 +246,30 @@ let strict_best (tflops : 'a -> float) (xs : 'a Seq.t) : 'a =
   | Seq.Cons (hd, tl) ->
     Seq.fold_left (fun acc x -> if tflops x > tflops acc then x else acc) hd tl
 
-(** The fastest of [cands], timed one after another under [cfg], with
-    its own timing. *)
+(** The {!strict_best} of [cands] under [cfg], with its own timing.
+    They are timed last to first, each against the best TFLOPS timed
+    so far: a candidate that incumbent cuts is strictly slower than a
+    finished one, so it can neither win nor tie, and the winner runs to
+    the end. In that order a finished candidate replaces the running
+    best unless the best is strictly faster, so ties go to the earlier
+    candidate as in {!strict_best}, and only the running best stays
+    alive. {!expand} lists the persistent, deeper-pipeline points last,
+    where the paper sweep's winners are. *)
 let fastest ~cfg (family : family) (cands : candidate list) : candidate * Launch.timing =
-  strict_best
-    (fun (_, t) -> t.Launch.tflops)
-    (Seq.map (fun c -> (c, time ~cfg family c)) (List.to_seq cands))
+  let keep best c =
+    let incumbent = Option.map (fun (_, (t : Launch.timing)) -> t.tflops) best in
+    match time ?incumbent ~cfg family c with
+    | t -> (
+      match best with
+      | Some (_, (b : Launch.timing)) when b.tflops > t.Launch.tflops -> best
+      | _ -> Some (c, t))
+    | exception Engine.Cut ->
+      Tawa_obs.Registry.incr "autotune.cut";
+      best
+  in
+  match List.fold_left keep None (List.rev cands) with
+  | Some best -> best
+  | None -> invalid_arg "Autotune: empty candidate space"
 
 (* --------------------------- expert configs ----------------------- *)
 
@@ -421,24 +449,24 @@ let search ?(cfg = Config.h100) ?store (family : family) : result =
     let cands = space family in
     let total = List.length cands in
     Tawa_obs.Registry.incr ~by:total "autotune.candidates";
-    let verdicts =
-      List.map (fun c -> (c, prune_reason family c)) cands
-    in
-    (* Every candidate is compiled, and measuring recompiles through
-       the compile cache: drop the pass prefixes the candidates shared
+    let verdicts = List.map (fun c -> (c, verdict family c)) cands in
+    (* Every candidate is compiled once, and measured from the program
+       its verdict read: drop the pass prefixes the candidates shared
        instead of keeping their kernels alive next to the programs. *)
     Tawa_passes.Manager.clear_cache ();
     let feasible =
       List.filter_map
-        (fun (c, v) -> match v with None -> Some c | Some _ -> None)
+        (fun (c, (p, v)) -> match v with None -> Some (c, p) | Some _ -> None)
         verdicts
     in
     let prune_reasons =
       count_reasons
-        (List.filter_map (fun (_, v) -> v) verdicts)
+        (List.filter_map (fun (_, (_, v)) -> v) verdicts)
     in
     let prune_fallback = feasible = [] in
-    let to_measure = if prune_fallback then cands else feasible in
+    let to_measure =
+      if prune_fallback then List.map (fun (c, (p, _)) -> (c, p)) verdicts else feasible
+    in
     let pruned = if prune_fallback then 0 else total - List.length feasible in
     Tawa_obs.Registry.incr ~by:pruned "autotune.pruned";
     (* Each survivor is a distinct program, decoded once and run once.
@@ -447,7 +475,7 @@ let search ?(cfg = Config.h100) ?store (family : family) : result =
     let tcfg = { cfg with Config.mode = Config.Timing } in
     let ms =
       Tawa_pool.Pool.map_list
-        (fun c -> measurement_of c (time_with (Decode.decode ~cfg:tcfg) family c))
+        (fun (c, p) -> measurement_of c (time_with (Decode.decode ~cfg:tcfg) family c p))
         to_measure
     in
     Tawa_obs.Registry.incr ~by:(List.length ms) "autotune.measured";
@@ -485,8 +513,8 @@ let candidate_to_string (c : candidate) =
 (** The D/P sweep the paper's figures tune over (§V-A; Figs. 8, 11 and
     12): 128x128 tiles on one consumer warp group and 128x256 on two,
     D 1-4, P 1-3, persistent and not — 36 candidates once {!expand}
-    drops P > D. The figures time every candidate: no resource model
-    prunes this sweep (ROADMAP item 3). *)
+    drops P > D. No resource model prunes this sweep (ROADMAP item 3);
+    {!fastest} stops the candidates that can no longer win. *)
 let paper_gemm_axes : axes =
   {
     ax_tiles = [ (tile 128 128 64, [ 1 ]); (tile 128 256 64, [ 2 ]) ];

@@ -23,6 +23,21 @@ open Tawa_machine
 
 let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
 
+(* Retired-instruction counter across all domains, for the benchmark's
+   simulated instructions/sec. Every run adds what it simulated, a run
+   its [cut] stopped included. *)
+let retired = Atomic.make 0
+let instructions_retired () = Atomic.get retired
+let reset_instructions () = Atomic.set retired 0
+
+let retire (wgs : Decode.wg array) =
+  let n = Array.fold_left (fun a w -> a + w.Decode.instret) 0 wgs in
+  ignore (Atomic.fetch_and_add retired n);
+  n
+
+(** Raised when a warp group's clock reaches a run's [cut]. *)
+exception Cut
+
 (* --------------------- decoded scheduler loop --------------------- *)
 
 (* The oracle's loop rescans every WG per iteration: try_unblock on
@@ -47,8 +62,10 @@ let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
    — 1, except for collapsed cost blocks and chains. The budget is
    still charged per source instruction, and the check stays ahead of
    execution, so "sim: step budget exhausted" fires before the same
-   unit as the oracle's. *)
-let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
+   unit as the oracle's. [cut] is compared once per slot with the clock
+   of the WG that just ran: clocks never fall, and the CTA's cycles are
+   its largest final clock. *)
+let run_decoded ?(max_steps = 50_000_000) ?cut (ctx : Decode.ectx) : Sim.outcome =
   let open Decode in
   let wgs = ctx.wgs and q = ctx.ready in
   Array.iter ready_push wgs;
@@ -92,10 +109,11 @@ let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
       (* Only the executing WG can finish; blocked WGs re-enter the
          heap via the wake hooks (possibly already, if this very
          instruction released them). *)
-      match w.state with
+      (match w.state with
       | Sim.Running -> ready_push w
       | Sim.Finished -> decr alive
-      | Sim.Blocked _ -> ()
+      | Sim.Blocked _ -> ());
+      match cut with Some at when w.c.t >= at -> ignore (retire wgs); raise Cut | _ -> ()
     end
     else
       let blocked =
@@ -126,7 +144,7 @@ let run_decoded ?(max_steps = 50_000_000) (ctx : Decode.ectx) : Sim.outcome =
   {
     Sim.cycles;
     stats;
-    instructions = Array.fold_left (fun a w -> a + w.instret) 0 wgs;
+    instructions = retire wgs;
     profile = profile_of_ctx ~wall:cycles ctx;
   }
 
@@ -172,12 +190,6 @@ let cache_key (cfg : Config.t) program =
 (** A decoded program, ready to run any CTA of a launch. *)
 type prepared = Decode.t
 
-(* Retired-instruction counter across all domains, for the benchmark's
-   simulated instructions/sec. *)
-let retired = Atomic.make 0
-let instructions_retired () = Atomic.get retired
-let reset_instructions () = Atomic.set retired 0
-
 (** Decode [program] for [cfg], through the decode cache. One [prepare]
     per launch amortizes the cache-key digest over all CTAs of the
     grid. *)
@@ -187,14 +199,13 @@ let prepare ~(cfg : Config.t) (program : Isa.program) : prepared =
 
 (** Run one CTA of a prepared program. [pid] is the CTA's program id
     (non-persistent grids); persistent CTAs leave it at the default and
-    pop work items instead. *)
-let run_prepared ?max_steps ?recorder (p : prepared) ~(params : Sim.rt list)
+    pop work items instead. A clock that reaches [cut] stops the run
+    with {!Cut}. *)
+let run_prepared ?max_steps ?recorder ?cut (p : prepared) ~(params : Sim.rt list)
     ~(num_programs : int array) ?(pid = [| 0; 0; 0 |])
     ~(pop_global : unit -> int) () : Sim.outcome =
-  let ctx = Decode.make_ctx ?recorder p ~params ~num_programs ~pid ~pop_global in
-  let outcome = run_decoded ?max_steps ctx in
-  ignore (Atomic.fetch_and_add retired outcome.Sim.instructions);
-  outcome
+  run_decoded ?max_steps ?cut
+    (Decode.make_ctx ?recorder p ~params ~num_programs ~pid ~pop_global)
 
 (** Run one CTA and scan its resource high-water marks afterwards
     ({!Decode.measure_hwm}): resident register-tile bytes per warp
@@ -208,7 +219,6 @@ let run_measured ?max_steps ~(cfg : Config.t) ~(program : Isa.program)
   let d = prepare ~cfg program in
   let ctx = Decode.make_ctx d ~params ~num_programs ~pid ~pop_global in
   let outcome = run_decoded ?max_steps ctx in
-  ignore (Atomic.fetch_and_add retired outcome.Sim.instructions);
   (outcome, Decode.measure_hwm d ctx)
 
 (** Prepare-and-run a single CTA (tests, one-shot launches). *)

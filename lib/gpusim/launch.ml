@@ -106,38 +106,58 @@ let representative_cta ?(rep_pid = [| 0; 0; 0 |]) ~(cfg : Config.t)
     (num_programs, [| 0; 0; 0 |], fun () -> queue_of_list tiles)
   else (num_programs, rep_pid, fun () -> no_queue)
 
+(** The cycles of a [total]-CTA launch of [program] whose simulated CTA
+    takes [cta] cycles (if persistent, one resident CTA per SM drained
+    one SM's share). Each float step is monotone in [cta]. *)
+let launch_cycles ~(cfg : Config.t) (program : Isa.program) ~total cta =
+  if program.Isa.persistent then cfg.Config.launch_overhead_cycles +. cta
+  else
+    let waves = (total + cfg.Config.num_sms - 1) / cfg.Config.num_sms in
+    cfg.Config.launch_overhead_cycles
+    +. Float.of_int waves *. ((cta *. cfg.Config.wave_jitter) +. cfg.Config.cta_launch_cycles)
+
+(* The least clock at which the monotone [p] holds, if any: bisection
+   over the bit patterns of non-negative floats, which order as they do. *)
+let least p =
+  let rec go lo hi =
+    if Int64.sub hi lo <= 1L then Int64.float_of_bits hi
+    else
+      let mid = Int64.add lo (Int64.div (Int64.sub hi lo) 2L) in
+      if p (Int64.float_of_bits mid) then go lo mid else go mid hi
+  in
+  if p Float.infinity then Some (go (-1L) (Int64.bits_of_float Float.infinity)) else None
+
 (** Timing estimate for a [grid] launch at scale of an already decoded
     program, under the config it was decoded for. [flops] is the useful
     arithmetic of the whole launch (for TFLOPS). [rep_pid] selects the
     representative tile simulated for non-persistent launches. The
     simulation runs in [cfg.mode]: a [Functional] config simulates the
     payload too (params must then bind real buffers) and yields
-    identical cycles. *)
-let estimate_prepared ?rep_pid (prepared : Engine.prepared) ~(params : Sim.rt list)
-    ~(grid : int * int * int) ~(flops : float) : timing =
+    identical cycles. With an [incumbent] TFLOPS, the run stops
+    ({!Engine.Cut}) once a warp-group clock reaches the least clock whose
+    {!launch_cycles} give TFLOPS strictly below it: no clock exceeds the
+    CTA's cycles and both formulas are monotone, so it would end below. *)
+let estimate_prepared ?rep_pid ?incumbent (prepared : Engine.prepared)
+    ~(params : Sim.rt list) ~(grid : int * int * int) ~(flops : float) : timing =
   let cfg = prepared.Decode.d_cfg and program = prepared.Decode.d_program in
   let gx, gy, gz = grid in
-  let total = gx * gy * gz in
+  let launch = launch_cycles ~cfg program ~total:(gx * gy * gz) in
+  let cut =
+    Option.bind incumbent (fun best ->
+        least (fun cta ->
+            let cycles = launch cta in
+            cycles > 0.0 && Config.tflops cfg ~flops ~cycles < best))
+  in
   let num_programs, pid, queue = representative_cta ?rep_pid ~cfg program ~grid in
   let o =
-    Engine.run_prepared prepared ~params ~num_programs ~pid ~pop_global:(queue ()) ()
+    Engine.run_prepared ?cut prepared ~params ~num_programs ~pid ~pop_global:(queue ()) ()
   in
-  let cycles, tc_utilization =
-    if program.Isa.persistent then
-      (* One resident CTA per SM, which drained one SM's share. *)
-      let cycles = cfg.Config.launch_overhead_cycles +. o.Sim.cycles in
-      (cycles, o.Sim.stats.Sim.tc_busy /. cycles)
-    else
-      let waves = (total + cfg.Config.num_sms - 1) / cfg.Config.num_sms in
-      let cycles =
-        cfg.Config.launch_overhead_cycles
-        +. Float.of_int waves
-           *. ((o.Sim.cycles *. cfg.Config.wave_jitter) +. cfg.Config.cta_launch_cycles)
-      in
-      (* Per-SM utilization: the simulated CTA's tensor-core busy time
-         over its wave slot (stats cover one CTA, cycles cover the whole
-         launch). *)
-      (cycles, o.Sim.stats.Sim.tc_busy /. (o.Sim.cycles +. cfg.Config.cta_launch_cycles))
+  let cycles = launch o.Sim.cycles in
+  (* Per-SM utilization: the simulated CTA's tensor-core busy time over
+     its share of the launch, a wave slot if it is not persistent. *)
+  let tc_utilization =
+    o.Sim.stats.Sim.tc_busy
+    /. if program.Isa.persistent then cycles else o.Sim.cycles +. cfg.Config.cta_launch_cycles
   in
   let seconds = Config.cycles_to_seconds cfg cycles in
   { cycles; seconds; tflops = Config.tflops cfg ~flops ~cycles; tc_utilization;

@@ -48,15 +48,23 @@ let clear_cache () = Progcache.clear prefixes
 
 let applied s = (List.hd s.s_trace).applied
 
+(* [f ()] and its wall time, which the registry times as
+   [passes.<name>]. *)
+let timed name f =
+  let t0 = Tawa_obs.Registry.now () in
+  let r = f () in
+  let dt = Tawa_obs.Registry.now () -. t0 in
+  Tawa_obs.Registry.observe ("passes." ^ name) dt;
+  (r, dt)
+
+let verify k = fst (timed "verify" (fun () -> Verifier.verify k))
+
 (* The staged warp-specialized pipeline (see {!compile}). *)
 let staged ?fingerprint (options : options) (kernel : Kernel.t) : result =
   (* Run pass [name] on [prev]; [f] returns whether it applied and its
      output. *)
   let run name prev f () =
-    let t0 = Tawa_obs.Registry.now () in
-    let applied, k = f prev.s_kernel in
-    let dt = Tawa_obs.Registry.now () -. t0 in
-    Tawa_obs.Registry.observe ("passes." ^ name) dt;
+    let (applied, k), dt = timed name (fun () -> f prev.s_kernel) in
     let ops = Kernel.count_ops k and values = count_values k in
     let entry =
       { pass = name; ops_after = ops; ops_delta = ops - prev.s_ops;
@@ -64,9 +72,7 @@ let staged ?fingerprint (options : options) (kernel : Kernel.t) : result =
     in
     (* Verify even when the pass did not apply: a no-op pass must not be
        able to hide a malformed clone it produced along the way. *)
-    let v0 = Tawa_obs.Registry.now () in
-    Verifier.verify k;
-    Tawa_obs.Registry.observe "passes.verify" (Tawa_obs.Registry.now () -. v0);
+    verify k;
     { s_kernel = k; s_ops = ops; s_values = values; s_trace = entry :: prev.s_trace }
   in
   let stage key run = Progcache.find_or_add prefixes ~key run in
@@ -158,19 +164,25 @@ let baseline kernel = { kernel; trace = []; warp_specialized = false; coarse = f
 
     The baselines share no prefix and record no trace:
     [Sw_pipelined stages] runs {!Sw_pipeline.apply} and verifies its
-    output, or returns [kernel] as written when it has no TMA-fed loop
-    to prefetch (it is lowered unpipelined, as warp specialization
-    degrades); [Sync_tma] returns [kernel] as written; [Naive] stamps
-    the [load_style = "ldg"] attribute code generation reads, on a
-    fresh record. *)
+    output, both timed like the staged passes, or returns [kernel] as
+    written when it has no TMA-fed loop to prefetch (it is lowered
+    unpipelined, as warp specialization degrades); [Sync_tma] returns
+    [kernel] as written; [Naive] stamps the [load_style = "ldg"]
+    attribute code generation reads, on a fresh record. *)
 let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : result =
   match options.strategy with
   | Warp_specialized -> staged ?fingerprint options kernel
   | Sw_pipelined stages -> (
-    match Sw_pipeline.apply ~stages kernel with
-    | k ->
-      Verifier.verify k;
+    let pipelined, _ =
+      timed "sw-pipeline" (fun () ->
+          match Sw_pipeline.apply ~stages kernel with
+          | k -> Some k
+          | exception Pass.Not_applicable _ -> None)
+    in
+    match pipelined with
+    | Some k ->
+      verify k;
       baseline k
-    | exception Pass.Not_applicable _ -> baseline kernel)
+    | None -> baseline kernel)
   | Sync_tma -> baseline kernel
   | Naive -> baseline (Kernel.with_attr kernel "load_style" (Op.Attr_string "ldg"))

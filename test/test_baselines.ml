@@ -116,8 +116,10 @@ let test_fp8_gemm_doubles_headroom () =
   Alcotest.(check bool) "fp8 > 1.5x fp16" true (f8 > 1.5 *. f16)
 
 (* Tawa's GEMM cell is the paper sweep's winner with its own timing:
-   it simulates each sweep candidate exactly once, and reports the
-   tuned winner bit for bit. *)
+   it simulates each sweep candidate at most once, stopping the ones
+   that can no longer win, and reports the tuned winner bit for bit.
+   The uncut loop runs every candidate to its end, which keeps each
+   sweep point's deadlock and step-budget checks in the suite. *)
 let test_tawa_cell_is_the_sweep () =
   let module Engine = Tawa_gpusim.Engine in
   let family = Autotune.Gemm small_k in
@@ -128,7 +130,8 @@ let test_tawa_cell_is_the_sweep () =
   let sweep = Engine.instructions_retired () in
   Engine.reset_instructions ();
   let cell = Option.get (Frameworks.gemm Frameworks.Tawa small_k) in
-  Alcotest.(check int) "instructions of one sweep" sweep (Engine.instructions_retired ());
+  Alcotest.(check bool) "at most one sweep's instructions" true
+    (Engine.instructions_retired () <= sweep);
   let _, tuned = Autotune.tune_gemm small_k in
   let bits = Int64.bits_of_float in
   Alcotest.(check int64) "tflops bits" (bits tuned.Tawa_gpusim.Launch.tflops)

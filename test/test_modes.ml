@@ -20,7 +20,12 @@
       functional and timing mode, bit-identical for any pool domain
       count on a wave whose CTAs genuinely differ, equal to the sum it
       documents, with rates taken over the whole wave, one decode per
-      item, and closed to persistent programs. *)
+      item, and closed to persistent programs.
+
+   4. modes.cut — the incumbent cut-off of a timing estimate: a run it
+      stops would have ended strictly below the incumbent, a run it
+      does not stop is the run without one, and [Autotune.fastest]
+      picks the uncut strict best, bit for bit. *)
 
 open Tawa_tensor
 open Tawa_machine
@@ -371,6 +376,101 @@ let test_grouped_rejects_persistent () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* 4. The incumbent cut-off                                            *)
+(* ------------------------------------------------------------------ *)
+
+let paper_sweep = Autotune.gemm_candidates ~dtype:Dtype.F16 ()
+
+(* [c]'s timing against [incumbent], or [None] when the bound cut it. *)
+let timed ?incumbent family c =
+  match Autotune.time ?incumbent ~cfg:Config.h100 family c with
+  | t -> Some t
+  | exception Engine.Cut -> None
+
+(* Bit for bit, every float included. *)
+let same_timing (a : Launch.timing) (b : Launch.timing) =
+  Marshal.to_string a [ Marshal.No_sharing ] = Marshal.to_string b [ Marshal.No_sharing ]
+
+let retired f =
+  let i0 = Engine.instructions_retired () in
+  let r = f () in
+  (r, Engine.instructions_retired () - i0)
+
+(* Every paper-sweep candidate at a small shape, uncut (which keeps
+   each point's deadlock and step-budget checks in the suite), then
+   against incumbents at, just below and just above its own TFLOPS and
+   at the sweep's best. The final clock is among those checked, so an
+   incumbent above the run's TFLOPS always cuts it; a cut run counts
+   the instructions it simulated. *)
+let test_cut_sound () =
+  let family = Autotune.Gemm { Workloads.m = 512; n = 512; k = 256; dtype = Dtype.F16 } in
+  let uncut =
+    List.map (fun c -> (c, retired (fun () -> Option.get (timed family c)))) paper_sweep
+  in
+  let best = List.fold_left (fun a (_, (t, _)) -> Float.max a t.Launch.tflops) 0.0 uncut in
+  let cuts = ref 0 in
+  List.iter
+    (fun (c, ((t : Launch.timing), instrs)) ->
+      let tf = t.Launch.tflops in
+      let check label incumbent ~cut =
+        let what = Printf.sprintf "%s, incumbent %s" (Autotune.candidate_to_string c) label in
+        match retired (fun () -> timed ~incumbent family c) with
+        | Some t', _ ->
+          Alcotest.(check bool) (what ^ ": not cut") false cut;
+          Alcotest.(check bool) (what ^ ": the uncut run") true (same_timing t t')
+        | None, n ->
+          incr cuts;
+          Alcotest.(check bool) (what ^ ": cut") true cut;
+          Alcotest.(check bool) (what ^ ": cut strictly below") true (tf < incumbent);
+          Alcotest.(check bool) (what ^ ": simulated instructions counted") true
+            (n > 0 && n <= instrs)
+      in
+      check "at its own" tf ~cut:false;
+      check "just below" (Float.pred tf) ~cut:false;
+      check "just above" (Float.succ tf) ~cut:true;
+      check "the sweep's best" best ~cut:(tf < best))
+    uncut;
+  Alcotest.(check bool) "some run cut at the sweep's best" true (!cuts > List.length uncut)
+
+(* [fastest] against the uncut strict best of the same candidates. *)
+let test_fastest_is_uncut_best () =
+  let attn = { Tawa_frontend.Kernels.block_m = 128; block_n = 128; block_k = 128 } in
+  let coarse d =
+    { (Autotune.candidate attn) with Autotune.aref_depth = d; mma_depth = 1; coarse = true }
+  in
+  let cut_count () =
+    match List.assoc_opt "autotune.cut" (Tawa_obs.Registry.snapshot ()) with
+    | Some (Tawa_obs.Registry.Int n) -> n
+    | _ -> 0
+  in
+  List.iter
+    (fun (what, family, cands, fewer) ->
+      let (c0, t0), uncut =
+        retired (fun () ->
+            Autotune.strict_best
+              (fun (_, t) -> t.Launch.tflops)
+              (List.to_seq (List.map (fun c -> (c, Option.get (timed family c))) cands)))
+      in
+      let cuts = cut_count () in
+      let (c1, t1), instrs = retired (fun () -> Autotune.fastest ~cfg:Config.h100 family cands) in
+      let bits = Int64.bits_of_float in
+      Alcotest.(check string) (what ^ ": winner") (Autotune.candidate_to_string c0)
+        (Autotune.candidate_to_string c1);
+      Alcotest.(check int64) (what ^ ": tflops bits") (bits t0.Launch.tflops) (bits t1.Launch.tflops);
+      Alcotest.(check int64) (what ^ ": cycles bits") (bits t0.Launch.cycles) (bits t1.Launch.cycles);
+      Alcotest.(check bool) (what ^ ": at most the uncut instructions") true (instrs <= uncut);
+      if fewer then begin
+        Alcotest.(check bool) (what ^ ": strictly fewer instructions") true (instrs < uncut);
+        Alcotest.(check bool) (what ^ ": autotune.cut counted") true (cut_count () > cuts)
+      end)
+    [ ("paper sweep, K = 256", Autotune.Gemm (Workloads.paper_gemm 256), paper_sweep, false);
+      ("paper sweep, K = 4096", Autotune.Gemm (Workloads.paper_gemm 4096), paper_sweep, true);
+      ( "Fig. 12 coarse D in [2; 3; 4]",
+        Autotune.Attention (Workloads.paper_mha 16384),
+        List.map coarse [ 2; 3; 4 ],
+        false ) ]
+
 let suites =
   [ ( "modes.differential",
       [ Alcotest.test_case "gemm variants" `Quick test_mode_diff_gemm;
@@ -394,4 +494,8 @@ let suites =
         Alcotest.test_case "one decode per item" `Quick test_grouped_decodes_per_item;
         Alcotest.test_case "persistent item rejected" `Quick
           test_grouped_rejects_persistent ] );
+    ( "modes.cut",
+      [ Alcotest.test_case "a cut run ends below the incumbent" `Quick test_cut_sound;
+        Alcotest.test_case "fastest is the uncut strict best" `Quick
+          test_fastest_is_uncut_best ] );
   ]

@@ -74,6 +74,23 @@ let kernel_of (family : family) (c : candidate) : Tawa_ir.Kernel.t =
       ~block_n:c.tiles.Kernels.block_n ~head_dim:s.Workloads.head_dim
       ~causal:s.Workloads.causal ~dtype:s.Workloads.mha_dtype ()
 
+(* Exactly what {!kernel_of} reads of [family] and [c]: attention
+   takes its K extent from the head dimension, not the tile. *)
+let kernel_key (family : family) (c : candidate) =
+  let t = c.tiles in
+  match family with
+  | Gemm s ->
+    Printf.sprintf "gemm:%s:%dx%dx%d" (Dtype.to_string s.Workloads.dtype) t.Kernels.block_m
+      t.Kernels.block_n t.Kernels.block_k
+  | Attention s ->
+    Printf.sprintf "mha:%s:%dx%d:hd%d:%b" (Dtype.to_string s.Workloads.mha_dtype)
+      t.Kernels.block_m t.Kernels.block_n s.Workloads.head_dim s.Workloads.causal
+
+(** [c]'s kernel and its fingerprint, built and digested once per
+    {!kernel_key} until {!Flow.clear_cache} ({!Flow.source}). *)
+let stored_kernel (family : family) (c : candidate) : Tawa_ir.Kernel.t * string =
+  Flow.source ~key:(kernel_key family c) (fun () -> kernel_of family c)
+
 let options_of (c : candidate) : Flow.options =
   {
     Flow.aref_depth = c.aref_depth;
@@ -223,11 +240,13 @@ let time_with ?incumbent prepare (family : family) (c : candidate) program : Lau
   Launch.estimate_prepared ~rep_pid ?incumbent (prepare program) ~params ~grid ~flops
 
 (** {!time_with} under [cfg] (the caller chooses the mode), compiling
-    and decoding through the shared caches so repeated timings compile
-    and decode once. A framework's figure cell is
-    [time ~cfg:(quirk cfg) family c]. *)
+    {!stored_kernel} and decoding through the shared caches, so
+    repeated timings build, digest, compile and decode once. A
+    framework's figure cell is [time ~cfg:(quirk cfg) family c]. *)
 let time ?incumbent ~cfg (family : family) (c : candidate) : Launch.timing =
-  time_with ?incumbent (Engine.prepare ~cfg) family c (program_of family c)
+  let kernel, fingerprint = stored_kernel family c in
+  let compiled = Flow.compile ~fingerprint ~options:(options_of c) kernel in
+  time_with ?incumbent (Engine.prepare ~cfg) family c compiled.Flow.program
 
 let measurement_of (c : candidate) (t : Launch.timing) : measurement =
   { candidate = c; tflops = t.Launch.tflops; cycles = t.Launch.cycles }

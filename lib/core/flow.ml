@@ -39,10 +39,28 @@ let cache : cache_entry Progcache.t = Progcache.create ~name:"flow.compile" ()
 (** Hit/miss counters of the compiled-program cache. *)
 let cache_stats () = Progcache.stats cache
 
-(** Empty the compile cache and the pass prefixes {!Manager.compile}
-    shares, so the next compile of any kernel starts cold. *)
+(* Frontend kernels with their fingerprints, keyed by the caller on
+   the inputs of the builder that made them ({!source}). Sharing a
+   kernel is safe for the reason sharing pass prefixes is: no pass
+   changes its input, and neither does code generation. *)
+let sources : (Kernel.t * string) Progcache.t = Progcache.create ()
+
+(** [source ~key build]: the kernel [build ()] returned the first time
+    [key] was asked for since the last {!clear_cache}, with its
+    {!Progcache.kernel_fingerprint}, so a warm compile of it through
+    [compile ~fingerprint] neither rebuilds nor digests it. [key] must
+    name everything [build] reads. *)
+let source ~key build =
+  Progcache.find_or_add sources ~key (fun () ->
+      let kernel = build () in
+      (kernel, Progcache.kernel_fingerprint kernel))
+
+(** Empty the compile cache, the pass prefixes {!Manager.compile}
+    shares and the stored {!source} kernels, so the next compile of any
+    kernel starts cold. *)
 let clear_cache () =
   Progcache.clear cache;
+  Progcache.clear sources;
   Manager.clear_cache ()
 
 let options_key (o : options) =
@@ -85,9 +103,13 @@ let build_entry ?fingerprint (options : options) (kernel : Kernel.t) : cache_ent
     Memoized on (kernel fingerprint, options): repeated compiles of a
     structurally identical kernel return the cached program; the
     strategy participates in the key, so baselines never alias the
-    warp-specialized build. *)
-let compile ?(options = default_options) (kernel : Kernel.t) : compiled =
-  let fingerprint = Progcache.kernel_fingerprint kernel in
+    warp-specialized build. [fingerprint], when given, is [kernel]'s
+    {!Progcache.kernel_fingerprint} (as {!source} returns it), which
+    the call then does not compute. *)
+let compile ?fingerprint ?(options = default_options) (kernel : Kernel.t) : compiled =
+  let fingerprint =
+    match fingerprint with Some fp -> fp | None -> Progcache.kernel_fingerprint kernel
+  in
   let key = Printf.sprintf "%s|%s" fingerprint (options_key options) in
   let e = Progcache.find_or_add cache ~key (fun () -> build_entry ~fingerprint options kernel) in
   hit kernel e options

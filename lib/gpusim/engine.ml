@@ -164,20 +164,23 @@ let digest_cfg (cfg : Config.t) =
   let norm = { cfg with Config.mode = Config.Timing } in
   Digest.to_hex (Digest.string (Marshal.to_string norm []))
 
-(* The last config digested, by physical identity: a sweep launches
-   every program under one config value, so a key marshals neither the
-   program ({!Progcache.program_fingerprint} is memoized) nor the
-   config. *)
-let last_cfg = Atomic.make (Config.h100, digest_cfg Config.h100)
+(* The configs digested so far, by physical identity: a sweep launches
+   under a few config values (the machine's and each framework's quirk
+   config, built once), so a key marshals neither the program
+   ({!Progcache.program_fingerprint} is memoized) nor the config. The
+   list starts over at [digests_max] entries; a lost race only costs a
+   second digest. *)
+let digests = Atomic.make [ (Config.h100, digest_cfg Config.h100) ]
+let digests_max = 16
 
 let cfg_digest (cfg : Config.t) =
-  let c, d = Atomic.get last_cfg in
-  if c == cfg then d
-  else begin
+  match List.assq_opt cfg (Atomic.get digests) with
+  | Some d -> d
+  | None ->
     let d = digest_cfg cfg in
-    Atomic.set last_cfg (cfg, d);
+    let seen = Atomic.get digests in
+    Atomic.set digests ((cfg, d) :: (if List.length seen >= digests_max then [] else seen));
     d
-  end
 
 let cache_key (cfg : Config.t) program =
   Progcache.program_fingerprint program

@@ -190,24 +190,26 @@ let estimate_grouped ~(cfg : Config.t)
           "Launch.estimate_grouped: pass non-persistent programs (the grouped launcher \
            is the persistence)")
     items;
-  (* Expand items to per-tile work units (prepared program, params).
-     Preparing per item (not per unit) decodes each distinct program
-     once before the fan-out. *)
-  let units =
-    List.concat_map
-      (fun (program, params, (gx, gy, gz), _flops) ->
-        let prepared = Engine.prepare ~cfg program in
-        List.concat_map
-          (fun z ->
-            List.concat_map
-              (fun y -> List.map (fun x -> (prepared, params, [| x; y; z |], (gx, gy, gz))) (List.init gx Fun.id))
-              (List.init gy Fun.id))
-          (List.init gz Fun.id))
-      items
+  (* One SM's share: the work units (one per tile of every item) whose
+     index across the items, in item then z/y/x order, is a multiple
+     of num_sms; only those are listed. Every item is prepared once,
+     before the fan-out, whether or not it has a unit in the share. *)
+  let sms = cfg.Config.num_sms in
+  let rec share base acc = function
+    | [] -> List.rev acc
+    | (program, params, (gx, gy, gz), _flops) :: rest ->
+      let prepared = Engine.prepare ~cfg program in
+      let n = gx * gy * gz and num_programs = [| gx; gy; gz |] in
+      let rec units j acc =
+        if j >= n then acc
+        else
+          units (j + sms)
+            ((prepared, params, [| j mod gx; j / gx mod gy; j / (gx * gy) |], num_programs) :: acc)
+      in
+      share (base + n) (units ((sms - (base mod sms)) mod sms) acc) rest
   in
+  let mine = share 0 [] items in
   let flops = List.fold_left (fun acc (_, _, _, f) -> acc +. f) 0.0 items in
-  (* One SM's share: every num_sms-th unit. *)
-  let mine = List.filteri (fun i _ -> i mod cfg.Config.num_sms = 0) units in
   let agg = ref 0.0 in
   let stats =
     { Sim.tc_busy = 0.0; tma_busy = 0.0; tma_bytes = 0.0; wgmma_count = 0; tma_count = 0;
@@ -217,9 +219,8 @@ let estimate_grouped ~(cfg : Config.t)
      run them on the domain pool, then accumulate sequentially in
      queue order so the float sums are bit-identical to the serial
      engine for any domain count. *)
-  let run_unit (prepared, params, pid, (gx, gy, gz)) =
-    Engine.run_prepared prepared ~params ~num_programs:[| gx; gy; gz |] ~pid
-      ~pop_global:no_queue ()
+  let run_unit (prepared, params, pid, num_programs) =
+    Engine.run_prepared prepared ~params ~num_programs ~pid ~pop_global:no_queue ()
   in
   let outcomes = Tawa_pool.Pool.map_list run_unit mine in
   List.iter

@@ -234,6 +234,65 @@ let test_search_leaves_decode_cache () =
   Alcotest.(check int) "measure decodes through the cache" 1
     (Engine.decode_cache_stats ()).Progcache.misses
 
+(* ------------------------ stored kernels -------------------------- *)
+
+let same_timing what (a : Launch.timing) (b : Launch.timing) =
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) (what ^ ": cycles bits") (bits a.Launch.cycles) (bits b.Launch.cycles);
+  Alcotest.(check int64) (what ^ ": tflops bits") (bits a.Launch.tflops) (bits b.Launch.tflops)
+
+(* A warm [time] compiles the stored kernel through a compile-cache hit
+   and times it bit-identically; [Flow.clear_cache] drops the stored
+   kernels with the compiled ones, so the next [time] misses. *)
+let test_stored_kernel_warm_and_cold () =
+  let fam = Autotune.Gemm small_gemm in
+  let c = Autotune.expert fam in
+  let time () = Autotune.time ~cfg:Config.h100 fam c in
+  let counts () =
+    let s = Flow.cache_stats () in
+    (s.Progcache.hits, s.Progcache.misses)
+  in
+  Flow.clear_cache ();
+  let cold = time () in
+  Alcotest.(check (pair int int)) "first time misses" (0, 1) (counts ());
+  let kernel, _ = Autotune.stored_kernel fam c in
+  let warm = time () in
+  Alcotest.(check (pair int int)) "warm repeat hits" (1, 1) (counts ());
+  Alcotest.(check bool) "warm repeat reuses the stored kernel" true
+    (fst (Autotune.stored_kernel fam c) == kernel);
+  same_timing "warm repeat" cold warm;
+  Flow.clear_cache ();
+  let again = time () in
+  Alcotest.(check (pair int int)) "after clear_cache it misses" (0, 1) (counts ());
+  Alcotest.(check bool) "and builds a fresh kernel" false
+    (fst (Autotune.stored_kernel fam c) == kernel);
+  same_timing "after clear_cache" cold again
+
+(* Stored kernels are shared by every compile of their key, so no pass
+   and no lowering may change its input: compiling one under every
+   strategy leaves its fingerprint as stored, equal to a fresh
+   build's. *)
+let test_stored_kernel_unchanged () =
+  List.iter
+    (fun (fam, c) ->
+      Flow.clear_cache ();
+      let kernel, fp = Autotune.stored_kernel fam c in
+      let what = Autotune.family_tag fam in
+      Alcotest.(check string) (what ^ ": stored fingerprint") fp
+        (Progcache.kernel_fingerprint (Autotune.kernel_of fam c));
+      List.iter
+        (fun strategy ->
+          ignore
+            (Flow.compile ~fingerprint:fp
+               ~options:{ (Autotune.options_of c) with Flow.strategy }
+               kernel);
+          Alcotest.(check string)
+            (Printf.sprintf "%s: %s leaves it unchanged" what (Flow.strategy_key strategy))
+            fp (Progcache.kernel_fingerprint kernel))
+        [ Flow.Warp_specialized; Flow.Sw_pipelined 3; Flow.Sync_tma; Flow.Naive ])
+    [ (Autotune.Gemm small_gemm, Autotune.expert (Autotune.Gemm small_gemm));
+      (Autotune.Attention small_mha, Autotune.expert (Autotune.Attention small_mha)) ]
+
 let suites =
   [ ( "autotune",
       [ Alcotest.test_case "pruning is sound vs measured hwm" `Slow test_pruning_sound;
@@ -247,4 +306,8 @@ let suites =
         Alcotest.test_case "strategy unification shares the cache" `Quick
           test_strategy_unification;
         Alcotest.test_case "search leaves the decode cache as it found it" `Quick
-          test_search_leaves_decode_cache ] ) ]
+          test_search_leaves_decode_cache;
+        Alcotest.test_case "stored kernels: warm hit, cold after clear" `Quick
+          test_stored_kernel_warm_and_cold;
+        Alcotest.test_case "stored kernels: no strategy changes them" `Quick
+          test_stored_kernel_unchanged ] ) ]

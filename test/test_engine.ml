@@ -510,13 +510,15 @@ let gemm_timing_diff compiled ~bm ~bn ~kk ~grid_m ~grid_n =
 let fuzz_compiles (s : Test_fuzz.spec) =
   [ ("ws d2p2", Test_fuzz.ws_compile ~d:2 ~p:2);
     ( "sw-pipeline",
-      Flow.compile
-        ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 } );
+      fun k ->
+        Flow.compile
+          ~options:{ Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 } k );
     ( "persistent",
-      Flow.compile
-        ~options:
-          { Flow.default_options with aref_depth = 2; mma_depth = 1; num_consumer_wgs = 1; persistent = true;
-            use_coarse = false } ) ]
+      fun k ->
+        Flow.compile
+          ~options:
+            { Flow.default_options with aref_depth = 2; mma_depth = 1; num_consumer_wgs = 1; persistent = true;
+              use_coarse = false } k ) ]
   |> List.map (fun (name, f) -> (name, f (Test_fuzz.build_kernel s)))
 
 let prop_engine_fuzz =

@@ -308,11 +308,21 @@ let test_grouped_domains_bit_identical () =
   Alcotest.(check (float 0.0)) "tc_busy bit-identical" t1.Launch.stats.Sim.tc_busy
     t2.Launch.stats.Sim.tc_busy
 
-let test_grouped_total () =
-  (* Recompute the documented sum: launch overhead, plus every unit of
-     one SM's share (every num_sms-th unit, in item then z/y/x order)
-     run as its own CTA, plus one queue pop per unit. *)
-  let items = mixed_items () in
+(* Items of 4, 1 and 5 CTAs, three distinct programs, on 3 SMs: the
+   share is units 0, 3, 6 and 9 — two tiles of the first item, none of
+   the middle one, and CTAs 1 and 4 of the last. *)
+let uneven_items () =
+  let gemm ?d ?p (m, n) =
+    let s = { Workloads.m; n; k = 16; dtype = Dtype.F16 } in
+    let grid, params = Workloads.gemm_launch s ~tiles:small_tiles in
+    ((ws_gemm ?d ?p ()).Flow.program, params, grid, Workloads.gemm_flops s)
+  in
+  [ gemm (32, 32); (pid_branch_program, [], (1, 1, 1), 1.0); gemm ~d:3 ~p:2 (80, 16) ]
+
+(* The documented sum: launch overhead, plus every unit of one SM's
+   share (every num_sms-th unit of the full list, in item then z/y/x
+   order) run as its own CTA, plus one queue pop per unit. *)
+let reference_total cfg items =
   let units =
     List.concat_map
       (fun (program, params, (gx, gy, gz), _) ->
@@ -320,22 +330,31 @@ let test_grouped_total () =
             (program, params, [| gx; gy; gz |], [| i mod gx; i / gx mod gy; i / (gx * gy) |])))
       items
   in
-  let share = List.filteri (fun i _ -> i mod cfg2.Config.num_sms = 0) units in
+  let share = List.filteri (fun i _ -> i mod cfg.Config.num_sms = 0) units in
   let sum =
     List.fold_left
       (fun acc (program, params, num_programs, pid) ->
         acc
-        +. (Engine.run_cta ~cfg:cfg2 ~program ~params ~num_programs ~pid
+        +. (Engine.run_cta ~cfg ~program ~params ~num_programs ~pid
               ~pop_global:Launch.no_queue ())
              .Sim.cycles)
       0.0 share
   in
-  let expected =
-    cfg2.Config.launch_overhead_cycles +. sum
-    +. (Float.of_int (List.length share) *. cfg2.Config.workq_pop_cycles)
-  in
-  Alcotest.(check (float 0.0)) "total = overhead + share cycles + pops" expected
-    (Launch.estimate_grouped ~cfg:cfg2 items).Launch.cycles
+  cfg.Config.launch_overhead_cycles +. sum
+  +. (Float.of_int (List.length share) *. cfg.Config.workq_pop_cycles)
+
+let test_grouped_total () =
+  let items = mixed_items () in
+  Alcotest.(check (float 0.0)) "total = overhead + share cycles + pops"
+    (reference_total cfg2 items) (Launch.estimate_grouped ~cfg:cfg2 items).Launch.cycles;
+  let items = uneven_items () in
+  Engine.clear_decode_cache ();
+  let got = (Launch.estimate_grouped ~cfg:cfg3 items).Launch.cycles in
+  let s = Engine.decode_cache_stats () in
+  Alcotest.(check (pair int int)) "uneven items: one decode per item, the middle one too"
+    (3, 0) (s.Progcache.misses, s.Progcache.hits);
+  Alcotest.(check (float 0.0)) "uneven items: total = the filtered sum"
+    (reference_total cfg3 items) got
 
 let test_grouped_rates () =
   (* Rates come from the whole wave: the flops of every item over the

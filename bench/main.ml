@@ -332,7 +332,8 @@ let extra () =
   section "Extra: ping-pong aref protocol (paper SVI, future work)";
   (* Two warp groups alternate producer/consumer roles every iteration
      over two rings; model-check under an adversarial schedule. *)
-  let rings = [| Tawa_aref.Ring.create ~depth:2; Tawa_aref.Ring.create ~depth:2 |] in
+  let ring () = Tawa_aref.Schedule.Ring (Tawa_aref.Ring.create ~depth:2) in
+  let rings = [| ring (); ring () |] in
   let agents = Tawa_aref.Schedule.pingpong_program ~n:64 in
   let state = ref 12345 in
   let choose r =
@@ -347,7 +348,7 @@ let extra () =
           (List.length got))
       results
   | Tawa_aref.Schedule.Deadlock _ -> pr "  DEADLOCK (unexpected)\n"
-  | Tawa_aref.Schedule.Error e -> pr "  error: %s\n" e);
+  | Tawa_aref.Schedule.Error (_, e) -> pr "  error: %s\n" e);
   section "Extra: multicast aref (one producer, two consumer rings)";
   (* Modelled at the protocol level (see Tawa_aref.Ring.Multicast tests);
      here we report the SMEM saving of sharing one ring between two

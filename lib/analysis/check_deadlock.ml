@@ -7,13 +7,17 @@
       must fit in the ring; a lag of P needs depth D >= P or the
       producer blocks forever once the pipeline fills.
 
-    - {b startup simulation}: abstract-execute one unguarded pass over
-      each partition's channel ops, round-robin, with the semantics of
-      [lib/aref/semantics.ml] (put blocks on a full ring, get blocks on
-      an empty one, consumed needs a prior get). If no interleaving
-      makes every partition finish its first iteration, the
-      partition/channel wait graph has a cycle — e.g. two rings read in
-      opposite orders by two partitions — and the kernel is rejected. *)
+    - {b startup}: run one unguarded pass over each partition's channel
+      ops through the aref model itself ({!Tawa_aref.Schedule.run} over
+      {!Tawa_aref.Ring}s, with the semantics of Fig. 4): each partition
+      is an agent, each channel one ring of its depth (a multicast ring
+      when several partitions read it), and a site's iteration is its
+      ordinal on its channel within its partition. If the agents cannot
+      all finish their first iteration, the partition/channel wait graph
+      has a cycle — e.g. two rings read in opposite orders by two
+      partitions — and the kernel is rejected. A transition Fig. 4
+      forbids, such as a release before its get, is reported with the
+      model's message. *)
 
 open Model
 
@@ -72,122 +76,82 @@ let check_capacity (m : t) (ch : channel) : Diagnostic.t list =
   List.rev !ds
 
 (* ------------------------------------------------------------------ *)
-(* Startup simulation                                                  *)
+(* Startup run                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type chan_state = {
-  ch : channel;
-  idx : int;
-  mutable puts_done : int;
-  (* Per partition: completed gets / consumeds during the first pass. *)
-  gets_done : (int, int) Hashtbl.t;
-  cons_done : (int, int) Hashtbl.t;
-  assume_put : bool;
-      (** some put site is guarded away, unanalyzable or outside the
-          warp group — treat the channel as externally fed rather than
-          report a spurious deadlock *)
-}
-
-let count tbl p = Option.value (Hashtbl.find_opt tbl p) ~default:0
-let incr_count tbl p = Hashtbl.replace tbl p (count tbl p + 1)
+module Ring = Tawa_aref.Ring
+module Schedule = Tawa_aref.Schedule
 
 let check_startup (m : t) : Diagnostic.t list =
-  if m.num_partitions = 0 then []
-  else begin
-    (* Sites that run unconditionally on the first pass. *)
-    let first_pass s = s.guard_min_it <= 0 && not s.guard_unknown in
-    let states =
-      List.mapi
-        (fun idx ch ->
-          let assume_put =
-            List.exists
-              (fun p -> (not (first_pass p)) || p.partition < 0 || p.partition >= m.num_partitions)
-              ch.puts
-          in
-          ( ch.cvalue,
-            { ch; idx; puts_done = 0; gets_done = Hashtbl.create 4;
-              cons_done = Hashtbl.create 4; assume_put } ))
-        m.channels
+  (* Sites that run unconditionally on the first pass. *)
+  let first_pass s = s.guard_min_it <= 0 && not s.guard_unknown in
+  let in_wg p = p >= 0 && p < m.num_partitions in
+  let index = Tawa_ir.Value.Tbl.create 8 in
+  List.iteri (fun i ch -> Tawa_ir.Value.Tbl.replace index ch.cvalue i) m.channels;
+  let ring_of (s : site) = Tawa_ir.Value.Tbl.find index (List.hd s.s_op.Tawa_ir.Op.operands) in
+  (* A channel some put of which the first pass may skip (guarded away,
+     unanalyzable or outside the warp group) is externally fed: its
+     reads are left out rather than reported as a spurious deadlock. *)
+  let fed =
+    Array.of_list
+      (List.map
+         (fun ch -> List.for_all (fun p -> first_pass p && in_wg p.partition) ch.puts)
+         m.channels)
+  in
+  let rings =
+    Array.of_list
+      (List.map
+         (fun ch ->
+           let depth = max 1 ch.depth in
+           match List.filter in_wg (partitions_of (ch.gets @ ch.consumeds)) with
+           | _ :: _ :: _ as readers ->
+             Schedule.Multicast (Ring.Multicast.create ~depth ~consumers:(List.length readers))
+           | _ -> Schedule.Ring (Ring.create ~depth))
+         m.channels)
+  in
+  let progs =
+    Array.map
+      (fun sites ->
+        Array.of_list
+          (List.filter (fun s -> first_pass s && (s.kind = Put || fed.(ring_of s))) sites))
+      m.sites_by_partition
+  in
+  (* A site's iteration is its ordinal among its partition's sites of
+     the same kind on the same channel. *)
+  let agent p sites =
+    let seen = Hashtbl.create 8 in
+    let action (s : site) =
+      let ring = ring_of s in
+      let iter = Option.value (Hashtbl.find_opt seen (ring, s.kind)) ~default:0 in
+      Hashtbl.replace seen (ring, s.kind) (iter + 1);
+      match s.kind with
+      | Put -> Schedule.Put { ring; iter; value = 0 }
+      | Get -> Schedule.Get { ring; iter }
+      | Consumed -> Schedule.Consumed { ring; iter }
     in
-    let state_of v =
-      List.find_map
-        (fun (cv, st) -> if Tawa_ir.Value.equal cv v then Some st else None)
-        states
-    in
-    let progs =
-      Array.map (fun sites -> Array.of_list (List.filter first_pass sites))
-        m.sites_by_partition
-    in
-    let pcs = Array.make m.num_partitions 0 in
-    (* Consumer partitions of a channel = those with release sites; the
-       ring frees a slot only when every declared reader has released. *)
-    let released st =
-      let parts = partitions_of st.ch.consumeds in
-      match parts with
-      | [] -> 0
-      | ps -> List.fold_left (fun acc p -> min acc (count st.cons_done p)) max_int ps
-    in
-    let can_run (s : site) =
-      match s.s_op.Tawa_ir.Op.operands with
-      | aref :: _ -> (
-        match state_of aref with
-        | None -> true (* unknown channel: no blocking model *)
-        | Some st -> (
-          match s.kind with
-          | Put -> st.puts_done - released st < st.ch.depth
-          | Get -> st.assume_put || count st.gets_done s.partition < st.puts_done
-          | Consumed -> count st.cons_done s.partition < count st.gets_done s.partition))
-      | [] -> true
-    in
-    let step (s : site) =
-      match s.s_op.Tawa_ir.Op.operands with
-      | aref :: _ -> (
-        match state_of aref with
-        | None -> ()
-        | Some st -> (
-          match s.kind with
-          | Put -> st.puts_done <- st.puts_done + 1
-          | Get -> incr_count st.gets_done s.partition
-          | Consumed -> incr_count st.cons_done s.partition))
-      | [] -> ()
-    in
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      Array.iteri
-        (fun p sites ->
-          while pcs.(p) < Array.length sites && can_run sites.(pcs.(p)) do
-            step sites.(pcs.(p));
-            pcs.(p) <- pcs.(p) + 1;
-            progress := true
-          done)
-        progs
-    done;
-    let stuck =
-      Array.to_list progs
-      |> List.mapi (fun p sites ->
-             if pcs.(p) < Array.length sites then Some (p, sites.(pcs.(p))) else None)
-      |> List.filter_map Fun.id
-    in
-    match stuck with
-    | [] -> []
-    | _ ->
-      let describe (p, (s : site)) =
-        let cname =
-          match s.s_op.Tawa_ir.Op.operands with
-          | aref :: _ -> Tawa_ir.Value.name aref
-          | [] -> "?"
-        in
-        Printf.sprintf "partition %d blocks at %s on channel %s" p
-          (kind_to_string s.kind) cname
-      in
-      let _, (s0 : site) = List.hd stuck in
-      [ err ~op:s0.s_op
-          "startup deadlock: no interleaving lets every partition complete \
-           its first iteration; the partition/channel wait graph has a cycle \
-           (%s)"
-          (String.concat "; " (List.map describe stuck)) ]
-  end
+    { Schedule.name = string_of_int p; actions = Array.map action sites; pc = 0 }
+  in
+  let agents = Array.mapi agent progs in
+  (* Where agent [name] stopped: its site, and the site in words. *)
+  let stopped what name =
+    let p = int_of_string name in
+    let s = progs.(p).(agents.(p).Schedule.pc) in
+    ( s,
+      Printf.sprintf "partition %d %s %s on channel %s" p what (kind_to_string s.kind)
+        (Tawa_ir.Value.name (List.hd s.s_op.Tawa_ir.Op.operands)) )
+  in
+  match Schedule.run ~rings ~choose:(fun r -> r.(0)) (Array.to_list agents) with
+  | Schedule.Completed _ -> []
+  | Schedule.Error (name, msg) ->
+    let s, where = stopped "breaks the aref protocol at" name in
+    [ err ~op:s.s_op "%s: %s" where msg ]
+  | Schedule.Deadlock names ->
+    let stuck = List.map (stopped "blocks at") names in
+    [ err ~op:(fst (List.hd stuck)).s_op
+        "startup deadlock: no interleaving lets every partition complete \
+         its first iteration; the partition/channel wait graph has a cycle \
+         (%s)"
+        (String.concat "; " (List.map snd stuck)) ]
 
 let run (m : t) : Diagnostic.t list =
   List.concat_map (check_capacity m) m.channels @ check_startup m

@@ -3,215 +3,87 @@
 
     A ring is an array of D independent one-slot arefs. Producers write
     iteration [k] into slot [k mod D]; consumers read and release the
-    same slot. The ring therefore behaves as a bounded FIFO of capacity
-    D as long as both sides index slots in iteration order — which is
-    exactly what the loop-distribution pass emits. *)
+    same slot. Each slot's value carries the iteration that wrote it,
+    and a get or release of iteration [k] acts only while the slot
+    holds iteration [k]: a get that finds an earlier iteration waits,
+    as a consumer's wait on that slot's [full] barrier waits for the
+    phase of iteration [k]. The ring therefore behaves as a bounded FIFO
+    of capacity D. *)
 
-(** Occupancy telemetry, updated on every operation. [blocked] counts
-    are the number of times a rule's premise failed to hold (the warp
-    would have waited); [max_occupancy] is the high-water mark of
-    published-but-unread slots — a full ring means the producer ran
-    ahead by the whole depth D. *)
-type stats = {
-  mutable puts : int;
-  mutable gets : int;
-  mutable put_blocked : int;
-  mutable get_blocked : int;
-  mutable max_occupancy : int;
-}
-
-(** One successful protocol transition on the ring, stamped with a
-    per-ring logical step counter. The history mirrors the simulator's
-    profiler channel events ({!Tawa_obs.Prof}) at the abstract-machine
-    level, so a model-checked schedule can be rendered as the same kind
-    of per-slot timeline the deep profiler reconstructs from mbarrier
-    events. *)
-type event = {
-  ev_step : int; (* logical time: ring-wide transition ordinal *)
-  ev_slot : int;
-  ev_iter : int;
-  ev_kind : [ `Put | `Get | `Consumed ];
-}
-
-type 'a t = {
-  slots : 'a Semantics.t array;
-  stats : stats;
-  mutable clock : int;
-  mutable events : event list; (* reverse order *)
-}
+type 'a t = (int * 'a) Semantics.t array
 
 let create ~depth =
   if depth <= 0 then invalid_arg "Ring.create: depth must be positive";
-  { slots = Array.init depth (fun _ -> Semantics.create ());
-    stats = { puts = 0; gets = 0; put_blocked = 0; get_blocked = 0; max_occupancy = 0 };
-    clock = 0;
-    events = [] }
-
-let record r ~iter kind =
-  let ev =
-    { ev_step = r.clock; ev_slot = iter mod Array.length r.slots;
-      ev_iter = iter; ev_kind = kind }
-  in
-  r.clock <- r.clock + 1;
-  r.events <- ev :: r.events
-
-let depth r = Array.length r.slots
+  Array.init depth (fun _ -> Semantics.create ())
 
 let slot_of_iter r k =
   if k < 0 then invalid_arg "Ring.slot_of_iter: negative iteration";
-  k mod Array.length r.slots
+  k mod Array.length r
 
-(** Number of slots currently holding published-but-unread values. *)
-let occupancy r =
-  Array.fold_left
-    (fun n s -> n + match s.Semantics.state with Semantics.Full _ -> 1 | _ -> 0)
-    0 r.slots
-
-let put r ~iter v =
-  match Semantics.put r.slots.(slot_of_iter r iter) v with
-  | Semantics.Ok () as ok ->
-    r.stats.puts <- r.stats.puts + 1;
-    record r ~iter `Put;
-    let occ = occupancy r in
-    if occ > r.stats.max_occupancy then r.stats.max_occupancy <- occ;
-    ok
-  | Semantics.Blocked as b ->
-    r.stats.put_blocked <- r.stats.put_blocked + 1;
-    b
+let put r ~iter v = Semantics.put r.(slot_of_iter r iter) (iter, v)
 
 let get r ~iter =
-  match Semantics.get r.slots.(slot_of_iter r iter) with
-  | Semantics.Ok _ as ok ->
-    r.stats.gets <- r.stats.gets + 1;
-    record r ~iter `Get;
-    ok
-  | Semantics.Blocked as b ->
-    r.stats.get_blocked <- r.stats.get_blocked + 1;
-    b
+  let s = r.(slot_of_iter r iter) in
+  match s.Semantics.state with
+  | Semantics.Full (k, _) when k <> iter -> Semantics.Blocked
+  | _ -> (
+    match Semantics.get s with
+    | Semantics.Ok (_, v) -> Semantics.Ok v
+    | Semantics.Blocked -> Semantics.Blocked)
 
 let consumed r ~iter =
-  match Semantics.consumed r.slots.(slot_of_iter r iter) with
-  | Semantics.Ok () as ok ->
-    record r ~iter `Consumed;
-    ok
-  | Semantics.Blocked as b -> b
-
-(** The recorded transition history, oldest first. *)
-let history r = List.rev r.events
-
-(** Per-slot occupancy windows derived from the history, as
-    [(lane, start, end, label)] interval tuples directly loadable by
-    {!Tawa_obs.Trace.of_intervals}: a "full" span from each PUT to the
-    GET that borrows it, and a "borrowed" span from that GET to the
-    CONSUMED that releases the slot. Spans still open at the end of the
-    history are closed at the current clock. *)
-let timeline r : (string * float * float * string) list =
-  let lane s = Printf.sprintf "slot[%d]" s in
-  let now = float_of_int r.clock in
-  let spans = ref [] in
-  let pending_put = Hashtbl.create 8 (* iter -> put step *) in
-  let pending_get = Hashtbl.create 8 (* iter -> get step *) in
-  List.iter
-    (fun ev ->
-      let t = float_of_int ev.ev_step in
-      match ev.ev_kind with
-      | `Put -> Hashtbl.replace pending_put ev.ev_iter ev.ev_step
-      | `Get ->
-        (match Hashtbl.find_opt pending_put ev.ev_iter with
-        | Some t0 ->
-          Hashtbl.remove pending_put ev.ev_iter;
-          spans :=
-            ( lane ev.ev_slot, float_of_int t0, t,
-              Printf.sprintf "full iter=%d" ev.ev_iter )
-            :: !spans
-        | None -> ());
-        Hashtbl.replace pending_get ev.ev_iter ev.ev_step
-      | `Consumed -> (
-        match Hashtbl.find_opt pending_get ev.ev_iter with
-        | Some t0 ->
-          Hashtbl.remove pending_get ev.ev_iter;
-          spans :=
-            ( lane ev.ev_slot, float_of_int t0, t,
-              Printf.sprintf "borrowed iter=%d" ev.ev_iter )
-            :: !spans
-        | None -> ()))
-    (history r);
-  Hashtbl.iter
-    (fun iter t0 ->
-      spans :=
-        ( lane (slot_of_iter r iter), float_of_int t0, now,
-          Printf.sprintf "full iter=%d (open)" iter )
-        :: !spans)
-    pending_put;
-  Hashtbl.iter
-    (fun iter t0 ->
-      spans :=
-        ( lane (slot_of_iter r iter), float_of_int t0, now,
-          Printf.sprintf "borrowed iter=%d (open)" iter )
-        :: !spans)
-    pending_get;
-  List.sort compare !spans
-
-(** Copy of the telemetry counters (safe to keep across further ops). *)
-let stats r =
-  { puts = r.stats.puts; gets = r.stats.gets; put_blocked = r.stats.put_blocked;
-    get_blocked = r.stats.get_blocked; max_occupancy = r.stats.max_occupancy }
-
-let invariant_holds r = Array.for_all Semantics.invariant_holds r.slots
+  let s = r.(slot_of_iter r iter) in
+  match s.Semantics.state with
+  | Semantics.Borrowed (k, _) when k <> iter ->
+    raise (Semantics.Protocol_error "consumed of an iteration its slot does not hold")
+  | _ -> Semantics.consumed s
 
 (** Multicast ring (paper §VI, future work): one producer, [consumers]
     independent readers. A slot becomes reusable only after every
     consumer has released it; each consumer may read the published value
-    exactly once per iteration. *)
+    exactly once per iteration, and a get of a later iteration waits
+    until the slot holds it. *)
 module Multicast = struct
   type 'a mslot = {
-    mutable value : 'a option;
-    mutable reads_done : bool array;    (* per-consumer get performed *)
-    mutable releases_done : bool array; (* per-consumer consumed performed *)
+    mutable value : (int * 'a) option;  (* iteration, payload *)
+    reads_done : bool array;     (* per-consumer get performed *)
+    releases_done : bool array;  (* per-consumer consumed performed *)
   }
 
-  type 'a t = { mslots : 'a mslot array; consumers : int }
+  type 'a t = 'a mslot array
 
   let create ~depth ~consumers =
     if depth <= 0 || consumers <= 0 then invalid_arg "Multicast.create";
-    {
-      mslots =
-        Array.init depth (fun _ ->
-            { value = None;
-              reads_done = Array.make consumers false;
-              releases_done = Array.make consumers false });
-      consumers;
-    }
+    Array.init depth (fun _ ->
+        { value = None;
+          reads_done = Array.make consumers false;
+          releases_done = Array.make consumers false })
 
-  let slot t k = t.mslots.(k mod Array.length t.mslots)
+  let slot t k = t.(k mod Array.length t)
 
   let put t ~iter v : unit Semantics.step =
     let s = slot t iter in
     match s.value with
     | Some _ -> Semantics.Blocked
     | None ->
-      if Array.exists Fun.id s.reads_done then Semantics.Blocked
-      else begin
-        s.value <- Some v;
-        Semantics.Ok ()
-      end
+      s.value <- Some (iter, v);
+      Semantics.Ok ()
 
   let get t ~consumer ~iter : 'a Semantics.step =
     let s = slot t iter in
     match s.value with
-    | None -> Semantics.Blocked
-    | Some v ->
+    | Some (k, v) when k = iter ->
       if s.reads_done.(consumer) then
-        raise (Semantics.Protocol_error "multicast double get by one consumer")
-      else begin
-        s.reads_done.(consumer) <- true;
-        Semantics.Ok v
-      end
+        raise (Semantics.Protocol_error "multicast double get by one consumer");
+      s.reads_done.(consumer) <- true;
+      Semantics.Ok v
+    | _ -> Semantics.Blocked
 
   let consumed t ~consumer ~iter : unit Semantics.step =
     let s = slot t iter in
-    if not s.reads_done.(consumer) then
-      raise (Semantics.Protocol_error "multicast consumed before get");
+    (match s.value with
+    | Some (k, _) when k = iter && s.reads_done.(consumer) -> ()
+    | _ -> raise (Semantics.Protocol_error "multicast consumed before get"));
     if s.releases_done.(consumer) then
       raise (Semantics.Protocol_error "multicast double consumed");
     s.releases_done.(consumer) <- true;

@@ -5,7 +5,8 @@
     interleaving (provided as a choice function) and reports completion,
     deadlock (all unfinished agents blocked), or protocol error. Tests
     use this to show the paper's happens-before claims hold under every
-    schedule the generator explores. *)
+    schedule the generator explores, and arefcheck's startup check runs
+    each partition's first pass through it. *)
 
 type action =
   | Put of { ring : int; iter : int; value : int }
@@ -14,82 +15,82 @@ type action =
 
 type agent = { name : string; actions : action array; mutable pc : int }
 
+(** A shared ring: one reader, or several on a multicast ring, whose
+    reading agents are its consumers, numbered in agent order. *)
+type ring = Ring of int Ring.t | Multicast of int Ring.Multicast.t
+
 type outcome =
   | Completed of (string * int list) list
       (** per-agent list of values received by [Get], in order *)
   | Deadlock of string list  (** names of blocked agents *)
-  | Error of string
+  | Error of string * string  (** the agent that broke the protocol, and how *)
 
-let run ?(max_steps = 100_000) ~(rings : int Ring.t array)
-    ~(choose : int array -> int) (agents : agent list) : outcome =
+(* Every step fires an action or ends the run, so the run ends within
+   one step per action. *)
+let run ~(rings : ring array) ~(choose : int array -> int) (agents : agent list) : outcome =
   let agents = Array.of_list agents in
-  let received = Array.map (fun _ -> ref []) agents in
-  let finished a = a.pc >= Array.length a.actions in
-  let try_step i : [ `Progress | `Blocked ] =
+  let received = Array.make (Array.length agents) [] in
+  let consumers = Hashtbl.create 8 and readers = Array.make (Array.length rings) 0 in
+  Array.iteri
+    (fun i a ->
+      Array.iter
+        (function
+          | (Get { ring; _ } | Consumed { ring; _ }) when not (Hashtbl.mem consumers (ring, i)) ->
+            Hashtbl.add consumers (ring, i) readers.(ring);
+            readers.(ring) <- readers.(ring) + 1
+          | _ -> ())
+        a.actions)
+    agents;
+  let unit_ok = function Semantics.Ok () -> true | Semantics.Blocked -> false in
+  let culprit = ref "" in
+  let fired i =
     let a = agents.(i) in
-    let act = a.actions.(a.pc) in
-    let step =
-      match act with
-      | Put { ring; iter; value } -> (
-        match Ring.put rings.(ring) ~iter value with
-        | Semantics.Ok () -> `Progress
-        | Semantics.Blocked -> `Blocked)
+    culprit := a.name;
+    let ok =
+      match a.actions.(a.pc) with
+      | Put { ring; iter; value } ->
+        unit_ok
+          (match rings.(ring) with
+          | Ring r -> Ring.put r ~iter value
+          | Multicast m -> Ring.Multicast.put m ~iter value)
       | Get { ring; iter } -> (
-        match Ring.get rings.(ring) ~iter with
+        let consumer = Hashtbl.find consumers (ring, i) in
+        match
+          match rings.(ring) with
+          | Ring r -> Ring.get r ~iter
+          | Multicast m -> Ring.Multicast.get m ~consumer ~iter
+        with
         | Semantics.Ok v ->
-          received.(i) := v :: !(received.(i));
-          `Progress
-        | Semantics.Blocked -> `Blocked)
-      | Consumed { ring; iter } -> (
-        match Ring.consumed rings.(ring) ~iter with
-        | Semantics.Ok () -> `Progress
-        | Semantics.Blocked -> `Blocked)
+          received.(i) <- v :: received.(i);
+          true
+        | Semantics.Blocked -> false)
+      | Consumed { ring; iter } ->
+        let consumer = Hashtbl.find consumers (ring, i) in
+        unit_ok
+          (match rings.(ring) with
+          | Ring r -> Ring.consumed r ~iter
+          | Multicast m -> Ring.Multicast.consumed m ~consumer ~iter)
     in
-    (match step with `Progress -> a.pc <- a.pc + 1 | `Blocked -> ());
-    step
+    if ok then a.pc <- a.pc + 1;
+    ok
   in
-  let steps = ref 0 in
-  let result = ref None in
-  (try
-     while !result = None do
-       incr steps;
-       if !steps > max_steps then result := Some (Error "step budget exhausted")
-       else begin
-         let runnable =
-           Array.to_list agents
-           |> List.mapi (fun i a -> (i, a))
-           |> List.filter (fun (_, a) -> not (finished a))
-           |> List.map fst
-         in
-         if runnable = [] then
-           result :=
-             Some
-               (Completed
-                  (Array.to_list
-                     (Array.mapi
-                        (fun i a -> (a.name, List.rev !(received.(i))))
-                        agents)))
-         else begin
-           (* Let the schedule choose among unfinished agents; if the
-              chosen one is blocked, try the others before declaring
-              deadlock. *)
-           let order =
-             let c = choose (Array.of_list runnable) in
-             c :: List.filter (fun i -> i <> c) runnable
-           in
-           let progressed =
-             List.exists (fun i -> try_step i = `Progress) order
-           in
-           if not progressed then
-             result :=
-               Some
-                 (Deadlock
-                    (List.map (fun i -> agents.(i).name) runnable))
-         end
-       end
-     done
-   with Semantics.Protocol_error msg -> result := Some (Error msg));
-  Option.get !result
+  let rec loop () =
+    match
+      List.filter
+        (fun i -> agents.(i).pc < Array.length agents.(i).actions)
+        (List.init (Array.length agents) Fun.id)
+    with
+    | [] ->
+      Completed
+        (Array.to_list (Array.mapi (fun i a -> (a.name, List.rev received.(i))) agents))
+    | runnable ->
+      (* Let the schedule choose among unfinished agents; if the chosen
+         one is blocked, try the others before declaring deadlock. *)
+      let c = choose (Array.of_list runnable) in
+      if List.exists fired (c :: List.filter (( <> ) c) runnable) then loop ()
+      else Deadlock (List.map (fun i -> agents.(i).name) runnable)
+  in
+  try loop () with Semantics.Protocol_error msg -> Error (!culprit, msg)
 
 (** Ping-pong program (paper §VI, future work): two agents alternate
     producer/consumer roles across iterations. Agent 0 produces even
@@ -116,25 +117,3 @@ let pingpong_program ~n =
     { name; actions = Array.of_list (List.rev !actions); pc = 0 }
   in
   [ agent "pingpong-0" ~produces_even:true; agent "pingpong-1" ~produces_even:false ]
-
-(** The canonical producer/consumer program of the loop-distribution
-    pass: producer puts iterations [0..n), consumer gets and releases
-    them in order, over a ring of depth [d]. *)
-let producer_consumer_program ~n =
-  let producer =
-    { name = "producer";
-      actions = Array.init n (fun k -> Put { ring = 0; iter = k; value = k });
-      pc = 0 }
-  in
-  let consumer =
-    {
-      name = "consumer";
-      actions =
-        Array.init (2 * n) (fun j ->
-            let k = j / 2 in
-            if j mod 2 = 0 then Get { ring = 0; iter = k }
-            else Consumed { ring = 0; iter = k });
-      pc = 0;
-    }
-  in
-  [ producer; consumer ]

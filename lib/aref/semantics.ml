@@ -3,8 +3,9 @@
 
     An aref packages a one-slot buffer with two synchronization
     primitives, the [empty] and [full] mbarrier credits. The store maps
-    an aref to [<buf, F, E>] with the invariant that at most one of
-    [F]/[E] holds a credit:
+    an aref to [<buf, F, E>]; the three states below are the only ones
+    the rules reach, so the invariant of §III-B (at most one of [F]/[E]
+    holds a credit) holds by construction:
 
     - [E = 1, F = 0]: the slot may be written by the producer;
     - [F = 1, E = 0]: the slot holds a published value;
@@ -22,10 +23,10 @@ type 'a state =
   | Full of 'a             (** F = 1, E = 0 *)
   | Borrowed of 'a         (** F = 0, E = 0: read, not yet released *)
 
-type 'a t = { mutable state : 'a state; mutable transitions : int }
+type 'a t = { mutable state : 'a state }
 
 (** Initially E = 1, F = 0 (paper, Fig. 4 caption). *)
-let create () = { state = Empty; transitions = 0 }
+let create () = { state = Empty }
 
 type 'a step =
   | Ok of 'a               (** the rule fired; payload is the result *)
@@ -33,15 +34,11 @@ type 'a step =
 
 exception Protocol_error of string
 
-let full_flag a = match a.state with Full _ -> 1 | Empty | Borrowed _ -> 0
-let empty_flag a = match a.state with Empty -> 1 | Full _ | Borrowed _ -> 0
-
 (** PUT: requires E = 1; writes the payload and flips to F = 1. *)
 let put (a : 'a t) (v : 'a) : unit step =
   match a.state with
   | Empty ->
     a.state <- Full v;
-    a.transitions <- a.transitions + 1;
     Ok ()
   | Full _ | Borrowed _ -> Blocked
 
@@ -51,7 +48,6 @@ let get (a : 'a t) : 'a step =
   match a.state with
   | Full v ->
     a.state <- Borrowed v;
-    a.transitions <- a.transitions + 1;
     Ok v
   | Empty | Borrowed _ -> Blocked
 
@@ -63,14 +59,6 @@ let consumed (a : 'a t) : unit step =
   match a.state with
   | Borrowed _ ->
     a.state <- Empty;
-    a.transitions <- a.transitions + 1;
     Ok ()
   | Empty -> raise (Protocol_error "consumed on empty slot (double release)")
   | Full _ -> raise (Protocol_error "consumed on full slot (value never read)")
-
-(** The credit invariant of §III-B: at any moment at most one of the two
-    barriers holds a credit. *)
-let invariant_holds a = full_flag a + empty_flag a <= 1
-
-let state_name a =
-  match a.state with Empty -> "empty" | Full _ -> "full" | Borrowed _ -> "borrowed"

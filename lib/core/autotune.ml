@@ -215,9 +215,6 @@ let verdict (family : family) (c : candidate) : Isa.program * string option =
     | Resources.Feasible _ -> None
     | Resources.Infeasible reason -> Some reason )
 
-let prune_reason (family : family) (c : candidate) : string option =
-  snd (verdict family c)
-
 (* The launch [family]'s candidate [c] is timed on: the representative
    CTA, grid, params and the whole launch's flops. Causal attention
    simulates the median-work tile as the representative CTA. *)

@@ -1454,17 +1454,6 @@ let compile_instr ~(cfg : Config.t) ~coop ~reset_mask (i : Isa.instr) : code =
    Functional mode never uses either lever: cross-WG data flow through
    shared memory makes fusion observable there. *)
 
-let opts_enabled = Atomic.make true
-
-(** Process-wide switch for the timing-mode decode optimizations
-    (dead-write elision, cost blocks, superblock fusion). Tests turn it
-    off to compare against the unoptimized closures. Flipping it does
-    not invalidate cached decodes — the flag is part of the
-    decode-cache key ({!Engine.prepare}). *)
-let set_opts_enabled b = Atomic.set opts_enabled b
-
-let opts_on () = Atomic.get opts_enabled
-
 (* Abstract register tags for the decode-time type analysis, one byte
    each so both fixpoints run over a flat pc-major [Bytes] matrix. The
    lattice tracks exactly the distinctions the timing closures' error
@@ -2015,7 +2004,7 @@ let decode ~(cfg : Config.t) (program : Isa.program) : t =
   let pkinds =
     Array.of_list (List.map pkind_of_ty program.Isa.param_tys)
   in
-  let opt = (not (Config.is_functional cfg)) && opts_on () in
+  let opt = not (Config.is_functional cfg) in
   let units, lens, local =
     if not opt then (codes, ones, zeros)
     else begin

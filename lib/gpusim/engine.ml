@@ -40,6 +40,10 @@ exception Cut
 
 (* --------------------- decoded scheduler loop --------------------- *)
 
+(** Source instructions one CTA may retire before the run fails with
+    "sim: step budget exhausted": a bound on runaway programs. *)
+let max_steps = 50_000_000
+
 (* The oracle's loop rescans every WG per iteration: try_unblock on
    all blocked WGs, then a linear min-scan over Running WGs. Here
    blocked WGs are woken by the barrier notify hooks the moment the
@@ -65,7 +69,7 @@ exception Cut
    unit as the oracle's. [cut] is compared once per slot with the clock
    of the WG that just ran: clocks never fall, and the CTA's cycles are
    its largest final clock. *)
-let run_decoded ?(max_steps = 50_000_000) ?cut (ctx : Decode.ectx) : Sim.outcome =
+let run_decoded ?cut (ctx : Decode.ectx) : Sim.outcome =
   let open Decode in
   let wgs = ctx.wgs and q = ctx.ready in
   Array.iter ready_push wgs;
@@ -157,9 +161,7 @@ let decode_cache_stats () = Progcache.stats decode_cache
 (* Cost-model fields change the compiled closures (costs are folded at
    decode time), so the whole config is part of the key. The execution
    mode is keyed separately (readably) so functional and timing decodes
-   of the same program never alias; the timing-optimization flag joins
-   it because flipping it mid-process (the differential tests do) must
-   not serve stale streams. *)
+   of the same program never alias. *)
 let digest_cfg (cfg : Config.t) =
   let norm = { cfg with Config.mode = Config.Timing } in
   Digest.to_hex (Digest.string (Marshal.to_string norm []))
@@ -186,7 +188,6 @@ let cache_key (cfg : Config.t) program =
   Progcache.program_fingerprint program
   ^ "|" ^ cfg_digest cfg
   ^ "|" ^ Config.mode_to_string cfg.Config.mode
-  ^ if (not (Config.is_functional cfg)) && Decode.opts_on () then "+opt" else ""
 
 (* ------------------------------ API ------------------------------- *)
 
@@ -204,29 +205,28 @@ let prepare ~(cfg : Config.t) (program : Isa.program) : prepared =
     (non-persistent grids); persistent CTAs leave it at the default and
     pop work items instead. A clock that reaches [cut] stops the run
     with {!Cut}. *)
-let run_prepared ?max_steps ?recorder ?cut (p : prepared) ~(params : Sim.rt list)
+let run_prepared ?recorder ?cut (p : prepared) ~(params : Sim.rt list)
     ~(num_programs : int array) ?(pid = [| 0; 0; 0 |])
     ~(pop_global : unit -> int) () : Sim.outcome =
-  run_decoded ?max_steps ?cut
-    (Decode.make_ctx ?recorder p ~params ~num_programs ~pid ~pop_global)
+  run_decoded ?cut (Decode.make_ctx ?recorder p ~params ~num_programs ~pid ~pop_global)
 
 (** Run one CTA and scan its resource high-water marks afterwards
     ({!Decode.measure_hwm}): resident register-tile bytes per warp
     group and written SMEM bytes. The differential statcheck suite uses
     this as ground truth for the static occupancy model; SMEM is only
     meaningful under a functional-mode [cfg]. *)
-let run_measured ?max_steps ~(cfg : Config.t) ~(program : Isa.program)
+let run_measured ~(cfg : Config.t) ~(program : Isa.program)
     ~(params : Sim.rt list) ~(num_programs : int array)
     ?(pid = [| 0; 0; 0 |]) ~(pop_global : unit -> int) () :
     Sim.outcome * Decode.hwm =
   let d = prepare ~cfg program in
   let ctx = Decode.make_ctx d ~params ~num_programs ~pid ~pop_global in
-  let outcome = run_decoded ?max_steps ctx in
+  let outcome = run_decoded ctx in
   (outcome, Decode.measure_hwm d ctx)
 
 (** Prepare-and-run a single CTA (tests, one-shot launches). *)
-let run_cta ?max_steps ?recorder ~(cfg : Config.t) ~(program : Isa.program)
+let run_cta ?recorder ~(cfg : Config.t) ~(program : Isa.program)
     ~(params : Sim.rt list) ~(num_programs : int array)
     ?pid ~(pop_global : unit -> int) () : Sim.outcome =
-  run_prepared ?max_steps ?recorder (prepare ~cfg program) ~params
+  run_prepared ?recorder (prepare ~cfg program) ~params
     ~num_programs ?pid ~pop_global ()

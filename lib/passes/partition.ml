@@ -221,10 +221,10 @@ let memdesc_ty_of_tensor ty =
   | _ -> ty
 
 (** [warp_specialize ~options kernel] returns a new, warp-specialized
-    kernel with [options.aref_depth]-slot arefs for
-    [options.num_consumer_wgs] consumer warp groups; raises
+    kernel with [options.aref_depth]-slot arefs; raises
     {!Pass.Not_applicable} when the kernel has no TMA-fed main loop or
-    its dependence structure cannot be split. *)
+    its dependence structure cannot be split. The consumer count is a
+    launch attribute that {!Manager.compile} stamps. *)
 let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : Kernel.t =
   let k = Kernel.clone kernel in
   let loop =
@@ -467,6 +467,4 @@ let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : K
       blk.Op.ops <- extra @ blk.Op.ops)
     wg.Op.regions;
   entry.Op.ops <- !top_ops;
-
-  Kernel.set_attr k "num_consumer_wgs" (Op.Attr_int options.Options.num_consumer_wgs);
   k

@@ -798,13 +798,14 @@ let profile_of_cta ~wall (cta : cta) : profile =
         ~ring_wait:cta.ring_wait;
   }
 
-(** Run the CTA to completion. [max_steps] bounds runaway programs. *)
-let run ?(max_steps = 50_000_000) (cta : cta) : outcome =
+(** Run the CTA to completion. {!Engine.max_steps} bounds runaway
+    programs. *)
+let run (cta : cta) : outcome =
   let steps = ref 0 in
   let unfinished () = Array.exists (fun w -> w.state <> Finished) cta.wgs in
   while unfinished () do
     incr steps;
-    if !steps > max_steps then err "sim: step budget exhausted";
+    if !steps > Engine.max_steps then err "sim: step budget exhausted";
     Array.iter (fun w -> try_unblock cta w) cta.wgs;
     (* Pick the runnable WG with the smallest local clock. *)
     let best = ref None in
@@ -858,7 +859,6 @@ let run ?(max_steps = 50_000_000) (cta : cta) : outcome =
 (** The signature of {!run_cta} and {!Engine.run_cta}, so a test can
     take either engine as a value. *)
 type runner =
-  ?max_steps:int ->
   ?recorder:Tawa_obs.Prof.t ->
   cfg:Config.t ->
   program:Isa.program ->
@@ -871,11 +871,11 @@ type runner =
 
 (** Run one CTA on the oracle; the counterpart of {!Engine.run_cta}. *)
 let run_cta : runner =
- fun ?max_steps ?recorder ~cfg ~program ~params ~num_programs
+ fun ?recorder ~cfg ~program ~params ~num_programs
      ?(pid = [| 0; 0; 0 |]) ~pop_global () ->
   let cta = create ?recorder ~cfg ~program ~params ~num_programs ~pop_global () in
   cta.pid <- pid;
-  run ?max_steps cta
+  run cta
 
 (** Every CTA of [grid] on the oracle in functional mode, one after the
     other, issued the way {!Launch.cta_units} issues them: one CTA per

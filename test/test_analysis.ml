@@ -233,40 +233,100 @@ let test_cyclic_deadlock () =
 
 (* ------------------------ multicast rules ------------------------- *)
 
-(* Producer + two consumers on one channel: an error unless the create
-   declares multicast = 2. *)
-let multicast_kernel ~declared =
-  let payload = [ Types.memdesc [ 8; 8 ] Dtype.F16 ] in
-  let c0 = Op.mk (Op.Const_int 0) ~results:[ Value.fresh ~hint:"slot" Types.i32 ] in
-  let slot = List.hd c0.Op.results in
-  let ar = Value.fresh ~hint:"aref" (Types.aref payload 2) in
-  let cr = Op.mk (Op.Aref_create 2) ~results:[ ar ] in
-  if declared then Op.set_attr cr "multicast" (Op.Attr_int 2);
-  let producer =
-    let pv = Value.fresh ~hint:"tile" (List.hd payload) in
-    [ Op.mk (Op.Const_int 7) ~results:[ pv ];
-      Op.mk Op.Aref_put ~operands:[ ar; slot; pv ] ]
+(* A straight-line warp-specialized kernel over channels of the given
+   (depth, declared multicast): each region lists its partition's
+   channel ops in order as (opcode, channel, slot), slot 0 or 1. *)
+let straight_kernel name chans regions =
+  let payload = Types.memdesc [ 8; 8 ] Dtype.F16 in
+  let slots =
+    List.map
+      (fun n -> Op.mk (Op.Const_int n) ~results:[ Value.fresh ~hint:"slot" Types.i32 ])
+      [ 0; 1 ]
   in
-  let consumer () =
-    let view = Value.fresh ~hint:"view" (List.hd payload) in
-    [ Op.mk Op.Aref_get ~operands:[ ar; slot ] ~results:[ view ];
-      Op.mk Op.Aref_consumed ~operands:[ ar; slot ] ]
+  let slot n = List.hd (List.nth slots n).Op.results in
+  let creates =
+    List.map
+      (fun (depth, multicast) ->
+        let ar = Value.fresh ~hint:"aref" (Types.aref [ payload ] depth) in
+        let cr = Op.mk (Op.Aref_create depth) ~results:[ ar ] in
+        if multicast > 1 then Op.set_attr cr "multicast" (Op.Attr_int multicast);
+        cr)
+      chans
+  in
+  let site (opcode, c, n) =
+    let aref = List.hd (List.nth creates c).Op.results in
+    match opcode with
+    | Op.Aref_put ->
+      let pv = Value.fresh ~hint:"tile" payload in
+      [ Op.mk (Op.Const_int 7) ~results:[ pv ]; Op.mk Op.Aref_put ~operands:[ aref; slot n; pv ] ]
+    | Op.Aref_get ->
+      [ Op.mk Op.Aref_get ~operands:[ aref; slot n ] ~results:[ Value.fresh ~hint:"view" payload ] ]
+    | _ -> [ Op.mk opcode ~operands:[ aref; slot n ] ]
   in
   let wg =
     Op.mk Op.Warp_group
-      ~regions:
-        [ Op.single_block_region producer;
-          Op.single_block_region (consumer ());
-          Op.single_block_region (consumer ()) ]
+      ~regions:(List.map (fun r -> Op.single_block_region (List.concat_map site r)) regions)
   in
-  Kernel.create ~name:"multicast" ~params:[]
-    ~body:(Op.single_block_region [ c0; cr; wg ])
+  Kernel.create ~name ~params:[] ~body:(Op.single_block_region (slots @ creates @ [ wg ]))
+
+let read c n = [ (Op.Aref_get, c, n); (Op.Aref_consumed, c, n) ]
+
+(* Producer + two consumers on one channel: an error unless the create
+   declares multicast = 2. *)
+let multicast_kernel ~declared =
+  straight_kernel "multicast" [ (2, if declared then 2 else 1) ]
+    [ [ (Op.Aref_put, 0, 0) ]; read 0 0; read 0 0 ]
 
 let test_multicast_declaration () =
   assert_no_errors "declared multicast"
     (Arefcheck.check_kernel (multicast_kernel ~declared:true));
   assert_flagged ~check:Check_channel.name "undeclared multicast"
     (Arefcheck.check_kernel (multicast_kernel ~declared:false))
+
+(* Two readers of a multicast channel 0. The first also waits on
+   channel 1, which the producer fills only after its second put to
+   channel 0. At depth 1 that put needs slot 0 back, and a multicast
+   slot frees only once every reader has released it: the second
+   reader's release is not enough while the first holds the slot and
+   waits, so the wait cycle closes. At depth 2 the second put takes
+   slot 1 and every partition finishes. *)
+let multicast_cycle_kernel ~depth =
+  straight_kernel "multicast_cycle" [ (depth, 2); (1, 1) ]
+    [ [ (Op.Aref_put, 0, 0); (Op.Aref_put, 0, 1); (Op.Aref_put, 1, 0) ];
+      [ (Op.Aref_get, 0, 0) ] @ read 1 0 @ [ (Op.Aref_consumed, 0, 0) ];
+      read 0 0 ]
+
+let test_multicast_cycle () =
+  let ds = Arefcheck.check_kernel (multicast_cycle_kernel ~depth:1) in
+  if
+    not
+      (List.exists
+         (fun (d : Diagnostic.t) ->
+           d.Diagnostic.check = Check_deadlock.name
+           && Astring.String.is_infix ~affix:"startup deadlock" d.Diagnostic.message)
+         (Diagnostic.errors ds))
+  then
+    Alcotest.failf "depth-1 multicast cycle: expected a startup deadlock, got:\n%s"
+      (if ds = [] then "(no diagnostics)" else Diagnostic.report ds);
+  assert_no_errors "depth-2 multicast" (Arefcheck.check_kernel (multicast_cycle_kernel ~depth:2))
+
+(* A depth-0 ring has no slot: the capacity check reports it, and the
+   startup run models it as one slot instead of raising. *)
+let test_zero_depth_channel () =
+  let ds =
+    Arefcheck.check_kernel
+      (straight_kernel "zero_depth" [ (0, 1) ] [ [ (Op.Aref_put, 0, 0) ]; read 0 0 ])
+  in
+  if
+    not
+      (List.exists
+         (fun (d : Diagnostic.t) ->
+           d.Diagnostic.check = Check_deadlock.name
+           && Astring.String.is_infix ~affix:"at least one slot" d.Diagnostic.message)
+         (Diagnostic.errors ds))
+  then
+    Alcotest.failf "depth 0: expected the capacity error, got:\n%s"
+      (if ds = [] then "(no diagnostics)" else Diagnostic.report ds)
 
 (* ----------------------- mbarrier pairing ------------------------- *)
 
@@ -386,7 +446,9 @@ let suites =
         Alcotest.test_case "unwritten channel rejected" `Quick
           test_unwritten_channel_rejected ] );
     ( "analysis.deadlock",
-      [ Alcotest.test_case "cyclic two-ring kernel rejected" `Quick test_cyclic_deadlock ] );
+      [ Alcotest.test_case "cyclic two-ring kernel rejected" `Quick test_cyclic_deadlock;
+        Alcotest.test_case "multicast release cycle rejected" `Quick test_multicast_cycle;
+        Alcotest.test_case "depth-0 channel reported" `Quick test_zero_depth_channel ] );
     ( "analysis.channel",
       [ Alcotest.test_case "multicast must be declared" `Quick test_multicast_declaration ] );
     ( "analysis.machine",

@@ -6,21 +6,26 @@ open Tawa_aref
 let ok_unit = function Semantics.Ok () -> true | Semantics.Blocked -> false
 let blocked = function Semantics.Blocked -> true | Semantics.Ok _ -> false
 
+(* The credits [(F, E)] of Fig. 4 in each state. *)
+let credits (a : _ Semantics.t) =
+  match a.Semantics.state with
+  | Semantics.Empty -> (0, 1)
+  | Semantics.Full _ -> (1, 0)
+  | Semantics.Borrowed _ -> (0, 0)
+
+let check_credits what want a = Alcotest.(check (pair int int)) what want (credits a)
+
 (* ------------------------------------------------------------------ *)
 (* Fig. 4 state machine                                               *)
 (* ------------------------------------------------------------------ *)
 
 let test_initial_state () =
-  let a = Semantics.create () in
-  Alcotest.(check int) "E=1 initially" 1 (Semantics.empty_flag a);
-  Alcotest.(check int) "F=0 initially" 0 (Semantics.full_flag a);
-  Alcotest.(check string) "state" "empty" (Semantics.state_name a)
+  check_credits "F=0, E=1 initially" (0, 1) (Semantics.create ())
 
 let test_put_rule () =
   let a = Semantics.create () in
   Alcotest.(check bool) "put fires on empty" true (ok_unit (Semantics.put a 42));
-  Alcotest.(check int) "F=1 after put" 1 (Semantics.full_flag a);
-  Alcotest.(check int) "E=0 after put" 0 (Semantics.empty_flag a);
+  check_credits "F=1, E=0 after put" (1, 0) a;
   (* Second put must block: slot not empty. *)
   Alcotest.(check bool) "put blocks on full" true (blocked (Semantics.put a 43))
 
@@ -32,9 +37,7 @@ let test_get_rule () =
   | Semantics.Ok v -> Alcotest.(check int) "get returns payload" 7 v
   | Semantics.Blocked -> Alcotest.fail "get should fire on full");
   (* Borrowed: neither credit held. *)
-  Alcotest.(check int) "F=0 borrowed" 0 (Semantics.full_flag a);
-  Alcotest.(check int) "E=0 borrowed" 0 (Semantics.empty_flag a);
-  Alcotest.(check string) "state" "borrowed" (Semantics.state_name a);
+  check_credits "F=0, E=0 borrowed" (0, 0) a;
   (* get again blocks (value already taken). *)
   Alcotest.(check bool) "get blocks on borrowed" true (blocked (Semantics.get a))
 
@@ -43,7 +46,7 @@ let test_consumed_rule () =
   ignore (Semantics.put a 1);
   ignore (Semantics.get a);
   Alcotest.(check bool) "consumed fires" true (ok_unit (Semantics.consumed a));
-  Alcotest.(check int) "E=1 restored" 1 (Semantics.empty_flag a);
+  check_credits "E=1 restored" (0, 1) a;
   (* The slot is reusable: full put/get/consumed cycle again. *)
   Alcotest.(check bool) "slot reusable" true (ok_unit (Semantics.put a 2))
 
@@ -73,10 +76,11 @@ let test_put_blocks_until_consumed () =
   ignore (Semantics.consumed a);
   Alcotest.(check bool) "unblocked after consumed" true (ok_unit (Semantics.put a 2))
 
-(* Property: under any sequence of attempted operations, the credit
-   invariant holds and payloads are never lost or duplicated. *)
-let prop_invariant_any_sequence =
-  QCheck.Test.make ~name:"aref invariant under random op sequences" ~count:500
+(* Property: under any sequence of attempted operations, payloads are
+   never lost or duplicated. (The credit invariant, at most one of F and
+   E, holds by construction: no state holds both.) *)
+let prop_payloads_any_sequence =
+  QCheck.Test.make ~name:"aref payloads in order under random op sequences" ~count:500
     QCheck.(list_of_size (Gen.int_range 1 60) (int_range 0 2))
     (fun ops ->
       let a = Semantics.create () in
@@ -94,8 +98,7 @@ let prop_invariant_any_sequence =
                | Semantics.Ok v -> got := v :: !got
                | Semantics.Blocked -> ())
              | _ -> ( match Semantics.consumed a with _ -> ())
-           with Semantics.Protocol_error _ -> ());
-          if not (Semantics.invariant_holds a) then failwith "invariant broken")
+           with Semantics.Protocol_error _ -> ()))
         ops;
       (* Received values are a prefix of 0,1,2,... in order. *)
       let received = List.rev !got in
@@ -107,7 +110,6 @@ let prop_invariant_any_sequence =
 
 let test_ring_slot_mapping () =
   let r = Ring.create ~depth:3 in
-  Alcotest.(check int) "depth" 3 (Ring.depth r);
   Alcotest.(check int) "slot 0" 0 (Ring.slot_of_iter r 0);
   Alcotest.(check int) "slot 4" 1 (Ring.slot_of_iter r 4);
   Alcotest.(check int) "slot 5" 2 (Ring.slot_of_iter r 5)
@@ -118,7 +120,6 @@ let test_ring_allows_depth_outstanding () =
   Alcotest.(check bool) "put 0" true (ok_unit (Ring.put r ~iter:0 100));
   Alcotest.(check bool) "put 1" true (ok_unit (Ring.put r ~iter:1 101));
   Alcotest.(check bool) "put 2" true (ok_unit (Ring.put r ~iter:2 102));
-  Alcotest.(check int) "occupancy 3" 3 (Ring.occupancy r);
   Alcotest.(check bool) "put 3 blocks (slot 0 busy)" true (blocked (Ring.put r ~iter:3 103));
   (* Consumer frees slot 0 -> iteration 3 can proceed. *)
   (match Ring.get r ~iter:0 with
@@ -134,6 +135,27 @@ let test_ring_depth_one_is_rendezvous () =
   ignore (Ring.get r ~iter:0);
   ignore (Ring.consumed r ~iter:0);
   Alcotest.(check bool) "put 1 fires" true (ok_unit (Ring.put r ~iter:1 1))
+
+(* Slot [k mod D] is shared by iterations k, k + D, ...: a get or a
+   release of one iteration never acts on another's value. *)
+let test_ring_keeps_iterations_apart () =
+  let r = Ring.create ~depth:1 in
+  Alcotest.(check bool) "put 0" true (ok_unit (Ring.put r ~iter:0 10));
+  Alcotest.(check bool) "get 1 waits while the slot holds iteration 0" true
+    (blocked (Ring.get r ~iter:1));
+  (match Ring.get r ~iter:0 with
+  | Semantics.Ok v -> Alcotest.(check int) "get 0 reads put 0" 10 v
+  | Semantics.Blocked -> Alcotest.fail "get 0 should fire");
+  Alcotest.(check bool) "releasing iteration 1 raises" true
+    (try
+       ignore (Ring.consumed r ~iter:1);
+       false
+     with Semantics.Protocol_error _ -> true);
+  Alcotest.(check bool) "rel 0" true (ok_unit (Ring.consumed r ~iter:0));
+  Alcotest.(check bool) "put 1" true (ok_unit (Ring.put r ~iter:1 11));
+  match Ring.get r ~iter:1 with
+  | Semantics.Ok v -> Alcotest.(check int) "get 1 reads put 1" 11 v
+  | Semantics.Blocked -> Alcotest.fail "get 1 should fire"
 
 let test_ring_invalid () =
   Alcotest.check_raises "bad depth" (Invalid_argument "Ring.create: depth must be positive")
@@ -170,9 +192,23 @@ let prop_ring_fifo =
 (* Scheduler / model checking                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* The canonical producer/consumer program of the loop-distribution
+   pass: the producer puts iterations [0..n), the consumer gets and
+   releases them in order, over ring 0. *)
+let producer_consumer_program ~n =
+  [ { Schedule.name = "producer";
+      actions = Array.init n (fun k -> Schedule.Put { ring = 0; iter = k; value = k });
+      pc = 0 };
+    { Schedule.name = "consumer";
+      actions =
+        Array.init (2 * n) (fun j ->
+            if j mod 2 = 0 then Schedule.Get { ring = 0; iter = j / 2 }
+            else Schedule.Consumed { ring = 0; iter = j / 2 });
+      pc = 0 } ]
+
 let test_producer_consumer_completes_roundrobin () =
-  let rings = [| Ring.create ~depth:2 |] in
-  let agents = Schedule.producer_consumer_program ~n:10 in
+  let rings = [| Schedule.Ring (Ring.create ~depth:2) |] in
+  let agents = producer_consumer_program ~n:10 in
   let tick = ref 0 in
   let choose runnable =
     incr tick;
@@ -183,7 +219,7 @@ let test_producer_consumer_completes_roundrobin () =
     let consumer_values = List.assoc "consumer" results in
     Alcotest.(check (list int)) "in order" (List.init 10 Fun.id) consumer_values
   | Schedule.Deadlock names -> Alcotest.failf "deadlock: %s" (String.concat "," names)
-  | Schedule.Error e -> Alcotest.fail e
+  | Schedule.Error (_, e) -> Alcotest.fail e
 
 let prop_producer_consumer_never_deadlocks =
   (* Any schedule (driven by a random choice seed) completes with FIFO
@@ -193,8 +229,8 @@ let prop_producer_consumer_never_deadlocks =
     ~count:300
     QCheck.(triple (int_range 1 4) (int_range 1 25) int)
     (fun (depth, n, seed) ->
-      let rings = [| Ring.create ~depth |] in
-      let agents = Schedule.producer_consumer_program ~n in
+      let rings = [| Schedule.Ring (Ring.create ~depth) |] in
+      let agents = producer_consumer_program ~n in
       let state = ref (seed land 0xFFFFFF) in
       let choose runnable =
         state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -207,8 +243,9 @@ let prop_producer_consumer_never_deadlocks =
 
 let test_out_of_order_consumer_deadlocks () =
   (* A consumer that waits for iteration 1 before iteration 0 on a
-     depth-1 ring deadlocks — the scheduler detects it. *)
-  let rings = [| Ring.create ~depth:1 |] in
+     depth-1 ring deadlocks: its get of iteration 1 waits while the slot
+     holds iteration 0, and the producer cannot put iteration 1 until
+     iteration 0 is released. *)
   let producer =
     { Schedule.name = "producer";
       actions = [| Schedule.Put { ring = 0; iter = 0; value = 0 };
@@ -223,24 +260,14 @@ let test_out_of_order_consumer_deadlocks () =
                    Schedule.Consumed { ring = 0; iter = 0 } |];
       pc = 0 }
   in
-  (* NOTE: iter 1 on depth-1 maps to slot 0, so get(1) actually reads
-     put(0)'s value — the protocol "works" by aliasing. The deadlock
-     appears with depth 2, where slots differ. *)
-  let rings2 = [| Ring.create ~depth:2 |] in
-  let choose runnable = runnable.(0) in
-  (match
-     Schedule.run ~rings:rings2 ~choose
-       [ { producer with pc = 0 }; { consumer with pc = 0 } ]
-   with
-  | Schedule.Deadlock _ -> ()
-  | Schedule.Completed _ ->
-    (* Producer put(0), put(1); consumer get(1) sees slot 1 full. It can
-       actually complete: get(1), consumed(1), get(0), consumed(0).
-       A true deadlock needs the producer to still be waiting; use
-       depth 1 with distinct slots impossible — accept completion. *)
-    ()
-  | Schedule.Error e -> Alcotest.fail e);
-  ignore rings
+  match
+    Schedule.run ~rings:[| Schedule.Ring (Ring.create ~depth:1) |] ~choose:(fun r -> r.(0))
+      [ producer; consumer ]
+  with
+  | Schedule.Deadlock names ->
+    Alcotest.(check (list string)) "both agents blocked" [ "producer"; "consumer" ] names
+  | Schedule.Completed _ -> Alcotest.fail "completed: get 1 read iteration 0's value"
+  | Schedule.Error (_, e) -> Alcotest.fail e
 
 let test_multicast_all_consumers_must_release () =
   let m = Ring.Multicast.create ~depth:1 ~consumers:2 in
@@ -319,6 +346,45 @@ let test_multicast_get_resets_per_iteration () =
        false
      with Semantics.Protocol_error _ -> true)
 
+let test_multicast_later_iteration_waits () =
+  (* A consumer that has read and released iteration 0 asks for
+     iteration 1 of the same slot before the straggler released 0: it
+     waits for the put of iteration 1 instead of reading 0 again. *)
+  let m = Ring.Multicast.create ~depth:1 ~consumers:2 in
+  ignore (Ring.Multicast.put m ~iter:0 10);
+  ignore (Ring.Multicast.get m ~consumer:0 ~iter:0);
+  ignore (Ring.Multicast.consumed m ~consumer:0 ~iter:0);
+  Alcotest.(check bool) "c0 get 1 waits" true (blocked (Ring.Multicast.get m ~consumer:0 ~iter:1));
+  ignore (Ring.Multicast.get m ~consumer:1 ~iter:0);
+  ignore (Ring.Multicast.consumed m ~consumer:1 ~iter:0);
+  Alcotest.(check bool) "put 1" true (ok_unit (Ring.Multicast.put m ~iter:1 11));
+  match Ring.Multicast.get m ~consumer:0 ~iter:1 with
+  | Semantics.Ok v -> Alcotest.(check int) "c0 reads iteration 1" 11 v
+  | Semantics.Blocked -> Alcotest.fail "c0 get 1 should fire"
+
+(* Schedule drives a multicast ring: each reading agent is a consumer,
+   and the producer's second put waits for both releases. *)
+let test_multicast_schedule () =
+  let reader name =
+    { Schedule.name;
+      actions = [| Schedule.Get { ring = 0; iter = 0 }; Schedule.Consumed { ring = 0; iter = 0 };
+                   Schedule.Get { ring = 0; iter = 1 }; Schedule.Consumed { ring = 0; iter = 1 } |];
+      pc = 0 }
+  in
+  let producer =
+    { Schedule.name = "producer";
+      actions = [| Schedule.Put { ring = 0; iter = 0; value = 5 };
+                   Schedule.Put { ring = 0; iter = 1; value = 6 } |];
+      pc = 0 }
+  in
+  let rings = [| Schedule.Multicast (Ring.Multicast.create ~depth:1 ~consumers:2) |] in
+  match Schedule.run ~rings ~choose:(fun r -> r.(0)) [ producer; reader "c0"; reader "c1" ] with
+  | Schedule.Completed results ->
+    Alcotest.(check (list int)) "c0 reads both" [ 5; 6 ] (List.assoc "c0" results);
+    Alcotest.(check (list int)) "c1 reads both" [ 5; 6 ] (List.assoc "c1" results)
+  | Schedule.Deadlock names -> Alcotest.failf "deadlock: %s" (String.concat "," names)
+  | Schedule.Error (_, e) -> Alcotest.fail e
+
 let test_multicast_release_discipline () =
   let m = Ring.Multicast.create ~depth:1 ~consumers:2 in
   ignore (Ring.Multicast.put m ~iter:0 1);
@@ -350,12 +416,13 @@ let suites =
         Alcotest.test_case "protocol errors" `Quick test_consumed_protocol_errors;
         Alcotest.test_case "put waits for consumed" `Quick test_put_blocks_until_consumed;
       ] );
-    qsuite "aref.semantics.props" [ prop_invariant_any_sequence ];
+    qsuite "aref.semantics.props" [ prop_payloads_any_sequence ];
     ( "aref.ring",
       [
         Alcotest.test_case "slot mapping" `Quick test_ring_slot_mapping;
         Alcotest.test_case "depth outstanding" `Quick test_ring_allows_depth_outstanding;
         Alcotest.test_case "depth 1 rendezvous" `Quick test_ring_depth_one_is_rendezvous;
+        Alcotest.test_case "iterations kept apart" `Quick test_ring_keeps_iterations_apart;
         Alcotest.test_case "invalid args" `Quick test_ring_invalid;
       ] );
     qsuite "aref.ring.props" [ prop_ring_fifo ];
@@ -374,6 +441,8 @@ let suites =
           test_multicast_straggler_blocks_slot_reuse;
         Alcotest.test_case "get resets per iteration" `Quick
           test_multicast_get_resets_per_iteration;
+        Alcotest.test_case "later iteration waits" `Quick test_multicast_later_iteration_waits;
         Alcotest.test_case "release discipline" `Quick test_multicast_release_discipline;
+        Alcotest.test_case "schedule drives it" `Quick test_multicast_schedule;
       ] );
   ]

@@ -223,31 +223,22 @@ module Manager = Tawa_passes.Manager
 let gemm_family = Autotune.Gemm { Workloads.m = 256; n = 256; k = 256; dtype = Dtype.F16 }
 let attention_family = Autotune.Attention (Workloads.paper_mha ~causal:true 1024)
 
-(* One candidate's pass trace (empty for the baselines), its
-   transformed kernel's fingerprint and its program, provenance masked:
-   the "tawa.src" stamps and [prov] hold op ids, which differ between
-   any two compiles. *)
+(* One candidate's transformed kernel's fingerprint and its program,
+   provenance masked: the "tawa.src" stamps and [prov] hold op ids,
+   which differ between any two compiles. *)
 let candidate_build fam (c : Autotune.candidate) =
   let options = Autotune.options_of c and kernel = Autotune.kernel_of fam c in
-  let trace =
-    List.map
-      (fun (t : Manager.trace_entry) ->
-        (t.Manager.pass, t.Manager.applied, t.Manager.ops_after, t.Manager.ops_delta,
-         t.Manager.values_delta))
-      (Manager.compile ~options kernel).Manager.trace
-  in
   let compiled = Flow.compile ~options kernel in
   let transformed = Tawa_ir.Kernel.clone compiled.Flow.transformed in
   Tawa_ir.Op.iter_region
     (fun op -> op.Tawa_ir.Op.attrs <- List.remove_assoc "tawa.src" op.Tawa_ir.Op.attrs)
     transformed.Tawa_ir.Kernel.body;
-  ( trace,
-    Tawa_machine.Progcache.kernel_fingerprint transformed,
+  ( Tawa_machine.Progcache.kernel_fingerprint transformed,
     { compiled.Flow.program with Tawa_machine.Isa.prov = Tawa_machine.Isa.no_prov } )
 
 (* Compiling a whole space in order, so each candidate reuses the pass
-   prefixes of earlier ones, gives every candidate the trace, the
-   transformed kernel and the program of a compile from cold caches. *)
+   prefixes of earlier ones, gives every candidate the transformed
+   kernel and the program of a compile from cold caches. *)
 let test_prefix_sharing_invisible () =
   List.iter
     (fun fam ->
@@ -255,11 +246,10 @@ let test_prefix_sharing_invisible () =
       Flow.clear_cache ();
       let shared = List.map (candidate_build fam) cands in
       List.iteri
-        (fun i (c, (trace, kernel, program)) ->
+        (fun i (c, (kernel, program)) ->
           Flow.clear_cache ();
-          let cold_trace, cold_kernel, cold_program = candidate_build fam c in
+          let cold_kernel, cold_program = candidate_build fam c in
           let what = Printf.sprintf "%s candidate %d" (Autotune.family_tag fam) i in
-          Alcotest.(check bool) (what ^ " trace") true (trace = cold_trace);
           Alcotest.(check string) (what ^ " kernel") cold_kernel kernel;
           Alcotest.(check bool) (what ^ " program") true (program = cold_program))
         (List.combine cands shared))
@@ -550,7 +540,7 @@ let test_report_geomean () =
 (* ------------------------------------------------------------------ *)
 
 let test_pingpong_completes () =
-  let rings = [| Ring.create ~depth:2; Ring.create ~depth:2 |] in
+  let rings = [| Schedule.Ring (Ring.create ~depth:2); Schedule.Ring (Ring.create ~depth:2) |] in
   let agents = Schedule.pingpong_program ~n:16 in
   let tick = ref 0 in
   let choose r =
@@ -566,14 +556,14 @@ let test_pingpong_completes () =
     Alcotest.(check (list int)) "agent0 receives odds" [ 1; 3; 5; 7; 9; 11; 13; 15 ] a0;
     Alcotest.(check (list int)) "agent1 receives evens" [ 0; 2; 4; 6; 8; 10; 12; 14 ] a1
   | Schedule.Deadlock ws -> Alcotest.failf "deadlock: %s" (String.concat "," ws)
-  | Schedule.Error e -> Alcotest.fail e
+  | Schedule.Error (_, e) -> Alcotest.fail e
 
 let prop_pingpong_deadlock_free =
   QCheck.Test.make ~name:"ping-pong deadlock-free under random schedules" ~count:200
     QCheck.(triple (int_range 1 3) (int_range 2 20) int)
     (fun (depth, half, seed) ->
       let n = 2 * half in
-      let rings = [| Ring.create ~depth; Ring.create ~depth |] in
+      let rings = [| Schedule.Ring (Ring.create ~depth); Schedule.Ring (Ring.create ~depth) |] in
       let agents = Schedule.pingpong_program ~n in
       let state = ref (seed land 0xFFFFFF) in
       let choose r =

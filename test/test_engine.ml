@@ -654,7 +654,6 @@ let test_decode_precision () =
       { Flow.default_options with strategy = Flow.Sw_pipelined 3; aref_depth = 3 };
       { Flow.default_options with strategy = Flow.Naive } ]
   in
-  Alcotest.(check bool) "timing optimizations on" true (Decode.opts_on ());
   List.iter
     (fun (file, digests) ->
       let kernel =

@@ -254,23 +254,26 @@ let test_sync_reset_clears_barriers () =
 
 (* Trace collection goes through the profiler's recorder: a wgmma
    issued and waited on shows up as op spans on its warp group's lane.
-   With the decoder's timing optimizations off, the decoded engine
-   retires one op per unit and records the oracle's spans exactly; with
-   them on, it collapses the stream into cost blocks whose spans cover
-   the same window. *)
+   In functional mode, on a bound input buffer, the decoded engine
+   retires one op per unit and records the oracle's spans exactly; in
+   timing mode it collapses the stream into cost blocks whose spans
+   cover the same window. *)
 let test_trace_collection () =
   let p =
-    mk_program
+    mk_program ~param_tys:[ Types.ptr Dtype.F16 ]
       [ stream
-          [ Isa.Mov { dst = 0; src = Isa.Imm 0 };
-            Isa.Wgmma { a = Isa.Wreg 0; b = Isa.Wreg 0; acc = 1; m = 64; n = 64; k = 64;
+          [ Isa.Mkdesc { dst = 1; ptr = Isa.Reg 0; sizes = []; strides = []; dtype = Dtype.F16 };
+            Isa.Ldg { dst = 2; desc = Isa.Reg 1; offs = [ Isa.Imm 0; Isa.Imm 0 ]; rows = 64;
+                      cols = 64; dtype = Dtype.F16 };
+            Isa.Tile_splat { dst = 3; src = Isa.Fimm 0.0; shape = [ 64; 64 ]; dtype = Dtype.F32 };
+            Isa.Wgmma { a = Isa.Wreg 2; b = Isa.Wreg 2; acc = 3; m = 64; n = 64; k = 64;
                         dtype = Dtype.F16 };
             Isa.Wgmma_commit; Isa.Wgmma_wait 0; Isa.Exit ] ]
   in
-  let spans (run_cta : Oracle.runner) =
+  let spans ~cfg ~params (run_cta : Oracle.runner) =
     let recorder = Tawa_obs.Prof.create () in
     let o =
-      run_cta ~recorder ~cfg ~program:p ~params:[] ~num_programs:[| 1; 1; 1 |]
+      run_cta ~recorder ~cfg ~program:p ~params ~num_programs:[| 1; 1; 1 |]
         ~pop_global:Launch.no_queue ()
     in
     ( Tawa_obs.Prof.op_intervals recorder
@@ -283,16 +286,14 @@ let test_trace_collection () =
       (fun (lo, hi) (_, t0, t1, _) -> (Float.min lo t0, Float.max hi t1))
       (infinity, neg_infinity) l
   in
-  let oracle, wall = spans Oracle.run_cta in
-  let opts_were_on = Decode.opts_on () in
-  Decode.set_opts_enabled false;
-  let per_op, _ =
-    Fun.protect
-      ~finally:(fun () -> Decode.set_opts_enabled opts_were_on)
-      (fun () -> spans Engine.run_cta)
-  in
-  let collapsed, _ = spans Engine.run_cta in
-  Alcotest.(check bool) "per-op spans identical to the oracle" true (oracle = per_op);
+  let functional = { cfg with Config.mode = Config.Functional } in
+  let a () = [ Sim.Rtensor (Tensor.random ~dtype:Dtype.F16 ~seed:3 [| 64; 64 |]) ] in
+  let per_op_oracle, _ = spans ~cfg:functional ~params:(a ()) Oracle.run_cta in
+  let per_op, _ = spans ~cfg:functional ~params:(a ()) Engine.run_cta in
+  Alcotest.(check bool) "functional per-op spans identical to the oracle" true
+    (per_op <> [] && per_op_oracle = per_op);
+  let oracle, wall = spans ~cfg ~params:[ Sim.Rnone ] Oracle.run_cta in
+  let collapsed, _ = spans ~cfg ~params:[ Sim.Rnone ] Engine.run_cta in
   Alcotest.(check bool) "tc work recorded" true
     (List.exists
        (fun (lane, t0, t1, label) ->
@@ -303,7 +304,9 @@ let test_trace_collection () =
   Alcotest.(check bool) "lane runs from launch to the tc wait's end" true
     (extent oracle = (0.0, wall));
   Alcotest.(check bool) "cost blocks cover the same window" true
-    (extent collapsed = extent oracle)
+    (extent collapsed = extent oracle);
+  Alcotest.(check bool) "cost blocks collapse the timing spans" true
+    (List.length collapsed < List.length oracle)
 
 (* ------------------------------------------------------------------ *)
 (* Launch model                                                        *)

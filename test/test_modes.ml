@@ -138,17 +138,7 @@ let test_cache_key_shape () =
   (* Cost-model fields are part of the key. *)
   let slow = { timing with Config.scalar_cycles = timing.Config.scalar_cycles +. 1.0 } in
   Alcotest.(check bool) "cost-model change changes the key" true
-    (Engine.cache_key slow p <> k_tim);
-  (* The timing-optimization flag joins the key in timing mode only. *)
-  let opts_were_on = Decode.opts_on () in
-  Decode.set_opts_enabled true;
-  let k_opt = Engine.cache_key timing p and k_fun_opt = Engine.cache_key functional p in
-  Decode.set_opts_enabled false;
-  let k_noopt = Engine.cache_key timing p and k_fun_noopt = Engine.cache_key functional p in
-  Decode.set_opts_enabled opts_were_on;
-  Alcotest.(check bool) "opt flag changes the timing key" true (k_opt <> k_noopt);
-  Alcotest.(check bool) "opt flag ignored in functional mode" true
-    (k_fun_opt = k_fun_noopt)
+    (Engine.cache_key slow p <> k_tim)
 
 let test_cache_eviction_new_keys () =
   (* A tiny cache filled through the new key shape: the third distinct

@@ -1,7 +1,7 @@
 (* Tests for the tawa_obs telemetry subsystem (PR 5): the JSON
    emitter's escaping and pretty-printing, a round-trip smoke against
    the bench trajectory shape, the metric registry, per-pass compiler
-   telemetry, aref ring occupancy counters, the Chrome trace export,
+   timers, the Chrome trace export,
    and — the load-bearing part — differential tests pinning stall
    attribution and channel occupancy to be bit-identical between the
    decoded engine and the tree-walking oracle on compiled kernels. *)
@@ -325,64 +325,13 @@ let test_registry_progcache_gauges () =
 
 let test_pass_telemetry () =
   let tiles = { Tawa_frontend.Kernels.block_m = 16; block_n = 16; block_k = 8 } in
-  let kernel = Tawa_frontend.Kernels.gemm ~tiles () in
-  let r = Tawa_passes.Manager.compile kernel in
-  Alcotest.(check bool) "trace nonempty" true (r.Tawa_passes.Manager.trace <> []);
-  List.iter
-    (fun (t : Tawa_passes.Manager.trace_entry) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "pass %s wall time non-negative" t.Tawa_passes.Manager.pass)
-        true
-        (t.Tawa_passes.Manager.ms >= 0.0);
-      Alcotest.(check bool)
-        (Printf.sprintf "pass %s op count consistent" t.Tawa_passes.Manager.pass)
-        true
-        (t.Tawa_passes.Manager.ops_after >= 0))
-    r.Tawa_passes.Manager.trace;
-  (* Deltas telescope: summing them recovers final minus initial ops. *)
-  let final = List.rev r.Tawa_passes.Manager.trace |> List.hd in
-  let initial_ops =
-    final.Tawa_passes.Manager.ops_after
-    - List.fold_left
-        (fun acc (t : Tawa_passes.Manager.trace_entry) ->
-          acc + t.Tawa_passes.Manager.ops_delta)
-        0 r.Tawa_passes.Manager.trace
-  in
-  Alcotest.(check int) "deltas telescope to the input op count" initial_ops
-    (Tawa_ir.Kernel.count_ops kernel);
+  ignore (Tawa_passes.Manager.compile (Tawa_frontend.Kernels.gemm ~tiles ()));
   (* Per-pass timers landed in the registry. *)
   let snap = Registry.snapshot () in
   Alcotest.(check bool) "canonicalize timer registered" true
     (List.assoc_opt "passes.canonicalize.calls" snap <> None);
   Alcotest.(check bool) "warp-specialize timer registered" true
     (List.assoc_opt "passes.warp-specialize.calls" snap <> None)
-
-(* ------------------------------------------------------------------ *)
-(* Ring occupancy counters                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_ring_stats () =
-  let open Tawa_aref in
-  let r : int Ring.t = Ring.create ~depth:2 in
-  (match Ring.put r ~iter:0 10 with Semantics.Ok () -> () | _ -> Alcotest.fail "put 0");
-  (match Ring.put r ~iter:1 11 with Semantics.Ok () -> () | _ -> Alcotest.fail "put 1");
-  (* Ring full: producing iteration 2 blocks and is counted. *)
-  (match Ring.put r ~iter:2 12 with
-  | Semantics.Blocked -> ()
-  | _ -> Alcotest.fail "put 2 should block");
-  (match Ring.get r ~iter:0 with Semantics.Ok 10 -> () | _ -> Alcotest.fail "get 0");
-  (match Ring.consumed r ~iter:0 with Semantics.Ok () -> () | _ -> Alcotest.fail "rel 0");
-  (* Consuming before the producer published blocks and is counted. *)
-  (match Ring.get r ~iter:2 with
-  | Semantics.Blocked -> ()
-  | _ -> Alcotest.fail "get 2 should block");
-  let s = Ring.stats r in
-  Alcotest.(check int) "puts" 2 s.Ring.puts;
-  Alcotest.(check int) "gets" 1 s.Ring.gets;
-  Alcotest.(check int) "put_blocked" 1 s.Ring.put_blocked;
-  Alcotest.(check int) "get_blocked" 1 s.Ring.get_blocked;
-  Alcotest.(check int) "max occupancy hit the full depth" 2 s.Ring.max_occupancy;
-  Alcotest.(check int) "current occupancy" 1 (Ring.occupancy r)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
@@ -596,7 +545,6 @@ let suites =
         Alcotest.test_case "time wrapper" `Quick test_registry_time;
         Alcotest.test_case "progcache + pool gauges" `Quick test_registry_progcache_gauges;
         Alcotest.test_case "pass-pipeline telemetry" `Quick test_pass_telemetry;
-        Alcotest.test_case "ring occupancy stats" `Quick test_ring_stats;
         Alcotest.test_case "wall clock by default" `Quick test_registry_wall_clock;
       ] );
     ( "obs.trace",

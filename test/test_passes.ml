@@ -484,11 +484,7 @@ let test_manager_gemm () =
   let r = Manager.compile (Kernels.gemm ~tiles:small_tiles ()) in
   Alcotest.(check bool) "ws applied" true r.Manager.warp_specialized;
   Alcotest.(check bool) "coarse not applied" false r.Manager.coarse;
-  Verifier.verify r.Manager.kernel;
-  let names = List.map (fun t -> t.Manager.pass) r.Manager.trace in
-  Alcotest.(check (list string)) "pass order"
-    [ "canonicalize"; "warp-specialize"; "coarse-pipeline"; "fine-pipeline" ]
-    names
+  Verifier.verify r.Manager.kernel
 
 let test_manager_attention_coarse () =
   let options = { Manager.default_options with use_coarse = true } in

@@ -3,8 +3,7 @@
    tree-walking oracle, attribution must conserve (Σ per-op cycles =
    Σ per-WG bucket totals = wall × WG-count), the critical path of a
    warp-specialized GEMM must cross an aref channel edge with the same
-   structure under both, aref ring event histories reconstruct
-   slot timelines, the Chrome trace export emits valid monotone
+   structure under both, the Chrome trace export emits valid monotone
    Perfetto JSON, the new JSON parser round-trips the emitter, and the
    metric registry snapshot stays deterministic. *)
 
@@ -309,7 +308,7 @@ let test_critical_path_synthetic () =
   | _ -> Alcotest.failf "expected 2 segments, got %d" (List.length path)
 
 (* ------------------------------------------------------------------ *)
-(* Timeline lanes: channel intervals and aref ring event history       *)
+(* Timeline lanes: channel intervals                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_channel_intervals () =
@@ -364,53 +363,6 @@ let test_channel_intervals_json () =
         Alcotest.(check bool) (lane ^ " times") true (time "t0" t0 && time "t1" t1))
       chans objs
   | _ -> Alcotest.fail "channel timeline json is not a list"
-
-let test_ring_timeline () =
-  let open Tawa_aref in
-  let r : int Ring.t = Ring.create ~depth:2 in
-  let ok name = function Semantics.Ok x -> x | _ -> Alcotest.fail name in
-  ok "put 0" (Ring.put r ~iter:0 10);
-  ok "put 1" (Ring.put r ~iter:1 11);
-  ignore (ok "get 0" (Ring.get r ~iter:0) : int);
-  ok "rel 0" (Ring.consumed r ~iter:0);
-  ok "put 2" (Ring.put r ~iter:2 12);
-  ignore (ok "get 1" (Ring.get r ~iter:1) : int);
-  (* Blocked transitions leave no event. *)
-  (match Ring.get r ~iter:3 with
-  | Semantics.Blocked -> ()
-  | _ -> Alcotest.fail "get 3 should block");
-  let hist = Ring.history r in
-  Alcotest.(check int) "six recorded transitions" 6 (List.length hist);
-  (* History is in execution order with a strictly increasing clock. *)
-  let steps = List.map (fun (e : Ring.event) -> e.Ring.ev_step) hist in
-  Alcotest.(check bool) "clock strictly increases" true
-    (List.sort_uniq compare steps = steps);
-  let kinds = List.map (fun (e : Ring.event) -> e.Ring.ev_kind) hist in
-  Alcotest.(check bool) "transition order preserved" true
-    (kinds = [ `Put; `Put; `Get; `Consumed; `Put; `Get ]);
-  (* Slot assignment is iter mod depth. *)
-  List.iter
-    (fun (e : Ring.event) ->
-      Alcotest.(check int)
-        (Printf.sprintf "slot of iter %d" e.Ring.ev_iter)
-        (e.Ring.ev_iter mod 2) e.Ring.ev_slot)
-    hist;
-  let tl = Ring.timeline r in
-  Alcotest.(check bool) "timeline nonempty" true (tl <> []);
-  List.iter
-    (fun (lane, t0, t1, _) ->
-      Alcotest.(check bool) "span well-formed" true
-        (Astring.String.is_prefix ~affix:"slot[" lane && 0.0 <= t0 && t0 <= t1))
-    tl;
-  (* iter 0 produced a closed full span and a closed borrowed span;
-     iter 1's borrow and iter 2's full slot are still open. *)
-  let labels = List.map (fun (_, _, _, l) -> l) tl in
-  Alcotest.(check bool) "closed full span for iter 0" true
-    (List.mem "full iter=0" labels);
-  Alcotest.(check bool) "closed borrowed span for iter 0" true
-    (List.mem "borrowed iter=0" labels);
-  Alcotest.(check bool) "open spans closed at the clock" true
-    (List.exists (fun l -> Astring.String.is_suffix ~affix:"(open)" l) labels)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export (satellite: valid, monotone, Perfetto-complete) *)
@@ -570,7 +522,6 @@ let suites =
       [
         Alcotest.test_case "channel + op lanes" `Quick test_channel_intervals;
         Alcotest.test_case "channel lanes as json" `Quick test_channel_intervals_json;
-        Alcotest.test_case "ring event history" `Quick test_ring_timeline;
       ] );
     ( "prof.trace",
       [

@@ -19,11 +19,10 @@
     variable and cost nothing between jobs; they are joined by an
     [at_exit] hook.
 
-    Sizing: an explicit [?domains] argument wins; otherwise a
-    process-wide override set with {!set_default_domains} (used by the
-    tests and the benchmark to pin a domain count); otherwise the
-    [TAWA_DOMAINS] environment variable; otherwise
-    [Domain.recommended_domain_count ()]. At size 1 (or on singleton /
+    Sizing: one process-wide width for every call — an override set
+    with {!set_default_domains} (used by the tests and the benchmark to
+    pin a domain count); otherwise the [TAWA_DOMAINS] environment
+    variable; otherwise [Domain.recommended_domain_count ()]. At size 1 (or on singleton /
     empty inputs) every entry point degrades to a plain sequential
     loop that never touches the pool, which is the deterministic
     fallback the tests pin against. When a job requests fewer workers
@@ -74,11 +73,8 @@ let spawned = Atomic.make 0
 
 let domains_spawned () = Atomic.get spawned
 
-let resolve_domains domains n =
-  if Domain.DLS.get in_worker then 1
-  else
-    let d = match domains with Some d -> max 1 d | None -> default_domains () in
-    min d (max 1 n)
+let resolve_domains n =
+  if Domain.DLS.get in_worker then 1 else min (default_domains ()) (max 1 n)
 
 (* ------------------------- the shared pool ------------------------- *)
 
@@ -180,15 +176,14 @@ let ensure_helpers h target =
 
 (** Spawn helpers up front so the first parallel call does not pay the
     spawn inside its own wall-clock (the graph scheduler warms the pool
-    at instantiate time, keeping replays spawn-free). Resolves exactly
-    like [map]: explicit [?domains] beats the process default; sizes
-    [<= 1] are a no-op. *)
-let warm ?domains h =
+    at instantiate time, keeping replays spawn-free). Sized like [map];
+    a width [<= 1] is a no-op. *)
+let warm h =
   Mutex.lock h.submit;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock h.submit)
     (fun () ->
-      let d = resolve_domains domains max_int in
+      let d = resolve_domains max_int in
       if d > 1 then ensure_helpers h (d - 1))
 
 (** Join every helper domain; the pool is reusable afterwards (the next
@@ -273,11 +268,11 @@ let () =
   Tawa_obs.Registry.register_gauge "pool.resident_helpers" (fun () ->
       Tawa_obs.Registry.Int the_pool.nhelpers)
 
-(** [map ?domains f xs] is [Array.map f xs] evaluated in parallel.
+(** [map f xs] is [Array.map f xs] evaluated in parallel.
     Output order matches input order regardless of domain count. *)
-let map ?domains f xs =
+let map f xs =
   let n = Array.length xs in
-  let domains = resolve_domains domains n in
+  let domains = resolve_domains n in
   if domains <= 1 then Array.map f xs
   else begin
     let results = Array.make n None in
@@ -287,23 +282,21 @@ let map ?domains f xs =
       results
   end
 
-(** [iter ?domains f xs] applies [f] to every element; [f] must only
-    touch state owned by its element (disjoint output tiles). *)
-let iter ?domains f xs =
+(** [iter f xs] applies [f] to every element; [f] must only touch
+    state owned by its element (disjoint output tiles). *)
+let iter f xs =
   let n = Array.length xs in
-  let domains = resolve_domains domains n in
+  let domains = resolve_domains n in
   if domains <= 1 then Array.iter f xs
   else run_indices ~domains ~n (fun i -> f xs.(i))
 
 (** [map_list] is {!map} over a list, preserving order. *)
-let map_list ?domains f xs = Array.to_list (map ?domains f (Array.of_list xs))
+let map_list f xs = Array.to_list (map f (Array.of_list xs))
 
-(** [run_all ?domains thunks] forces independent computations in
-    parallel and returns their results in order. *)
-let run_all ?domains (thunks : (unit -> 'a) array) : 'a array =
-  map ?domains (fun f -> f ()) thunks
+(** [run_all thunks] forces independent computations in parallel and
+    returns their results in order. *)
+let run_all (thunks : (unit -> 'a) array) : 'a array = map (fun f -> f ()) thunks
 
 (** Parallel max-reduction of [f] over [xs] — the grid-cycles shape:
     order-independent because [max] is associative and commutative. *)
-let max_float ?domains f xs =
-  Array.fold_left Float.max 0.0 (map ?domains f xs)
+let max_float f xs = Array.fold_left Float.max 0.0 (map f xs)

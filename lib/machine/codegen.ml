@@ -149,17 +149,20 @@ let operand_of env v : Isa.operand =
   | Bsmem _ -> err "codegen: SMEM view %s used as scalar" (Value.name v)
   | Baref _ -> err "codegen: aref %s used as scalar" (Value.name v)
 
+(* Load an SMEM view of type [ty] into a fresh register tile. *)
+let lds env view ty =
+  let r = fresh_reg env in
+  let shape = Option.value (Types.shape_of ty) ~default:[] in
+  let dtype = Option.get (Types.dtype_of ty) in
+  ignore (emit env (Isa.Lds { dst = r; src = view; shape; dtype }));
+  r
+
 (* Register-tile operand; SMEM views are pulled to registers via lds. *)
 let tile_operand env v : Isa.operand =
   match lookup env v with
   | Bop (o, _) -> o
   | Btile (r, _) -> Isa.Reg r
-  | Bsmem (view, ty) ->
-    let shape = Option.value (Types.shape_of ty) ~default:[] in
-    let dtype = Option.get (Types.dtype_of ty) in
-    let r = fresh_reg env in
-    ignore (emit env (Isa.Lds { dst = r; src = view; shape; dtype }));
-    Isa.Reg r
+  | Bsmem (view, ty) -> Isa.Reg (lds env view ty)
   | Baref _ -> err "codegen: aref used as tile"
 
 let wgmma_src env v : Isa.wgmma_src =
@@ -174,24 +177,41 @@ let shape_of_val v = Option.value (Types.shape_of (Value.ty v)) ~default:[]
 let dtype_of_val v = Option.get (Types.dtype_of (Value.ty v))
 let elems_of_val v = Types.numel (Value.ty v)
 
+(* Bind [v] to register [r]: a tile or a descriptor as a register tile,
+   anything else as a scalar. *)
+let bind_reg env v r =
+  match Value.ty v with
+  | Types.TTensor _ | Types.TTensorDesc _ -> bind env v (Btile (r, Value.ty v))
+  | ty -> bind env v (Bop (Isa.Reg r, ty))
+
 (* Bind a fresh register result. *)
 let def_reg env v =
   let r = fresh_reg env in
-  (if Types.is_tensor (Value.ty v) || (match Value.ty v with Types.TTensorDesc _ -> true | _ -> false)
-   then bind env v (Btile (r, Value.ty v))
-   else bind env v (Bop (Isa.Reg r, Value.ty v)));
+  bind_reg env v r;
   r
 
-(* slot = it mod D ; phase target computations. *)
-let emit_slot env it_op depth =
-  let r = fresh_reg env in
-  ignore (emit env (Isa.Alu { op = Op.Rem; dst = r; a = it_op; b = Isa.Imm depth }));
-  Isa.Reg r
+(* [a op b] into a fresh register. *)
+let alu env op a b =
+  let dst = fresh_reg env in
+  ignore (emit env (Isa.Alu { op; dst; a; b }));
+  Isa.Reg dst
 
-let emit_cycle env it_op depth =
-  let r = fresh_reg env in
-  ignore (emit env (Isa.Alu { op = Op.Div; dst = r; a = it_op; b = Isa.Imm depth }));
-  Isa.Reg r
+(* The comparison [a op b] into a fresh predicate register. *)
+let cmp env op a b =
+  let dst = fresh_reg env in
+  ignore (emit env (Isa.Cmp { op; dst; a; b }));
+  Isa.Reg dst
+
+(* Emit [f ()] behind a branch over it, taken when [cond] is zero. *)
+let emit_when env cond f =
+  let br = emit env (Isa.Brz { cond; target = -1 }) in
+  f ();
+  patch env br (Isa.Brz { cond; target = here env })
+
+(* The slot of iteration [it] in a [depth]-slot ring ([it mod D]), and
+   the ring's wraps before it ([it / D], the phase target). *)
+let emit_slot env it_op depth = alu env Op.Rem it_op (Isa.Imm depth)
+let emit_cycle env it_op depth = alu env Op.Div it_op (Isa.Imm depth)
 
 (* ------------------------------------------------------------------ *)
 (* Single-op lowering                                                   *)
@@ -260,44 +280,44 @@ let lower_put env (op : Op.op) =
     end
   | _ -> err "codegen: malformed aref_put"
 
+(* Wait until slot [it mod D] of a channel holds iteration [it]'s
+   payload, and return the payload's SMEM views: a wait on the slot's
+   full barrier for phase [it / D + 1], or in the cp.async style a wait
+   for the ring's [it + 1]-th completed group. *)
+let channel_get env info it_op =
+  let slot = emit_slot env it_op info.depth in
+  (if info.cp_style then begin
+     let target = alu env Op.Add it_op (Isa.Imm 1) in
+     ignore (emit env (Isa.Cp_wait_ring { ring = info.full_base; target }))
+   end
+   else begin
+     let target = alu env Op.Add (emit_cycle env it_op info.depth) (Isa.Imm 1) in
+     ignore (emit env (Isa.Mbar_wait { bar = { Isa.base = info.full_base; index = slot }; target }))
+   end);
+  List.map (fun alloc -> Isa.view_of_slot { Isa.alloc; slot }) info.payload_allocs
+
+(* Hand slot [it mod D] back to the producer: an arrival on its empty
+   barrier. A cp.async ring needs none: its warp reuses a slot only
+   after consuming it, in program order. *)
+let channel_release env info it_op =
+  if not info.cp_style then begin
+    let slot = emit_slot env it_op info.depth in
+    ignore (emit env (Isa.Mbar_arrive { Isa.base = info.empty_base; index = slot }))
+  end
+
+let bind_views env results views =
+  List.iter2 (fun r view -> bind env r (Bsmem (view, Value.ty r))) results views
+
 let lower_get env (op : Op.op) =
   match op.Op.operands with
   | [ aref_v; it_v ] ->
-    let info = aref_of_value env aref_v in
-    let it_op = operand_of env it_v in
-    let slot = emit_slot env it_op info.depth in
-    (if info.cp_style then begin
-       let tgt = fresh_reg env in
-       ignore (emit env (Isa.Alu { op = Op.Add; dst = tgt; a = it_op; b = Isa.Imm 1 }));
-       ignore (emit env (Isa.Cp_wait_ring { ring = info.full_base; target = Isa.Reg tgt }))
-     end
-     else begin
-       let cycle = emit_cycle env it_op info.depth in
-       let tgt = fresh_reg env in
-       ignore (emit env (Isa.Alu { op = Op.Add; dst = tgt; a = cycle; b = Isa.Imm 1 }));
-       ignore
-         (emit env
-            (Isa.Mbar_wait
-               { bar = { Isa.base = info.full_base; index = slot }; target = Isa.Reg tgt }))
-     end);
-    List.iteri
-      (fun i r ->
-        bind env r
-          (Bsmem
-             ( Isa.view_of_slot { Isa.alloc = List.nth info.payload_allocs i; slot },
-               Value.ty r )))
-      op.Op.results
+    bind_views env op.Op.results
+      (channel_get env (aref_of_value env aref_v) (operand_of env it_v))
   | _ -> err "codegen: malformed aref_get"
 
 let lower_consumed env (op : Op.op) =
   match op.Op.operands with
-  | [ aref_v; it_v ] ->
-    let info = aref_of_value env aref_v in
-    if not info.cp_style then begin
-      let it_op = operand_of env it_v in
-      let slot = emit_slot env it_op info.depth in
-      ignore (emit env (Isa.Mbar_arrive { Isa.base = info.empty_base; index = slot }))
-    end
+  | [ aref_v; it_v ] -> channel_release env (aref_of_value env aref_v) (operand_of env it_v)
   | _ -> err "codegen: malformed aref_consumed"
 
 (* Is this load's result used only by aref puts (i.e., deferred)? *)
@@ -370,18 +390,25 @@ let lower_dot env (op : Op.op) ~async =
   let m, n, kdim = dot_dims op in
   let a = wgmma_src env (List.nth op.Op.operands 0) in
   let b = wgmma_src env (List.nth op.Op.operands 1) in
+  (* WGMMA accumulates in place, so the SSA result aliases the
+     accumulator's register: a copy of it when anything else reads the
+     accumulator, and a load of it when it is an SMEM view. *)
   let acc_v = List.nth op.Op.operands 2 in
   let acc_reg =
     match lookup env acc_v with
-    | Btile (r, _) -> r
-    | Bop _ | Bsmem _ | Baref _ -> err "codegen: dot accumulator must be a register tile"
+    | Btile (r, _) when List.length (Graph.users env.graph acc_v) = 1 -> r
+    | Btile (r, _) ->
+      let copy = fresh_reg env in
+      ignore (emit env (Isa.Mov { dst = copy; src = Isa.Reg r }));
+      copy
+    | Bsmem (view, ty) -> lds env view ty
+    | Bop _ | Baref _ -> err "codegen: dot accumulator must be a tile"
   in
   let dtype = dtype_of_val (List.nth op.Op.operands 0) in
   ignore (emit env (Isa.Wgmma { a; b; acc = acc_reg; m; n; k = kdim; dtype }));
   ignore (emit env Isa.Wgmma_commit);
   if not async then ignore (emit env (Isa.Wgmma_wait 0));
-  (* WGMMA accumulates in place: the SSA result aliases the acc register. *)
-  bind env (List.hd op.Op.results) (Btile (acc_reg, Value.ty (List.hd op.Op.results)))
+  bind_reg env (List.hd op.Op.results) acc_reg
 
 (* ------------------------------------------------------------------ *)
 (* Structured control flow                                              *)
@@ -400,6 +427,61 @@ let with_op env (op : Op.op) f =
   let saved = env.cur_oid in
   env.cur_oid <- op.Op.oid;
   Fun.protect ~finally:(fun () -> env.cur_oid <- saved) f
+
+(* A counted loop being emitted: its body block, its IV and carried
+   registers, and its bounds and step. *)
+type loop = {
+  body : Op.block;
+  iv : Isa.reg;
+  carried : Isa.reg list;
+  lb : Isa.operand;
+  ub : Isa.operand;
+  step : Isa.operand;
+}
+
+(* Enter the loop [op]: its IV and carried registers take their initial
+   values, and the body block's parameters are bound to them. *)
+let enter_loop env (op : Op.op) =
+  let lb, ub, step, inits =
+    match op.Op.operands with
+    | lb :: ub :: step :: inits -> (lb, ub, step, inits)
+    | _ -> err "codegen: malformed for"
+  in
+  let body = Op.entry_block (List.hd op.Op.regions) in
+  let iv_p, iter_ps =
+    match body.Op.params with
+    | iv :: iters -> (iv, iters)
+    | [] -> err "codegen: for without IV"
+  in
+  let iv = fresh_reg env in
+  ignore (emit env (Isa.Mov { dst = iv; src = operand_of env lb }));
+  bind_reg env iv_p iv;
+  let carried =
+    List.map2
+      (fun p init ->
+        let r = fresh_reg env in
+        ignore (emit env (Isa.Mov { dst = r; src = tile_operand env init }));
+        bind_reg env p r;
+        r)
+      iter_ps inits
+  in
+  { body; iv; carried; lb = operand_of env lb; ub = operand_of env ub;
+    step = operand_of env step }
+
+(* Emit the iterations of [op], entered as [l]: while the IV is below the
+   upper bound, run [iteration ()], move the values it returns into the
+   carried registers and step the IV. [op]'s results are then the
+   carried registers. *)
+let run_loop env (op : Op.op) l iteration =
+  let head = here env in
+  emit_when env (cmp env Op.Lt (Isa.Reg l.iv) l.ub) (fun () ->
+      let yielded = iteration () in
+      List.iter2
+        (fun r y -> ignore (emit env (Isa.Mov { dst = r; src = tile_operand env y })))
+        l.carried yielded;
+      ignore (emit env (Isa.Alu { op = Op.Add; dst = l.iv; a = Isa.Reg l.iv; b = l.step }));
+      ignore (emit env (Isa.Bra { target = head })));
+  List.iter2 (bind_reg env) op.Op.results l.carried
 
 let rec gen_ops env (ops : Op.op list) =
   List.iter (gen_op env) ops
@@ -571,12 +653,8 @@ and gen_op_body env (op : Op.op) =
     let r = List.hd op.Op.results in
     let src_v = List.hd op.Op.operands in
     match lookup env src_v with
-    | Bsmem (view, _) ->
-      let dst = def_reg env r in
-      ignore
-        (emit env
-           (Isa.Lds { dst; src = view; shape = shape_of_val r; dtype = dtype_of_val r }))
-    | Btile (reg, _) -> bind env r (Btile (reg, Value.ty r))
+    | Bsmem (view, _) -> bind_reg env r (lds env view (Value.ty r))
+    | Btile (reg, _) -> bind_reg env r reg
     | _ -> err "codegen: local_load operand")
   | Op.Dot -> lower_dot env op ~async:false
   | Op.Wgmma_issue -> lower_dot env op ~async:true
@@ -593,53 +671,15 @@ and gen_op_body env (op : Op.op) =
   | Op.Warp_group -> err "codegen: nested warp_group"
 
 and gen_for env (op : Op.op) =
-  let lb, ub, step, inits =
-    match op.Op.operands with
-    | lb :: ub :: step :: inits -> (lb, ub, step, inits)
-    | _ -> err "codegen: malformed for"
-  in
-  let blk = Op.entry_block (List.hd op.Op.regions) in
-  let iv_p, iter_ps =
-    match blk.Op.params with
-    | iv :: iters -> (iv, iters)
-    | [] -> err "codegen: for without IV"
-  in
-  let iv = fresh_reg env in
-  ignore (emit env (Isa.Mov { dst = iv; src = operand_of env lb }));
-  bind env iv_p (Bop (Isa.Reg iv, Types.i32));
-  let iter_regs =
-    List.map2
-      (fun p init ->
-        let r = fresh_reg env in
-        ignore (emit env (Isa.Mov { dst = r; src = tile_operand env init }));
-        (if Types.is_tensor (Value.ty p) then bind env p (Btile (r, Value.ty p))
-         else bind env p (Bop (Isa.Reg r, Value.ty p)));
-        r)
-      iter_ps inits
-  in
-  let ub_op = operand_of env ub and step_op = operand_of env step in
-  let head = here env in
-  let cond = fresh_reg env in
-  ignore (emit env (Isa.Cmp { op = Op.Lt; dst = cond; a = Isa.Reg iv; b = ub_op }));
-  let exit_br = emit env (Isa.Brz { cond = Isa.Reg cond; target = -1 }) in
-  (* Body; the trailing yield moves next-iteration values into place. *)
-  List.iter
-    (fun (o : Op.op) ->
-      match o.Op.opcode with
-      | Op.Yield ->
-        List.iter2
-          (fun r y -> ignore (emit env (Isa.Mov { dst = r; src = tile_operand env y })))
-          iter_regs o.Op.operands
-      | _ -> gen_op env o)
-    blk.Op.ops;
-  ignore (emit env (Isa.Alu { op = Op.Add; dst = iv; a = Isa.Reg iv; b = step_op }));
-  ignore (emit env (Isa.Bra { target = head }));
-  patch env exit_br (Isa.Brz { cond = Isa.Reg cond; target = here env });
-  List.iter2
-    (fun res r ->
-      if Types.is_tensor (Value.ty res) then bind env res (Btile (r, Value.ty res))
-      else bind env res (Bop (Isa.Reg r, Value.ty res)))
-    op.Op.results iter_regs
+  let l = enter_loop env op in
+  run_loop env op l (fun () ->
+      (* The trailing yield carries the next iteration's values. *)
+      let yielded = ref [] in
+      List.iter
+        (fun (o : Op.op) ->
+          if o.Op.opcode = Op.Yield then yielded := o.Op.operands else gen_op env o)
+        l.body.Op.ops;
+      !yielded)
 
 and gen_if env (op : Op.op) =
   let cond = operand_of env (List.hd op.Op.operands) in
@@ -662,29 +702,14 @@ and gen_if env (op : Op.op) =
   patch env else_br (Isa.Brz { cond; target = here env });
   gen_branch (List.nth op.Op.regions 1);
   patch env end_br (Isa.Bra { target = here env });
-  List.iter
-    (fun (res, r) ->
-      if Types.is_tensor (Value.ty res) then bind env res (Btile (r, Value.ty res))
-      else bind env res (Bop (Isa.Reg r, Value.ty res)))
-    result_regs
+  List.iter (fun (res, r) -> bind_reg env res r) result_regs
 
 (* ------------------------------------------------------------------ *)
 (* Coarse-pipelined loop emission (Algorithm 1)                         *)
 (* ------------------------------------------------------------------ *)
 
 and gen_coarse_loop env (op : Op.op) =
-  let lb, ub, step, inits =
-    match op.Op.operands with
-    | lb :: ub :: step :: inits -> (lb, ub, step, inits)
-    | _ -> err "codegen: malformed coarse loop"
-  in
-  let blk = Op.entry_block (List.hd op.Op.regions) in
-  let iv_p, iter_ps =
-    match blk.Op.params with
-    | iv :: iters -> (iv, iters)
-    | [] -> err "codegen: coarse loop without IV"
-  in
-  let ops = blk.Op.ops in
+  let ops = (Op.entry_block (List.hd op.Op.regions)).Op.ops in
   (* The coarse pass stamped the split: T is the first dot, the slice of
      its operands and the K get; U the second dot and the V get; the
      rest is C. *)
@@ -698,67 +723,23 @@ and gen_coarse_loop env (op : Op.op) =
   let k_get = stamped "T" Op.Aref_get and v_get = stamped "U" Op.Aref_get in
   let k_info = aref_of_value env (List.hd k_get.Op.operands) in
   let v_info = aref_of_value env (List.hd v_get.Op.operands) in
-
-  (* --- loop scaffolding --- *)
-  let iv = fresh_reg env in
-  ignore (emit env (Isa.Mov { dst = iv; src = operand_of env lb }));
-  bind env iv_p (Bop (Isa.Reg iv, Types.i32));
-  let iter_regs =
-    List.map2
-      (fun p init ->
-        let r = fresh_reg env in
-        ignore (emit env (Isa.Mov { dst = r; src = tile_operand env init }));
-        (if Types.is_tensor (Value.ty p) then bind env p (Btile (r, Value.ty p))
-         else bind env p (Bop (Isa.Reg r, Value.ty p)));
-        r)
-      iter_ps inits
-  in
-  let ub_op = operand_of env ub and step_op = operand_of env step in
-  let lb_op = operand_of env lb in
+  let l = enter_loop env op in
+  let iv_p = List.hd l.body.Op.params in
   (* iteration index of a given iv operand *)
-  let emit_it iv_op =
-    let d = fresh_reg env in
-    ignore (emit env (Isa.Alu { op = Op.Sub; dst = d; a = iv_op; b = lb_op }));
-    let it = fresh_reg env in
-    ignore (emit env (Isa.Alu { op = Op.Div; dst = it; a = Isa.Reg d; b = step_op }));
-    Isa.Reg it
-  in
-  (* Wait on a channel's full barrier for iteration [it_op] and return
-     per-payload views. *)
-  let emit_channel_get info it_op =
-    let slot = emit_slot env it_op info.depth in
-    let cycle = emit_cycle env it_op info.depth in
-    let tgt = fresh_reg env in
-    ignore (emit env (Isa.Alu { op = Op.Add; dst = tgt; a = cycle; b = Isa.Imm 1 }));
-    ignore
-      (emit env
-         (Isa.Mbar_wait
-            { bar = { Isa.base = info.full_base; index = slot }; target = Isa.Reg tgt }));
-    List.map
-      (fun alloc -> Isa.view_of_slot { Isa.alloc; slot })
-      info.payload_allocs
-  in
-  let emit_channel_release info it_op =
-    let slot = emit_slot env it_op info.depth in
-    ignore (emit env (Isa.Mbar_arrive { Isa.base = info.empty_base; index = slot }))
-  in
+  let emit_it iv_op = alu env Op.Div (alu env Op.Sub iv_op l.lb) l.step in
   (* Emit the T stage (QK^T) for the iteration whose IV is [iv_op],
      leaving the score tile in a fresh register which is returned. The
      K channel is acquired inside. *)
   let emit_t_stage iv_op =
-    let it_op = emit_it iv_op in
-    let views = emit_channel_get k_info it_op in
+    let views = channel_get env k_info (emit_it iv_op) in
     (* Clone the T-slice ops with a local substitution: iv -> iv_op,
        K-get results -> views. *)
     let saved = Value.Tbl.create 16 in
     let save v = if not (Value.Tbl.mem saved v) then Value.Tbl.replace saved v (Value.Tbl.find_opt env.bind v) in
     save iv_p;
     bind env iv_p (Bop (iv_op, Types.i32));
-    List.iteri
-      (fun i r ->
-        save r;
-        bind env r (Bsmem (List.nth views i, Value.ty r)))
-      k_get.Op.results;
+    List.iter save k_get.Op.results;
+    bind_views env k_get.Op.results views;
     let s_reg = ref (-1) in
     List.iter
       (fun (o : Op.op) ->
@@ -790,81 +771,47 @@ and gen_coarse_loop env (op : Op.op) =
   let s_cur = fresh_reg env and s_next = fresh_reg env in
 
   (* Prologue: if lb < ub, issue T for iteration 0. *)
-  let pcond = fresh_reg env in
-  ignore (emit env (Isa.Cmp { op = Op.Lt; dst = pcond; a = lb_op; b = ub_op }));
-  let skip_pro = emit env (Isa.Brz { cond = Isa.Reg pcond; target = -1 }) in
-  let s0 = emit_t_stage lb_op in
-  ignore (emit env (Isa.Mov { dst = s_cur; src = Isa.Reg s0 }));
-  ignore (emit env (Isa.Mov { dst = s_next; src = Isa.Reg s0 }));
-  patch env skip_pro (Isa.Brz { cond = Isa.Reg pcond; target = here env });
+  emit_when env (cmp env Op.Lt l.lb l.ub) (fun () ->
+      let s0 = emit_t_stage l.lb in
+      ignore (emit env (Isa.Mov { dst = s_cur; src = Isa.Reg s0 }));
+      ignore (emit env (Isa.Mov { dst = s_next; src = Isa.Reg s0 })));
 
   (* Steady state. *)
-  let head = here env in
-  let cond = fresh_reg env in
-  ignore (emit env (Isa.Cmp { op = Op.Lt; dst = cond; a = Isa.Reg iv; b = ub_op }));
-  let exit_br = emit env (Isa.Brz { cond = Isa.Reg cond; target = -1 }) in
-  (* 1. Drain the tensor core: completes T_j (and U_{j-1}, which the
-     in-order pipe finished first). *)
-  ignore (emit env (Isa.Wgmma_wait 0));
-  (* 2. Release K_j and, for j >= 1, V_{j-1}. *)
-  let it_cur = emit_it (Isa.Reg iv) in
-  emit_channel_release k_info it_cur;
-  let ge1 = fresh_reg env in
-  ignore (emit env (Isa.Cmp { op = Op.Ge; dst = ge1; a = it_cur; b = Isa.Imm 1 }));
-  let skip_v = emit env (Isa.Brz { cond = Isa.Reg ge1; target = -1 }) in
-  let itm1 = fresh_reg env in
-  ignore (emit env (Isa.Alu { op = Op.Sub; dst = itm1; a = it_cur; b = Isa.Imm 1 }));
-  emit_channel_release v_info (Isa.Reg itm1);
-  patch env skip_v (Isa.Brz { cond = Isa.Reg ge1; target = here env });
-  (* 3. Issue T_{j+1} if in range (overlaps the CUDA-core stage below). *)
-  let iv_next = fresh_reg env in
-  ignore (emit env (Isa.Alu { op = Op.Add; dst = iv_next; a = Isa.Reg iv; b = step_op }));
-  let inr = fresh_reg env in
-  ignore (emit env (Isa.Cmp { op = Op.Lt; dst = inr; a = Isa.Reg iv_next; b = ub_op }));
-  let skip_t = emit env (Isa.Brz { cond = Isa.Reg inr; target = -1 }) in
-  let s1 = emit_t_stage (Isa.Reg iv_next) in
-  ignore (emit env (Isa.Mov { dst = s_next; src = Isa.Reg s1 }));
-  patch env skip_t (Isa.Brz { cond = Isa.Reg inr; target = here env });
-  (* 4. CUDA-core stage C_j, reading the current scores. *)
-  bind env (List.hd t_op.Op.results) (Btile (s_cur, s_ty));
-  let yielded = ref [] in
-  List.iter
-    (fun (o : Op.op) ->
-      let skip = staged "T" o || staged "U" o || o.Op.opcode = Op.Aref_consumed in
-      match o.Op.opcode with
-      | Op.Yield -> yielded := o.Op.operands
-      | _ when skip -> ()
-      | _ -> gen_op env o)
-    ops;
-  (* 5. Acquire V_j and issue U_j asynchronously (left in flight). *)
-  let v_views = emit_channel_get v_info it_cur in
-  List.iteri
-    (fun i r -> bind env r (Bsmem (List.nth v_views i, Value.ty r)))
-    v_get.Op.results;
-  with_op env u_op (fun () -> lower_dot env u_op ~async:true);
-  (* 6. Rotate scores and loop-carried values. *)
-  ignore (emit env (Isa.Mov { dst = s_cur; src = Isa.Reg s_next }));
-  List.iter2
-    (fun r y -> ignore (emit env (Isa.Mov { dst = r; src = tile_operand env y })))
-    iter_regs !yielded;
-  ignore (emit env (Isa.Alu { op = Op.Add; dst = iv; a = Isa.Reg iv; b = step_op }));
-  ignore (emit env (Isa.Bra { target = head }));
-  patch env exit_br (Isa.Brz { cond = Isa.Reg cond; target = here env });
+  run_loop env op l (fun () ->
+      (* 1. Drain the tensor core: completes T_j (and U_{j-1}, which the
+         in-order pipe finished first). *)
+      ignore (emit env (Isa.Wgmma_wait 0));
+      (* 2. Release K_j and, for j >= 1, V_{j-1}. *)
+      let it_cur = emit_it (Isa.Reg l.iv) in
+      channel_release env k_info it_cur;
+      emit_when env (cmp env Op.Ge it_cur (Isa.Imm 1)) (fun () ->
+          channel_release env v_info (alu env Op.Sub it_cur (Isa.Imm 1)));
+      (* 3. Issue T_{j+1} if in range (overlaps the CUDA-core stage below). *)
+      let iv_next = alu env Op.Add (Isa.Reg l.iv) l.step in
+      emit_when env (cmp env Op.Lt iv_next l.ub) (fun () ->
+          let s1 = emit_t_stage iv_next in
+          ignore (emit env (Isa.Mov { dst = s_next; src = Isa.Reg s1 })));
+      (* 4. CUDA-core stage C_j, reading the current scores. *)
+      bind env (List.hd t_op.Op.results) (Btile (s_cur, s_ty));
+      let yielded = ref [] in
+      List.iter
+        (fun (o : Op.op) ->
+          let skip = staged "T" o || staged "U" o || o.Op.opcode = Op.Aref_consumed in
+          match o.Op.opcode with
+          | Op.Yield -> yielded := o.Op.operands
+          | _ when skip -> ()
+          | _ -> gen_op env o)
+        ops;
+      (* 5. Acquire V_j and issue U_j asynchronously (left in flight). *)
+      bind_views env v_get.Op.results (channel_get env v_info it_cur);
+      with_op env u_op (fun () -> lower_dot env u_op ~async:true);
+      (* 6. Rotate the scores; the loop-carried values follow. *)
+      ignore (emit env (Isa.Mov { dst = s_cur; src = Isa.Reg s_next }));
+      !yielded);
   (* Epilogue: drain U_{N-1} and release V_{N-1}. *)
   ignore (emit env (Isa.Wgmma_wait 0));
-  let fcond = fresh_reg env in
-  ignore (emit env (Isa.Cmp { op = Op.Lt; dst = fcond; a = lb_op; b = ub_op }));
-  let skip_fin = emit env (Isa.Brz { cond = Isa.Reg fcond; target = -1 }) in
-  let last_iv = fresh_reg env in
-  ignore (emit env (Isa.Alu { op = Op.Sub; dst = last_iv; a = Isa.Reg iv; b = step_op }));
-  let last_it = emit_it (Isa.Reg last_iv) in
-  emit_channel_release v_info last_it;
-  patch env skip_fin (Isa.Brz { cond = Isa.Reg fcond; target = here env });
-  List.iter2
-    (fun res r ->
-      if Types.is_tensor (Value.ty res) then bind env res (Btile (r, Value.ty res))
-      else bind env res (Bop (Isa.Reg r, Value.ty res)))
-    op.Op.results iter_regs
+  emit_when env (cmp env Op.Lt l.lb l.ub) (fun () ->
+      channel_release env v_info (emit_it (alu env Op.Sub (Isa.Reg l.iv) l.step)))
 
 (* ------------------------------------------------------------------ *)
 (* Whole-kernel code generation                                         *)
@@ -983,12 +930,7 @@ let lower (k : Kernel.t) : Isa.program =
         let env = create_genv g graph ~coop:(if role = Op.Consumer then coop else 1) ~ldg in
         (* Kernel params live in registers 0..n-1, preloaded by the
            launcher. *)
-        List.iter
-          (fun p ->
-            let r = fresh_reg env in
-            if Types.is_tensor (Value.ty p) then bind env p (Btile (r, Value.ty p))
-            else bind env p (Bop (Isa.Reg r, Value.ty p)))
-          k.Kernel.params;
+        List.iter (fun p -> bind_reg env p (fresh_reg env)) k.Kernel.params;
         List.iter (fun (v, info) -> bind env v (Baref info)) !aref_bindings;
         let body () =
           gen_ops env top_ops;

@@ -140,7 +140,7 @@ let baseline kernel = { kernel; warp_specialized = false; coarse = false }
     The baselines share no prefix:
     [Sw_pipelined stages] runs {!Sw_pipeline.apply} and verifies its
     output, both timed like the staged passes, or returns [kernel] as
-    written when it has no TMA-fed loop to prefetch (it is lowered
+    written when its loop cannot be distributed (it is lowered
     unpipelined, as warp specialization degrades); [Sync_tma] returns
     [kernel] as written; [Naive] stamps the [load_style = "ldg"]
     attribute code generation reads, on a fresh record. *)

@@ -16,7 +16,10 @@
       ops used by a single warp group into that group's region.
 
     The result is a [tawa.warp_group] op with one region per role,
-    exactly the IR of the paper's Fig. 2c. *)
+    exactly the IR of the paper's Fig. 2c. The distribution's pieces
+    ({!main_loop} to {!split_entry}) also build the software-pipelined
+    baseline ({!Sw_pipeline}), which keeps both ends of every aref in
+    one warp group. *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -25,15 +28,18 @@ let na = Pass.na
 
 let subst map v = match Value.Tbl.find_opt map v with Some v' -> v' | None -> v
 
-(* Clone [op] with operands substituted through [map]; fresh results are
-   recorded in [map]. [retype] optionally adjusts each result type. *)
-let clone_with ?(retype = fun _ ty -> ty) (map : Value.t Value.Tbl.t) (op : Op.op) : Op.op =
+(* Clone [op] with fresh results, recorded in [map], of the types
+   [retype] gives. Its operands are [operands], by default [op]'s
+   substituted through [map]. An op with regions is not cloned. *)
+let clone_with ?operands ?(retype = Fun.id) (map : Value.t Value.Tbl.t) (op : Op.op) : Op.op =
   if op.Op.regions <> [] then na "nested control flow in pipelined loop body";
-  let operands = List.map (subst map) op.Op.operands in
+  let operands =
+    match operands with Some o -> o | None -> List.map (subst map) op.Op.operands
+  in
   let results =
     List.map
       (fun r ->
-        let r' = Value.fresh ~hint:(Value.hint r) (retype r (Value.ty r)) in
+        let r' = Value.fresh ~hint:(Value.hint r) (retype (Value.ty r)) in
         Value.Tbl.replace map r r';
         r')
       op.Op.results
@@ -144,8 +150,12 @@ let group_loads (cls : Annotate.classification) (loop : Op.op) : group list =
     !keys
 
 (* ------------------------------------------------------------------ *)
-(* The warp-specialization transform                                   *)
+(* Loop distribution                                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* The pieces below distribute a main loop over the two ends of a set
+   of arefs. {!warp_specialize} puts the ends in two warp groups;
+   {!Sw_pipeline} keeps both in one, the Triton baseline. *)
 
 (* Values (in body) produced by iteration statements that tile
    statements also need: these scalar computations are duplicated into
@@ -194,25 +204,22 @@ let check_no_cycles cls (loop : Op.op) =
           op.Op.operands)
     (Annotate.body_ops loop)
 
-(** Ops whose operands may be SMEM views directly (everything else gets
-    a [local_load] inserted). The transpose case covers WGMMA's free
-    descriptor-level transpose, legal only when the transposed view
-    feeds dots. *)
-let memdesc_direct_ok (g : Graph.t) (op : Op.op) =
+(** May operand [i] of [op] stay an SMEM view? A dot reads its A and B
+    operands from SMEM, but accumulates in registers. A transpose stays
+    a free descriptor-level view (WGMMA transposes for nothing) only
+    when every user is a dot reading it as A or B. Every other operand
+    gets a [local_load]. *)
+let smem_operand_ok (g : Graph.t) (op : Op.op) i =
   match op.Op.opcode with
-  | Op.Dot | Op.Wgmma_issue -> true
+  | Op.Dot | Op.Wgmma_issue -> i < 2
   | Op.Trans ->
-    (* Legal only when every user is a dot reading the transposed view
-       as its a/b operand (never as the accumulator). *)
     List.for_all
       (fun (user : Op.op) ->
         match (user.Op.opcode, user.Op.operands) with
-        | (Op.Dot | Op.Wgmma_issue), _ :: _ :: rest ->
-          List.for_all
-            (fun r -> not (List.exists (Value.equal r) rest))
-            op.Op.results
+        | (Op.Dot | Op.Wgmma_issue), [ _; _; acc ] ->
+          not (List.exists (Value.equal acc) op.Op.results)
         | _ -> false)
-      (List.concat_map (fun r -> Graph.users g r) op.Op.results)
+      (List.concat_map (Graph.users g) op.Op.results)
   | _ -> false
 
 let memdesc_ty_of_tensor ty =
@@ -220,13 +227,25 @@ let memdesc_ty_of_tensor ty =
   | Types.TTensor { shape; dtype } -> Types.memdesc shape dtype
   | _ -> ty
 
-(** [warp_specialize ~options kernel] returns a new, warp-specialized
-    kernel with [options.aref_depth]-slot arefs; raises
-    {!Pass.Not_applicable} when the kernel has no TMA-fed main loop or
-    its dependence structure cannot be split. The consumer count is a
-    launch attribute that {!Manager.compile} stamps. *)
-let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : Kernel.t =
-  let k = Kernel.clone kernel in
+(** A kernel's TMA-fed main loop, classified and grouped. *)
+type main_loop = {
+  loop : Op.op;
+  cls : Annotate.classification;
+  groups : group list;
+  lb : Value.t;
+  ub : Value.t;
+  step : Value.t;
+  inits : Value.t list;
+  iv : Value.t;           (* the body's induction variable *)
+  iters : Value.t list;   (* the body's loop-carried parameters *)
+  graph : Graph.t;        (* use-def chains of the kernel holding [loop] *)
+}
+
+(** [main_loop k] finds and classifies the main loop of [k], the
+    caller's clone, whose graph the distribution then reads. Raises
+    {!Pass.Not_applicable} when there is no TMA-fed loop or its
+    dependence structure cannot be split. *)
+let main_loop (k : Kernel.t) =
   let loop =
     match find_pipeline_loop k with
     | Some l -> l
@@ -236,199 +255,210 @@ let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : K
   if cls.Annotate.loads = [] then na "loop has no TMA loads";
   check_no_cycles cls loop;
   let groups = group_loads cls loop in
-  let whole_graph = Graph.build k.Kernel.body in
-  let depth = options.Options.aref_depth in
   let lb, ub, step, inits =
     match loop.Op.operands with
     | lb :: ub :: step :: inits -> (lb, ub, step, inits)
     | _ -> na "malformed loop"
   in
-  let body_blk = Op.entry_block (List.hd loop.Op.regions) in
-  let orig_iv, orig_iters =
-    match body_blk.Op.params with
+  let iv, iters =
+    match (Op.entry_block (List.hd loop.Op.regions)).Op.params with
     | iv :: iters -> (iv, iters)
     | [] -> na "loop without IV"
   in
+  { loop; cls; groups; lb; ub; step; inits; iv; iters; graph = Graph.build k.Kernel.body }
 
-  (* --- aref creation (top level) --- *)
-  let top_emitter = mk_emitter () in
-  let arefs =
-    List.map
-      (fun g ->
-        let payload =
-          List.map
-            (fun (load : Op.op) -> memdesc_ty_of_tensor (Value.ty (List.hd load.Op.results)))
-            g.group_loads
-        in
-        let v = Value.fresh ~hint:"aref" (Types.aref payload depth) in
-        top_emitter.emit (Op.mk (Op.Aref_create depth) ~results:[ v ]);
-        (g, v))
-      groups
-  in
+(** [create_arefs e ml ~hint ~depth] emits a [depth]-slot aref per load
+    group of [ml] into [e]; its payload is the group's tiles as SMEM
+    views. *)
+let create_arefs e ml ~hint ~depth =
+  List.map
+    (fun g ->
+      let payload =
+        List.map
+          (fun (load : Op.op) -> memdesc_ty_of_tensor (Value.ty (List.hd load.Op.results)))
+          g.group_loads
+      in
+      let v = Value.fresh ~hint (Types.aref payload depth) in
+      e.emit (Op.mk (Op.Aref_create depth) ~results:[ v ]);
+      (g, v))
+    ml.groups
 
-  (* --- producer loop --- *)
-  let producer_loop =
-    let map = Value.Tbl.create 64 in
-    let iv_p = Value.fresh ~hint:"k" Types.i32 in
-    Value.Tbl.replace map orig_iv iv_p;
-    let e = mk_emitter () in
-    let slot = emit_iter_index e ~iv:iv_p ~lb ~step in
-    let loaded : (int, Value.t) Hashtbl.t = Hashtbl.create 8 in
-    List.iter
-      (fun (op : Op.op) ->
-        if Annotate.class_of cls op = Annotate.Iteration then begin
-          let cloned = clone_with map op in
-          e.emit cloned;
-          if op.Op.opcode = Op.Tma_load then
-            Hashtbl.replace loaded op.Op.oid (List.hd cloned.Op.results)
-        end;
-        (* After the last load of a group, publish the slot. *)
+(** [counted_loop ~hint ~lb ~ub ~step body] is a [for] with no carried
+    values whose body [body e iv] emits into [e]. *)
+let counted_loop ~hint ~lb ~ub ~step body =
+  let iv = Value.fresh ~hint Types.i32 in
+  let e = mk_emitter () in
+  body e iv;
+  e.emit (Op.mk Op.Yield);
+  Op.mk Op.For ~operands:[ lb; ub; step ]
+    ~regions:[ Op.single_block_region ~params:[ iv ] (e.finish ()) ]
+
+(** [emit_if e cond body] emits [if cond { body } else {}], the
+    then-branch emitted by [body] into its own emitter. *)
+let emit_if e cond body =
+  let then_e = mk_emitter () in
+  body then_e;
+  then_e.emit (Op.mk Op.Yield);
+  let else_e = mk_emitter () in
+  else_e.emit (Op.mk Op.Yield);
+  e.emit
+    (Op.mk Op.If ~operands:[ cond ]
+       ~regions:
+         [ Op.single_block_region (then_e.finish ()); Op.single_block_region (else_e.finish ()) ])
+
+(** [emit_produce e ml arefs ~iv] emits into [e] the iteration
+    statements of the iteration whose induction value is [iv], with an
+    [aref_put] of each group's tiles after its last load. *)
+let emit_produce e ml arefs ~iv =
+  let map = Value.Tbl.create 32 in
+  Value.Tbl.replace map ml.iv iv;
+  let it = emit_iter_index e ~iv ~lb:ml.lb ~step:ml.step in
+  List.iter
+    (fun (op : Op.op) ->
+      if Annotate.class_of ml.cls op = Annotate.Iteration then begin
+        e.emit (clone_with map op);
         List.iter
           (fun (g, aref_v) ->
-            let last = List.nth g.group_loads (List.length g.group_loads - 1) in
-            if last.Op.oid = op.Op.oid then begin
+            if (List.nth g.group_loads (List.length g.group_loads - 1)).Op.oid = op.Op.oid then
               let payload =
-                List.map (fun (l : Op.op) -> Hashtbl.find loaded l.Op.oid) g.group_loads
+                List.map (fun (l : Op.op) -> subst map (List.hd l.Op.results)) g.group_loads
               in
-              e.emit (Op.mk Op.Aref_put ~operands:((aref_v :: [ slot ]) @ payload))
-            end)
-          arefs)
-      body_blk.Op.ops;
-    e.emit (Op.mk Op.Yield);
-    Op.mk Op.For
-      ~operands:[ lb; ub; step ]
-      ~regions:[ Op.single_block_region ~params:[ iv_p ] (e.finish ()) ]
+              e.emit (Op.mk Op.Aref_put ~operands:(aref_v :: it :: payload)))
+          arefs
+      end)
+    (Annotate.body_ops ml.loop)
 
-  (* --- consumer loop --- *)
-  and consumer_parts =
-    let map = Value.Tbl.create 64 in
-    let iv_c = Value.fresh ~hint:"k" Types.i32 in
-    Value.Tbl.replace map orig_iv iv_c;
-    let iters_c =
-      List.map
-        (fun it ->
-          let it' = Value.fresh ~hint:(Value.hint it) (Value.ty it) in
-          Value.Tbl.replace map it it';
-          it')
-        orig_iters
-    in
-    let e = mk_emitter () in
-    let slot = emit_iter_index e ~iv:iv_c ~lb ~step in
-    (* Acquire every group's views; map load results to SMEM views. *)
-    List.iter
-      (fun (g, aref_v) ->
-        let views =
-          List.map
-            (fun (l : Op.op) ->
-              let r = List.hd l.Op.results in
-              let view =
-                Value.fresh ~hint:(Value.hint r) (memdesc_ty_of_tensor (Value.ty r))
-              in
-              Value.Tbl.replace map r view;
-              view)
-            g.group_loads
-        in
-        e.emit (Op.mk Op.Aref_get ~operands:[ aref_v; slot ] ~results:views))
-      arefs;
-    let dup = duplicated_iteration_ops cls loop in
-    (* Local-load cache: memdesc view -> register tile. *)
-    let reg_cache : Value.t Value.Tbl.t = Value.Tbl.create 8 in
-    let to_register v =
-      match Value.Tbl.find_opt reg_cache v with
-      | Some t -> t
-      | None ->
-        let ty =
-          match Value.ty v with
-          | Types.TMemDesc { shape; dtype } -> Types.tensor shape dtype
-          | ty -> ty
-        in
-        let t = fresh_result e ~hint:"reg" Op.Local_load [ v ] ty in
-        Value.Tbl.replace reg_cache v t;
-        t
-    in
-    let yielded = ref [] in
-    List.iter
-      (fun (op : Op.op) ->
-        let cls_op = Annotate.class_of cls op in
-        let should_clone =
-          (cls_op = Annotate.Tile && op.Op.opcode <> Op.Yield)
-          || (cls_op = Annotate.Iteration && Hashtbl.mem dup op.Op.oid)
-        in
-        if op.Op.opcode = Op.Yield then
-          yielded := List.map (subst map) op.Op.operands
-        else if should_clone then begin
-          (* Adapt operands that now live in SMEM. *)
-          let direct = memdesc_direct_ok whole_graph op in
-          let operands =
-            List.map
-              (fun v ->
-                let v' = subst map v in
-                if Types.is_memdesc (Value.ty v') && not direct then to_register v'
-                else v')
-              op.Op.operands
-          in
-          let retype r ty =
-            if direct && op.Op.opcode = Op.Trans
-               && List.exists (fun o -> Types.is_memdesc (Value.ty o)) operands
-            then memdesc_ty_of_tensor ty
-            else ty
-          in
-          let results =
-            List.map
-              (fun r ->
-                let r' = Value.fresh ~hint:(Value.hint r) (retype r (Value.ty r)) in
-                Value.Tbl.replace map r r';
-                r')
-              op.Op.results
-          in
-          e.emit (Op.mk op.Op.opcode ~operands ~results ~attrs:op.Op.attrs)
-        end)
-      body_blk.Op.ops;
-    (* Release every group's slot; the pipelining pass may later delay
-       these (§III-D.1). *)
-    List.iter
-      (fun (_, aref_v) -> e.emit (Op.mk Op.Aref_consumed ~operands:[ aref_v; slot ]))
-      arefs;
-    e.emit (Op.mk Op.Yield ~operands:!yielded);
-    let results = List.map (fun v -> Value.fresh (Value.ty v)) inits in
-    let body = Op.single_block_region ~params:(iv_c :: iters_c) (e.finish ()) in
-    let loop_op =
-      Op.mk Op.For ~operands:(lb :: ub :: step :: inits) ~results
-        ~regions:[ body ]
-    in
-    (loop_op, results)
+(** [consumer_loop ml arefs ~before_gets ~emit_tile] builds the loop
+    that consumes [arefs]. Each iteration runs [before_gets e iv], gets
+    every group's views, then the tile statements (and the iteration
+    statements they need), their SMEM operands adapted to each use and
+    each emitted by [emit_tile e op], then releases every group and
+    yields. Returns the loop and its results. *)
+let consumer_loop ml arefs ~before_gets ~emit_tile =
+  let map = Value.Tbl.create 64 in
+  let copy ?(retype = Fun.id) v =
+    let v' = Value.fresh ~hint:(Value.hint v) (retype (Value.ty v)) in
+    Value.Tbl.replace map v v';
+    v'
   in
-  let consumer_loop, consumer_results = consumer_parts in
+  let iv = copy ml.iv in
+  let iters = List.map copy ml.iters in
+  let e = mk_emitter () in
+  let it = emit_iter_index e ~iv ~lb:ml.lb ~step:ml.step in
+  before_gets e iv;
+  (* Acquire every group's views; map load results to SMEM views. *)
+  List.iter
+    (fun (g, aref_v) ->
+      let views =
+        List.map
+          (fun (l : Op.op) -> copy ~retype:memdesc_ty_of_tensor (List.hd l.Op.results))
+          g.group_loads
+      in
+      e.emit (Op.mk Op.Aref_get ~operands:[ aref_v; it ] ~results:views))
+    arefs;
+  let dup = duplicated_iteration_ops ml.cls ml.loop in
+  (* Local-load cache: memdesc view -> register tile. *)
+  let reg_cache : Value.t Value.Tbl.t = Value.Tbl.create 8 in
+  let to_register v =
+    match Value.Tbl.find_opt reg_cache v with
+    | Some t -> t
+    | None ->
+      let ty =
+        match Value.ty v with
+        | Types.TMemDesc { shape; dtype } -> Types.tensor shape dtype
+        | ty -> ty
+      in
+      let t = fresh_result e ~hint:"reg" Op.Local_load [ v ] ty in
+      Value.Tbl.replace reg_cache v t;
+      t
+  in
+  let yielded = ref [] in
+  List.iter
+    (fun (op : Op.op) ->
+      match Annotate.class_of ml.cls op with
+      | _ when op.Op.opcode = Op.Yield -> yielded := List.map (subst map) op.Op.operands
+      | Annotate.Iteration when not (Hashtbl.mem dup op.Op.oid) -> ()
+      | _ ->
+        let operands =
+          List.mapi
+            (fun i v ->
+              let v' = subst map v in
+              if Types.is_memdesc (Value.ty v') && not (smem_operand_ok ml.graph op i) then
+                to_register v'
+              else v')
+            op.Op.operands
+        in
+        (* A transpose left in SMEM is a view. *)
+        let retype =
+          if op.Op.opcode = Op.Trans
+             && List.exists (fun o -> Types.is_memdesc (Value.ty o)) operands
+          then memdesc_ty_of_tensor
+          else Fun.id
+        in
+        emit_tile e (clone_with ~operands ~retype map op))
+    (Annotate.body_ops ml.loop);
+  (* Release every group's slot; the pipelining pass may later delay
+     these (§III-D.1). *)
+  List.iter (fun (_, aref_v) -> e.emit (Op.mk Op.Aref_consumed ~operands:[ aref_v; it ])) arefs;
+  e.emit (Op.mk Op.Yield ~operands:!yielded);
+  let results = List.map (fun v -> Value.fresh (Value.ty v)) ml.inits in
+  ( Op.mk Op.For ~operands:(ml.lb :: ml.ub :: ml.step :: ml.inits) ~results
+      ~regions:[ Op.single_block_region ~params:(iv :: iters) (e.finish ()) ],
+    results )
 
-  (* --- epilogue: ops after the original loop move to the consumer --- *)
-  let entry = Kernel.entry k in
-  let rec split_at_loop acc = function
+(** [split_entry k ml results] splits the entry block of [k] around the
+    main loop: the ops before it, and the ops after it reading
+    [results] where they read the loop's. Raises {!Pass.Not_applicable}
+    when the ops after the loop hold control flow, which the
+    distribution does not copy. *)
+let split_entry (k : Kernel.t) ml results =
+  let rec split acc = function
     | [] -> na "loop not found in entry block"
-    | (op : Op.op) :: rest when op.Op.oid = loop.Op.oid -> (List.rev acc, rest)
-    | op :: rest -> split_at_loop (op :: acc) rest
+    | (op : Op.op) :: rest when op.Op.oid = ml.loop.Op.oid -> (List.rev acc, rest)
+    | op :: rest -> split (op :: acc) rest
   in
-  let prologue, epilogue = split_at_loop [] entry.Op.ops in
-  let epi_map = Value.Tbl.create 8 in
-  List.iter2 (fun o n -> Value.Tbl.replace epi_map o n) loop.Op.results consumer_results;
-  let consumer_ops =
-    consumer_loop
-    :: List.map
-         (fun (op : Op.op) ->
-           if op.Op.regions <> [] then na "control flow in epilogue";
-           let operands = List.map (subst epi_map) op.Op.operands in
-           Op.mk op.Op.opcode ~operands ~results:op.Op.results ~attrs:op.Op.attrs)
-         epilogue
-  in
+  let prologue, epilogue = split [] (Kernel.entry k).Op.ops in
+  let map = Value.Tbl.create 8 in
+  List.iter2 (Value.Tbl.replace map) ml.loop.Op.results results;
+  ( prologue,
+    List.map
+      (fun (op : Op.op) ->
+        if op.Op.regions <> [] then na "control flow in epilogue";
+        Op.mk op.Op.opcode ~operands:(List.map (subst map) op.Op.operands)
+          ~results:op.Op.results ~attrs:op.Op.attrs)
+      epilogue )
 
-  (* --- assemble the warp_group op --- *)
+(* ------------------------------------------------------------------ *)
+(* The warp-specialization transform                                   *)
+(* ------------------------------------------------------------------ *)
+
+(** [warp_specialize ~options kernel] returns a new, warp-specialized
+    kernel with [options.aref_depth]-slot arefs; raises
+    {!Pass.Not_applicable} when the kernel has no TMA-fed main loop or
+    its dependence structure cannot be split. The consumer count is a
+    launch attribute that {!Manager.compile} stamps. *)
+let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : Kernel.t =
+  let k = Kernel.clone kernel in
+  let ml = main_loop k in
+  let top = mk_emitter () in
+  let arefs = create_arefs top ml ~hint:"aref" ~depth:options.Options.aref_depth in
+  let producer =
+    counted_loop ~hint:"k" ~lb:ml.lb ~ub:ml.ub ~step:ml.step (fun e iv ->
+        emit_produce e ml arefs ~iv)
+  in
+  let consumer, results =
+    consumer_loop ml arefs ~before_gets:(fun _ _ -> ()) ~emit_tile:(fun e -> e.emit)
+  in
+  (* The epilogue moves to the consumer. *)
+  let prologue, epilogue = split_entry k ml results in
+  let entry = Kernel.entry k in
   let wg =
     Op.mk Op.Warp_group
       ~regions:
-        [ Op.single_block_region [ producer_loop ];
-          Op.single_block_region consumer_ops ]
+        [ Op.single_block_region [ producer ]; Op.single_block_region (consumer :: epilogue) ]
       ~attrs:[ ("roles", Op.Attr_string "producer,consumer") ]
   in
-  entry.Op.ops <- prologue @ top_emitter.finish () @ [ wg ];
+  entry.Op.ops <- prologue @ top.finish () @ [ wg ];
 
   (* --- sink prologue ops used by exactly one warp group --- *)
   let membership : (int, int option) Hashtbl.t = Hashtbl.create 64 in

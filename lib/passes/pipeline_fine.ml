@@ -90,20 +90,12 @@ let apply ~mma_depth (kernel : Kernel.t) : Kernel.t =
       in
       let cond = Value.fresh ~hint:"cond" Types.i1 in
       e.Partition.emit (Op.mk (Op.Cmp Op.Ge) ~operands:[ it; p ] ~results:[ cond ]);
-      let then_e = Partition.mk_emitter () in
-      let itp = Partition.emit_binop then_e Op.Sub it p in
-      List.iter
-        (fun (c : Op.op) ->
-          then_e.Partition.emit (Op.mk Op.Aref_consumed ~operands:[ aref_of c; itp ]))
-        consumed_ops;
-      then_e.Partition.emit (Op.mk Op.Yield);
-      let else_e = Partition.mk_emitter () in
-      else_e.Partition.emit (Op.mk Op.Yield);
-      e.Partition.emit
-        (Op.mk Op.If ~operands:[ cond ]
-           ~regions:
-             [ Op.single_block_region (then_e.Partition.finish ());
-               Op.single_block_region (else_e.Partition.finish ()) ])
+      Partition.emit_if e cond (fun then_e ->
+          let itp = Partition.emit_binop then_e Op.Sub it p in
+          List.iter
+            (fun (c : Op.op) ->
+              then_e.Partition.emit (Op.mk Op.Aref_consumed ~operands:[ aref_of c; itp ]))
+            consumed_ops)
     in
     (* Body schedule (liveness: D >= P suffices, matching Fig. 11):
          release slot (it - P)   [top of iteration, before the get]
@@ -145,16 +137,12 @@ let apply ~mma_depth (kernel : Kernel.t) : Kernel.t =
     let niters = Partition.emit_binop epi Op.Div num step in
     let start0 = Partition.emit_binop epi Op.Sub niters p in
     let start = Partition.emit_binop epi Op.Max start0 zero in
-    let drain_e = Partition.mk_emitter () in
-    let j = Value.fresh ~hint:"j" Types.i32 in
-    List.iter
-      (fun (c : Op.op) ->
-        drain_e.Partition.emit (Op.mk Op.Aref_consumed ~operands:[ aref_of c; j ]))
-      consumed_ops;
-    drain_e.Partition.emit (Op.mk Op.Yield);
     epi.Partition.emit
-      (Op.mk Op.For ~operands:[ start; niters; one ]
-         ~regions:[ Op.single_block_region ~params:[ j ] (drain_e.Partition.finish ()) ]);
+      (Partition.counted_loop ~hint:"j" ~lb:start ~ub:niters ~step:one (fun drain_e j ->
+           List.iter
+             (fun (c : Op.op) ->
+               drain_e.Partition.emit (Op.mk Op.Aref_consumed ~operands:[ aref_of c; j ]))
+             consumed_ops));
     (* Insert the drain right after the loop in the consumer block. *)
     let rec insert = function
       | [] -> na "loop vanished"

@@ -12,3 +12,6 @@ let examples_dir = Filename.concat root "examples/kernels"
 
 (** A CLI golden of [bin/fixtures]. *)
 let fixture name = Filename.concat root (Filename.concat "bin/fixtures" name)
+
+(** A kernel of [test/fixtures]. *)
+let test_fixture name = Filename.concat root (Filename.concat "test/fixtures" name)

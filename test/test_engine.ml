@@ -487,22 +487,30 @@ let grid_functional_diff (program : Isa.program) ~params ~grid =
   && Array.for_all2 Oracle.outcomes_equal o d
   && outputs_equal
 
-let gemm_functional_diff compiled ~bm ~bn ~kk ~grid_m ~grid_n =
+(* The arguments of a GEMM-signature kernel; the kernel of fuzz [spec]
+   may also take the f32 input e [M, N]. *)
+let gemm_args ?spec a b c e ints =
+  match spec with Some s -> Test_fuzz.args s a b c e ints | None -> [ a; b; c ] @ ints
+
+let gemm_functional_diff ?spec compiled ~bm ~bn ~kk ~grid_m ~grid_n =
   let m = grid_m * bm and n = grid_n * bn in
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:7 [| m; kk |] in
   let b = Tensor.random ~dtype:Dtype.F16 ~seed:8 [| kk; n |] in
+  let e = Tensor.random ~dtype:Dtype.F32 ~seed:9 [| m; n |] in
   grid_functional_diff compiled.Flow.program ~grid:(grid_m, grid_n, 1)
     ~params:(fun () ->
       let c = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
-      [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor c; Sim.Rint m; Sim.Rint n;
-        Sim.Rint kk ])
+      gemm_args ?spec (Sim.Rtensor a) (Sim.Rtensor b) (Sim.Rtensor c) (Sim.Rtensor e)
+        [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ])
 
 (* The CTA [Launch.estimate] simulates, under both engines. *)
-let gemm_timing_diff compiled ~bm ~bn ~kk ~grid_m ~grid_n =
+let gemm_timing_diff ?spec compiled ~bm ~bn ~kk ~grid_m ~grid_n =
   let m = grid_m * bm and n = grid_n * bn in
   let o, d =
     Oracle.estimate_both ~cfg compiled.Flow.program
-      ~params:[ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint m; Sim.Rint n; Sim.Rint kk ]
+      ~params:
+        (gemm_args ?spec Sim.Rnone Sim.Rnone Sim.Rnone Sim.Rnone
+           [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ])
       ~grid:(grid_m, grid_n, 1)
   in
   Oracle.outcomes_equal o d
@@ -527,9 +535,9 @@ let prop_engine_fuzz =
     Test_fuzz.arb_spec (fun s ->
       List.for_all
         (fun (_, compiled) ->
-          gemm_functional_diff compiled ~bm:s.Test_fuzz.bm ~bn:s.Test_fuzz.bn
+          gemm_functional_diff ~spec:s compiled ~bm:s.Test_fuzz.bm ~bn:s.Test_fuzz.bn
             ~kk:(s.Test_fuzz.trip * s.Test_fuzz.bk) ~grid_m:2 ~grid_n:2
-          && gemm_timing_diff compiled ~bm:s.Test_fuzz.bm ~bn:s.Test_fuzz.bn
+          && gemm_timing_diff ~spec:s compiled ~bm:s.Test_fuzz.bm ~bn:s.Test_fuzz.bn
                ~kk:(s.Test_fuzz.trip * s.Test_fuzz.bk) ~grid_m:2 ~grid_n:2)
         (fuzz_compiles s))
 
@@ -585,7 +593,8 @@ let liveness_probe =
           Isa.Exit ] ]
 
 (* Every candidate program of both prefix-sharing spaces, a fixed draw
-   of fuzz kernels under each configuration the fuzz suite compiles them
+   of fuzz kernels (of the base fragment, whose kernels the pinned digest
+   was recorded on) under each configuration the fuzz suite compiles them
    with, and [liveness_probe]: one digest of every stream's unit lengths,
    local mask and unit heads after decode. A head is a pc whose unit is
    not its plain closure: a cost block or a chain starts there. Lengths
@@ -609,7 +618,7 @@ let precision_corpus_digest () =
       (fun s ->
         let k = Test_fuzz.build_kernel s in
         List.map (fun o -> (o, k)) fuzz_options)
-      (QCheck.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:16 Test_fuzz.gen_spec)
+      (QCheck.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:16 Test_fuzz.gen_base_spec)
   in
   let programs =
     List.map

@@ -1,6 +1,8 @@
 (* Differential fuzzing of the whole compiler: generate random tile
    kernels (a TMA-fed dot loop followed by a random elementwise
-   epilogue chain, with random tile shapes and trip counts), compile
+   epilogue chain, with random tile shapes and trip counts; the dot
+   accumulates onto the loop-carried value, a loaded tile or its
+   transpose, which the loop may read again after the dot), compile
    them through every pipeline configuration, execute on the simulator,
    and demand exact agreement with the sequential interpreter.
 
@@ -18,17 +20,27 @@ open Tawa_gpusim
 
 type ew_op = Add_const | Mul_const | Abs_op | Max_zero | Exp_damped | Sub_self_max
 
+(* What the dot accumulates onto: the loop-carried value, or a tile of
+   the f32 input e loaded each iteration (as is, or transposed), whose
+   product the loop then adds to the carried value. Only a kernel with
+   a loaded source takes e. *)
+type acc_source = Carried | Loaded | Loaded_trans
+
 type spec = {
   bm : int;
   bn : int;
   bk : int;
   trip : int; (* loop iterations *)
+  acc_src : acc_source;
+  reread : bool; (* the loop reads the dot's accumulator again after it *)
   loop_chain : ew_op list;  (* elementwise ops applied to acc in-loop *)
   epi_chain : ew_op list;   (* elementwise ops applied after the loop *)
   const : float;
 }
 
-let gen_spec =
+(* The fragment without the accumulator axes: the dot accumulates onto
+   the carried value, which nothing else reads. *)
+let gen_base_spec =
   QCheck.Gen.(
     let* bm = oneofl [ 4; 8 ] in
     let* bn = oneofl [ 4; 8 ] in
@@ -42,11 +54,21 @@ let gen_spec =
     let* loop_chain = list_size (return nloop) op in
     let* epi_chain = list_size (return nepi) op in
     let* const = float_range (-1.5) 1.5 in
-    return { bm; bn; bk; trip; loop_chain; epi_chain; const })
+    return
+      { bm; bn; bk; trip; acc_src = Carried; reread = false; loop_chain; epi_chain; const })
+
+let gen_spec =
+  QCheck.Gen.(
+    let* s = gen_base_spec in
+    let* acc_src = oneofl [ Carried; Loaded; Loaded_trans ] in
+    let* reread = bool in
+    return { s with acc_src; reread })
 
 let spec_print s =
-  Printf.sprintf "bm=%d bn=%d bk=%d trip=%d loop=%d epi=%d c=%.3f" s.bm s.bn s.bk s.trip
-    (List.length s.loop_chain) (List.length s.epi_chain) s.const
+  Printf.sprintf "bm=%d bn=%d bk=%d trip=%d acc=%s reread=%b loop=%d epi=%d c=%.3f" s.bm s.bn
+    s.bk s.trip
+    (match s.acc_src with Carried -> "carried" | Loaded -> "loaded" | Loaded_trans -> "trans")
+    s.reread (List.length s.loop_chain) (List.length s.epi_chain) s.const
 
 let arb_spec = QCheck.make ~print:spec_print gen_spec
 
@@ -74,14 +96,21 @@ let emit_ew b shape const (x : Value.t) = function
     let mb = Builder.broadcast b (Builder.expand_dims b m 1) shape in
     Builder.sub b x mb
 
+(* The arguments of [s]'s kernel: a, b, c, then e if the accumulator
+   is loaded, then [ints] (M, N, K). *)
+let args (s : spec) a b c e ints =
+  [ a; b; c ] @ (if s.acc_src = Carried then [] else [ e ]) @ ints
+
 let build_kernel (s : spec) : Kernel.t =
   Builder.kernel "fuzz"
-    [ ("a", Types.ptr Dtype.F16); ("b", Types.ptr Dtype.F16); ("c", Types.ptr Dtype.F16);
-      ("M", Types.i32); ("N", Types.i32); ("K", Types.i32) ]
+    (args s ("a", Types.ptr Dtype.F16) ("b", Types.ptr Dtype.F16) ("c", Types.ptr Dtype.F16)
+       ("e", Types.ptr Dtype.F32)
+       [ ("M", Types.i32); ("N", Types.i32); ("K", Types.i32) ])
     (fun b ps ->
-      let a_ptr, b_ptr, c_ptr, m, n, k =
+      let a_ptr, b_ptr, c_ptr, e_ptr, m, n, k =
         match ps with
-        | [ a; bb; c; m; n; k ] -> (a, bb, c, m, n, k)
+        | [ a; bb; c; m; n; k ] -> (a, bb, c, None, m, n, k)
+        | [ a; bb; c; e; m; n; k ] -> (a, bb, c, Some e, m, n, k)
         | _ -> assert false
       in
       let c1 = Builder.const_i b 1 in
@@ -94,6 +123,25 @@ let build_kernel (s : spec) : Kernel.t =
       let offs_n = Builder.mul b pid_n (Builder.const_i b s.bn) in
       let acc0 = Builder.zeros b [ s.bm; s.bn ] Dtype.F32 in
       let shape = [ s.bm; s.bn ] in
+      (* A loaded accumulator source: e is [M, N], read as [N, M] for the
+         transposed source. *)
+      let load_src =
+        match (s.acc_src, e_ptr) with
+        | Loaded, Some e_ptr ->
+          let de =
+            Builder.make_tensor_desc b e_ptr ~sizes:[ m; n ] ~strides:[ n; c1 ] ~dtype:Dtype.F32
+          in
+          Some (fun () -> Builder.tma_load b de ~offsets:[ offs_m; offs_n ] ~shape)
+        | Loaded_trans, Some e_ptr ->
+          let de =
+            Builder.make_tensor_desc b e_ptr ~sizes:[ n; m ] ~strides:[ m; c1 ] ~dtype:Dtype.F32
+          in
+          Some
+            (fun () ->
+              Builder.trans b
+                (Builder.tma_load b de ~offsets:[ offs_n; offs_m ] ~shape:[ s.bn; s.bm ]))
+        | _ -> None
+      in
       let results =
         Builder.for_ b ~lb:(Builder.const_i b 0) ~ub:k ~step:(Builder.const_i b s.bk)
           ~inits:[ acc0 ]
@@ -101,7 +149,14 @@ let build_kernel (s : spec) : Kernel.t =
             let acc = List.hd iters in
             let at = Builder.tma_load b da ~offsets:[ offs_m; iv ] ~shape:[ s.bm; s.bk ] in
             let bt = Builder.tma_load b db ~offsets:[ iv; offs_n ] ~shape:[ s.bk; s.bn ] in
-            let acc = Builder.dot b at bt acc in
+            let src = match load_src with Some load -> load () | None -> acc in
+            let d = Builder.dot b at bt src in
+            let d =
+              if s.reread then
+                Builder.add b d (Builder.mul b src (Builder.splat b (Builder.const_f b 0.5) shape))
+              else d
+            in
+            let acc = if Option.is_none load_src then d else Builder.add b acc d in
             let acc =
               List.fold_left (fun x op -> emit_ew b shape s.const x op) acc s.loop_chain
             in
@@ -125,31 +180,32 @@ let interp_golden kernel (s : spec) ~grid_m ~grid_n =
   let a = Tensor.random ~dtype:Dtype.F16 ~seed:41 [| m; kk |] in
   let b = Tensor.random ~dtype:Dtype.F16 ~seed:42 [| kk; n |] in
   let c = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
+  let e = Tensor.random ~dtype:Dtype.F32 ~seed:43 [| m; n |] in
   ignore
     (Interp.run_grid ~grid:(grid_m, grid_n, 1) kernel
-       [ Interp.RTensor a; Interp.RTensor b; Interp.RTensor c; Interp.RInt m;
-         Interp.RInt n; Interp.RInt kk ]);
-  (a, b, c)
+       (args s (Interp.RTensor a) (Interp.RTensor b) (Interp.RTensor c) (Interp.RTensor e)
+          [ Interp.RInt m; Interp.RInt n; Interp.RInt kk ]));
+  (a, b, e, c)
 
-let sim_output (compiled : Tawa_core.Flow.compiled) (s : spec) ~grid_m ~grid_n ~a ~b =
+let sim_output (compiled : Tawa_core.Flow.compiled) (s : spec) ~grid_m ~grid_n ~a ~b ~e =
   let m = grid_m * s.bm and n = grid_n * s.bn in
   let kk = s.trip * s.bk in
   let c = Tensor.create ~dtype:Dtype.F16 [| m; n |] in
   ignore
     (Launch.run_grid_functional ~cfg:Config.functional_test compiled.Tawa_core.Flow.program
        ~params:
-         [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor c; Sim.Rint m; Sim.Rint n;
-           Sim.Rint kk ]
+         (args s (Sim.Rtensor a) (Sim.Rtensor b) (Sim.Rtensor c) (Sim.Rtensor e)
+            [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ])
        ~grid:(grid_m, grid_n, 1));
   c
 
 let check_spec ?(grid_m = 2) ?(grid_n = 2) (s : spec) compile_fn =
   let kernel = build_kernel s in
   Verifier.verify kernel;
-  let a, b, golden = interp_golden kernel s ~grid_m ~grid_n in
+  let a, b, e, golden = interp_golden kernel s ~grid_m ~grid_n in
   let compiled = compile_fn kernel in
   Verifier.verify compiled.Tawa_core.Flow.transformed;
-  let got = sim_output compiled s ~grid_m ~grid_n ~a ~b in
+  let got = sim_output compiled s ~grid_m ~grid_n ~a ~b ~e in
   Tensor.max_abs_diff golden got = 0.0
 
 let ws_compile ~d ~p kernel =

@@ -214,13 +214,21 @@ let test_decode_key_contents () =
   ignore (Engine.prepare ~cfg:Config.h100 p);
   Alcotest.(check int) "the original still hits" 4 (misses ())
 
+(* Run [f] with the pool's width pinned to [d]. *)
+let with_domains d f =
+  Pool.set_default_domains (Some d);
+  Fun.protect ~finally:(fun () -> Pool.set_default_domains None) f
+
 (* Two domains key a program value whose fingerprint is not memoized
    yet at once: both reach the one decode its contents already have. *)
 let test_decode_key_domains () =
   let p, twin = program_twins () in
   Engine.clear_decode_cache ();
   let d = Engine.prepare ~cfg:Config.h100 p in
-  let got = Pool.map ~domains:2 (fun q -> Engine.prepare ~cfg:Config.h100 q) (Array.make 8 twin) in
+  let got =
+    with_domains 2 (fun () ->
+        Pool.map (fun q -> Engine.prepare ~cfg:Config.h100 q) (Array.make 8 twin))
+  in
   Alcotest.(check bool) "every domain gets the single decode" true
     (Array.for_all (fun e -> e == d) got);
   Alcotest.(check int) "no further decode" 1 (Engine.decode_cache_stats ()).Progcache.misses
@@ -285,10 +293,6 @@ let pid_branch_program =
    and 2 of the branching program, which differ. *)
 let mixed_items () = [ List.hd (grouped_items ()); (pid_branch_program, [], (4, 1, 1), 1.0) ]
 let cfg2 = { Config.h100 with Config.num_sms = 2 }
-
-let with_domains d f =
-  Pool.set_default_domains (Some d);
-  Fun.protect ~finally:(fun () -> Pool.set_default_domains None) f
 
 let test_grouped_domains_bit_identical () =
   let items = mixed_items () in

@@ -31,7 +31,7 @@ let test_map_deterministic () =
       Alcotest.(check (array int))
         (Printf.sprintf "map with %d domains" d)
         expected
-        (Pool.map ~domains:d f xs))
+        (with_domains d (fun () -> Pool.map f xs)))
     [ 1; 2; 8 ]
 
 let test_map_order_preserved () =
@@ -45,26 +45,27 @@ let test_map_order_preserved () =
     done;
     (i, !acc)
   in
-  let seq = Pool.map ~domains:1 f xs in
-  let par = Pool.map ~domains:4 f xs in
+  let seq = with_domains 1 (fun () -> Pool.map f xs) in
+  let par = with_domains 4 (fun () -> Pool.map f xs) in
   Alcotest.(check bool) "order preserved" true (seq = par);
   Array.iteri (fun i (j, _) -> Alcotest.(check int) "index" i j) par
 
 let test_map_edge_sizes () =
-  Alcotest.(check (array int)) "empty" [||] (Pool.map ~domains:4 (fun x -> x) [||]);
-  Alcotest.(check (array int)) "singleton" [| 42 |]
-    (Pool.map ~domains:4 (fun x -> x * 42) [| 1 |]);
+  with_domains 4 (fun () ->
+      Alcotest.(check (array int)) "empty" [||] (Pool.map (fun x -> x) [||]);
+      Alcotest.(check (array int)) "singleton" [| 42 |] (Pool.map (fun x -> x * 42) [| 1 |]));
   (* More domains than items. *)
   Alcotest.(check (array int)) "domains > n" [| 2; 4 |]
-    (Pool.map ~domains:16 (fun x -> 2 * x) [| 1; 2 |])
+    (with_domains 16 (fun () -> Pool.map (fun x -> 2 * x) [| 1; 2 |]))
 
 let test_map_list_and_run_all () =
   Alcotest.(check (list int)) "map_list" [ 1; 4; 9 ]
-    (Pool.map_list ~domains:3 (fun x -> x * x) [ 1; 2; 3 ]);
-  Alcotest.(check (array int)) "run_all" [| 10; 20 |]
-    (Pool.run_all ~domains:2 [| (fun () -> 10); (fun () -> 20) |]);
-  Alcotest.(check (float 1e-9)) "max_float" 9.0
-    (Pool.max_float ~domains:2 (fun x -> x *. x) [| 1.0; -3.0; 2.0 |])
+    (with_domains 3 (fun () -> Pool.map_list (fun x -> x * x) [ 1; 2; 3 ]));
+  with_domains 2 (fun () ->
+      Alcotest.(check (array int)) "run_all" [| 10; 20 |]
+        (Pool.run_all [| (fun () -> 10); (fun () -> 20) |]);
+      Alcotest.(check (float 1e-9)) "max_float" 9.0
+        (Pool.max_float (fun x -> x *. x) [| 1.0; -3.0; 2.0 |]))
 
 exception Boom of int
 
@@ -78,24 +79,26 @@ let test_exception_propagation () =
         (Printf.sprintf "raises with %d domains" d)
         (Boom 13)
         (fun () ->
-          ignore
-            (Pool.map ~domains:d
-               (fun i -> if i = 13 then raise (Boom 13) else i)
-               (Array.init 64 (fun i -> i)))))
+          with_domains d (fun () ->
+              ignore
+                (Pool.map
+                   (fun i -> if i = 13 then raise (Boom 13) else i)
+                   (Array.init 64 (fun i -> i))))))
     [ 1; 4 ]
 
 let test_iter_disjoint_writes () =
   let out = Array.make 64 (-1) in
-  Pool.iter ~domains:4 (fun i -> out.(i) <- 2 * i) (Array.init 64 (fun i -> i));
+  with_domains 4 (fun () -> Pool.iter (fun i -> out.(i) <- 2 * i) (Array.init 64 (fun i -> i)));
   Alcotest.(check (array int)) "all slots written" (Array.init 64 (fun i -> 2 * i)) out
 
 let test_nested_map_sequentializes () =
   (* A map inside a pool worker must not oversubscribe — and must still
      compute the right thing. *)
   let got =
-    Pool.map ~domains:4
-      (fun i -> Array.fold_left ( + ) 0 (Pool.map ~domains:4 (fun j -> i * j) (Array.init 8 (fun j -> j))))
-      (Array.init 8 (fun i -> i))
+    with_domains 4 (fun () ->
+        Pool.map
+          (fun i -> Array.fold_left ( + ) 0 (Pool.map (fun j -> i * j) (Array.init 8 (fun j -> j))))
+          (Array.init 8 (fun i -> i)))
   in
   Alcotest.(check (array int)) "nested results" (Array.init 8 (fun i -> i * 28)) got
 
@@ -105,13 +108,14 @@ let test_sequential_spawns_no_domains () =
      must have moved it at some point — proving the counter observes
      real spawns. *)
   let xs = Array.init 100 (fun i -> i) in
-  ignore (Pool.map ~domains:4 (fun i -> i * 2) xs);
+  with_domains 4 (fun () -> ignore (Pool.map (fun i -> i * 2) xs));
   Alcotest.(check bool) "parallel map spawned helpers" true
     (Pool.domains_spawned () > 0);
   let before = Pool.domains_spawned () in
-  ignore (Pool.map ~domains:1 (fun i -> i + 1) xs);
-  Pool.iter ~domains:1 (fun _ -> ()) xs;
-  ignore (Pool.map ~domains:4 (fun x -> x) [| 7 |]);
+  with_domains 1 (fun () ->
+      ignore (Pool.map (fun i -> i + 1) xs);
+      Pool.iter (fun _ -> ()) xs);
+  with_domains 4 (fun () -> ignore (Pool.map (fun x -> x) [| 7 |]));
   Alcotest.(check int) "no helpers for sequential work" before
     (Pool.domains_spawned ())
 
@@ -121,11 +125,11 @@ let test_shared_pool_reuses_helpers () =
      flat from the second call on — the per-launch spawn overhead the
      persistent pool exists to remove. *)
   let xs = Array.init 200 (fun i -> i) in
-  ignore (Pool.map ~domains:4 (fun i -> i + 1) xs);
+  with_domains 4 (fun () -> ignore (Pool.map (fun i -> i + 1) xs));
   let before = Pool.domains_spawned () in
   for _ = 1 to 5 do
-    ignore (Pool.map ~domains:4 (fun i -> i * 3) xs);
-    Pool.iter ~domains:3 (fun _ -> ()) xs
+    with_domains 4 (fun () -> ignore (Pool.map (fun i -> i * 3) xs));
+    with_domains 3 (fun () -> Pool.iter (fun _ -> ()) xs)
   done;
   Alcotest.(check int) "spawn counter flat across repeated parallel maps"
     before (Pool.domains_spawned ());
@@ -136,9 +140,9 @@ let test_shared_pool_reuses_helpers () =
 let test_shared_warm_and_shutdown () =
   let h = Pool.shared () in
   Alcotest.(check bool) "one process-wide handle" true (h == Pool.shared ());
-  (* Warm to an explicit width; correct results and a full worker set
+  (* Warm to a pinned width; correct results and a full worker set
      must survive a shutdown (the pool respawns on demand). *)
-  Pool.warm ~domains:3 h;
+  with_domains 3 (fun () -> Pool.warm h);
   Alcotest.(check bool) "warm spawned" true (Pool.helpers h >= 2);
   Pool.shutdown h;
   Alcotest.(check int) "helpers joined" 0 (Pool.helpers h);
@@ -146,7 +150,7 @@ let test_shared_warm_and_shutdown () =
   Alcotest.(check (array int))
     "map correct after shutdown"
     (Array.map (fun i -> i * 5) xs)
-    (Pool.map ~domains:4 (fun i -> i * 5) xs);
+    (with_domains 4 (fun () -> Pool.map (fun i -> i * 5) xs));
   Alcotest.(check bool) "respawned" true (Pool.helpers h > 0)
 
 let test_default_domains_override () =

@@ -1,15 +1,14 @@
 (* Shared command-line vocabulary of the tawac subcommands.
 
    Every subcommand draws its flags from here, so a given flag spells,
-   parses, and misparses identically everywhere: `--mode foo` produces
-   the same error under `run` and `profile`. Compile-shape
+   parses, and misparses identically everywhere: `--obs foo` produces
+   the same error under every subcommand that reads it. Compile-shape
    flags (-D/-P/--coop/...) fold into one [Flow.options] via
    {!options_of}, including the lowering strategy (--sw-pipeline /
    --naive). *)
 
 open Cmdliner
 open Tawa_core
-open Tawa_gpusim
 
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.tw")
 
@@ -39,18 +38,6 @@ let k ?(default = 64) () = Arg.(value & opt int default & info [ "k" ] ~doc:"GEM
 
 let l ?(default = 64) () =
   Arg.(value & opt int default & info [ "l" ] ~doc:"Attention sequence length.")
-
-let mode =
-  let mode_conv =
-    Arg.enum [ ("functional", Config.Functional); ("timing", Config.Timing) ]
-  in
-  Arg.(value & opt (some mode_conv) None
-       & info [ "mode" ] ~docv:"MODE"
-           ~doc:"Execution mode: $(b,functional) simulates the tile payload (and, under \
-                 $(b,run), verifies results against the CPU reference) while \
-                 $(b,timing) skips data movement whose values never reach an address, \
-                 predicate, or cost -- cycle-identical but much faster. $(b,run) \
-                 defaults to functional, $(b,profile) to timing.")
 
 let obs_conv : [ `Table | `Json ] Arg.conv =
   Arg.enum [ ("table", `Table); ("json", `Json) ]

@@ -286,18 +286,18 @@ let classify_signature (k : Kernel.t) =
   | _ -> `Unknown
 
 (* The launch of a recognized signature at the flag sizes: params,
-   grid, flops and a label. With [buffers] the pointers bind seeded
-   inputs at the kernel's declared dtypes, and [check] returns the
-   output's max rel diff vs the CPU reference with its tolerance;
-   without, they bind nothing, which is all timing mode reads. A size
-   the store tile does not divide is rejected before anything runs:
-   the grid would drop the remainder. *)
+   grid, flops and a label. Its pointers bind nothing, which is all a
+   timing simulation reads; [bind] returns the params with the pointers
+   bound to seeded inputs at the kernel's declared dtypes, and a check
+   that returns the output's max rel diff vs the CPU reference with its
+   tolerance. A size the store tile does not divide is rejected before
+   anything runs: the grid would drop the remainder. *)
 type launch = {
   params : Sim.rt list;
   grid : int * int * int;
   flops : float;
   desc : string;
-  check : (unit -> float * float) option;
+  bind : unit -> Sim.rt list * (unit -> float * float);
 }
 
 let tiled flag ~tile ~what v =
@@ -307,7 +307,7 @@ let tiled flag ~tile ~what v =
          (Printf.sprintf "%s must be a positive multiple of the store tile's %d %s, got %d"
             flag tile what v))
 
-let launch_of (k : Kernel.t) ~buffers ~m ~n ~kk ~l : launch option =
+let launch_of (k : Kernel.t) ~m ~n ~kk ~l : launch option =
   let ptr_dtype i =
     match Option.map Value.ty (List.nth_opt k.Kernel.params i) with
     | Some (Types.TPtr d) -> d
@@ -319,46 +319,38 @@ let launch_of (k : Kernel.t) ~buffers ~m ~n ~kk ~l : launch option =
     let tile_m, tile_n = Option.value (store_tile k) ~default:(16, 16) in
     tiled "-m (GEMM M)" ~tile:tile_m ~what:"rows" m;
     tiled "-n (GEMM N)" ~tile:tile_n ~what:"columns" n;
-    let ptrs, check =
-      if buffers then begin
-        let a = seeded 1 0 [| m; kk |] and b = seeded 2 1 [| kk; n |] in
-        let c = Tensor.create ~dtype:(ptr_dtype 2) [| m; n |] in
-        ( [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor c ],
-          Some
-            (fun () ->
-              (Tensor.max_rel_diff c (Reference.gemm ~out_dtype:(ptr_dtype 2) a b), 1e-3)) )
-      end
-      else ([ Sim.Rnone; Sim.Rnone; Sim.Rnone ], None)
-    in
+    let sizes = [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ] in
     Some
-      { params = ptrs @ [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ];
+      { params = [ Sim.Rnone; Sim.Rnone; Sim.Rnone ] @ sizes;
         grid = (m / tile_m, n / tile_n, 1);
         flops = Reference.gemm_flops ~m ~n ~k:kk;
         desc = Printf.sprintf "gemm %dx%dx%d" m n kk;
-        check }
+        bind =
+          (fun () ->
+            let a = seeded 1 0 [| m; kk |] and b = seeded 2 1 [| kk; n |] in
+            let c = Tensor.create ~dtype:(ptr_dtype 2) [| m; n |] in
+            ( [ Sim.Rtensor a; Sim.Rtensor b; Sim.Rtensor c ] @ sizes,
+              fun () ->
+                (Tensor.max_rel_diff c (Reference.gemm ~out_dtype:(ptr_dtype 2) a b), 1e-3) ))
+      }
   | `Attention ->
     let tile_m, d_head = Option.value (store_tile k) ~default:(16, 8) in
     tiled "-l (sequence length)" ~tile:tile_m ~what:"rows" l;
-    let ptrs, check =
-      if buffers then begin
-        let q = seeded 1 0 [| l; d_head |] and kt = seeded 2 1 [| l; d_head |] in
-        let v = seeded 3 2 [| l; d_head |] in
-        let o = Tensor.create ~dtype:(ptr_dtype 3) [| l; d_head |] in
-        ( [ Sim.Rtensor q; Sim.Rtensor kt; Sim.Rtensor v; Sim.Rtensor o ],
-          Some
-            (fun () ->
-              ( Tensor.max_rel_diff o
-                  (Reference.attention ~out_dtype:(ptr_dtype 3) ~q ~k:kt ~v ()),
-                2e-2 )) )
-      end
-      else ([ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rnone ], None)
-    in
     Some
-      { params = ptrs @ [ Sim.Rint l ];
+      { params = [ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint l ];
         grid = (l / tile_m, 1, 1);
         flops = Reference.attention_flops ~batch:1 ~heads:1 ~len:l ~head_dim:d_head ();
         desc = Printf.sprintf "attention L=%d d=%d" l d_head;
-        check }
+        bind =
+          (fun () ->
+            let q = seeded 1 0 [| l; d_head |] and kt = seeded 2 1 [| l; d_head |] in
+            let v = seeded 3 2 [| l; d_head |] in
+            let o = Tensor.create ~dtype:(ptr_dtype 3) [| l; d_head |] in
+            ( [ Sim.Rtensor q; Sim.Rtensor kt; Sim.Rtensor v; Sim.Rtensor o; Sim.Rint l ],
+              fun () ->
+                ( Tensor.max_rel_diff o
+                    (Reference.attention ~out_dtype:(ptr_dtype 3) ~q ~k:kt ~v ()),
+                  2e-2 ) )) }
   | `Unknown -> None
 
 (* A subcommand's report on one kernel is a list of pieces, each a text
@@ -393,10 +385,8 @@ let profile_piece (t : Launch.timing) : piece =
       [ ("cycles", Tawa_obs.Json.Float t.Launch.cycles);
         ("profile", Sim.profile_to_json prof) ] )
 
-let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emode =
+let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs =
   guard ~path (fun () ->
-    let emode = Option.value emode ~default:Config.Functional in
-    let functional = emode = Config.Functional in
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
     let cfg = Config.functional_test in
@@ -405,38 +395,30 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
     let mismatch = ref false in
     let report k =
       let c = Flow.compile ~options k in
-      match launch_of k ~buffers:functional ~m ~n ~kk ~l with
+      match launch_of k ~m ~n ~kk ~l with
       | None -> [ unrecognized k "compile-only" ]
       | Some fl ->
-        let name = ("kernel", Tawa_obs.Json.Str k.Kernel.name) in
-        let workload = ("workload", Tawa_obs.Json.Str fl.desc) in
+        let params, check = fl.bind () in
+        ignore (Launch.run_grid_functional ~cfg c.Flow.program ~params ~grid:fl.grid);
+        let diff, tol = check () in
+        let ok = diff < tol in
+        if not ok then mismatch := true;
+        let verdict = if ok then "OK" else "MISMATCH" in
         let verified : piece =
-          match fl.check with
-          | Some check ->
-            ignore
-              (Launch.run_grid_functional ~cfg c.Flow.program ~params:fl.params
-                 ~grid:fl.grid);
-            let diff, tol = check () in
-            let ok = diff < tol in
-            if not ok then mismatch := true;
-            let verdict = if ok then "OK" else "MISMATCH" in
-            ( Printf.sprintf "kernel @%s (%s): max rel diff vs reference = %.2e [%s]\n"
-                k.Kernel.name fl.desc diff verdict,
-              [ name; workload; ("max_rel_diff", Tawa_obs.Json.Float diff);
-                ("verdict", Tawa_obs.Json.Str verdict) ] )
-          | None ->
-            ( Printf.sprintf
-                "kernel @%s (%s): timing-only mode, functional verification skipped\n"
-                k.Kernel.name fl.desc,
-              [ name; workload ] )
+          ( Printf.sprintf "kernel @%s (%s): max rel diff vs reference = %.2e [%s]\n"
+              k.Kernel.name fl.desc diff verdict,
+            [ ("kernel", Tawa_obs.Json.Str k.Kernel.name);
+              ("workload", Tawa_obs.Json.Str fl.desc);
+              ("max_rel_diff", Tawa_obs.Json.Float diff);
+              ("verdict", Tawa_obs.Json.Str verdict) ] )
         in
-        (* A verified attention run stops there; the rest is also
-           timed at the same shape, where no pointer binds a buffer. *)
-        if functional && classify_signature k = `Attention then [ verified ]
+        (* A verified attention run stops there; a GEMM is also timed
+           at the same shape. *)
+        if classify_signature k = `Attention then [ verified ]
         else begin
-          let params = List.map (function Sim.Rtensor _ -> Sim.Rnone | p -> p) fl.params in
           let t =
-            Launch.estimate ~cfg:tcfg c.Flow.program ~params ~grid:fl.grid ~flops:fl.flops
+            Launch.estimate ~cfg:tcfg c.Flow.program ~params:fl.params ~grid:fl.grid
+              ~flops:fl.flops
           in
           let simulated =
             Printf.sprintf "  simulated: %.2f GFLOPS, %.0f cycles, TC utilization %.0f%%\n"
@@ -462,24 +444,20 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs emo
    channel lanes. Under --obs json every view is a field of the
    kernel's object. *)
 let do_profile path kernel_name d p coop persistent coarse sw naive m n kk l obs
-    trace_out show_ops show_channels show_cp emode =
+    trace_out show_ops show_channels show_cp =
   guard ~path (fun () ->
-    let emode = Option.value emode ~default:Config.Timing in
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
     let tcfg = Config.h100 in
     let unknown = ref false in
     let report k =
       let c = Flow.compile ~options k in
-      match launch_of k ~buffers:(emode = Config.Functional) ~m ~n ~kk ~l with
+      match launch_of k ~m ~n ~kk ~l with
       | None ->
         unknown := true;
         [ unrecognized k "cannot profile" ]
       | Some { params; grid; flops; desc; _ } ->
-        let t =
-          Launch.estimate ~cfg:{ tcfg with Config.mode = emode } c.Flow.program ~params
-            ~grid ~flops
-        in
+        let t = Launch.estimate ~cfg:tcfg c.Flow.program ~params ~grid ~flops in
         let program = c.Flow.program in
         let text, fields = profile_piece t in
         let summary =
@@ -951,7 +929,7 @@ let run_cmd =
       const do_run $ Cli_args.file $ Cli_args.kernel $ Cli_args.d $ Cli_args.p
       $ Cli_args.coop $ Cli_args.persistent $ Cli_args.coarse $ Cli_args.sw
       $ Cli_args.naive $ Cli_args.m () $ Cli_args.n () $ Cli_args.k () $ Cli_args.l ()
-      $ Cli_args.obs_opt $ Cli_args.mode)
+      $ Cli_args.obs_opt)
 
 let profile_cmd =
   let doc =
@@ -964,7 +942,7 @@ let profile_cmd =
       $ Cli_args.coop $ Cli_args.persistent $ Cli_args.coarse $ Cli_args.sw
       $ Cli_args.naive $ Cli_args.m () $ Cli_args.n () $ Cli_args.k () $ Cli_args.l ()
       $ Cli_args.obs $ Cli_args.trace $ Cli_args.ops
-      $ Cli_args.channels $ Cli_args.critical_path $ Cli_args.mode)
+      $ Cli_args.channels $ Cli_args.critical_path)
 
 let autotune_cmd =
   let doc =

@@ -76,12 +76,7 @@ let partitions_of sites =
 type loop_ctx = { iv : Value.t; lb : Value.t; step : Value.t; l_oid : int }
 
 let build (k : Kernel.t) : t =
-  (* Whole-kernel def table (regions included). *)
-  let def = Value.Tbl.create 256 in
-  Op.iter_region
-    (fun op -> List.iter (fun r -> Value.Tbl.replace def r op) op.Op.results)
-    k.Kernel.body;
-  let def_of v = Value.Tbl.find_opt def v in
+  let def_of = Graph.def (Graph.build k.Kernel.body) in
   let const_of v =
     match def_of v with Some { Op.opcode = Op.Const_int i; _ } -> Some i | _ -> None
   in

@@ -2,8 +2,9 @@
 
     A builder maintains a stack of blocks under construction; ops are
     appended to the innermost block. Region-introducing combinators
-    ([for_], [if_], [warp_group]) push a fresh block, run a callback to
-    populate it, and pop. *)
+    ([for_], [if_]) push a fresh block, run a callback to populate it,
+    and pop. Front ends build kernels with it ({!kernel}), and passes
+    build the ops they splice ({!block_builder}). *)
 
 open Tawa_tensor
 
@@ -23,17 +24,25 @@ let pop_frame b =
     Op.block ~params:f.params (List.rev f.rev_ops)
 
 let append b op =
-  (match b.stack with
+  match b.stack with
   | [] -> invalid_arg "Builder.append: no open block"
-  | f :: _ -> f.rev_ops <- op :: f.rev_ops);
-  op
+  | f :: _ -> f.rev_ops <- op :: f.rev_ops
+
+(** A builder of one block, whose ops a pass splices into the IR it
+    rewrites: build into it, then take the ops with {!finish}. *)
+let block_builder () =
+  let b = create () in
+  push_frame b [];
+  b
+
+let finish b = (pop_frame b).Op.ops
 
 let emit0 b ?attrs ?regions opcode operands =
-  ignore (append b (Op.mk ?attrs ?regions ~operands opcode))
+  append b (Op.mk ?attrs ?regions ~operands opcode)
 
 let emit1 b ?attrs ?regions ?hint opcode operands ty =
   let r = Value.fresh ?hint ty in
-  ignore (append b (Op.mk ?attrs ?regions ~operands ~results:[ r ] opcode));
+  append b (Op.mk ?attrs ?regions ~operands ~results:[ r ] opcode);
   r
 
 (* ---- arith ---- *)
@@ -207,24 +216,21 @@ let local_load b md =
 
 (* ---- control flow ---- *)
 
-(** [for_ b ~lb ~ub ~step ~inits body] builds an [scf.for]. The [body]
-    callback receives the induction variable and the iteration values
-    and must return the yielded values; results are the loop-carried
-    values after the final iteration. *)
-let for_ b ~lb ~ub ~step ~inits body =
-  let iv = Value.fresh ~hint:"iv" Types.i32 in
+(** [for_ b ~lb ~ub ~step ~inits body] builds an [scf.for] whose
+    induction variable is named [hint]. The [body] callback receives
+    the induction variable and the iteration values and must return the
+    yielded values; results are the loop-carried values after the final
+    iteration. *)
+let for_ b ?(hint = "iv") ~lb ~ub ~step ~inits body =
+  let iv = Value.fresh ~hint Types.i32 in
   let iters = List.map (fun v -> Value.fresh ~hint:"iter" (Value.ty v)) inits in
   push_frame b (iv :: iters);
   let yielded = body iv iters in
   emit0 b Op.Yield yielded;
   let blk = pop_frame b in
   let results = List.map (fun v -> Value.fresh (Value.ty v)) inits in
-  ignore
-    (append b
-       (Op.mk Op.For
-          ~operands:(lb :: ub :: step :: inits)
-          ~results
-          ~regions:[ Op.region [ blk ] ]));
+  append b
+    (Op.mk Op.For ~operands:(lb :: ub :: step :: inits) ~results ~regions:[ Op.region [ blk ] ]);
   results
 
 (** [if_ b cond ~result_tys then_ else_] builds an [scf.if] whose
@@ -239,10 +245,8 @@ let if_ b cond ~result_tys then_ else_ =
   emit0 b Op.Yield evals;
   let eblk = pop_frame b in
   let results = List.map Value.fresh result_tys in
-  ignore
-    (append b
-       (Op.mk Op.If ~operands:[ cond ] ~results
-          ~regions:[ Op.region [ tblk ]; Op.region [ eblk ] ]));
+  append b
+    (Op.mk Op.If ~operands:[ cond ] ~results ~regions:[ Op.region [ tblk ]; Op.region [ eblk ] ]);
   results
 
 (* ---- kernels ---- *)
@@ -250,9 +254,7 @@ let if_ b cond ~result_tys then_ else_ =
 (** [kernel name params f] builds a kernel: [f] receives the builder and
     the freshly created parameter values. *)
 let kernel name (params : (string * Types.ty) list) f =
-  let b = create () in
+  let b = block_builder () in
   let pvals = List.map (fun (n, ty) -> Value.fresh ~hint:n ty) params in
-  push_frame b [];
   f b pvals;
-  let blk = pop_frame b in
-  Kernel.create ~name ~params:pvals ~body:(Op.region [ blk ])
+  Kernel.create ~name ~params:pvals ~body:(Op.single_block_region (finish b))

@@ -1,8 +1,7 @@
-(** Use-def graph utilities over a kernel body.
-
-    The partitioning pass (§III-C) walks backward along use-def chains
-    from side-effecting sinks; these helpers build the defining-op and
-    users maps it needs. *)
+(** Use-def chains over a region: the defining op and the users of
+    each value, and the backward walk along them ({!slice}) that
+    partition annotation, tuple grouping and the coarse pipeline's
+    stage T share (§III-C, §III-D.2). *)
 
 type t = {
   def_of : Op.op Value.Tbl.t;        (* result value -> defining op *)
@@ -26,27 +25,27 @@ let build (region : Op.region) =
 let def g v = Value.Tbl.find_opt g.def_of v
 let users g v = Option.value (Value.Tbl.find_opt g.users_of v) ~default:[]
 
-(** All ops in the backward slice of [roots]: the ops defining the
-    roots, their operands' definitions, and so on. Block parameters
-    (loop iters, kernel params) terminate the walk. *)
-let backward_slice g (roots : Value.t list) : Op.op list =
+(** The ops reached walking back along use-def chains from [roots],
+    each once, in the order the walk reaches them. A value with no
+    definition in [g] ends the walk: a block parameter, a kernel
+    parameter, or, when [g] was built from a loop's region, a value of
+    the code around the loop. An op that [stop] accepts is kept, but
+    the walk does not go on through its operands. *)
+let slice ?(stop = fun _ -> false) g (roots : Value.t list) : Op.op list =
   let seen = Hashtbl.create 64 in
   let out = ref [] in
   let rec visit v =
     match def g v with
-    | None -> () (* block param or kernel param *)
-    | Some op ->
-      if not (Hashtbl.mem seen op.Op.oid) then begin
-        Hashtbl.add seen op.Op.oid ();
-        out := op :: !out;
-        List.iter visit op.Op.operands
-      end
+    | Some op when not (Hashtbl.mem seen op.Op.oid) ->
+      Hashtbl.add seen op.Op.oid ();
+      out := op :: !out;
+      if not (stop op) then List.iter visit op.Op.operands
+    | _ -> ()
   in
   List.iter visit roots;
-  !out
+  List.rev !out
 
-(** Ops in [block] (non-recursive) whose results are all unused inside
-    [region] — candidates for DCE if they are pure. *)
+(** Is any result of [op] used? *)
 let op_used g (op : Op.op) = List.exists (fun r -> users g r <> []) op.Op.results
 
 (** Pure ops can be erased when unused. Control flow and async ops are

@@ -2,8 +2,12 @@
 
     Starting from a tile kernel with a TMA-fed main loop, this pass:
 
-    + classifies the loop body into iteration statements and tile
-      statements ({!Annotate});
+    + classifies the loop body (partition annotation, §III-C.1): the
+      TMA loads and the body-local backward slice of their operands,
+      the address arithmetic, are {e iteration statements}, which the
+      producer warp group runs; every other op (dot, softmax
+      arithmetic, reductions, stores) is a {e tile statement}, which
+      the consumer warp group(s) run;
     + groups TMA loads whose results feed the same dot into one aref
       channel (the tuple-grouping optimization of §III-C.2), and creates
       a [D]-slot aref per group;
@@ -21,7 +25,6 @@
     baseline ({!Sw_pipeline}), which keeps both ends of every aref in
     one warp group. *)
 
-open Tawa_tensor
 open Tawa_ir
 
 let na = Pass.na
@@ -46,27 +49,12 @@ let clone_with ?operands ?(retype = Fun.id) (map : Value.t Value.Tbl.t) (op : Op
   in
   Op.mk op.Op.opcode ~operands ~results ~attrs:op.Op.attrs
 
-type emitter = { emit : Op.op -> unit; finish : unit -> Op.op list }
-
-let mk_emitter () =
-  let acc = ref [] in
-  { emit = (fun op -> acc := op :: !acc); finish = (fun () -> List.rev !acc) }
-
-let fresh_result e ?hint opcode operands ty =
-  let r = Value.fresh ?hint ty in
-  e.emit (Op.mk opcode ~operands ~results:[ r ]);
-  r
-
-let emit_const_i e i = fresh_result e (Op.Const_int i) [] Types.i32
-let emit_binop e kind x y = fresh_result e (Op.Binop kind) [ x; y ] Types.i32
-
 (** The normalized iteration index [it = (iv - lb) / step]. Aref ops
     carry this monotonic index; the lowering derives the slot
     ([it mod D]) and the mbarrier phase count ([it / D]) from it —
     exactly the parity mechanism of §III-E. *)
-let emit_iter_index e ~iv ~lb ~step =
-  let diff = emit_binop e Op.Sub iv lb in
-  let it = emit_binop e Op.Div diff step in
+let emit_iter_index b ~iv ~lb ~step =
+  let it = Builder.div b (Builder.sub b iv lb) step in
   Value.set_hint it "it";
   it
 
@@ -87,67 +75,27 @@ let find_pipeline_loop (k : Kernel.t) =
 (* aref grouping                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type group = {
-  dots : Op.op list;       (* the dots this group feeds (first one keys it) *)
-  group_loads : Op.op list; (* program order *)
-}
+let is_dot (op : Op.op) = match op.Op.opcode with Op.Dot | Op.Wgmma_issue -> true | _ -> false
 
-(** Assign each load to the first dot (program order) whose [a]/[b]
-    operand slice reaches it; loads feeding no dot get singleton
-    groups. *)
-let group_loads (cls : Annotate.classification) (loop : Op.op) : group list =
-  let ops = Annotate.body_ops loop in
-  let dots =
-    List.filter
-      (fun (o : Op.op) ->
-        match o.Op.opcode with Op.Dot | Op.Wgmma_issue -> true | _ -> false)
-      ops
-  in
-  (* Body-local backward slice of a value set. *)
-  let slice_loads roots =
-    let seen = Hashtbl.create 32 in
-    let found = ref [] in
-    let rec visit v =
-      match Value.Tbl.find_opt cls.Annotate.body_def v with
-      | None -> ()
-      | Some op ->
-        if not (Hashtbl.mem seen op.Op.oid) then begin
-          Hashtbl.add seen op.Op.oid ();
-          if op.Op.opcode = Op.Tma_load then found := op :: !found
-          else if not (match op.Op.opcode with Op.Dot | Op.Wgmma_issue -> true | _ -> false)
-          then List.iter visit op.Op.operands
-        end
-    in
-    List.iter visit roots;
-    !found
-  in
-  let assignment : (int, Op.op (* dot *)) Hashtbl.t = Hashtbl.create 8 in
+(** Tuple grouping: each load joins the group of the first dot (program
+    order) whose [a]/[b] operand slice in [body] reaches it; a load
+    feeding no dot is a group alone. Each group lists its loads, and
+    the groups come in the order of their first loads. *)
+let group_loads body ops loads : Op.op list list =
+  let feeds = Hashtbl.create 8 in
   List.iter
     (fun (dot : Op.op) ->
-      let ab = [ List.nth dot.Op.operands 0; List.nth dot.Op.operands 1 ] in
       List.iter
-        (fun (load : Op.op) ->
-          if not (Hashtbl.mem assignment load.Op.oid) then
-            Hashtbl.replace assignment load.Op.oid dot)
-        (slice_loads ab))
-    dots;
-  (* Collect groups keyed by dot id, preserving load program order. *)
-  let keys = ref [] in
-  let members : (int, Op.op list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (load : Op.op) ->
-      let key, dot_list =
-        match Hashtbl.find_opt assignment load.Op.oid with
-        | Some dot -> (dot.Op.oid, [ dot ])
-        | None -> (-load.Op.oid, [])
-      in
-      if not (Hashtbl.mem members key) then keys := (key, dot_list) :: !keys;
-      Hashtbl.replace members key
-        (load :: Option.value (Hashtbl.find_opt members key) ~default:[]))
-    cls.Annotate.loads;
-  List.rev_map
-    (fun (key, dots) -> { dots; group_loads = List.rev (Hashtbl.find members key) })
-    !keys
+        (fun (o : Op.op) ->
+          if o.Op.opcode = Op.Tma_load && not (Hashtbl.mem feeds o.Op.oid) then
+            Hashtbl.replace feeds o.Op.oid dot.Op.oid)
+        (Graph.slice body
+           ~stop:(fun o -> o.Op.opcode = Op.Tma_load || is_dot o)
+           (List.filteri (fun i _ -> i < 2) dot.Op.operands)))
+    (List.filter is_dot ops);
+  let key (l : Op.op) = Option.value (Hashtbl.find_opt feeds l.Op.oid) ~default:(-l.Op.oid) in
+  let keys = List.fold_left (fun ks l -> if List.mem (key l) ks then ks else ks @ [ key l ]) [] loads in
+  List.map (fun k -> List.filter (fun l -> key l = k) loads) keys
 
 (* ------------------------------------------------------------------ *)
 (* Loop distribution                                                   *)
@@ -157,52 +105,73 @@ let group_loads (cls : Annotate.classification) (loop : Op.op) : group list =
    of arefs. {!warp_specialize} puts the ends in two warp groups;
    {!Sw_pipeline} keeps both in one, the Triton baseline. *)
 
-(* Values (in body) produced by iteration statements that tile
-   statements also need: these scalar computations are duplicated into
-   the consumer clone (cheap recompute, standard practice). *)
-let duplicated_iteration_ops cls (loop : Op.op) =
-  let ops = Annotate.body_ops loop in
-  let needed = Hashtbl.create 32 in
-  let rec visit v =
-    match Value.Tbl.find_opt cls.Annotate.body_def v with
-    | None -> ()
-    | Some op ->
-      if Annotate.class_of cls op = Annotate.Iteration
-         && op.Op.opcode <> Op.Tma_load
-         && not (Hashtbl.mem needed op.Op.oid)
-      then begin
-        Hashtbl.add needed op.Op.oid ();
-        List.iter visit op.Op.operands
-      end
-  in
-  List.iter
-    (fun (op : Op.op) ->
-      if Annotate.class_of cls op = Annotate.Tile then List.iter visit op.Op.operands)
-    ops;
-  needed
+(** A kernel's TMA-fed main loop, classified and grouped. *)
+type main_loop = {
+  loop : Op.op;
+  body : Graph.t;         (* use-def chains of [loop]'s body alone *)
+  iteration : (int, unit) Hashtbl.t; (* ids of the iteration statements *)
+  groups : Op.op list list; (* each aref's loads, in program order *)
+  lb : Value.t;
+  ub : Value.t;
+  step : Value.t;
+  inits : Value.t list;
+  iv : Value.t;           (* the body's induction variable *)
+  iters : Value.t list;   (* the body's loop-carried parameters *)
+}
 
-(* Does the loop body have a cyclic dependence (iteration statements
-   reading tile results, or address computation depending on
-   loop-carried values)? Either defeats producer/consumer splitting. *)
-let check_no_cycles cls (loop : Op.op) =
-  let blk = Op.entry_block (List.hd loop.Op.regions) in
-  let iter_params =
-    match blk.Op.params with _ :: rest -> rest | [] -> na "loop without IV"
+(** The ops of [ml]'s loop body, in program order. *)
+let body_ops ml = (Op.entry_block (List.hd ml.loop.Op.regions)).Op.ops
+
+(** Is [op] of [ml]'s body an iteration statement (the producer's)
+    rather than a tile statement? *)
+let is_iteration ml (op : Op.op) = Hashtbl.mem ml.iteration op.Op.oid
+
+(** [main_loop k] finds and classifies the main loop of [k], the
+    caller's clone, whose body the distribution then reads. Raises
+    {!Pass.Not_applicable} when there is no TMA-fed loop, or when
+    address computation reads a loop-carried value, a cyclic
+    dependence that defeats producer/consumer splitting. (An iteration
+    statement never reads a tile statement: the slice would hold its
+    definition.) *)
+let main_loop (k : Kernel.t) =
+  let loop =
+    match find_pipeline_loop k with
+    | Some l -> l
+    | None -> na "no TMA-fed loop found"
   in
+  let lb, ub, step, inits =
+    match loop.Op.operands with
+    | lb :: ub :: step :: inits -> (lb, ub, step, inits)
+    | _ -> na "malformed loop"
+  in
+  let region = List.hd loop.Op.regions in
+  let iv, iters =
+    match (Op.entry_block region).Op.params with
+    | iv :: iters -> (iv, iters)
+    | [] -> na "loop without IV"
+  in
+  let body = Graph.build region in
+  let ops = (Op.entry_block region).Op.ops in
+  let loads = List.filter (fun (o : Op.op) -> o.Op.opcode = Op.Tma_load) ops in
+  let iteration = Hashtbl.create 32 in
   List.iter
     (fun (op : Op.op) ->
-      if Annotate.class_of cls op = Annotate.Iteration then
-        List.iter
-          (fun v ->
-            (match Value.Tbl.find_opt cls.Annotate.body_def v with
-            | Some def when Annotate.class_of cls def = Annotate.Tile ->
-              na "address computation depends on tile statement %s"
-                (Op.opcode_name def.Op.opcode)
-            | _ -> ());
-            if List.exists (Value.equal v) iter_params then
-              na "address computation depends on loop-carried value")
-          op.Op.operands)
-    (Annotate.body_ops loop)
+      if List.exists (fun v -> List.exists (Value.equal v) iters) op.Op.operands then
+        na "address computation depends on loop-carried value";
+      Hashtbl.replace iteration op.Op.oid ())
+    (Graph.slice body (List.concat_map (fun (l : Op.op) -> l.Op.results) loads));
+  { loop; body; iteration; groups = group_loads body ops loads; lb; ub; step; inits; iv; iters }
+
+(* The iteration statements, loads aside, whose values tile statements
+   read: the consumer recomputes them (cheap scalar recompute, standard
+   practice). *)
+let recomputed ml =
+  let tile op = not (is_iteration ml op) in
+  List.filter
+    (fun (op : Op.op) -> is_iteration ml op && op.Op.opcode <> Op.Tma_load)
+    (Graph.slice ml.body
+       ~stop:(fun op -> tile op || op.Op.opcode = Op.Tma_load)
+       (List.concat_map (fun (op : Op.op) -> if tile op then op.Op.operands else []) (body_ops ml)))
 
 (** May operand [i] of [op] stay an SMEM view? A dot reads its A and B
     operands from SMEM, but accumulates in registers. A transpose stays
@@ -227,112 +196,47 @@ let memdesc_ty_of_tensor ty =
   | Types.TTensor { shape; dtype } -> Types.memdesc shape dtype
   | _ -> ty
 
-(** A kernel's TMA-fed main loop, classified and grouped. *)
-type main_loop = {
-  loop : Op.op;
-  cls : Annotate.classification;
-  groups : group list;
-  lb : Value.t;
-  ub : Value.t;
-  step : Value.t;
-  inits : Value.t list;
-  iv : Value.t;           (* the body's induction variable *)
-  iters : Value.t list;   (* the body's loop-carried parameters *)
-  graph : Graph.t;        (* use-def chains of the kernel holding [loop] *)
-}
-
-(** [main_loop k] finds and classifies the main loop of [k], the
-    caller's clone, whose graph the distribution then reads. Raises
-    {!Pass.Not_applicable} when there is no TMA-fed loop or its
-    dependence structure cannot be split. *)
-let main_loop (k : Kernel.t) =
-  let loop =
-    match find_pipeline_loop k with
-    | Some l -> l
-    | None -> na "no TMA-fed loop found"
-  in
-  let cls = Annotate.classify loop in
-  if cls.Annotate.loads = [] then na "loop has no TMA loads";
-  check_no_cycles cls loop;
-  let groups = group_loads cls loop in
-  let lb, ub, step, inits =
-    match loop.Op.operands with
-    | lb :: ub :: step :: inits -> (lb, ub, step, inits)
-    | _ -> na "malformed loop"
-  in
-  let iv, iters =
-    match (Op.entry_block (List.hd loop.Op.regions)).Op.params with
-    | iv :: iters -> (iv, iters)
-    | [] -> na "loop without IV"
-  in
-  { loop; cls; groups; lb; ub; step; inits; iv; iters; graph = Graph.build k.Kernel.body }
-
-(** [create_arefs e ml ~hint ~depth] emits a [depth]-slot aref per load
-    group of [ml] into [e]; its payload is the group's tiles as SMEM
+(** [create_arefs b ml ~hint ~depth] emits a [depth]-slot aref per load
+    group of [ml] into [b]; its payload is the group's tiles as SMEM
     views. *)
-let create_arefs e ml ~hint ~depth =
+let create_arefs b ml ~hint ~depth =
   List.map
-    (fun g ->
+    (fun loads ->
       let payload =
         List.map
           (fun (load : Op.op) -> memdesc_ty_of_tensor (Value.ty (List.hd load.Op.results)))
-          g.group_loads
+          loads
       in
       let v = Value.fresh ~hint (Types.aref payload depth) in
-      e.emit (Op.mk (Op.Aref_create depth) ~results:[ v ]);
-      (g, v))
+      Builder.append b (Op.mk (Op.Aref_create depth) ~results:[ v ]);
+      (loads, v))
     ml.groups
 
-(** [counted_loop ~hint ~lb ~ub ~step body] is a [for] with no carried
-    values whose body [body e iv] emits into [e]. *)
-let counted_loop ~hint ~lb ~ub ~step body =
-  let iv = Value.fresh ~hint Types.i32 in
-  let e = mk_emitter () in
-  body e iv;
-  e.emit (Op.mk Op.Yield);
-  Op.mk Op.For ~operands:[ lb; ub; step ]
-    ~regions:[ Op.single_block_region ~params:[ iv ] (e.finish ()) ]
-
-(** [emit_if e cond body] emits [if cond { body } else {}], the
-    then-branch emitted by [body] into its own emitter. *)
-let emit_if e cond body =
-  let then_e = mk_emitter () in
-  body then_e;
-  then_e.emit (Op.mk Op.Yield);
-  let else_e = mk_emitter () in
-  else_e.emit (Op.mk Op.Yield);
-  e.emit
-    (Op.mk Op.If ~operands:[ cond ]
-       ~regions:
-         [ Op.single_block_region (then_e.finish ()); Op.single_block_region (else_e.finish ()) ])
-
-(** [emit_produce e ml arefs ~iv] emits into [e] the iteration
+(** [emit_produce b ml arefs ~iv] emits into [b] the iteration
     statements of the iteration whose induction value is [iv], with an
     [aref_put] of each group's tiles after its last load. *)
-let emit_produce e ml arefs ~iv =
+let emit_produce b ml arefs ~iv =
   let map = Value.Tbl.create 32 in
   Value.Tbl.replace map ml.iv iv;
-  let it = emit_iter_index e ~iv ~lb:ml.lb ~step:ml.step in
+  let it = emit_iter_index b ~iv ~lb:ml.lb ~step:ml.step in
   List.iter
     (fun (op : Op.op) ->
-      if Annotate.class_of ml.cls op = Annotate.Iteration then begin
-        e.emit (clone_with map op);
+      if is_iteration ml op then begin
+        Builder.append b (clone_with map op);
         List.iter
-          (fun (g, aref_v) ->
-            if (List.nth g.group_loads (List.length g.group_loads - 1)).Op.oid = op.Op.oid then
-              let payload =
-                List.map (fun (l : Op.op) -> subst map (List.hd l.Op.results)) g.group_loads
-              in
-              e.emit (Op.mk Op.Aref_put ~operands:(aref_v :: it :: payload)))
+          (fun (loads, aref_v) ->
+            if List.hd (List.rev loads) == op then
+              let payload = List.map (fun (l : Op.op) -> subst map (List.hd l.Op.results)) loads in
+              Builder.append b (Op.mk Op.Aref_put ~operands:(aref_v :: it :: payload)))
           arefs
       end)
-    (Annotate.body_ops ml.loop)
+    (body_ops ml)
 
 (** [consumer_loop ml arefs ~before_gets ~emit_tile] builds the loop
-    that consumes [arefs]. Each iteration runs [before_gets e iv], gets
+    that consumes [arefs]. Each iteration runs [before_gets b iv], gets
     every group's views, then the tile statements (and the iteration
     statements they need), their SMEM operands adapted to each use and
-    each emitted by [emit_tile e op], then releases every group and
+    each emitted by [emit_tile b op], then releases every group and
     yields. Returns the loop and its results. *)
 let consumer_loop ml arefs ~before_gets ~emit_tile =
   let map = Value.Tbl.create 64 in
@@ -343,47 +247,40 @@ let consumer_loop ml arefs ~before_gets ~emit_tile =
   in
   let iv = copy ml.iv in
   let iters = List.map copy ml.iters in
-  let e = mk_emitter () in
-  let it = emit_iter_index e ~iv ~lb:ml.lb ~step:ml.step in
-  before_gets e iv;
+  let b = Builder.block_builder () in
+  let it = emit_iter_index b ~iv ~lb:ml.lb ~step:ml.step in
+  before_gets b iv;
   (* Acquire every group's views; map load results to SMEM views. *)
   List.iter
-    (fun (g, aref_v) ->
+    (fun (loads, aref_v) ->
       let views =
-        List.map
-          (fun (l : Op.op) -> copy ~retype:memdesc_ty_of_tensor (List.hd l.Op.results))
-          g.group_loads
+        List.map (fun (l : Op.op) -> copy ~retype:memdesc_ty_of_tensor (List.hd l.Op.results)) loads
       in
-      e.emit (Op.mk Op.Aref_get ~operands:[ aref_v; it ] ~results:views))
+      Builder.append b (Op.mk Op.Aref_get ~operands:[ aref_v; it ] ~results:views))
     arefs;
-  let dup = duplicated_iteration_ops ml.cls ml.loop in
+  let dup = recomputed ml in
   (* Local-load cache: memdesc view -> register tile. *)
   let reg_cache : Value.t Value.Tbl.t = Value.Tbl.create 8 in
   let to_register v =
     match Value.Tbl.find_opt reg_cache v with
     | Some t -> t
     | None ->
-      let ty =
-        match Value.ty v with
-        | Types.TMemDesc { shape; dtype } -> Types.tensor shape dtype
-        | ty -> ty
-      in
-      let t = fresh_result e ~hint:"reg" Op.Local_load [ v ] ty in
+      let t = Builder.local_load b v in
+      Value.set_hint t "reg";
       Value.Tbl.replace reg_cache v t;
       t
   in
   let yielded = ref [] in
   List.iter
     (fun (op : Op.op) ->
-      match Annotate.class_of ml.cls op with
-      | _ when op.Op.opcode = Op.Yield -> yielded := List.map (subst map) op.Op.operands
-      | Annotate.Iteration when not (Hashtbl.mem dup op.Op.oid) -> ()
-      | _ ->
+      if op.Op.opcode = Op.Yield then yielded := List.map (subst map) op.Op.operands
+      else if is_iteration ml op && not (List.memq op dup) then ()
+      else begin
         let operands =
           List.mapi
             (fun i v ->
               let v' = subst map v in
-              if Types.is_memdesc (Value.ty v') && not (smem_operand_ok ml.graph op i) then
+              if Types.is_memdesc (Value.ty v') && not (smem_operand_ok ml.body op i) then
                 to_register v'
               else v')
             op.Op.operands
@@ -395,16 +292,45 @@ let consumer_loop ml arefs ~before_gets ~emit_tile =
           then memdesc_ty_of_tensor
           else Fun.id
         in
-        emit_tile e (clone_with ~operands ~retype map op))
-    (Annotate.body_ops ml.loop);
+        emit_tile b (clone_with ~operands ~retype map op)
+      end)
+    (body_ops ml);
   (* Release every group's slot; the pipelining pass may later delay
      these (§III-D.1). *)
-  List.iter (fun (_, aref_v) -> e.emit (Op.mk Op.Aref_consumed ~operands:[ aref_v; it ])) arefs;
-  e.emit (Op.mk Op.Yield ~operands:!yielded);
+  List.iter (fun (_, aref_v) -> Builder.append b (Op.mk Op.Aref_consumed ~operands:[ aref_v; it ])) arefs;
+  Builder.append b (Op.mk Op.Yield ~operands:!yielded);
   let results = List.map (fun v -> Value.fresh (Value.ty v)) ml.inits in
   ( Op.mk Op.For ~operands:(ml.lb :: ml.ub :: ml.step :: ml.inits) ~results
-      ~regions:[ Op.single_block_region ~params:(iv :: iters) (e.finish ()) ],
+      ~regions:[ Op.single_block_region ~params:(iv :: iters) (Builder.finish b) ],
     results )
+
+(** [emit_async_dot b loop dot ~in_flight op] emits [op], which is
+    [dot] of [loop]'s body or a clone of it, as a [wgmma_issue] and a
+    [wgmma_wait]. WGMMA writes its accumulator only when its group
+    retires, so the wait leaves [in_flight] groups pending only when
+    the body's [yield] is the one read of the product and [dot]'s
+    accumulator the one read of the loop-carried value the product
+    becomes; otherwise it leaves none. *)
+let emit_async_dot b (loop : Op.op) (dot : Op.op) ~in_flight (op : Op.op) =
+  let region = List.hd loop.Op.regions in
+  let g = Graph.build region in
+  let blk = Op.entry_block region in
+  let yield = List.hd (List.rev blk.Op.ops) in
+  let read_once_by (reader : Op.op) v =
+    match Graph.users g v with [ u ] -> u == reader | _ -> false
+  in
+  let product = List.hd dot.Op.results in
+  let stays =
+    read_once_by yield product
+    && List.for_all2
+         (fun y carried ->
+           (not (Value.equal y product))
+           || (read_once_by dot carried && Value.equal carried (List.nth dot.Op.operands 2)))
+         yield.Op.operands (List.tl blk.Op.params)
+  in
+  Builder.append b
+    (Op.mk Op.Wgmma_issue ~operands:op.Op.operands ~results:op.Op.results ~attrs:op.Op.attrs);
+  Builder.append b (Op.mk (Op.Wgmma_wait (if stays then in_flight else 0)))
 
 (** [split_entry k ml results] splits the entry block of [k] around the
     main loop: the ops before it, and the ops after it reading
@@ -440,14 +366,15 @@ let split_entry (k : Kernel.t) ml results =
 let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : Kernel.t =
   let k = Kernel.clone kernel in
   let ml = main_loop k in
-  let top = mk_emitter () in
+  let top = Builder.block_builder () in
   let arefs = create_arefs top ml ~hint:"aref" ~depth:options.Options.aref_depth in
-  let producer =
-    counted_loop ~hint:"k" ~lb:ml.lb ~ub:ml.ub ~step:ml.step (fun e iv ->
-        emit_produce e ml arefs ~iv)
-  in
+  let producer = Builder.block_builder () in
+  ignore
+    (Builder.for_ producer ~hint:"k" ~lb:ml.lb ~ub:ml.ub ~step:ml.step ~inits:[] (fun iv _ ->
+         emit_produce producer ml arefs ~iv;
+         []));
   let consumer, results =
-    consumer_loop ml arefs ~before_gets:(fun _ _ -> ()) ~emit_tile:(fun e -> e.emit)
+    consumer_loop ml arefs ~before_gets:(fun _ _ -> ()) ~emit_tile:Builder.append
   in
   (* The epilogue moves to the consumer. *)
   let prologue, epilogue = split_entry k ml results in
@@ -455,10 +382,11 @@ let warp_specialize ?(options = Options.default_options) (kernel : Kernel.t) : K
   let wg =
     Op.mk Op.Warp_group
       ~regions:
-        [ Op.single_block_region [ producer ]; Op.single_block_region (consumer :: epilogue) ]
+        [ Op.single_block_region (Builder.finish producer);
+          Op.single_block_region (consumer :: epilogue) ]
       ~attrs:[ ("roles", Op.Attr_string "producer,consumer") ]
   in
-  entry.Op.ops <- prologue @ top.finish () @ [ wg ];
+  entry.Op.ops <- prologue @ Builder.finish top @ [ wg ];
 
   (* --- sink prologue ops used by exactly one warp group --- *)
   let membership : (int, int option) Hashtbl.t = Hashtbl.create 64 in

@@ -35,37 +35,22 @@ let apply (kernel : Kernel.t) : Kernel.t =
   in
   let body = Op.entry_block (List.hd loop.Op.regions) in
   let ops = body.Op.ops in
-  let def = Value.Tbl.create 64 in
-  List.iter
-    (fun (op : Op.op) -> List.iter (fun r -> Value.Tbl.replace def r op) op.Op.results)
-    ops;
-  (* The body-local backward slice of [roots], keyed by op id. *)
-  let slice roots =
-    let seen = Hashtbl.create 32 in
-    let rec visit v =
-      match Value.Tbl.find_opt def v with
-      | Some (op : Op.op) when not (Hashtbl.mem seen op.Op.oid) ->
-        Hashtbl.replace seen op.Op.oid op;
-        List.iter visit op.Op.operands
-      | _ -> ()
-    in
-    List.iter visit roots;
-    seen
-  in
+  (* Use-def chains of the body alone: slices stop at the loop's edge. *)
+  let g = Graph.build (List.hd loop.Op.regions) in
   let t_op, u_op =
     match List.filter (fun (op : Op.op) -> op.Op.opcode = Op.Dot) ops with
-    | [ t; u ] when Hashtbl.mem (slice u.Op.operands) t.Op.oid -> (t, u)
+    | [ t; u ] when List.memq t (Graph.slice g u.Op.operands) -> (t, u)
     | _ -> na "consumer loop does not have the T/C/U stage shape"
   in
-  let t_slice = slice t_op.Op.operands in
-  Hashtbl.replace t_slice t_op.Op.oid t_op;
+  (* Stage T: the first dot and the slice of its operands. *)
+  let t_slice = Graph.slice g t_op.Op.results in
+  let in_t op = List.memq op t_slice in
   let reads (op : Op.op) (d : Op.op) =
     List.exists (fun v -> List.exists (Value.equal v) d.Op.results) op.Op.operands
   in
   let k_get, v_get =
     match
-      List.partition
-        (fun (g : Op.op) -> Hashtbl.mem t_slice g.Op.oid)
+      List.partition in_t
         (List.filter (fun (op : Op.op) -> op.Op.opcode = Op.Aref_get) ops)
     with
     | [ kg ], [ vg ]
@@ -79,35 +64,34 @@ let apply (kernel : Kernel.t) : Kernel.t =
      (gets and releases re-derive their slots). *)
   let carried = List.tl body.Op.params in
   if
-    Hashtbl.fold
-      (fun _ (op : Op.op) bad ->
-        bad || List.exists (fun v -> List.exists (Value.equal v) carried) op.Op.operands)
-      t_slice false
+    List.exists
+      (fun (op : Op.op) -> List.exists (fun v -> List.exists (Value.equal v) carried) op.Op.operands)
+      t_slice
   then na "stage T reads a loop-carried value";
   List.iter
     (fun (op : Op.op) ->
       match op.Op.opcode with
       | Op.Aref_get | Op.Aref_consumed -> ()
-      | _ when Hashtbl.mem t_slice op.Op.oid -> ()
+      | _ when in_t op -> ()
       | _ ->
         List.iter
           (fun v ->
-            match Value.Tbl.find_opt def v with
-            | Some d when d != t_op && Hashtbl.mem t_slice d.Op.oid ->
+            match Graph.def g v with
+            | Some d when d != t_op && in_t d ->
               na "a value of stage T other than its result is read after T"
             | _ -> ())
           op.Op.operands)
     ops;
-  let released (g : Op.op) =
+  let released (get : Op.op) =
     List.exists
       (fun (c : Op.op) ->
         c.Op.opcode = Op.Aref_consumed
-        && Value.equal (List.hd c.Op.operands) (List.hd g.Op.operands))
+        && Value.equal (List.hd c.Op.operands) (List.hd get.Op.operands))
       ops
   in
   if not (released k_get && released v_get) then
     na "consumer loop never releases its K or V channel";
-  Hashtbl.iter (fun _ op -> stamp op "T") t_slice;
+  List.iter (fun op -> stamp op "T") t_slice;
   stamp u_op "U";
   stamp v_get "U";
   Op.set_attr loop "coarse_pipeline" (Op.Attr_bool true);

@@ -52,14 +52,12 @@ let apply ~mma_depth (kernel : Kernel.t) : Kernel.t =
     in
     let body = Op.entry_block (List.hd loop.Op.regions) in
     let iv = List.hd body.Op.params in
-    let dots =
-      List.filter (fun (op : Op.op) -> op.Op.opcode = Op.Dot) body.Op.ops
+    let dot =
+      match List.filter (fun (op : Op.op) -> op.Op.opcode = Op.Dot) body.Op.ops with
+      | [ dot ] -> dot
+      | [] -> na "consumer loop has no dot"
+      | _ -> na "fine pipelining expects a single dot (use the coarse pipeline)"
     in
-    (match dots with
-    | [ _ ] -> ()
-    | [] -> na "consumer loop has no dot"
-    | _ -> na "fine pipelining expects a single dot (use the coarse pipeline)");
-    let dot = List.hd dots in
     (* Collect the arefs whose slots are released in this loop and the
        slot value they use; the consumed ops get re-timed. *)
     let consumed_ops =
@@ -75,27 +73,20 @@ let apply ~mma_depth (kernel : Kernel.t) : Kernel.t =
     if depth < mma_depth then
       na "aref depth %d < MMA pipeline depth %d (infeasible, need D >= P)" depth mma_depth;
     (* Rebuild the body op list. *)
-    let e = Partition.mk_emitter () in
-    let p_const = ref None in
-    let emit_guarded_release () =
+    let b = Builder.block_builder () in
+    let release_lagging () =
       (* if (it >= P) { consumed(aref_g, it - P) } *)
-      let it = Partition.emit_iter_index e ~iv ~lb ~step in
-      let p =
-        match !p_const with
-        | Some p -> p
-        | None ->
-          let p = Partition.emit_const_i e mma_depth in
-          p_const := Some p;
-          p
-      in
-      let cond = Value.fresh ~hint:"cond" Types.i1 in
-      e.Partition.emit (Op.mk (Op.Cmp Op.Ge) ~operands:[ it; p ] ~results:[ cond ]);
-      Partition.emit_if e cond (fun then_e ->
-          let itp = Partition.emit_binop then_e Op.Sub it p in
-          List.iter
-            (fun (c : Op.op) ->
-              then_e.Partition.emit (Op.mk Op.Aref_consumed ~operands:[ aref_of c; itp ]))
-            consumed_ops)
+      let it = Partition.emit_iter_index b ~iv ~lb ~step in
+      let p = Builder.const_i b mma_depth in
+      let cond = Builder.cmp b Op.Ge it p in
+      Value.set_hint cond "cond";
+      ignore
+        (Builder.if_ b cond ~result_tys:[]
+           (fun () ->
+             let itp = Builder.sub b it p in
+             List.iter (fun c -> Builder.emit0 b Op.Aref_consumed [ aref_of c; itp ]) consumed_ops;
+             [])
+           (fun () -> []))
     in
     (* Body schedule (liveness: D >= P suffices, matching Fig. 11):
          release slot (it - P)   [top of iteration, before the get]
@@ -104,50 +95,43 @@ let apply ~mma_depth (kernel : Kernel.t) : Kernel.t =
          issue; wait {pendings = P - 1}
        After iteration k's wait, MMAs 0..k-P+1 are complete, so the
        release at the top of iteration k+1 frees a slot whose MMA has
-       retired, and the producer's put for iteration k+1+... proceeds. *)
+       retired, and the producer's put for iteration k+1+... proceeds.
+       The wait leaves no MMA in flight when anything but the loop's
+       yield reads the product ({!Partition.emit_async_dot}). *)
     let released = ref false in
     List.iter
       (fun (op : Op.op) ->
         match op.Op.opcode with
         | Op.Aref_get when not !released ->
           released := true;
-          emit_guarded_release ();
-          e.Partition.emit op
-        | Op.Dot when op.Op.oid = dot.Op.oid ->
-          (* dot -> issue-and-commit + bounded wait *)
-          e.Partition.emit
-            (Op.mk Op.Wgmma_issue ~operands:op.Op.operands ~results:op.Op.results
-               ~attrs:op.Op.attrs);
-          e.Partition.emit (Op.mk (Op.Wgmma_wait (mma_depth - 1)))
+          release_lagging ();
+          Builder.append b op
+        | Op.Dot when op == dot ->
+          Partition.emit_async_dot b loop dot ~in_flight:(mma_depth - 1) op
         | Op.Aref_consumed -> () (* dropped; re-timed above *)
-        | _ -> e.Partition.emit op)
+        | _ -> Builder.append b op)
       body.Op.ops;
-    body.Op.ops <- e.Partition.finish ();
+    body.Op.ops <- Builder.finish b;
     (* Epilogue after the loop: drain the MMA pipeline, then release the
        remaining slots: for j in max(niters - P, 0) .. niters. *)
-    let epi = Partition.mk_emitter () in
-    epi.Partition.emit (Op.mk (Op.Wgmma_wait 0));
-    let one = Partition.emit_const_i epi 1 in
-    let p = Partition.emit_const_i epi mma_depth in
-    let zero = Partition.emit_const_i epi 0 in
+    let epi = Builder.block_builder () in
+    Builder.append epi (Op.mk (Op.Wgmma_wait 0));
+    let one = Builder.const_i epi 1 in
+    let p = Builder.const_i epi mma_depth in
+    let zero = Builder.const_i epi 0 in
     (* niters = ceil((ub - lb) / step) = (ub - lb + step - 1) / step *)
-    let span = Partition.emit_binop epi Op.Sub ub lb in
-    let stepm1 = Partition.emit_binop epi Op.Sub step one in
-    let num = Partition.emit_binop epi Op.Add span stepm1 in
-    let niters = Partition.emit_binop epi Op.Div num step in
-    let start0 = Partition.emit_binop epi Op.Sub niters p in
-    let start = Partition.emit_binop epi Op.Max start0 zero in
-    epi.Partition.emit
-      (Partition.counted_loop ~hint:"j" ~lb:start ~ub:niters ~step:one (fun drain_e j ->
-           List.iter
-             (fun (c : Op.op) ->
-               drain_e.Partition.emit (Op.mk Op.Aref_consumed ~operands:[ aref_of c; j ]))
-             consumed_ops));
+    let span = Builder.sub epi ub lb in
+    let stepm1 = Builder.sub epi step one in
+    let niters = Builder.div epi (Builder.add epi span stepm1) step in
+    let start = Builder.max_ epi (Builder.sub epi niters p) zero in
+    ignore
+      (Builder.for_ epi ~hint:"j" ~lb:start ~ub:niters ~step:one ~inits:[] (fun j _ ->
+           List.iter (fun c -> Builder.emit0 epi Op.Aref_consumed [ aref_of c; j ]) consumed_ops;
+           []));
     (* Insert the drain right after the loop in the consumer block. *)
     let rec insert = function
       | [] -> na "loop vanished"
-      | (op : Op.op) :: rest when op.Op.oid = loop.Op.oid ->
-        (op :: epi.Partition.finish ()) @ rest
+      | (op : Op.op) :: rest when op == loop -> (op :: Builder.finish epi) @ rest
       | op :: rest -> op :: insert rest
     in
     blk.Op.ops <- insert blk.Op.ops;

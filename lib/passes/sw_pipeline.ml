@@ -27,49 +27,48 @@ let apply ~stages (kernel : Kernel.t) : Kernel.t =
   if stages < 1 then invalid_arg "sw_pipeline: stages must be >= 1";
   let k = Kernel.clone kernel in
   let ml = main_loop k in
-  let top = mk_emitter () in
+  let top = Builder.block_builder () in
   let arefs = create_arefs top ml ~hint:"ring" ~depth:stages in
-  let produce e iv = emit_produce e ml arefs ~iv in
+  let produce b iv = emit_produce b ml arefs ~iv in
   (* [iv + (S-1) * step]: the induction value S-1 iterations ahead. *)
-  let ahead e iv =
-    emit_binop e Op.Add iv (emit_binop e Op.Mul (emit_const_i e (stages - 1)) ml.step)
-  in
+  let ahead b iv = Builder.add b iv (Builder.mul b (Builder.const_i b (stages - 1)) ml.step) in
   (* Prologue loop: first min(S-1, niters) iterations prefetched. *)
-  let pro = mk_emitter () in
-  let pre_ub = emit_binop pro Op.Min (ahead pro ml.lb) ml.ub in
-  pro.emit (counted_loop ~hint:"s" ~lb:ml.lb ~ub:pre_ub ~step:ml.step produce);
+  let pre_ub = Builder.min_ top (ahead top ml.lb) ml.ub in
+  ignore
+    (Builder.for_ top ~hint:"s" ~lb:ml.lb ~ub:pre_ub ~step:ml.step ~inits:[] (fun iv _ ->
+         produce top iv;
+         []));
   (* Main loop: before the gets, prefetch iteration it + S - 1 if it is
      in range. *)
-  let prefetch e iv =
-    let kpre = ahead e iv in
-    let cond = Value.fresh ~hint:"inrange" Types.i1 in
-    e.emit (Op.mk (Op.Cmp Op.Lt) ~operands:[ kpre; ml.ub ] ~results:[ cond ]);
-    emit_if e cond (fun e -> produce e kpre)
+  let prefetch b iv =
+    let kpre = ahead b iv in
+    let cond = Builder.cmp b Op.Lt kpre ml.ub in
+    Value.set_hint cond "inrange";
+    ignore
+      (Builder.if_ b cond ~result_tys:[] (fun () -> produce b kpre; []) (fun () -> []))
   in
   (* Triton also pipelines WGMMA on Hopper: in single-dot (GEMM-like)
      loops the dot is issued asynchronously with one MMA left in
-     flight, drained after the loop. Multi-dot bodies (attention) keep
-     synchronous dots: the softmax reads the scores immediately. *)
-  let async =
-    List.length
-      (List.filter
-         (fun (o : Op.op) -> o.Op.opcode = Op.Dot && Annotate.class_of ml.cls o = Annotate.Tile)
-         (Annotate.body_ops ml.loop))
-    = 1
+     flight (none when the body reads the product,
+     {!Partition.emit_async_dot}), drained after the loop. Multi-dot
+     bodies (attention) keep synchronous dots: the softmax reads the
+     scores immediately. *)
+  let dot =
+    match
+      List.filter (fun (o : Op.op) -> o.Op.opcode = Op.Dot && not (is_iteration ml o)) (body_ops ml)
+    with
+    | [ dot ] -> Some dot
+    | _ -> None
   in
-  let emit_tile e (op : Op.op) =
-    if async && op.Op.opcode = Op.Dot then begin
-      e.emit
-        (Op.mk Op.Wgmma_issue ~operands:op.Op.operands ~results:op.Op.results
-           ~attrs:op.Op.attrs);
-      e.emit (Op.mk (Op.Wgmma_wait 1))
-    end
-    else e.emit op
+  let emit_tile b (op : Op.op) =
+    match dot with
+    | Some dot when op.Op.opcode = Op.Dot -> emit_async_dot b ml.loop dot ~in_flight:1 op
+    | _ -> Builder.append b op
   in
   let main, results = consumer_loop ml arefs ~before_gets:prefetch ~emit_tile in
   let prologue, epilogue = split_entry k ml results in
-  let drain = if async then [ Op.mk (Op.Wgmma_wait 0) ] else [] in
-  (Kernel.entry k).Op.ops <-
-    prologue @ top.finish () @ pro.finish () @ [ main ] @ drain @ epilogue;
+  Builder.append top main;
+  if Option.is_some dot then Builder.append top (Op.mk (Op.Wgmma_wait 0));
+  (Kernel.entry k).Op.ops <- prologue @ Builder.finish top @ epilogue;
   Kernel.set_attr k "sw_stages" (Op.Attr_int stages);
   k

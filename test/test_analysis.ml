@@ -195,37 +195,28 @@ let test_unwritten_channel_rejected () =
    before putting into r1, B gets from r1 before putting into r2 — a
    classic wait cycle no interleaving resolves. *)
 let cyclic_kernel () =
-  let payload = [ Types.memdesc [ 8; 8 ] Dtype.F16 ] in
-  let c0 = Op.mk (Op.Const_int 0) ~results:[ Value.fresh ~hint:"lb" Types.i32 ] in
-  let c4 = Op.mk (Op.Const_int 4) ~results:[ Value.fresh ~hint:"ub" Types.i32 ] in
-  let c1 = Op.mk (Op.Const_int 1) ~results:[ Value.fresh ~hint:"step" Types.i32 ] in
-  let v0 = List.hd c0.Op.results and v4 = List.hd c4.Op.results
-  and v1 = List.hd c1.Op.results in
-  let a1 = Value.fresh ~hint:"aref" (Types.aref payload 2) in
-  let a2 = Value.fresh ~hint:"aref" (Types.aref payload 2) in
-  let cr1 = Op.mk (Op.Aref_create 2) ~results:[ a1 ] in
-  let cr2 = Op.mk (Op.Aref_create 2) ~results:[ a2 ] in
-  let region_loop ~get_from ~put_into =
-    let iv = Value.fresh ~hint:"k" Types.i32 in
-    let e = Tawa_passes.Partition.mk_emitter () in
-    let it = Tawa_passes.Partition.emit_iter_index e ~iv ~lb:v0 ~step:v1 in
-    let view = Value.fresh ~hint:"view" (List.hd payload) in
-    e.Tawa_passes.Partition.emit
-      (Op.mk Op.Aref_get ~operands:[ get_from; it ] ~results:[ view ]);
-    e.Tawa_passes.Partition.emit (Op.mk Op.Aref_put ~operands:[ put_into; it; view ]);
-    e.Tawa_passes.Partition.emit (Op.mk Op.Aref_consumed ~operands:[ get_from; it ]);
-    e.Tawa_passes.Partition.emit (Op.mk Op.Yield);
-    Op.mk Op.For ~operands:[ v0; v4; v1 ]
-      ~regions:[ Op.single_block_region ~params:[ iv ] (e.Tawa_passes.Partition.finish ()) ]
-  in
-  let wg =
-    Op.mk Op.Warp_group
-      ~regions:
-        [ Op.single_block_region [ region_loop ~get_from:a2 ~put_into:a1 ];
-          Op.single_block_region [ region_loop ~get_from:a1 ~put_into:a2 ] ]
-  in
-  Kernel.create ~name:"cyclic" ~params:[]
-    ~body:(Op.single_block_region [ c0; c4; c1; cr1; cr2; wg ])
+  let payload = Types.memdesc [ 8; 8 ] Dtype.F16 in
+  Builder.kernel "cyclic" [] (fun b _ ->
+      let lb = Builder.const_i b 0 in
+      let ub = Builder.const_i b 4 in
+      let step = Builder.const_i b 1 in
+      let ring () = Builder.emit1 b ~hint:"aref" (Op.Aref_create 2) [] (Types.aref [ payload ] 2) in
+      let a1 = ring () in
+      let a2 = ring () in
+      let partition ~get_from ~put_into =
+        let pb = Builder.block_builder () in
+        ignore
+          (Builder.for_ pb ~hint:"k" ~lb ~ub ~step ~inits:[] (fun iv _ ->
+               let it = Tawa_passes.Partition.emit_iter_index pb ~iv ~lb ~step in
+               let view = Builder.emit1 pb ~hint:"view" Op.Aref_get [ get_from; it ] payload in
+               Builder.emit0 pb Op.Aref_put [ put_into; it; view ];
+               Builder.emit0 pb Op.Aref_consumed [ get_from; it ];
+               []));
+        Op.single_block_region (Builder.finish pb)
+      in
+      let a = partition ~get_from:a2 ~put_into:a1 in
+      let b' = partition ~get_from:a1 ~put_into:a2 in
+      Builder.emit0 b ~regions:[ a; b' ] Op.Warp_group [])
 
 let test_cyclic_deadlock () =
   assert_flagged ~check:Check_deadlock.name "cyclic two-ring kernel"

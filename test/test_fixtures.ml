@@ -3,7 +3,8 @@
    transpose, an accumulator read again after the dot, control flow
    after and inside the main loop, and a transposed tile read by a dot
    and by a cast. Every one must compute under every build exactly what
-   the interpreter computes. *)
+   the interpreter computes, and no build may read an MMA result that
+   is still in flight. *)
 
 open Tawa_tensor
 open Tawa_ir
@@ -64,8 +65,41 @@ let test_fixture name options () =
   Alcotest.(check (float 0.0)) "max abs diff vs interp" 0.0
     (Tensor.max_abs_diff (interp_output kernel) (sim_output (Flow.compile ~options kernel)))
 
+(* Every fixture and example kernel under the builds that leave MMAs in
+   flight: no op may read a product before a wait retires it. *)
+let in_flight_builds =
+  List.filter (fun (b, _) -> List.mem b [ "ws D2/P2"; "ws D4/P3"; "sw2"; "sw3" ]) builds
+
+let test_in_flight path () =
+  let flagged =
+    List.concat_map
+      (fun kernel ->
+        List.filter_map
+          (fun (build, options) ->
+            match Inflight.reads_in_flight (Flow.compile ~options kernel).Flow.transformed with
+            | [] -> None
+            | op :: _ ->
+              Some (Printf.sprintf "%s under %s (%s)" kernel.Kernel.name build
+                      (Op.opcode_name op.Op.opcode)))
+          in_flight_builds)
+      (Tawa_frontend.Elaborate.compile_file path)
+  in
+  if flagged <> [] then
+    Alcotest.failf "reads an MMA result in flight: %s" (String.concat "; " flagged)
+
+let in_flight_kernels =
+  List.map (fun name -> Paths.test_fixture (name ^ ".tw")) fixtures
+  @ List.map
+      (fun f -> Filename.concat Paths.examples_dir f)
+      [ "gemm.tw"; "gemm_fp8.tw"; "gemm_bias_relu.tw"; "attention.tw" ]
+
 let suites =
   [
+    ( "integration.in_flight",
+      List.map
+        (fun path ->
+          Alcotest.test_case (Filename.basename path) `Quick (test_in_flight path))
+        in_flight_kernels );
     ( "integration.fixtures",
       List.concat_map
         (fun name ->

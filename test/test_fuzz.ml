@@ -251,11 +251,26 @@ let prop_fuzz_persistent =
                 persistent = true; use_coarse = false }
             kernel))
 
+(* No build that leaves MMAs in flight reads a product before a wait
+   retires it ({!Inflight}), under the builds the fixtures are scanned
+   at. Compile only: the simulator computes WGMMA at issue, so the
+   differential properties cannot see such a read. *)
+let prop_fuzz_in_flight =
+  QCheck.Test.make ~name:"fuzz: random kernels, no read of an MMA in flight" ~count:40
+    arb_spec
+    (fun s ->
+      let kernel = build_kernel s in
+      List.for_all
+        (fun (_, options) ->
+          Inflight.reads_in_flight (Tawa_core.Flow.compile ~options kernel).Tawa_core.Flow.transformed
+          = [])
+        Test_fixtures.in_flight_builds)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let suites =
   [
     qsuite "fuzz.differential"
       [ prop_fuzz_ws; prop_fuzz_ws_deep; prop_fuzz_sw_pipeline; prop_fuzz_naive;
-        prop_fuzz_persistent ];
+        prop_fuzz_persistent; prop_fuzz_in_flight ];
   ]

@@ -134,10 +134,9 @@ let test_verifier_rejects_bad_yield_arity () =
         let yield = Op.mk Op.Yield ~operands:[] in
         let blk = Op.block ~params:[ iv; it ] [ yield ] in
         let res = Value.fresh (Value.ty acc) in
-        ignore
-          (Builder.append b
-             (Op.mk Op.For ~operands:[ z; n; one; acc ] ~results:[ res ]
-                ~regions:[ Op.region [ blk ] ])))
+        Builder.append b
+          (Op.mk Op.For ~operands:[ z; n; one; acc ] ~results:[ res ]
+             ~regions:[ Op.region [ blk ] ]))
   in
   match Verifier.verify_result k with
   | Error _ -> ()
@@ -237,7 +236,7 @@ let test_graph_users_and_defs () =
       | _ -> ())
     k.Kernel.body
 
-let test_backward_slice () =
+let test_slice () =
   let k = Kernels.gemm ~tiles:small_tiles () in
   let g = Graph.build k.Kernel.body in
   (* Slice rooted at the TMA loads' offsets: must include program_id and
@@ -251,11 +250,23 @@ let test_backward_slice () =
     k.Kernel.body;
   Alcotest.(check int) "two loads" 2 (List.length !loads);
   let roots = List.concat_map (fun (op : Op.op) -> op.Op.operands) !loads in
-  let slice = Graph.backward_slice g roots in
+  let slice = Graph.slice g roots in
   let names = List.map (fun (op : Op.op) -> Op.opcode_name op.Op.opcode) slice in
   Alcotest.(check bool) "includes pid" true (List.mem "tt.program_id" names);
   Alcotest.(check bool) "includes mul" true (List.mem "arith.mul" names);
-  Alcotest.(check bool) "excludes dot" false (List.mem "tt.dot" names)
+  Alcotest.(check bool) "excludes dot" false (List.mem "tt.dot" names);
+  Alcotest.(check int) "each op once" (List.length slice)
+    (List.length (List.sort_uniq compare (List.map (fun (op : Op.op) -> op.Op.oid) slice)));
+  (* A stop op is kept, but the walk does not go past it: from the
+     loads' results it reaches the loads and nothing else. *)
+  let stopped =
+    Graph.slice g
+      ~stop:(fun op -> op.Op.opcode = Op.Tma_load)
+      (List.concat_map (fun (op : Op.op) -> op.Op.results) !loads)
+  in
+  Alcotest.(check (list int)) "stops at the loads"
+    (List.map (fun (op : Op.op) -> op.Op.oid) !loads)
+    (List.map (fun (op : Op.op) -> op.Op.oid) stopped)
 
 (* ------------------------------------------------------------------ *)
 (* Rewrite                                                            *)
@@ -477,7 +488,7 @@ let suites =
     ( "ir.graph",
       [
         Alcotest.test_case "users/defs" `Quick test_graph_users_and_defs;
-        Alcotest.test_case "backward slice" `Quick test_backward_slice;
+        Alcotest.test_case "backward slice" `Quick test_slice;
       ] );
     ( "ir.rewrite",
       [

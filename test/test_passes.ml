@@ -12,11 +12,6 @@ open Tawa_passes
 
 let small_tiles = { Kernels.block_m = 16; block_n = 16; block_k = 8 }
 
-let find_loop k =
-  match Partition.find_pipeline_loop k with
-  | Some l -> l
-  | None -> Alcotest.fail "no pipeline loop"
-
 let count_opcode_region pred (r : Op.region) =
   Op.fold_region (fun n op -> if pred op then n + 1 else n) 0 r
 
@@ -30,26 +25,25 @@ let wg_of k =
 (* ------------------------------------------------------------------ *)
 
 let test_classify_gemm () =
-  let k = Kernels.gemm ~tiles:small_tiles () in
-  let loop = find_loop k in
-  let cls = Annotate.classify loop in
-  Alcotest.(check int) "two loads" 2 (List.length cls.Annotate.loads);
-  let tile = Annotate.tile_ops cls loop in
-  let tile_names = List.map (fun (o : Op.op) -> Op.opcode_name o.Op.opcode) tile in
+  let ml = Partition.main_loop (Kernels.gemm ~tiles:small_tiles ()) in
+  Alcotest.(check int) "two loads" 2 (List.length (List.concat ml.Partition.groups));
+  let names iteration =
+    List.filter_map
+      (fun (o : Op.op) ->
+        if Partition.is_iteration ml o = iteration then Some (Op.opcode_name o.Op.opcode) else None)
+      (Partition.body_ops ml)
+  in
+  let tile_names = names false and iter_names = names true in
   Alcotest.(check bool) "dot is tile stmt" true (List.mem "tt.dot" tile_names);
   Alcotest.(check bool) "loads are not tile stmts" false
     (List.mem "tt.descriptor_load" tile_names);
-  let iter = Annotate.iteration_ops cls loop in
-  let iter_names = List.map (fun (o : Op.op) -> Op.opcode_name o.Op.opcode) iter in
   Alcotest.(check bool) "loads are iteration stmts" true
     (List.mem "tt.descriptor_load" iter_names);
   Alcotest.(check bool) "dot not iteration" false (List.mem "tt.dot" iter_names)
 
 let test_classify_attention_address_math () =
-  let k = Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 () in
-  let loop = find_loop k in
-  let cls = Annotate.classify loop in
-  Alcotest.(check int) "K and V loads" 2 (List.length cls.Annotate.loads);
+  let ml = Partition.main_loop (Kernels.attention ~block_m:16 ~block_n:16 ~head_dim:8 ()) in
+  Alcotest.(check int) "K and V loads" 2 (List.length (List.concat ml.Partition.groups));
   (* Softmax arithmetic must be tile statements. *)
   List.iter
     (fun (op : Op.op) ->
@@ -58,9 +52,9 @@ let test_classify_attention_address_math () =
         Alcotest.(check bool)
           (Op.opcode_name op.Op.opcode ^ " is tile")
           true
-          (Annotate.class_of cls op = Annotate.Tile)
+          (not (Partition.is_iteration ml op))
       | _ -> ())
-    (Annotate.body_ops loop)
+    (Partition.body_ops ml)
 
 (* ------------------------------------------------------------------ *)
 (* Warp specialization: structure                                      *)

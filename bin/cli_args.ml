@@ -42,12 +42,6 @@ let l ?(default = 64) () =
 let obs_conv : [ `Table | `Json ] Arg.conv =
   Arg.enum [ ("table", `Table); ("json", `Json) ]
 
-let obs_opt =
-  Arg.(value & opt (some obs_conv) None
-       & info [ "obs" ] ~docv:"FORMAT"
-           ~doc:"Also print the CTA profile (stall attribution + channel occupancy) as \
-                 $(b,table) or $(b,json).")
-
 let obs =
   Arg.(value & opt obs_conv `Table
        & info [ "obs" ] ~docv:"FORMAT"

@@ -60,12 +60,10 @@ let guard ?(path = "<input>") f =
 
 (* ---------------------------- compile ----------------------------- *)
 
-let do_compile path kernel_name d p coop persistent coarse sw naive dump_ir dump_asm check
-    ids =
+let do_compile path kernel_name d p coop persistent coarse sw naive dump_ir dump_asm ids =
   guard ~path (fun () ->
     let options = Cli_args.options_of ~sw ~naive ~d ~p ~coop ~persistent ~coarse () in
     let kernels = read_kernels path kernel_name in
-    let check_failed = ref false in
     List.iter
       (fun k ->
         let c = Flow.compile ~options k in
@@ -77,15 +75,10 @@ let do_compile path kernel_name d p coop persistent coarse sw naive dump_ir dump
           (Tawa_machine.Isa.instr_count c.Flow.program)
           (Tawa_machine.Isa.smem_bytes c.Flow.program)
           c.Flow.program.Tawa_machine.Isa.num_mbarriers;
-        if check then begin
-          let ds = Tawa_analysis.Diagnostic.sort (Flow.check_compiled c) in
-          List.iter (fun d -> print_endline (Tawa_analysis.Diagnostic.to_string d)) ds;
-          if Tawa_analysis.Diagnostic.errors ds <> [] then check_failed := true
-        end;
         if dump_ir then print_string (Flow.dump_ir ~ids c);
         if dump_asm then print_string (Flow.dump_asm c))
       kernels;
-    if !check_failed then 1 else 0)
+    0)
 
 (* ----------------------------- check ------------------------------- *)
 
@@ -319,11 +312,15 @@ let launch_of (k : Kernel.t) ~m ~n ~kk ~l : launch option =
     let tile_m, tile_n = Option.value (store_tile k) ~default:(16, 16) in
     tiled "-m (GEMM M)" ~tile:tile_m ~what:"rows" m;
     tiled "-n (GEMM N)" ~tile:tile_n ~what:"columns" n;
+    let shape = { Workloads.m; n; k = kk; dtype = ptr_dtype 0 } in
+    (* [gemm_launch] reads the M and N tiles only. *)
+    let tiles = { Kernels.block_m = tile_m; block_n = tile_n; block_k = kk } in
+    let grid, params = Workloads.gemm_launch shape ~tiles in
     let sizes = [ Sim.Rint m; Sim.Rint n; Sim.Rint kk ] in
     Some
-      { params = [ Sim.Rnone; Sim.Rnone; Sim.Rnone ] @ sizes;
-        grid = (m / tile_m, n / tile_n, 1);
-        flops = Reference.gemm_flops ~m ~n ~k:kk;
+      { params;
+        grid;
+        flops = Workloads.gemm_flops shape;
         desc = Printf.sprintf "gemm %dx%dx%d" m n kk;
         bind =
           (fun () ->
@@ -336,10 +333,15 @@ let launch_of (k : Kernel.t) ~m ~n ~kk ~l : launch option =
   | `Attention ->
     let tile_m, d_head = Option.value (store_tile k) ~default:(16, 8) in
     tiled "-l (sequence length)" ~tile:tile_m ~what:"rows" l;
+    let shape =
+      { Workloads.batch = 1; heads = 1; len = l; head_dim = d_head; causal = false;
+        mha_dtype = ptr_dtype 0 }
+    in
+    let grid, params = Workloads.mha_launch shape ~block_m:tile_m in
     Some
-      { params = [ Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rnone; Sim.Rint l ];
-        grid = (l / tile_m, 1, 1);
-        flops = Reference.attention_flops ~batch:1 ~heads:1 ~len:l ~head_dim:d_head ();
+      { params;
+        grid;
+        flops = Workloads.mha_flops shape;
         desc = Printf.sprintf "attention L=%d d=%d" l d_head;
         bind =
           (fun () ->
@@ -424,11 +426,10 @@ let do_run path kernel_name d p coop persistent coarse sw naive m n kk l obs =
             Printf.sprintf "  simulated: %.2f GFLOPS, %.0f cycles, TC utilization %.0f%%\n"
               (t.Launch.tflops *. 1e3) t.Launch.cycles (100.0 *. t.Launch.tc_utilization)
           in
-          let text, fields = profile_piece t in
-          [ verified; (simulated ^ if obs = None then "" else text), fields ]
+          [ verified; (simulated, [ ("cycles", Tawa_obs.Json.Float t.Launch.cycles) ]) ]
         end
     in
-    print_reports ~json:(obs = Some `Json) report kernels;
+    print_reports ~json:(obs = `Json) report kernels;
     if !mismatch then 1 else 0)
 
 (* ---------------------------- profile ------------------------------ *)
@@ -876,16 +877,11 @@ let do_graph demo_name replays store_path obs trace_path =
 let dump_ir_arg = Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the transformed IR.")
 let dump_asm_arg = Arg.(value & flag & info [ "dump-asm" ] ~doc:"Print the PTX-like machine code.")
 
-let check_arg =
-  Arg.(value & flag
-       & info [ "check" ]
-           ~doc:"Run the arefcheck protocol analyses on the compiled kernel and fail on errors.")
-
 let ids_arg =
   Arg.(value & flag
        & info [ "ids" ]
-           ~doc:"With $(b,--dump-ir), annotate every op with its stable id so arefcheck \
-                 diagnostics can be correlated with the dump.")
+           ~doc:"With $(b,--dump-ir), annotate every op with its stable id so the diagnostics \
+                 of $(b,tawac check) can be correlated with the dump.")
 
 let compile_cmd =
   let doc = "compile tile kernels through the Tawa pipeline" in
@@ -893,7 +889,7 @@ let compile_cmd =
     Term.(
       const do_compile $ Cli_args.file $ Cli_args.kernel $ Cli_args.d $ Cli_args.p
       $ Cli_args.coop $ Cli_args.persistent $ Cli_args.coarse $ Cli_args.sw
-      $ Cli_args.naive $ dump_ir_arg $ dump_asm_arg $ check_arg $ ids_arg)
+      $ Cli_args.naive $ dump_ir_arg $ dump_asm_arg $ ids_arg)
 
 let check_cmd =
   let doc = "statically verify the aref protocol of compiled kernels (arefcheck)" in
@@ -929,7 +925,7 @@ let run_cmd =
       const do_run $ Cli_args.file $ Cli_args.kernel $ Cli_args.d $ Cli_args.p
       $ Cli_args.coop $ Cli_args.persistent $ Cli_args.coarse $ Cli_args.sw
       $ Cli_args.naive $ Cli_args.m () $ Cli_args.n () $ Cli_args.k () $ Cli_args.l ()
-      $ Cli_args.obs_opt)
+      $ Cli_args.obs)
 
 let profile_cmd =
   let doc =

@@ -387,15 +387,21 @@ let decode_measurement (s : string) : measurement option =
     | _ -> None)
   | _ -> None
 
+(* A store entry as [family]'s winner: [None] unless it decodes to a
+   candidate of [space family], the only candidates {!search} stores.
+   An edited depth or tile is a miss, as a corrupt entry is. *)
+let served (family : family) (payload : string) : measurement option =
+  match decode_measurement payload with
+  | Some m when List.mem m.candidate (space family) -> Some m
+  | _ -> None
+
 (** The tuned winner a warm store holds for [family], or [None] on a
-    cold store (or a corrupt entry — same recovery as {!search}). This
-    is the read-only half of the store protocol: the task-graph layer
-    uses it at instantiate time to auto-configure nodes without running
-    a search. *)
+    cold store (or an entry {!served} refuses — same recovery as
+    {!search}). This is the read-only half of the store protocol: the
+    task-graph layer uses it at instantiate time to auto-configure
+    nodes without running a search. *)
 let stored_best ~(store : Tunestore.t) (family : family) : measurement option =
-  match Tunestore.find store ~key:(store_key family) with
-  | None -> None
-  | Some line -> decode_measurement line
+  Option.bind (Tunestore.find store ~key:(store_key family)) (served family)
 
 (* ------------------------------ search ---------------------------- *)
 
@@ -442,12 +448,12 @@ let search ?(cfg = Config.h100) ?store (family : family) : result =
         Tawa_obs.Registry.incr "autotune.store_misses";
         None
       | Some payload -> (
-        match decode_measurement payload with
+        match served family payload with
         | Some m ->
           Tawa_obs.Registry.incr "autotune.store_hits";
           Some m
         | None ->
-          (* Corrupt entry: treat as a miss and overwrite below. *)
+          (* Corrupt or out-of-space entry: a miss, overwritten below. *)
           Tawa_obs.Registry.incr "autotune.store_misses";
           None))
   in

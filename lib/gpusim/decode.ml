@@ -205,21 +205,6 @@ let get_desc p r =
     match p.objs.(r) with Odesc d -> d | _ -> err "sim: expected descriptor operand"
   else err "sim: expected descriptor operand"
 
-(* Boxed view of a register, for [Mov]-style generic copies done
-   planewise ({!copy_reg}) and for the property tests' oracle. *)
-let get_rt p r : Sim.rt =
-  if r >= p.cap then Sim.Rint 0
-  else
-    match Bytes.get p.tags r with
-    | '\000' -> Sim.Rint p.ints.(r)
-    | '\001' -> Sim.Rfloat p.floats.(r)
-    | '\002' -> Sim.Rbool (Bytes.get p.bools r <> '\000')
-    | '\003' -> (
-      match p.objs.(r) with Otensor t -> Sim.Rtensor t | _ -> Sim.Rnone)
-    | '\004' -> (
-      match p.objs.(r) with Odesc d -> Sim.Rdesc d | _ -> Sim.Rnone)
-    | _ -> Sim.Rnone
-
 let set_rt p r (v : Sim.rt) =
   match v with
   | Sim.Rint i -> set_int p r i
@@ -524,8 +509,8 @@ let stalled w b dt =
 let[@inline] fmax x y = if x > y then x else if y > x then y else Float.max x y
 
 (* {!Mbarrier.completions}, [completion_time] (for [n] at most the
-   completions so far) and [note_consumed], for the hot paths: calls
-   across modules are not inlined. *)
+   completions so far) and the raise of [consumed] at a successful wait,
+   for the hot paths: calls across modules are not inlined. *)
 let[@inline] completed (b : Mbarrier.t) = b.Mbarrier.num_completions
 let[@inline] completion_at (b : Mbarrier.t) n = if n <= 0 then 0.0 else b.Mbarrier.completions.(n - 1)
 
@@ -762,7 +747,7 @@ let[@inline] int_op (op : Op.binop) (x : int) (y : int) =
   | Op.Or -> x lor y
   | Op.Xor -> x lxor y
 
-(* [Interp.cmp_pred] at types int and float: the same results, NaN
+(* [Tile.cmp_pred] at types int and float: the same results, NaN
    included, without the polymorphic compare. *)
 let[@inline] cmp_int (op : Op.cmp) (x : int) (y : int) =
   match op with
@@ -815,7 +800,7 @@ let compile_instr ~(cfg : Config.t) ~coop ~reset_mask (i : Isa.instr) : code =
       spend w b_compute 1.0;
       w.pc <- w.pc + 1
   | Isa.Alu { op; dst; a; b } -> (
-    let fop = Interp.float_binop op in
+    let fop = Tile.float_binop op in
     match (a, b) with
     (* Monolithic arm for the hot register/register shape: real WG
        planes start at capacity 64 and only grow ({!make_ctx}), so for
@@ -988,11 +973,11 @@ let compile_instr ~(cfg : Config.t) ~coop ~reset_mask (i : Isa.instr) : code =
     in
     let ts = tget src in
     tile_op ~functional ~dst (tile_cost ~elems ~per_cycle) (fun p into ->
-        Interp.unop_tile ?into op (ts p))
+        Tile.unop_tile ?into op (ts p))
   | Isa.Tile_binop { op; dst; a; b; elems } ->
     let ta = tget a and tb = tget b in
     tile_op ~functional ~dst (cuda elems) (fun p into ->
-        Interp.binop_tile ?into op (ta p) (tb p))
+        Tile.binop_tile ?into op (ta p) (tb p))
   | Isa.Tile_cmp { op; dst; a; b; elems } ->
     let ta = tget a and tb = tget b in
     tile_op ~functional ~dst (cuda elems) (fun p _ -> Tensor.cmp (cmp_float op) (ta p) (tb p))
@@ -1015,7 +1000,7 @@ let compile_instr ~(cfg : Config.t) ~coop ~reset_mask (i : Isa.instr) : code =
   | Isa.Tile_bcast { dst; src; shape } ->
     let ts = tget src in
     tile_op ~functional ~dst (cuda (List.fold_left ( * ) 1 shape)) (fun p into ->
-        Interp.broadcast_to ?into (ts p) shape)
+        Tile.broadcast_to ?into (ts p) shape)
   | Isa.Tile_reshape { dst; src; shape } ->
     let shape = Array.of_list shape and ts = tget src in
     tile_op ~functional ~dst sc (fun p _ -> Tensor.reshape (ts p) shape)
@@ -1023,7 +1008,7 @@ let compile_instr ~(cfg : Config.t) ~coop ~reset_mask (i : Isa.instr) : code =
     let ts = tget src in
     tile_op ~functional ~dst
       (tile_cost ~elems ~per_cycle:cfg.Config.reduce_elems_per_cycle)
-      (fun p _ -> Interp.reduce_tensor kind axis (ts p))
+      (fun p _ -> Tile.reduce_tensor kind axis (ts p))
   | Isa.Tile_trans { dst; src; elems } ->
     let ts = tget src in
     tile_op ~functional ~dst
@@ -1318,7 +1303,7 @@ let compile_instr ~(cfg : Config.t) ~coop ~reset_mask (i : Isa.instr) : code =
           | Some t when t != ta && t != tb -> Some t
           | _ -> None
         in
-        set_owned p acc (Interp.dot_tiles ?into ~trans_b ta tb tacc);
+        set_owned p acc (Tile.dot_tiles ?into ~trans_b ta tb tacc);
         w.pc <- w.pc + 1
     end
     else
@@ -2116,55 +2101,6 @@ let make_ctx ?recorder (d : t) ~(params : Sim.rt list)
   Array.iteri (fun i b -> Mbarrier.set_notify b (fun bar -> wake_mbar ctx i bar)) ctx.mbars;
   Array.iteri (fun i b -> Mbarrier.set_notify b (fun ring -> wake_ring ctx i ring)) ctx.rings;
   ctx
-
-(* ------------------- resource high-water marks -------------------- *)
-
-(** Measured resident footprint of a finished context, the ground truth
-    the occupancy scan of the same program
-    ({!Tawa_machine.Resources.footprint}) is validated against: both
-    count every register a tile lands in, so they agree exactly when
-    the run writes every such register. Registers are never retired by
-    either engine, so a post-run scan of the tensor plane is the
-    high-water mark of register-tile bytes — no hot-path
-    instrumentation, preserving the bit-identity contract above.
-    Registers [0..nparams-1] hold the launch parameters (whole global
-    buffers bound as tensors), not kernel-allocated tiles, and are
-    excluded. SMEM writes land only in functional mode, so the SMEM
-    figure is meaningful there: every [Some] slot of the dense array
-    counts its allocation's slot bytes, plus any out-of-range fallback
-    tensors. *)
-type hwm = {
-  hwm_reg_bytes : int array;  (** per warp group (= per stream) *)
-  hwm_smem_bytes : int;
-}
-
-let measure_hwm (d : t) (ctx : ectx) : hwm =
-  let nparams = List.length d.d_program.Isa.param_tys in
-  let tensor_bytes t = Tensor.numel t * Dtype.size_bytes (Tensor.dtype t) in
-  let reg_bytes =
-    Array.map
-      (fun w ->
-        let p = w.planes in
-        let acc = ref 0 in
-        for r = nparams to p.cap - 1 do
-          if Bytes.get p.tags r = t_tensor then
-            match p.objs.(r) with
-            | Otensor t -> acc := !acc + tensor_bytes t
-            | _ -> ()
-        done;
-        !acc)
-      ctx.wgs
-  in
-  let smem = ref 0 in
-  List.iter
-    (fun (a : Isa.alloc) ->
-      let base = ctx.smem_base.(a.Isa.alloc_id) in
-      for s = 0 to a.Isa.slots - 1 do
-        if ctx.smem.(base + s) <> None then smem := !smem + a.Isa.bytes_per_slot
-      done)
-    d.d_program.Isa.allocs;
-  Hashtbl.iter (fun _ t -> smem := !smem + tensor_bytes t) ctx.smem_over;
-  { hwm_reg_bytes = reg_bytes; hwm_smem_bytes = !smem }
 
 (* ------------------------- profiling ------------------------------ *)
 

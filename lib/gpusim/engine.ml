@@ -28,7 +28,6 @@ let err fmt = Format.kasprintf (fun s -> raise (Sim.Sim_error s)) fmt
    its [cut] stopped included. *)
 let retired = Atomic.make 0
 let instructions_retired () = Atomic.get retired
-let reset_instructions () = Atomic.set retired 0
 
 let retire (wgs : Decode.wg array) =
   let n = Array.fold_left (fun a w -> a + w.Decode.instret) 0 wgs in
@@ -209,20 +208,6 @@ let run_prepared ?recorder ?cut (p : prepared) ~(params : Sim.rt list)
     ~(num_programs : int array) ?(pid = [| 0; 0; 0 |])
     ~(pop_global : unit -> int) () : Sim.outcome =
   run_decoded ?cut (Decode.make_ctx ?recorder p ~params ~num_programs ~pid ~pop_global)
-
-(** Run one CTA and scan its resource high-water marks afterwards
-    ({!Decode.measure_hwm}): resident register-tile bytes per warp
-    group and written SMEM bytes. The differential statcheck suite uses
-    this as ground truth for the static occupancy model; SMEM is only
-    meaningful under a functional-mode [cfg]. *)
-let run_measured ~(cfg : Config.t) ~(program : Isa.program)
-    ~(params : Sim.rt list) ~(num_programs : int array)
-    ?(pid = [| 0; 0; 0 |]) ~(pop_global : unit -> int) () :
-    Sim.outcome * Decode.hwm =
-  let d = prepare ~cfg program in
-  let ctx = Decode.make_ctx d ~params ~num_programs ~pid ~pop_global in
-  let outcome = run_decoded ctx in
-  (outcome, Decode.measure_hwm d ctx)
 
 (** Prepare-and-run a single CTA (tests, one-shot launches). *)
 let run_cta ?recorder ~(cfg : Config.t) ~(program : Isa.program)

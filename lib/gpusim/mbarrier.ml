@@ -29,7 +29,10 @@ type t = {
   mutable completions_total : int;        (* phase completions, incl. pre-reset *)
   mutable max_pending : int;              (* high-water of in-phase arrivals *)
   mutable consumed : int;                 (* highest target successfully waited
-                                             since the last [reset] *)
+                                             since the last [reset]; the engine
+                                             and the test oracle raise it at
+                                             every successful wait, in the
+                                             same scheduler order *)
   mutable max_inflight : int;             (* high-water of completions a consumer
                                              had not yet waited on *)
 }
@@ -80,24 +83,12 @@ let arrive b ~time =
   end
   else false
 
-(** A waiter's demand for [target] completions was satisfied: advance
-    the consumed high-water used for in-flight depth. The decoded
-    engine and the test oracle both call this at every successful wait
-    (blocking or not), in identical scheduler order, so the telemetry
-    is the same under either. *)
-let note_consumed b ~target =
-  if target > b.consumed then b.consumed <- target
-
 let arrivals_total b = b.arrivals_total
 let completions_total b = b.completions_total
 let max_pending b = b.max_pending
 let max_inflight b = b.max_inflight
 
 let completions b = b.num_completions
-
-(** Phase parity bit after [n] completions — the quantity hardware
-    tracks with 1 bit (§III-E). *)
-let parity_after n = n land 1
 
 (** Time at which completion number [n] (1-based) occurred; requires
     [n <= completions b]. *)

@@ -316,21 +316,6 @@ let chan_label_of ~(program : Isa.program) chan =
   if chan < program.Isa.num_mbarriers then Isa.mbar_label program chan
   else Isa.ring_label program (chan - program.Isa.num_mbarriers)
 
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-(** Is [chan] an aref channel? Aref lowering names its barrier pairs
-    "<hint>.empty[slot]" / "<hint>.full[slot]"; cp.async prefetch rings
-    carry aref traffic on the non-TMA path, so they count too. Scratch
-    mbarriers ("scratch:...") and unnamed barriers do not. *)
-let is_aref_chan ~(program : Isa.program) chan =
-  if chan >= program.Isa.num_mbarriers then true
-  else
-    let l = Isa.mbar_label program chan in
-    contains_sub l ".empty[" || contains_sub l ".full["
-
 let wg_label_of ~(program : Isa.program) wg =
   match List.nth_opt program.Isa.streams wg with
   | Some s -> Printf.sprintf "WG%d (%s)" wg (Op.role_to_string s.Isa.role)

@@ -77,44 +77,32 @@ let node ?(options = Flow.default_options) ?(flops = 0.0) ?family ~name
 type access = { reads : int list; writes : int list }
 (** Pointer-parameter indices, sorted ascending. *)
 
-(* Walk the kernel body: [Make_tensor_desc] ties a descriptor value to
-   the pointer parameter it wraps; [Tma_load] through that descriptor
-   is a read of the parameter, [Tma_store] a write. A pointer parameter
-   that never flows through a descriptor we can track is conservatively
-   both read and written — correctness (extra edges) over overlap. *)
+(* [Make_tensor_desc] ties a descriptor value to the pointer parameter
+   it wraps; a [Tma_load] through a descriptor is a read of the
+   parameter its definition ({!Tawa_ir.Graph.def}) wraps, a [Tma_store]
+   a write. A pointer parameter that never flows through a descriptor
+   we can track is conservatively both read and written — correctness
+   (extra edges) over overlap. *)
 let param_access (k : Kernel.t) : access =
   let param_idx : (int, int) Hashtbl.t = Hashtbl.create 8 in
   List.iteri (fun i v -> Hashtbl.replace param_idx (Value.id v) i) k.Kernel.params;
-  let desc_param : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let defs = Tawa_ir.Graph.build k.Kernel.body in
+  let wrapped v =
+    match Tawa_ir.Graph.def defs v with
+    | Some { Op.opcode = Op.Make_tensor_desc; operands = ptr :: _; _ } ->
+      Hashtbl.find_opt param_idx (Value.id ptr)
+    | _ -> None
+  in
   let classified : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let reads : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let writes : (int, unit) Hashtbl.t = Hashtbl.create 8 in
+  let note tbl = function Some i -> Hashtbl.replace tbl i () | None -> () in
   Op.iter_region
     (fun op ->
-      match op.Op.opcode with
-      | Op.Make_tensor_desc -> (
-        match (op.Op.operands, op.Op.results) with
-        | ptr :: _, res :: _ -> (
-          match Hashtbl.find_opt param_idx (Value.id ptr) with
-          | Some i ->
-            Hashtbl.replace desc_param (Value.id res) i;
-            Hashtbl.replace classified i ()
-          | None -> ())
-        | _ -> ())
-      | Op.Tma_load -> (
-        match op.Op.operands with
-        | desc :: _ -> (
-          match Hashtbl.find_opt desc_param (Value.id desc) with
-          | Some i -> Hashtbl.replace reads i ()
-          | None -> ())
-        | [] -> ())
-      | Op.Tma_store -> (
-        match op.Op.operands with
-        | desc :: _ -> (
-          match Hashtbl.find_opt desc_param (Value.id desc) with
-          | Some i -> Hashtbl.replace writes i ()
-          | None -> ())
-        | [] -> ())
+      match (op.Op.opcode, op.Op.operands, op.Op.results) with
+      | Op.Make_tensor_desc, _, res :: _ -> note classified (wrapped res)
+      | Op.Tma_load, desc :: _, _ -> note reads (wrapped desc)
+      | Op.Tma_store, desc :: _, _ -> note writes (wrapped desc)
       | _ -> ())
     k.Kernel.body;
   List.iteri

@@ -25,7 +25,7 @@ type cmp = Eq | Ne | Lt | Le | Gt | Ge
 type reduce_kind = Red_max | Red_min | Red_sum
 
 (** Warp-group roles assigned by the partitioning pass (§III-C). *)
-type wg_role = Producer | Consumer | Pingpong
+type wg_role = Producer | Consumer
 
 type attr =
   | Attr_int of int
@@ -133,12 +133,10 @@ let reduce_to_string = function
 let role_to_string = function
   | Producer -> "producer"
   | Consumer -> "consumer"
-  | Pingpong -> "pingpong"
 
 let role_of_string = function
   | "producer" -> Some Producer
   | "consumer" -> Some Consumer
-  | "pingpong" -> Some Pingpong
   | _ -> None
 
 let opcode_name = function

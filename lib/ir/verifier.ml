@@ -365,8 +365,3 @@ let verify_kernel (k : Kernel.t) =
 (** [verify k] raises {!Ill_formed} with a diagnostic if [k] is
     malformed. *)
 let verify = verify_kernel
-
-let verify_result k =
-  match verify_kernel k with
-  | () -> Ok ()
-  | exception Ill_formed msg -> Error msg

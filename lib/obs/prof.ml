@@ -70,9 +70,6 @@ let record_reset r ~chan ~time =
 let record_op r ~wg ~pc ~t0 ~t1 =
   r.ops <- { op_wg = wg; op_pc = pc; op_t0 = t0; op_t1 = t1 } :: r.ops
 
-let num_completions r = List.length r.completions
-let num_waits r = List.length r.waits
-
 (* ------------------------- timeline lanes ------------------------- *)
 
 (* Deterministic ordering for rendering: recording order is reversed
@@ -349,8 +346,3 @@ let path_to_json (steps : path_step list) ~(chan_label : int -> string) :
              ("top_pc", Json.Int s.st_top_pc);
            ])
        steps)
-
-(** Does any channel edge of [steps] belong to [chans]? Used by tests
-    to assert an aref channel bounds the kernel. *)
-let path_crosses (steps : path_step list) ~(chans : int -> bool) =
-  List.exists (fun s -> s.st_chan >= 0 && chans s.st_chan) steps

@@ -18,19 +18,9 @@
       this WG had exited but the CTA was still running. Computed when a
       profile is assembled, not during stepping.
 
-    Hot paths index bucket arrays with the integer constants below; the
-    variant type is for presentation. *)
+    Hot paths index bucket arrays with the integer constants below;
+    [names] gives each its printed name. *)
 
-type t =
-  | Compute
-  | Tma
-  | Tensorcore
-  | Mbar_wait
-  | Ring_wait
-  | Fence_wait
-  | Idle
-
-(* Integer indices for the per-WG accumulation arrays. *)
 let compute = 0
 let tma = 1
 let tensorcore = 2
@@ -40,25 +30,7 @@ let fence_wait = 5
 let idle = 6
 let num = 7
 
-let all = [| Compute; Tma; Tensorcore; Mbar_wait; Ring_wait; Fence_wait; Idle |]
+let names =
+  [| "compute"; "tma"; "tensorcore"; "mbar-wait"; "ring-wait"; "fence-wait"; "idle" |]
 
-let index = function
-  | Compute -> compute
-  | Tma -> tma
-  | Tensorcore -> tensorcore
-  | Mbar_wait -> mbar_wait
-  | Ring_wait -> ring_wait
-  | Fence_wait -> fence_wait
-  | Idle -> idle
-
-let name = function
-  | Compute -> "compute"
-  | Tma -> "tma"
-  | Tensorcore -> "tensorcore"
-  | Mbar_wait -> "mbar-wait"
-  | Ring_wait -> "ring-wait"
-  | Fence_wait -> "fence-wait"
-  | Idle -> "idle"
-
-let names = Array.map name all
 let name_of_index i = names.(i)

@@ -93,56 +93,6 @@ let attention ?(causal = false) ?scale ?(out_dtype = Dtype.F16) ~q ~k ~v () =
   done;
   out
 
-(** FlashAttention-2-style online-softmax attention processed in KV
-    blocks of [block] rows. Functionally equivalent to [attention]; used
-    to validate the blocked recurrence that the compiled kernels follow. *)
-let attention_online ?(causal = false) ?scale ?(out_dtype = Dtype.F16)
-    ?(block = 32) ~q ~k ~v () =
-  let l = Tensor.dim q 0 and d = Tensor.dim q 1 in
-  let lk = Tensor.dim k 0 in
-  let scale = Option.value scale ~default:(1.0 /. sqrt (Float.of_int d)) in
-  let out = Tensor.create ~dtype:out_dtype [| l; d |] in
-  let acc = Array.make d 0.0 in
-  for i = 0 to l - 1 do
-    Array.fill acc 0 d 0.0;
-    let m = ref Float.neg_infinity and denom = ref 0.0 in
-    let jmax = if causal then i else lk - 1 in
-    let nblocks = (jmax + block) / block in
-    for b = 0 to nblocks - 1 do
-      let j0 = b * block in
-      let j1 = min jmax (j0 + block - 1) in
-      (* Block-local max. *)
-      let bm = ref Float.neg_infinity in
-      let scores = Array.make (j1 - j0 + 1) 0.0 in
-      for j = j0 to j1 do
-        let s = ref 0.0 in
-        for p = 0 to d - 1 do
-          s := !s +. (Tensor.get2 q i p *. Tensor.get2 k j p)
-        done;
-        scores.(j - j0) <- !s *. scale;
-        bm := Float.max !bm scores.(j - j0)
-      done;
-      let m_new = Float.max !m !bm in
-      let correction = if !m = Float.neg_infinity then 0.0 else Float.exp (!m -. m_new) in
-      for p = 0 to d - 1 do
-        acc.(p) <- acc.(p) *. correction
-      done;
-      denom := !denom *. correction;
-      for j = j0 to j1 do
-        let e = Float.exp (scores.(j - j0) -. m_new) in
-        denom := !denom +. e;
-        for p = 0 to d - 1 do
-          acc.(p) <- acc.(p) +. (e *. Tensor.get2 v j p)
-        done
-      done;
-      m := m_new
-    done;
-    for p = 0 to d - 1 do
-      Tensor.set2 out i p (acc.(p) /. !denom)
-    done
-  done;
-  out
-
 (** FLOP counts used by the benchmark harness (multiply+add = 2 flops). *)
 let gemm_flops ~m ~n ~k = 2.0 *. Float.of_int m *. Float.of_int n *. Float.of_int k
 

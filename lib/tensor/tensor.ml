@@ -159,64 +159,6 @@ let store_slice ~(dst : t) ~doff (src : float array) ~soff ~len =
         (if Array.unsafe_get src (soff + i) <> 0.0 then 1.0 else 0.0)
     done
 
-(** Copy a span between tensor payloads, requantizing through [dst]'s
-    dtype. Same dtype is the identity (payloads are invariantly
-    quantized), so that path is one [Array.blit]. *)
-let blit_slice ~(src : t) ~soff ~(dst : t) ~doff ~len =
-  if src.dtype = dst.dtype then begin
-    check_span "Tensor.blit_slice" (Array.length src.data) soff
-      (Array.length dst.data) doff len;
-    Array.blit src.data soff dst.data doff len
-  end
-  else store_slice ~dst ~doff src.data ~soff ~len
-
-(** Quantizing span accumulate:
-    [dst.(doff+i) <- quantize (dst.(doff+i) +. alpha *. src.(soff+i))]
-    through [dst]'s dtype. *)
-let axpy_slice ~alpha ~(src : t) ~soff ~(dst : t) ~doff ~len =
-  check_span "Tensor.axpy_slice" (Array.length src.data) soff
-    (Array.length dst.data) doff len;
-  let s = src.data and d = dst.data in
-  match dst.dtype with
-  | Dtype.F32 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i)
-        (Array.unsafe_get d (doff + i)
-        +. (alpha *. Array.unsafe_get s (soff + i)))
-    done
-  | Dtype.F16 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i)
-        (Fp16.round
-           (Array.unsafe_get d (doff + i)
-           +. (alpha *. Array.unsafe_get s (soff + i))))
-    done
-  | Dtype.F8E4M3 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i)
-        (Fp8.round
-           (Array.unsafe_get d (doff + i)
-           +. (alpha *. Array.unsafe_get s (soff + i))))
-    done
-  | Dtype.I32 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i)
-        (Float.of_int
-           (int_of_float
-              (Array.unsafe_get d (doff + i)
-              +. (alpha *. Array.unsafe_get s (soff + i)))))
-    done
-  | Dtype.I1 ->
-    for i = 0 to len - 1 do
-      Array.unsafe_set d (doff + i)
-        (if
-           Array.unsafe_get d (doff + i)
-           +. (alpha *. Array.unsafe_get s (soff + i))
-           <> 0.0
-         then 1.0
-         else 0.0)
-    done
-
 (** Sequential fold over a contiguous span with the accumulator
     requantized through [t]'s dtype after every step — the semantics of
     folding through a tensor cell with [get]/[set], dispatch hoisted.

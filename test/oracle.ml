@@ -222,16 +222,22 @@ let scalar_alu (op : Op.binop) a b =
   | (Rfloat _ | Rint _), (Rfloat _ | Rint _) ->
     let x = (match a with Rfloat f -> f | Rint i -> Float.of_int i | _ -> 0.0) in
     let y = (match b with Rfloat f -> f | Rint i -> Float.of_int i | _ -> 0.0) in
-    Rfloat (Interp.float_binop op x y)
+    Rfloat (Tile.float_binop op x y)
   | _ -> err "sim: bad ALU operands"
 
 let scalar_cmp (op : Op.cmp) a b =
   match (a, b) with
-  | Rint x, Rint y -> Rbool (Interp.cmp_pred op x y)
+  | Rint x, Rint y -> Rbool (Tile.cmp_pred op x y)
   | _ ->
     let x = (match a with Rfloat f -> f | Rint i -> Float.of_int i | Rbool b -> if b then 1. else 0. | _ -> err "cmp") in
     let y = (match b with Rfloat f -> f | Rint i -> Float.of_int i | Rbool b -> if b then 1. else 0. | _ -> err "cmp") in
-    Rbool (Interp.cmp_pred op x y)
+    Rbool (Tile.cmp_pred op x y)
+
+(* A waiter's demand for [target] completions was satisfied: raise the
+   barrier's consumed high-water (in-flight depth telemetry), as the
+   engine does at every successful wait, blocking or not. *)
+let note_consumed (b : Mbarrier.t) ~target =
+  if target > b.Mbarrier.consumed then b.Mbarrier.consumed <- target
 
 (* ------------------------- the step function ---------------------- *)
 
@@ -388,7 +394,7 @@ let step cta wg =
     let c = tile_cost cfg coop ~elems ~per_cycle in
     spend wg b_compute c;
     if functional then
-      reg_write wg dst (Rtensor (Tensor.map (Interp.float_unop op) (as_tensor wg src)))
+      reg_write wg dst (Rtensor (Tensor.map (Tile.float_unop op) (as_tensor wg src)))
     else tile_default dst;
     advance ();
     true
@@ -397,7 +403,7 @@ let step cta wg =
     spend wg b_compute c;
     if functional then
       reg_write wg dst
-        (Rtensor (Tensor.map2 (Interp.float_binop op) (as_tensor wg a) (as_tensor wg b)))
+        (Rtensor (Tensor.map2 (Tile.float_binop op) (as_tensor wg a) (as_tensor wg b)))
     else tile_default dst;
     advance ();
     true
@@ -405,7 +411,7 @@ let step cta wg =
     spend wg b_compute (tile_cost cfg coop ~elems ~per_cycle:cfg.cuda_elems_per_cycle);
     if functional then
       reg_write wg dst
-        (Rtensor (Tensor.cmp (Interp.cmp_pred op) (as_tensor wg a) (as_tensor wg b)))
+        (Rtensor (Tensor.cmp (Tile.cmp_pred op) (as_tensor wg a) (as_tensor wg b)))
     else tile_default dst;
     advance ();
     true
@@ -447,7 +453,7 @@ let step cta wg =
     let elems = List.fold_left ( * ) 1 shape in
     spend wg b_compute (tile_cost cfg coop ~elems ~per_cycle:cfg.cuda_elems_per_cycle);
     if functional then
-      reg_write wg dst (Rtensor (Interp.broadcast_to (as_tensor wg src) shape))
+      reg_write wg dst (Rtensor (Tile.broadcast_to (as_tensor wg src) shape))
     else tile_default dst;
     advance ();
     true
@@ -462,7 +468,7 @@ let step cta wg =
     let c = tile_cost cfg coop ~elems ~per_cycle:cfg.reduce_elems_per_cycle in
     spend wg b_compute c;
     if functional then
-      reg_write wg dst (Rtensor (Interp.reduce_tensor kind axis (as_tensor wg src)))
+      reg_write wg dst (Rtensor (Tile.reduce_tensor kind axis (as_tensor wg src)))
     else tile_default dst;
     advance ();
     true
@@ -529,7 +535,7 @@ let step cta wg =
       let wait = Float.max wg.time t -. wg.time in
       stalled wg b_ring wait;
       cta.ring_wait.(ring) <- cta.ring_wait.(ring) +. Float.max 0.0 wait;
-      Mbarrier.note_consumed cta.rings.(ring) ~target:tgt;
+      note_consumed cta.rings.(ring) ~target:tgt;
       wg.time <- Float.max wg.time t;
       spend wg b_ring cfg.scalar_cycles;
       rec_wait cta wg (ring_chan cta ring) ~target:tgt ~start:t0 ~ready:t;
@@ -597,7 +603,7 @@ let step cta wg =
       let wait = Float.max wg.time t -. wg.time in
       stalled wg b_mbar wait;
       cta.mbar_wait.(b) <- cta.mbar_wait.(b) +. Float.max 0.0 wait;
-      Mbarrier.note_consumed cta.mbars.(b) ~target:tgt;
+      note_consumed cta.mbars.(b) ~target:tgt;
       wg.time <- Float.max wg.time t;
       spend wg b_mbar cfg.mbar_cycles;
       rec_wait cta wg b ~target:tgt ~start:t0 ~ready:t;
@@ -638,7 +644,7 @@ let step cta wg =
         | Rtensor t -> t
         | _ -> err "sim: wgmma accumulator is not a tile"
       in
-      reg_write wg acc (Rtensor (Interp.dot_tiles ta tb tacc))
+      reg_write wg acc (Rtensor (Tile.dot_tiles ta tb tacc))
     end;
     advance ();
     true
@@ -742,7 +748,7 @@ let try_unblock cta wg =
       stalled wg b_mbar (nt -. wg.time);
       cta.mbar_wait.(bar) <-
         cta.mbar_wait.(bar) +. Float.max 0.0 (Float.max wg.time t -. wg.time);
-      Mbarrier.note_consumed cta.mbars.(bar) ~target;
+      note_consumed cta.mbars.(bar) ~target;
       wg.time <- nt;
       rec_wait cta wg bar ~target ~start:t0 ~ready:t;
       rec_op cta wg ~pc:wg.pc ~t0;
@@ -757,7 +763,7 @@ let try_unblock cta wg =
       stalled wg b_ring (nt -. wg.time);
       cta.ring_wait.(ring) <-
         cta.ring_wait.(ring) +. Float.max 0.0 (Float.max wg.time t -. wg.time);
-      Mbarrier.note_consumed cta.rings.(ring) ~target;
+      note_consumed cta.rings.(ring) ~target;
       wg.time <- nt;
       rec_wait cta wg (ring_chan cta ring) ~target ~start:t0 ~ready:t;
       rec_op cta wg ~pc:wg.pc ~t0;

@@ -26,7 +26,7 @@ let counter name =
 
 (* Under a tightened register limit, take warp-specialized candidates
    the static model rejects on regs/thread, run each one functionally
-   through [Engine.run_measured], and confirm the *measured* register
+   through [Measure.run_measured], and confirm the *measured* register
    high-water mark also exceeds the limit: pruning never discards a
    configuration that actually fits. Restricted to non-persistent
    >=128x128 candidates so the launch is a plain grid and the
@@ -75,13 +75,13 @@ let test_pruning_sound () =
            max 1 (shape.Workloads.n / c.Autotune.tiles.Kernels.block_n); 1 |]
       in
       let _, hwm =
-        Engine.run_measured ~cfg:fcfg ~program:compiled.Flow.program ~params
+        Measure.run_measured ~cfg:fcfg ~program:compiled.Flow.program ~params
           ~num_programs ~pop_global:Launch.no_queue ()
       in
       let measured_rpt =
         Array.fold_left
           (fun acc bytes -> max acc (((bytes / 4) + 127) / 128))
-          0 hwm.Decode.hwm_reg_bytes
+          0 hwm.Measure.hwm_reg_bytes
       in
       if measured_rpt <= lim_rpt then
         Alcotest.failf
@@ -198,6 +198,116 @@ let test_store_roundtrip () =
       Alcotest.(check bool) "and re-persists the winner" true
         (recovered.Autotune.best = cold.Autotune.best))
 
+(* -------------------- entries no search stores -------------------- *)
+
+(* The GEMM family the attention demo's projection nodes look up. *)
+let tiny_gemm = Autotune.Gemm { Workloads.m = 64; n = 32; k = 32; dtype = Dtype.F16 }
+
+(* Entries that decode but name a candidate outside [Autotune.space]:
+   no aref slot, an MMA depth above the aref depth, a depth the axes do
+   not list, and a zero tile. *)
+let out_of_space =
+  let ws = Autotune.candidate (Autotune.tile 64 64 64) in
+  [ ("D = 0", { ws with Autotune.aref_depth = 0; mma_depth = 0; persistent = true });
+    ("P > D", { ws with Autotune.aref_depth = 2; mma_depth = 3 });
+    ("D = 5", { ws with Autotune.aref_depth = 5; mma_depth = 1 });
+    ("zero tile", { ws with Autotune.tiles = Autotune.tile 0 64 64 }) ]
+
+let entry c =
+  Autotune.encode_measurement { Autotune.candidate = c; tflops = 1.0; cycles = 1.0 }
+
+(* [f path store] on a fresh store file, removed afterwards. *)
+let with_store f =
+  let path = Filename.temp_file "tawa_space" ".tsv" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path (Tunestore.open_ ~name:"test_space" ~path ()))
+
+let test_stored_best_in_space () =
+  let key = Autotune.store_key tiny_gemm in
+  List.iter
+    (fun (what, c) ->
+      with_store (fun _ store ->
+          Tunestore.put store ~key (entry c);
+          Alcotest.(check bool) (what ^ ": not served") true
+            (Autotune.stored_best ~store tiny_gemm = None)))
+    out_of_space;
+  let c =
+    { (Autotune.candidate (Autotune.tile 64 64 64)) with
+      Autotune.aref_depth = 4; mma_depth = 3 }
+  in
+  with_store (fun _ store ->
+      Tunestore.put store ~key (entry c);
+      Alcotest.(check bool) "an entry of the space is served" true
+        (Option.map (fun m -> m.Autotune.candidate) (Autotune.stored_best ~store tiny_gemm)
+         = Some c))
+
+let test_search_replaces_out_of_space () =
+  List.iter
+    (fun (what, c) ->
+      with_store (fun path store ->
+          Tunestore.put store ~key:(Autotune.store_key tiny_gemm) (entry c);
+          let r = Autotune.search ~store tiny_gemm in
+          Alcotest.(check bool) (what ^ ": measured again") true
+            ((not r.Autotune.stats.Autotune.from_store)
+             && r.Autotune.stats.Autotune.measured > 0);
+          let reread = Tunestore.open_ ~name:"test_space" ~path () in
+          Alcotest.(check bool) (what ^ ": entry overwritten by the winner") true
+            (Autotune.stored_best ~store:reread tiny_gemm = Some r.Autotune.best)))
+    out_of_space
+
+(* ------------------------ tunestore fuzzing ------------------------ *)
+
+(* The store file a search of [tiny_gemm] writes. *)
+let searched_store =
+  lazy
+    (with_store (fun path store ->
+         ignore (Autotune.search ~store tiny_gemm);
+         In_channel.with_open_bin path In_channel.input_all))
+
+(* An edit overwrites, deletes or inserts one byte, at an offset from
+   the start of the file or, for half of them, within the last 64
+   bytes, where the entry's payload is. *)
+type edit = { tail : bool; at : int; kind : int; byte : char }
+
+let apply_edit s e =
+  let n = String.length s in
+  if n = 0 then String.make 1 e.byte
+  else
+    let i = if e.tail then n - 1 - (e.at mod min n 64) else e.at mod n in
+    match e.kind with
+    | 0 -> String.mapi (fun j x -> if j = i then e.byte else x) s
+    | 1 -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | _ -> String.sub s 0 i ^ String.make 1 e.byte ^ String.sub s i (n - i)
+
+let arb_edits =
+  let gen_edit =
+    QCheck.Gen.(
+      map
+        (fun (tail, at, (kind, byte)) -> { tail; at; kind; byte })
+        (triple bool nat
+           (pair (int_range 0 2)
+              (oneof [ oneofl (String.to_seq "0123456789 |\t\n-.e" |> List.of_seq); char ]))))
+  in
+  QCheck.make
+    ~print:(fun es ->
+      String.concat "; "
+        (List.map
+           (fun e -> Printf.sprintf "%s%d:%d:%C" (if e.tail then "-" else "+") e.at e.kind e.byte)
+           es))
+    QCheck.Gen.(list_size (int_range 1 6) gen_edit)
+
+let prop_tunestore_mutants =
+  QCheck.Test.make ~name:"tunestore: byte mutants never raise, serve only the space"
+    ~count:200 arb_edits (fun edits ->
+      let text = List.fold_left apply_edit (Lazy.force searched_store) edits in
+      with_store (fun path _ ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          let store = Tunestore.open_ ~name:"test_fuzz" ~path () in
+          match Autotune.stored_best ~store tiny_gemm with
+          | None -> true
+          | Some m -> List.mem m.Autotune.candidate (Autotune.space tiny_gemm)))
+
 (* -------------------- unified compile strategy -------------------- *)
 
 let test_strategy_unification () =
@@ -303,6 +413,12 @@ let suites =
         Alcotest.test_case "shapes bucket to powers of two" `Quick test_shape_bucketing;
         Alcotest.test_case "store round-trip serves warm restarts" `Quick
           test_store_roundtrip;
+        Alcotest.test_case "store serves only candidates of the space" `Quick
+          test_stored_best_in_space;
+        Alcotest.test_case "search replaces an entry outside the space" `Quick
+          test_search_replaces_out_of_space;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 32 |])
+          prop_tunestore_mutants;
         Alcotest.test_case "strategy unification shares the cache" `Quick
           test_strategy_unification;
         Alcotest.test_case "search leaves the decode cache as it found it" `Quick

@@ -123,15 +123,21 @@ let test_fp8_gemm_doubles_headroom () =
 let test_tawa_cell_is_the_sweep () =
   let module Engine = Tawa_gpusim.Engine in
   let family = Autotune.Gemm small_k in
-  Engine.reset_instructions ();
-  List.iter
-    (fun c -> ignore (Autotune.measure family c))
-    (Autotune.gemm_candidates ~dtype:small_k.Workloads.dtype ());
-  let sweep = Engine.instructions_retired () in
-  Engine.reset_instructions ();
-  let cell = Option.get (Frameworks.gemm Frameworks.Tawa small_k) in
-  Alcotest.(check bool) "at most one sweep's instructions" true
-    (Engine.instructions_retired () <= sweep);
+  let retired f =
+    let before = Engine.instructions_retired () in
+    let v = f () in
+    (v, Engine.instructions_retired () - before)
+  in
+  let (), sweep =
+    retired (fun () ->
+        List.iter
+          (fun c -> ignore (Autotune.measure family c))
+          (Autotune.gemm_candidates ~dtype:small_k.Workloads.dtype ()))
+  in
+  let cell, cell_retired =
+    retired (fun () -> Option.get (Frameworks.gemm Frameworks.Tawa small_k))
+  in
+  Alcotest.(check bool) "at most one sweep's instructions" true (cell_retired <= sweep);
   let _, tuned = Autotune.tune_gemm small_k in
   let bits = Int64.bits_of_float in
   Alcotest.(check int64) "tflops bits" (bits tuned.Tawa_gpusim.Launch.tflops)

@@ -339,9 +339,9 @@ let test_engine_selection () =
            ~pop_global:Launch.no_queue ()));
   check_entry "Launch.estimate" ~expect:one_cta ~misses:1 ~hits:1 (fun () ->
       ignore (Launch.estimate ~cfg p ~params:[] ~grid ~flops:1.0));
-  check_entry "Engine.run_measured" ~expect:one_cta ~misses:1 ~hits:2 (fun () ->
+  check_entry "Measure.run_measured" ~expect:one_cta ~misses:1 ~hits:2 (fun () ->
       ignore
-        (Engine.run_measured ~cfg ~program:p ~params:[] ~num_programs
+        (Measure.run_measured ~cfg ~program:p ~params:[] ~num_programs
            ~pop_global:Launch.no_queue ()));
   (* Functional mode keys the cache separately: one more decode. *)
   check_entry "Launch.run_grid_functional" ~expect:whole_grid ~misses:2 ~hits:2
@@ -422,6 +422,21 @@ let coerces_like want got =
 
 let attempt f = try Ok (f ()) with e -> Error e
 
+(* The boxed view of register [r] of planes [p]: what the model holds
+   there. A register past the planes' capacity reads as integer 0. *)
+let get_rt (p : Decode.planes) r : Sim.rt =
+  if r >= p.Decode.cap then Sim.Rint 0
+  else
+    match Bytes.get p.Decode.tags r with
+    | '\000' -> Sim.Rint p.Decode.ints.(r)
+    | '\001' -> Sim.Rfloat p.Decode.floats.(r)
+    | '\002' -> Sim.Rbool (Bytes.get p.Decode.bools r <> '\000')
+    | '\003' -> (
+      match p.Decode.objs.(r) with Decode.Otensor t -> Sim.Rtensor t | _ -> Sim.Rnone)
+    | '\004' -> (
+      match p.Decode.objs.(r) with Decode.Odesc d -> Sim.Rdesc d | _ -> Sim.Rnone)
+    | _ -> Sim.Rnone
+
 let prop_planes_model =
   QCheck.Test.make ~name:"planes: typed writes/copies match rt-array model" ~count:200
     arb_wops (fun ops ->
@@ -449,7 +464,7 @@ let prop_planes_model =
          default Rint 0, like the reference's fixed-fill file. *)
       Array.for_all Fun.id
         (Array.init 200 (fun r ->
-             Decode.get_rt p r = model.(r)
+             get_rt p r = model.(r)
              && coerces_like (model_int model.(r)) (fun () ->
                     attempt (fun () -> Decode.get_int p r))
              && coerces_like (model_float model.(r)) (fun () ->

@@ -269,8 +269,9 @@ let test_tunestore_autoconfig () =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let store = Tunestore.open_ ~name:"graph_test" ~path () in
-      (* Warm the store with a tuned winner for the QKV/projection GEMM
-         family (D=4, P=3) and nothing for the attention family. *)
+      (* Warm the store with a tuned winner of the QKV/projection GEMM
+         family's space (D=4, P=3) and nothing for the attention
+         family. *)
       let family =
         Autotune.Gemm { Workloads.m = 64; n = 32; k = 32; dtype = Dtype.F16 }
       in
@@ -278,7 +279,7 @@ let test_tunestore_autoconfig () =
         {
           Autotune.candidate =
             {
-              Autotune.tiles = { Kernels.block_m = 16; block_n = 16; block_k = 16 };
+              Autotune.tiles = { Kernels.block_m = 64; block_n = 64; block_k = 64 };
               aref_depth = 4;
               mma_depth = 3;
               coop = 1;
@@ -329,6 +330,27 @@ let test_tunestore_autoconfig () =
           Alcotest.(check bool) "tuned cycles equal" true
             (nr.Graph.nr_cycles = run_s.Graph.r_nodes.(i).Graph.nr_cycles))
         run_g.Graph.r_nodes)
+
+(* A stored entry outside the family's space is a miss: every node
+   keeps its own options. *)
+let test_tunestore_out_of_space () =
+  let plain = Graph.instantiate (Gallery.attention_block ()).Gallery.d_graph in
+  List.iter
+    (fun (what, c) ->
+      Test_autotune.with_store (fun _ store ->
+          Tunestore.put store
+            ~key:(Autotune.store_key Test_autotune.tiny_gemm)
+            (Test_autotune.entry c);
+          let inst = Graph.instantiate ~store (Gallery.attention_block ()).Gallery.d_graph in
+          for i = 0 to Graph.num_nodes inst.Graph.graph - 1 do
+            Alcotest.(check bool) (Printf.sprintf "%s: node %d untuned" what i) false
+              (Graph.node_tuned inst i);
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: node %d keeps its options" what i)
+              true
+              (Graph.node_options inst i = Graph.node_options plain i)
+          done))
+    Test_autotune.out_of_space
 
 (* ------------------------------------------------------------------ *)
 (* Functional output bits                                              *)
@@ -392,6 +414,8 @@ let suites =
           test_replay_decodes_once;
         Alcotest.test_case "tunestore auto-configures nodes" `Quick
           test_tunestore_autoconfig;
+        Alcotest.test_case "tunestore entry outside the space is a miss" `Quick
+          test_tunestore_out_of_space;
         Alcotest.test_case "gallery output bits pinned" `Quick test_gallery_digests;
       ] );
   ]

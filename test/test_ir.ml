@@ -81,13 +81,19 @@ let test_build_rejects_zero_size_tiles () =
   rejects "reshape" (fun b _ _ tile -> Builder.reshape b tile [ 64; 0 ]);
   rejects "iota" (fun b _ _ _ -> Builder.iota b 0)
 
+(* [Verifier.verify] as a result: [Error] carries the diagnostic. *)
+let verify_result k =
+  match Verifier.verify k with
+  | () -> Ok ()
+  | exception Verifier.Ill_formed msg -> Error msg
+
 let test_verifier_rejects_undefined_use () =
   let ghost = Value.fresh Types.i32 in
   let k =
     Builder.kernel "bad" [ ("x", Types.i32) ] (fun b _ ->
         ignore (Builder.emit1 b (Op.Binop Op.Add) [ ghost; ghost ] Types.i32))
   in
-  match Verifier.verify_result k with
+  match verify_result k with
   | Error msg ->
     Alcotest.(check bool) "mentions undefined" true
       (Astring.String.is_infix ~affix:"undefined" msg)
@@ -103,7 +109,7 @@ let test_verifier_rejects_bad_dot () =
         ignore
           (Builder.emit1 b Op.Dot [ a; bb; acc ] (Types.tensor [ 4; 8 ] Dtype.F32)))
   in
-  match Verifier.verify_result k with
+  match verify_result k with
   | Error msg ->
     Alcotest.(check bool) "mentions dot" true (Astring.String.is_infix ~affix:"dot" msg)
   | Ok () -> Alcotest.fail "expected dot shape error"
@@ -115,7 +121,7 @@ let test_verifier_rejects_double_def () =
   let k =
     Kernel.create ~name:"dbl" ~params:[] ~body:(Op.single_block_region [ op1; op2 ])
   in
-  match Verifier.verify_result k with
+  match verify_result k with
   | Error msg ->
     Alcotest.(check bool) "mentions twice" true
       (Astring.String.is_infix ~affix:"twice" msg)
@@ -138,7 +144,7 @@ let test_verifier_rejects_bad_yield_arity () =
           (Op.mk Op.For ~operands:[ z; n; one; acc ] ~results:[ res ]
              ~regions:[ Op.region [ blk ] ]))
   in
-  match Verifier.verify_result k with
+  match verify_result k with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected yield arity error"
 
@@ -152,7 +158,7 @@ let test_verifier_rejects_drop_init () =
       match Mutate.drop_init.Mutate.apply k with
       | None -> Alcotest.failf "drop-init does not apply to %s" name
       | Some mutant -> (
-        match Verifier.verify_result mutant with
+        match verify_result mutant with
         | Error msg ->
           Alcotest.(check bool) (name ^ ": names the undefined value") true
             (Astring.String.is_infix ~affix:"uses undefined value" msg)
@@ -182,7 +188,7 @@ let test_verifier_rejects_leak_value () =
       match Mutate.leak_value.Mutate.apply k with
       | None -> Alcotest.failf "leak-value does not apply to %s" name
       | Some mutant -> (
-        match Verifier.verify_result mutant with
+        match verify_result mutant with
         | Error msg ->
           Alcotest.(check bool) (name ^ ": names the undefined value") true
             (Astring.String.is_infix ~affix:"uses undefined value" msg)

@@ -46,9 +46,6 @@ let test_mbar_phases () =
   Alcotest.(check int) "three completions" 3 (Mbarrier.completions b);
   Alcotest.(check (option (float 0.0))) "phase 2 time" (Some 2.0)
     (Mbarrier.try_wait b ~target:2);
-  (* Parity = low bit of the completion count (§III-E). *)
-  Alcotest.(check int) "parity of 3" 1 (Mbarrier.parity_after 3);
-  Alcotest.(check int) "parity of 4" 0 (Mbarrier.parity_after 4);
   Mbarrier.reset b;
   Alcotest.(check int) "reset" 0 (Mbarrier.completions b)
 

@@ -146,7 +146,7 @@ let attention_params ~l ~d =
 let differential ?(exact = true) what (c : Flow.compiled) ~params ~num_programs
     ~pop_global =
   let _, hwm =
-    Engine.run_measured ~cfg:fcfg ~program:c.Flow.program ~params ~num_programs
+    Measure.run_measured ~cfg:fcfg ~program:c.Flow.program ~params ~num_programs
       ~pop_global ()
   in
   let fp = Resources.footprint c.Flow.program in
@@ -154,10 +154,10 @@ let differential ?(exact = true) what (c : Flow.compiled) ~params ~num_programs
   Alcotest.(check int)
     (what ^ ": one measured warp group per static stream")
     (Array.length parts)
-    (Array.length hwm.Decode.hwm_reg_bytes);
+    (Array.length hwm.Measure.hwm_reg_bytes);
   Array.iteri
     (fun i (p : Resources.part) ->
-      let measured = hwm.Decode.hwm_reg_bytes.(i) in
+      let measured = hwm.Measure.hwm_reg_bytes.(i) in
       let static = p.Resources.tensor_bytes in
       let role = Op.role_to_string p.Resources.role in
       if static < measured then
@@ -171,8 +171,8 @@ let differential ?(exact = true) what (c : Flow.compiled) ~params ~num_programs
   Alcotest.(check bool)
     (what ^ ": some warp group measured > 0 register bytes")
     true
-    (Array.exists (fun b -> b > 0) hwm.Decode.hwm_reg_bytes);
-  let m_smem = hwm.Decode.hwm_smem_bytes in
+    (Array.exists (fun b -> b > 0) hwm.Measure.hwm_reg_bytes);
+  let m_smem = hwm.Measure.hwm_smem_bytes in
   let s_smem = fp.Resources.smem_bytes in
   if s_smem < m_smem then
     Alcotest.failf "%s: static SMEM %d B < measured %d B (unsound)" what s_smem m_smem;
